@@ -8,7 +8,7 @@ kernels at the boundary.
 
 Backends are immutable after construction: the system table and the box
 table are fixed, and every exposed array is freshly allocated or treated as
-read-only.  ``with_boxes`` returns an extended copy instead of mutating.
+read-only.
 
 System labels of the reserved form ``@<n>`` denote scratch systems of
 dimension ``n`` (purifying systems, dilation environments, readout
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from ..diagram import SystemType, UNIT
+from ..diagram import SystemType
 from ..errors import (
     NotPhysicalError,
     OptlabError,
@@ -223,13 +223,6 @@ class TheoryBackend(abc.ABC):
         except KeyError:
             raise UnknownBoxError(f"no box named {name!r} declared on backend {self.name}") from None
 
-    def with_boxes(self, extra: Mapping[str, Channel]) -> "TheoryBackend":
-        """Extended copy sharing systems and tolerances; self stays unchanged."""
-        clone = type(self)(self._systems, tol=self.tol)
-        clone._boxes = dict(self._boxes)
-        clone._boxes.update(extra)
-        return clone
-
     # ------------------------------------------------------------------
     # compilation and physicality
     # ------------------------------------------------------------------
@@ -248,32 +241,6 @@ class TheoryBackend(abc.ABC):
             if not cert.physical:
                 raise NotPhysicalError(cert)
         return ch
-
-    def compile_box(self, box, payload: Payload) -> TransferMatrix:
-        """Compile a primitive box declaration straight to its transfer matrix."""
-        ch = self.compile_payload(payload, box.input_type, box.output_type)
-        return self.transfer_of(ch)
-
-    def is_physical(
-        self,
-        obj,
-        input_type: SystemType | None = None,
-        output_type: SystemType | None = None,
-    ) -> PhysicalityCertificate:
-        """Certify a payload, channel, or transfer matrix.
-
-        Payloads need the wire types; transfer matrices carry their own.
-        """
-        if isinstance(obj, Channel):
-            return self.certify_channel(obj)
-        if isinstance(obj, TransferMatrix):
-            return self.certify_channel(self.channel_from_transfer(obj))
-        if isinstance(obj, Payload):
-            if input_type is None or output_type is None:
-                raise OptlabError("payload physicality needs input_type and output_type")
-            ch = self._channel_from_payload(obj, input_type, output_type)
-            return self.certify_channel(ch)
-        raise OptlabError(f"cannot certify object of type {type(obj).__name__}")
 
     @abc.abstractmethod
     def _channel_from_payload(

@@ -37,6 +37,30 @@ USAGE_ERROR = 2
 VIOLATION = 1
 
 
+def _integer_from(minimum: int):
+    """argparse ``type=`` for an integer flag that must be ``>= minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse ``type=`` for ``--tol``: a finite number ``>= 0``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optlab",
@@ -47,11 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="workbench file to load")
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="decision tolerance for verdicts (default 1e-9)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_integer_from(0), default=0,
                        help="seed for randomized audits (default 0)")
-        p.add_argument("--trials", type=int, default=100,
+        p.add_argument("--trials", type=_integer_from(1), default=100,
                        help="random instances per audit (default 100)")
         return p
 

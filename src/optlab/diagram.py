@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .errors import TypeMismatchError, UnknownBoxError
+from .errors import TypeMismatchError
 
 __all__ = [
     "SystemType",
     "UNIT",
-    "tensor_systems",
     "Diagram",
     "PrimitiveBox",
     "Identity",
@@ -93,11 +92,6 @@ class SystemType:
 
 #: The trivial (empty-word) system.
 UNIT = SystemType(())
-
-
-def tensor_systems(a: SystemType, b: SystemType) -> SystemType:
-    """Concatenate two system words.  Associative with unit :data:`UNIT`."""
-    return a * b
 
 
 # ---------------------------------------------------------------------------

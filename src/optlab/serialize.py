@@ -1,10 +1,19 @@
 """Canonical JSON: byte-identical output for identical inputs.
 
-Floats print with 17 significant digits (round-trip exact for float64),
-complex scalars become two-element [re, im] arrays, arrays become row-major
-nested lists, and object keys are sorted.  The writer is a tiny recursive
-formatter rather than a ``json.dumps`` configuration because the float
-format must be pinned down to the byte.
+Floats print with ``%.17g``, the fixed 17-significant-digit form, which
+round-trips every float64 (``repr`` would give the shortest form instead);
+``-0.0`` prints as ``0`` and non-finite floats are refused.  Complex scalars
+become two-element [re, im] arrays, arrays become row-major nested lists, and
+object keys are sorted.  The writer is a tiny recursive formatter rather than
+a ``json.dumps`` configuration because the float format must be pinned down
+to the byte.
+
+A finite real floating array of one or more dimensions (a transfer matrix,
+a state's coordinates) skips the per-element walk: it is normalised and
+checked once as a whole, its outer axes are laid out like nested lists, and
+each innermost row is printed by one C-level ``%``-format call.  Every other
+array, including one holding ``nan`` or ``inf``, goes through
+:func:`jsonable`, so it prints, or fails, exactly as a nested list would.
 """
 
 from __future__ import annotations
@@ -43,6 +52,23 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj
+
+
+def _fold(obj):
+    """:func:`jsonable`, except that a finite real floating array of one or
+    more dimensions stays an array, normalised to float64 without ``-0.0``,
+    for :func:`_write` to print row by row.  Other arrays (0-d, non-finite,
+    subclasses such as masked arrays) take the list path, so they print and
+    fail exactly as before."""
+    if type(obj) is np.ndarray and obj.dtype.kind == "f" and obj.ndim:
+        a = obj.astype(np.float64, copy=False) + 0.0  # + 0.0 turns -0.0 into 0.0
+        if np.isfinite(a).all():
+            return a
+    if isinstance(obj, dict):
+        return {str(k): _fold(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_fold(v) for v in obj]
+    return jsonable(obj)
 
 
 def _write(obj, out: list[str], indent: int) -> None:
@@ -90,6 +116,11 @@ def _write(obj, out: list[str], indent: int) -> None:
             _write(v, out, indent + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
+    elif isinstance(obj, np.ndarray):  # finite float64, left by _fold
+        if obj.ndim > 1:
+            _write(list(obj), out, indent)  # a list of row arrays: the layout above
+        else:  # one C-level format call per row
+            out.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj.tolist()) + "]")
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -97,6 +128,6 @@ def _write(obj, out: list[str], indent: int) -> None:
 def dumps_canonical(obj) -> str:
     """Canonical JSON text (trailing newline included)."""
     out: list[str] = []
-    _write(jsonable(obj), out, 0)
+    _write(_fold(obj), out, 0)
     out.append("\n")
     return "".join(out)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from optlab.cli import main
+from optlab.cli import build_parser, main
 
 
 @pytest.fixture
@@ -212,3 +212,23 @@ def test_seed_changes_sampled_audits(run, fx):
     _, b = run("audit", fx("plus_born.opt"), "--axiom", "causality",
                "--trials", 4, "--seed", 2)
     assert json.loads(a)["seed"] != json.loads(b)["seed"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"), ("--trials", "-3"), ("--trials", "2.5"),
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-9"),
+    ("--seed", "-1"),
+])
+def test_bad_flag_values_are_usage_errors(run, fx, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        run("audit", fx("plus_born.opt"), "--axiom", "faithfulness", flag, value)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_boundary_flag_values_are_accepted():
+    args = build_parser().parse_args(["audit", "x.opt", "--axiom", "causality",
+                                      "--trials", "1", "--seed", "0", "--tol", "0"])
+    assert (args.trials, args.seed, args.tol) == (1, 0, 0.0)
