@@ -26,8 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from optlab.cli import main
 from optlab import dsl
+from optlab.cli import main
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -72,7 +72,10 @@ def commands(text: str) -> list[list[str]]:
     """The arguments (after the file) of every command that applies to ``text``."""
     wb = dsl.load(text)
     kinds = wb.kinds
-    named = lambda *wanted: [n for n, k in kinds.items() if k in wanted]  # noqa: E731
+
+    def named(*wanted: str) -> list[str]:
+        return [n for n, k in kinds.items() if k in wanted]
+
     out = [["eval", "--circuit", n] for n in named("circuit")]
     for n in named("circuit", "test"):
         piece = wb.circuits[n] if kinds[n] == "circuit" else wb.tests[n].branches[0]
@@ -85,6 +88,7 @@ def commands(text: str) -> list[list[str]]:
         da, db = wb.diagram(a), wb.diagram(b)
         if (da.input_type, da.output_type) == (db.input_type, db.output_type):
             out.append(["equiv", "--box", a, "--box2", b])
+    # steer: a declared preparation test on a proper prefix of a state's systems
     declared = {s.name for s in wb.document.statements if isinstance(s, dsl.TestDef)}
     for s in named("state"):
         joint = wb.bindings[s].output_type.word
