@@ -27,7 +27,7 @@ from .errors import (
     DslParseError,
     OptlabError,
 )
-from .evaluator import evaluate, run_test_circuit
+from .evaluator import evaluate, evaluate_channel, run_test_circuit
 from .sampling import Sampler
 from .serialize import dumps_canonical
 
@@ -207,16 +207,16 @@ def _cmd_dilate(wb: Workbench, args) -> int:
 def _cmd_steer(wb: Workbench, args) -> int:
     psi = wb.state_vector(args.state)
     test = wb.test(args.test)
+    if not test.input_type.is_unit or test.output_type.is_unit:
+        raise OptlabError(
+            f"test {args.test!r} does not prepare states: it has type "
+            f"{test.input_type} -> {test.output_type}"
+        )
     branch_channels = [
-        (label, wb.bindings[box.name]) for label, box in test.items()
+        (label, evaluate_channel(branch, wb.backend, wb.bindings))
+        for label, branch in test.items()
     ]
-    base_word = branch_channels[0][1].output_type
-    for _, ch in branch_channels:
-        if not ch.input_type.is_unit:
-            raise OptlabError(
-                f"test {args.test!r} does not prepare states: branch input is "
-                f"{ch.input_type}"
-            )
+    base_word = test.output_type
     joint = psi.system.word
     base = base_word.word
     if len(base) >= len(joint) or joint[:len(base)] != base:

@@ -6,9 +6,11 @@ and parallel (side-by-side) composition.  Outcome-indexed families of
 circuits ("tests") ride on top of plain circuits and compose the same way,
 with outcome sets multiplying as Cartesian products.
 
-Terms are plain frozen dataclasses: structural equality and hashing come for
-free, and nothing mutates after construction, so sharing subterms across
-threads or memo tables is safe.  The checked constructors :func:`seq` /
+Terms are frozen dataclasses with structural equality, and nothing mutates
+after construction, so sharing subterms across threads or memo tables is
+safe.  The composites :class:`Seq` and :class:`Par` compute their wire types
+and structural hash once, from their children's stored values, so hashing a
+term of any depth is O(1) and never recurses.  The checked constructors :func:`seq` /
 :func:`par` (also spelled ``>>`` and ``@``) are the intended way to build
 composites; the raw dataclass constructors perform no wire checking, which
 is what lets :func:`validate` exist as a separate diagnostic pass.
@@ -174,14 +176,17 @@ class Seq(Diagram):
 
     first: Diagram
     second: Diagram
+    input_type: SystemType = field(init=False, repr=False, compare=False)
+    output_type: SystemType = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def input_type(self) -> SystemType:  # type: ignore[override]
-        return self.first.input_type
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "input_type", self.first.input_type)
+        object.__setattr__(self, "output_type", self.second.output_type)
+        object.__setattr__(self, "_hash", hash((Seq, self.first, self.second)))
 
-    @property
-    def output_type(self) -> SystemType:  # type: ignore[override]
-        return self.second.output_type
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"({self.first} ; {self.second})"
@@ -193,14 +198,17 @@ class Par(Diagram):
 
     left: Diagram
     right: Diagram
+    input_type: SystemType = field(init=False, repr=False, compare=False)
+    output_type: SystemType = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def input_type(self) -> SystemType:  # type: ignore[override]
-        return self.left.input_type * self.right.input_type
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "input_type", self.left.input_type * self.right.input_type)
+        object.__setattr__(self, "output_type", self.left.output_type * self.right.output_type)
+        object.__setattr__(self, "_hash", hash((Par, self.left, self.right)))
 
-    @property
-    def output_type(self) -> SystemType:  # type: ignore[override]
-        return self.left.output_type * self.right.output_type
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"({self.left} * {self.right})"

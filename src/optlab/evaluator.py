@@ -4,8 +4,15 @@ Evaluation is structural recursion over the term: primitive boxes resolve to
 compiled kernels, identities and swaps come from the backend's kernel
 algebra, sequential composition is a kernel product and parallel composition
 a (reordered) Kronecker product.  Results are memoized per call, keyed by
-the term itself — terms are immutable and hash structurally, so identical
-subterms are evaluated once even across the branches of a test.
+the term itself — terms are immutable and hash structurally in O(1), so
+identical subterms are evaluated once even across the branches of a test.
+
+Sequential composition is associative, and a term whose input is the trivial
+system is evaluated from the state outward: ``s ; (x ; y)`` is taken as
+``(s ; x) ; y``.  Every sequential product on a state-typed prefix is then a
+matrix times a column rather than a product of two square kernels, and each
+such prefix is still memoized, so the branches of a test that share a
+preparation share its propagated state.
 """
 
 from __future__ import annotations
@@ -86,6 +93,11 @@ def evaluate_channel(
         ch = Channel(d.system, d.system, backend.kernel_identity(d.system))
     elif isinstance(d, Swap):
         ch = Channel(d.input_type, d.output_type, backend.kernel_swap(d.left, d.right))
+    elif isinstance(d, Seq) and d.first.input_type.is_unit and isinstance(d.second, Seq):
+        # state first: s ; (x ; y) is (s ; x) ; y, a matrix-column product per step
+        ch = evaluate_channel(
+            Seq(Seq(d.first, d.second.first), d.second.second), backend, bindings, memo
+        )
     elif isinstance(d, Seq):
         first = evaluate_channel(d.first, backend, bindings, memo)
         second = evaluate_channel(d.second, backend, bindings, memo)

@@ -39,6 +39,8 @@ def format_float(x: float) -> str:
 def jsonable(obj):
     """Fold numpy scalars/arrays and complex numbers into JSON-ready values."""
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            return jsonable(obj.tolist())
         return [jsonable(row) for row in obj.tolist()]
     if isinstance(obj, (np.floating,)):
         return float(obj)

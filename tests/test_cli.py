@@ -90,6 +90,29 @@ def test_steer_reproduces_the_ensemble(run, fx):
     assert max(payload["branch_errors"]) <= 1e-9
 
 
+def test_steer_accepts_a_test_circuit(run, fx, tmp_path):
+    text = open(fx("bell_steering.opt")).read() + (
+        "box x : Q -> Q = kraus=[[[[0,0],[1,0]],[[1,0],[0,0]]]]\n"
+        "circuit flipped = ensemble ; x\n"
+    )
+    p = tmp_path / "flipped.opt"
+    p.write_text(text)
+    code, out = run("steer", p, "--state", "bell", "--test", "flipped")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "Steered"
+    assert payload["labels"] == ["a", "b"]
+    assert max(payload["branch_errors"]) <= 1e-9
+
+
+@pytest.mark.parametrize("test_name", ["one", "look"])
+def test_steer_refuses_a_test_that_prepares_no_state(run, fx, test_name):
+    code, out = run("steer", fx("test_compose_par.opt"),
+                    "--state", "coin", "--test", test_name)
+    assert code == 2
+    assert "does not prepare states" in json.loads(out)["error"]
+
+
 def test_equiv_agrees_up_to_global_sign(run, fx):
     code, out = run("equiv", fx("damping.opt"), "--box", "xgate", "--box2", "minusx")
     assert code == 0

@@ -1,12 +1,14 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab.diagram import Identity, OutcomeSpace, PrimitiveBox, Swap, SystemType, UNIT, par, seq, singleton_test
+from optlab import get_backend
+from optlab.diagram import Identity, OutcomeSpace, Par, PrimitiveBox, Seq, Swap, SystemType, UNIT, par, seq, singleton_test
 from optlab.diagram import Test as OutcomeTest
 from optlab.diagram import test_par as parallel_tests
 from optlab.diagram import test_seq as chain_tests
 from optlab.errors import TypeMismatchError
+from optlab.sampling import Sampler
 
 A = SystemType.of("A")
 B = SystemType.of("B")
@@ -114,3 +116,54 @@ def test_test_mapping_interface():
              (PrimitiveBox("su", UNIT, A), PrimitiveBox("sd", UNIT, A)))
     assert t["u"].name == "su"
     assert [label for label, _ in t.items()] == ["u", "d"]
+
+
+# ---------------------------------------------------------------------------
+# stored wire types and hashes
+# ---------------------------------------------------------------------------
+
+declared_words = st.lists(st.sampled_from(["A", "B"]), max_size=2).map(
+    lambda ls: SystemType(tuple(ls))
+)
+
+
+def _subterms(d):
+    yield d
+    if isinstance(d, Seq):
+        yield from _subterms(d.first)
+        yield from _subterms(d.second)
+    elif isinstance(d, Par):
+        yield from _subterms(d.left)
+        yield from _subterms(d.right)
+
+
+def _recomputed_types(d):
+    """Wire types by recursion over the term, ignoring the stored ones."""
+    if isinstance(d, Seq):
+        return _recomputed_types(d.first)[0], _recomputed_types(d.second)[1]
+    if isinstance(d, Par):
+        (li, lo), (ri, ro) = _recomputed_types(d.left), _recomputed_types(d.right)
+        return li * ri, lo * ro
+    return d.input_type, d.output_type
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["quantum", "quantum-real", "classical"]),
+       st.integers(0, 2**32 - 1), declared_words, declared_words)
+def test_terms_built_twice_are_equal_and_hash_equal(theory, seed, win, wout):
+    backend = get_backend(theory, {"A": 2, "B": 3})
+    first = Sampler(backend, seed=seed).diagram(win, wout)
+    second = Sampler(backend, seed=seed).diagram(win, wout)
+    assert first == second and hash(first) == hash(second)
+    assert (first.input_type, first.output_type) == (win, wout)
+    for term in _subterms(first):
+        assert (term.input_type, term.output_type) == _recomputed_types(term)
+
+
+def test_hashing_a_deep_chain_does_not_recurse():
+    f = PrimitiveBox("f", A, A)
+    chain = f
+    for _ in range(10_000):
+        chain = Seq(chain, f)
+    assert {chain: "deep"}[chain] == "deep"
+    assert (chain.input_type, chain.output_type) == (A, A)

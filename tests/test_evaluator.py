@@ -1,10 +1,13 @@
 """Circuit evaluation against hand-computed values and structural laws."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from optlab import Channel, Identity, Swap, SystemType, evaluate, par, run_test_circuit, seq, singleton_test
-from optlab.diagram import PrimitiveBox, test_seq as chain_tests
+from optlab.diagram import OutcomeSpace, Par, PrimitiveBox, Seq, Test, UNIT, test_par as parallel_tests
+from optlab.diagram import test_seq as chain_tests
 from optlab.errors import OptlabError
 from optlab.evaluator import evaluate_channel, trace_box
 from optlab.sampling import Sampler
@@ -149,3 +152,98 @@ def test_memoized_evaluation_is_consistent(backend):
     c1 = evaluate_channel(d, backend, bf, memo=memo)
     c2 = evaluate_channel(d, backend, bf)
     np.testing.assert_allclose(c1.kernel, c2.kernel, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# state-first evaluation of closed circuits
+# ---------------------------------------------------------------------------
+
+
+def _plain_channel(d, backend, bindings):
+    """Reference: the term in its written association, without a memo."""
+    if isinstance(d, PrimitiveBox):
+        return bindings[d.name]
+    if isinstance(d, Identity):
+        return Channel(d.system, d.system, backend.kernel_identity(d.system))
+    if isinstance(d, Swap):
+        return Channel(d.input_type, d.output_type, backend.kernel_swap(d.left, d.right))
+    if isinstance(d, Seq):
+        first = _plain_channel(d.first, backend, bindings)
+        second = _plain_channel(d.second, backend, bindings)
+        return Channel(first.input_type, second.output_type, backend.kernel_seq(first, second))
+    assert isinstance(d, Par)
+    left = _plain_channel(d.left, backend, bindings)
+    right = _plain_channel(d.right, backend, bindings)
+    return Channel(left.input_type * right.input_type, left.output_type * right.output_type,
+                   backend.kernel_par(left, right))
+
+
+def _plain_distribution(t, backend, bindings):
+    return {
+        label: backend.prob(backend.transfer_of(_plain_channel(b, backend, bindings)).matrix[0, 0])
+        for label, b in t.items()
+    }
+
+
+def _closed_ladder(backend, s, n=3, layers=4):
+    """Two-branch preparations on n copies of A, a brick-wall ladder of random
+    two-system channels, two-outcome measurements: ``(preps) ; ladder ; (meas)``
+    nested as the workbench language nests it."""
+    rows = []
+    for layer in range(layers):
+        row, i = [], 0
+        while i < n:
+            if i + 1 < n and i % 2 == layer % 2:
+                name = f"g{layer}_{i}"
+                s.bindings[name] = s.channel(A * A, A * A)
+                row.append(PrimitiveBox(name, A * A, A * A))
+                i += 2
+            else:
+                row.append(Identity(A))
+                i += 1
+        rows.append(reduce(par, row))
+    preps, meas = [], []
+    for i in range(n):
+        boxes = []
+        for k, obj in enumerate(s.preparation_branches(A, 2)):
+            s.bindings[f"p{i}_{k}"] = backend.state_channel(obj, A)
+            boxes.append(PrimitiveBox(f"p{i}_{k}", UNIT, A))
+        preps.append(Test(OutcomeSpace(("0", "1")), tuple(boxes)))
+        boxes = []
+        for k, ch in enumerate(s.observation_channels(A, 2)):
+            s.bindings[f"m{i}_{k}"] = ch
+            boxes.append(PrimitiveBox(f"m{i}_{k}", A, UNIT))
+        meas.append(Test(OutcomeSpace(("0", "1")), tuple(boxes)))
+    ladder = singleton_test(reduce(seq, rows))
+    return chain_tests(chain_tests(reduce(parallel_tests, preps), ladder),
+                       reduce(parallel_tests, meas))
+
+
+@pytest.mark.parametrize("circuits", ["sampled", "ladder"])
+def test_state_first_matches_the_written_association(backend, circuits):
+    s = Sampler(backend, seed=26)
+    if circuits == "sampled":
+        tests = [s.closed_test_circuit(depth=2) for _ in range(4)]
+    else:
+        tests = [_closed_ladder(backend, s)]
+    for t in tests:
+        got = run_test_circuit(t, backend, s.bindings).probs
+        want = _plain_distribution(t, backend, s.bindings)
+        assert list(got) == list(want) == list(t.outcomes.labels)
+        for label, p in want.items():
+            assert abs(got[label] - p) <= 1e-12
+
+
+def test_closed_ladder_multiplies_states_not_kernels(backend, monkeypatch):
+    s = Sampler(backend, seed=28)
+    t = _closed_ladder(backend, s)
+    firsts = []
+    kernel_seq = backend.kernel_seq
+
+    def recording(first, second):
+        firsts.append(first.input_type)
+        return kernel_seq(first, second)
+
+    monkeypatch.setattr(backend, "kernel_seq", recording)
+    run_test_circuit(t, backend, s.bindings)
+    assert firsts and all(word.is_unit for word in firsts)

@@ -37,6 +37,13 @@ def test_arrays_become_nested_lists():
     assert out == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
 
+def test_zero_dimensional_arrays_become_scalars():
+    assert jsonable(np.array(0.5)) == 0.5
+    assert jsonable(np.array(1 - 2j)) == [1.0, -2.0]
+    assert jsonable([np.array(3)]) == [3]
+    assert dumps_canonical({"x": np.array(0.5)}) == '{\n  "x": 0.5\n}\n'
+
+
 def test_keys_sorted_and_deterministic():
     a = dumps_canonical({"b": 1.0, "a": [1.0, 2.0], "c": {"z": 0.5, "y": 2j}})
     b = dumps_canonical({"c": {"y": 2j, "z": 0.5}, "a": [1.0, 2.0], "b": 1.0})
