@@ -28,7 +28,7 @@ from .errors import (
     OptlabError,
 )
 from .evaluator import evaluate, evaluate_channel, run_test_circuit
-from .sampling import Sampler
+from .sampling import Sampler, spawn_rngs
 from .serialize import dumps_canonical
 
 __all__ = ["main", "build_parser"]
@@ -324,10 +324,11 @@ def _audit_purification(wb: Workbench, args) -> int:
 def _audit_faithfulness(wb: Workbench, args) -> int:
     reports = []
     code = 0
-    for name in sorted(wb.backend.systems):
+    names = sorted(wb.backend.systems)
+    for name, rng in zip(names, spawn_rngs(args.seed, len(names))):
         r = tomography.verify_faithfulness(
             wb.backend, SystemType.of(name), trials=args.trials,
-            seed=args.seed, tol=args.tol,
+            seed=rng, tol=args.tol,
         )
         reports.append({"system": name, **_plain(r)})
         if r.verdict != "Confirmed":

@@ -228,7 +228,7 @@ def verify_faithfulness(
     backend: TheoryBackend,
     word: SystemType | None = None,
     trials: int = 100,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     tol: float | None = None,
 ) -> FaithfulnessReport:
     """Check the faithful state separates random pairs of transformations.

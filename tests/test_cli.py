@@ -159,6 +159,15 @@ def test_audit_faithfulness(run, fx):
     assert payload["seed"] == 3
 
 
+def test_audit_faithfulness_draws_each_system_independently(run, fx):
+    code, out = run("audit", fx("three_systems.opt"), "--axiom", "faithfulness",
+                    "--trials", 20, "--seed", 3)
+    assert code == 0
+    gaps = {r["system"]: r["min_gap"] for r in json.loads(out)["systems"]}
+    assert sorted(gaps) == ["A", "B", "C"]
+    assert gaps["A"] != gaps["C"]
+
+
 def test_audit_local_tomography_fails_on_rebits(run, fx):
     code, out = run("audit", fx("rebit.opt"), "--axiom", "local-tomography")
     assert code == 1
