@@ -8,12 +8,13 @@ with outcome sets multiplying as Cartesian products.
 
 Terms are frozen dataclasses with structural equality, and nothing mutates
 after construction, so sharing subterms across threads or memo tables is
-safe.  The composites :class:`Seq` and :class:`Par` compute their wire types
-and structural hash once, from their children's stored values, so hashing a
-term of any depth is O(1) and never recurses.  The checked constructors :func:`seq` /
-:func:`par` (also spelled ``>>`` and ``@``) are the intended way to build
-composites; the raw dataclass constructors perform no wire checking, which
-is what lets :func:`validate` exist as a separate diagnostic pass.
+safe.  The composites :class:`Seq` and :class:`Par` store their wire types
+and structural hash, computed once from their children's stored values, so
+hashing a term of any depth is O(1) and never recurses.  The checked
+constructors :func:`seq` / :func:`par` (also spelled ``>>`` and ``@``) are
+the intended way to build composites; the raw dataclass constructors perform
+no wire checking, which is what lets :func:`validate` exist as a separate
+diagnostic pass.
 """
 
 from __future__ import annotations

@@ -90,8 +90,8 @@ def test_steer_reproduces_the_ensemble(run, fx):
     assert max(payload["branch_errors"]) <= 1e-9
 
 
-def test_steer_accepts_a_test_circuit(run, fx, tmp_path):
-    text = open(fx("bell_steering.opt")).read() + (
+def test_steer_accepts_a_test_circuit(run, fixture_dir, tmp_path):
+    text = (fixture_dir / "bell_steering.opt").read_text() + (
         "box x : Q -> Q = kraus=[[[[0,0],[1,0]],[[1,0],[0,0]]]]\n"
         "circuit flipped = ensemble ; x\n"
     )
