@@ -283,6 +283,23 @@ class TheoryBackend(abc.ABC):
         ...
 
     @abc.abstractmethod
+    def apply_first(
+        self,
+        kernels: np.ndarray,
+        input_word: SystemType,
+        output_word: SystemType,
+        state: StateVector,
+    ) -> np.ndarray:
+        """Coordinates of ``(k * id)(state)`` for each of a stack of kernels.
+
+        ``kernels`` has shape ``(count, rows, cols)`` and each acts
+        ``input_word -> output_word``; ``state`` lives on
+        ``input_word * ref``.  Returns shape
+        ``(count, state_dim(output_word * ref))``, without building any
+        joint kernel.
+        """
+
+    @abc.abstractmethod
     def trace_channel(self, word: SystemType) -> Channel:
         """The unique deterministic effect (discard) as a channel to the unit."""
 

@@ -112,6 +112,11 @@ class ClassicalBackend(TheoryBackend):
     def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
         return np.kron(left.kernel, right.kernel)
 
+    def apply_first(self, kernels, input_word, output_word, state):
+        joint = state.coords.reshape(self.hilbert_dim(input_word), -1)
+        out = np.einsum("tki,ir->tkr", kernels, joint)
+        return out.reshape(len(out), -1)
+
     def trace_channel(self, word: SystemType) -> Channel:
         return Channel(word, SystemType(()), np.ones((1, self.hilbert_dim(word))))
 

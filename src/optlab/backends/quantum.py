@@ -246,6 +246,16 @@ class _MatrixTheory(TheoryBackend):
             self.hilbert_dim(right.output_type),
         )
 
+    def apply_first(self, kernels, input_word, output_word, state):
+        din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
+        ref = SystemType(state.system.word[len(input_word):])
+        r = self.hilbert_dim(ref)
+        rho = self.state_object(state.coords, state.system).reshape(din, r, din, r)
+        legs = kernels.reshape(-1, dout, dout, din, din)
+        out = np.einsum("tklij,irjs->tkrls", legs, rho).reshape(len(legs), 1, -1)
+        # one vector-matrix product per kernel, so a row never depends on the stack height
+        return np.real(out @ self._flat_basis(output_word * ref).conj())[:, 0]
+
     def trace_channel(self, word: SystemType) -> Channel:
         d = self.hilbert_dim(word)
         kernel = linalg.vec(np.eye(d, dtype=self._dtype)).reshape(1, -1)

@@ -7,6 +7,8 @@ standard output, and signals its verdict through the exit code:
 * 1 — a witnessed failure (axiom violated, purification impossible,
   channels distinguished); the JSON carries the witness
 * 2 — usage, parse, or load errors (including unphysical payloads)
+* 3 — internal error: the program failed (the JSON names the exception),
+  so no verdict was reached
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = ["main", "build_parser"]
 
 USAGE_ERROR = 2
 VIOLATION = 1
+INTERNAL_ERROR = 3
 
 
 def _integer_from(minimum: int):
@@ -405,8 +408,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -426,6 +428,18 @@ def main(argv=None) -> int:
     except OptlabError as e:
         _emit({"error": str(e)})
         return USAGE_ERROR
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as e:  # a crash must not read as a verdict
+        import traceback
+
+        traceback.print_exc()
+        _emit({"error": "internal error", "exception": type(e).__name__, "message": str(e)})
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

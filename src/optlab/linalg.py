@@ -117,9 +117,12 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def liouville_from_choi(choi: np.ndarray, din: int, dout: int) -> np.ndarray:
-    """J[(i,k),(j,l)] = M(E_ij)[k,l]  ->  N[(k,l),(i,j)]."""
-    j4 = np.asarray(choi).reshape(din, dout, din, dout)
-    return j4.transpose(1, 3, 0, 2).reshape(dout * dout, din * din)
+    """J[(i,k),(j,l)] = M(E_ij)[k,l]  ->  N[(k,l),(i,j)]; leading axes are a stack."""
+    choi = np.asarray(choi)
+    lead = choi.shape[:-2]
+    n = len(lead)
+    j4 = choi.reshape(*lead, din, dout, din, dout)
+    return j4.transpose(*range(n), n + 1, n + 3, n, n + 2).reshape(*lead, dout * dout, din * din)
 
 
 def choi_from_liouville(lio: np.ndarray, din: int, dout: int) -> np.ndarray:

@@ -4,12 +4,18 @@ Everything funnels through one ``Sampler`` per backend so that audits and
 property tests are reproducible: trial k of a run seeded with s draws from
 an independent stream spawned from s, and identical seeds give identical
 objects byte for byte.
+
+Batched draws keep the stream: ``channels(w_in, w_out, n)`` consumes exactly
+the random numbers of ``n`` calls to ``channel``, in the same order, and
+gives the same kernels, so a caller may split ``n`` draws into blocks of any
+size without changing what it draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .backends.base import Channel, EffectVector, StateVector, TheoryBackend
 from .diagram import (
     Diagram,
@@ -53,11 +59,16 @@ class Sampler:
     def _complex(self) -> bool:
         return getattr(self.backend, "_complex_scalars", False)
 
-    def _ginibre(self, rows: int, cols: int) -> np.ndarray:
-        g = self.rng.normal(size=(rows, cols))
-        if self._complex:
-            g = g + 1j * self.rng.normal(size=(rows, cols))
-        return g
+    def _ginibre(self, *shape: int) -> np.ndarray:
+        """Gaussian matrices of shape ``(..., rows, cols)``.
+
+        On complex backends each matrix draws its real part, then its
+        imaginary part, so a stack draws what one call per matrix would.
+        """
+        if not self._complex:
+            return self.rng.normal(size=shape)
+        g = self.rng.normal(size=(*shape[:-2], 2, *shape[-2:]))
+        return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
     def random_unitary(self, d: int) -> np.ndarray:
         """Haar unitary (or orthogonal, on real-scalar backends) via QR."""
@@ -96,27 +107,34 @@ class Sampler:
         e = u @ np.diag(self.rng.uniform(size=d)) @ u.conj().T
         return EffectVector(b.effect_coords(e, word), word)
 
-    def channel(self, input_word: SystemType, output_word: SystemType,
-                rank: int | None = None) -> Channel:
+    def channel(self, input_word: SystemType, output_word: SystemType) -> Channel:
         """Random deterministic (normalization-preserving) transformation."""
+        return Channel(input_word, output_word, self.channels(input_word, output_word, 1)[0])
+
+    def channels(self, input_word: SystemType, output_word: SystemType,
+                 count: int) -> np.ndarray:
+        """Kernels of ``count`` random deterministic transformations, stacked.
+
+        Shape ``(count, rows, cols)``; draws what ``count`` calls to
+        ``channel`` would, in the same order.
+        """
         b = self.backend
         din, dout = b.hilbert_dim(input_word), b.hilbert_dim(output_word)
         if b.name == "classical":
-            m = np.stack([self.simplex_weights(dout) for _ in range(din)], axis=1)
-            return Channel(input_word, output_word, m)
-        j = self._tp_choi(din, dout, rank)
-        return b.channel_from_choi(j, input_word, output_word)
+            w = self.rng.exponential(size=(count, din, dout))
+            w = w / w.sum(axis=-1, keepdims=True)
+            return np.ascontiguousarray(w.swapaxes(-1, -2))
+        return linalg.liouville_from_choi(self._tp_choi(din, dout, count), din, dout)
 
-    def _tp_choi(self, din: int, dout: int, rank: int | None = None) -> np.ndarray:
-        k = rank or din * dout
-        k = max(k, int(np.ceil(din / dout)))  # reduced trace must stay invertible
-        g = self._ginibre(din * dout, k)
-        j0 = g @ g.conj().T
-        red = np.einsum("ibjb->ij", j0.reshape(din, dout, din, dout))
+    def _tp_choi(self, din: int, dout: int, count: int) -> np.ndarray:
+        """``count`` random trace-preserving Choi matrices, stacked."""
+        g = self._ginibre(count, din * dout, din * dout)
+        j0 = g @ g.conj().swapaxes(-1, -2)
+        red = np.einsum("tibjb->tij", j0.reshape(count, din, dout, din, dout))
         vals, vecs = np.linalg.eigh(red)
-        rinv = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-        scale = np.kron(rinv, np.eye(dout))
-        j = scale @ j0 @ scale.conj().T
+        rinv = (vecs * vals[:, None, :] ** -0.5) @ vecs.conj().swapaxes(-1, -2)
+        scale = np.einsum("tij,kl->tikjl", rinv, np.eye(dout)).reshape(j0.shape)
+        j = scale @ j0 @ scale.conj().swapaxes(-1, -2)
         return j.real if not self._complex else j
 
     def unitary_channel(self, word: SystemType) -> Channel:
@@ -181,7 +199,7 @@ class Sampler:
             for x in range(k):
                 parts.append(Channel(input_word, output_word, m * split[:, :, x]))
             return parts
-        j = self._tp_choi(din, dout)
+        j = self._tp_choi(din, dout, 1)[0]
         vals, vecs = np.linalg.eigh(j)
         a = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
         out = []

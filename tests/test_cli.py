@@ -230,6 +230,27 @@ def test_unphysical_payloads_fail_at_load(run, tmp_path):
     assert "line 3" in json.loads(out)["error"]
 
 
+def test_crashes_exit_3_with_a_json_error(run, tmp_path):
+    """A circuit too deep for the recursive evaluator crashes; the crash
+    must not read as a verdict (exit 1) but as an internal error."""
+    chain = " ; ".join(["flip"] * 600)
+    p = tmp_path / "deep.opt"
+    p.write_text(
+        "theory quantum\nsystem Q dim=2\n"
+        "state plus : Q = dens=[[[0.5,0],[0.5,0]],[[0.5,0],[0.5,0]]]\n"
+        "box flip : Q -> Q = kraus=[[[[0,0],[1,0]],[[1,0],[0,0]]]]\n"
+        "test z : Q -> I outcomes={0,1} { 0: dens=[[[1,0],[0,0]],[[0,0],[0,0]]]; "
+        "1: dens=[[[0,0],[0,0]],[[0,0],[1,0]]] }\n"
+        f"circuit ladder = {chain}\n"
+        "circuit deep = plus ; ladder ; z\n"
+    )
+    code, out = run("prob", p, "--test-circuit", "deep")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "internal error"
+    assert payload["exception"] == "RecursionError"
+
+
 def test_output_is_byte_deterministic(run, fx):
     first = run("audit", fx("plus_born.opt"), "--axiom", "faithfulness",
                 "--trials", 5)

@@ -119,3 +119,20 @@ def test_sampled_diagrams_type_check(backend):
         assert d.input_type == win
         assert d.output_type == wout
         assert validate(d) == []
+
+
+def test_stacked_channels_draw_what_single_channels_draw(backend):
+    """``channels(w, w, n)`` consumes the stream of n calls to ``channel``
+    and gives the same kernels; the generators end in the same state."""
+    for word in (A, B, A * B):
+        stacked, single = Sampler(backend, seed=11), Sampler(backend, seed=11)
+        kernels = stacked.channels(word, word, 7)
+        one_by_one = np.stack([single.channel(word, word).kernel for _ in range(7)])
+        assert kernels.shape == one_by_one.shape
+        assert kernels.dtype == one_by_one.dtype
+        np.testing.assert_allclose(kernels, one_by_one, rtol=0, atol=1e-13)
+        assert stacked.rng.bit_generator.state == single.rng.bit_generator.state
+        for k in kernels:
+            ch = Channel(word, word, k)
+            assert backend.certify_channel(ch).physical
+            assert backend.deterministic_residual(ch) < 1e-10

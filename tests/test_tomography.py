@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from optlab import Channel, SystemType, get_backend, par, seq
+from optlab import tomography
+from optlab.audit.purification import _state_kernel, purify_state
 from optlab.diagram import PrimitiveBox, UNIT
 from optlab.errors import TypeMismatchError
 from optlab.sampling import Sampler
@@ -244,3 +246,111 @@ def test_faithfulness_defaults_to_first_declared_system(backend):
     rep = verify_faithfulness(backend, trials=5, seed=2)
     assert rep.verdict == "Confirmed"
     assert rep.trials == 5
+
+
+# ---------------------------------------------------------------------------
+# the batched audit against the per-trial loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_faithfulness(backend, word, trials, seed, tol=None):
+    """The per-trial loop of ``verify_faithfulness`` before trials were
+    stacked, kept verbatim as the reference (returns the report fields)."""
+    tol = backend.tol.gap if tol is None else tol
+    d = backend.hilbert_dim(word)
+
+    if backend.name == "classical":
+        ref = word
+        sigma = np.zeros(d * d)
+        sigma[:: d + 1] = 1.0 / d
+        psi_kernel = backend.state_channel(sigma, word * ref).kernel
+    else:
+        pur = purify_state(backend, backend.uniform_state(word))
+        ref = pur.purifying_system
+        psi_kernel = _state_kernel(backend, pur.state)
+
+    sampler = Sampler(backend, seed=seed)
+    ident_ref = Channel(ref, ref, backend.kernel_identity(ref))
+    joint_out = word * ref
+    emat = np.stack([e.coords for e in backend.spanning_effects(joint_out)], axis=0)
+
+    min_gap = np.inf
+    failures: list[int] = []
+    for trial in range(trials):
+        a = sampler.channel(word, word)
+        b = sampler.channel(word, word)
+        coords = []
+        for ch in (a, b):
+            joint_kernel = backend.kernel_par(ch, ident_ref) @ psi_kernel
+            coords.append(
+                backend.channel_state(Channel(UNIT, joint_out, joint_kernel)).coords
+            )
+        gap = float(np.max(np.abs(emat @ (coords[0] - coords[1]))))
+        min_gap = min(min_gap, gap)
+        if gap <= tol:
+            failures.append(trial)
+    verdict = "Confirmed" if not failures else "Refuted"
+    return verdict, trials, float(min_gap), failures
+
+
+@pytest.fixture(scope="module", params=("quantum", "quantum-real", "classical"))
+def shared_backend(request):
+    """One backend per theory for the module, with its spanning effects
+    memoized: the family on a 36-dimensional joint carrier takes seconds
+    to build and is the same for every call."""
+    b = get_backend(request.param, {"A": 2, "B": 3})
+    memo = {}
+    build = b.spanning_effects
+
+    def spanning_effects(word):
+        if word not in memo:
+            memo[word] = build(word)
+        return memo[word]
+
+    b.spanning_effects = spanning_effects
+    return b
+
+
+def assert_same_report(backend, rep, ref):
+    verdict, trials, min_gap, failures = ref
+    assert (rep.verdict, rep.trials, rep.failures) == (verdict, trials, failures)
+    if backend.name == "classical":
+        assert rep.min_gap == min_gap
+    else:
+        assert rep.min_gap == pytest.approx(min_gap, rel=1e-12, abs=0.0)
+
+
+# the reference builds a dense D^2 R^2 x D^2 R^2 kernel per draw (80 ms a trial
+# on A*B), so the composite word runs 40 trials on fewer seeds
+@pytest.mark.parametrize("word, seeds_for_40", [(A, range(10)), (B, range(10)), (A * B, range(2))])
+def test_batched_faithfulness_matches_the_trial_loop(shared_backend, word, seeds_for_40):
+    for seed in range(10):
+        for trials in (1, 40) if seed in seeds_for_40 else (1,):
+            rep = verify_faithfulness(shared_backend, word=word, trials=trials, seed=seed)
+            assert_same_report(shared_backend, rep,
+                               reference_faithfulness(shared_backend, word, trials, seed))
+
+
+@pytest.mark.parametrize("word", [A, B])
+def test_batched_faithfulness_reports_the_same_failures(shared_backend, word):
+    """A tolerance inside the spread of the gaps fails some trials and not
+    others; the failing trial indices must agree."""
+    tol = 0.2
+    failed = 0
+    for seed in range(10):
+        rep = verify_faithfulness(shared_backend, word=word, trials=40, seed=seed, tol=tol)
+        assert_same_report(shared_backend, rep,
+                           reference_faithfulness(shared_backend, word, 40, seed, tol))
+        failed += len(rep.failures)
+    assert 0 < failed < 400
+
+
+def test_faithfulness_block_size_changes_nothing(shared_backend, monkeypatch):
+    """40 trials in blocks of 7 (the last one short) give the report of one
+    block, bit for bit."""
+    reports = []
+    for block in (7, 1000):
+        monkeypatch.setattr(tomography, "TRIAL_BLOCK", block)
+        rep = verify_faithfulness(shared_backend, word=B, trials=40, seed=4, tol=0.2)
+        reports.append((rep.verdict, rep.trials, rep.failures, rep.min_gap))
+    assert reports[0] == reports[1]
+    assert reports[0][2]  # some trials fail, so the indices are compared too
