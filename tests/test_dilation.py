@@ -199,6 +199,23 @@ def test_unequal_marginals_are_refused(quantum):
         dilation_uniqueness(quantum, p1, p2, A)
 
 
+# the same three on real amplitudes, whose connecting map keeps only the real
+# part of the Procrustes solution
+
+
+@pytest.mark.parametrize("word", [A, B], ids=["d2", "d3"])
+def test_two_operator_sum_forms_are_connected_real_amplitudes(real_quantum, word):
+    test_two_operator_sum_forms_are_connected(real_quantum, word)
+
+
+def test_identical_realizations_connect_by_identity_real_amplitudes(real_quantum):
+    test_identical_realizations_connect_by_identity(real_quantum)
+
+
+def test_unequal_marginals_are_refused_real_amplitudes(real_quantum):
+    test_unequal_marginals_are_refused(real_quantum)
+
+
 def test_classical_uniqueness_is_unavailable(classical):
     one = classical.scratch_system(1)
     p = Channel(one, A * one, np.array([[1.0], [0.0]]))

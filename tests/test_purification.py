@@ -185,3 +185,33 @@ def test_classical_steering_on_point_mass():
     out = steering_measurement(b, halves, purif.state, A)
     assert out.completeness_residual < 1e-12
     assert max(out.branch_errors) < 1e-12
+
+
+# -- the same audits on real amplitudes -----------------------------------------
+# each runs the quantum test's body on the real-amplitude theory, whose
+# uniqueness and steering constructions keep only the real part of their
+# matrices
+
+
+def test_purifications_connected_on_the_wing_real_amplitudes(real_quantum):
+    test_purifications_connected_on_the_wing(real_quantum)
+
+
+def test_uniqueness_rejects_mismatched_marginals_real_amplitudes(real_quantum):
+    test_uniqueness_rejects_mismatched_marginals(real_quantum)
+
+
+def test_steering_reproduces_the_ensemble_real_amplitudes(real_quantum):
+    test_steering_reproduces_the_ensemble(real_quantum)
+
+
+def test_steering_multiple_sizes_real_amplitudes(real_quantum):
+    test_steering_multiple_sizes(real_quantum)
+
+
+def test_steering_labels_and_completion_real_amplitudes(real_quantum):
+    test_steering_labels_and_completion(real_quantum)
+
+
+def test_steering_rejects_wrong_ensemble_real_amplitudes(real_quantum):
+    test_steering_rejects_wrong_ensemble(real_quantum)
