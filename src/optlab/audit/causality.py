@@ -8,7 +8,7 @@ must equal discarding its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +17,7 @@ from ..backends.base import Channel, EffectVector, PhysicalityCertificate, State
 from ..diagram import Diagram, SystemType, Test
 from ..errors import CausalityViolationError, IncompleteTestError, OptlabError, TypeMismatchError
 from ..evaluator import evaluate_channel
+from .purity import _as_channel
 
 __all__ = [
     "CausalityReport",
@@ -128,14 +129,7 @@ def is_deterministic(
 ) -> DeterminismReport:
     """Does discarding the output equal discarding the input?"""
     tol = backend.tol.marginal if tol is None else tol
-    if isinstance(m, Diagram):
-        m = evaluate_channel(m, backend, bindings=bindings)
-    if isinstance(m, Channel):
-        t = backend.transfer_of(m)
-    elif isinstance(m, TransferMatrix):
-        t = m
-    else:
-        raise OptlabError(f"cannot audit object of type {type(m).__name__}")
+    t = m if isinstance(m, TransferMatrix) else backend.transfer_of(_as_channel(backend, m, bindings))
     eff_out = backend.trace_effect(t.output_type).coords
     eff_in = backend.trace_effect(t.input_type).coords
     residual = float(np.max(np.abs(eff_out @ t.matrix - eff_in)))
@@ -151,15 +145,8 @@ def marginal(backend: TheoryBackend, state: StateVector, keep) -> StateVector:
     if any(i < 0 or i >= len(word) for i in keep):
         raise OptlabError(f"marginal indices {keep} out of range for {word}")
     kept_word = SystemType(tuple(word.word[i] for i in keep))
-    dims = list(backend.word_dims(word))
-    if backend.name == "classical":
-        tensor = np.asarray(state.coords).reshape(dims or [1])
-        drop = tuple(i for i in range(len(dims)) if i not in keep)
-        return StateVector(tensor.sum(axis=drop).reshape(-1), kept_word)
-    from .. import linalg
-
-    rho = backend.state_object(state.coords, word)
-    reduced = linalg.partial_trace(rho, dims, keep)
+    obj = backend.state_object(state.coords, word)
+    reduced = backend.partial_trace(obj, list(backend.word_dims(word)), keep)
     return StateVector(backend.state_coords(reduced, kept_word), kept_word)
 
 
@@ -194,26 +181,22 @@ def physicalize_readout(
 
     k = len(branches)
     pointer = backend.scratch_system(k)
-    if backend.name == "classical":
-        pointer_states = [np.eye(k)[x] for x in range(k)]
-        pointer_effects = pointer_states
-    else:
-        pointer_states = [np.outer(np.eye(k)[x], np.eye(k)[x]) for x in range(k)]
-        pointer_effects = pointer_states
+    # point masses on the pointer serve as its states and as its effects
+    pointers = [backend.diagonal(np.eye(k)[x]) for x in range(k)]
 
     joint_kernel = sum(
-        backend.kernel_par(ch, backend.state_channel(pointer_states[x], pointer))
+        backend.par(ch, backend.state_channel(pointers[x], pointer)).kernel
         for x, (_, ch) in enumerate(branches)
     )
     joint = Channel(win, wout * pointer, joint_kernel)
     certificate = backend.certify_channel(joint)
 
-    ident_out = Channel(wout, wout, backend.kernel_identity(wout))
+    ident_out = backend.identity(wout)
     effects = []
     branch_errors = []
     for x, (_, ch) in enumerate(branches):
-        eff_ch = backend.effect_channel(pointer_effects[x], pointer)
-        readback = backend.kernel_seq(joint, _par(backend, ident_out, eff_ch))
+        eff_ch = backend.effect_channel(pointers[x], pointer)
+        readback = backend.kernel_seq(joint, backend.par(ident_out, eff_ch))
         branch_errors.append(float(np.max(np.abs(readback - ch.kernel))))
         effects.append(backend.channel_effect(eff_ch))
 
@@ -225,12 +208,4 @@ def physicalize_readout(
         labels=labels,
         branch_errors=branch_errors,
         certificate=certificate,
-    )
-
-
-def _par(backend: TheoryBackend, left: Channel, right: Channel) -> Channel:
-    return Channel(
-        left.input_type * right.input_type,
-        left.output_type * right.output_type,
-        backend.kernel_par(left, right),
     )

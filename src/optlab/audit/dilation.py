@@ -26,7 +26,8 @@ from ..errors import (
     TypeMismatchError,
 )
 from .causality import _branch_channels
-from .purification import ConnectionReport, _joint_with, purify_state
+from .purification import ConnectionReport
+from .purity import _as_channel, is_pure_transformation
 
 __all__ = [
     "ChoiCorrespondence",
@@ -65,14 +66,11 @@ class ChoiCorrespondence:
         return self.rank == self.required
 
     def image_state(self, ch: Channel) -> StateVector:
-        b = self._backend
         if (ch.input_type, ch.output_type) != (self.input_system, self.output_system):
             raise TypeMismatchError(
                 f"correspondence is for {self.input_system} -> {self.output_system}"
             )
-        joint = _joint_with_left(b, ch, self.reference)
-        kernel = joint.kernel @ self._psi_kernel
-        return b.channel_state(Channel(SystemType(()), joint.output_type, kernel))
+        return _image(self._backend, ch, self.reference, self._psi_kernel)
 
     def recover(self, st: StateVector) -> tuple[Channel, float]:
         """Invert the correspondence; returns the channel and the residual."""
@@ -84,13 +82,10 @@ class ChoiCorrespondence:
         return ch, residual
 
 
-def _joint_with_left(backend: TheoryBackend, ch: Channel, ref: SystemType) -> Channel:
-    ident = Channel(ref, ref, backend.kernel_identity(ref))
-    return Channel(
-        ch.input_type * ref,
-        ch.output_type * ref,
-        backend.kernel_par(ch, ident),
-    )
+def _image(backend: TheoryBackend, ch: Channel, ref: SystemType, psi_kernel) -> StateVector:
+    """The state ``(ch * id_ref)`` makes of the extended faithful state."""
+    joint = backend.par(ch, backend.identity(ref))
+    return backend.channel_state(Channel(SystemType(()), joint.output_type, joint.kernel @ psi_kernel))
 
 
 def choi_correspondence(
@@ -103,35 +98,23 @@ def choi_correspondence(
     Needs a pure extension of the faithful state, so the classical theory
     raises ``BackendLacksPurificationError``.
     """
-    if backend.name == "classical":
+    if not backend.purifies:
         raise BackendLacksPurificationError(
-            "the classical theory has no pure extension of its faithful state, "
+            f"the {backend.name} theory has no pure extension of its faithful state, "
             "so the transformation/state correspondence is unavailable"
         )
-    pur = purify_state(backend, backend.uniform_state(input_system))
-    if pur.verdict != "Purified":
-        raise BackendLacksPurificationError(str(pur.witness))
-    psi = pur.state
-    ref = pur.purifying_system
-    psi_obj = backend.state_object(psi.coords, psi.system)
-    psi_kernel = backend.state_channel(psi_obj, psi.system).kernel
+    psi = backend.faithful_probe(input_system)
+    ref = SystemType(psi.system.word[len(input_system):])
+    psi_kernel = backend.state_as_channel(psi).kernel
 
+    # self-adjoint operators on input * output: the basis of a scratch system that size
     din = backend.hilbert_dim(input_system)
-    dout = backend.hilbert_dim(output_system)
-    if getattr(backend, "_complex_scalars", False):
-        choi_basis = linalg.hermitian_basis(din * dout)
-    else:
-        choi_basis = linalg.symmetric_basis(din * dout)
-
-    columns = []
-    for elem in choi_basis:
-        ch = backend.channel_from_choi(elem, input_system, output_system)
-        joint = _joint_with_left(backend, ch, ref)
-        kernel = joint.kernel @ psi_kernel
-        columns.append(
-            backend.channel_state(Channel(SystemType(()), joint.output_type, kernel)).coords
-        )
-    matrix = np.stack(columns, axis=1)
+    choi_basis = backend.basis(backend.scratch_system(din * backend.hilbert_dim(output_system)))
+    matrix = np.stack([
+        _image(backend, backend.channel_from_choi(elem, input_system, output_system),
+               ref, psi_kernel).coords
+        for elem in choi_basis
+    ], axis=1)
     rank = int(np.linalg.matrix_rank(matrix))
     return ChoiCorrespondence(
         input_system=input_system,
@@ -219,35 +202,11 @@ def stinespring_dilate(backend: TheoryBackend, m, bindings=None) -> DilationResu
     representative allows.  The classical theory only realizes point
     preparations purely and raises ``BackendLacksDilationError`` otherwise.
     """
-    from .purity import _as_channel
-
     ch = _as_channel(backend, m, bindings)
     det = backend.deterministic_residual(ch)
     if det > backend.tol.marginal:
         raise OptlabError(
             f"dilation needs a deterministic transformation (residual {det:.3e})"
-        )
-
-    if backend.name == "classical":
-        k = np.asarray(ch.kernel, dtype=float)
-        nonzero = int(np.sum(np.abs(k) > backend.tol.eigenvalue_floor))
-        if nonzero > 1:
-            raise BackendLacksDilationError(
-                f"no pure realization: the transformation has {nonzero} nonzero "
-                "entries and only single-entry (point-preparation) maps are pure "
-                "in the classical theory"
-            )
-        env = backend.scratch_system(1)
-        pure = Channel(ch.input_type, ch.output_type * env, k.copy())
-        return DilationResult(
-            environment=env,
-            environment_dim=1,
-            channel=pure,
-            transfer=backend.transfer_of(pure),
-            isometry=k.copy(),
-            kraus=[k.copy()],
-            marginal_error=0.0,
-            isometry_residual=0.0,
         )
 
     din = backend.hilbert_dim(ch.input_type)
@@ -257,15 +216,13 @@ def stinespring_dilate(backend: TheoryBackend, m, bindings=None) -> DilationResu
     v = np.zeros((dout * r, din), dtype=complex)
     for c, kmat in enumerate(kraus):
         v[c::r, :] = kmat
-    if not getattr(backend, "_complex_scalars", False):
-        v = v.real
+    v = backend.project_scalars(v)
     isometry_residual = float(np.max(np.abs(v.conj().T @ v - np.eye(din))))
 
     env = backend.scratch_system(r)
     pure = backend.conjugation_channel(v, ch.input_type, ch.output_type * env)
-    ident_out = Channel(ch.output_type, ch.output_type, backend.kernel_identity(ch.output_type))
-    discard_env = backend.trace_channel(env)
-    back = backend.kernel_par(ident_out, discard_env) @ pure.kernel
+    discard_env = backend.par(backend.identity(ch.output_type), backend.trace_channel(env))
+    back = discard_env.kernel @ pure.kernel
     marginal_error = float(np.max(np.abs(back - ch.kernel)))
 
     return DilationResult(
@@ -293,9 +250,9 @@ def dilation_uniqueness(
     the same marginal on ``base_output``.
     """
     tol = backend.tol.gap if tol is None else tol
-    if backend.name == "classical":
+    if not backend.purifies:
         raise BackendLacksDilationError(
-            "the classical theory has no nontrivial pure realizations to compare"
+            f"the {backend.name} theory has no nontrivial pure realizations to compare"
         )
     if (p1.input_type, p1.output_type) != (p2.input_type, p2.output_type):
         raise TypeMismatchError("the two realizations must share input and output systems")
@@ -309,16 +266,12 @@ def dilation_uniqueness(
 
     vs = []
     for which, p in (("first", p1), ("second", p2)):
-        j = backend.channel_choi(p)
-        vals, _ = linalg.sorted_eigh(j)
-        if linalg.rank_with_cutoff(vals) > 1:
+        if not is_pure_transformation(backend, p).pure:
             raise NotPureError(f"the {which} realization is not pure")
-        ks = backend.channel_kraus(p)
-        vs.append(ks[0])
+        vs.append(backend.channel_kraus(p)[0])
 
-    ident_b = Channel(base_output, base_output, backend.kernel_identity(base_output))
-    discard = backend.trace_channel(env)
-    marg = [backend.kernel_par(ident_b, discard) @ p.kernel for p in (p1, p2)]
+    discard = backend.par(backend.identity(base_output), backend.trace_channel(env))
+    marg = [discard.kernel @ p.kernel for p in (p1, p2)]
     marginal_error = float(np.max(np.abs(marg[0] - marg[1])))
     if marginal_error > backend.tol.marginal:
         raise MarginalMismatchError(
@@ -326,11 +279,9 @@ def dilation_uniqueness(
         )
 
     stacks = [v.reshape(db, dc, din).transpose(1, 0, 2).reshape(dc, db * din) for v in vs]
-    u = linalg.procrustes_unitary(stacks[0], stacks[1])
-    if not getattr(backend, "_complex_scalars", False):
-        u = u.real
+    u = backend.project_scalars(linalg.procrustes_unitary(stacks[0], stacks[1]))
     conn = backend.conjugation_channel(u, env)
-    joint = _joint_with(backend, base_output, conn)
+    joint = backend.par(backend.identity(base_output), conn)
     replay = float(np.max(np.abs(joint.kernel @ p1.kernel - p2.kernel)))
     verdict = "Connected" if replay <= tol else "Unconnected"
     return ConnectionReport(

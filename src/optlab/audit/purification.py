@@ -17,14 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .. import linalg
-from ..backends.base import Channel, EffectVector, StateVector, TheoryBackend, TransferMatrix
+from ..backends.base import Channel, EffectVector, StateVector, TheoryBackend
 from ..diagram import SystemType
 from ..errors import (
-    BranchSumMismatchError,
+    BackendLacksPurificationError,
     MarginalMismatchError,
     NotPureError,
     OptlabError,
-    UnsupportedBranchError,
 )
 from .purity import is_pure_state
 
@@ -87,69 +86,28 @@ def purify_state(backend: TheoryBackend, state: StateVector,
     verdict with the refinement witness.
     """
     word = state.system
-    if backend.name == "classical":
-        report = is_pure_state(backend, state, rel_cutoff)
-        if not report.pure:
-            return PurificationResult(
-                verdict="Failure",
-                rank=report.rank,
-                witness={
-                    "reason": "classical states with more than one support point "
-                    "have no pure extension",
-                    **(report.witness or {}),
-                },
-            )
-        purifying = backend.scratch_system(1)
-        joint = word * purifying
-        psi = StateVector(np.asarray(state.coords, dtype=float), joint)
-        return PurificationResult("Purified", purifying, psi, report.rank, 0.0)
-
-    rho = backend.state_object(state.coords, word)
-    vals, vecs = linalg.sorted_eigh(rho)
-    rank = linalg.rank_with_cutoff(vals, rel_cutoff)
-    if rank == 0:
+    obj = backend.state_object(state.coords, word)
+    dec = backend.extremal_decomposition(obj, rel_cutoff)
+    try:
+        psi_obj, r = backend.purification(obj, dec)
+    except BackendLacksPurificationError as e:
         return PurificationResult(
-            verdict="Failure", rank=0,
-            witness={"reason": "the zero state has no pure extension"},
+            verdict="Failure", rank=dec.rank, witness={"reason": str(e), **(dec.witness or {})}
         )
-    amps = np.sqrt(np.clip(vals[:rank], 0.0, None))
-    ket = (vecs[:, :rank] * amps[None, :]).reshape(-1)
-    purifying = backend.scratch_system(rank)
+    purifying = backend.scratch_system(r)
     joint = word * purifying
-    psi_mat = np.outer(ket, ket.conj())
-    if not getattr(backend, "_complex_scalars", False):
-        psi_mat = psi_mat.real
-    reduced = linalg.partial_trace(psi_mat, [rho.shape[0], rank], [0])
-    marginal_error = float(np.max(np.abs(reduced - rho)))
-    psi = StateVector(backend.state_coords(psi_mat, joint), joint)
-    return PurificationResult("Purified", purifying, psi, rank, marginal_error)
+    reduced = backend.partial_trace(psi_obj, [obj.shape[0], r], [0])
+    marginal_error = float(np.max(np.abs(reduced - obj)))
+    psi = StateVector(backend.state_coords(psi_obj, joint), joint)
+    return PurificationResult("Purified", purifying, psi, dec.rank, marginal_error)
 
 
-def _pure_ket(backend: TheoryBackend, psi: StateVector) -> np.ndarray:
-    report = is_pure_state(backend, psi)
+def _require_pure(backend: TheoryBackend, st: StateVector) -> np.ndarray:
+    """The state's object, after checking that it is pure."""
+    report = is_pure_state(backend, st)
     if not report.pure:
-        raise NotPureError(f"state on {psi.system} is not pure (rank {report.rank})")
-    rho = backend.state_object(psi.coords, psi.system)
-    vals, vecs = linalg.sorted_eigh(rho)
-    return np.sqrt(max(float(vals[0]), 0.0)) * vecs[:, 0]
-
-
-def _identity_channel(backend: TheoryBackend, word: SystemType) -> Channel:
-    return Channel(word, word, backend.kernel_identity(word))
-
-
-def _joint_with(backend: TheoryBackend, base: SystemType, side: Channel) -> Channel:
-    ident = _identity_channel(backend, base)
-    return Channel(
-        base * side.input_type,
-        base * side.output_type,
-        backend.kernel_par(ident, side),
-    )
-
-
-def _state_kernel(backend: TheoryBackend, st: StateVector) -> np.ndarray:
-    obj = backend.state_object(st.coords, st.system)
-    return backend.state_channel(obj, st.system).kernel
+        raise NotPureError(f"state on {st.system} is not pure (rank {report.rank})")
+    return backend.state_object(st.coords, st.system)
 
 
 def purification_uniqueness(
@@ -169,50 +127,19 @@ def purification_uniqueness(
     if psi1.system != psi2.system:
         raise OptlabError("the two extensions must share one joint system")
     ext = _split(psi1, base)
-
-    if backend.name == "classical":
-        db = backend.hilbert_dim(ext)
-        for st in (psi1, psi2):
-            rep = is_pure_state(backend, st)
-            if not rep.pure:
-                raise NotPureError(f"extension on {st.system} is not pure (rank {rep.rank})")
-        i1 = int(np.argmax(psi1.coords))
-        i2 = int(np.argmax(psi2.coords))
-        a1, b1 = divmod(i1, db)
-        a2, b2 = divmod(i2, db)
-        marg_err = max(
-            abs(float(psi1.coords[i1]) - float(psi2.coords[i2])),
-            0.0 if a1 == a2 else max(float(psi1.coords[i1]), float(psi2.coords[i2])),
-        )
-        if marg_err > backend.tol.marginal:
-            raise MarginalMismatchError(
-                f"the two extensions have different marginals on {base}"
-            )
-        u = np.eye(db)
-        u[[b1, b2]] = u[[b2, b1]]
-        conn = Channel(ext, ext, u)
-    else:
-        k1 = _pure_ket(backend, psi1)
-        k2 = _pure_ket(backend, psi2)
-        da = backend.hilbert_dim(base)
-        db = backend.hilbert_dim(ext)
-        m1 = k1.reshape(da, db)
-        m2 = k2.reshape(da, db)
-        marg_err = float(np.max(np.abs(m1 @ m1.conj().T - m2 @ m2.conj().T)))
-        if marg_err > backend.tol.marginal:
-            raise MarginalMismatchError(
-                f"the two extensions have different marginals on {base} "
-                f"(deviation {marg_err:.3e})"
-            )
-        u = linalg.procrustes_unitary(m1.T, m2.T)
-        if not getattr(backend, "_complex_scalars", False):
-            u = u.real
-        conn = backend.conjugation_channel(u, ext)
-
-    joint = _joint_with(backend, base, conn)
-    replay = float(
-        np.max(np.abs(joint.kernel @ _state_kernel(backend, psi1) - _state_kernel(backend, psi2)))
+    u, marg_err = backend.pure_connection(
+        _require_pure(backend, psi1), _require_pure(backend, psi2),
+        backend.hilbert_dim(base), backend.hilbert_dim(ext),
     )
+    if marg_err > backend.tol.marginal:
+        raise MarginalMismatchError(
+            f"the two extensions have different marginals on {base} "
+            f"(deviation {marg_err:.3e})"
+        )
+    conn = backend.conjugation_channel(u, ext)
+    joint = backend.par(backend.identity(base), conn)
+    replay = float(np.max(np.abs(joint.kernel @ backend.state_as_channel(psi1).kernel
+                                 - backend.state_as_channel(psi2).kernel)))
     verdict = "Connected" if replay <= tol else "Unconnected"
     return ConnectionReport(
         verdict=verdict,
@@ -246,84 +173,22 @@ def steering_measurement(
         raise OptlabError("one label per branch, please")
     ext = _split(psi, base)
     first = min(range(len(labels)), key=lambda i: labels[i])
-
-    if backend.name == "classical":
-        db = backend.hilbert_dim(ext)
-        rep = is_pure_state(backend, psi)
-        if not rep.pure:
-            raise NotPureError(f"state on {psi.system} is not pure (rank {rep.rank})")
-        flat = int(np.argmax(psi.coords))
-        a0, b0 = divmod(flat, db)
-        mass = float(psi.coords[flat])
-        total = sum(np.asarray(b.coords, dtype=float) for b in branches)
-        marg = np.zeros_like(total)
-        marg[a0] = mass
-        if float(np.max(np.abs(total - marg))) > backend.tol.marginal:
-            raise BranchSumMismatchError(
-                "branch sum does not match the marginal of the pure extension"
-            )
-        for label, b in zip(labels, branches):
-            v = np.asarray(b.coords, dtype=float)
-            off = float(np.max(np.abs(np.delete(v, a0)))) if v.size > 1 else 0.0
-            if off > tol:
-                raise UnsupportedBranchError(
-                    f"branch {label!r} puts weight {off:.3e} outside the support"
-                )
-        effect_objects = []
-        for b in branches:
-            e = np.zeros(db)
-            e[b0] = float(b.coords[a0]) / mass
-            effect_objects.append(e)
-        completion = np.ones(db) - sum(effect_objects)
-        effect_objects[first] = effect_objects[first] + completion
-    else:
-        rep = is_pure_state(backend, psi)
-        if not rep.pure:
-            raise NotPureError(f"state on {psi.system} is not pure (rank {rep.rank})")
-        da = backend.hilbert_dim(base)
-        db = backend.hilbert_dim(ext)
-        ket = _pure_ket(backend, psi)
-        m = ket.reshape(da, db)
-        rhos = [backend.state_object(b.coords, base) for b in branches]
-        total = sum(rhos)
-        if float(np.max(np.abs(total - m @ m.conj().T))) > backend.tol.marginal:
-            raise BranchSumMismatchError(
-                "branch sum does not match the marginal of the pure extension"
-            )
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        r = int(np.sum(s > linalg.RANK_CUTOFF * max(float(s[0]) if s.size else 0.0, 1e-300)))
-        u, s, vh = u[:, :r], s[:r], vh[:r, :]
-        proj = u @ u.conj().T
-        sinv = np.diag(1.0 / s)
-        effect_objects = []
-        for label, rho in zip(labels, rhos):
-            off = float(np.max(np.abs(rho - proj @ rho @ proj)))
-            if off > tol:
-                raise UnsupportedBranchError(
-                    f"branch {label!r} puts weight {off:.3e} outside the support"
-                )
-            core = sinv @ u.conj().T @ rho @ u @ sinv
-            e = (vh.conj().T @ core @ vh).T
-            effect_objects.append(e.real if not getattr(backend, "_complex_scalars", False) else e)
-        completion = np.eye(db) - (vh.conj().T @ vh).T
-        if not getattr(backend, "_complex_scalars", False):
-            completion = completion.real
-        effect_objects[first] = effect_objects[first] + completion
-
-    ident = np.eye(backend.hilbert_dim(ext)) if backend.name != "classical" else np.ones(
-        backend.hilbert_dim(ext)
+    db = backend.hilbert_dim(ext)
+    effect_objects, completion = backend.steering_effects(
+        _require_pure(backend, psi), [backend.state_object(b.coords, base) for b in branches],
+        backend.hilbert_dim(base), db, labels, tol,
     )
-    completeness = float(np.max(np.abs(sum(effect_objects) - ident)))
+    effect_objects[first] = effect_objects[first] + completion
+    completeness = float(np.max(np.abs(sum(effect_objects) - backend.diagonal(np.ones(db)))))
 
-    psi_kernel = _state_kernel(backend, psi)
+    psi_kernel = backend.state_as_channel(psi).kernel
+    ident = backend.identity(base)
     effects = []
     branch_errors = []
     for b, eobj in zip(branches, effect_objects):
         eff_ch = backend.effect_channel(eobj, ext)
-        joint = _joint_with(backend, base, eff_ch)
-        steered = joint.kernel @ psi_kernel
-        target = _state_kernel(backend, b)
-        branch_errors.append(float(np.max(np.abs(steered - target))))
+        steered = backend.par(ident, eff_ch).kernel @ psi_kernel
+        branch_errors.append(float(np.max(np.abs(steered - backend.state_as_channel(b).kernel))))
         effects.append(backend.channel_effect(eff_ch))
 
     return SteeringResult(

@@ -69,63 +69,20 @@ def _as_channel(backend: TheoryBackend, m, bindings=None) -> Channel:
     raise OptlabError(f"cannot audit object of type {type(m).__name__}")
 
 
+def _report(dec) -> PurityReport:
+    return PurityReport(dec.rank <= 1, dec.rank, dec.weights, dec.witness)
+
+
 def is_pure_state(backend: TheoryBackend, state: StateVector,
                   rel_cutoff: float = linalg.RANK_CUTOFF) -> PurityReport:
-    if backend.name == "classical":
-        v = np.asarray(state.coords, dtype=float)
-        top = float(np.max(np.abs(v), initial=0.0))
-        support = np.flatnonzero(np.abs(v) > rel_cutoff * max(top, 1.0))
-        weights = [float(v[i]) for i in support]
-        if len(support) <= 1:
-            return PurityReport(True, len(support), weights)
-        i, j = support[0], support[1]
-        a = np.zeros_like(v)
-        a[i] = v[i]
-        return PurityReport(
-            False, len(support), weights,
-            witness={"summands": [a, v - a], "support": support.tolist()},
-        )
-    rho = backend.state_object(state.coords, state.system)
-    vals, vecs = linalg.sorted_eigh(rho)
-    rank = linalg.rank_with_cutoff(vals, rel_cutoff)
-    weights = [float(v) for v in vals[:rank]]
-    if rank <= 1:
-        return PurityReport(True, rank, weights)
-    p0 = vals[0] * np.outer(vecs[:, 0], vecs[:, 0].conj())
-    return PurityReport(
-        False, rank, weights,
-        witness={"summands": [p0, rho - p0], "spectrum": weights},
-    )
+    obj = backend.state_object(state.coords, state.system)
+    return _report(backend.extremal_decomposition(obj, rel_cutoff))
 
 
 def is_pure_transformation(backend: TheoryBackend, m, bindings=None,
                            rel_cutoff: float = linalg.RANK_CUTOFF) -> PurityReport:
     ch = _as_channel(backend, m, bindings)
-    if backend.name == "classical":
-        k = np.asarray(ch.kernel, dtype=float)
-        top = float(np.max(np.abs(k), initial=0.0))
-        mask = np.abs(k) > rel_cutoff * max(top, 1.0)
-        entries = np.argwhere(mask)
-        weights = [float(k[tuple(ij)]) for ij in entries]
-        if len(entries) <= 1:
-            return PurityReport(True, len(entries), weights)
-        a = np.zeros_like(k)
-        a[tuple(entries[0])] = k[tuple(entries[0])]
-        return PurityReport(
-            False, len(entries), weights,
-            witness={"summands": [a, k - a], "entries": entries.tolist()},
-        )
-    j = backend.channel_choi(ch)
-    vals, vecs = linalg.sorted_eigh(j)
-    rank = linalg.rank_with_cutoff(vals, rel_cutoff)
-    weights = [float(v) for v in vals[:rank]]
-    if rank <= 1:
-        return PurityReport(True, rank, weights)
-    p0 = vals[0] * np.outer(vecs[:, 0], vecs[:, 0].conj())
-    return PurityReport(
-        False, rank, weights,
-        witness={"summands": [p0, j - p0], "spectrum": weights},
-    )
+    return _report(backend.extremal_decomposition(backend.channel_choi(ch), rel_cutoff))
 
 
 def is_reversible(backend: TheoryBackend, m, bindings=None,
@@ -181,33 +138,17 @@ def transitivity_witness(backend: TheoryBackend, source: StateVector,
         if abs(total - 1.0) > backend.tol.marginal:
             raise OptlabError(f"{which} state is not normalized (total {total:.6f})")
 
-    if backend.name == "classical":
-        d = backend.hilbert_dim(word)
-        i = int(np.argmax(source.coords))
-        j = int(np.argmax(target.coords))
-        u = np.eye(d)
-        u[[i, j]] = u[[j, i]]
-        ch = Channel(word, word, u)
-    else:
-        rho_s = backend.state_object(source.coords, word)
-        rho_t = backend.state_object(target.coords, word)
-        _, vecs_s = linalg.sorted_eigh(rho_s)
-        _, vecs_t = linalg.sorted_eigh(rho_t)
-        cs = linalg.complete_to_unitary(vecs_s[:, :1])
-        ct = linalg.complete_to_unitary(vecs_t[:, :1])
-        u = ct @ cs.conj().T
-        ch = backend.conjugation_channel(u, word)
-
-    replay = float(np.max(np.abs(ch.kernel @ _state_kernel(backend, source)
-                                 - _state_kernel(backend, target))))
+    # a pure state is a purification of the unit on the trivial system
+    u, _ = backend.pure_connection(
+        backend.state_object(source.coords, word), backend.state_object(target.coords, word),
+        1, backend.hilbert_dim(word),
+    )
+    ch = backend.conjugation_channel(u, word)
+    replay = float(np.max(np.abs(ch.kernel @ backend.state_as_channel(source).kernel
+                                 - backend.state_as_channel(target).kernel)))
     return TransitivityResult(
         channel=ch,
         transfer=backend.transfer_of(ch),
         matrix=u,
         replay_error=replay,
     )
-
-
-def _state_kernel(backend: TheoryBackend, state: StateVector) -> np.ndarray:
-    obj = backend.state_object(state.coords, state.system)
-    return backend.state_channel(obj, state.system).kernel

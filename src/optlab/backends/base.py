@@ -13,6 +13,41 @@ read-only.
 System labels of the reserved form ``@<n>`` denote scratch systems of
 dimension ``n`` (purifying systems, dilation environments, readout
 pointers); every backend resolves them without declaration.
+
+Every theory-specific operation lives in a backend: the evaluator, the
+audits, tomography and the sampler call only the methods below, so they are
+the checklist for adding a theory.  An *object* is a state or effect in the
+theory's own form (a vector on the classical theory, a matrix otherwise).
+
+* Kernels: ``kernel_identity``, ``kernel_swap``, ``kernel_par``,
+  ``apply_first``, ``trace_channel``, ``transfer_of``.  The channel-level
+  ``identity``, ``par`` and ``state_as_channel`` are built on them.
+* Objects: ``state_coords``/``state_object``, ``effect_coords``/
+  ``effect_object``, ``state_channel``/``effect_channel``; ``channel_choi``
+  (a transformation's positive representative); ``conjugation_channel``
+  (the channel of a reversible or isometric matrix); ``partial_trace``;
+  ``diagonal`` (the object with classical weights ``p``: pointer states and
+  the unit effect); ``project_scalars`` (onto the theory's scalar field).
+* Extremality: ``extremal_decomposition`` splits an object or a
+  ``channel_choi`` into pure pieces (an ``Extremal``); ``weight_terms``
+  names a state's smallest weight and its normalization in reports.
+* Purification.  ``purifies`` says whether every state has a pure
+  extension; the classical theory still answers for its point masses.
+  ``purification`` gives a pure extension and the wing dimension, or raises
+  ``BackendLacksPurificationError``; ``pure_connection`` gives the matrix of
+  a reversible map on the wing between two pure objects, and the gap
+  between their marginals; ``steering_effects`` gives wing effects steering
+  a pure object to each branch, and the completion to the unit effect;
+  ``channel_kraus`` gives the pieces of a pure realization, or raises
+  ``BackendLacksDilationError``; ``faithful_probe`` extends the uniform
+  state so that it separates transformations; ``basis`` (purifying
+  theories) is the operator basis that spans Choi matrices.
+* Spanning families: ``uniform_state``, ``spanning_states``,
+  ``spanning_effects``.
+* Random draws, each from a generator in a fixed order: ``gaussian`` over
+  the scalars, ``random_state``, ``random_effect``, ``random_channels``,
+  ``random_reversible``, ``random_povm``, ``random_preparation`` and
+  ``random_instrument``.
 """
 
 from __future__ import annotations
@@ -23,6 +58,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .. import linalg
 from ..diagram import SystemType
 from ..errors import (
     NotPhysicalError,
@@ -40,6 +76,7 @@ __all__ = [
     "PhysicalityCertificate",
     "Payload",
     "Channel",
+    "Extremal",
     "TheoryBackend",
 ]
 
@@ -142,6 +179,21 @@ class Channel:
     kernel: np.ndarray
 
 
+@dataclass
+class Extremal:
+    """An object split into ``rank`` pure pieces of the given ``weights``.
+
+    ``witness`` is a two-piece refinement when ``rank > 1``.  On the matrix
+    theories the columns of ``amplitudes`` are the pieces' vectors
+    ``sqrt(w) v``, heaviest first (past ``rank`` they are negligible).
+    """
+
+    rank: int
+    weights: list[float]
+    witness: dict | None
+    amplitudes: np.ndarray | None = None
+
+
 def _is_scratch_label(label: str) -> int | None:
     if label.startswith("@") and label[1:].isdigit() and int(label[1:]) >= 1:
         return int(label[1:])
@@ -153,6 +205,7 @@ class TheoryBackend(abc.ABC):
 
     name: str = "?"
     locally_tomographic: bool = True
+    purifies: bool = True  # every state has a pure extension
 
     def __init__(
         self,
@@ -282,6 +335,17 @@ class TheoryBackend(abc.ABC):
     def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
         ...
 
+    def identity(self, word: SystemType) -> Channel:
+        return Channel(word, word, self.kernel_identity(word))
+
+    def par(self, left: Channel, right: Channel) -> Channel:
+        """Side-by-side composite, ``left`` first."""
+        return Channel(
+            left.input_type * right.input_type,
+            left.output_type * right.output_type,
+            self.kernel_par(left, right),
+        )
+
     @abc.abstractmethod
     def apply_first(
         self,
@@ -335,6 +399,10 @@ class TheoryBackend(abc.ABC):
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
         ...
 
+    def state_as_channel(self, state: StateVector) -> Channel:
+        """The preparation of a state: the inverse of ``channel_state``."""
+        return self.state_channel(self.state_object(state.coords, state.system), state.system)
+
     def channel_state(self, ch: Channel) -> StateVector:
         if not ch.input_type.is_unit:
             raise OptlabError("not a state-shaped channel (input is not the unit)")
@@ -351,6 +419,22 @@ class TheoryBackend(abc.ABC):
         return self.channel_effect(self.trace_channel(word))
 
     @abc.abstractmethod
+    def channel_choi(self, ch: Channel) -> np.ndarray: ...
+
+    @abc.abstractmethod
+    def conjugation_channel(self, u, input_word, output_word=None) -> Channel: ...
+
+    @abc.abstractmethod
+    def partial_trace(self, obj, dims: list[int], keep: list[int]) -> np.ndarray: ...
+
+    @abc.abstractmethod
+    def diagonal(self, p: np.ndarray) -> np.ndarray: ...
+
+    def project_scalars(self, x: np.ndarray) -> np.ndarray:
+        """``x`` on the theory's scalar field: real theories keep the real part."""
+        return np.ascontiguousarray(np.real(x))
+
+    @abc.abstractmethod
     def uniform_state(self, word: SystemType) -> StateVector:
         """Maximally mixed / uniform state on the word."""
 
@@ -361,6 +445,72 @@ class TheoryBackend(abc.ABC):
     @abc.abstractmethod
     def spanning_effects(self, word: SystemType) -> list[EffectVector]:
         ...
+
+    # ------------------------------------------------------------------
+    # extremality and purification
+    # ------------------------------------------------------------------
+
+    @abc.abstractmethod
+    def extremal_decomposition(self, obj, rel_cutoff=linalg.RANK_CUTOFF) -> Extremal: ...
+
+    @abc.abstractmethod
+    def purification(self, obj, dec: Extremal) -> tuple[np.ndarray, int]: ...
+
+    @abc.abstractmethod
+    def pure_connection(self, first, second, base_dim, ext_dim) -> tuple[np.ndarray, float]: ...
+
+    @abc.abstractmethod
+    def steering_effects(self, psi, branches, base_dim, ext_dim, labels, tol) -> tuple: ...
+
+    @abc.abstractmethod
+    def channel_kraus(self, ch: Channel) -> list[np.ndarray]: ...
+
+    @abc.abstractmethod
+    def faithful_probe(self, word: SystemType) -> StateVector: ...
+
+    # ------------------------------------------------------------------
+    # random draws
+    # ------------------------------------------------------------------
+
+    def gaussian(self, rng: np.random.Generator, *shape: int) -> np.ndarray:
+        """Gaussian matrices of shape ``(..., rows, cols)`` over the scalars."""
+        return rng.normal(size=shape)
+
+    def random_unitary(self, rng: np.random.Generator, d: int) -> np.ndarray:
+        q, r = np.linalg.qr(self.gaussian(rng, d, d))
+        phases = np.diagonal(r).copy()
+        phases[np.abs(phases) == 0] = 1.0
+        return q * (phases / np.abs(phases))
+
+    def density_matrix(self, rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
+        g = self.gaussian(rng, d, rank or d)
+        rho = g @ g.conj().T
+        return rho / np.trace(rho).real
+
+    def simplex_weights(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        w = rng.exponential(size=k)
+        return w / w.sum()
+
+    @abc.abstractmethod
+    def random_state(self, rng, word, rank=None) -> StateVector: ...
+
+    @abc.abstractmethod
+    def random_effect(self, rng, word) -> EffectVector: ...
+
+    @abc.abstractmethod
+    def random_channels(self, rng, input_word, output_word, count) -> np.ndarray: ...
+
+    @abc.abstractmethod
+    def random_reversible(self, rng, word) -> Channel: ...
+
+    @abc.abstractmethod
+    def random_povm(self, rng, word, k) -> list[np.ndarray]: ...
+
+    @abc.abstractmethod
+    def random_preparation(self, rng, word, k) -> list[np.ndarray]: ...
+
+    @abc.abstractmethod
+    def random_instrument(self, rng, input_word, output_word, k) -> list[Channel]: ...
 
     # ------------------------------------------------------------------
     # scalars

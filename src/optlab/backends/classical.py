@@ -12,11 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..diagram import SystemType
-from ..errors import OptlabError
+from ..errors import (
+    BackendLacksDilationError,
+    BackendLacksPurificationError,
+    BranchSumMismatchError,
+    OptlabError,
+    UnsupportedBranchError,
+)
 from .. import linalg
 from .base import (
     Channel,
     EffectVector,
+    Extremal,
     Payload,
     PhysicalityCertificate,
     StateVector,
@@ -31,6 +38,8 @@ class ClassicalBackend(TheoryBackend):
 
     name = "classical"
     locally_tomographic = True
+    purifies = False
+    weight_terms = ("min_entry", "total")
 
     def state_dim(self, word: SystemType) -> int:
         return self.hilbert_dim(word)
@@ -153,3 +162,123 @@ class ClassicalBackend(TheoryBackend):
     def spanning_effects(self, word: SystemType) -> list[EffectVector]:
         d = self.hilbert_dim(word)
         return [EffectVector(row, word) for row in np.eye(d)]
+
+    def conjugation_channel(self, u, input_word, output_word=None) -> Channel:
+        """A permutation's or point map's kernel is the matrix itself."""
+        wout = input_word if output_word is None else output_word
+        shape = (self.hilbert_dim(wout), self.hilbert_dim(input_word))
+        return Channel(input_word, wout, self._coerce_array(u, shape, "map"))
+
+    def partial_trace(self, obj, dims, keep):
+        drop = tuple(i for i in range(len(dims)) if i not in keep)
+        return np.asarray(obj).reshape(dims or [1]).sum(axis=drop).reshape(-1)
+
+    def diagonal(self, p):
+        return np.asarray(p, dtype=float)
+
+    # -- extremality: a vector or kernel is pure when one entry carries weight
+
+    def extremal_decomposition(self, obj, rel_cutoff=linalg.RANK_CUTOFF) -> Extremal:
+        v = np.asarray(obj, dtype=float)
+        top = float(np.max(np.abs(v), initial=0.0))
+        where = np.argwhere(np.abs(v) > rel_cutoff * max(top, 1.0))
+        weights = [float(v[tuple(i)]) for i in where]
+        if len(where) <= 1:
+            return Extremal(len(where), weights, None)
+        a = np.zeros_like(v)
+        a[tuple(where[0])] = v[tuple(where[0])]
+        key, at = ("support", where[:, 0]) if v.ndim == 1 else ("entries", where)
+        return Extremal(len(where), weights, {"summands": [a, v - a], key: at.tolist()})
+
+    def purification(self, obj, dec):
+        if dec.rank > 1:
+            raise BackendLacksPurificationError(
+                "classical states with more than one support point have no pure extension"
+            )
+        return obj, 1
+
+    def pure_connection(self, first, second, base_dim, ext_dim):
+        """Point masses at (a1, b1) and (a2, b2): swap b1 and b2."""
+        i1, i2 = int(np.argmax(first)), int(np.argmax(second))
+        (a1, b1), (a2, b2) = divmod(i1, ext_dim), divmod(i2, ext_dim)
+        w1, w2 = float(first[i1]), float(second[i2])
+        marginal_error = max(abs(w1 - w2), 0.0 if a1 == a2 else max(w1, w2))
+        u = np.eye(ext_dim)
+        u[[b1, b2]] = u[[b2, b1]]
+        return u, marginal_error
+
+    def steering_effects(self, psi, branches, base_dim, ext_dim, labels, tol):
+        flat = int(np.argmax(psi))
+        a0, b0 = divmod(flat, ext_dim)
+        mass = float(psi[flat])
+        total = sum(branches)
+        marg = np.zeros_like(total)
+        marg[a0] = mass
+        if float(np.max(np.abs(total - marg))) > self.tol.marginal:
+            raise BranchSumMismatchError(
+                "branch sum does not match the marginal of the pure extension"
+            )
+        effects = []
+        for label, v in zip(labels, branches):
+            off = float(np.max(np.abs(np.delete(v, a0)))) if v.size > 1 else 0.0
+            if off > tol:
+                raise UnsupportedBranchError(
+                    f"branch {label!r} puts weight {off:.3e} outside the support"
+                )
+            e = np.zeros(ext_dim)
+            e[b0] = float(v[a0]) / mass
+            effects.append(e)
+        return effects, np.ones(ext_dim) - sum(effects)
+
+    def channel_kraus(self, ch: Channel) -> list[np.ndarray]:
+        k = np.asarray(ch.kernel, dtype=float)
+        nonzero = int(np.sum(np.abs(k) > self.tol.eigenvalue_floor))
+        if nonzero > 1:
+            raise BackendLacksDilationError(
+                f"no pure realization: the transformation has {nonzero} nonzero "
+                "entries and only single-entry (point-preparation) maps are pure "
+                "in the classical theory"
+            )
+        return [k.copy()]
+
+    def faithful_probe(self, word: SystemType) -> StateVector:
+        """The correlated copy on ``word * word``: mixed states do not purify."""
+        d = self.hilbert_dim(word)
+        sigma = np.zeros(d * d)
+        sigma[:: d + 1] = 1.0 / d
+        return StateVector(sigma, word * word)
+
+    # -- random draws ---------------------------------------------------
+
+    def random_state(self, rng, word, rank=None):
+        return StateVector(self.simplex_weights(rng, self.hilbert_dim(word)), word)
+
+    def random_effect(self, rng, word):
+        return EffectVector(rng.uniform(size=self.hilbert_dim(word)), word)
+
+    def random_channels(self, rng, input_word, output_word, count):
+        din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
+        w = rng.exponential(size=(count, din, dout))
+        w = w / w.sum(axis=-1, keepdims=True)
+        return np.ascontiguousarray(w.swapaxes(-1, -2))
+
+    def random_reversible(self, rng, word):
+        d = self.hilbert_dim(word)
+        m = np.zeros((d, d))
+        m[rng.permutation(d), np.arange(d)] = 1.0
+        return Channel(word, word, m)
+
+    def random_povm(self, rng, word, k):
+        d = self.hilbert_dim(word)
+        return list(np.stack([self.simplex_weights(rng, k) for _ in range(d)], axis=1))
+
+    def random_preparation(self, rng, word, k):
+        d = self.hilbert_dim(word)
+        total = self.simplex_weights(rng, d)
+        split = np.stack([self.simplex_weights(rng, k) for _ in range(d)], axis=1)
+        return list(split * total)
+
+    def random_instrument(self, rng, input_word, output_word, k):
+        m = self.random_channels(rng, input_word, output_word, 1)[0]
+        split = rng.dirichlet(np.ones(k), size=m.shape)
+        return [Channel(input_word, output_word, m * split[:, :, x]) for x in range(k)]

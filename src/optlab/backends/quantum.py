@@ -27,11 +27,18 @@ import itertools
 import numpy as np
 
 from ..diagram import SystemType
-from ..errors import NotPhysicalError, OptlabError
+from ..errors import (
+    BackendLacksPurificationError,
+    BranchSumMismatchError,
+    NotPhysicalError,
+    OptlabError,
+    UnsupportedBranchError,
+)
 from .. import linalg
 from .base import (
     Channel,
     EffectVector,
+    Extremal,
     Payload,
     PhysicalityCertificate,
     StateVector,
@@ -69,6 +76,7 @@ class _MatrixTheory(TheoryBackend):
     """Machinery shared by the complex and real quantum backends."""
 
     _complex_scalars: bool = True
+    weight_terms = ("min_spectral_weight", "trace")
 
     def __init__(self, systems=None, boxes=None, tol=None) -> None:
         self._basis_cache: dict[SystemType, np.ndarray] = {}
@@ -146,9 +154,7 @@ class _MatrixTheory(TheoryBackend):
                 raise OptlabError("vec payloads declare states or effects, not boxes")
         else:
             raise OptlabError(f"payload kind {kind!r} is not meaningful on backend {self.name!r}")
-        if not self._complex_scalars:
-            kernel = kernel.real.astype(float)
-        return Channel(input_type, output_type, kernel)
+        return Channel(input_type, output_type, self.project_scalars(kernel))
 
     # -- physicality ----------------------------------------------------
 
@@ -164,17 +170,13 @@ class _MatrixTheory(TheoryBackend):
         dout = self.hilbert_dim(output_type)
         choi = self._coerce_array(choi, (din * dout, din * dout), "choi matrix")
         kernel = linalg.liouville_from_choi(choi, din, dout)
-        if not self._complex_scalars:
-            kernel = kernel.real.astype(float)
-        return Channel(input_type, output_type, kernel)
+        return Channel(input_type, output_type, self.project_scalars(kernel))
 
     def channel_kraus(self, ch: Channel) -> list[np.ndarray]:
         din = self.hilbert_dim(ch.input_type)
         dout = self.hilbert_dim(ch.output_type)
         ks = linalg.choi_to_kraus(self.channel_choi(ch), din, dout)
-        if not self._complex_scalars:
-            ks = [k.real for k in ks]
-        return ks
+        return [self.project_scalars(k) for k in ks]
 
     def certify_channel(self, ch: Channel) -> PhysicalityCertificate:
         role = self._role(ch.input_type, ch.output_type)
@@ -274,7 +276,7 @@ class _MatrixTheory(TheoryBackend):
 
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
         m = np.einsum("n,nij->ij", np.asarray(coords, dtype=float), self.basis(word))
-        return m if self._complex_scalars else m.real
+        return self.project_scalars(m)
 
     # the basis is orthonormal and self-dual, so effects share the formulas
     effect_coords = state_coords
@@ -311,6 +313,123 @@ class _MatrixTheory(TheoryBackend):
     def _spanning_matrices(self, word: SystemType) -> list[np.ndarray]:
         raise NotImplementedError
 
+    def partial_trace(self, obj, dims, keep):
+        return linalg.partial_trace(obj, dims, keep)
+
+    def diagonal(self, p):
+        return np.diag(np.asarray(p, dtype=float))
+
+    # -- extremality: the spectrum of the density matrix or Choi matrix ---
+
+    def extremal_decomposition(self, obj, rel_cutoff=linalg.RANK_CUTOFF) -> Extremal:
+        vals, vecs = linalg.sorted_eigh(obj)
+        rank = linalg.rank_with_cutoff(vals, rel_cutoff)
+        weights = [float(v) for v in vals[:rank]]
+        witness = None
+        if rank > 1:
+            p0 = vals[0] * np.outer(vecs[:, 0], vecs[:, 0].conj())
+            witness = {"summands": [p0, obj - p0], "spectrum": weights}
+        return Extremal(rank, weights, witness, vecs * np.sqrt(np.clip(vals, 0.0, None)))
+
+    def purification(self, obj, dec):
+        """The ket ``sum_i sqrt(w_i) v_i (x) e_i`` on a rank-sized wing."""
+        if dec.rank == 0:
+            raise BackendLacksPurificationError("the zero state has no pure extension")
+        ket = dec.amplitudes[:, :dec.rank].reshape(-1)
+        return self.project_scalars(np.outer(ket, ket.conj())), dec.rank
+
+    def _pure_amplitudes(self, psi: np.ndarray, base_dim: int, ext_dim: int) -> np.ndarray:
+        """The ket of a pure state object, as a ``base_dim x ext_dim`` matrix."""
+        return self.extremal_decomposition(psi).amplitudes[:, 0].reshape(base_dim, ext_dim)
+
+    def pure_connection(self, first, second, base_dim, ext_dim):
+        m1, m2 = (self._pure_amplitudes(p, base_dim, ext_dim) for p in (first, second))
+        marginal_error = float(np.max(np.abs(m1 @ m1.conj().T - m2 @ m2.conj().T)))
+        return self.project_scalars(linalg.procrustes_unitary(m1.T, m2.T)), marginal_error
+
+    def steering_effects(self, psi, branches, base_dim, ext_dim, labels, tol):
+        m = self._pure_amplitudes(psi, base_dim, ext_dim)
+        if float(np.max(np.abs(sum(branches) - m @ m.conj().T))) > self.tol.marginal:
+            raise BranchSumMismatchError(
+                "branch sum does not match the marginal of the pure extension"
+            )
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        r = int(np.sum(s > linalg.RANK_CUTOFF * max(float(s[0]) if s.size else 0.0, 1e-300)))
+        u, s, vh = u[:, :r], s[:r], vh[:r, :]
+        proj = u @ u.conj().T
+        sinv = np.diag(1.0 / s)
+        effects = []
+        for label, rho in zip(labels, branches):
+            off = float(np.max(np.abs(rho - proj @ rho @ proj)))
+            if off > tol:
+                raise UnsupportedBranchError(
+                    f"branch {label!r} puts weight {off:.3e} outside the support"
+                )
+            core = sinv @ u.conj().T @ rho @ u @ sinv
+            effects.append(self.project_scalars((vh.conj().T @ core @ vh).T))
+        return effects, self.project_scalars(np.eye(ext_dim) - (vh.conj().T @ vh).T)
+
+    def faithful_probe(self, word: SystemType) -> StateVector:
+        """The canonical pure extension of the uniform state."""
+        rho = self.state_object(self.uniform_state(word).coords, word)
+        psi, r = self.purification(rho, self.extremal_decomposition(rho))
+        joint = word * self.scratch_system(r)
+        return StateVector(self.state_coords(psi, joint), joint)
+
+    # -- random draws ---------------------------------------------------
+
+    def random_state(self, rng, word, rank=None):
+        rho = self.density_matrix(rng, self.hilbert_dim(word), rank)
+        return StateVector(self.state_coords(rho, word), word)
+
+    def random_effect(self, rng, word):
+        d = self.hilbert_dim(word)
+        u = self.random_unitary(rng, d)
+        e = u @ np.diag(rng.uniform(size=d)) @ u.conj().T
+        return EffectVector(self.effect_coords(e, word), word)
+
+    def random_channels(self, rng, input_word, output_word, count):
+        din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
+        return linalg.liouville_from_choi(self._tp_choi(rng, din, dout, count), din, dout)
+
+    def _tp_choi(self, rng, din: int, dout: int, count: int) -> np.ndarray:
+        """``count`` random trace-preserving Choi matrices, stacked."""
+        g = self.gaussian(rng, count, din * dout, din * dout)
+        j0 = g @ g.conj().swapaxes(-1, -2)
+        red = np.einsum("tibjb->tij", j0.reshape(count, din, dout, din, dout))
+        vals, vecs = np.linalg.eigh(red)
+        rinv = (vecs * vals[:, None, :] ** -0.5) @ vecs.conj().swapaxes(-1, -2)
+        scale = np.einsum("tij,kl->tikjl", rinv, np.eye(dout)).reshape(j0.shape)
+        return self.project_scalars(scale @ j0 @ scale.conj().swapaxes(-1, -2))
+
+    def random_reversible(self, rng, word):
+        return self.conjugation_channel(self.random_unitary(rng, self.hilbert_dim(word)), word)
+
+    def random_povm(self, rng, word, k):
+        d = self.hilbert_dim(word)
+        raw = []
+        for _ in range(k):
+            g = self.gaussian(rng, d, d)
+            raw.append(g @ g.conj().T)
+        vals, vecs = np.linalg.eigh(sum(raw))
+        corr = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
+        return [corr @ e @ corr.conj().T for e in raw]
+
+    def random_preparation(self, rng, word, k):
+        d = self.hilbert_dim(word)
+        vals, vecs = np.linalg.eigh(self.density_matrix(rng, d))
+        f = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+        split = np.stack([self.simplex_weights(rng, k) for _ in range(d)], axis=1)
+        return [f @ np.diag(wx) @ f.conj().T for wx in split]
+
+    def random_instrument(self, rng, input_word, output_word, k):
+        din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
+        vals, vecs = np.linalg.eigh(self._tp_choi(rng, din, dout, 1)[0])
+        a = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+        split = np.stack([self.simplex_weights(rng, k) for _ in range(din * dout)], axis=1)
+        return [self.channel_from_choi(a @ np.diag(wx) @ a.conj().T, input_word, output_word)
+                for wx in split]
+
 
 class QuantumBackend(_MatrixTheory):
     """Complex-amplitude quantum theory.  Locally tomographic."""
@@ -318,6 +437,15 @@ class QuantumBackend(_MatrixTheory):
     name = "quantum"
     locally_tomographic = True
     _complex_scalars = True
+
+    def project_scalars(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def gaussian(self, rng, *shape):
+        """Each matrix draws its real part, then its imaginary part, so a
+        stack draws what one call per matrix would."""
+        g = rng.normal(size=(*shape[:-2], 2, *shape[-2:]))
+        return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
     def state_dim(self, word: SystemType) -> int:
         d = self.hilbert_dim(word)

@@ -342,11 +342,6 @@ class Test:
         object.__setattr__(self, "input_type", first.input_type)
         object.__setattr__(self, "output_type", first.output_type)
 
-    @classmethod
-    def from_dict(cls, branches: Mapping[str, Diagram]) -> "Test":
-        labels = tuple(branches)
-        return cls(OutcomeSpace(labels), tuple(branches[x] for x in labels))
-
     def __getitem__(self, label: str) -> Diagram:
         try:
             return self.branches[self.outcomes.labels.index(label)]

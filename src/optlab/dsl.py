@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import get_backend
-from .backends.base import Channel, EffectVector, Payload, StateVector, Tolerances, TheoryBackend
+from .backends.base import Channel, Payload, StateVector, Tolerances, TheoryBackend
 from .diagram import (
     Diagram,
     Identity,
@@ -637,11 +637,6 @@ class Workbench:
         if self.kinds.get(name) != "state":
             raise UnknownBoxError(f"no state named {name!r}")
         return self.backend.channel_state(self.bindings[name])
-
-    def effect_vector(self, name: str) -> EffectVector:
-        if self.kinds.get(name) != "effect":
-            raise UnknownBoxError(f"no effect named {name!r}")
-        return self.backend.channel_effect(self.bindings[name])
 
     def diagram(self, name: str) -> Diagram:
         """Any named deterministic piece: box, state, effect, or circuit."""

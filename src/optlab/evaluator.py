@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .backends.base import Channel, TheoryBackend, TransferMatrix
 from .diagram import (
     Diagram,
@@ -90,7 +88,7 @@ def evaluate_channel(
     if isinstance(d, PrimitiveBox):
         ch = _resolve_box(d, backend, bindings)
     elif isinstance(d, Identity):
-        ch = Channel(d.system, d.system, backend.kernel_identity(d.system))
+        ch = backend.identity(d.system)
     elif isinstance(d, Swap):
         ch = Channel(d.input_type, d.output_type, backend.kernel_swap(d.left, d.right))
     elif isinstance(d, Seq) and d.first.input_type.is_unit and isinstance(d.second, Seq):
@@ -109,11 +107,7 @@ def evaluate_channel(
     elif isinstance(d, Par):
         left = evaluate_channel(d.left, backend, bindings, memo)
         right = evaluate_channel(d.right, backend, bindings, memo)
-        ch = Channel(
-            left.input_type * right.input_type,
-            left.output_type * right.output_type,
-            backend.kernel_par(left, right),
-        )
+        ch = backend.par(left, right)
     else:
         raise UnknownBoxError(f"cannot evaluate term of type {type(d).__name__}")
 

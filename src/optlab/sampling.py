@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .backends.base import Channel, EffectVector, StateVector, TheoryBackend
 from .diagram import (
     Diagram,
@@ -55,57 +54,25 @@ class Sampler:
     # raw matrix ensembles
     # ------------------------------------------------------------------
 
-    @property
-    def _complex(self) -> bool:
-        return getattr(self.backend, "_complex_scalars", False)
-
-    def _ginibre(self, *shape: int) -> np.ndarray:
-        """Gaussian matrices of shape ``(..., rows, cols)``.
-
-        On complex backends each matrix draws its real part, then its
-        imaginary part, so a stack draws what one call per matrix would.
-        """
-        if not self._complex:
-            return self.rng.normal(size=shape)
-        g = self.rng.normal(size=(*shape[:-2], 2, *shape[-2:]))
-        return g[..., 0, :, :] + 1j * g[..., 1, :, :]
-
     def random_unitary(self, d: int) -> np.ndarray:
         """Haar unitary (or orthogonal, on real-scalar backends) via QR."""
-        q, r = np.linalg.qr(self._ginibre(d, d))
-        phases = np.diagonal(r).copy()
-        phases[np.abs(phases) == 0] = 1.0
-        return q * (phases / np.abs(phases))
+        return self.backend.random_unitary(self.rng, d)
 
     def density_matrix(self, d: int, rank: int | None = None) -> np.ndarray:
-        g = self._ginibre(d, rank or d)
-        rho = g @ g.conj().T
-        return rho / np.trace(rho).real
+        return self.backend.density_matrix(self.rng, d, rank)
 
     def simplex_weights(self, k: int) -> np.ndarray:
-        w = self.rng.exponential(size=k)
-        return w / w.sum()
+        return self.backend.simplex_weights(self.rng, k)
 
     # ------------------------------------------------------------------
     # states / effects / channels
     # ------------------------------------------------------------------
 
     def state(self, word: SystemType, rank: int | None = None) -> StateVector:
-        b = self.backend
-        if b.name == "classical":
-            v = self.simplex_weights(b.hilbert_dim(word))
-            return StateVector(v, word)
-        rho = self.density_matrix(b.hilbert_dim(word), rank)
-        return StateVector(b.state_coords(rho, word), word)
+        return self.backend.random_state(self.rng, word, rank)
 
     def effect(self, word: SystemType) -> EffectVector:
-        b = self.backend
-        d = b.hilbert_dim(word)
-        if b.name == "classical":
-            return EffectVector(self.rng.uniform(size=d), word)
-        u = self.random_unitary(d)
-        e = u @ np.diag(self.rng.uniform(size=d)) @ u.conj().T
-        return EffectVector(b.effect_coords(e, word), word)
+        return self.backend.random_effect(self.rng, word)
 
     def channel(self, input_word: SystemType, output_word: SystemType) -> Channel:
         """Random deterministic (normalization-preserving) transformation."""
@@ -118,34 +85,10 @@ class Sampler:
         Shape ``(count, rows, cols)``; draws what ``count`` calls to
         ``channel`` would, in the same order.
         """
-        b = self.backend
-        din, dout = b.hilbert_dim(input_word), b.hilbert_dim(output_word)
-        if b.name == "classical":
-            w = self.rng.exponential(size=(count, din, dout))
-            w = w / w.sum(axis=-1, keepdims=True)
-            return np.ascontiguousarray(w.swapaxes(-1, -2))
-        return linalg.liouville_from_choi(self._tp_choi(din, dout, count), din, dout)
-
-    def _tp_choi(self, din: int, dout: int, count: int) -> np.ndarray:
-        """``count`` random trace-preserving Choi matrices, stacked."""
-        g = self._ginibre(count, din * dout, din * dout)
-        j0 = g @ g.conj().swapaxes(-1, -2)
-        red = np.einsum("tibjb->tij", j0.reshape(count, din, dout, din, dout))
-        vals, vecs = np.linalg.eigh(red)
-        rinv = (vecs * vals[:, None, :] ** -0.5) @ vecs.conj().swapaxes(-1, -2)
-        scale = np.einsum("tij,kl->tikjl", rinv, np.eye(dout)).reshape(j0.shape)
-        j = scale @ j0 @ scale.conj().swapaxes(-1, -2)
-        return j.real if not self._complex else j
+        return self.backend.random_channels(self.rng, input_word, output_word, count)
 
     def unitary_channel(self, word: SystemType) -> Channel:
-        b = self.backend
-        if b.name == "classical":
-            d = b.hilbert_dim(word)
-            perm = self.rng.permutation(d)
-            m = np.zeros((d, d))
-            m[perm, np.arange(d)] = 1.0
-            return Channel(word, word, m)
-        return b.conjugation_channel(self.random_unitary(b.hilbert_dim(word)), word)
+        return self.backend.random_reversible(self.rng, word)
 
     # ------------------------------------------------------------------
     # tests
@@ -153,19 +96,7 @@ class Sampler:
 
     def povm(self, word: SystemType, k: int) -> list[np.ndarray]:
         """k effects summing to the unit effect (matrices or rows by backend)."""
-        b = self.backend
-        d = b.hilbert_dim(word)
-        if b.name == "classical":
-            rows = np.stack([self.simplex_weights(k) for _ in range(d)], axis=1)
-            return [rows[x] for x in range(k)]
-        raw = []
-        for _ in range(k):
-            g = self._ginibre(d, d)
-            raw.append(g @ g.conj().T)
-        total = sum(raw)
-        vals, vecs = np.linalg.eigh(total)
-        corr = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-        return [corr @ e @ corr.conj().T for e in raw]
+        return self.backend.random_povm(self.rng, word, k)
 
     def observation_channels(self, word: SystemType, k: int) -> list[Channel]:
         b = self.backend
@@ -173,46 +104,17 @@ class Sampler:
 
     def preparation_branches(self, word: SystemType, k: int) -> list[np.ndarray]:
         """Subnormalized state objects summing to a normalized state."""
-        b = self.backend
-        d = b.hilbert_dim(word)
-        if b.name == "classical":
-            total = self.simplex_weights(d)
-            split = np.stack([self.simplex_weights(k) for _ in range(d)], axis=1)
-            return [split[x] * total for x in range(k)]
-        rho = self.density_matrix(d)
-        vals, vecs = np.linalg.eigh(rho)
-        f = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-        branches = []
-        for wx in np.stack([self.simplex_weights(k) for _ in range(d)], axis=1):
-            branches.append(f @ np.diag(wx) @ f.conj().T)
-        return branches
+        return self.backend.random_preparation(self.rng, word, k)
 
     def instrument(self, input_word: SystemType, output_word: SystemType,
                    k: int) -> list[Channel]:
         """k branches summing to a random deterministic transformation."""
-        b = self.backend
-        din, dout = b.hilbert_dim(input_word), b.hilbert_dim(output_word)
-        if b.name == "classical":
-            m = self.channel(input_word, output_word).kernel
-            parts = []
-            split = self.rng.dirichlet(np.ones(k), size=m.shape)
-            for x in range(k):
-                parts.append(Channel(input_word, output_word, m * split[:, :, x]))
-            return parts
-        j = self._tp_choi(din, dout, 1)[0]
-        vals, vecs = np.linalg.eigh(j)
-        a = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-        out = []
-        for wx in np.stack([self.simplex_weights(k) for _ in range(din * dout)], axis=1):
-            jx = a @ np.diag(wx) @ a.conj().T
-            out.append(b.channel_from_choi(jx, input_word, output_word))
-        return out
+        return self.backend.random_instrument(self.rng, input_word, output_word, k)
 
     def identity_instrument(self, word: SystemType, k: int) -> list[Channel]:
         """Branches proportional to the identity, summing to it exactly."""
-        b = self.backend
         weights = self.simplex_weights(k)
-        ident = b.kernel_identity(word)
+        ident = self.backend.identity(word).kernel
         return [Channel(word, word, w * ident) for w in weights]
 
     # ------------------------------------------------------------------

@@ -15,11 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .audit.purification import _state_kernel, purify_state
-from .backends.base import Channel, EffectVector, StateVector, TheoryBackend
-from .diagram import Diagram, SystemType, UNIT
+from .audit.purity import _as_channel
+from .backends.base import EffectVector, StateVector, TheoryBackend
+from .diagram import SystemType, UNIT
 from .errors import OptlabError, TypeMismatchError
-from .evaluator import evaluate_channel
 from .sampling import Sampler
 
 __all__ = [
@@ -63,21 +62,6 @@ class EquivalenceReport:
     witness: EquivalenceWitness | None = None
 
 
-def _as_channel(backend: TheoryBackend, m, bindings) -> Channel:
-    if isinstance(m, Diagram):
-        return evaluate_channel(m, backend, bindings=bindings)
-    if isinstance(m, Channel):
-        return m
-    raise OptlabError(f"cannot compare object of type {type(m).__name__}")
-
-
-def _with_reference(backend: TheoryBackend, ch: Channel, ref: SystemType) -> Channel:
-    ident = Channel(ref, ref, backend.kernel_identity(ref))
-    return Channel(
-        ch.input_type * ref, ch.output_type * ref, backend.kernel_par(ch, ident)
-    )
-
-
 def equivalent(
     m1,
     m2,
@@ -108,8 +92,8 @@ def equivalent(
     best: EquivalenceWitness | None = None
     max_gap = 0.0
     for ref in ref_policy:
-        j1 = _with_reference(backend, c1, ref)
-        j2 = _with_reference(backend, c2, ref)
+        j1 = backend.par(c1, backend.identity(ref))
+        j2 = backend.par(c2, backend.identity(ref))
         t1 = backend.transfer_of(j1).matrix
         t2 = backend.transfer_of(j2).matrix
         states = backend.spanning_states(j1.input_type)
@@ -146,12 +130,12 @@ def replay_witness(
     """Run the witness probe against both circuits; returns both probabilities."""
     c1 = _as_channel(backend, m1, bindings)
     c2 = _as_channel(backend, m2, bindings)
-    st_kernel = _state_kernel(backend, witness.state)
+    st_kernel = backend.state_as_channel(witness.state).kernel
     eff_obj = backend.effect_object(witness.effect.coords, witness.effect.system)
     eff_kernel = backend.effect_channel(eff_obj, witness.effect.system).kernel
     out = []
     for ch in (c1, c2):
-        joint = _with_reference(backend, ch, witness.reference)
+        joint = backend.par(ch, backend.identity(witness.reference))
         scalar = eff_kernel @ joint.kernel @ st_kernel
         out.append(backend.prob(float(np.real(scalar[0, 0]))))
     return out[0], out[1]
@@ -180,10 +164,7 @@ def local_tomography_check(
     na = backend.state_dim(left)
     nb = backend.state_dim(right)
     njoint = backend.state_dim(left * right)
-    preps = np.stack([
-        backend.state_channel(backend.state_object(sa.coords, left), left).kernel
-        for sa in backend.spanning_states(left)
-    ])
+    preps = np.stack([backend.state_as_channel(sa).kernel for sa in backend.spanning_states(left)])
     rows = [backend.apply_first(preps, UNIT, left, sb) for sb in backend.spanning_states(right)]
     rank = int(np.linalg.matrix_rank(np.concatenate(rows, axis=0)))
     holds = (na * nb == njoint) and rank == njoint
@@ -211,11 +192,8 @@ def faithful_state(backend: TheoryBackend, word: SystemType) -> FaithfulStateRes
     state = backend.uniform_state(word)
     d = backend.hilbert_dim(word)
     margin = 1.0 / d
-    if backend.name == "classical":
-        diagnostics = {"min_entry": margin, "total": 1.0}
-    else:
-        diagnostics = {"min_spectral_weight": margin, "trace": 1.0}
-    return FaithfulStateResult(state, margin > 0.0, margin, diagnostics)
+    least, total = backend.weight_terms
+    return FaithfulStateResult(state, margin > 0.0, margin, {least: margin, total: 1.0})
 
 
 @dataclass
@@ -252,15 +230,7 @@ def verify_faithfulness(
         if not labels:
             raise OptlabError("no declared systems to probe")
         word = SystemType.of(labels[0])
-    d = backend.hilbert_dim(word)
-
-    if backend.name == "classical":
-        sigma = np.zeros(d * d)
-        sigma[:: d + 1] = 1.0 / d
-        probe = StateVector(sigma, word * word)
-    else:
-        probe = purify_state(backend, backend.uniform_state(word)).state
-
+    probe = backend.faithful_probe(word)
     sampler = Sampler(backend, seed=seed)
     emat = np.stack([e.coords for e in backend.spanning_effects(probe.system)], axis=0)
     gaps = np.empty(trials)

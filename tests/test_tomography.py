@@ -6,7 +6,7 @@ import pytest
 
 from optlab import Channel, SystemType, get_backend, par, seq
 from optlab import tomography
-from optlab.audit.purification import _state_kernel, purify_state
+from optlab.audit.purification import purify_state
 from optlab.diagram import PrimitiveBox, UNIT
 from optlab.errors import TypeMismatchError
 from optlab.sampling import Sampler
@@ -266,7 +266,7 @@ def reference_faithfulness(backend, word, trials, seed, tol=None):
     else:
         pur = purify_state(backend, backend.uniform_state(word))
         ref = pur.purifying_system
-        psi_kernel = _state_kernel(backend, pur.state)
+        psi_kernel = backend.state_as_channel(pur.state).kernel
 
     sampler = Sampler(backend, seed=seed)
     ident_ref = Channel(ref, ref, backend.kernel_identity(ref))
