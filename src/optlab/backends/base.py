@@ -15,9 +15,12 @@ dimension ``n`` (purifying systems, dilation environments, readout
 pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
-audits, tomography and the sampler call only the methods below, so they are
-the checklist for adding a theory.  An *object* is a state or effect in the
-theory's own form (a vector on the classical theory, a matrix otherwise).
+audits, tomography and the sampler reach the theory only through backend
+methods.  Besides dimensions, compilation and certification
+(``certify_channel``, ``deterministic_residual``, ``channel_from_choi``),
+they use the methods below, which are the checklist for adding a theory.
+An *object* is a state or effect in the theory's own form (a vector on the
+classical theory, a matrix otherwise).
 
 * Kernels: ``kernel_identity``, ``kernel_swap``, ``kernel_par``,
   ``apply_first``, ``trace_channel``, ``transfer_of``.  The channel-level
