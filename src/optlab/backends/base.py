@@ -51,6 +51,8 @@ classical theory, a matrix otherwise).
   the scalars, ``random_state``, ``random_effect``, ``random_channels``,
   ``random_reversible``, ``random_povm``, ``random_preparation`` and
   ``random_instrument``.
+* Workbench language: ``pair_payloads`` says whether a payload entry may be
+  a complex ``[re,im]`` pair, and is printed as one.
 """
 
 from __future__ import annotations
@@ -209,6 +211,7 @@ class TheoryBackend(abc.ABC):
     name: str = "?"
     locally_tomographic: bool = True
     purifies: bool = True  # every state has a pure extension
+    pair_payloads: bool = True  # payload entries may be written as [re,im] pairs
 
     def __init__(
         self,

@@ -39,6 +39,7 @@ class ClassicalBackend(TheoryBackend):
     name = "classical"
     locally_tomographic = True
     purifies = False
+    pair_payloads = False
     weight_terms = ("min_entry", "total")
 
     def state_dim(self, word: SystemType) -> int:

@@ -24,7 +24,6 @@ from .diagram import SystemType, singleton_test
 from .dsl import Workbench, load
 from .errors import (
     BackendLacksDilationError,
-    BackendLacksPurificationError,
     CausalityViolationError,
     DslParseError,
     OptlabError,
@@ -310,12 +309,7 @@ def _audit_purification(wb: Workbench, args) -> int:
     results = []
     code = 0
     for name, state in subjects:
-        try:
-            r = audit.purify_state(wb.backend, state)
-        except BackendLacksPurificationError as e:
-            results.append({"state": name, "verdict": "Failure", "witness": str(e)})
-            code = VIOLATION
-            continue
+        r = audit.purify_state(wb.backend, state)
         results.append({"state": name, **_plain(r)})
         if r.verdict != "Purified":
             code = VIOLATION

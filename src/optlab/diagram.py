@@ -8,9 +8,11 @@ with outcome sets multiplying as Cartesian products.
 
 Terms are frozen dataclasses with structural equality, and nothing mutates
 after construction, so sharing subterms across threads or memo tables is
-safe.  The composites :class:`Seq` and :class:`Par` store their wire types
-and structural hash, computed once from their children's stored values, so
-hashing a term of any depth is O(1) and never recurses.  The checked
+safe.  A :class:`Seq` is the flat tuple of its parts, so ``;`` is
+associative on the nose; :class:`Par` stays binary, because the association
+of a Kronecker product decides its floating-point result.  Both store their
+wire types and structural hash, computed once from their children's stored
+values, so hashing is O(1) per node and never recurses.  The checked
 constructors :func:`seq` / :func:`par` (also spelled ``>>`` and ``@``) are
 the intended way to build composites; the raw dataclass constructors perform
 no wire checking, which is what lets :func:`validate` exist as a separate
@@ -173,24 +175,33 @@ class Swap(Diagram):
 
 @dataclass(frozen=True)
 class Seq(Diagram):
-    """``second`` after ``first``.  Raw constructor does not check wires."""
+    """``parts`` in order, nested ``Seq`` parts spliced in.  The hash is
+    folded part by part from a leading ``Seq``'s stored hash, so appending
+    costs no rehash of the prefix.  Raw constructor does not check wires."""
 
-    first: Diagram
-    second: Diagram
+    parts: tuple[Diagram, ...]
     input_type: SystemType = field(init=False, repr=False, compare=False)
     output_type: SystemType = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input_type", self.first.input_type)
-        object.__setattr__(self, "output_type", self.second.output_type)
-        object.__setattr__(self, "_hash", hash((Seq, self.first, self.second)))
+        head, *rest = self.parts
+        flat = list(head.parts) if isinstance(head, Seq) else [head]
+        h = head._hash if isinstance(head, Seq) else hash((Seq, head))
+        for part in rest:
+            for p in part.parts if isinstance(part, Seq) else (part,):
+                flat.append(p)
+                h = hash((h, p))
+        object.__setattr__(self, "parts", tuple(flat))
+        object.__setattr__(self, "input_type", flat[0].input_type)
+        object.__setattr__(self, "output_type", flat[-1].output_type)
+        object.__setattr__(self, "_hash", h)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        return f"({self.first} ; {self.second})"
+        return "(" + " ; ".join(map(str, self.parts)) + ")"
 
 
 @dataclass(frozen=True)
@@ -211,18 +222,34 @@ class Par(Diagram):
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        a, b = self, other  # down the left spines, so a long ``*`` chain does not recurse
+        while isinstance(a, Par) and isinstance(b, Par) and a is not b:
+            if a._hash != b._hash or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a is b or (not isinstance(a, Par) and not isinstance(b, Par) and a == b)
+
     def __str__(self) -> str:
-        return f"({self.left} * {self.right})"
+        rights, node = [], self
+        while isinstance(node, Par):
+            rights.append(f" * {node.right})")
+            node = node.left
+        return "(" * len(rights) + str(node) + "".join(reversed(rights))
 
 
-def seq(first: Diagram, second: Diagram) -> Diagram:
-    """Compose in time.  Raises :class:`TypeMismatchError` on wire mismatch."""
-    if first.output_type != second.input_type:
-        raise TypeMismatchError(
-            f"cannot wire output {first.output_type} of {first} "
-            f"into input {second.input_type} of {second}"
-        )
-    return Seq(first, second)
+def seq(*parts: Diagram) -> Diagram:
+    """Compose in time: ``seq(a, b, c)`` is ``a ; b ; c``, and ``seq(a)`` is ``a``.
+
+    Raises :class:`TypeMismatchError` when neighbouring wires disagree.
+    """
+    for first, second in zip(parts, parts[1:]):
+        if first.output_type != second.input_type:
+            raise TypeMismatchError(
+                f"cannot wire output {first.output_type} of {first} "
+                f"into input {second.input_type} of {second}"
+            )
+    return parts[0] if len(parts) == 1 else Seq(parts)
 
 
 def par(left: Diagram, right: Diagram) -> Diagram:
@@ -235,20 +262,18 @@ def validate(d: Diagram, backend=None, bindings: Mapping[str, object] | None = N
 
     Returns a list of human-readable findings; empty iff every sequential
     node is wire-compatible and (when ``backend`` or ``bindings`` is given)
-    every primitive box name resolves.  Paths use ``first/second`` and
-    ``left/right`` segments from the root.
+    every primitive box name resolves.  Paths from the root name ``Seq``
+    parts by index (``2/left/0``) and ``Par`` children as ``left/right``.
     """
     findings: list[str] = []
 
     def visit(term: Diagram, path: str) -> None:
         if isinstance(term, Seq):
-            if term.first.output_type != term.second.input_type:
-                findings.append(
-                    f"{path or 'root'}: sequential wires disagree "
-                    f"({term.first.output_type} vs {term.second.input_type})"
-                )
-            visit(term.first, path + "/first" if path else "first")
-            visit(term.second, path + "/second" if path else "second")
+            for i, part in enumerate(term.parts):
+                if i and term.parts[i - 1].output_type != part.input_type:
+                    findings.append(f"{path or 'root'}: sequential wires disagree before part {i} "
+                                    f"({term.parts[i - 1].output_type} vs {part.input_type})")
+                visit(part, f"{path}/{i}" if path else str(i))
         elif isinstance(term, Par):
             visit(term.left, path + "/left" if path else "left")
             visit(term.right, path + "/right" if path else "right")
@@ -370,7 +395,7 @@ def test_seq(first: Test, second: Test) -> Test:
             f"cannot wire test output {first.output_type} into test input {second.input_type}"
         )
     branches = tuple(
-        Seq(bx, by) for bx in first.branches for by in second.branches
+        Seq((bx, by)) for bx in first.branches for by in second.branches
     )
     return Test(first.outcomes.product(second.outcomes), branches)
 

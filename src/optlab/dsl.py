@@ -21,11 +21,13 @@ every payload onto the declared backend, certifying physicality as it goes.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .backends import get_backend
+from .backends import BACKENDS, get_backend
 from .backends.base import Channel, Payload, StateVector, Tolerances, TheoryBackend
 from .diagram import (
     Diagram,
@@ -67,7 +69,8 @@ __all__ = [
     "load",
 ]
 
-THEORIES = ("quantum", "quantum-real", "classical")
+#: Deepest nesting of parentheses in a circuit, or of brackets in a payload.
+MAX_NESTING = 100
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
@@ -164,14 +167,12 @@ class TraceExpr:
 
 @dataclass(frozen=True)
 class SeqExpr:
-    first: object
-    second: object
+    parts: tuple  # a parenthesized SeqExpr may follow the first part
 
 
 @dataclass(frozen=True)
 class ParExpr:
-    left: object
-    right: object
+    parts: tuple  # grouped to the left; a parenthesized ParExpr may follow the first part
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,7 @@ class _Cursor:
         self.text = text
         self.line = line_no
         self.pos = 0
+        self.depth = 0  # open parentheses in a circuit expression
 
     def fail(self, message: str, expected=None, col: int | None = None):
         raise DslParseError(message, self.line, self.pos + 1 if col is None else col, expected)
@@ -295,6 +297,8 @@ def _scan_bracketed(cur: _Cursor) -> tuple[str, int]:
         c = cur.text[i]
         if c == "[":
             depth += 1
+            if depth > MAX_NESTING:
+                cur.fail(f"payload literal nested deeper than {MAX_NESTING}", col=i + 1)
         elif c == "]":
             depth -= 1
             if depth == 0:
@@ -320,7 +324,7 @@ def _parse_payload(cur: _Cursor, theory: str) -> PayloadLiteral:
         cur.fail(f"bad payload literal: {e.msg}", col=col + e.pos)
     except ValueError as e:
         cur.fail(f"bad payload literal: {e}", col=col)
-    complex_ok = theory != "classical" and kind != "stoch"
+    complex_ok = BACKENDS[theory].pair_payloads and kind != "stoch"
     try:
         data = _payload_tree(kind, raw, complex_ok)
     except ValueError as e:
@@ -375,24 +379,33 @@ def _payload_tree(kind: str, raw, complex_ok: bool) -> tuple:
     raise ValueError(f"unknown payload kind {kind!r}")
 
 
+def _parse_chain(cur: _Cursor, op: str, parse_part, node):
+    parts = [parse_part(cur)]
+    while cur.try_punct(op):
+        parts.append(parse_part(cur))
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], node):  # both operators group to the left: (a ; b) ; c is a ; b ; c
+        parts[:1] = parts[0].parts
+    return node(tuple(parts))
+
+
 def _parse_expr(cur: _Cursor):
-    term = _parse_par(cur)
-    while cur.try_punct(";"):
-        term = SeqExpr(term, _parse_par(cur))
-    return term
+    return _parse_chain(cur, ";", _parse_par, SeqExpr)
 
 
 def _parse_par(cur: _Cursor):
-    term = _parse_atom(cur)
-    while cur.try_punct("*"):
-        term = ParExpr(term, _parse_atom(cur))
-    return term
+    return _parse_chain(cur, "*", _parse_atom, ParExpr)
 
 
 def _parse_atom(cur: _Cursor):
     if cur.try_punct("("):
+        if cur.depth == MAX_NESTING:
+            cur.fail(f"parentheses nested deeper than {MAX_NESTING}", col=cur.pos)
+        cur.depth += 1
         inner = _parse_expr(cur)
         cur.expect_punct(")")
+        cur.depth -= 1
         return inner
     name = cur.word()
     if name is None:
@@ -441,8 +454,8 @@ def parse(text: str) -> Document:
             if statements:
                 cur.fail("the theory declaration must come first", col=1)
             name = cur.word(chars_start=_IDENT_START, chars_cont=_IDENT_CONT | {"-"})
-            if name is None or name not in THEORIES:
-                cur.fail("unknown theory", expected=list(THEORIES))
+            if name is None or name not in BACKENDS:
+                cur.fail("unknown theory", expected=list(BACKENDS))
             theory = name
             cur.expect_end()
             continue
@@ -546,7 +559,7 @@ def _print_scalar(x, pair_form: bool) -> str:
 
 
 def _print_payload(p: PayloadLiteral, theory: str) -> str:
-    pair_form = theory != "classical" and p.kind != "stoch"
+    pair_form = BACKENDS[theory].pair_payloads and p.kind != "stoch"
 
     def render(node) -> str:
         if isinstance(node, tuple):
@@ -560,7 +573,7 @@ def _print_word(word: tuple[str, ...]) -> str:
     return " * ".join(word) if word else "I"
 
 
-def _print_expr(e, inside_par: bool = False) -> str:
+def _print_expr(e) -> str:
     if isinstance(e, Ref):
         return e.name
     if isinstance(e, IdExpr):
@@ -569,18 +582,10 @@ def _print_expr(e, inside_par: bool = False) -> str:
         return f"swap({_print_word(e.left)}, {_print_word(e.right)})"
     if isinstance(e, TraceExpr):
         return f"trace({_print_word(e.word)})"
-    if isinstance(e, SeqExpr):
-        # ';' is left-associative, so only a right-nested chain needs parens.
-        second = _print_expr(e.second)
-        if isinstance(e.second, SeqExpr):
-            second = f"({second})"
-        text = f"{_print_expr(e.first)} ; {second}"
-        return f"({text})" if inside_par else text
-    if isinstance(e, ParExpr):
-        right = _print_expr(e.right, inside_par=True)
-        if isinstance(e.right, ParExpr):
-            right = f"({right})"
-        return f"{_print_expr(e.left, inside_par=True)} * {right}"
+    if isinstance(e, (SeqExpr, ParExpr)):
+        # a part of the same kind is grouped on purpose; ';' binds looser than '*'
+        op, grouped = (" ; ", SeqExpr) if isinstance(e, SeqExpr) else (" * ", (SeqExpr, ParExpr))
+        return op.join(f"({_print_expr(p)})" if isinstance(p, grouped) else _print_expr(p) for p in e.parts)
     raise OptlabError(f"cannot print expression node {type(e).__name__}")
 
 
@@ -661,30 +666,15 @@ def _as_test(piece) -> Test:
     return piece if isinstance(piece, Test) else singleton_test(piece)
 
 
-def _compose_seq(a, b):
-    if isinstance(a, Test) or isinstance(b, Test):
-        return test_seq(_as_test(a), _as_test(b))
-    return seq(a, b)
-
-
-def _compose_par(a, b):
-    if isinstance(a, Test) or isinstance(b, Test):
-        return test_par(_as_test(a), _as_test(b))
-    return par(a, b)
-
-
+@contextmanager
 def _located(line: int):
-    """Decorator-ish context: re-raise package errors with the source line."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, OptlabError) and not isinstance(exc, DslParseError):
-                exc.args = (f"line {line}: {exc}",)
-            return False
-
-    return _Ctx()
+    """Re-raise package errors, other than parse errors, with the source line."""
+    try:
+        yield
+    except OptlabError as exc:
+        if not isinstance(exc, DslParseError):
+            exc.args = (f"line {line}: {exc}",)
+        raise
 
 
 def bind(doc: Document, tol: Tolerances | None = None) -> Workbench:
@@ -724,12 +714,14 @@ def bind(doc: Document, tol: Tolerances | None = None) -> Workbench:
             return Swap(word_of(e.left, line), word_of(e.right, line))
         if isinstance(e, TraceExpr):
             return trace_box(word_of(e.word, line))
-        if isinstance(e, SeqExpr):
+        if isinstance(e, (SeqExpr, ParExpr)):
+            pieces = [to_piece(p, line) for p in e.parts]
+            in_seq = isinstance(e, SeqExpr)
             with _located(line):
-                return _compose_seq(to_piece(e.first, line), to_piece(e.second, line))
-        if isinstance(e, ParExpr):
-            with _located(line):
-                return _compose_par(to_piece(e.left, line), to_piece(e.right, line))
+                if not any(isinstance(p, Test) for p in pieces):
+                    return seq(*pieces) if in_seq else reduce(par, pieces)
+                compose = test_seq if in_seq else test_par
+                return reduce(lambda a, b: compose(_as_test(a), _as_test(b)), pieces)
         raise OptlabError(f"cannot bind expression node {type(e).__name__}")
 
     for s in doc.statements:

@@ -1,18 +1,18 @@
 """Compile circuit terms to transfer matrices and run test circuits.
 
-Evaluation is structural recursion over the term: primitive boxes resolve to
-compiled kernels, identities and swaps come from the backend's kernel
-algebra, sequential composition is a kernel product and parallel composition
-a (reordered) Kronecker product.  Results are memoized per call, keyed by
-the term itself — terms are immutable and hash structurally in O(1), so
-identical subterms are evaluated once even across the branches of a test.
+Primitive boxes resolve to compiled kernels, identities and swaps come from
+the backend's kernel algebra, parallel composition is a (reordered)
+Kronecker product and sequential composition a kernel product.  A
+:class:`~optlab.diagram.Seq` is a flat chain, evaluated by one loop from its
+input end: on a closed circuit every product is then a kernel times a state
+column rather than a product of two square kernels.  A left-nested ``Par``
+spine is walked by a loop too, in its written association, so neither long
+``;`` nor long ``*`` chains recurse.
 
-Sequential composition is associative, and a term whose input is the trivial
-system is evaluated from the state outward: ``s ; (x ; y)`` is taken as
-``(s ; x) ; y``.  Every sequential product on a state-typed prefix is then a
-matrix times a column rather than a product of two square kernels, and each
-such prefix is still memoized, so the branches of a test that share a
-preparation share its propagated state.
+Results are memoized per call.  Whole terms are keyed by the term itself
+(terms are immutable and hash structurally in O(1)); each prefix of a chain
+is keyed by the memoized result of the shorter prefix plus the next part, so
+the branches of a test that share a preparation share its propagated state.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def evaluate_channel(
     d: Diagram,
     backend: TheoryBackend,
     bindings: Mapping[str, Channel] | None = None,
-    memo: dict[Diagram, Channel] | None = None,
+    memo: dict | None = None,
 ) -> Channel:
     """Evaluate to the backend's internal kernel form.
 
@@ -91,23 +91,27 @@ def evaluate_channel(
         ch = backend.identity(d.system)
     elif isinstance(d, Swap):
         ch = Channel(d.input_type, d.output_type, backend.kernel_swap(d.left, d.right))
-    elif isinstance(d, Seq) and d.first.input_type.is_unit and isinstance(d.second, Seq):
-        # state first: s ; (x ; y) is (s ; x) ; y, a matrix-column product per step
-        ch = evaluate_channel(
-            Seq(Seq(d.first, d.second.first), d.second.second), backend, bindings, memo
-        )
     elif isinstance(d, Seq):
-        first = evaluate_channel(d.first, backend, bindings, memo)
-        second = evaluate_channel(d.second, backend, bindings, memo)
-        if first.output_type != second.input_type:
-            raise TypeMismatchError(
-                f"sequential wires disagree: {first.output_type} vs {second.input_type}"
-            )
-        ch = Channel(first.input_type, second.output_type, backend.kernel_seq(first, second))
+        ch = evaluate_channel(d.parts[0], backend, bindings, memo)
+        for part in d.parts[1:]:
+            key = (id(ch), part)  # ch stays alive as a memo value, so its id is stable
+            prefix = memo.get(key)
+            if prefix is None:
+                second = evaluate_channel(part, backend, bindings, memo)
+                if ch.output_type != second.input_type:
+                    raise TypeMismatchError(
+                        f"sequential wires disagree: {ch.output_type} vs {second.input_type}"
+                    )
+                prefix = memo[key] = Channel(ch.input_type, second.output_type, backend.kernel_seq(ch, second))
+            ch = prefix
     elif isinstance(d, Par):
-        left = evaluate_channel(d.left, backend, bindings, memo)
-        right = evaluate_channel(d.right, backend, bindings, memo)
-        ch = backend.par(left, right)
+        spine, node = [d], d.left  # d's left-nested Par nodes, down to a memoized or non-Par left
+        while isinstance(node, Par) and node not in memo:
+            spine.append(node)
+            node = node.left
+        ch = evaluate_channel(node, backend, bindings, memo)
+        for node in reversed(spine):
+            ch = memo[node] = backend.par(ch, evaluate_channel(node.right, backend, bindings, memo))
     else:
         raise UnknownBoxError(f"cannot evaluate term of type {type(d).__name__}")
 
@@ -159,7 +163,7 @@ def run_test_circuit(
         raise TypeMismatchError(
             f"test circuit must be scalar-typed, got {t.input_type} -> {t.output_type}"
         )
-    memo: dict[Diagram, Channel] = {}
+    memo: dict = {}
     probs: dict[str, float] = {}
     for label, branch in t.items():
         ch = evaluate_channel(branch, backend, bindings, memo)

@@ -40,7 +40,6 @@ __all__ = [
     "sorted_eigh",
     "rank_with_cutoff",
     "canonical_phase",
-    "complete_to_unitary",
     "procrustes_unitary",
 ]
 
@@ -259,29 +258,6 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
         return v
     pivot = v[idx[0]]
     return v * (np.abs(pivot) / pivot)
-
-
-def complete_to_unitary(columns: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns (d x r) to a d x d unitary, deterministically.
-
-    Candidates are the canonical basis vectors in order; each is projected
-    against the columns gathered so far and kept when enough survives.
-    """
-    d, r = columns.shape
-    cols = [columns[:, i] for i in range(r)]
-    for j in range(d):
-        if len(cols) == d:
-            break
-        cand = np.zeros(d, dtype=columns.dtype)
-        cand[j] = 1.0
-        for c in cols:
-            cand = cand - c * (np.conj(c) @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            cols.append(canonical_phase(cand / nrm))
-    if len(cols) != d:
-        raise np.linalg.LinAlgError("could not complete columns to a unitary")
-    return np.stack(cols, axis=1)
 
 
 def procrustes_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:

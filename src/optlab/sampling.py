@@ -161,10 +161,10 @@ class Sampler:
             return Swap(SystemType(input_word.word[:i]), SystemType(input_word.word[i:]))
         if pick == "seq":
             mid = self.word()
-            return Seq(
+            return Seq((
                 self.diagram(input_word, mid, depth - 1),
                 self.diagram(mid, output_word, depth - 1),
-            )
+            ))
         if pick == "par":
             i = int(self.rng.integers(0, len(input_word) + 1))
             j = int(self.rng.integers(0, len(output_word) + 1))

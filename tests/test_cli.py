@@ -230,9 +230,7 @@ def test_unphysical_payloads_fail_at_load(run, tmp_path):
     assert "line 3" in json.loads(out)["error"]
 
 
-def test_crashes_exit_3_with_a_json_error(run, tmp_path):
-    """A circuit too deep for the recursive evaluator crashes; the crash
-    must not read as a verdict (exit 1) but as an internal error."""
+def _deep_chain(tmp_path):
     chain = " ; ".join(["flip"] * 600)
     p = tmp_path / "deep.opt"
     p.write_text(
@@ -244,11 +242,57 @@ def test_crashes_exit_3_with_a_json_error(run, tmp_path):
         f"circuit ladder = {chain}\n"
         "circuit deep = plus ; ladder ; z\n"
     )
-    code, out = run("prob", p, "--test-circuit", "deep")
+    return p
+
+
+def test_crashes_exit_3_with_a_json_error(run, tmp_path, monkeypatch):
+    """An internal crash must not read as a verdict (exit 1) but as an
+    internal error."""
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("optlab.cli.run_test_circuit", crash)
+    code, out = run("prob", _deep_chain(tmp_path), "--test-circuit", "deep")
     assert code == 3
     payload = json.loads(out)
     assert payload["error"] == "internal error"
     assert payload["exception"] == "RecursionError"
+
+
+def test_long_chains_evaluate(run, tmp_path):
+    code, out = run("prob", _deep_chain(tmp_path), "--test-circuit", "deep")
+    assert code == 0
+    assert json.loads(out) == pytest.approx({"0": 0.5, "1": 0.5}, abs=1e-12)
+
+
+def test_long_par_chains_evaluate(run, tmp_path):
+    p = tmp_path / "wide.opt"
+    p.write_text(
+        "theory quantum\nsystem Q dim=2\n"
+        "state up : Q = dens=[[[1,0],[0,0]],[[0,0],[0,0]]]\n"
+        "effect one : Q = dens=[[[1,0],[0,0]],[[0,0],[1,0]]]\n"
+        "circuit s = up ; one\n"
+        f"circuit wide = {' * '.join(['s'] * 1200)}\n"
+        f"circuit again = {' * '.join(['s'] * 1200)}\n"
+        "circuit both = wide ; again\n"
+    )
+    for name in ("wide", "both"):
+        code, out = run("eval", p, "--circuit", name)
+        assert code == 0
+        assert json.loads(out)["transfer"] == [[1.0]]
+    p.write_text(p.read_text() + "circuit bad = wide ; one\n")
+    code, out = run("eval", p, "--circuit", "bad")
+    assert code == 2
+    assert "line 9: cannot wire output I of ((" in json.loads(out)["error"]
+
+
+def test_deep_nesting_is_a_usage_error(run, tmp_path):
+    p = tmp_path / "nested.opt"
+    p.write_text("theory quantum\nsystem Q dim=2\n"
+                 f"circuit c = {'(' * 400}id(Q){')' * 400}\n")
+    code, out = run("eval", p, "--circuit", "c")
+    assert code == 2
+    assert "line 3" in json.loads(out)["error"]
 
 
 def test_output_is_byte_deterministic(run, fx):

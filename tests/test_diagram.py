@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,8 +132,8 @@ declared_words = st.lists(st.sampled_from(["A", "B"]), max_size=2).map(
 def _subterms(d):
     yield d
     if isinstance(d, Seq):
-        yield from _subterms(d.first)
-        yield from _subterms(d.second)
+        for part in d.parts:
+            yield from _subterms(part)
     elif isinstance(d, Par):
         yield from _subterms(d.left)
         yield from _subterms(d.right)
@@ -140,7 +142,7 @@ def _subterms(d):
 def _recomputed_types(d):
     """Wire types by recursion over the term, ignoring the stored ones."""
     if isinstance(d, Seq):
-        return _recomputed_types(d.first)[0], _recomputed_types(d.second)[1]
+        return _recomputed_types(d.parts[0])[0], _recomputed_types(d.parts[-1])[1]
     if isinstance(d, Par):
         (li, lo), (ri, ro) = _recomputed_types(d.left), _recomputed_types(d.right)
         return li * ri, lo * ro
@@ -164,6 +166,39 @@ def test_hashing_a_deep_chain_does_not_recurse():
     f = PrimitiveBox("f", A, A)
     chain = f
     for _ in range(10_000):
-        chain = Seq(chain, f)
+        chain = Seq((chain, f))
     assert {chain: "deep"}[chain] == "deep"
     assert (chain.input_type, chain.output_type) == (A, A)
+
+
+def test_chains_are_equal_up_to_bracketing():
+    f, g = PrimitiveBox("f", A, A), PrimitiveBox("g", A, A)
+    steps = [f, g] * 5_000
+    flat = seq(*steps)
+    appended = steps[0]
+    for step in steps[1:]:
+        appended = appended >> step
+    assert flat == appended and hash(flat) == hash(appended)
+    assert flat.parts == tuple(steps)
+    short = steps[:1_000]
+    prepended = short[-1]
+    for step in reversed(short[:-1]):
+        prepended = seq(step, prepended)
+    assert prepended == seq(*short) and hash(prepended) == hash(seq(*short))
+    assert str(seq(f, seq(g, f))) == "(f ; g ; f)"
+    assert seq(f) is f
+
+
+def test_seq_reports_the_mismatched_neighbours():
+    f, g = PrimitiveBox("f", A, A), PrimitiveBox("g", B, B)
+    with pytest.raises(TypeMismatchError, match="of f into input B of g"):
+        seq(f, f, g)
+
+
+def test_wide_par_spines_compare_without_recursion():
+    f, g = PrimitiveBox("f", A, A), PrimitiveBox("g", A, A)
+    wide = [f] * 1_200
+    assert reduce(par, wide) == reduce(par, wide)
+    assert reduce(par, wide) != reduce(par, [g] + wide[1:])
+    assert reduce(par, wide) != reduce(par, wide[:-1] + [g])
+    assert par(f, par(f, f)) != par(par(f, f), f) and par(f, f) != f

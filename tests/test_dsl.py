@@ -7,7 +7,7 @@ import random
 import pytest
 
 from optlab import SystemType
-from optlab.dsl import Document, Workbench, load, parse, print_document
+from optlab.dsl import MAX_NESTING, Document, Workbench, load, parse, print_document
 from optlab.errors import DslParseError, NotPhysicalError, OptlabError
 
 ALPHABET = list("abcXYZ019{}[]()=:;,*->#@.\"' \t")
@@ -63,6 +63,37 @@ def test_composition_printing_round_trips():
     )
     doc = parse(text)
     assert parse(print_document(doc)) == doc
+
+
+def test_leading_groups_are_spliced_and_later_ones_kept():
+    head = "theory quantum\nsystem Q dim=2\ncircuit a = id(Q)\n"
+    assert parse(head + "circuit b = (a ; a) ; a\n") == parse(head + "circuit b = a ; a ; a\n")
+    assert parse(head + "circuit b = (a * a) * a\n") == parse(head + "circuit b = a * a * a\n")
+    grouped = parse(head + "circuit b = a ; (a ; a) * (a * a)\n")
+    assert print_document(grouped).endswith("circuit b = a ; (a ; a) * (a * a)\n")
+
+
+def test_long_chains_round_trip():
+    text = ("theory quantum\nsystem Q dim=2\n"
+            f"circuit c = {' ; '.join(['id(Q)'] * 10_000)}\n"
+            f"circuit d = {' * '.join(['c'] * 1_000)}\n")
+    doc = parse(text)
+    assert print_document(doc) == text
+    assert parse(print_document(doc)) == doc
+
+
+def test_parenthesis_nesting_is_limited():
+    text = "theory quantum\nsystem Q dim=2\ncircuit c = {}id(Q){}\n"
+    deepest = MAX_NESTING * "("
+    assert parse(text.format(deepest, MAX_NESTING * ")")) is not None
+    e = err(text.format(deepest + "(", (MAX_NESTING + 1) * ")"))
+    assert (e.line, e.column) == (3, 13 + MAX_NESTING)
+
+
+def test_payload_nesting_is_limited():
+    e = err("theory quantum\nsystem Q dim=2\n"
+            f"state s : Q = vec={'[' * 5000}1{']' * 5000}\n")
+    assert (e.line, e.column) == (3, 19 + MAX_NESTING)
 
 
 def test_scientific_notation_accepted():

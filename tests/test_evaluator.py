@@ -160,7 +160,8 @@ def test_memoized_evaluation_is_consistent(backend):
 
 
 def _plain_channel(d, backend, bindings):
-    """Reference: the term in its written association, without a memo."""
+    """Reference: each chain folded from its input end, each Par in its
+    written association, without a memo."""
     if isinstance(d, PrimitiveBox):
         return bindings[d.name]
     if isinstance(d, Identity):
@@ -168,9 +169,11 @@ def _plain_channel(d, backend, bindings):
     if isinstance(d, Swap):
         return Channel(d.input_type, d.output_type, backend.kernel_swap(d.left, d.right))
     if isinstance(d, Seq):
-        first = _plain_channel(d.first, backend, bindings)
-        second = _plain_channel(d.second, backend, bindings)
-        return Channel(first.input_type, second.output_type, backend.kernel_seq(first, second))
+        first = _plain_channel(d.parts[0], backend, bindings)
+        for part in d.parts[1:]:
+            second = _plain_channel(part, backend, bindings)
+            first = Channel(first.input_type, second.output_type, backend.kernel_seq(first, second))
+        return first
     assert isinstance(d, Par)
     left = _plain_channel(d.left, backend, bindings)
     right = _plain_channel(d.right, backend, bindings)
@@ -247,3 +250,48 @@ def test_closed_ladder_multiplies_states_not_kernels(backend, monkeypatch):
     monkeypatch.setattr(backend, "kernel_seq", recording)
     run_test_circuit(t, backend, s.bindings)
     assert firsts and all(word.is_unit for word in firsts)
+
+
+# ---------------------------------------------------------------------------
+# long chains
+# ---------------------------------------------------------------------------
+
+
+def _fold(channels, backend):
+    """Reference: a plain left fold of kernel products."""
+    acc = channels[0]
+    for ch in channels[1:]:
+        acc = Channel(acc.input_type, ch.output_type, backend.kernel_seq(acc, ch))
+    return acc
+
+
+def test_long_chains_match_a_left_fold(backend):
+    s = Sampler(backend, seed=30)
+    for i in range(3):
+        s.bindings[f"f{i}"] = s.channel(A, A)
+    s.bindings["prep"] = backend.state_channel(s.preparation_branches(A, 1)[0], A)
+    steps = [PrimitiveBox(f"f{i % 3}", A, A) for i in range(10_000)]
+    got = evaluate_channel(seq(*steps), backend, s.bindings)
+    want = _fold([s.bindings[b.name] for b in steps], backend)
+    np.testing.assert_allclose(got.kernel, want.kernel, rtol=0, atol=1e-12)
+
+    meas = Test(OutcomeSpace(("0", "1")), (PrimitiveBox("m0", A, UNIT), PrimitiveBox("m1", A, UNIT)))
+    s.bindings["m0"], s.bindings["m1"] = s.observation_channels(A, 2)
+    closed = chain_tests(singleton_test(seq(PrimitiveBox("prep", UNIT, A), *steps)), meas)
+    got = run_test_circuit(closed, backend, s.bindings)
+    for label, m in zip(("0", "1"), ("m0", "m1")):
+        want = _fold([s.bindings[n] for n in ["prep", *(b.name for b in steps), m]], backend)
+        assert abs(got[label] - backend.prob(backend.transfer_of(want).matrix[0, 0])) <= 1e-12
+
+
+def test_long_par_spines_keep_their_association(backend):
+    s = Sampler(backend, seed=32)
+    s.bindings["p"] = backend.state_channel(s.preparation_branches(A, 1)[0], A)
+    s.bindings["e"] = s.observation_channels(A, 1)[0]
+    scalar = seq(PrimitiveBox("p", UNIT, A), PrimitiveBox("e", A, UNIT))
+    wide = reduce(par, [scalar] * 1200)
+    one = evaluate_channel(scalar, backend, s.bindings)
+    want = one
+    for _ in range(1199):
+        want = backend.par(want, one)
+    np.testing.assert_array_equal(evaluate_channel(wide, backend, s.bindings).kernel, want.kernel)

@@ -192,10 +192,3 @@ def test_procrustes_unitary_recovers_rotation():
     u = la.procrustes_unitary(a, b)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(u @ a, b, atol=1e-10)
-
-
-def test_complete_to_unitary_extends_isometry():
-    v = np.linalg.qr(random_complex((4, 2)))[0][:, :2]
-    u = la.complete_to_unitary(v)
-    np.testing.assert_allclose(u[:, :2], v, atol=1e-12)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
