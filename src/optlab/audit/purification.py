@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import linalg
 from ..backends.base import Channel, EffectVector, StateVector, TheoryBackend
 from ..diagram import SystemType
 from ..errors import (
@@ -77,8 +76,7 @@ def _split(psi: StateVector, base: SystemType) -> SystemType:
     return SystemType(word.word[len(base):])
 
 
-def purify_state(backend: TheoryBackend, state: StateVector,
-                 rel_cutoff: float = linalg.RANK_CUTOFF) -> PurificationResult:
+def purify_state(backend: TheoryBackend, state: StateVector) -> PurificationResult:
     """Canonical pure extension with the smallest purifying system.
 
     Spectral square root on the matrix theories; on the classical theory
@@ -87,7 +85,7 @@ def purify_state(backend: TheoryBackend, state: StateVector,
     """
     word = state.system
     obj = backend.state_object(state.coords, word)
-    dec = backend.extremal_decomposition(obj, rel_cutoff)
+    dec = backend.extremal_decomposition(obj)
     try:
         psi_obj, r = backend.purification(obj, dec)
     except BackendLacksPurificationError as e:

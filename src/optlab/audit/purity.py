@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import linalg
 from ..backends.base import Channel, StateVector, TheoryBackend, TransferMatrix
 from ..diagram import Diagram
 from ..errors import NotPureError, OptlabError
@@ -73,16 +72,14 @@ def _report(dec) -> PurityReport:
     return PurityReport(dec.rank <= 1, dec.rank, dec.weights, dec.witness)
 
 
-def is_pure_state(backend: TheoryBackend, state: StateVector,
-                  rel_cutoff: float = linalg.RANK_CUTOFF) -> PurityReport:
+def is_pure_state(backend: TheoryBackend, state: StateVector) -> PurityReport:
     obj = backend.state_object(state.coords, state.system)
-    return _report(backend.extremal_decomposition(obj, rel_cutoff))
+    return _report(backend.extremal_decomposition(obj))
 
 
-def is_pure_transformation(backend: TheoryBackend, m, bindings=None,
-                           rel_cutoff: float = linalg.RANK_CUTOFF) -> PurityReport:
+def is_pure_transformation(backend: TheoryBackend, m, bindings=None) -> PurityReport:
     ch = _as_channel(backend, m, bindings)
-    return _report(backend.extremal_decomposition(backend.channel_choi(ch), rel_cutoff))
+    return _report(backend.extremal_decomposition(backend.channel_choi(ch)))
 
 
 def is_reversible(backend: TheoryBackend, m, bindings=None,

@@ -39,7 +39,7 @@ BACKENDS: dict[str, type[TheoryBackend]] = {
 }
 
 
-def get_backend(theory: str, systems=None, boxes=None, tol=None) -> TheoryBackend:
+def get_backend(theory: str, systems=None) -> TheoryBackend:
     """Instantiate a backend by theory name (quantum, quantum-real, classical)."""
     try:
         cls = BACKENDS[theory]
@@ -47,4 +47,4 @@ def get_backend(theory: str, systems=None, boxes=None, tol=None) -> TheoryBacken
         raise OptlabError(
             f"unknown theory {theory!r}; available: {', '.join(sorted(BACKENDS))}"
         ) from None
-    return cls(systems, boxes, tol)
+    return cls(systems)

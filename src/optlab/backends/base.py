@@ -6,9 +6,9 @@ form the evaluator composes.  Transfer matrices (real, rows indexed by the
 output coordinates, columns by the input coordinates) are extracted from
 kernels at the boundary.
 
-Backends are immutable after construction: the system table and the box
-table are fixed, and every exposed array is freshly allocated or treated as
-read-only.
+Backends are immutable after construction: the system table is fixed, and
+every exposed array is freshly allocated or treated as read-only.  Boxes are
+not registered here; a workbench's bindings map box names to channels.
 
 System labels of the reserved form ``@<n>`` denote scratch systems of
 dimension ``n`` (purifying systems, dilation environments, readout
@@ -16,43 +16,50 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Besides dimensions, compilation and certification
-(``certify_channel``, ``deterministic_residual``, ``channel_from_choi``),
-they use the methods below, which are the checklist for adding a theory.
-An *object* is a state or effect in the theory's own form (a vector on the
+methods.  Adding a theory means writing the 29 abstract methods below.  An
+*object* is a state or effect in the theory's own form (a vector on the
 classical theory, a matrix otherwise).
 
-* Kernels: ``kernel_identity``, ``kernel_swap``, ``kernel_par``,
-  ``apply_first``, ``trace_channel``, ``transfer_of``.  The channel-level
-  ``identity``, ``par`` and ``state_as_channel`` are built on them.
-* Objects: ``state_coords``/``state_object``, ``effect_coords``/
-  ``effect_object``, ``state_channel``/``effect_channel``; ``channel_choi``
-  (a transformation's positive representative); ``conjugation_channel``
-  (the channel of a reversible or isometric matrix); ``partial_trace``;
-  ``diagonal`` (the object with classical weights ``p``: pointer states and
-  the unit effect); ``project_scalars`` (onto the theory's scalar field).
+* Dimensions and compilation: ``state_dim``, ``_channel_from_payload``,
+  ``certify_channel``, ``channel_from_transfer``.
+* Kernels: ``kernel_par``, ``apply_first``, ``transfer_of``.
+* Objects: ``state_coords``/``state_object``, ``state_channel``/
+  ``effect_channel``; ``channel_choi`` (a transformation's positive
+  representative); ``conjugation_channel`` (the channel of a reversible or
+  isometric matrix); ``partial_trace``; ``diagonal`` (the object with
+  classical weights ``p``: pointer states and the unit effect);
+  ``spanning_states``.
 * Extremality: ``extremal_decomposition`` splits an object or a
-  ``channel_choi`` into pure pieces (an ``Extremal``); ``weight_terms``
-  names a state's smallest weight and its normalization in reports.
-* Purification.  ``purifies`` says whether every state has a pure
-  extension; the classical theory still answers for its point masses.
-  ``purification`` gives a pure extension and the wing dimension, or raises
-  ``BackendLacksPurificationError``; ``pure_connection`` gives the matrix of
-  a reversible map on the wing between two pure objects, and the gap
-  between their marginals; ``steering_effects`` gives wing effects steering
-  a pure object to each branch, and the completion to the unit effect;
-  ``channel_kraus`` gives the pieces of a pure realization, or raises
-  ``BackendLacksDilationError``; ``faithful_probe`` extends the uniform
-  state so that it separates transformations; ``basis`` (purifying
-  theories) is the operator basis that spans Choi matrices.
-* Spanning families: ``uniform_state``, ``spanning_states``,
-  ``spanning_effects``.
-* Random draws, each from a generator in a fixed order: ``gaussian`` over
-  the scalars, ``random_state``, ``random_effect``, ``random_channels``,
-  ``random_reversible``, ``random_povm``, ``random_preparation`` and
-  ``random_instrument``.
-* Workbench language: ``pair_payloads`` says whether a payload entry may be
-  a complex ``[re,im]`` pair, and is printed as one.
+  ``channel_choi`` into pure pieces (an ``Extremal``).
+* Purification: ``purification`` gives a pure extension and the wing
+  dimension, or raises ``BackendLacksPurificationError``;
+  ``pure_connection`` gives the matrix of a reversible map on the wing
+  between two pure objects, and the gap between their marginals;
+  ``steering_effects`` gives wing effects steering a pure object to each
+  branch, and the completion to the unit effect; ``channel_kraus`` gives the
+  pieces of a pure realization, or raises ``BackendLacksDilationError``;
+  ``faithful_probe`` extends the uniform state so that it separates
+  transformations.
+* Random draws, each from a generator in a fixed order: ``random_state``,
+  ``random_effect``, ``random_channels``, ``random_reversible``,
+  ``random_povm``, ``random_preparation`` and ``random_instrument``.
+
+A theory also sets ``deterministic_residual`` (how far a channel is from
+preserving normalization), ``weight_terms`` (the names of a state's smallest
+weight and its normalization in reports) and the class flags below; a
+purifying theory adds ``basis`` (the operator basis that spans Choi
+matrices) and ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
+default to real scalars.
+
+The base class derives the rest, the same way for every theory:
+``kernel_identity`` and ``kernel_swap`` are the ``conjugation_channel``
+kernels of the identity and of ``linalg.swap_unitary``; ``trace_channel`` is
+the ``effect_channel`` of ``diagonal`` of ones (the discard);
+``uniform_state`` is ``state_coords`` of ``diagonal`` of ``1/d``;
+``effect_coords``/``effect_object`` are the state forms and
+``spanning_effects`` re-wraps ``spanning_states``, because every theory here
+is self-dual; ``identity``, ``par``, ``state_as_channel`` and
+``trace_effect`` are built on those.
 """
 
 from __future__ import annotations
@@ -69,7 +76,6 @@ from ..errors import (
     NotPhysicalError,
     OptlabError,
     OutOfRangeError,
-    UnknownBoxError,
     UnknownSystemError,
 )
 
@@ -212,14 +218,9 @@ class TheoryBackend(abc.ABC):
     locally_tomographic: bool = True
     purifies: bool = True  # every state has a pure extension
     pair_payloads: bool = True  # payload entries may be written as [re,im] pairs
+    tol = Tolerances()
 
-    def __init__(
-        self,
-        systems: Mapping[str, int] | None = None,
-        boxes: Mapping[str, tuple[SystemType, SystemType, Payload]] | None = None,
-        tol: Tolerances | None = None,
-    ) -> None:
-        self.tol = tol or Tolerances()
+    def __init__(self, systems: Mapping[str, int] | None = None) -> None:
         self._systems: dict[str, int] = {}
         for label, dim in (systems or {}).items():
             if not isinstance(dim, int) or dim < 1:
@@ -227,9 +228,6 @@ class TheoryBackend(abc.ABC):
             if _is_scratch_label(label) is not None:
                 raise UnknownSystemError(f"label {label!r} is reserved for scratch systems")
             self._systems[label] = dim
-        self._boxes: dict[str, Channel] = {}
-        for box_name, (win, wout, payload) in (boxes or {}).items():
-            self._boxes[box_name] = self.compile_payload(payload, win, wout)
 
     # ------------------------------------------------------------------
     # systems and dimensions
@@ -266,23 +264,6 @@ class TheoryBackend(abc.ABC):
         return SystemType((f"@{dim}",))
 
     # ------------------------------------------------------------------
-    # box registry
-    # ------------------------------------------------------------------
-
-    @property
-    def boxes(self) -> Mapping[str, Channel]:
-        return dict(self._boxes)
-
-    def resolves_box(self, name: str) -> bool:
-        return name in self._boxes or name.startswith("trace:")
-
-    def box_channel(self, name: str) -> Channel:
-        try:
-            return self._boxes[name]
-        except KeyError:
-            raise UnknownBoxError(f"no box named {name!r} declared on backend {self.name}") from None
-
-    # ------------------------------------------------------------------
     # compilation and physicality
     # ------------------------------------------------------------------
 
@@ -291,14 +272,12 @@ class TheoryBackend(abc.ABC):
         payload: Payload,
         input_type: SystemType,
         output_type: SystemType,
-        check: bool = True,
     ) -> Channel:
-        """Compile a payload to a kernel, certifying physicality by default."""
+        """Compile a payload to a kernel and certify its physicality."""
         ch = self._channel_from_payload(payload, input_type, output_type)
-        if check:
-            cert = self.certify_channel(ch)
-            if not cert.physical:
-                raise NotPhysicalError(cert)
+        cert = self.certify_channel(ch)
+        if not cert.physical:
+            raise NotPhysicalError(cert)
         return ch
 
     @abc.abstractmethod
@@ -326,13 +305,13 @@ class TheoryBackend(abc.ABC):
     # kernel algebra used by the evaluator
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def kernel_identity(self, word: SystemType) -> np.ndarray:
-        ...
+        d = self.hilbert_dim(word)
+        return self.conjugation_channel(np.eye(d), word).kernel
 
-    @abc.abstractmethod
     def kernel_swap(self, left: SystemType, right: SystemType) -> np.ndarray:
-        ...
+        u = linalg.swap_unitary(self.hilbert_dim(left), self.hilbert_dim(right))
+        return self.conjugation_channel(u, left * right, right * left).kernel
 
     def kernel_seq(self, first: Channel, second: Channel) -> np.ndarray:
         return second.kernel @ first.kernel
@@ -369,9 +348,9 @@ class TheoryBackend(abc.ABC):
         joint kernel.
         """
 
-    @abc.abstractmethod
     def trace_channel(self, word: SystemType) -> Channel:
         """The unique deterministic effect (discard) as a channel to the unit."""
+        return self.effect_channel(self.diagonal(np.ones(self.hilbert_dim(word))), word)
 
     @abc.abstractmethod
     def transfer_of(self, ch: Channel) -> TransferMatrix:
@@ -389,13 +368,11 @@ class TheoryBackend(abc.ABC):
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
         """Concrete state object from coordinates (inverse of state_coords)."""
 
-    @abc.abstractmethod
     def effect_coords(self, obj: np.ndarray, word: SystemType) -> np.ndarray:
-        ...
+        return self.state_coords(obj, word)
 
-    @abc.abstractmethod
     def effect_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
-        ...
+        return self.state_object(coords, word)
 
     @abc.abstractmethod
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
@@ -440,24 +417,24 @@ class TheoryBackend(abc.ABC):
         """``x`` on the theory's scalar field: real theories keep the real part."""
         return np.ascontiguousarray(np.real(x))
 
-    @abc.abstractmethod
     def uniform_state(self, word: SystemType) -> StateVector:
         """Maximally mixed / uniform state on the word."""
+        d = self.hilbert_dim(word)
+        return StateVector(self.state_coords(self.diagonal(np.full(d, 1.0 / d)), word), word)
 
     @abc.abstractmethod
     def spanning_states(self, word: SystemType) -> list[StateVector]:
         ...
 
-    @abc.abstractmethod
     def spanning_effects(self, word: SystemType) -> list[EffectVector]:
-        ...
+        return [EffectVector(s.coords, word) for s in self.spanning_states(word)]
 
     # ------------------------------------------------------------------
     # extremality and purification
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def extremal_decomposition(self, obj, rel_cutoff=linalg.RANK_CUTOFF) -> Extremal: ...
+    def extremal_decomposition(self, obj) -> Extremal: ...
 
     @abc.abstractmethod
     def purification(self, obj, dec: Extremal) -> tuple[np.ndarray, int]: ...
@@ -522,16 +499,10 @@ class TheoryBackend(abc.ABC):
     # scalars
     # ------------------------------------------------------------------
 
-    def prob(self, value, tol: float | None = None) -> float:
+    def prob(self, value: float) -> float:
         """Check a scalar lies in [0, 1] up to tolerance; return it unclamped."""
-        if isinstance(value, TransferMatrix):
-            if value.shape != (1, 1):
-                raise OptlabError(f"not a scalar transfer matrix: shape {value.shape}")
-            value = value.matrix[0, 0]
-        if isinstance(value, Channel):
-            value = self.transfer_of(value).matrix[0, 0]
         value = float(value)
-        tol = self.tol.eigenvalue_floor if tol is None else tol
+        tol = self.tol.eigenvalue_floor
         if value < -tol or value > 1.0 + tol:
             raise OutOfRangeError(value, tol)
         return value

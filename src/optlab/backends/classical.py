@@ -113,12 +113,6 @@ class ClassicalBackend(TheoryBackend):
 
     # -- kernel algebra -------------------------------------------------
 
-    def kernel_identity(self, word: SystemType) -> np.ndarray:
-        return np.eye(self.hilbert_dim(word))
-
-    def kernel_swap(self, left: SystemType, right: SystemType) -> np.ndarray:
-        return linalg.block_swap_permutation(self.hilbert_dim(left), self.hilbert_dim(right))
-
     def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
         return np.kron(left.kernel, right.kernel)
 
@@ -126,9 +120,6 @@ class ClassicalBackend(TheoryBackend):
         joint = state.coords.reshape(self.hilbert_dim(input_word), -1)
         out = np.einsum("tki,ir->tkr", kernels, joint)
         return out.reshape(len(out), -1)
-
-    def trace_channel(self, word: SystemType) -> Channel:
-        return Channel(word, SystemType(()), np.ones((1, self.hilbert_dim(word))))
 
     def transfer_of(self, ch: Channel) -> TransferMatrix:
         return TransferMatrix(np.array(ch.kernel, dtype=float), ch.input_type, ch.output_type)
@@ -141,9 +132,6 @@ class ClassicalBackend(TheoryBackend):
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
         return np.asarray(coords, dtype=float).reshape(-1)
 
-    effect_coords = state_coords
-    effect_object = state_object
-
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
         v = self._coerce_array(obj, (self.hilbert_dim(word),), "probability vector")
         return Channel(SystemType(()), word, v.reshape(-1, 1))
@@ -152,17 +140,9 @@ class ClassicalBackend(TheoryBackend):
         v = self._coerce_array(obj, (self.hilbert_dim(word),), "effect vector")
         return Channel(word, SystemType(()), v.reshape(1, -1))
 
-    def uniform_state(self, word: SystemType) -> StateVector:
-        d = self.hilbert_dim(word)
-        return StateVector(np.full(d, 1.0 / d), word)
-
     def spanning_states(self, word: SystemType) -> list[StateVector]:
         d = self.hilbert_dim(word)
         return [StateVector(row, word) for row in np.eye(d)]
-
-    def spanning_effects(self, word: SystemType) -> list[EffectVector]:
-        d = self.hilbert_dim(word)
-        return [EffectVector(row, word) for row in np.eye(d)]
 
     def conjugation_channel(self, u, input_word, output_word=None) -> Channel:
         """A permutation's or point map's kernel is the matrix itself."""
@@ -179,10 +159,10 @@ class ClassicalBackend(TheoryBackend):
 
     # -- extremality: a vector or kernel is pure when one entry carries weight
 
-    def extremal_decomposition(self, obj, rel_cutoff=linalg.RANK_CUTOFF) -> Extremal:
+    def extremal_decomposition(self, obj) -> Extremal:
         v = np.asarray(obj, dtype=float)
         top = float(np.max(np.abs(v), initial=0.0))
-        where = np.argwhere(np.abs(v) > rel_cutoff * max(top, 1.0))
+        where = np.argwhere(np.abs(v) > linalg.RANK_CUTOFF * max(top, 1.0))
         weights = [float(v[tuple(i)]) for i in where]
         if len(where) <= 1:
             return Extremal(len(where), weights, None)

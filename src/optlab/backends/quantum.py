@@ -78,9 +78,9 @@ class _MatrixTheory(TheoryBackend):
     _complex_scalars: bool = True
     weight_terms = ("min_spectral_weight", "trace")
 
-    def __init__(self, systems=None, boxes=None, tol=None) -> None:
+    def __init__(self, systems=None) -> None:
         self._basis_cache: dict[SystemType, np.ndarray] = {}
-        super().__init__(systems, boxes, tol)
+        super().__init__(systems)
 
     # -- coordinate bases ----------------------------------------------
 
@@ -226,18 +226,6 @@ class _MatrixTheory(TheoryBackend):
 
     # -- kernel algebra -------------------------------------------------
 
-    @property
-    def _dtype(self):
-        return complex if self._complex_scalars else float
-
-    def kernel_identity(self, word: SystemType) -> np.ndarray:
-        d = self.hilbert_dim(word)
-        return np.eye(d * d, dtype=self._dtype)
-
-    def kernel_swap(self, left: SystemType, right: SystemType) -> np.ndarray:
-        s = linalg.swap_unitary(self.hilbert_dim(left), self.hilbert_dim(right))
-        return np.kron(s, s).astype(self._dtype)
-
     def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
         return linalg.liouville_kron(
             left.kernel,
@@ -258,11 +246,6 @@ class _MatrixTheory(TheoryBackend):
         # one vector-matrix product per kernel, so a row never depends on the stack height
         return np.real(out @ self._flat_basis(output_word * ref).conj())[:, 0]
 
-    def trace_channel(self, word: SystemType) -> Channel:
-        d = self.hilbert_dim(word)
-        kernel = linalg.vec(np.eye(d, dtype=self._dtype)).reshape(1, -1)
-        return Channel(word, SystemType(()), kernel)
-
     def transfer_of(self, ch: Channel) -> TransferMatrix:
         w_in = self._flat_basis(ch.input_type)
         w_out = self._flat_basis(ch.output_type)
@@ -277,10 +260,6 @@ class _MatrixTheory(TheoryBackend):
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
         m = np.einsum("n,nij->ij", np.asarray(coords, dtype=float), self.basis(word))
         return self.project_scalars(m)
-
-    # the basis is orthonormal and self-dual, so effects share the formulas
-    effect_coords = state_coords
-    effect_object = state_object
 
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
         d = self.hilbert_dim(word)
@@ -300,15 +279,8 @@ class _MatrixTheory(TheoryBackend):
         u = self._coerce_array(u, (self.hilbert_dim(wout), self.hilbert_dim(input_word)), "isometry")
         return Channel(input_word, wout, np.kron(u, u.conj()))
 
-    def uniform_state(self, word: SystemType) -> StateVector:
-        d = self.hilbert_dim(word)
-        return StateVector(self.state_coords(np.eye(d) / d, word), word)
-
     def spanning_states(self, word: SystemType) -> list[StateVector]:
         return [StateVector(self.state_coords(m, word), word) for m in self._spanning_matrices(word)]
-
-    def spanning_effects(self, word: SystemType) -> list[EffectVector]:
-        return [EffectVector(self.effect_coords(m, word), word) for m in self._spanning_matrices(word)]
 
     def _spanning_matrices(self, word: SystemType) -> list[np.ndarray]:
         raise NotImplementedError
@@ -321,9 +293,9 @@ class _MatrixTheory(TheoryBackend):
 
     # -- extremality: the spectrum of the density matrix or Choi matrix ---
 
-    def extremal_decomposition(self, obj, rel_cutoff=linalg.RANK_CUTOFF) -> Extremal:
+    def extremal_decomposition(self, obj) -> Extremal:
         vals, vecs = linalg.sorted_eigh(obj)
-        rank = linalg.rank_with_cutoff(vals, rel_cutoff)
+        rank = linalg.rank_with_cutoff(vals)
         weights = [float(v) for v in vals[:rank]]
         witness = None
         if rank > 1:

@@ -22,7 +22,9 @@ diagnostic pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from functools import reduce
+from itertools import product
+from typing import Iterator
 
 from .errors import TypeMismatchError
 
@@ -257,13 +259,12 @@ def par(left: Diagram, right: Diagram) -> Diagram:
     return Par(left, right)
 
 
-def validate(d: Diagram, backend=None, bindings: Mapping[str, object] | None = None) -> list[str]:
+def validate(d: Diagram) -> list[str]:
     """Walk a term and report structural problems instead of raising.
 
     Returns a list of human-readable findings; empty iff every sequential
-    node is wire-compatible and (when ``backend`` or ``bindings`` is given)
-    every primitive box name resolves.  Paths from the root name ``Seq``
-    parts by index (``2/left/0``) and ``Par`` children as ``left/right``.
+    node is wire-compatible.  Paths from the root name ``Seq`` parts by
+    index (``2/left/0``) and ``Par`` children as ``left/right``.
     """
     findings: list[str] = []
 
@@ -277,12 +278,7 @@ def validate(d: Diagram, backend=None, bindings: Mapping[str, object] | None = N
         elif isinstance(term, Par):
             visit(term.left, path + "/left" if path else "left")
             visit(term.right, path + "/right" if path else "right")
-        elif isinstance(term, PrimitiveBox):
-            if bindings is not None and term.name in bindings:
-                return
-            if backend is not None and not backend.resolves_box(term.name):
-                findings.append(f"{path or 'root'}: unknown box {term.name!r}")
-        # Identity and Swap are always well-formed
+        # primitive boxes, identities and swaps are always well-formed
 
     visit(d, "")
     return findings
@@ -388,16 +384,21 @@ def singleton_test(d: Diagram) -> Test:
     return Test(SINGLETON_OUTCOME, (d,))
 
 
-def test_seq(first: Test, second: Test) -> Test:
-    """Compose tests in time: branches pair up, outcomes multiply."""
-    if first.output_type != second.input_type:
-        raise TypeMismatchError(
-            f"cannot wire test output {first.output_type} into test input {second.input_type}"
-        )
-    branches = tuple(
-        Seq((bx, by)) for bx in first.branches for by in second.branches
-    )
-    return Test(first.outcomes.product(second.outcomes), branches)
+def test_seq(*tests: Test) -> Test:
+    """Compose tests in time: ``test_seq(a, b, c)`` is ``a ; b ; c``.
+
+    Branches pair up and outcomes multiply.  Each branch is built as one flat
+    ``Seq`` of a branch from every test, so a long chain costs linear time.
+    """
+    for first, second in zip(tests, tests[1:]):
+        if first.output_type != second.input_type:
+            raise TypeMismatchError(
+                f"cannot wire test output {first.output_type} into test input {second.input_type}"
+            )
+    if len(tests) == 1:
+        return tests[0]
+    branches = tuple(Seq(parts) for parts in product(*(t.branches for t in tests)))
+    return Test(reduce(OutcomeSpace.product, (t.outcomes for t in tests)), branches)
 
 
 def test_par(left: Test, right: Test) -> Test:

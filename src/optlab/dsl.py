@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .backends import BACKENDS, get_backend
-from .backends.base import Channel, Payload, StateVector, Tolerances, TheoryBackend
+from .backends.base import Channel, Payload, StateVector, TheoryBackend
 from .diagram import (
     Diagram,
     Identity,
@@ -677,9 +677,9 @@ def _located(line: int):
         raise
 
 
-def bind(doc: Document, tol: Tolerances | None = None) -> Workbench:
+def bind(doc: Document) -> Workbench:
     """Compile a document onto its backend, certifying every payload."""
-    backend = get_backend(doc.theory, doc.systems, tol=tol)
+    backend = get_backend(doc.theory, doc.systems)
     bindings: dict[str, Channel] = {}
     circuits: dict[str, Diagram] = {}
     tests: dict[str, Test] = {}
@@ -720,8 +720,9 @@ def bind(doc: Document, tol: Tolerances | None = None) -> Workbench:
             with _located(line):
                 if not any(isinstance(p, Test) for p in pieces):
                     return seq(*pieces) if in_seq else reduce(par, pieces)
-                compose = test_seq if in_seq else test_par
-                return reduce(lambda a, b: compose(_as_test(a), _as_test(b)), pieces)
+                if in_seq:
+                    return test_seq(*map(_as_test, pieces))
+                return reduce(lambda a, b: test_par(_as_test(a), _as_test(b)), pieces)
         raise OptlabError(f"cannot bind expression node {type(e).__name__}")
 
     for s in doc.statements:
@@ -751,15 +752,15 @@ def bind(doc: Document, tol: Tolerances | None = None) -> Workbench:
             claim(s.name, "test", s.line)
             win = word_of(s.input_word, s.line)
             wout = word_of(s.output_word, s.line)
-            branch_boxes = []
+            branch_terms = []
             for label, payload in zip(s.labels, s.branches):
                 branch_name = f"{s.name}.{label}"
                 with _located(s.line):
                     bindings[branch_name] = backend.compile_payload(
                         payload.to_payload(), win, wout
                     )
-                branch_boxes.append(PrimitiveBox(branch_name, win, wout))
-            tests[s.name] = Test(OutcomeSpace(s.labels), tuple(branch_boxes))
+                branch_terms.append(PrimitiveBox(branch_name, win, wout))
+            tests[s.name] = Test(OutcomeSpace(s.labels), tuple(branch_terms))
         elif isinstance(s, CircuitDef):
             if s.name in kinds:
                 raise DslParseError(f"duplicate definition of {s.name!r}", s.line, 1)
@@ -776,6 +777,6 @@ def bind(doc: Document, tol: Tolerances | None = None) -> Workbench:
     return Workbench(doc, backend, bindings, circuits, tests, kinds)
 
 
-def load(text: str, tol: Tolerances | None = None) -> Workbench:
+def load(text: str) -> Workbench:
     """Parse and bind in one go."""
-    return bind(parse(text), tol=tol)
+    return bind(parse(text))

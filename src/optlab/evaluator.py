@@ -60,7 +60,7 @@ def _resolve_box(
     elif box.name.startswith("trace:") and box.output_type.is_unit:
         ch = backend.trace_channel(box.input_type)
     else:
-        ch = backend.box_channel(box.name)
+        raise UnknownBoxError(f"no box named {box.name!r} declared on backend {backend.name}")
     if (ch.input_type, ch.output_type) != (box.input_type, box.output_type):
         raise TypeMismatchError(
             f"box {box.name!r} is used as {box.input_type} -> {box.output_type} "
@@ -149,15 +149,13 @@ def run_test_circuit(
     t: Test,
     backend: TheoryBackend,
     bindings: Mapping[str, Channel] | None = None,
-    check_normalization: bool = True,
-    tol: float | None = None,
 ) -> OutcomeDistribution:
     """Outcome distribution of a scalar-typed test circuit.
 
     Branch scalars are range-checked individually and reported unclamped.
-    When ``check_normalization`` is set (the default — correct whenever the
-    test was assembled from complete tests), the total must be 1 within the
-    marginal tolerance or :class:`NormalizationViolationError` is raised.
+    The total must be 1 within the marginal tolerance (true whenever the
+    test was assembled from complete tests), or
+    :class:`NormalizationViolationError` is raised.
     """
     if not (t.input_type.is_unit and t.output_type.is_unit):
         raise TypeMismatchError(
@@ -169,8 +167,6 @@ def run_test_circuit(
         ch = evaluate_channel(branch, backend, bindings, memo)
         probs[label] = backend.prob(backend.transfer_of(ch).matrix[0, 0])
     dist = OutcomeDistribution(probs)
-    if check_normalization:
-        tol = backend.tol.marginal if tol is None else tol
-        if abs(dist.total - 1.0) > tol:
-            raise NormalizationViolationError(dist.total, tol)
+    if abs(dist.total - 1.0) > backend.tol.marginal:
+        raise NormalizationViolationError(dist.total, backend.tol.marginal)
     return dist

@@ -36,7 +36,6 @@ __all__ = [
     "apply_liouville",
     "partial_trace",
     "swap_unitary",
-    "block_swap_permutation",
     "sorted_eigh",
     "rank_with_cutoff",
     "canonical_phase",
@@ -148,15 +147,15 @@ def kraus_to_liouville(kraus: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return n
 
 
-def choi_to_kraus(choi: np.ndarray, din: int, dout: int, rel_cutoff: float = RANK_CUTOFF) -> list[np.ndarray]:
+def choi_to_kraus(choi: np.ndarray, din: int, dout: int) -> list[np.ndarray]:
     """Canonical Kraus family from the spectral decomposition of the Choi matrix.
 
     Eigenvalues sorted descending; eigenvector phases canonical; eigenvalues
-    below ``rel_cutoff`` times the largest are dropped.  The family size is
+    below ``RANK_CUTOFF`` times the largest are dropped.  The family size is
     therefore the Choi rank.
     """
     vals, vecs = sorted_eigh(np.asarray(choi))
-    rank = rank_with_cutoff(vals, rel_cutoff)
+    rank = rank_with_cutoff(vals)
     out = []
     for i in range(rank):
         out.append(np.sqrt(vals[i]) * vecs[:, i].reshape(din, dout).T)
@@ -200,18 +199,6 @@ def swap_unitary(d1: int, d2: int) -> np.ndarray:
     return s
 
 
-def block_swap_permutation(n1: int, n2: int) -> np.ndarray:
-    """Index permutation exchanging the two blocks of a flattened pair index.
-
-    Maps coordinate index (alpha, beta) with alpha slowest to (beta, alpha);
-    as a matrix it is the commutation permutation, entries 0/1 exactly.
-    """
-    src = np.arange(n1 * n2).reshape(n1, n2).T.reshape(-1)
-    p = np.zeros((n1 * n2, n1 * n2))
-    p[np.arange(n1 * n2), src] = 1.0
-    return p
-
-
 def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
     """Trace out every tensor factor not listed in ``keep`` (indices in word order)."""
     k = len(dims)
@@ -241,11 +228,11 @@ def sorted_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def rank_with_cutoff(eigvals: np.ndarray, rel_cutoff: float = RANK_CUTOFF) -> int:
+def rank_with_cutoff(eigvals: np.ndarray) -> int:
     top = float(np.max(eigvals, initial=0.0))
     if top <= 0.0:
         return 0
-    return int(np.sum(eigvals > rel_cutoff * top))
+    return int(np.sum(eigvals > RANK_CUTOFF * top))
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:

@@ -42,11 +42,11 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 class Sampler:
     """Random physical objects over a backend's declared systems."""
 
-    def __init__(self, backend: TheoryBackend, seed: int | np.random.Generator = 0,
-                 max_carrier: int = 8) -> None:
+    MAX_CARRIER = 8  # largest carrier dimension of a drawn word
+
+    def __init__(self, backend: TheoryBackend, seed: int | np.random.Generator = 0) -> None:
         self.backend = backend
         self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self.max_carrier = max_carrier
         self.bindings: dict[str, Channel] = {}
         self._counter = 0
 
@@ -129,7 +129,7 @@ class Sampler:
             n = int(self.rng.integers(0, max_len + 1))
             picks = [labels[int(self.rng.integers(len(labels)))] for _ in range(n)]
             w = SystemType(tuple(picks))
-            if self.backend.hilbert_dim(w) <= self.max_carrier:
+            if self.backend.hilbert_dim(w) <= self.MAX_CARRIER:
                 return w
         return SystemType((min(labels, key=lambda l: self.backend.primitive_dim(l)),))
 
@@ -213,7 +213,7 @@ class Sampler:
             obs_test = Test(
                 OutcomeSpace(tuple(f"m{i}" for i in range(k2))), tuple(effs)
             )
-            return test_seq(test_seq(prep_test, middle), obs_test)
+            return test_seq(prep_test, middle, obs_test)
 
         t = column()
         if self.rng.uniform() < 0.3:

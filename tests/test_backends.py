@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from optlab import Channel, Payload, SystemType, get_backend
+from optlab import linalg as la
 from optlab.errors import NotPhysicalError, OptlabError
 from optlab.sampling import Sampler
 
@@ -195,3 +196,36 @@ def test_trace_effect_sums_probability(backend):
     st = s.state(A)
     total = backend.trace_effect(A).pair(st)
     np.testing.assert_allclose(total, 1.0, atol=1e-10)
+
+
+# -- primitives derived in the base class --------------------------------------
+
+
+def closed_forms(backend, word, left, right):
+    """Identity and swap kernels, discard row and uniform coordinates, each
+    written out directly for the theory."""
+    d = backend.hilbert_dim(word)
+    s = la.swap_unitary(backend.hilbert_dim(left), backend.hilbert_dim(right))
+    if backend.name == "classical":
+        return np.eye(d), s, np.ones((1, d)), np.full(d, 1.0 / d)
+    dtype = complex if backend.name == "quantum" else float
+    return (np.eye(d * d, dtype=dtype), np.kron(s, s).astype(dtype),
+            la.vec(np.eye(d, dtype=dtype)).reshape(1, -1),
+            backend.state_coords(np.eye(d) / d, word))
+
+
+@pytest.mark.parametrize("word", [A, A * B])
+def test_derived_primitives_match_closed_forms(backend, word):
+    ident, swap, discard, uniform = closed_forms(backend, word, A, B)
+    got = (backend.kernel_identity(word), backend.kernel_swap(A, B),
+           backend.trace_channel(word).kernel, backend.uniform_state(word).coords)
+    for g, want in zip(got, (ident, swap, discard, uniform)):
+        np.testing.assert_array_equal(g, want)
+        assert g.dtype == want.dtype
+    states, effects = backend.spanning_states(word), backend.spanning_effects(word)
+    for st, e in zip(states, effects, strict=True):
+        np.testing.assert_array_equal(e.coords, st.coords)
+    coords = states[-1].coords
+    obj = backend.state_object(coords, word)
+    np.testing.assert_array_equal(backend.effect_object(coords, word), obj)
+    np.testing.assert_array_equal(backend.effect_coords(obj, word), backend.state_coords(obj, word))

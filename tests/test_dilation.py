@@ -323,7 +323,7 @@ def test_quantum_readout_fails_the_sum_condition(quantum):
     identity, so it never reaches the proportionality check."""
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     branches = [
-        quantum.compile_payload(Payload("kraus", [p]), A, A, check=False)
+        quantum.compile_payload(Payload("kraus", [p]), A, A)
         for p in (p0, p1)
     ]
     with pytest.raises(BranchSumMismatchError):

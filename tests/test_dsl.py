@@ -82,6 +82,18 @@ def test_long_chains_round_trip():
     assert parse(print_document(doc)) == doc
 
 
+def test_long_inline_chain_around_a_test_binds_like_a_named_one():
+    head = ("theory classical\nsystem A dim=2\nstate prep : A = vec=[1, 0]\n"
+            "box flip : A -> A = stoch=[[0, 1], [1, 0]]\n"
+            "test z : A -> A outcomes={0,1} { 0: stoch=[[1,0],[0,0]]; 1: stoch=[[0,0],[0,1]] }\n")
+    steps = " ; ".join(["flip"] * 8000)
+    inline = load(head + f"circuit t = prep ; {steps} ; z\n").tests["t"]
+    named = load(head + f"circuit l = {steps}\ncircuit t = prep ; l ; z\n").tests["t"]
+    assert inline == named
+    assert hash(inline) == hash(named)
+    assert len(inline["1"].parts) == 8002
+
+
 def test_parenthesis_nesting_is_limited():
     text = "theory quantum\nsystem Q dim=2\ncircuit c = {}id(Q){}\n"
     deepest = MAX_NESTING * "("

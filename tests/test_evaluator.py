@@ -8,7 +8,7 @@ import pytest
 from optlab import Channel, Identity, Swap, SystemType, evaluate, par, run_test_circuit, seq, singleton_test
 from optlab.diagram import OutcomeSpace, Par, PrimitiveBox, Seq, Test, UNIT, test_par as parallel_tests
 from optlab.diagram import test_seq as chain_tests
-from optlab.errors import OptlabError
+from optlab.errors import OptlabError, UnknownBoxError
 from optlab.evaluator import evaluate_channel, trace_box
 from optlab.sampling import Sampler
 
@@ -109,6 +109,15 @@ def test_binding_must_match_declared_type(backend):
     wrong = s.channel(A, A)
     with pytest.raises(OptlabError):
         evaluate(f, backend, {"f": wrong})
+
+
+def test_unbound_box_is_unknown(backend):
+    s = Sampler(backend, seed=15)
+    f, bf = box(backend, s, "f", A, A)
+    with pytest.raises(UnknownBoxError, match="no box named 'g' declared on backend"):
+        evaluate(seq(f, PrimitiveBox("g", A, A)), backend, bf)
+    with pytest.raises(UnknownBoxError):
+        evaluate(f, backend)
 
 
 def test_closed_test_circuit_distribution(backend):

@@ -178,13 +178,6 @@ def test_swap_unitary_exchanges_factors():
     np.testing.assert_allclose(s @ np.kron(x, y), np.kron(y, x), atol=1e-15)
 
 
-def test_block_swap_permutation_on_probability_vectors():
-    p = np.array([0.1, 0.9])
-    q = np.array([0.3, 0.3, 0.4])
-    perm = la.block_swap_permutation(2, 3)
-    np.testing.assert_allclose(perm @ np.kron(p, q), np.kron(q, p), atol=1e-15)
-
-
 def test_procrustes_unitary_recovers_rotation():
     a = random_complex((4, 3))
     u0, _ = np.linalg.qr(random_complex((4, 4)))
