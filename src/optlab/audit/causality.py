@@ -125,10 +125,9 @@ def is_deterministic(
     backend: TheoryBackend,
     m,
     bindings=None,
-    tol: float | None = None,
 ) -> DeterminismReport:
     """Does discarding the output equal discarding the input?"""
-    tol = backend.tol.marginal if tol is None else tol
+    tol = backend.tol.marginal
     t = m if isinstance(m, TransferMatrix) else backend.transfer_of(_as_channel(backend, m, bindings))
     eff_out = backend.trace_effect(t.output_type).coords
     eff_in = backend.trace_effect(t.input_type).coords
@@ -154,7 +153,6 @@ def physicalize_readout(
     backend: TheoryBackend,
     test,
     bindings=None,
-    tol: float | None = None,
 ) -> ReadoutResult:
     """Fold a complete test into one deterministic box writing to a pointer.
 
@@ -163,7 +161,7 @@ def physicalize_readout(
     Raises ``IncompleteTestError`` when the branches do not sum to a
     deterministic transformation.
     """
-    tol = backend.tol.marginal if tol is None else tol
+    tol = backend.tol.marginal
     branches = _branch_channels(backend, test, bindings)
     labels = tuple(label for label, _ in branches)
     win = branches[0][1].input_type

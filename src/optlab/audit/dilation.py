@@ -242,14 +242,13 @@ def dilation_uniqueness(
     p1: Channel,
     p2: Channel,
     base_output: SystemType,
-    tol: float | None = None,
 ) -> ConnectionReport:
     """Connect two pure realizations by a reversible map on the environment.
 
     Both inputs are pure channels into ``base_output * environment`` with
     the same marginal on ``base_output``.
     """
-    tol = backend.tol.gap if tol is None else tol
+    tol = backend.tol.gap
     if not backend.purifies:
         raise BackendLacksDilationError(
             f"the {backend.name} theory has no nontrivial pure realizations to compare"

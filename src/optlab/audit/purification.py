@@ -113,7 +113,6 @@ def purification_uniqueness(
     psi1: StateVector,
     psi2: StateVector,
     base: SystemType,
-    tol: float | None = None,
 ) -> ConnectionReport:
     """Connect two same-marginal pure extensions by a reversible map.
 
@@ -121,7 +120,7 @@ def purification_uniqueness(
     acts on the extending part only.  Raises ``NotPureError`` for impure
     inputs and ``MarginalMismatchError`` when the marginals differ.
     """
-    tol = backend.tol.gap if tol is None else tol
+    tol = backend.tol.gap
     if psi1.system != psi2.system:
         raise OptlabError("the two extensions must share one joint system")
     ext = _split(psi1, base)

@@ -82,10 +82,9 @@ def is_pure_transformation(backend: TheoryBackend, m, bindings=None) -> PurityRe
     return _report(backend.extremal_decomposition(backend.channel_choi(ch)))
 
 
-def is_reversible(backend: TheoryBackend, m, bindings=None,
-                  tol: float | None = None) -> ReversibilityReport:
+def is_reversible(backend: TheoryBackend, m, bindings=None) -> ReversibilityReport:
     """Is there a physical deterministic inverse?  Returns it when so."""
-    tol = backend.tol.eigenvalue_floor if tol is None else tol
+    tol = backend.tol.eigenvalue_floor
     ch = _as_channel(backend, m, bindings)
     cert = backend.certify_channel(ch)
     if not cert.physical:

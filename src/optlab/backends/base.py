@@ -16,13 +16,19 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Adding a theory means writing the 29 abstract methods below.  An
-*object* is a state or effect in the theory's own form (a vector on the
-classical theory, a matrix otherwise).
+methods.  Adding a theory means writing the 31 abstract members below; a
+class that lacks one cannot be instantiated.  An *object* is a state or
+effect in the theory's own form (a vector on the classical theory, a matrix
+otherwise).
 
 * Dimensions and compilation: ``state_dim``, ``_channel_from_payload``,
-  ``certify_channel``, ``channel_from_transfer``.
-* Kernels: ``kernel_par``, ``apply_first``, ``transfer_of``.
+  ``certify_channel``, ``channel_from_transfer``; ``deterministic_residual``
+  (how far a channel is from preserving normalization) and ``weight_terms``
+  (the names of a state's smallest weight and its normalization in reports).
+* Kernels: ``legs_per_wire`` (a kernel column on a word of k wires is a
+  tensor with ``legs_per_wire * k`` legs: a row and a column index per wire
+  on the operator-space kernels, one index on the stochastic ones),
+  ``apply_first``, ``transfer_of``.
 * Objects: ``state_coords``/``state_object``, ``state_channel``/
   ``effect_channel``; ``channel_choi`` (a transformation's positive
   representative); ``conjugation_channel`` (the channel of a reversible or
@@ -44,34 +50,37 @@ classical theory, a matrix otherwise).
   ``random_effect``, ``random_channels``, ``random_reversible``,
   ``random_povm``, ``random_preparation`` and ``random_instrument``.
 
-A theory also sets ``deterministic_residual`` (how far a channel is from
-preserving normalization), ``weight_terms`` (the names of a state's smallest
-weight and its normalization in reports) and the class flags below; a
-purifying theory adds ``basis`` (the operator basis that spans Choi
+A theory also sets the class flags below; a purifying theory adds ``basis`` (the operator basis that spans Choi
 matrices) and ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
 default to real scalars.
 
 The base class derives the rest, the same way for every theory:
-``kernel_identity`` and ``kernel_swap`` are the ``conjugation_channel``
-kernels of the identity and of ``linalg.swap_unitary``; ``trace_channel`` is
+``kernel_par`` places each leg of the left kernel before the matching leg of
+the right one, so it is the Kronecker product reordered to the composite
+legs; ``apply_par`` applies a ``Par`` term to a stack of kernel columns leaf
+by leaf, each leaf's small kernel on its own legs, and never builds the
+layer's kernel; ``kernel_identity`` and ``kernel_swap`` are the
+``conjugation_channel`` kernels of the identity and of
+``linalg.swap_unitary``; ``trace_channel`` is
 the ``effect_channel`` of ``diagonal`` of ones (the discard);
 ``uniform_state`` is ``state_coords`` of ``diagonal`` of ``1/d``;
 ``effect_coords``/``effect_object`` are the state forms and
 ``spanning_effects`` re-wraps ``spanning_states``, because every theory here
 is self-dual; ``identity``, ``par``, ``state_as_channel`` and
-``trace_effect`` are built on those.
+``trace_effect`` (computed once per word and handed out read-only) are built
+on those.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .. import linalg
-from ..diagram import SystemType
+from ..diagram import Diagram, Identity, Par, Swap, SystemType
 from ..errors import (
     NotPhysicalError,
     OptlabError,
@@ -205,6 +214,18 @@ class Extremal:
     amplitudes: np.ndarray | None = None
 
 
+def _par_leaves(d: Diagram) -> list[Diagram]:
+    """The non-``Par`` terms of a ``Par`` tree, left to right, without recursion."""
+    leaves, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Par):
+            todo += (node.right, node.left)
+        else:
+            leaves.append(node)
+    return leaves
+
+
 def _is_scratch_label(label: str) -> int | None:
     if label.startswith("@") and label[1:].isdigit() and int(label[1:]) >= 1:
         return int(label[1:])
@@ -221,6 +242,7 @@ class TheoryBackend(abc.ABC):
     tol = Tolerances()
 
     def __init__(self, systems: Mapping[str, int] | None = None) -> None:
+        self._trace_effects: dict[SystemType, np.ndarray] = {}
         self._systems: dict[str, int] = {}
         for label, dim in (systems or {}).items():
             if not isinstance(dim, int) or dim < 1:
@@ -259,6 +281,17 @@ class TheoryBackend(abc.ABC):
     def state_dim(self, word: SystemType) -> int:
         """Dimension of the real coordinate space of states on ``word``."""
 
+    @property
+    @abc.abstractmethod
+    def legs_per_wire(self) -> int:
+        """Kernel legs per wire: a row and a column index on operator-space
+        kernels, one index on stochastic ones."""
+
+    @property
+    @abc.abstractmethod
+    def weight_terms(self) -> tuple[str, str]:
+        """Report names of a state's smallest weight and of its normalization."""
+
     def scratch_system(self, dim: int) -> SystemType:
         """The reserved system word for a constructed auxiliary of size ``dim``."""
         return SystemType((f"@{dim}",))
@@ -294,6 +327,10 @@ class TheoryBackend(abc.ABC):
     def channel_from_transfer(self, t: TransferMatrix) -> Channel:
         """Recover a kernel from a transfer matrix, where that is faithful."""
 
+    @abc.abstractmethod
+    def deterministic_residual(self, ch: Channel) -> float:
+        """How far the channel is from preserving normalization."""
+
     def _role(self, input_type: SystemType, output_type: SystemType) -> str:
         if input_type.is_unit and not output_type.is_unit:
             return "state"
@@ -316,9 +353,67 @@ class TheoryBackend(abc.ABC):
     def kernel_seq(self, first: Channel, second: Channel) -> np.ndarray:
         return second.kernel @ first.kernel
 
-    @abc.abstractmethod
+    def apply_par(
+        self, layer: Diagram, stack: np.ndarray, channel_of: Callable[[Diagram], Channel]
+    ) -> np.ndarray:
+        """``layer`` applied leg by leg to each row of ``stack``.
+
+        ``stack`` has shape ``(count, K)``: ``count`` kernel columns on
+        ``layer.input_type``, each viewed as ``legs_per_wire`` legs per wire.
+        Each leaf of the ``Par`` tree contracts its own kernel,
+        ``channel_of(leaf).kernel``, into its wires' legs; ``Identity`` leaves
+        are skipped, ``Swap`` leaves permute legs, and states and effects add
+        and remove legs.  No kernel on the whole word is built.  Every column
+        goes through its own product of equal shape, so a column's result does
+        not depend on how many columns are stacked with it.  Returns shape
+        ``(count, K')`` on ``layer.output_type``.
+        """
+        legs, count = self.legs_per_wire, len(stack)
+        dims = list(self.word_dims(layer.input_type))
+        t = stack.reshape(count, *dims * legs)
+        pos = 0  # wires before pos are outputs of done leaves; from pos on, inputs of the rest
+        for leaf in _par_leaves(layer):
+            k, m = len(dims), len(leaf.input_type)
+            if isinstance(leaf, Identity):
+                pos += m
+                continue
+            if isinstance(leaf, Swap):
+                order = list(range(k))
+                split = pos + len(leaf.left)
+                order[pos:pos + m] = order[split:pos + m] + order[pos:split]
+                t = t.transpose(0, *(1 + g * k + w for g in range(legs) for w in order))
+                dims = [dims[w] for w in order]
+                pos += m
+                continue
+            kernel = channel_of(leaf).kernel
+            out_dims = list(self.word_dims(leaf.output_type))
+            p, rest = len(out_dims), k - m
+            inner = [1 + g * k + pos + j for g in range(legs) for j in range(m)]
+            outer = [a for a in range(1, 1 + legs * k) if not pos <= (a - 1) % k < pos + m]
+            moved = t.transpose(0, *inner, *outer).reshape(count, kernel.shape[1], -1)
+            out = np.matmul(kernel, moved).reshape(
+                count, *out_dims * legs, *(dims[:pos] + dims[pos + m:]) * legs
+            )
+            order = [0]
+            for g in range(legs):  # back to wire order within each leg group
+                first_rest = 1 + legs * p + g * rest
+                order += range(first_rest, first_rest + pos)
+                order += range(1 + g * p, 1 + (g + 1) * p)
+                order += range(first_rest + pos, first_rest + rest)
+            t = out.transpose(order)
+            dims[pos:pos + m] = out_dims
+            pos += p
+        return t.reshape(count, -1)
+
     def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
-        ...
+        """Dense kernel of ``left`` beside ``right``: each of ``left``'s legs
+        is placed before the matching leg of ``right``, one product per entry."""
+        legs = self.legs_per_wire
+        lo, li, ro, ri = (self.hilbert_dim(w) for w in (
+            left.output_type, left.input_type, right.output_type, right.input_type))
+        a = left.kernel.reshape(*[lo, 1] * legs, *[li, 1] * legs)
+        b = right.kernel.reshape(*[1, ro] * legs, *[1, ri] * legs)
+        return (a * b).reshape(len(left.kernel) * len(right.kernel), -1)
 
     def identity(self, word: SystemType) -> Channel:
         return Channel(word, word, self.kernel_identity(word))
@@ -399,7 +494,12 @@ class TheoryBackend(abc.ABC):
         return EffectVector(t.matrix[0, :], ch.input_type)
 
     def trace_effect(self, word: SystemType) -> EffectVector:
-        return self.channel_effect(self.trace_channel(word))
+        coords = self._trace_effects.get(word)
+        if coords is None:
+            coords = self.channel_effect(self.trace_channel(word)).coords
+            coords.flags.writeable = False
+            self._trace_effects[word] = coords
+        return EffectVector(coords, word)
 
     @abc.abstractmethod
     def channel_choi(self, ch: Channel) -> np.ndarray: ...

@@ -40,6 +40,7 @@ class ClassicalBackend(TheoryBackend):
     locally_tomographic = True
     purifies = False
     pair_payloads = False
+    legs_per_wire = 1
     weight_terms = ("min_entry", "total")
 
     def state_dim(self, word: SystemType) -> int:
@@ -112,9 +113,6 @@ class ClassicalBackend(TheoryBackend):
         return Channel(t.input_type, t.output_type, np.array(t.matrix, dtype=float))
 
     # -- kernel algebra -------------------------------------------------
-
-    def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
-        return np.kron(left.kernel, right.kernel)
 
     def apply_first(self, kernels, input_word, output_word, state):
         joint = state.coords.reshape(self.hilbert_dim(input_word), -1)

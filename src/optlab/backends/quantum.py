@@ -76,6 +76,7 @@ class _MatrixTheory(TheoryBackend):
     """Machinery shared by the complex and real quantum backends."""
 
     _complex_scalars: bool = True
+    legs_per_wire = 2
     weight_terms = ("min_spectral_weight", "trace")
 
     def __init__(self, systems=None) -> None:
@@ -116,7 +117,7 @@ class _MatrixTheory(TheoryBackend):
                         witness={"max_imaginary_part": imag},
                     )
                 )
-            arr = arr.real
+            arr = np.ascontiguousarray(arr.real)
         return arr
 
     def _channel_from_payload(
@@ -217,7 +218,6 @@ class _MatrixTheory(TheoryBackend):
         return PhysicalityCertificate(True, role, None, 0.0, {}, diagnostics)
 
     def deterministic_residual(self, ch: Channel) -> float:
-        """How far the channel is from preserving normalization."""
         din = self.hilbert_dim(ch.input_type)
         j = self.channel_choi(ch)
         j4 = j.reshape(din, -1, din, j.shape[0] // din)
@@ -225,16 +225,6 @@ class _MatrixTheory(TheoryBackend):
         return float(np.max(np.abs(reduced - np.eye(din))))
 
     # -- kernel algebra -------------------------------------------------
-
-    def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
-        return linalg.liouville_kron(
-            left.kernel,
-            right.kernel,
-            self.hilbert_dim(left.input_type),
-            self.hilbert_dim(left.output_type),
-            self.hilbert_dim(right.input_type),
-            self.hilbert_dim(right.output_type),
-        )
 
     def apply_first(self, kernels, input_word, output_word, state):
         din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)

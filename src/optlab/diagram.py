@@ -78,7 +78,9 @@ class SystemType:
     def __mul__(self, other: "SystemType") -> "SystemType":
         if not isinstance(other, SystemType):
             return NotImplemented
-        return SystemType(self.word + other.word)
+        joint = object.__new__(SystemType)  # both words are checked already
+        object.__setattr__(joint, "word", self.word + other.word)
+        return joint
 
     def __len__(self) -> int:
         return len(self.word)

@@ -1,24 +1,37 @@
 """Compile circuit terms to transfer matrices and run test circuits.
 
 Primitive boxes resolve to compiled kernels, identities and swaps come from
-the backend's kernel algebra, parallel composition is a (reordered)
-Kronecker product and sequential composition a kernel product.  A
+the backend's kernel algebra, parallel composition is the backend's dense
+``kernel_par`` and sequential composition a kernel product.  A
 :class:`~optlab.diagram.Seq` is a flat chain, evaluated by one loop from its
-input end: on a closed circuit every product is then a kernel times a state
-column rather than a product of two square kernels.  A left-nested ``Par``
-spine is walked by a loop too, in its written association, so neither long
-``;`` nor long ``*`` chains recurse.
+input end.  Every ``Par`` part after the first is applied leg by leg to the
+prefix's kernel columns (``TheoryBackend.apply_par``): each leaf's small
+kernel acts on its own wires, so no layer kernel on the whole word is built,
+and on a closed circuit a layer costs about as much as one state column.
+A ``Par`` that stands alone or starts a chain is built densely, in its
+written association; an effect-shaped ``Par`` is too, as its kernel is one
+row.  A left-nested ``Par`` spine is walked by a loop, so neither long ``;``
+nor long ``*`` chains recurse.
 
 Results are memoized per call.  Whole terms are keyed by the term itself
 (terms are immutable and hash structurally in O(1)); each prefix of a chain
-is keyed by the memoized result of the shorter prefix plus the next part, so
-the branches of a test that share a preparation share its propagated state.
+is keyed by the memoized result of the shorter prefix plus the next part.
+
+:func:`run_test_circuit` walks the parts of all branches in lockstep.  The
+distinct states at each step are the rows of stacked arrays, and each
+distinct next part is applied once to all the states that meet it.  Every
+state goes through its own product of the same shape as in a lone chain, so
+each branch's probability is the one :func:`evaluate` gives that branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping
+
+import numpy as np
 
 from .backends.base import Channel, TheoryBackend, TransferMatrix
 from .diagram import (
@@ -97,12 +110,14 @@ def evaluate_channel(
             key = (id(ch), part)  # ch stays alive as a memo value, so its id is stable
             prefix = memo.get(key)
             if prefix is None:
-                second = evaluate_channel(part, backend, bindings, memo)
-                if ch.output_type != second.input_type:
-                    raise TypeMismatchError(
-                        f"sequential wires disagree: {ch.output_type} vs {second.input_type}"
-                    )
-                prefix = memo[key] = Channel(ch.input_type, second.output_type, backend.kernel_seq(ch, second))
+                if _leg_wise(part):
+                    _check_wires(ch.output_type, part.input_type)
+                    kernel = _apply_layer(part, ch.kernel.T, backend, bindings, memo).T
+                else:
+                    second = evaluate_channel(part, backend, bindings, memo)
+                    _check_wires(ch.output_type, second.input_type)
+                    kernel = backend.kernel_seq(ch, second)
+                prefix = memo[key] = Channel(ch.input_type, part.output_type, kernel)
             ch = prefix
     elif isinstance(d, Par):
         spine, node = [d], d.left  # d's left-nested Par nodes, down to a memoized or non-Par left
@@ -117,6 +132,25 @@ def evaluate_channel(
 
     memo[d] = ch
     return ch
+
+
+def _check_wires(prefix: SystemType, next_input: SystemType) -> None:
+    if prefix != next_input:
+        raise TypeMismatchError(f"sequential wires disagree: {prefix} vs {next_input}")
+
+
+def _leg_wise(part: Diagram) -> bool:
+    """Is ``part``, after the first in a chain, applied leg by leg?  Every
+    ``Par`` is, but an effect-shaped one: its dense kernel is a single row."""
+    return isinstance(part, Par) and not part.output_type.is_unit
+
+
+def _apply_layer(part, stack, backend, bindings, memo) -> np.ndarray:
+    """``part`` applied to each row of a ``(count, K)`` stack of columns."""
+    if _leg_wise(part):
+        return backend.apply_par(part, stack, lambda leaf: evaluate_channel(leaf, backend, bindings, memo))
+    kernel = evaluate_channel(part, backend, bindings, memo).kernel
+    return np.matmul(kernel, stack[:, :, None])[:, :, 0]  # one product per column, as in a chain
 
 
 def evaluate(
@@ -162,11 +196,61 @@ def run_test_circuit(
             f"test circuit must be scalar-typed, got {t.input_type} -> {t.output_type}"
         )
     memo: dict = {}
+    chains = [b.parts if isinstance(b, Seq) else (b,) for b in t.branches]
+    # a branch stands at a row of a block: the propagated states of one step, stacked
+    blocks, words, at, heads = [], [], [], {}
+    for parts in chains:
+        if parts[0] not in heads:
+            ch = evaluate_channel(parts[0], backend, bindings, memo)
+            heads[parts[0]] = len(blocks)
+            blocks.append(ch.kernel.T)
+            words.append(ch.output_type)
+        at.append((heads[parts[0]], 0))
+    values = [blocks[b][0, 0] if len(parts) == 1 else None for (b, _), parts in zip(at, chains)]
+
+    live, step = [i for i, parts in enumerate(chains) if len(parts) > 1], 1
+    while live:
+        meets: dict[tuple[Diagram, bool], list[int]] = {}  # (part, is last) -> branches
+        for i in live:
+            parts = chains[i]
+            meets.setdefault((parts[step], step == len(parts) - 1), []).append(i)
+        next_blocks, next_words = [], []
+        for (part, last), members in meets.items():
+            for b in {at[i][0] for i in members}:
+                _check_wires(words[b], part.input_type)
+            stack, row = _gather(blocks, [at[i] for i in members])
+            out = _apply_layer(part, stack, backend, bindings, memo)
+            for i in members:
+                if last:
+                    values[i] = out[row[at[i]], 0]
+                else:
+                    at[i] = (len(next_blocks), row[at[i]])
+            if not last:
+                next_blocks.append(out)
+                next_words.append(part.output_type)
+        blocks, words = next_blocks, next_words
+        step += 1
+        live = [i for i in live if step < len(chains[i])]
+
     probs: dict[str, float] = {}
-    for label, branch in t.items():
-        ch = evaluate_channel(branch, backend, bindings, memo)
-        probs[label] = backend.prob(backend.transfer_of(ch).matrix[0, 0])
+    for label, value in zip(t.outcomes.labels, values):
+        scalar = Channel(UNIT, UNIT, np.reshape(value, (1, 1)))
+        probs[label] = backend.prob(backend.transfer_of(scalar).matrix[0, 0])
     dist = OutcomeDistribution(probs)
     if abs(dist.total - 1.0) > backend.tol.marginal:
         raise NormalizationViolationError(dist.total, backend.tol.marginal)
     return dist
+
+
+def _gather(blocks: list[np.ndarray], refs: list[tuple[int, int]]) -> tuple[np.ndarray, dict]:
+    """The distinct ``(block, row)`` refs stacked in first-seen order, and
+    each ref's row in the stack.  A whole block in order is not copied."""
+    row = dict.fromkeys(refs)
+    pieces = []
+    for b, run in groupby(row, key=itemgetter(0)):
+        rows = [r for _, r in run]
+        block = blocks[b]
+        pieces.append(block if rows == list(range(len(block))) else block[rows])
+    for r, ref in enumerate(row):
+        row[ref] = r
+    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), row

@@ -32,7 +32,6 @@ __all__ = [
     "kraus_to_choi",
     "kraus_to_liouville",
     "choi_to_kraus",
-    "liouville_kron",
     "apply_liouville",
     "partial_trace",
     "swap_unitary",
@@ -166,23 +165,6 @@ def choi_to_kraus(choi: np.ndarray, din: int, dout: int) -> list[np.ndarray]:
 
 def apply_liouville(lio: np.ndarray, x: np.ndarray, din: int, dout: int) -> np.ndarray:
     return unvec(lio @ vec(np.asarray(x)), dout, dout)
-
-
-def liouville_kron(
-    n1: np.ndarray, n2: np.ndarray, din1: int, dout1: int, din2: int, dout2: int
-) -> np.ndarray:
-    """Process matrix of a side-by-side pair, left factor's indices slowest.
-
-    A plain Kronecker of process matrices interleaves row/column index pairs;
-    this reorders them to the composite convention, so the result acts on
-    ``vec`` of matrices over the tensor-product space.
-    """
-    big = np.kron(n1, n2)
-    big = big.reshape(dout1, dout1, dout2, dout2, din1, din1, din2, din2)
-    big = big.transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    dout = dout1 * dout2
-    din = din1 * din2
-    return big.reshape(dout * dout, din * din)
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,30 @@ def test_derived_primitives_match_closed_forms(backend, word):
     obj = backend.state_object(coords, word)
     np.testing.assert_array_equal(backend.effect_object(coords, word), obj)
     np.testing.assert_array_equal(backend.effect_coords(obj, word), backend.state_coords(obj, word))
+
+
+def test_trace_effect_is_computed_once_per_word_and_read_only(monkeypatch):
+    backend = get_backend("quantum", {"A": 2, "B": 3})
+    built = []
+    trace_channel = backend.trace_channel
+    monkeypatch.setattr(backend, "trace_channel", lambda w: built.append(w) or trace_channel(w))
+    first = backend.trace_effect(A * B)
+    again = backend.trace_effect(A * B)
+    backend.trace_effect(A)
+    assert built == [A * B, A]
+    np.testing.assert_array_equal(first.coords, again.coords)
+    with pytest.raises(ValueError):
+        again.coords[0] = 0.0
+
+
+@pytest.mark.parametrize("member", ["deterministic_residual", "weight_terms", "legs_per_wire"])
+def test_a_theory_lacking_a_member_cannot_be_instantiated(member):
+    from optlab.backends.base import TheoryBackend
+    from optlab.backends.classical import ClassicalBackend
+
+    namespace = {k: v for k, v in vars(ClassicalBackend).items()
+                 if k != member and not k.startswith(("__", "_abc"))}
+    partial = type("Partial", (TheoryBackend,), namespace)
+    with pytest.raises(TypeError, match=member):
+        partial({"A": 2})
+    type("Whole", (TheoryBackend,), {**namespace, member: vars(ClassicalBackend)[member]})({"A": 2})

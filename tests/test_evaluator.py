@@ -249,16 +249,133 @@ def test_state_first_matches_the_written_association(backend, circuits):
 def test_closed_ladder_multiplies_states_not_kernels(backend, monkeypatch):
     s = Sampler(backend, seed=28)
     t = _closed_ladder(backend, s)
-    firsts = []
-    kernel_seq = backend.kernel_seq
+    ladder_word = t.branches[0].parts[1].input_type
+    full = backend.kernel_identity(ladder_word).shape  # a kernel on the ladder's whole word
+    shapes, layers = [], []
 
-    def recording(first, second):
-        firsts.append(first.input_type)
-        return kernel_seq(first, second)
+    def recording(name):
+        method = getattr(backend, name)
 
-    monkeypatch.setattr(backend, "kernel_seq", recording)
+        def record(first, second):
+            out = method(first, second)
+            shapes.extend([first.kernel.shape, second.kernel.shape, out.shape])
+            return out
+        return record
+
+    for name in ("kernel_par", "kernel_seq"):
+        monkeypatch.setattr(backend, name, recording(name))
+    apply_par = backend.apply_par
+    monkeypatch.setattr(backend, "apply_par", lambda layer, stack, channel_of: (
+        layers.append(stack.shape), apply_par(layer, stack, channel_of))[1])
     run_test_circuit(t, backend, s.bindings)
-    assert firsts and all(word.is_unit for word in firsts)
+    assert shapes and full not in shapes
+    assert max(rows * cols for rows, cols in shapes) <= full[0]  # columns and rows only
+    assert len(layers) == 4 and all(shape[1] == full[0] for shape in layers)
+
+
+# ---------------------------------------------------------------------------
+# layers applied leg by leg
+# ---------------------------------------------------------------------------
+
+
+def _dense(d, backend, bindings):
+    return _plain_channel(d, backend, bindings).kernel
+
+
+def _leafy_layers(backend, s):
+    """Layers with every kind of leaf: identities, block swaps, a box from a
+    dim-2 to a dim-3 system, a nested chain, and states and effects."""
+    def fresh(name, win, wout):
+        s.bindings[name] = s.channel(win, wout)
+        return PrimitiveBox(name, win, wout)
+
+    s.bindings["st"] = backend.state_channel(s.preparation_branches(B, 1)[0], B)
+    s.bindings["ef"] = s.observation_channels(A, 2)[0]
+    state, effect = PrimitiveBox("st", UNIT, B), PrimitiveBox("ef", A, UNIT)
+    chain = seq(fresh("c1", A, B), fresh("c2", B, A))
+    return [
+        reduce(par, [fresh("up", A, B), Identity(A), Swap(A, B)]),
+        par(Swap(A * B, A), Identity(A)),
+        reduce(par, [Identity(A), state, chain, effect]),
+        par(fresh("down", B, A), par(effect, Swap(A, B))),
+        par(fresh("wide", A * A, B), Identity(A)),
+        par(effect, state),
+    ]
+
+
+def test_leg_wise_layers_match_a_dense_fold(backend):
+    s = Sampler(backend, seed=34)
+    rng = np.random.default_rng(0)
+    dtype = backend.kernel_identity(A).dtype
+    for layer in _leafy_layers(backend, s):
+        kernel = _dense(layer, backend, s.bindings)
+        stack = rng.normal(size=(3, kernel.shape[1])).astype(dtype)
+        if dtype.kind == "c":
+            stack = stack + 1j * rng.normal(size=stack.shape)
+        got = backend.apply_par(layer, stack, lambda leaf: _plain_channel(leaf, backend, s.bindings))
+        np.testing.assert_allclose(got, stack @ kernel.T, rtol=0, atol=1e-12)
+
+        # in a chain, after an open and after a closed first part
+        for first in (PrimitiveBox("open", A, layer.input_type), PrimitiveBox("closed", UNIT, layer.input_type)):
+            if first.input_type.is_unit:
+                s.bindings["closed"] = backend.state_channel(
+                    s.preparation_branches(layer.input_type, 1)[0], layer.input_type)
+            else:
+                s.bindings["open"] = s.channel(A, layer.input_type)
+            got = evaluate_channel(seq(first, layer), backend, s.bindings).kernel
+            want = backend.kernel_seq(s.bindings[first.name], Channel(layer.input_type, layer.output_type, kernel))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _uneven_closed_test(backend, s):
+    """Preparation, random middle, observation, where every other preparation
+    branch passes through one more channel first: branches of two lengths."""
+    win, wout = A * B, B
+    preps = []
+    for i, obj in enumerate(s.preparation_branches(win, 4)):
+        s.bindings[f"u{i}"] = backend.state_channel(obj, win)
+        prep = PrimitiveBox(f"u{i}", UNIT, win)
+        if i % 2:
+            s.bindings[f"v{i}"] = s.channel(win, win)
+            prep = seq(prep, PrimitiveBox(f"v{i}", win, win))
+        preps.append(prep)
+    meas = []
+    for k, ch in enumerate(s.observation_channels(wout, 3)):
+        s.bindings[f"w{k}"] = ch
+        meas.append(PrimitiveBox(f"w{k}", wout, UNIT))
+    return chain_tests(Test(OutcomeSpace(tuple("abcd")), tuple(preps)),
+                       singleton_test(s.diagram(win, wout, depth=3)),
+                       Test(OutcomeSpace(tuple("xyz")), tuple(meas)))
+
+
+def _coarse_closed_test(backend, s):
+    """A complete test that is not a product in label order: two preparation
+    branches are read out by a two-outcome measurement, in crossed order,
+    and the third is only discarded."""
+    win, wout = A, A * B
+    q = []
+    for i, obj in enumerate(s.preparation_branches(win, 3)):
+        s.bindings[f"q{i}"] = backend.state_channel(obj, win)
+        q.append(PrimitiveBox(f"q{i}", UNIT, win))
+    s.bindings["r0"], s.bindings["r1"] = s.observation_channels(wout, 2)
+    r0, r1 = PrimitiveBox("r0", wout, UNIT), PrimitiveBox("r1", wout, UNIT)
+    m = s.diagram(win, wout, depth=3)
+    branches = (seq(q[0], m, r0), seq(q[1], m, r1), seq(q[1], m, r0), seq(q[0], m, r1),
+                seq(q[2], m, trace_box(wout)))
+    return Test(OutcomeSpace(("00", "11", "10", "01", "2")), branches)
+
+
+def test_lockstep_branches_match_each_branch_alone(backend):
+    s = Sampler(backend, seed=36)
+    tests = [_uneven_closed_test(backend, s) for _ in range(6)] + [_closed_ladder(backend, s, n=4)]
+    assert all(len({len(b.parts) for b in t.branches}) == 2 for t in tests[:-1])
+    tests += [_coarse_closed_test(backend, s) for _ in range(4)]
+    for t in tests:
+        got = run_test_circuit(t, backend, s.bindings).probs
+        assert list(got) == list(t.outcomes.labels)
+        for label, branch in t.items():
+            want = backend.transfer_of(evaluate_channel(branch, backend, s.bindings)).matrix[0, 0]
+            assert abs(got[label] - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
