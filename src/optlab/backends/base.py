@@ -50,9 +50,9 @@ otherwise).
   ``random_effect``, ``random_channels``, ``random_reversible``,
   ``random_povm``, ``random_preparation`` and ``random_instrument``.
 
-A theory also sets the class flags below; a purifying theory adds ``basis`` (the operator basis that spans Choi
-matrices) and ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
-default to real scalars.
+A theory also sets the class flags below; a purifying theory adds ``basis``
+(the operator basis that spans Choi matrices) and ``channel_from_choi``.
+``gaussian`` and ``project_scalars`` default to real scalars.
 
 The base class derives the rest, the same way for every theory:
 ``kernel_par`` places each leg of the left kernel before the matching leg of
@@ -61,8 +61,8 @@ legs; ``apply_par`` applies a ``Par`` term to a stack of kernel columns leaf
 by leaf, each leaf's small kernel on its own legs, and never builds the
 layer's kernel; ``kernel_identity`` and ``kernel_swap`` are the
 ``conjugation_channel`` kernels of the identity and of
-``linalg.swap_unitary``; ``trace_channel`` is
-the ``effect_channel`` of ``diagonal`` of ones (the discard);
+``linalg.swap_unitary``; ``trace_channel`` is the ``effect_channel`` of
+``diagonal`` of ones (the discard);
 ``uniform_state`` is ``state_coords`` of ``diagonal`` of ``1/d``;
 ``effect_coords``/``effect_object`` are the state forms and
 ``spanning_effects`` re-wraps ``spanning_states``, because every theory here
@@ -369,40 +369,28 @@ class TheoryBackend(abc.ABC):
         ``(count, K')`` on ``layer.output_type``.
         """
         legs, count = self.legs_per_wire, len(stack)
-        dims = list(self.word_dims(layer.input_type))
-        t = stack.reshape(count, *dims * legs)
+        t = stack.reshape(count, *self.word_dims(layer.input_type) * legs)
+        wires = len(layer.input_type)
+
+        def axes(start: int, width: int) -> list[int]:
+            """Axes of ``width`` wires from ``start``, in every leg group."""
+            return [1 + g * wires + start + j for g in range(legs) for j in range(width)]
+
         pos = 0  # wires before pos are outputs of done leaves; from pos on, inputs of the rest
         for leaf in _par_leaves(layer):
-            k, m = len(dims), len(leaf.input_type)
-            if isinstance(leaf, Identity):
-                pos += m
-                continue
-            if isinstance(leaf, Swap):
-                order = list(range(k))
-                split = pos + len(leaf.left)
-                order[pos:pos + m] = order[split:pos + m] + order[pos:split]
-                t = t.transpose(0, *(1 + g * k + w for g in range(legs) for w in order))
-                dims = [dims[w] for w in order]
-                pos += m
-                continue
-            kernel = channel_of(leaf).kernel
-            out_dims = list(self.word_dims(leaf.output_type))
-            p, rest = len(out_dims), k - m
-            inner = [1 + g * k + pos + j for g in range(legs) for j in range(m)]
-            outer = [a for a in range(1, 1 + legs * k) if not pos <= (a - 1) % k < pos + m]
-            moved = t.transpose(0, *inner, *outer).reshape(count, kernel.shape[1], -1)
-            out = np.matmul(kernel, moved).reshape(
-                count, *out_dims * legs, *(dims[:pos] + dims[pos + m:]) * legs
-            )
-            order = [0]
-            for g in range(legs):  # back to wire order within each leg group
-                first_rest = 1 + legs * p + g * rest
-                order += range(first_rest, first_rest + pos)
-                order += range(1 + g * p, 1 + (g + 1) * p)
-                order += range(first_rest + pos, first_rest + rest)
-            t = out.transpose(order)
-            dims[pos:pos + m] = out_dims
-            pos += p
+            m, n = len(leaf.input_type), len(leaf.output_type)
+            if isinstance(leaf, Swap):  # the right block's legs move before the left block's
+                right = len(leaf.right)
+                t = np.moveaxis(t, axes(pos + m - right, right), axes(pos, right))
+            elif not isinstance(leaf, Identity):
+                kernel = channel_of(leaf).kernel
+                moved = np.moveaxis(t, axes(pos, m), range(1, 1 + legs * m))
+                out = np.matmul(kernel, moved.reshape(count, kernel.shape[1], -1))
+                rest = moved.shape[1 + legs * m:]
+                out = out.reshape(count, *self.word_dims(leaf.output_type) * legs, *rest)
+                wires += n - m
+                t = np.moveaxis(out, range(1, 1 + legs * n), axes(pos, n))
+            pos += n
         return t.reshape(count, -1)
 
     def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:

@@ -27,7 +27,7 @@ each branch's probability is the one :func:`evaluate` gives that branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import count, groupby
 from operator import itemgetter
 from typing import Mapping
 
@@ -148,7 +148,8 @@ def _leg_wise(part: Diagram) -> bool:
 def _apply_layer(part, stack, backend, bindings, memo) -> np.ndarray:
     """``part`` applied to each row of a ``(count, K)`` stack of columns."""
     if _leg_wise(part):
-        return backend.apply_par(part, stack, lambda leaf: evaluate_channel(leaf, backend, bindings, memo))
+        return backend.apply_par(
+            part, stack, lambda leaf: evaluate_channel(leaf, backend, bindings, memo))
     kernel = evaluate_channel(part, backend, bindings, memo).kernel
     return np.matmul(kernel, stack[:, :, None])[:, :, 0]  # one product per column, as in a chain
 
@@ -206,31 +207,29 @@ def run_test_circuit(
             blocks.append(ch.kernel.T)
             words.append(ch.output_type)
         at.append((heads[parts[0]], 0))
-    values = [blocks[b][0, 0] if len(parts) == 1 else None for (b, _), parts in zip(at, chains)]
 
-    live, step = [i for i, parts in enumerate(chains) if len(parts) > 1], 1
-    while live:
-        meets: dict[tuple[Diagram, bool], list[int]] = {}  # (part, is last) -> branches
+    live, values = range(len(chains)), [None] * len(chains)
+    for step in count(1):
         for i in live:
-            parts = chains[i]
-            meets.setdefault((parts[step], step == len(parts) - 1), []).append(i)
+            if step == len(chains[i]):  # the branch is done: its state is a scalar
+                b, r = at[i]
+                values[i] = blocks[b][r, 0]
+        live = [i for i in live if step < len(chains[i])]
+        if not live:
+            break
+        meets: dict[Diagram, list[int]] = {}
+        for i in live:
+            meets.setdefault(chains[i][step], []).append(i)
         next_blocks, next_words = [], []
-        for (part, last), members in meets.items():
+        for part, members in meets.items():
             for b in {at[i][0] for i in members}:
                 _check_wires(words[b], part.input_type)
             stack, row = _gather(blocks, [at[i] for i in members])
-            out = _apply_layer(part, stack, backend, bindings, memo)
             for i in members:
-                if last:
-                    values[i] = out[row[at[i]], 0]
-                else:
-                    at[i] = (len(next_blocks), row[at[i]])
-            if not last:
-                next_blocks.append(out)
-                next_words.append(part.output_type)
+                at[i] = (len(next_blocks), row[at[i]])
+            next_blocks.append(_apply_layer(part, stack, backend, bindings, memo))
+            next_words.append(part.output_type)
         blocks, words = next_blocks, next_words
-        step += 1
-        live = [i for i in live if step < len(chains[i])]
 
     probs: dict[str, float] = {}
     for label, value in zip(t.outcomes.labels, values):
