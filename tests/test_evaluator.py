@@ -278,10 +278,6 @@ def test_closed_ladder_multiplies_states_not_kernels(backend, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _dense(d, backend, bindings):
-    return _plain_channel(d, backend, bindings).kernel
-
-
 def _leafy_layers(backend, s):
     """Layers with every kind of leaf: identities, block swaps, a box from a
     dim-2 to a dim-3 system, a nested chain, and states and effects."""
@@ -308,7 +304,7 @@ def test_leg_wise_layers_match_a_dense_fold(backend):
     rng = np.random.default_rng(0)
     dtype = backend.kernel_identity(A).dtype
     for layer in _leafy_layers(backend, s):
-        kernel = _dense(layer, backend, s.bindings)
+        kernel = _plain_channel(layer, backend, s.bindings).kernel
         stack = rng.normal(size=(3, kernel.shape[1])).astype(dtype)
         if dtype.kind == "c":
             stack = stack + 1j * rng.normal(size=stack.shape)
