@@ -312,14 +312,13 @@ def test_leg_wise_layers_match_a_dense_fold(backend):
         np.testing.assert_allclose(got, stack @ kernel.T, rtol=0, atol=1e-12)
 
         # in a chain, after an open and after a closed first part
-        for first in (PrimitiveBox("open", A, layer.input_type), PrimitiveBox("closed", UNIT, layer.input_type)):
-            if first.input_type.is_unit:
-                s.bindings["closed"] = backend.state_channel(
-                    s.preparation_branches(layer.input_type, 1)[0], layer.input_type)
-            else:
-                s.bindings["open"] = s.channel(A, layer.input_type)
+        word = layer.input_type
+        s.bindings["open"] = s.channel(A, word)
+        s.bindings["closed"] = backend.state_channel(s.preparation_branches(word, 1)[0], word)
+        dense = Channel(word, layer.output_type, kernel)
+        for first in (PrimitiveBox("open", A, word), PrimitiveBox("closed", UNIT, word)):
             got = evaluate_channel(seq(first, layer), backend, s.bindings).kernel
-            want = backend.kernel_seq(s.bindings[first.name], Channel(layer.input_type, layer.output_type, kernel))
+            want = backend.kernel_seq(s.bindings[first.name], dense)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
