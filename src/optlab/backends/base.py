@@ -57,10 +57,10 @@ A theory also sets the class flags below; a purifying theory adds ``basis``
 The base class derives the rest, the same way for every theory:
 ``kernel_par`` places each leg of the left kernel before the matching leg of
 the right one, so it is the Kronecker product reordered to the composite
-legs; ``apply_par`` applies a ``Par`` term to a stack of kernel columns leaf
-by leaf, each leaf's small kernel on its own legs, and never builds the
-layer's kernel; ``kernel_identity`` and ``kernel_swap`` are the
-``conjugation_channel`` kernels of the identity and of
+legs; ``apply_par`` applies a ``Par`` term to a stack of kernel columns part
+by part, each part's small kernel on its own legs (a nested ``Par`` part is
+one dense leaf), and never builds the layer's kernel; ``kernel_identity``
+and ``kernel_swap`` are the ``conjugation_channel`` kernels of the identity and of
 ``linalg.swap_unitary``; ``trace_channel`` is the ``effect_channel`` of
 ``diagonal`` of ones (the discard);
 ``uniform_state`` is ``state_coords`` of ``diagonal`` of ``1/d``;
@@ -80,7 +80,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .. import linalg
-from ..diagram import Diagram, Identity, Par, Swap, SystemType
+from ..diagram import Diagram, Identity, Swap, SystemType
 from ..errors import (
     NotPhysicalError,
     OptlabError,
@@ -212,18 +212,6 @@ class Extremal:
     weights: list[float]
     witness: dict | None
     amplitudes: np.ndarray | None = None
-
-
-def _par_leaves(d: Diagram) -> list[Diagram]:
-    """The non-``Par`` terms of a ``Par`` tree, left to right, without recursion."""
-    leaves, todo = [], [d]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Par):
-            todo += (node.right, node.left)
-        else:
-            leaves.append(node)
-    return leaves
 
 
 def _is_scratch_label(label: str) -> int | None:
@@ -360,13 +348,14 @@ class TheoryBackend(abc.ABC):
 
         ``stack`` has shape ``(count, K)``: ``count`` kernel columns on
         ``layer.input_type``, each viewed as ``legs_per_wire`` legs per wire.
-        Each leaf of the ``Par`` tree contracts its own kernel,
+        Each part of the ``Par`` is a leaf that contracts its own kernel,
         ``channel_of(leaf).kernel``, into its wires' legs; ``Identity`` leaves
         are skipped, ``Swap`` leaves permute legs, and states and effects add
-        and remove legs.  No kernel on the whole word is built.  Every column
-        goes through its own product of equal shape, so a column's result does
-        not depend on how many columns are stacked with it.  Returns shape
-        ``(count, K')`` on ``layer.output_type``.
+        and remove legs.  A nested ``Par`` part is one leaf, whose kernel
+        ``channel_of`` builds densely.  No kernel on the whole word is built.
+        Every column goes through its own product of equal shape, so a
+        column's result does not depend on how many columns are stacked with
+        it.  Returns shape ``(count, K')`` on ``layer.output_type``.
         """
         legs, count = self.legs_per_wire, len(stack)
         t = stack.reshape(count, *self.word_dims(layer.input_type) * legs)
@@ -377,7 +366,7 @@ class TheoryBackend(abc.ABC):
             return [1 + g * wires + start + j for g in range(legs) for j in range(width)]
 
         pos = 0  # wires before pos are outputs of done leaves; from pos on, inputs of the rest
-        for leaf in _par_leaves(layer):
+        for leaf in layer.parts:
             m, n = len(leaf.input_type), len(leaf.output_type)
             if isinstance(leaf, Swap):  # the right block's legs move before the left block's
                 right = len(leaf.right)

@@ -8,11 +8,14 @@ with outcome sets multiplying as Cartesian products.
 
 Terms are frozen dataclasses with structural equality, and nothing mutates
 after construction, so sharing subterms across threads or memo tables is
-safe.  A :class:`Seq` is the flat tuple of its parts, so ``;`` is
-associative on the nose; :class:`Par` stays binary, because the association
-of a Kronecker product decides its floating-point result.  Both store their
-wire types and structural hash, computed once from their children's stored
-values, so hashing is O(1) per node and never recurses.  The checked
+safe.  A :class:`Seq` is the flat tuple of its parts, every nested ``Seq``
+spliced in, so ``;`` is associative on the nose.  A :class:`Par` is a flat
+tuple too, but only a *leading* ``Par`` part is spliced in: ``(a * b) * c``
+and ``a * b * c`` are one term, while ``a * (b * c)`` keeps a nested part.
+Folding a ``Par``'s parts from the left thus gives each Kronecker product the
+association it was written with, which decides its floating-point result.
+Both store their wire types and structural hash, folded once from the head's
+stored values, so hashing is O(1) per node and never recurses.  The checked
 constructors :func:`seq` / :func:`par` (also spelled ``>>`` and ``@``) are
 the intended way to build composites; the raw dataclass constructors perform
 no wire checking, which is what lets :func:`validate` exist as a separate
@@ -23,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
-from typing import Iterator
+from itertools import chain, product
+from typing import Iterable, Iterator
 
 from .errors import TypeMismatchError
 
@@ -78,8 +81,12 @@ class SystemType:
     def __mul__(self, other: "SystemType") -> "SystemType":
         if not isinstance(other, SystemType):
             return NotImplemented
-        joint = object.__new__(SystemType)  # both words are checked already
-        object.__setattr__(joint, "word", self.word + other.word)
+        return self._joined((other,))
+
+    def _joined(self, others: Iterable["SystemType"]) -> "SystemType":
+        """This word followed by each of ``others``, in one concatenation."""
+        joint = object.__new__(SystemType)  # every word is checked already
+        object.__setattr__(joint, "word", self.word + tuple(chain.from_iterable(others)))
         return joint
 
     def __len__(self) -> int:
@@ -210,36 +217,34 @@ class Seq(Diagram):
 
 @dataclass(frozen=True)
 class Par(Diagram):
-    """``left`` beside ``right`` (left wires are the leading word)."""
+    """``parts`` side by side, the first part's wires leading.  A leading
+    ``Par`` part is spliced in and a later one stays one part, so folding the
+    parts from the left keeps the written Kronecker association.  Words and
+    hash are folded from a leading ``Par``'s stored values.  Raw constructor
+    performs no checks."""
 
-    left: Diagram
-    right: Diagram
+    parts: tuple[Diagram, ...]
     input_type: SystemType = field(init=False, repr=False, compare=False)
     output_type: SystemType = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input_type", self.left.input_type * self.right.input_type)
-        object.__setattr__(self, "output_type", self.left.output_type * self.right.output_type)
-        object.__setattr__(self, "_hash", hash((Par, self.left, self.right)))
+        head, *rest = self.parts
+        flat = list(head.parts) if isinstance(head, Par) else [head]
+        h = head._hash if isinstance(head, Par) else hash((Par, head))
+        for part in rest:
+            flat.append(part)
+            h = hash((h, part))
+        object.__setattr__(self, "parts", tuple(flat))
+        object.__setattr__(self, "input_type", head.input_type._joined(p.input_type for p in rest))
+        object.__setattr__(self, "output_type", head.output_type._joined(p.output_type for p in rest))
+        object.__setattr__(self, "_hash", h)
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        a, b = self, other  # down the left spines, so a long ``*`` chain does not recurse
-        while isinstance(a, Par) and isinstance(b, Par) and a is not b:
-            if a._hash != b._hash or a.right != b.right:
-                return False
-            a, b = a.left, b.left
-        return a is b or (not isinstance(a, Par) and not isinstance(b, Par) and a == b)
-
     def __str__(self) -> str:
-        rights, node = [], self
-        while isinstance(node, Par):
-            rights.append(f" * {node.right})")
-            node = node.left
-        return "(" * len(rights) + str(node) + "".join(reversed(rights))
+        return "(" + " * ".join(map(str, self.parts)) + ")"
 
 
 def seq(*parts: Diagram) -> Diagram:
@@ -256,31 +261,28 @@ def seq(*parts: Diagram) -> Diagram:
     return parts[0] if len(parts) == 1 else Seq(parts)
 
 
-def par(left: Diagram, right: Diagram) -> Diagram:
-    """Compose side by side.  Always well-typed."""
-    return Par(left, right)
+def par(*parts: Diagram) -> Diagram:
+    """Compose side by side: ``par(a, b, c)`` is ``a * b * c``, and ``par(a)``
+    is ``a``.  Always well-typed."""
+    return parts[0] if len(parts) == 1 else Par(parts)
 
 
 def validate(d: Diagram) -> list[str]:
     """Walk a term and report structural problems instead of raising.
 
     Returns a list of human-readable findings; empty iff every sequential
-    node is wire-compatible.  Paths from the root name ``Seq`` parts by
-    index (``2/left/0``) and ``Par`` children as ``left/right``.
+    node is wire-compatible.  Paths from the root name the parts of ``Seq``
+    and ``Par`` nodes by index (``2/1/0``).
     """
     findings: list[str] = []
 
     def visit(term: Diagram, path: str) -> None:
-        if isinstance(term, Seq):
-            for i, part in enumerate(term.parts):
-                if i and term.parts[i - 1].output_type != part.input_type:
-                    findings.append(f"{path or 'root'}: sequential wires disagree before part {i} "
-                                    f"({term.parts[i - 1].output_type} vs {part.input_type})")
-                visit(part, f"{path}/{i}" if path else str(i))
-        elif isinstance(term, Par):
-            visit(term.left, path + "/left" if path else "left")
-            visit(term.right, path + "/right" if path else "right")
-        # primitive boxes, identities and swaps are always well-formed
+        parts = term.parts if isinstance(term, (Seq, Par)) else ()  # other leaves are well-formed
+        for i, part in enumerate(parts):
+            if isinstance(term, Seq) and i and parts[i - 1].output_type != part.input_type:
+                findings.append(f"{path or 'root'}: sequential wires disagree before part {i} "
+                                f"({parts[i - 1].output_type} vs {part.input_type})")
+            visit(part, f"{path}/{i}" if path else str(i))
 
     visit(d, "")
     return findings
@@ -397,15 +399,18 @@ def test_seq(*tests: Test) -> Test:
             raise TypeMismatchError(
                 f"cannot wire test output {first.output_type} into test input {second.input_type}"
             )
+    return _test_product(Seq, tests)
+
+
+def test_par(*tests: Test) -> Test:
+    """Compose tests side by side: ``test_par(a, b, c)`` is ``a * b * c``.
+
+    Branches pair up and outcomes multiply, each branch one ``Par``."""
+    return _test_product(Par, tests)
+
+
+def _test_product(kind: type, tests: tuple[Test, ...]) -> Test:
     if len(tests) == 1:
         return tests[0]
-    branches = tuple(Seq(parts) for parts in product(*(t.branches for t in tests)))
+    branches = tuple(kind(parts) for parts in product(*(t.branches for t in tests)))
     return Test(reduce(OutcomeSpace.product, (t.outcomes for t in tests)), branches)
-
-
-def test_par(left: Test, right: Test) -> Test:
-    """Compose tests side by side: branches pair up, outcomes multiply."""
-    branches = tuple(
-        Par(bx, by) for bx in left.branches for by in right.branches
-    )
-    return Test(left.outcomes.product(right.outcomes), branches)

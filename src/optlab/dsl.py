@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -716,13 +715,11 @@ def bind(doc: Document) -> Workbench:
             return trace_box(word_of(e.word, line))
         if isinstance(e, (SeqExpr, ParExpr)):
             pieces = [to_piece(p, line) for p in e.parts]
-            in_seq = isinstance(e, SeqExpr)
+            compose, compose_tests = (seq, test_seq) if isinstance(e, SeqExpr) else (par, test_par)
             with _located(line):
-                if not any(isinstance(p, Test) for p in pieces):
-                    return seq(*pieces) if in_seq else reduce(par, pieces)
-                if in_seq:
-                    return test_seq(*map(_as_test, pieces))
-                return reduce(lambda a, b: test_par(_as_test(a), _as_test(b)), pieces)
+                if any(isinstance(p, Test) for p in pieces):
+                    return compose_tests(*map(_as_test, pieces))
+                return compose(*pieces)
         raise OptlabError(f"cannot bind expression node {type(e).__name__}")
 
     for s in doc.statements:

@@ -8,14 +8,16 @@ input end.  Every ``Par`` part after the first is applied leg by leg to the
 prefix's kernel columns (``TheoryBackend.apply_par``): each leaf's small
 kernel acts on its own wires, so no layer kernel on the whole word is built,
 and on a closed circuit a layer costs about as much as one state column.
-A ``Par`` that stands alone or starts a chain is built densely, in its
-written association; an effect-shaped ``Par`` is too, as its kernel is one
-row.  A left-nested ``Par`` spine is walked by a loop, so neither long ``;``
-nor long ``*`` chains recurse.
+A ``Par`` that stands alone or starts a chain is built densely, folding its
+parts from the left, which is its written association; an effect-shaped
+``Par`` is too, as its kernel is one row.  ``Seq`` and ``Par`` are both flat
+tuples folded by the same loop, so neither long ``;`` nor long ``*`` chains
+recurse.
 
 Results are memoized per call.  Whole terms are keyed by the term itself
-(terms are immutable and hash structurally in O(1)); each prefix of a chain
-is keyed by the memoized result of the shorter prefix plus the next part.
+(terms are immutable and hash structurally in O(1)); each prefix of a ``;``
+or ``*`` chain is keyed by its kind, the memoized result of the shorter
+prefix and the next part.
 
 :func:`run_test_circuit` walks the parts of all branches in lockstep.  The
 distinct states at each step are the rows of stacked arrays, and each
@@ -104,29 +106,24 @@ def evaluate_channel(
         ch = backend.identity(d.system)
     elif isinstance(d, Swap):
         ch = Channel(d.input_type, d.output_type, backend.kernel_swap(d.left, d.right))
-    elif isinstance(d, Seq):
+    elif isinstance(d, (Seq, Par)):
         ch = evaluate_channel(d.parts[0], backend, bindings, memo)
         for part in d.parts[1:]:
-            key = (id(ch), part)  # ch stays alive as a memo value, so its id is stable
+            key = (type(d), id(ch), part)  # ch stays alive as a memo value, so its id is stable
             prefix = memo.get(key)
             if prefix is None:
-                if _leg_wise(part):
+                if isinstance(d, Par):
+                    prefix = backend.par(ch, evaluate_channel(part, backend, bindings, memo))
+                elif _leg_wise(part):
                     _check_wires(ch.output_type, part.input_type)
                     kernel = _apply_layer(part, ch.kernel.T, backend, bindings, memo).T
+                    prefix = Channel(ch.input_type, part.output_type, kernel)
                 else:
                     second = evaluate_channel(part, backend, bindings, memo)
                     _check_wires(ch.output_type, second.input_type)
-                    kernel = backend.kernel_seq(ch, second)
-                prefix = memo[key] = Channel(ch.input_type, part.output_type, kernel)
+                    prefix = Channel(ch.input_type, part.output_type, backend.kernel_seq(ch, second))
+                memo[key] = prefix
             ch = prefix
-    elif isinstance(d, Par):
-        spine, node = [d], d.left  # d's left-nested Par nodes, down to a memoized or non-Par left
-        while isinstance(node, Par) and node not in memo:
-            spine.append(node)
-            node = node.left
-        ch = evaluate_channel(node, backend, bindings, memo)
-        for node in reversed(spine):
-            ch = memo[node] = backend.par(ch, evaluate_channel(node.right, backend, bindings, memo))
     else:
         raise UnknownBoxError(f"cannot evaluate term of type {type(d).__name__}")
 
@@ -231,11 +228,9 @@ def run_test_circuit(
             next_words.append(part.output_type)
         blocks, words = next_blocks, next_words
 
-    probs: dict[str, float] = {}
-    for label, value in zip(t.outcomes.labels, values):
-        scalar = Channel(UNIT, UNIT, np.reshape(value, (1, 1)))
-        probs[label] = backend.prob(backend.transfer_of(scalar).matrix[0, 0])
-    dist = OutcomeDistribution(probs)
+    # the trivial system's one coordinate is the scalar itself, on every theory
+    dist = OutcomeDistribution({
+        label: backend.prob(value.real) for label, value in zip(t.outcomes.labels, values)})
     if abs(dist.total - 1.0) > backend.tol.marginal:
         raise NormalizationViolationError(dist.total, backend.tol.marginal)
     return dist

@@ -174,7 +174,7 @@ class Sampler:
             right = self.diagram(
                 SystemType(input_word.word[i:]), SystemType(output_word.word[j:]), depth - 1
             )
-            return Par(left, right)
+            return Par((left, right))
         return self._fresh_box(input_word, output_word)
 
     def closed_test_circuit(self, max_branches: int = 3, depth: int = 1) -> Test:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optlab import get_backend
-from optlab.diagram import Identity, OutcomeSpace, Par, PrimitiveBox, Seq, Swap, SystemType, UNIT, par, seq, singleton_test
+from optlab.diagram import Identity, OutcomeSpace, Par, PrimitiveBox, Seq, Swap, SystemType, UNIT, par, seq, singleton_test, validate
 from optlab.diagram import Test as OutcomeTest
 from optlab.diagram import test_par as parallel_tests
 from optlab.diagram import test_seq as chain_tests
@@ -132,12 +133,9 @@ declared_words = st.lists(st.sampled_from(["A", "B"]), max_size=2).map(
 
 def _subterms(d):
     yield d
-    if isinstance(d, Seq):
+    if isinstance(d, (Seq, Par)):
         for part in d.parts:
             yield from _subterms(part)
-    elif isinstance(d, Par):
-        yield from _subterms(d.left)
-        yield from _subterms(d.right)
 
 
 def _recomputed_types(d):
@@ -145,8 +143,10 @@ def _recomputed_types(d):
     if isinstance(d, Seq):
         return _recomputed_types(d.parts[0])[0], _recomputed_types(d.parts[-1])[1]
     if isinstance(d, Par):
-        (li, lo), (ri, ro) = _recomputed_types(d.left), _recomputed_types(d.right)
-        return li * ri, lo * ro
+        (i, o), *rest = map(_recomputed_types, d.parts)
+        for ri, ro in rest:
+            i, o = i * ri, o * ro
+        return i, o
     return d.input_type, d.output_type
 
 
@@ -196,6 +196,15 @@ def test_seq_reports_the_mismatched_neighbours():
         seq(f, f, g)
 
 
+def test_validate_names_parts_by_index():
+    f, g = PrimitiveBox("f", A, A), PrimitiveBox("g", B, B)
+    bad = Seq((f, g))  # the raw constructor does not check wires
+    assert validate(par(f, bad)) == ["1: sequential wires disagree before part 1 (A vs B)"]
+    assert validate(seq(par(f, bad), par(f, g))) == [
+        "0/1: sequential wires disagree before part 1 (A vs B)"]
+    assert validate(par(f, g, f)) == []
+
+
 def test_wide_par_spines_compare_without_recursion():
     f, g = PrimitiveBox("f", A, A), PrimitiveBox("g", A, A)
     wide = [f] * 1_200
@@ -203,6 +212,11 @@ def test_wide_par_spines_compare_without_recursion():
     assert reduce(par, wide) != reduce(par, [g] + wide[1:])
     assert reduce(par, wide) != reduce(par, wide[:-1] + [g])
     assert par(f, par(f, f)) != par(par(f, f), f) and par(f, f) != f
+    assert par(par(f, g), f) == par(f, g, f) and hash(par(par(f, g), f)) == hash(par(f, g, f))
+    assert par(par(f, g), f).parts == par(f, g, f).parts == (f, g, f)
+    assert par(f, par(g, f)) != par(f, g, f) and par(f, par(g, f)).parts == (f, par(g, f))
+    assert str(par(f, g, f)) == "(f * g * f)" and str(par(f, par(g, f))) == "(f * (g * f))"
+    assert par(f) is f
 
 
 def test_long_par_spines_build_without_rechecking_labels(monkeypatch):
@@ -220,3 +234,10 @@ def test_long_par_spines_build_without_rechecking_labels(monkeypatch):
         reduce(par, [f] * 4_800)
         timings.append(time.perf_counter() - start)
     assert min(timings) < 0.6
+    # the fold drops each spliced head, so it never holds more than one word per side
+    tracemalloc.start()
+    spine = reduce(par, [f] * 4_800)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8e6  # 186 MB while every binary node stored its whole word
+    assert par(*[f] * 4_800) == spine and hash(par(*[f] * 4_800)) == hash(spine)

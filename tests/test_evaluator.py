@@ -184,10 +184,12 @@ def _plain_channel(d, backend, bindings):
             first = Channel(first.input_type, second.output_type, backend.kernel_seq(first, second))
         return first
     assert isinstance(d, Par)
-    left = _plain_channel(d.left, backend, bindings)
-    right = _plain_channel(d.right, backend, bindings)
-    return Channel(left.input_type * right.input_type, left.output_type * right.output_type,
-                   backend.kernel_par(left, right))
+    left = _plain_channel(d.parts[0], backend, bindings)
+    for part in d.parts[1:]:
+        right = _plain_channel(part, backend, bindings)
+        left = Channel(left.input_type * right.input_type, left.output_type * right.output_type,
+                       backend.kernel_par(left, right))
+    return left
 
 
 def _plain_distribution(t, backend, bindings):
@@ -370,7 +372,7 @@ def test_lockstep_branches_match_each_branch_alone(backend):
         assert list(got) == list(t.outcomes.labels)
         for label, branch in t.items():
             want = backend.transfer_of(evaluate_channel(branch, backend, s.bindings)).matrix[0, 0]
-            assert abs(got[label] - want) <= 1e-12
+            assert got[label] == want
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +418,12 @@ def test_long_par_spines_keep_their_association(backend):
     for _ in range(1199):
         want = backend.par(want, one)
     np.testing.assert_array_equal(evaluate_channel(wide, backend, s.bindings).kernel, want.kernel)
+
+    for name in "abc":
+        s.bindings[name] = s.channel(A, A)
+    a, b, c = (PrimitiveBox(name, A, A) for name in "abc")
+    ka, kb, kc = (s.bindings[name] for name in "abc")
+    np.testing.assert_array_equal(evaluate_channel(par(a, par(b, c)), backend, s.bindings).kernel,
+                                  backend.par(ka, backend.par(kb, kc)).kernel)
+    np.testing.assert_array_equal(evaluate_channel(par(par(a, b), c), backend, s.bindings).kernel,
+                                  backend.par(backend.par(ka, kb), kc).kernel)
