@@ -14,12 +14,11 @@ standard output, and signals its verdict through the exit code:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from itertools import combinations_with_replacement
 
 from . import audit, tomography
-from .backends.base import Channel, EffectVector, StateVector
+from .backends.base import StateVector
 from .diagram import SystemType, singleton_test
 from .dsl import Workbench, load
 from .errors import (
@@ -117,29 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _plain(obj):
-    """Flatten report objects into JSON-ready structures."""
-    if isinstance(obj, SystemType):
-        return str(obj)
-    if isinstance(obj, Channel):
-        return {
-            "input": str(obj.input_type),
-            "output": str(obj.output_type),
-            "kernel": obj.kernel,
-        }
-    if isinstance(obj, (StateVector, EffectVector)):
-        return {"system": str(obj.system), "coords": obj.coords}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def _emit(report: dict) -> None:
     sys.stdout.write(dumps_canonical(report))
 
@@ -186,7 +162,7 @@ def _cmd_prob(wb: Workbench, args) -> int:
 def _cmd_purify(wb: Workbench, args) -> int:
     result = audit.purify_state(wb.backend, wb.state_vector(args.state))
     _emit({"command": "purify", "state": args.state, **_run_meta(args),
-           **_plain(result)})
+           **vars(result)})
     return 0 if result.verdict == "Purified" else VIOLATION
 
 
@@ -199,8 +175,8 @@ def _cmd_dilate(wb: Workbench, args) -> int:
         _emit({"command": "dilate", "box": args.box, **_run_meta(args),
                "verdict": "Failure", "witness": str(e)})
         return VIOLATION
-    report = _plain(result)
-    report.pop("channel", None)  # the input box, restated; keep the report lean
+    report = {**vars(result)}
+    report.pop("channel")  # the input box, restated; keep the report lean
     _emit({"command": "dilate", "box": args.box, **_run_meta(args),
            "verdict": "Dilated", **report})
     return 0
@@ -236,8 +212,8 @@ def _cmd_steer(wb: Workbench, args) -> int:
         _emit({"command": "steer", "state": args.state, "test": args.test,
                **_run_meta(args), "verdict": "Failure", "witness": str(e)})
         return VIOLATION
-    report = _plain(result)
-    report.pop("effect_objects", None)
+    report = {**vars(result)}
+    report.pop("effect_objects")
     _emit({"command": "steer", "state": args.state, "test": args.test,
            **_run_meta(args), "verdict": "Steered", **report})
     return 0
@@ -249,13 +225,13 @@ def _cmd_equiv(wb: Workbench, args) -> int:
         bindings=wb.bindings, tol=args.tol,
     )
     payload = {"command": "equiv", "box": args.box, "box2": args.box2,
-               **_run_meta(args), **_plain(report)}
+               **_run_meta(args), **vars(report)}
     if report.witness is not None:
         p1, p2 = tomography.replay_witness(
             wb.backend, wb.diagram(args.box), wb.diagram(args.box2),
             report.witness, wb.bindings,
         )
-        payload["witness"]["replayed"] = [p1, p2]
+        payload["witness"] = {**vars(report.witness), "replayed": [p1, p2]}
     _emit(payload)
     return 0 if report.verdict == "Equivalent" else VIOLATION
 
@@ -271,7 +247,7 @@ def _audit_causality(wb: Workbench, args) -> int:
             report = audit.check_causality(
                 wb.backend, list(wb.tests.values()), wb.bindings, tol=args.tol
             )
-            checks.append({"source": "declared tests", **_plain(report),
+            checks.append({"source": "declared tests", **vars(report),
                            "verdict": "Holds"})
         except CausalityViolationError as e:
             checks.append({"source": "declared tests", "verdict": "Violated",
@@ -285,7 +261,7 @@ def _audit_causality(wb: Workbench, args) -> int:
     try:
         report = audit.check_causality(wb.backend, random_tests, tol=args.tol)
         checks.append({"source": f"{args.trials} random observation tests",
-                       **_plain(report), "verdict": "Holds"})
+                       **vars(report), "verdict": "Holds"})
     except CausalityViolationError as e:
         checks.append({"source": f"{args.trials} random observation tests",
                        "verdict": "Violated", "witness": str(e)})
@@ -310,7 +286,7 @@ def _audit_purification(wb: Workbench, args) -> int:
     code = 0
     for name, state in subjects:
         r = audit.purify_state(wb.backend, state)
-        results.append({"state": name, **_plain(r)})
+        results.append({"state": name, **vars(r)})
         if r.verdict != "Purified":
             code = VIOLATION
     _emit({"command": "audit", "axiom": "purification", **_run_meta(args),
@@ -327,7 +303,7 @@ def _audit_faithfulness(wb: Workbench, args) -> int:
             wb.backend, SystemType.of(name), trials=args.trials,
             seed=rng, tol=args.tol,
         )
-        reports.append({"system": name, **_plain(r)})
+        reports.append({"system": name, **vars(r)})
         if r.verdict != "Confirmed":
             code = VIOLATION
     _emit({"command": "audit", "axiom": "faithfulness", **_run_meta(args),
@@ -342,7 +318,7 @@ def _audit_local_tomography(wb: Workbench, args) -> int:
         r = tomography.local_tomography_check(
             wb.backend, SystemType.of(a), SystemType.of(b)
         )
-        reports.append({"left": a, "right": b, **_plain(r)})
+        reports.append({"left": a, "right": b, **vars(r)})
         if r.verdict != "Holds":
             code = VIOLATION
     _emit({"command": "audit", "axiom": "local-tomography", **_run_meta(args),
@@ -365,7 +341,7 @@ def _audit_niwd(wb: Workbench, args) -> int:
                             "reason": str(e)})
             continue
         applicable += 1
-        reports.append({"test": name, **_plain(r)})
+        reports.append({"test": name, **vars(r)})
         if r.verdict != "Holds":
             code = VIOLATION
     if not applicable:

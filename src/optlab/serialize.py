@@ -8,22 +8,30 @@ object keys are sorted.  The writer is a tiny recursive formatter rather than
 a ``json.dumps`` configuration because the float format must be pinned down
 to the byte.
 
-A finite real floating array of one or more dimensions (a transfer matrix,
-a state's coordinates) skips the per-element walk: it is normalised and
-checked once as a whole, its outer axes are laid out like nested lists, and
-each innermost row is printed by one C-level ``%``-format call.  Every other
-array, including one holding ``nan`` or ``inf``, goes through
-:func:`jsonable`, so it prints, or fails, exactly as a nested list would.
+A report is written in one walk, which converts each value as it meets it
+(:func:`_value`): numpy scalars and 0-d arrays become Python scalars, a
+``SystemType`` its string, a ``Channel`` its wire types and kernel, and any
+other dataclass (a ``StateVector``, an audit's report) its fields.  A finite
+real floating array of one or more dimensions (a transfer matrix, a state's
+coordinates) is normalised and checked once as a whole, its outer axes are
+laid out like nested lists, and each innermost row is printed by one C-level
+``%``-format call.  Every other array, including one holding ``nan`` or
+``inf``, is written through ``tolist()``, so it prints, or fails, exactly as
+a nested list would.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
-__all__ = ["format_float", "jsonable", "dumps_canonical"]
+from .backends.base import Channel
+from .diagram import SystemType
+
+__all__ = ["format_float", "dumps_canonical"]
 
 
 def format_float(x: float) -> str:
@@ -36,44 +44,33 @@ def format_float(x: float) -> str:
     return text
 
 
-def jsonable(obj):
-    """Fold numpy scalars/arrays and complex numbers into JSON-ready values."""
+def _value(obj):
+    """``obj`` converted one level deep for :func:`_write`; what it holds is
+    converted when the writer reaches it."""
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 0:
-            return jsonable(obj.tolist())
-        return [jsonable(row) for row in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
+        if type(obj) is np.ndarray and obj.dtype.kind == "f" and obj.ndim:
+            a = obj.astype(np.float64, copy=False) + 0.0  # + 0.0 turns -0.0 into 0.0
+            if np.isfinite(a).all():
+                return a
+        obj = obj.tolist()  # nested lists, or a 0-d array's scalar, converted below
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         z = complex(obj)
         return [z.real, z.imag]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+    if isinstance(obj, SystemType):
+        return str(obj)
+    if isinstance(obj, Channel):
+        return {"input": obj.input_type, "output": obj.output_type, "kernel": obj.kernel}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     return obj
 
 
-def _fold(obj):
-    """:func:`jsonable`, except that a finite real floating array of one or
-    more dimensions stays an array, normalised to float64 without ``-0.0``,
-    for :func:`_write` to print row by row.  Other arrays (0-d, non-finite,
-    subclasses such as masked arrays) take the list path, so they print and
-    fail exactly as before."""
-    if type(obj) is np.ndarray and obj.dtype.kind == "f" and obj.ndim:
-        a = obj.astype(np.float64, copy=False) + 0.0  # + 0.0 turns -0.0 into 0.0
-        if np.isfinite(a).all():
-            return a
-    if isinstance(obj, dict):
-        return {str(k): _fold(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_fold(v) for v in obj]
-    return jsonable(obj)
-
-
 def _write(obj, out: list[str], indent: int) -> None:
+    """Append the text of ``obj``, which :func:`_value` has converted."""
     pad = "  " * indent
     if obj is None:
         out.append("null")
@@ -92,37 +89,37 @@ def _write(obj, out: list[str], indent: int) -> None:
             out.append("{}")
             return
         out.append("{\n")
-        keys = sorted(str(k) for k in obj)
         lookup = {str(k): v for k, v in obj.items()}
+        keys = sorted(lookup)
         for i, k in enumerate(keys):
             out.append(pad + "  " + json.dumps(k, ensure_ascii=True) + ": ")
-            _write(lookup[k], out, indent + 1)
+            _write(_value(lookup[k]), out, indent + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1:  # finite float64: one C-level format call
+        out.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj.tolist()) + "]")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        # a finite float64 array's rows need no conversion; a list's elements
+        # are converted before the layout is chosen
+        items = list(obj) if isinstance(obj, np.ndarray) else [_value(v) for v in obj]
+        if not items:
             out.append("[]")
             return
-        flat = all(isinstance(v, (int, float, bool)) or v is None for v in obj)
+        flat = all(isinstance(v, (int, float, bool)) or v is None for v in items)
         if flat:
             out.append("[")
-            for i, v in enumerate(obj):
+            for i, v in enumerate(items):
                 _write(v, out, indent)
-                if i + 1 < len(obj):
+                if i + 1 < len(items):
                     out.append(", ")
             out.append("]")
             return
         out.append("[\n")
-        for i, v in enumerate(obj):
+        for i, v in enumerate(items):
             out.append(pad + "  ")
             _write(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
+            out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, np.ndarray):  # finite float64, left by _fold
-        if obj.ndim > 1:
-            _write(list(obj), out, indent)  # a list of row arrays: the layout above
-        else:  # one C-level format call per row
-            out.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj.tolist()) + "]")
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -130,6 +127,6 @@ def _write(obj, out: list[str], indent: int) -> None:
 def dumps_canonical(obj) -> str:
     """Canonical JSON text (trailing newline included)."""
     out: list[str] = []
-    _write(_fold(obj), out, 0)
+    _write(_value(obj), out, 0)
     out.append("\n")
     return "".join(out)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from optlab.serialize import dumps_canonical, format_float, jsonable
+from optlab.backends.base import Channel, EffectVector, StateVector
+from optlab.diagram import SystemType
+from optlab.serialize import dumps_canonical, format_float
 
 
 def test_format_float_shortest_repr():
@@ -28,20 +31,60 @@ def test_format_float_rejects_non_finite(bad):
 
 
 def test_complex_becomes_pair():
-    assert jsonable(1 + 2j) == [1.0, 2.0]
-    assert jsonable(np.complex128(3 - 4j)) == [3.0, -4.0]
+    assert dumps_canonical(1 + 2j) == "[1, 2]\n"
+    assert dumps_canonical(np.complex128(3 - 4j)) == "[3, -4]\n"
 
 
 def test_arrays_become_nested_lists():
-    out = jsonable(np.arange(6, dtype=float).reshape(2, 3))
-    assert out == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    want = "[\n  [0, 1, 2],\n  [3, 4, 5]\n]\n"
+    assert dumps_canonical(np.arange(6, dtype=float).reshape(2, 3)) == want
+    assert dumps_canonical(np.arange(6).reshape(2, 3)) == want
 
 
 def test_zero_dimensional_arrays_become_scalars():
-    assert jsonable(np.array(0.5)) == 0.5
-    assert jsonable(np.array(1 - 2j)) == [1.0, -2.0]
-    assert jsonable([np.array(3)]) == [3]
+    assert dumps_canonical(np.array(0.5)) == "0.5\n"
+    assert dumps_canonical(np.array(1 - 2j)) == "[1, -2]\n"
+    assert dumps_canonical([np.array(3)]) == "[3]\n"
     assert dumps_canonical({"x": np.array(0.5)}) == '{\n  "x": 0.5\n}\n'
+
+
+@dataclass
+class _Inner:
+    labels: tuple
+    weight: float
+
+
+@dataclass
+class _Outer:
+    inner: _Inner
+    system: SystemType
+
+
+def test_report_objects_print_as_their_fields():
+    a, ab = SystemType.of("A"), SystemType.of("A", "B")
+    report = {
+        "system": ab,
+        "channel": Channel(a, a, np.array([[1.0, 0.5j], [-0.0, 2 - 1j]])),
+        "state": StateVector([0.5, -0.0, 0.25], a),
+        "effect": EffectVector([1.0, 0.0, 1e-9], a),
+        "outer": _Outer(_Inner(("x", "y"), 0.125), ab),
+        "count": np.int64(7),
+        "z": np.complex128(1 - 2j),
+        "scalar": np.array(0.25),
+        3: "three",
+    }
+    # the text the command line printed for this report before it was written in one walk
+    assert dumps_canonical(report) == (
+        '{\n  "3": "three",\n  "channel": {\n    "input": "A",\n    "kernel": [\n'
+        '      [\n        [1, 0],\n        [0, 0.5]\n      ],\n'
+        '      [\n        [0, 0],\n        [2, -1]\n      ]\n    ],\n    "output": "A"\n  },\n'
+        '  "count": 7,\n  "effect": {\n    "coords": [1, 0, 1.0000000000000001e-09],\n'
+        '    "system": "A"\n  },\n  "outer": {\n    "inner": {\n      "labels": [\n'
+        '        "x",\n        "y"\n      ],\n      "weight": 0.125\n    },\n'
+        '    "system": "A*B"\n  },\n  "scalar": 0.25,\n  "state": {\n'
+        '    "coords": [0.5, 0, 0.25],\n    "system": "A"\n  },\n  "system": "A*B",\n'
+        '  "z": [1, -2]\n}\n'
+    )
 
 
 def test_keys_sorted_and_deterministic():
@@ -49,6 +92,8 @@ def test_keys_sorted_and_deterministic():
     b = dumps_canonical({"c": {"y": 2j, "z": 0.5}, "a": [1.0, 2.0], "b": 1.0})
     assert a == b
     assert a.index('"a"') < a.index('"b"') < a.index('"c"')
+    # keys are compared as strings; of two that print alike, the later one wins
+    assert dumps_canonical({1: "a", "1": "b", 0: "c"}) == '{\n  "0": "c",\n  "1": "b"\n}\n'
 
 
 def test_byte_identical_across_calls():
@@ -61,8 +106,29 @@ def test_trailing_newline():
 
 
 # ---------------------------------------------------------------------------
-# the array path against the per-element writer it replaced
+# the one-walk writer against the per-element fold and writer it replaced
 # ---------------------------------------------------------------------------
+
+def _oracle_fold(obj):
+    """Fold numpy scalars/arrays and complex numbers into JSON-ready values,
+    as a separate pass did before the writer converted values itself."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            return _oracle_fold(obj.tolist())
+        return [_oracle_fold(row) for row in obj.tolist()]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        return [z.real, z.imag]
+    if isinstance(obj, dict):
+        return {str(k): _oracle_fold(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_oracle_fold(v) for v in obj]
+    return obj
+
 
 def _oracle_write(obj, out: list[str], indent: int) -> None:
     """The recursive writer as it was before arrays got their own path."""
@@ -116,7 +182,7 @@ def _oracle_write(obj, out: list[str], indent: int) -> None:
 
 def _oracle_dumps(obj) -> str:
     out: list[str] = []
-    _oracle_write(jsonable(obj), out, 0)
+    _oracle_write(_oracle_fold(obj), out, 0)
     out.append("\n")
     return "".join(out)
 
@@ -160,9 +226,21 @@ def float_arrays(draw, min_dims=0):
 scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=3) \
     | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([5e-324, 1e308, -1e308])
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+numpy_values = (
+    st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32)
+    | finite.map(np.float64)
+    | st.complex_numbers(allow_nan=False, allow_infinity=False)
+    | st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128)
+    | st.sampled_from([np.array(2), np.array(-0.0), np.array(1 - 2j)])
+    | hnp.arrays(st.sampled_from([np.int64, np.complex128]), hnp.array_shapes(max_dims=2, max_side=3))
+)
+
 reports = st.recursive(
-    float_arrays() | scalars,
-    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    float_arrays() | scalars | numpy_values,
+    lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3) | st.integers(0, 3), kids, max_size=3),
     max_leaves=6,
 )
 
