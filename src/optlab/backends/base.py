@@ -50,23 +50,25 @@ otherwise).
   ``random_effect``, ``random_channels``, ``random_reversible``,
   ``random_povm``, ``random_preparation`` and ``random_instrument``.
 
-A theory also sets the class flags below; a purifying theory adds ``basis``
-(the operator basis that spans Choi matrices) and ``channel_from_choi``.
-``gaussian`` and ``project_scalars`` default to real scalars.
+A theory also sets the class flags ``purifies`` and ``pair_payloads``; a
+purifying theory adds ``basis`` (the operator basis that spans Choi
+matrices) and ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
+default to real scalars.
 
 The base class derives the rest, the same way for every theory:
 ``kernel_par`` places each leg of the left kernel before the matching leg of
 the right one, so it is the Kronecker product reordered to the composite
-legs; ``apply_par`` applies a ``Par`` term to a stack of kernel columns part
-by part, each part's small kernel on its own legs (a nested ``Par`` part is
-one dense leaf), and never builds the layer's kernel; ``kernel_identity``
-and ``kernel_swap`` are the ``conjugation_channel`` kernels of the identity and of
+legs; ``apply_par`` applies a ``Par``, ``Identity`` or ``Swap`` term to a
+stack of kernel columns leaf by leaf, each leaf's small kernel on its own
+legs (a nested ``Par`` part is opened into its own parts unless it is
+effect-shaped; identities are skipped and swaps only move legs), and never
+builds the layer's kernel; ``kernel_identity`` and ``kernel_swap`` are the
+``conjugation_channel`` kernels of the identity and of
 ``linalg.swap_unitary``; ``trace_channel`` is the ``effect_channel`` of
-``diagonal`` of ones (the discard);
-``uniform_state`` is ``state_coords`` of ``diagonal`` of ``1/d``;
-``effect_coords``/``effect_object`` are the state forms and
-``spanning_effects`` re-wraps ``spanning_states``, because every theory here
-is self-dual; ``identity``, ``par``, ``state_as_channel`` and
+``diagonal`` of ones (the discard); ``uniform_state`` is ``state_coords`` of
+``diagonal`` of ``1/d``; ``effect_coords``/``effect_object`` are the state
+forms and ``spanning_effects`` re-wraps ``spanning_states``, because every
+theory here is self-dual; ``identity``, ``par``, ``state_as_channel`` and
 ``trace_effect`` (computed once per word and handed out read-only) are built
 on those.
 """
@@ -80,7 +82,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .. import linalg
-from ..diagram import Diagram, Identity, Swap, SystemType
+from ..diagram import Diagram, Identity, Par, Swap, SystemType
 from ..errors import (
     NotPhysicalError,
     OptlabError,
@@ -224,7 +226,6 @@ class TheoryBackend(abc.ABC):
     """Shared machinery for the three concrete theories."""
 
     name: str = "?"
-    locally_tomographic: bool = True
     purifies: bool = True  # every state has a pure extension
     pair_payloads: bool = True  # payload entries may be written as [re,im] pairs
     tol = Tolerances()
@@ -348,14 +349,16 @@ class TheoryBackend(abc.ABC):
 
         ``stack`` has shape ``(count, K)``: ``count`` kernel columns on
         ``layer.input_type``, each viewed as ``legs_per_wire`` legs per wire.
-        Each part of the ``Par`` is a leaf that contracts its own kernel,
-        ``channel_of(leaf).kernel``, into its wires' legs; ``Identity`` leaves
-        are skipped, ``Swap`` leaves permute legs, and states and effects add
-        and remove legs.  A nested ``Par`` part is one leaf, whose kernel
-        ``channel_of`` builds densely.  No kernel on the whole word is built.
-        Every column goes through its own product of equal shape, so a
-        column's result does not depend on how many columns are stacked with
-        it.  Returns shape ``(count, K')`` on ``layer.output_type``.
+        ``layer`` is a ``Par``, an ``Identity`` or a ``Swap``.  A ``Par`` is
+        opened into its leaves, and so is each nested ``Par`` part that is
+        not effect-shaped, so a nested layer runs exactly as its flat form.
+        Each leaf contracts its own kernel, ``channel_of(leaf).kernel``, into
+        its wires' legs; ``Identity`` leaves are skipped, ``Swap`` leaves
+        permute legs, and states and effects add and remove legs.  No kernel
+        on the whole word is built.  Every column goes through its own
+        product of equal shape, so a column's result does not depend on how
+        many columns are stacked with it.  Returns shape ``(count, K')`` on
+        ``layer.output_type``.
         """
         legs, count = self.legs_per_wire, len(stack)
         t = stack.reshape(count, *self.word_dims(layer.input_type) * legs)
@@ -366,7 +369,12 @@ class TheoryBackend(abc.ABC):
             return [1 + g * wires + start + j for g in range(legs) for j in range(width)]
 
         pos = 0  # wires before pos are outputs of done leaves; from pos on, inputs of the rest
-        for leaf in layer.parts:
+        todo = [layer]  # the leaves still to apply, the next one last
+        while todo:
+            leaf = todo.pop()
+            if isinstance(leaf, Par) and not leaf.output_type.is_unit:
+                todo.extend(reversed(leaf.parts))
+                continue
             m, n = len(leaf.input_type), len(leaf.output_type)
             if isinstance(leaf, Swap):  # the right block's legs move before the left block's
                 right = len(leaf.right)

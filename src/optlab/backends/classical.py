@@ -37,7 +37,6 @@ __all__ = ["ClassicalBackend"]
 class ClassicalBackend(TheoryBackend):
 
     name = "classical"
-    locally_tomographic = True
     purifies = False
     pair_payloads = False
     legs_per_wire = 1

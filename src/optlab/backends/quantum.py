@@ -397,7 +397,6 @@ class QuantumBackend(_MatrixTheory):
     """Complex-amplitude quantum theory.  Locally tomographic."""
 
     name = "quantum"
-    locally_tomographic = True
     _complex_scalars = True
 
     def project_scalars(self, x: np.ndarray) -> np.ndarray:
@@ -447,7 +446,6 @@ class RealQuantumBackend(_MatrixTheory):
     """
 
     name = "quantum-real"
-    locally_tomographic = False
     _complex_scalars = False
 
     def state_dim(self, word: SystemType) -> int:

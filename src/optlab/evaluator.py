@@ -4,9 +4,11 @@ Primitive boxes resolve to compiled kernels, identities and swaps come from
 the backend's kernel algebra, parallel composition is the backend's dense
 ``kernel_par`` and sequential composition a kernel product.  A
 :class:`~optlab.diagram.Seq` is a flat chain, evaluated by one loop from its
-input end.  Every ``Par`` part after the first is applied leg by leg to the
-prefix's kernel columns (``TheoryBackend.apply_par``): each leaf's small
-kernel acts on its own wires, so no layer kernel on the whole word is built,
+input end.  Every ``Par``, ``Identity`` and ``Swap`` part after the first
+is applied leg by leg to the prefix's kernel columns
+(``TheoryBackend.apply_par``): each leaf's small kernel acts on its own
+wires, identities and swaps only relabel legs, and a nested ``Par`` part is
+opened into its own leaves, so no layer kernel on the whole word is built,
 and on a closed circuit a layer costs about as much as one state column.
 A ``Par`` that stands alone or starts a chain is built densely, folding its
 parts from the left, which is its written association; an effect-shaped
@@ -138,8 +140,9 @@ def _check_wires(prefix: SystemType, next_input: SystemType) -> None:
 
 def _leg_wise(part: Diagram) -> bool:
     """Is ``part``, after the first in a chain, applied leg by leg?  Every
-    ``Par`` is, but an effect-shaped one: its dense kernel is a single row."""
-    return isinstance(part, Par) and not part.output_type.is_unit
+    ``Par``, ``Identity`` and ``Swap`` is, but an effect-shaped one: its
+    dense kernel is a single row."""
+    return isinstance(part, (Par, Identity, Swap)) and not part.output_type.is_unit
 
 
 def _apply_layer(part, stack, backend, bindings, memo) -> np.ndarray:

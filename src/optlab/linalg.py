@@ -26,13 +26,10 @@ __all__ = [
     "symmetric_basis",
     "kron_basis",
     "vec",
-    "unvec",
     "liouville_from_choi",
     "choi_from_liouville",
-    "kraus_to_choi",
     "kraus_to_liouville",
     "choi_to_kraus",
-    "apply_liouville",
     "partial_trace",
     "swap_unitary",
     "sorted_eigh",
@@ -109,10 +106,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1)
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v).reshape(rows, cols)
-
-
 def liouville_from_choi(choi: np.ndarray, din: int, dout: int) -> np.ndarray:
     """J[(i,k),(j,l)] = M(E_ij)[k,l]  ->  N[(k,l),(i,j)]; leading axes are a stack."""
     choi = np.asarray(choi)
@@ -125,16 +118,6 @@ def liouville_from_choi(choi: np.ndarray, din: int, dout: int) -> np.ndarray:
 def choi_from_liouville(lio: np.ndarray, din: int, dout: int) -> np.ndarray:
     n4 = np.asarray(lio).reshape(dout, dout, din, din)
     return n4.transpose(2, 0, 3, 1).reshape(din * dout, din * dout)
-
-
-def kraus_to_choi(kraus: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    ks = [np.asarray(k) for k in kraus]
-    dout, din = ks[0].shape
-    j = np.zeros((din * dout, din * dout), dtype=complex)
-    for k in ks:
-        w = vec(k.T)
-        j += np.outer(w, w.conj())
-    return j
 
 
 def kraus_to_liouville(kraus: list[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -161,10 +144,6 @@ def choi_to_kraus(choi: np.ndarray, din: int, dout: int) -> list[np.ndarray]:
     if not out:
         out.append(np.zeros((dout, din), dtype=complex))
     return out
-
-
-def apply_liouville(lio: np.ndarray, x: np.ndarray, din: int, dout: int) -> np.ndarray:
-    return unvec(lio @ vec(np.asarray(x)), dout, dout)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,42 @@ def test_leg_wise_layers_match_a_dense_fold(backend):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_nested_layers_run_as_their_flat_form(backend):
+    s = Sampler(backend, seed=38)
+    s.bindings["f"] = s.channel(A, A)
+    f = PrimitiveBox("f", A, A)
+    word = SystemType.of(*"AAAA")
+    s.bindings["open"] = s.channel(A, word)
+    s.bindings["prep"] = backend.state_channel(s.preparation_branches(word, 1)[0], word)
+    i = Identity(A)
+    pairs = [(par(f, par(f, par(f, f))), par(f, f, f, f)), (par(f, par(f, f), f), par(f, f, f, f)),
+             (par(f, i, par(f, f)), par(f, i, f, f))]
+    for nested, flat in pairs:
+        assert any(isinstance(part, Par) for part in nested.parts)
+        for head in (PrimitiveBox("open", A, word), PrimitiveBox("prep", UNIT, word)):
+            got = evaluate_channel(seq(head, nested, nested), backend, s.bindings).kernel
+            want = evaluate_channel(seq(head, flat, flat), backend, s.bindings).kernel
+            assert np.array_equal(got, want)
+
+
+def test_chain_identities_and_swaps_build_no_kernel(backend, monkeypatch):
+    s = Sampler(backend, seed=40)
+    s.bindings["prep"] = backend.state_channel(s.preparation_branches(A * B, 1)[0], A * B)
+    s.bindings["m0"], s.bindings["m1"] = s.observation_channels(B * A, 2)
+    chain = seq(PrimitiveBox("prep", UNIT, A * B), Swap(A, B), Identity(B * A))
+    closed = chain_tests(singleton_test(chain), Test(OutcomeSpace(("0", "1")), (
+        PrimitiveBox("m0", B * A, UNIT), PrimitiveBox("m1", B * A, UNIT))))
+    want = _plain_channel(chain, backend, s.bindings).kernel
+    want_probs = _plain_distribution(closed, backend, s.bindings)
+
+    def refuse(*args):
+        raise AssertionError("a chain's identity or swap built a kernel")
+    monkeypatch.setattr(backend, "kernel_swap", refuse)
+    monkeypatch.setattr(backend, "kernel_identity", refuse)
+    assert np.array_equal(evaluate_channel(chain, backend, s.bindings).kernel, want)
+    assert run_test_circuit(closed, backend, s.bindings).probs == want_probs
+
+
 def _uneven_closed_test(backend, s):
     """Preparation, random middle, observation, where every other preparation
     branch passes through one more channel first: branches of two lengths."""

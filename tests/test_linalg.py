@@ -18,7 +18,7 @@ def random_complex(shape):
 def test_vec_is_row_major():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(la.vec(m), [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(la.unvec(la.vec(m), 2, 2), m)
+    np.testing.assert_array_equal(la.vec(m).reshape(2, 2), m)
 
 
 def test_vec_sandwich_identity():
@@ -35,7 +35,7 @@ def test_apply_liouville_matches_conjugation():
     u = random_complex((3, 3))
     n = np.kron(u, u.conj())
     x = random_complex((3, 3))
-    np.testing.assert_allclose(la.apply_liouville(n, x, 3, 3),
+    np.testing.assert_allclose((n @ la.vec(x)).reshape(3, 3),
                                u @ x @ u.conj().T, atol=1e-12)
 
 
@@ -127,16 +127,21 @@ def test_choi_liouville_round_trip():
 def test_kraus_choi_and_liouville_agree():
     ks = [random_complex((3, 2)) for _ in range(2)]
     n = la.kraus_to_liouville(ks)
-    j = la.kraus_to_choi(ks)
-    np.testing.assert_allclose(j, la.choi_from_liouville(n, 2, 3), atol=1e-12)
+    j = la.choi_from_liouville(n, 2, 3)
+    # J = sum_ij E_ij (x) M(E_ij), which is sum_k vec(K^T) vec(K^T)^dagger
+    units = [np.outer(np.eye(2)[i], np.eye(2)[k]) for i in range(2) for k in range(2)]
+    by_definition = sum(np.kron(e, sum(k @ e @ k.conj().T for k in ks)) for e in units)
+    np.testing.assert_allclose(j, by_definition, atol=1e-12)
+    rank_one = sum(np.outer(la.vec(k.T), la.vec(k.T).conj()) for k in ks)
+    np.testing.assert_allclose(j, rank_one, atol=1e-12)
     x = random_complex((2, 2))
     direct = sum(k @ x @ k.conj().T for k in ks)
-    np.testing.assert_allclose(la.apply_liouville(n, x, 2, 3), direct, atol=1e-12)
+    np.testing.assert_allclose((n @ la.vec(x)).reshape(3, 3), direct, atol=1e-12)
 
 
 def test_choi_to_kraus_reconstructs_action():
     ks = [random_complex((2, 2)) * 0.5 for _ in range(3)]
-    j = la.kraus_to_choi(ks)
+    j = la.choi_from_liouville(la.kraus_to_liouville(ks), 2, 2)
     recovered = la.choi_to_kraus(j, 2, 2)
     assert len(recovered) == la.rank_with_cutoff(np.linalg.eigvalsh(j))
     x = random_complex((2, 2))
