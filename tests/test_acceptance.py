@@ -9,6 +9,7 @@ import glob
 import json
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,13 +480,13 @@ def test_criterion_12_dsl_round_trip_and_fuzz(fixture_dir):
     paths = sorted(glob.glob(str(fixture_dir / "*.opt")))
     round_trips = 0
     for path in paths:
-        doc = parse(open(path).read())
+        doc = parse(Path(path).read_text())
         assert parse(print_document(doc)) == doc
         round_trips += 1
 
     alphabet = list("abcXYZ019{}[]()=:;,*->#@.\"' \t")
     rng = random.Random(1212)
-    texts = [open(p).read() for p in paths]
+    texts = [Path(p).read_text() for p in paths]
     located = 0
     survived = 0
     for _ in range(1000):

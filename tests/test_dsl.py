@@ -3,6 +3,7 @@ and survival under token corruption."""
 
 import glob
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ def corpus(fixture_dir):
 
 def test_corpus_round_trips(fixture_dir):
     for path in corpus(fixture_dir):
-        text = open(path).read()
+        text = Path(path).read_text()
         doc = parse(text)
         printed = print_document(doc)
         assert parse(printed) == doc, path
@@ -35,7 +36,7 @@ def test_corpus_round_trips(fixture_dir):
 
 def test_corpus_binds(fixture_dir):
     for path in corpus(fixture_dir):
-        wb = load(open(path).read())
+        wb = load(Path(path).read_text())
         assert isinstance(wb, Workbench)
         assert wb.document.theory in ("quantum", "quantum-real", "classical")
 
@@ -246,7 +247,7 @@ def mutate(text, rng):
 
 
 def test_corrupted_corpus_always_yields_located_errors(fixture_dir):
-    texts = [open(p).read() for p in corpus(fixture_dir)]
+    texts = [Path(p).read_text() for p in corpus(fixture_dir)]
     rng = random.Random(404)
     for _ in range(300):
         mutant = mutate(rng.choice(texts), rng)
