@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import linalg
 from ..backends.base import Channel, StateVector, TheoryBackend, TransferMatrix
 from ..diagram import SystemType
 from ..errors import (
@@ -26,7 +25,7 @@ from ..errors import (
     TypeMismatchError,
 )
 from .causality import _branch_channels
-from .purification import ConnectionReport
+from .purification import ConnectionReport, _connection, _split
 from .purity import _as_channel, is_pure_transformation
 
 __all__ = [
@@ -198,9 +197,11 @@ class DilationResult:
 def stinespring_dilate(backend: TheoryBackend, m, bindings=None) -> DilationResult:
     """Pure realization of a deterministic transformation on a larger output.
 
-    The environment is as small as the transformation's positive
-    representative allows.  The classical theory only realizes point
-    preparations purely and raises ``BackendLacksDilationError`` otherwise.
+    The purification of the transformation's positive representative
+    (``channel_choi``), read back as a channel: its wing is the environment,
+    as small as the representative's rank allows.  The classical theory only
+    realizes point preparations purely and raises
+    ``BackendLacksDilationError`` otherwise.
     """
     ch = _as_channel(backend, m, bindings)
     det = backend.deterministic_residual(ch)
@@ -210,13 +211,15 @@ def stinespring_dilate(backend: TheoryBackend, m, bindings=None) -> DilationResu
         )
 
     din = backend.hilbert_dim(ch.input_type)
-    dout = backend.hilbert_dim(ch.output_type)
-    kraus = backend.channel_kraus(ch)
-    r = len(kraus)
-    v = np.zeros((dout * r, din), dtype=complex)
-    for c, kmat in enumerate(kraus):
-        v[c::r, :] = kmat
-    v = backend.project_scalars(v)
+    choi = backend.channel_choi(ch)
+    dec = backend.extremal_decomposition(choi)
+    try:
+        _, r = backend.purification(choi, dec)
+    except BackendLacksPurificationError as e:
+        raise BackendLacksDilationError(str(e)) from e
+    # the purifying ket, indexed (input, output, wing), is the isometry's column stack
+    v = backend.project_scalars(dec.amplitudes[:, :r].reshape(din, -1).T)
+    kraus = [v[c::r] for c in range(r)]
     isometry_residual = float(np.max(np.abs(v.conj().T @ v - np.eye(din))))
 
     env = backend.scratch_system(r)
@@ -246,47 +249,28 @@ def dilation_uniqueness(
     """Connect two pure realizations by a reversible map on the environment.
 
     Both inputs are pure channels into ``base_output * environment`` with
-    the same marginal on ``base_output``.
+    the same marginal on ``base_output``.  Their Choi objects are pure
+    extensions of one marginal on ``input * base_output``, so purification
+    uniqueness connects them on the environment.
     """
-    tol = backend.tol.gap
     if not backend.purifies:
         raise BackendLacksDilationError(
             f"the {backend.name} theory has no nontrivial pure realizations to compare"
         )
     if (p1.input_type, p1.output_type) != (p2.input_type, p2.output_type):
         raise TypeMismatchError("the two realizations must share input and output systems")
-    out = p1.output_type
-    if out.word[: len(base_output)] != base_output.word:
-        raise OptlabError(f"{base_output} is not a prefix of the output {out}")
-    env = SystemType(out.word[len(base_output):])
-    din = backend.hilbert_dim(p1.input_type)
-    db = backend.hilbert_dim(base_output)
-    dc = backend.hilbert_dim(env)
-
-    vs = []
+    env = _split(p1.output_type, base_output)
     for which, p in (("first", p1), ("second", p2)):
         if not is_pure_transformation(backend, p).pure:
             raise NotPureError(f"the {which} realization is not pure")
-        vs.append(backend.channel_kraus(p)[0])
 
-    discard = backend.par(backend.identity(base_output), backend.trace_channel(env))
-    marg = [discard.kernel @ p.kernel for p in (p1, p2)]
-    marginal_error = float(np.max(np.abs(marg[0] - marg[1])))
+    u, marginal_error = backend.pure_connection(
+        backend.channel_choi(p1), backend.channel_choi(p2),
+        backend.hilbert_dim(p1.input_type) * backend.hilbert_dim(base_output),
+        backend.hilbert_dim(env),
+    )
     if marginal_error > backend.tol.marginal:
         raise MarginalMismatchError(
             f"the two realizations have different marginals (deviation {marginal_error:.3e})"
         )
-
-    stacks = [v.reshape(db, dc, din).transpose(1, 0, 2).reshape(dc, db * din) for v in vs]
-    u = backend.project_scalars(linalg.procrustes_unitary(stacks[0], stacks[1]))
-    conn = backend.conjugation_channel(u, env)
-    joint = backend.par(backend.identity(base_output), conn)
-    replay = float(np.max(np.abs(joint.kernel @ p1.kernel - p2.kernel)))
-    verdict = "Connected" if replay <= tol else "Unconnected"
-    return ConnectionReport(
-        verdict=verdict,
-        channel=conn if verdict == "Connected" else None,
-        matrix=(u if verdict == "Connected" else None),
-        replay_error=replay,
-        marginal_error=marginal_error,
-    )
+    return _connection(backend, u, marginal_error, base_output, env, p1.kernel, p2.kernel)

@@ -69,11 +69,28 @@ class SteeringResult:
     completion_label: str
 
 
-def _split(psi: StateVector, base: SystemType) -> SystemType:
-    word = psi.system
+def _split(word: SystemType, base: SystemType) -> SystemType:
+    """The wing: what follows the prefix ``base`` in ``word``."""
     if word.word[: len(base)] != base.word:
-        raise OptlabError(f"{base} is not a prefix of the joint system {word}")
+        raise OptlabError(f"{base} is not a prefix of {word}")
     return SystemType(word.word[len(base):])
+
+
+def _connection(backend: TheoryBackend, u: np.ndarray, marginal_error: float,
+                base: SystemType, ext: SystemType, first, second) -> ConnectionReport:
+    """Replay the reversible map ``u`` on the wing ``ext`` after the kernel
+    ``first``; the two are connected when that lands on ``second``."""
+    conn = backend.conjugation_channel(u, ext)
+    joint = backend.par(backend.identity(base), conn)
+    replay = float(np.max(np.abs(joint.kernel @ first - second)))
+    connected = replay <= backend.tol.gap
+    return ConnectionReport(
+        verdict="Connected" if connected else "Unconnected",
+        channel=conn if connected else None,
+        matrix=u if connected else None,
+        replay_error=replay,
+        marginal_error=marginal_error,
+    )
 
 
 def purify_state(backend: TheoryBackend, state: StateVector) -> PurificationResult:
@@ -120,10 +137,9 @@ def purification_uniqueness(
     acts on the extending part only.  Raises ``NotPureError`` for impure
     inputs and ``MarginalMismatchError`` when the marginals differ.
     """
-    tol = backend.tol.gap
     if psi1.system != psi2.system:
         raise OptlabError("the two extensions must share one joint system")
-    ext = _split(psi1, base)
+    ext = _split(psi1.system, base)
     u, marg_err = backend.pure_connection(
         _require_pure(backend, psi1), _require_pure(backend, psi2),
         backend.hilbert_dim(base), backend.hilbert_dim(ext),
@@ -133,18 +149,9 @@ def purification_uniqueness(
             f"the two extensions have different marginals on {base} "
             f"(deviation {marg_err:.3e})"
         )
-    conn = backend.conjugation_channel(u, ext)
-    joint = backend.par(backend.identity(base), conn)
-    replay = float(np.max(np.abs(joint.kernel @ backend.state_as_channel(psi1).kernel
-                                 - backend.state_as_channel(psi2).kernel)))
-    verdict = "Connected" if replay <= tol else "Unconnected"
-    return ConnectionReport(
-        verdict=verdict,
-        channel=conn if verdict == "Connected" else None,
-        matrix=(u if verdict == "Connected" else None),
-        replay_error=replay,
-        marginal_error=marg_err,
-    )
+    return _connection(backend, u, marg_err, base, ext,
+                       backend.state_as_channel(psi1).kernel,
+                       backend.state_as_channel(psi2).kernel)
 
 
 def steering_measurement(
@@ -168,7 +175,7 @@ def steering_measurement(
     labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(len(branches)))
     if len(labels) != len(branches):
         raise OptlabError("one label per branch, please")
-    ext = _split(psi, base)
+    ext = _split(psi.system, base)
     first = min(range(len(labels)), key=lambda i: labels[i])
     db = backend.hilbert_dim(ext)
     effect_objects, completion = backend.steering_effects(

@@ -16,7 +16,7 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Adding a theory means writing the 31 abstract members below; a
+methods.  Adding a theory means writing the 30 abstract members below; a
 class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).
@@ -42,10 +42,10 @@ otherwise).
   ``pure_connection`` gives the matrix of a reversible map on the wing
   between two pure objects, and the gap between their marginals;
   ``steering_effects`` gives wing effects steering a pure object to each
-  branch, and the completion to the unit effect; ``channel_kraus`` gives the
-  pieces of a pure realization, or raises ``BackendLacksDilationError``;
-  ``faithful_probe`` extends the uniform state so that it separates
-  transformations.
+  branch, and the completion to the unit effect; ``faithful_probe`` extends
+  the uniform state so that it separates transformations.  A pure
+  realization (dilation) of a transformation is the purification of its
+  ``channel_choi``, so a theory writes nothing more for it.
 * Random draws, each from a generator in a fixed order: ``random_state``,
   ``random_effect``, ``random_channels``, ``random_reversible``,
   ``random_povm``, ``random_preparation`` and ``random_instrument``.
@@ -207,7 +207,8 @@ class Extremal:
 
     ``witness`` is a two-piece refinement when ``rank > 1``.  On the matrix
     theories the columns of ``amplitudes`` are the pieces' vectors
-    ``sqrt(w) v``, heaviest first (past ``rank`` they are negligible).
+    ``sqrt(w) v``, heaviest first (past ``rank`` they are negligible); on
+    the classical theory a pure object is its own single column.
     """
 
     rank: int
@@ -529,9 +530,6 @@ class TheoryBackend(abc.ABC):
 
     @abc.abstractmethod
     def steering_effects(self, psi, branches, base_dim, ext_dim, labels, tol) -> tuple: ...
-
-    @abc.abstractmethod
-    def channel_kraus(self, ch: Channel) -> list[np.ndarray]: ...
 
     @abc.abstractmethod
     def faithful_probe(self, word: SystemType) -> StateVector: ...

@@ -13,7 +13,6 @@ import numpy as np
 
 from ..diagram import SystemType
 from ..errors import (
-    BackendLacksDilationError,
     BackendLacksPurificationError,
     BranchSumMismatchError,
     OptlabError,
@@ -162,18 +161,24 @@ class ClassicalBackend(TheoryBackend):
         where = np.argwhere(np.abs(v) > linalg.RANK_CUTOFF * max(top, 1.0))
         weights = [float(v[tuple(i)]) for i in where]
         if len(where) <= 1:
-            return Extremal(len(where), weights, None)
+            return Extremal(len(where), weights, None, v.reshape(-1, 1))
         a = np.zeros_like(v)
         a[tuple(where[0])] = v[tuple(where[0])]
         key, at = ("support", where[:, 0]) if v.ndim == 1 else ("entries", where)
         return Extremal(len(where), weights, {"summands": [a, v - a], key: at.tolist()})
 
     def purification(self, obj, dec):
-        if dec.rank > 1:
+        if dec.rank <= 1:
+            return obj, 1
+        if np.ndim(obj) == 2:
             raise BackendLacksPurificationError(
-                "classical states with more than one support point have no pure extension"
+                f"no pure realization: the transformation has {dec.rank} nonzero "
+                "entries and only single-entry (point-preparation) maps are pure "
+                "in the classical theory"
             )
-        return obj, 1
+        raise BackendLacksPurificationError(
+            "classical states with more than one support point have no pure extension"
+        )
 
     def pure_connection(self, first, second, base_dim, ext_dim):
         """Point masses at (a1, b1) and (a2, b2): swap b1 and b2."""
@@ -207,17 +212,6 @@ class ClassicalBackend(TheoryBackend):
             e[b0] = float(v[a0]) / mass
             effects.append(e)
         return effects, np.ones(ext_dim) - sum(effects)
-
-    def channel_kraus(self, ch: Channel) -> list[np.ndarray]:
-        k = np.asarray(ch.kernel, dtype=float)
-        nonzero = int(np.sum(np.abs(k) > self.tol.eigenvalue_floor))
-        if nonzero > 1:
-            raise BackendLacksDilationError(
-                f"no pure realization: the transformation has {nonzero} nonzero "
-                "entries and only single-entry (point-preparation) maps are pure "
-                "in the classical theory"
-            )
-        return [k.copy()]
 
     def faithful_probe(self, word: SystemType) -> StateVector:
         """The correlated copy on ``word * word``: mixed states do not purify."""

@@ -173,12 +173,6 @@ class _MatrixTheory(TheoryBackend):
         kernel = linalg.liouville_from_choi(choi, din, dout)
         return Channel(input_type, output_type, self.project_scalars(kernel))
 
-    def channel_kraus(self, ch: Channel) -> list[np.ndarray]:
-        din = self.hilbert_dim(ch.input_type)
-        dout = self.hilbert_dim(ch.output_type)
-        ks = linalg.choi_to_kraus(self.channel_choi(ch), din, dout)
-        return [self.project_scalars(k) for k in ks]
-
     def certify_channel(self, ch: Channel) -> PhysicalityCertificate:
         role = self._role(ch.input_type, ch.output_type)
         din = self.hilbert_dim(ch.input_type)

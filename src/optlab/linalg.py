@@ -29,7 +29,6 @@ __all__ = [
     "liouville_from_choi",
     "choi_from_liouville",
     "kraus_to_liouville",
-    "choi_to_kraus",
     "partial_trace",
     "swap_unitary",
     "sorted_eigh",
@@ -127,23 +126,6 @@ def kraus_to_liouville(kraus: list[np.ndarray] | np.ndarray) -> np.ndarray:
     for k in ks:
         n += np.kron(k, k.conj())
     return n
-
-
-def choi_to_kraus(choi: np.ndarray, din: int, dout: int) -> list[np.ndarray]:
-    """Canonical Kraus family from the spectral decomposition of the Choi matrix.
-
-    Eigenvalues sorted descending; eigenvector phases canonical; eigenvalues
-    below ``RANK_CUTOFF`` times the largest are dropped.  The family size is
-    therefore the Choi rank.
-    """
-    vals, vecs = sorted_eigh(np.asarray(choi))
-    rank = rank_with_cutoff(vals)
-    out = []
-    for i in range(rank):
-        out.append(np.sqrt(vals[i]) * vecs[:, i].reshape(din, dout).T)
-    if not out:
-        out.append(np.zeros((dout, din), dtype=complex))
-    return out
 
 
 # ---------------------------------------------------------------------------

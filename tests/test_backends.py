@@ -5,6 +5,8 @@ import pytest
 
 from optlab import Channel, Payload, SystemType, get_backend
 from optlab import linalg as la
+from optlab.audit import stinespring_dilate
+from optlab.backends.base import TheoryBackend
 from optlab.errors import NotPhysicalError, OptlabError
 from optlab.sampling import Sampler
 
@@ -142,7 +144,7 @@ def test_choi_trace_condition_for_deterministic(quantum):
 def test_kraus_action_matches_kernel(quantum):
     s = Sampler(quantum, seed=13)
     ch = s.channel(A, A)
-    ks = quantum.channel_kraus(ch)
+    ks = stinespring_dilate(quantum, ch).kraus
     rho = s.density_matrix(2)
     direct = sum(k @ rho @ k.conj().T for k in ks)
     pushed = Channel(
@@ -245,9 +247,15 @@ def test_trace_effect_is_computed_once_per_word_and_read_only(monkeypatch):
         again.coords[0] = 0.0
 
 
-@pytest.mark.parametrize("member", ["deterministic_residual", "weight_terms", "legs_per_wire"])
+ABSTRACT_MEMBERS = sorted(TheoryBackend.__abstractmethods__)
+
+
+def test_a_theory_writes_thirty_members():
+    assert len(ABSTRACT_MEMBERS) == 30
+
+
+@pytest.mark.parametrize("member", ABSTRACT_MEMBERS)
 def test_a_theory_lacking_a_member_cannot_be_instantiated(member):
-    from optlab.backends.base import TheoryBackend
     from optlab.backends.classical import ClassicalBackend
 
     namespace = {k: v for k, v in vars(ClassicalBackend).items()

@@ -108,7 +108,8 @@ def test_sampled_channels_dilate(word):
             res = stinespring_dilate(backend, ch)
             assert res.marginal_error <= 1e-10
             assert res.isometry_residual <= 1e-10
-            assert res.environment_dim == len(backend.channel_kraus(ch))
+            choi_rank = int(np.sum(np.linalg.eigvalsh(backend.channel_choi(ch)) > 1e-9))
+            assert res.environment_dim == len(res.kraus) == choi_rank
             assert res.channel.output_type == word * res.environment
             cert = backend.certify_channel(res.channel)
             assert cert.physical
@@ -138,16 +139,37 @@ def test_substochastic_maps_are_rejected(quantum):
 
 def test_classical_point_preparation_is_already_pure(classical):
     one = classical.scratch_system(1)
-    point = Channel(one, A, np.array([[0.0], [1.0]]))
-    res = stinespring_dilate(classical, point)
+    kernel = np.array([[0.0], [1.0]])
+    res = stinespring_dilate(classical, Channel(one, A, kernel))
     assert res.environment_dim == 1
     assert res.marginal_error == 0.0
+    np.testing.assert_array_equal(res.isometry, kernel)
 
 
 def test_classical_generic_channels_have_no_pure_realization(classical):
     s = Sampler(classical, seed=31)
-    with pytest.raises(BackendLacksDilationError, match="nonzero"):
+    with pytest.raises(BackendLacksDilationError, match="nonzero") as refused:
         stinespring_dilate(classical, s.channel(A, A))
+    assert isinstance(refused.value.__cause__, BackendLacksPurificationError)
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real"])
+def test_dilation_is_the_purified_choi_state(theory):
+    """Operational Stinespring: the pure channel's Choi object is the
+    purification of the channel's, and discarding the environment from it
+    gives the channel's Choi object back."""
+    backend = get_backend(theory, systems={"A": 2, "B": 3})
+    s = Sampler(backend, seed=67)
+    for win, wout in ((A, A), (A, B), (B, A)):
+        ch = s.channel(win, wout)
+        choi = backend.channel_choi(ch)
+        psi, r = backend.purification(choi, backend.extremal_decomposition(choi))
+        res = stinespring_dilate(backend, ch)
+        pure_choi = backend.channel_choi(res.channel)
+        assert res.environment_dim == r
+        np.testing.assert_allclose(pure_choi, psi, atol=1e-12)
+        dims = [backend.hilbert_dim(win), backend.hilbert_dim(wout), r]
+        np.testing.assert_allclose(backend.partial_trace(pure_choi, dims, [0, 1]), choi, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +192,7 @@ def test_two_operator_sum_forms_are_connected(quantum, word):
     s = Sampler(quantum, seed=37)
     for _ in range(4):
         ch = s.channel(word, word)
-        kraus = quantum.channel_kraus(ch)
+        kraus = stinespring_dilate(quantum, ch).kraus
         r = len(kraus)
         w = s.random_unitary(r)
         mixed = [sum(w[a, b] * kraus[b] for b in range(r)) for a in range(r)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from optlab import get_backend
 from optlab import linalg as la
 
 rng = np.random.default_rng(7)
@@ -139,11 +140,14 @@ def test_kraus_choi_and_liouville_agree():
     np.testing.assert_allclose((n @ la.vec(x)).reshape(3, 3), direct, atol=1e-12)
 
 
-def test_choi_to_kraus_reconstructs_action():
+def test_choi_amplitudes_reconstruct_action():
+    """The amplitude columns of the Choi matrix, each reshaped ``(din, dout)``
+    and transposed, are an operator-sum form of the map, one per Choi rank."""
     ks = [random_complex((2, 2)) * 0.5 for _ in range(3)]
     j = la.choi_from_liouville(la.kraus_to_liouville(ks), 2, 2)
-    recovered = la.choi_to_kraus(j, 2, 2)
-    assert len(recovered) == la.rank_with_cutoff(np.linalg.eigvalsh(j))
+    dec = get_backend("quantum", {"A": 2}).extremal_decomposition(j)
+    recovered = [dec.amplitudes[:, c].reshape(2, 2).T for c in range(dec.rank)]
+    assert dec.rank == la.rank_with_cutoff(np.linalg.eigvalsh(j)) == 3
     x = random_complex((2, 2))
     np.testing.assert_allclose(
         sum(k @ x @ k.conj().T for k in recovered),
