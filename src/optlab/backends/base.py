@@ -34,7 +34,8 @@ otherwise).
   representative); ``conjugation_channel`` (the channel of a reversible or
   isometric matrix); ``partial_trace``; ``diagonal`` (the object with
   classical weights ``p``: pointer states and the unit effect);
-  ``spanning_states``.
+  ``spanning_states`` (one array, a member's coordinates per row; the rows
+  are also effects, because every theory here is self-dual).
 * Extremality: ``extremal_decomposition`` splits an object or a
   ``channel_choi`` into pure pieces (an ``Extremal``).
 * Purification: ``purification`` gives a pure extension and the wing
@@ -67,10 +68,9 @@ builds the layer's kernel; ``kernel_identity`` and ``kernel_swap`` are the
 ``linalg.swap_unitary``; ``trace_channel`` is the ``effect_channel`` of
 ``diagonal`` of ones (the discard); ``uniform_state`` is ``state_coords`` of
 ``diagonal`` of ``1/d``; ``effect_coords``/``effect_object`` are the state
-forms and ``spanning_effects`` re-wraps ``spanning_states``, because every
-theory here is self-dual; ``identity``, ``par``, ``state_as_channel`` and
-``trace_effect`` (computed once per word and handed out read-only) are built
-on those.
+forms, because every theory here is self-dual; ``identity``, ``par``,
+``state_as_channel`` and ``trace_effect`` (computed once per word and handed
+out read-only) are built on those.
 """
 
 from __future__ import annotations
@@ -509,11 +509,10 @@ class TheoryBackend(abc.ABC):
         return StateVector(self.state_coords(self.diagonal(np.full(d, 1.0 / d)), word), word)
 
     @abc.abstractmethod
-    def spanning_states(self, word: SystemType) -> list[StateVector]:
-        ...
-
-    def spanning_effects(self, word: SystemType) -> list[EffectVector]:
-        return [EffectVector(s.coords, word) for s in self.spanning_states(word)]
+    def spanning_states(self, word: SystemType) -> np.ndarray:
+        """Coordinates of states spanning the word's state space, one member
+        per row, shape ``(members, state_dim(word))``.  Every theory here is
+        self-dual, so the rows are also the coordinates of spanning effects."""
 
     # ------------------------------------------------------------------
     # extremality and purification

@@ -136,9 +136,8 @@ class ClassicalBackend(TheoryBackend):
         v = self._coerce_array(obj, (self.hilbert_dim(word),), "effect vector")
         return Channel(word, SystemType(()), v.reshape(1, -1))
 
-    def spanning_states(self, word: SystemType) -> list[StateVector]:
-        d = self.hilbert_dim(word)
-        return [StateVector(row, word) for row in np.eye(d)]
+    def spanning_states(self, word: SystemType) -> np.ndarray:
+        return np.eye(self.hilbert_dim(word))
 
     def conjugation_channel(self, u, input_word, output_word=None) -> Channel:
         """A permutation's or point map's kernel is the matrix itself."""

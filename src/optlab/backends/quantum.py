@@ -9,20 +9,21 @@ The two backends differ in their scalars and, consequently, in how
 composite coordinate spaces relate to component ones:
 
 * complex amplitudes — the composite basis is the ordered Kronecker product
-  of the per-primitive bases, so coordinate dimensions multiply and the
+  of the per-primitive bases, so coordinate dimensions multiply, the
   transfer matrix of a side-by-side pair is the Kronecker product of the
-  component transfer matrices;
+  component transfer matrices, and a word's spanning family is the
+  Kronecker product of each system's family (local tomography);
 * real amplitudes — states are real symmetric matrices.  The joint space of
   a pair is strictly larger than the tensor product of the component
   coordinate spaces (for two dimension-2 primitives: 10 vs 9), so the
-  composite basis is the canonical symmetric basis of the joint carrier and
-  transfer matrices do *not* determine a transformation's action on joint
-  systems; kernels do.
+  composite basis is the canonical symmetric basis of the joint carrier,
+  the spanning family lives on the joint carrier too, and transfer matrices
+  do *not* determine a transformation's action on joint systems; kernels do.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import reduce
 
 import numpy as np
 
@@ -49,27 +50,23 @@ from .base import (
 __all__ = ["QuantumBackend", "RealQuantumBackend"]
 
 
-def _ket_projector(d: int, support: tuple[int, ...], amps: tuple[complex, ...]) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    for i, a in zip(support, amps):
-        v[i] = a
-    return np.outer(v, v.conj())
-
-
-def _canonical_projector_family(d: int, with_phases: bool) -> list[np.ndarray]:
+def _projector_family(d: int, with_phases: bool) -> np.ndarray:
     """Rank-one projectors spanning the self-adjoint matrices on dimension d.
 
-    Basis kets, balanced two-level superpositions, and (complex case) the
-    quarter-phase superpositions; all are valid states and valid effects.
+    Stacked as shape (members, d, d): the basis kets, then per pair j < k
+    the balanced superposition and (complex case) the quarter-phase one.
+    All are valid states and valid effects.
     """
     s = 1.0 / np.sqrt(2.0)
-    fam = [_ket_projector(d, (j,), (1.0,)) for j in range(d)]
+    kets = list(np.eye(d, dtype=complex))
     for j in range(d):
         for k in range(j + 1, d):
-            fam.append(_ket_projector(d, (j, k), (s, s)))
-            if with_phases:
-                fam.append(_ket_projector(d, (j, k), (s, 1j * s)))
-    return fam
+            for phase in (1.0, 1j) if with_phases else (1.0,):
+                v = np.zeros(d, dtype=complex)
+                v[j], v[k] = s, phase * s
+                kets.append(v)
+    kets = np.array(kets)
+    return kets[:, :, None] * kets.conj()[:, None, :]
 
 
 class _MatrixTheory(TheoryBackend):
@@ -263,11 +260,14 @@ class _MatrixTheory(TheoryBackend):
         u = self._coerce_array(u, (self.hilbert_dim(wout), self.hilbert_dim(input_word)), "isometry")
         return Channel(input_word, wout, np.kron(u, u.conj()))
 
-    def spanning_states(self, word: SystemType) -> list[StateVector]:
-        return [StateVector(self.state_coords(m, word), word) for m in self._spanning_matrices(word)]
+    def spanning_states(self, word: SystemType) -> np.ndarray:
+        """Coordinates of the projector family on the word's joint carrier.
 
-    def _spanning_matrices(self, word: SystemType) -> list[np.ndarray]:
-        raise NotImplementedError
+        The real theory keeps this: products of component families do not
+        span its joint space."""
+        fam = _projector_family(self.hilbert_dim(word), self._complex_scalars)
+        # contiguous, as a stack of rows is: a strided operand rounds matmuls differently
+        return np.ascontiguousarray(np.real(np.einsum("nij,mji->mn", self.basis(word), fam)))
 
     def partial_trace(self, obj, dims, keep):
         return linalg.partial_trace(obj, dims, keep)
@@ -412,17 +412,11 @@ class QuantumBackend(_MatrixTheory):
             out = linalg.kron_basis(out, linalg.hermitian_basis(d))
         return out
 
-    def _spanning_matrices(self, word: SystemType) -> list[np.ndarray]:
-        families = [
-            _canonical_projector_family(d, with_phases=True) for d in self.word_dims(word)
-        ]
-        out = []
-        for combo in itertools.product(*families):
-            m = np.eye(1, dtype=complex)
-            for factor in combo:
-                m = np.kron(m, factor)
-            out.append(m)
-        return out
+    def spanning_states(self, word: SystemType) -> np.ndarray:
+        """The Kronecker product of each system's family: products of local
+        states span the joint space, and the basis is a product too."""
+        rows = [_MatrixTheory.spanning_states(self, SystemType.of(label)) for label in word]
+        return reduce(np.kron, rows, np.ones((1, 1)))
 
     def channel_from_transfer(self, t: TransferMatrix) -> Channel:
         w_in = self._flat_basis(t.input_type)
@@ -448,12 +442,6 @@ class RealQuantumBackend(_MatrixTheory):
 
     def _build_basis(self, word: SystemType) -> np.ndarray:
         return linalg.symmetric_basis(self.hilbert_dim(word))
-
-    def _spanning_matrices(self, word: SystemType) -> list[np.ndarray]:
-        # products of component families do not span here; use the canonical
-        # family on the joint carrier (all members are physical joint states)
-        fam = _canonical_projector_family(self.hilbert_dim(word), with_phases=False)
-        return [m.real for m in fam]
 
     def channel_from_transfer(self, t: TransferMatrix) -> Channel:
         raise OptlabError(

@@ -96,10 +96,8 @@ def equivalent(
         j2 = backend.par(c2, backend.identity(ref))
         t1 = backend.transfer_of(j1).matrix
         t2 = backend.transfer_of(j2).matrix
-        states = backend.spanning_states(j1.input_type)
-        effects = backend.spanning_effects(j1.output_type)
-        smat = np.stack([s.coords for s in states], axis=1)
-        emat = np.stack([e.coords for e in effects], axis=0)
+        smat = np.ascontiguousarray(backend.spanning_states(j1.input_type).T)
+        emat = backend.spanning_states(j1.output_type)  # self-dual: the rows are effects
         gaps = np.abs(emat @ (t1 - t2) @ smat)
         gap = float(gaps.max(initial=0.0))
         references.append((str(ref), gap))
@@ -108,7 +106,8 @@ def equivalent(
             e_idx, s_idx = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
             p1 = float(emat[e_idx] @ t1 @ smat[:, s_idx])
             p2 = float(emat[e_idx] @ t2 @ smat[:, s_idx])
-            best = EquivalenceWitness(ref, states[s_idx], effects[e_idx], p1, p2)
+            best = EquivalenceWitness(ref, StateVector(smat[:, s_idx], j1.input_type),
+                                      EffectVector(emat[e_idx], j1.output_type), p1, p2)
 
     verdict = "Distinguished" if max_gap > tol else "Equivalent"
     return EquivalenceReport(
@@ -164,8 +163,10 @@ def local_tomography_check(
     na = backend.state_dim(left)
     nb = backend.state_dim(right)
     njoint = backend.state_dim(left * right)
-    preps = np.stack([backend.state_as_channel(sa).kernel for sa in backend.spanning_states(left)])
-    rows = [backend.apply_first(preps, UNIT, left, sb) for sb in backend.spanning_states(right)]
+    preps = np.stack([backend.state_as_channel(StateVector(sa, left)).kernel
+                      for sa in backend.spanning_states(left)])
+    rows = [backend.apply_first(preps, UNIT, left, StateVector(sb, right))
+            for sb in backend.spanning_states(right)]
     rank = int(np.linalg.matrix_rank(np.concatenate(rows, axis=0)))
     holds = (na * nb == njoint) and rank == njoint
     return LocalTomographyReport(
@@ -218,7 +219,12 @@ def verify_faithfulness(
     extension where one exists; the classical theory, which purifies
     nothing mixed, uses the correlated-copy extension instead.  Each trial
     draws two independent random transformations and requires a spanning
-    effect on the extended output to tell the two results apart.
+    effect on the extended output to tell the two results apart.  A trial
+    fails only when the gap is within ``tol`` and the two drawn kernels
+    differ by more than ``backend.tol.algebra``: a system with one
+    transformation (dimension 1) draws the same one twice, and a zero gap
+    between equal transformations witnesses nothing.  ``min_gap`` is the
+    least gap over all trials.
 
     Trials run as stacked arrays, ``TRIAL_BLOCK`` at a time to bound
     memory; draws are sequential, so the block size changes neither the
@@ -232,15 +238,19 @@ def verify_faithfulness(
         word = SystemType.of(labels[0])
     probe = backend.faithful_probe(word)
     sampler = Sampler(backend, seed=seed)
-    emat = np.stack([e.coords for e in backend.spanning_effects(probe.system)], axis=0)
+    emat = backend.spanning_states(probe.system)  # self-dual: the rows are effects
     gaps = np.empty(trials)
+    differ = np.empty(trials, dtype=bool)
     for start in range(0, trials, TRIAL_BLOCK):
         count = min(TRIAL_BLOCK, trials - start)
         # trial t draws kernels 2t and 2t + 1, as one channel after the other
-        coords = backend.apply_first(sampler.channels(word, word, 2 * count), word, word, probe)
+        kernels = sampler.channels(word, word, 2 * count)
+        coords = backend.apply_first(kernels, word, word, probe)
         diff = coords[0::2, None, :] - coords[1::2, None, :]
         gaps[start:start + count] = np.abs(diff @ emat.T).max(axis=(1, 2))
-    failures = np.flatnonzero(gaps <= tol).tolist()
+        kdiff = np.abs(kernels[0::2] - kernels[1::2])
+        differ[start:start + count] = kdiff.max(axis=(1, 2)) > backend.tol.algebra
+    failures = np.flatnonzero((gaps <= tol) & differ).tolist()
     return FaithfulnessReport(
         verdict="Confirmed" if not failures else "Refuted",
         trials=trials,

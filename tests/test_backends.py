@@ -1,5 +1,7 @@
 """Backend contracts: dimensions, physicality verdicts, representations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from optlab import Channel, Payload, SystemType, get_backend
 from optlab import linalg as la
 from optlab.audit import stinespring_dilate
 from optlab.backends.base import TheoryBackend
+from optlab.diagram import UNIT
 from optlab.errors import NotPhysicalError, OptlabError
 from optlab.sampling import Sampler
 
@@ -178,19 +181,81 @@ def test_state_effect_pairing_is_probability(backend):
 
 
 def test_spanning_families_span(backend):
-    states = backend.spanning_states(A)
-    effects = backend.spanning_effects(A)
-    n = backend.state_dim(A)
-    smat = np.stack([s.coords for s in states], axis=1)
-    emat = np.stack([e.coords for e in effects], axis=0)
-    assert np.linalg.matrix_rank(smat) == n
-    assert np.linalg.matrix_rank(emat) == n
+    fam = backend.spanning_states(A)
+    assert fam.shape[1] == backend.state_dim(A)
+    assert np.linalg.matrix_rank(fam) == backend.state_dim(A)
 
 
 def test_uniform_state_is_interior(backend):
     u = backend.uniform_state(A)
-    for e in backend.spanning_effects(A):
-        assert e.pair(u) > 1e-6
+    assert (backend.spanning_states(A) @ u.coords > 1e-6).all()
+
+
+def _projector_family(d, with_phases):
+    s = 1.0 / np.sqrt(2.0)
+    kets = [((j,), (1.0,)) for j in range(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            kets.append(((j, k), (s, s)))
+            if with_phases:
+                kets.append(((j, k), (s, 1j * s)))
+    out = []
+    for support, amps in kets:
+        v = np.zeros(d, dtype=complex)
+        for i, a in zip(support, amps):
+            v[i] = a
+        out.append(np.outer(v, v.conj()))
+    return out
+
+
+def reference_spanning_states(theory, backend, word):
+    """The per-member construction that ``spanning_states`` replaced, kept
+    as its reference: every member built as a matrix on its own (on the
+    complex theory, each product with an ``np.kron`` chain over the word's
+    systems), then its coordinates taken with one ``state_coords`` call."""
+    if theory == "classical":
+        return np.stack(list(np.eye(backend.hilbert_dim(word))))
+    if theory == "quantum":
+        mats = []
+        for combo in itertools.product(*(_projector_family(d, True) for d in backend.word_dims(word))):
+            m = np.eye(1, dtype=complex)
+            for factor in combo:
+                m = np.kron(m, factor)
+            mats.append(m)
+    else:
+        mats = [m.real for m in _projector_family(backend.hilbert_dim(word), False)]
+    return np.stack([backend.state_coords(m, word) for m in mats])
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real", "classical"])
+@pytest.mark.parametrize("word", [A, B, A * B, A * SystemType.of("@2"), B * SystemType.of("@3")], ids=str)
+def test_spanning_states_match_the_per_member_construction(theory, word):
+    """Same members in the same order.  Bit for bit, except that the complex
+    theory's products of per-system coordinates round differently from the
+    coordinates of a product."""
+    backend = get_backend(theory, {"A": 2, "B": 3})
+    got, want = backend.spanning_states(word), reference_spanning_states(theory, backend, word)
+    assert isinstance(got, np.ndarray)
+    assert got.shape == want.shape == (len(want), backend.state_dim(word))
+    if theory == "quantum" and len(word) > 1:
+        assert np.abs(got - want).max() <= 2.2e-16
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("theory, product_rank, joint_dim", [
+    ("quantum", 16, 16), ("quantum-real", 9, 10), ("classical", 4, 4)])
+def test_local_families_span_a_pair_only_where_tomography_is_local(theory, product_rank, joint_dim):
+    """Products of one system's spanning family span the pair on the complex
+    and classical theories, but not on the real one (9 < 10).  The trivial
+    system's family is the one coordinate 1 everywhere."""
+    backend = get_backend(theory, {"A": 2})
+    fam = backend.spanning_states(A)
+    assert np.linalg.matrix_rank(np.kron(fam, fam)) == product_rank
+    assert backend.state_dim(A * A) == joint_dim
+    got = backend.spanning_states(UNIT)
+    np.testing.assert_array_equal(got, [[1.0]])
+    assert got.shape == (1, 1)
 
 
 def test_trace_effect_sums_probability(backend):
@@ -224,10 +289,7 @@ def test_derived_primitives_match_closed_forms(backend, word):
     for g, want in zip(got, (ident, swap, discard, uniform)):
         np.testing.assert_array_equal(g, want)
         assert g.dtype == want.dtype
-    states, effects = backend.spanning_states(word), backend.spanning_effects(word)
-    for st, e in zip(states, effects, strict=True):
-        np.testing.assert_array_equal(e.coords, st.coords)
-    coords = states[-1].coords
+    coords = backend.spanning_states(word)[-1]
     obj = backend.state_object(coords, word)
     np.testing.assert_array_equal(backend.effect_object(coords, word), obj)
     np.testing.assert_array_equal(backend.effect_coords(obj, word), backend.state_coords(obj, word))

@@ -168,6 +168,18 @@ def test_audit_faithfulness_draws_each_system_independently(run, fx):
     assert gaps["A"] != gaps["C"]
 
 
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real", "classical"])
+def test_audit_faithfulness_holds_on_a_one_level_system(run, tmp_path, theory):
+    """A 1-level system has one transformation, so two draws of it are equal
+    and their zero gap witnesses nothing."""
+    p = tmp_path / "one_level.opt"
+    p.write_text(f"theory {theory}\nsystem T dim=1\n")
+    code, out = run("audit", p, "--axiom", "faithfulness", "--trials", 2)
+    assert code == 0
+    (row,) = json.loads(out)["systems"]
+    assert (row["verdict"], row["failures"]) == ("Confirmed", [])
+
+
 def test_audit_local_tomography_fails_on_rebits(run, fx):
     code, out = run("audit", fx("rebit.opt"), "--axiom", "local-tomography")
     assert code == 1

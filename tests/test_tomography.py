@@ -271,7 +271,7 @@ def reference_faithfulness(backend, word, trials, seed, tol=None):
     sampler = Sampler(backend, seed=seed)
     ident_ref = Channel(ref, ref, backend.kernel_identity(ref))
     joint_out = word * ref
-    emat = np.stack([e.coords for e in backend.spanning_effects(joint_out)], axis=0)
+    emat = backend.spanning_states(joint_out)
 
     min_gap = np.inf
     failures: list[int] = []
@@ -294,19 +294,20 @@ def reference_faithfulness(backend, word, trials, seed, tol=None):
 
 @pytest.fixture(scope="module", params=("quantum", "quantum-real", "classical"))
 def shared_backend(request):
-    """One backend per theory for the module, with its spanning effects
-    memoized: the family on a 36-dimensional joint carrier takes seconds
-    to build and is the same for every call."""
+    """One backend per theory for the module, with its spanning families
+    memoized.  Only the real theory needs it: its 666-member family on the
+    36-dimensional joint carrier of ``A*B`` and its purification takes over a
+    second to build and is the same for every call."""
     b = get_backend(request.param, {"A": 2, "B": 3})
     memo = {}
-    build = b.spanning_effects
+    build = b.spanning_states
 
-    def spanning_effects(word):
+    def spanning_states(word):
         if word not in memo:
             memo[word] = build(word)
         return memo[word]
 
-    b.spanning_effects = spanning_effects
+    b.spanning_states = spanning_states
     return b
 
 
