@@ -253,9 +253,7 @@ def test_local_families_span_a_pair_only_where_tomography_is_local(theory, produ
     fam = backend.spanning_states(A)
     assert np.linalg.matrix_rank(np.kron(fam, fam)) == product_rank
     assert backend.state_dim(A * A) == joint_dim
-    got = backend.spanning_states(UNIT)
-    np.testing.assert_array_equal(got, [[1.0]])
-    assert got.shape == (1, 1)
+    np.testing.assert_array_equal(backend.spanning_states(UNIT), [[1.0]])
 
 
 def test_trace_effect_sums_probability(backend):
