@@ -224,8 +224,9 @@ class _MatrixTheory(TheoryBackend):
         rho = self.state_object(state.coords, state.system).reshape(din, r, din, r)
         legs = kernels.reshape(-1, dout, dout, din, din)
         out = np.einsum("tklij,irjs->tkrls", legs, rho).reshape(len(legs), 1, -1)
-        # one vector-matrix product per kernel, so a row never depends on the stack height
-        return np.real(out @ self._flat_basis(output_word * ref).conj())[:, 0]
+        # one vector-matrix product per kernel, so a row never depends on the stack height;
+        # Re(out @ conj(W)) = Re(conj(out) @ W), and out is the small operand to conjugate
+        return np.real(out.conj() @ self._flat_basis(output_word * ref))[:, 0]
 
     def transfer_of(self, ch: Channel) -> TransferMatrix:
         w_in = self._flat_basis(ch.input_type)
