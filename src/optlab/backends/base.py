@@ -59,11 +59,13 @@ default to real scalars.
 The base class derives the rest, the same way for every theory:
 ``kernel_par`` places each leg of the left kernel before the matching leg of
 the right one, so it is the Kronecker product reordered to the composite
-legs; ``apply_par`` applies a ``Par``, ``Identity`` or ``Swap`` term to a
-stack of kernel columns leaf by leaf, each leaf's small kernel on its own
-legs (a nested ``Par`` part is opened into its own parts unless it is
-effect-shaped; identities are skipped and swaps only move legs), and never
-builds the layer's kernel; ``kernel_identity`` and ``kernel_swap`` are the
+legs (of every pair, when the kernels are stacks of a test's branches);
+``apply_par`` applies a ``Par``, ``Identity`` or ``Swap`` term, or a test, to
+a stack of kernel columns leaf by leaf, each leaf's small kernel on its own
+legs (nested ``Par`` parts and the parts of a ``test_par`` are opened;
+identities are skipped, swaps only move legs, and a test's stacked branch
+kernels give each column one row per outcome), and never builds the layer's
+kernel; ``kernel_identity`` and ``kernel_swap`` are the
 ``conjugation_channel`` kernels of the identity and of
 ``linalg.swap_unitary``; ``trace_channel`` is the ``effect_channel`` of
 ``diagonal`` of ones (the discard); ``uniform_state`` is ``state_coords`` of
@@ -82,7 +84,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .. import linalg
-from ..diagram import Diagram, Identity, Par, Swap, SystemType
+from ..diagram import Diagram, Identity, Par, Swap, SystemType, Test
 from ..errors import (
     NotPhysicalError,
     OptlabError,
@@ -344,22 +346,25 @@ class TheoryBackend(abc.ABC):
         return second.kernel @ first.kernel
 
     def apply_par(
-        self, layer: Diagram, stack: np.ndarray, channel_of: Callable[[Diagram], Channel]
+        self, layer: Diagram | Test, stack: np.ndarray, channel_of: Callable[[Diagram | Test], Channel]
     ) -> np.ndarray:
         """``layer`` applied leg by leg to each row of ``stack``.
 
         ``stack`` has shape ``(count, K)``: ``count`` kernel columns on
         ``layer.input_type``, each viewed as ``legs_per_wire`` legs per wire.
-        ``layer`` is a ``Par``, an ``Identity`` or a ``Swap``.  A ``Par`` is
-        opened into its leaves, and so is each nested ``Par`` part that is
-        not effect-shaped, so a nested layer runs exactly as its flat form.
-        Each leaf contracts its own kernel, ``channel_of(leaf).kernel``, into
+        ``layer`` is a ``Par``, an ``Identity`` or a ``Swap`` term, or a test.
+        A ``Par`` term and a test built by ``test_par`` are opened into their
+        parts, and so is each nested one, so a nested layer runs exactly as
+        its flat form; a one-branch test is opened into its branch.  Each
+        other leaf contracts its own kernel, ``channel_of(leaf).kernel``, into
         its wires' legs; ``Identity`` leaves are skipped, ``Swap`` leaves
-        permute legs, and states and effects add and remove legs.  No kernel
-        on the whole word is built.  Every column goes through its own
-        product of equal shape, so a column's result does not depend on how
-        many columns are stacked with it.  Returns shape ``(count, K')`` on
-        ``layer.output_type``.
+        permute legs, and states and effects add and remove legs.  A test's
+        kernel is a stack, one kernel per branch, ``(branches, rows, cols)``:
+        it turns each row into one row per branch, the branch index inner.
+        No kernel on the whole word is built.  Every column goes through its
+        own product of equal shape with each branch, so a result does not
+        depend on how many columns or branches are stacked with it.  Returns
+        shape ``(count * branches..., K')`` on ``layer.output_type``.
         """
         legs, count = self.legs_per_wire, len(stack)
         t = stack.reshape(count, *self.word_dims(layer.input_type) * legs)
@@ -373,8 +378,11 @@ class TheoryBackend(abc.ABC):
         todo = [layer]  # the leaves still to apply, the next one last
         while todo:
             leaf = todo.pop()
-            if isinstance(leaf, Par) and not leaf.output_type.is_unit:
+            if isinstance(leaf, Par) or isinstance(leaf, Test) and leaf.kind is Par:
                 todo.extend(reversed(leaf.parts))
+                continue
+            if isinstance(leaf, Test) and len(leaf.outcomes) == 1:
+                todo.append(leaf.branches[0])
                 continue
             m, n = len(leaf.input_type), len(leaf.output_type)
             if isinstance(leaf, Swap):  # the right block's legs move before the left block's
@@ -382,9 +390,11 @@ class TheoryBackend(abc.ABC):
                 t = np.moveaxis(t, axes(pos + m - right, right), axes(pos, right))
             elif not isinstance(leaf, Identity):
                 kernel = channel_of(leaf).kernel
+                kernel = kernel.reshape(-1, *kernel.shape[-2:])  # (branches, rows, cols)
                 moved = np.moveaxis(t, axes(pos, m), range(1, 1 + legs * m))
-                out = np.matmul(kernel, moved.reshape(count, kernel.shape[1], -1))
                 rest = moved.shape[1 + legs * m:]
+                out = np.matmul(kernel, moved.reshape(count, 1, kernel.shape[2], -1))
+                count *= len(kernel)
                 out = out.reshape(count, *self.word_dims(leaf.output_type) * legs, *rest)
                 wires += n - m
                 t = np.moveaxis(out, range(1, 1 + legs * n), axes(pos, n))
@@ -393,13 +403,19 @@ class TheoryBackend(abc.ABC):
 
     def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
         """Dense kernel of ``left`` beside ``right``: each of ``left``'s legs
-        is placed before the matching leg of ``right``, one product per entry."""
+        is placed before the matching leg of ``right``, one product per entry.
+
+        A kernel may also be a stack ``(branches, rows, cols)``, one kernel
+        per branch of a test; the result then stacks the kernels of every
+        pair of branches, ``left``'s branch index major."""
         legs = self.legs_per_wire
         lo, li, ro, ri = (self.hilbert_dim(w) for w in (
             left.output_type, left.input_type, right.output_type, right.input_type))
-        a = left.kernel.reshape(*[lo, 1] * legs, *[li, 1] * legs)
-        b = right.kernel.reshape(*[1, ro] * legs, *[1, ri] * legs)
-        return (a * b).reshape(len(left.kernel) * len(right.kernel), -1)
+        a = left.kernel.reshape(-1, 1, *[lo, 1] * legs, *[li, 1] * legs)
+        b = right.kernel.reshape(1, -1, *[1, ro] * legs, *[1, ri] * legs)
+        (lr, lc), (rr, rc) = left.kernel.shape[-2:], right.kernel.shape[-2:]
+        stacked = max(left.kernel.ndim, right.kernel.ndim) > 2
+        return (a * b).reshape(*[-1] * stacked, lr * rr, lc * rc)
 
     def identity(self, word: SystemType) -> Channel:
         return Channel(word, word, self.kernel_identity(word))

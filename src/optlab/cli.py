@@ -148,11 +148,10 @@ def _cmd_prob(wb: Workbench, args) -> int:
         test = singleton_test(wb.circuits[name])
     else:
         test = wb.test(name)
-    first = test.branches[0]
-    if not (first.input_type.is_unit and first.output_type.is_unit):
+    if not (test.input_type.is_unit and test.output_type.is_unit):
         raise OptlabError(
             f"test circuit {name!r} is not closed: it has type "
-            f"{first.input_type} -> {first.output_type}"
+            f"{test.input_type} -> {test.output_type}"
         )
     dist = run_test_circuit(test, wb.backend, wb.bindings)
     _emit(dict(dist.probs))
@@ -331,8 +330,7 @@ def _audit_niwd(wb: Workbench, args) -> int:
     code = 0
     applicable = 0
     for name, test in sorted(wb.tests.items()):
-        first = test.branches[0]
-        if first.input_type != first.output_type or first.input_type.is_unit:
+        if test.input_type != test.output_type or test.input_type.is_unit:
             continue
         try:
             r = audit.niwd_check(wb.backend, test, wb.bindings, tol=args.tol)

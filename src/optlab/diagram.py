@@ -4,7 +4,13 @@ Systems are finite words of primitive labels; circuits are immutable terms
 built from primitive boxes, identities, wire swaps, sequential composition
 and parallel (side-by-side) composition.  Outcome-indexed families of
 circuits ("tests") ride on top of plain circuits and compose the same way,
-with outcome sets multiplying as Cartesian products.
+with outcome sets multiplying as Cartesian products.  A test is either
+given by its branches or composed by :func:`test_seq` / :func:`test_par`
+from component tests, which it keeps: its outcomes are the product of
+theirs, first component major, and its branches are built one at a time
+when a report asks for them, so ``test_par`` of n two-outcome tests holds
+n tests, not 2^n terms.  The evaluator reads a composite test's outcomes as
+one array with an axis per component.
 
 Terms are frozen dataclasses with structural equality, and nothing mutates
 after construction, so sharing subterms across threads or memo tables is
@@ -24,9 +30,11 @@ diagnostic pass.
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain, product
+from itertools import chain, groupby, product
 from typing import Iterable, Iterator
 
 from .errors import TypeMismatchError
@@ -46,6 +54,7 @@ __all__ = [
     "OutcomeSpace",
     "SINGLETON_OUTCOME",
     "Test",
+    "ProductBranches",
     "singleton_test",
     "test_seq",
     "test_par",
@@ -325,12 +334,15 @@ class OutcomeSpace:
     def is_singleton_unit(self) -> bool:
         return self.labels == ("",)
 
-    def product(self, other: "OutcomeSpace") -> "OutcomeSpace":
-        if self.is_singleton_unit:
-            return other
-        if other.is_singleton_unit:
-            return self
-        return OutcomeSpace(tuple(f"({x},{y})" for x in self.labels for y in other.labels))
+    def product(self, *others: "OutcomeSpace") -> "OutcomeSpace":
+        """This space's labels paired with each of ``others`` in turn, first
+        space major and nested from the left: ``((x,y),z)``.  Singleton
+        units drop out."""
+        spaces = [s for s in (self, *others) if not s.is_singleton_unit] or [self]
+        labels = spaces[0].labels
+        for space in spaces[1:]:
+            labels = tuple(f"({x},{y})" for x in labels for y in space.labels)
+        return OutcomeSpace(labels) if len(spaces) > 1 else spaces[0]
 
 
 #: Outcome space of deterministic circuits: one branch, empty label.
@@ -341,14 +353,16 @@ SINGLETON_OUTCOME = OutcomeSpace(("",))
 class Test:
     """An outcome-indexed family of circuits with common wire types.
 
-    ``branches`` is kept as a tuple aligned with ``outcomes.labels`` so the
-    whole object stays hashable; lookup by label goes through ``__getitem__``.
+    ``branches`` is aligned with ``outcomes.labels``: a tuple for a test given
+    by its branches, or the :class:`ProductBranches` of a test composed from
+    ``parts`` by :func:`test_seq` or :func:`test_par`.  Either way the object
+    stays hashable, and lookup by label goes through ``__getitem__``.
     """
 
     __test__ = False  # not a test case, despite the name
 
     outcomes: OutcomeSpace
-    branches: tuple[Diagram, ...]
+    branches: Sequence[Diagram]
     input_type: SystemType = field(init=False)
     output_type: SystemType = field(init=False)
 
@@ -357,6 +371,16 @@ class Test:
             raise ValueError(
                 f"{len(self.outcomes)} outcome labels but {len(self.branches)} branches"
             )
+        if self.parts:
+            first, *rest = self.parts
+            if self.kind is Seq:
+                wires = first.input_type, rest[-1].output_type
+            else:
+                wires = (first.input_type._joined(p.input_type for p in rest),
+                         first.output_type._joined(p.output_type for p in rest))
+            object.__setattr__(self, "input_type", wires[0])
+            object.__setattr__(self, "output_type", wires[1])
+            return
         first = self.branches[0]
         for b in self.branches:
             if (b.input_type, b.output_type) != (first.input_type, first.output_type):
@@ -366,6 +390,16 @@ class Test:
                 )
         object.__setattr__(self, "input_type", first.input_type)
         object.__setattr__(self, "output_type", first.output_type)
+
+    @property
+    def parts(self) -> tuple["Test", ...]:
+        """The component tests of a composite test; empty for one given by its branches."""
+        return self.branches.parts if isinstance(self.branches, ProductBranches) else ()
+
+    @property
+    def kind(self) -> type | None:
+        """``Seq`` or ``Par`` for a composite test; ``None`` for one given by its branches."""
+        return self.branches.kind if isinstance(self.branches, ProductBranches) else None
 
     def __getitem__(self, label: str) -> Diagram:
         try:
@@ -383,6 +417,38 @@ class Test:
         return test_par(self, other)
 
 
+@dataclass(frozen=True)
+class ProductBranches(Sequence):
+    """The branches of a composite test, each built when it is asked for.
+
+    Branch ``i`` is ``kind`` of one branch of every part, picked by the
+    digits of ``i`` in the mixed radix of the parts' outcome counts, first
+    part major: the term the Cartesian product of the parts' branches gives
+    at position ``i``.  Its length needs no branch.
+    """
+
+    kind: type  # Seq or Par
+    parts: tuple[Test, ...]
+
+    def __len__(self) -> int:
+        return math.prod(len(p.outcomes) for p in self.parts)
+
+    def __getitem__(self, index: int) -> Diagram:
+        size = len(self)
+        index = operator.index(index)
+        if not -size <= index < size:
+            raise IndexError(f"branch {index} of {size}")
+        index %= size
+        picks = []
+        for part in reversed(self.parts):
+            index, digit = divmod(index, len(part.outcomes))
+            picks.append(part.branches[digit])
+        return self.kind(tuple(reversed(picks)))
+
+    def __iter__(self) -> Iterator[Diagram]:
+        return map(self.kind, product(*(p.branches for p in self.parts)))
+
+
 def singleton_test(d: Diagram) -> Test:
     """Lift a deterministic circuit to a one-branch test."""
     return Test(SINGLETON_OUTCOME, (d,))
@@ -391,26 +457,39 @@ def singleton_test(d: Diagram) -> Test:
 def test_seq(*tests: Test) -> Test:
     """Compose tests in time: ``test_seq(a, b, c)`` is ``a ; b ; c``.
 
-    Branches pair up and outcomes multiply.  Each branch is built as one flat
-    ``Seq`` of a branch from every test, so a long chain costs linear time.
+    The result keeps its parts, and its outcomes are the product of theirs.
+    Its branch for outcomes ``(x, y, z)`` is the flat ``Seq`` of branches
+    ``a[x]``, ``b[y]`` and ``c[z]``.  Like a ``Seq`` term it is flat: the
+    parts of a nested ``test_seq`` are spliced in, and each run of
+    deterministic parts (singleton tests) is one singleton test, so the
+    grouping of ``;`` does not show.
     """
     for first, second in zip(tests, tests[1:]):
         if first.output_type != second.input_type:
             raise TypeMismatchError(
                 f"cannot wire test output {first.output_type} into test input {second.input_type}"
             )
-    return _test_product(Seq, tests)
+    parts: list[Test] = []
+    flat = (p for t in tests for p in (t.parts if t.kind is Seq else (t,)))
+    for deterministic, run in groupby(flat, key=lambda p: p.outcomes.is_singleton_unit):
+        run = list(run)
+        if deterministic and len(run) > 1:
+            parts.append(singleton_test(Seq(tuple(p.branches[0] for p in run))))
+        else:
+            parts.extend(run)
+    return _test_product(Seq, tuple(parts))
 
 
 def test_par(*tests: Test) -> Test:
     """Compose tests side by side: ``test_par(a, b, c)`` is ``a * b * c``.
 
-    Branches pair up and outcomes multiply, each branch one ``Par``."""
+    The result keeps its parts, and its outcomes are the product of theirs;
+    each branch is one ``Par``."""
     return _test_product(Par, tests)
 
 
 def _test_product(kind: type, tests: tuple[Test, ...]) -> Test:
     if len(tests) == 1:
         return tests[0]
-    branches = tuple(kind(parts) for parts in product(*(t.branches for t in tests)))
-    return Test(reduce(OutcomeSpace.product, (t.outcomes for t in tests)), branches)
+    first, *rest = tests
+    return Test(first.outcomes.product(*(t.outcomes for t in rest)), ProductBranches(kind, tests))

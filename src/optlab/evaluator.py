@@ -10,29 +10,33 @@ is applied leg by leg to the prefix's kernel columns
 wires, identities and swaps only relabel legs, and a nested ``Par`` part is
 opened into its own leaves, so no layer kernel on the whole word is built,
 and on a closed circuit a layer costs about as much as one state column.
-A ``Par`` that stands alone or starts a chain is built densely, folding its
-parts from the left, which is its written association; an effect-shaped
-``Par`` is too, as its kernel is one row.  ``Seq`` and ``Par`` are both flat
-tuples folded by the same loop, so neither long ``;`` nor long ``*`` chains
-recurse.
+An effect-shaped ``Par`` is applied the same way, each effect contracting
+its own legs.  A ``Par`` that stands alone or starts a chain is built
+densely, folding its parts from the left, which is its written association.
+``Seq`` and ``Par`` are both flat tuples folded by the same loop, so neither
+long ``;`` nor long ``*`` chains recurse.
 
 Results are memoized per call.  Whole terms are keyed by the term itself
 (terms are immutable and hash structurally in O(1)); each prefix of a ``;``
 or ``*`` chain is keyed by its kind, the memoized result of the shorter
 prefix and the next part.
 
-:func:`run_test_circuit` walks the parts of all branches in lockstep.  The
-distinct states at each step are the rows of stacked arrays, and each
-distinct next part is applied once to all the states that meet it.  Every
-state goes through its own product of the same shape as in a lone chain, so
-each branch's probability is the one :func:`evaluate` gives that branch.
+:func:`run_test_circuit` evaluates a test's component tree as one stack of
+kernel columns with an outcome axis per component, flattened in label
+order, and never lists the branches.  A ``test_par`` of preparations stacks
+each part's branch columns and combines them by ``kernel_par``, the same
+entrywise products as a lone branch's dense head.  Later layers go through
+``apply_par`` once for the whole stack, and a ``test_par`` of measurements
+contracts each part's stacked effect rows into its own legs.  A test given by
+its branches applies each branch to the whole stack.  Every column goes
+through products of the same shape as in a lone chain, so each outcome's
+probability is the one :func:`evaluate` gives its branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, groupby
-from operator import itemgetter
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -116,9 +120,9 @@ def evaluate_channel(
             if prefix is None:
                 if isinstance(d, Par):
                     prefix = backend.par(ch, evaluate_channel(part, backend, bindings, memo))
-                elif _leg_wise(part):
+                elif isinstance(part, (Par, Identity, Swap)):
                     _check_wires(ch.output_type, part.input_type)
-                    kernel = _apply_layer(part, ch.kernel.T, backend, bindings, memo).T
+                    kernel = _apply(part, ch.kernel.T, backend, bindings, memo).T
                     prefix = Channel(ch.input_type, part.output_type, kernel)
                 else:
                     second = evaluate_channel(part, backend, bindings, memo)
@@ -138,20 +142,30 @@ def _check_wires(prefix: SystemType, next_input: SystemType) -> None:
         raise TypeMismatchError(f"sequential wires disagree: {prefix} vs {next_input}")
 
 
-def _leg_wise(part: Diagram) -> bool:
-    """Is ``part``, after the first in a chain, applied leg by leg?  Every
-    ``Par``, ``Identity`` and ``Swap`` is, but an effect-shaped one: its
-    dense kernel is a single row."""
-    return isinstance(part, (Par, Identity, Swap)) and not part.output_type.is_unit
-
-
-def _apply_layer(part, stack, backend, bindings, memo) -> np.ndarray:
-    """``part`` applied to each row of a ``(count, K)`` stack of columns."""
-    if _leg_wise(part):
-        return backend.apply_par(
-            part, stack, lambda leaf: evaluate_channel(leaf, backend, bindings, memo))
-    kernel = evaluate_channel(part, backend, bindings, memo).kernel
+def _apply(piece, stack, backend, bindings, memo) -> np.ndarray:
+    """``piece``, a term or a test, applied to each row of a ``(count, K)``
+    stack of kernel columns on its input.  A test turns each row into one row
+    per outcome, in label order, so the rows of the result are ``count`` by
+    the outcomes, the outcome index inner."""
+    if isinstance(piece, (Par, Identity, Swap)) or isinstance(piece, Test) and piece.kind is Par:
+        return backend.apply_par(piece, stack, lambda leaf: _channel(leaf, backend, bindings, memo))
+    if isinstance(piece, Seq) or isinstance(piece, Test) and piece.kind is Seq:
+        for first, part in zip(piece.parts, piece.parts[1:]):
+            _check_wires(first.output_type, part.input_type)
+        return reduce(lambda rows, part: _apply(part, rows, backend, bindings, memo), piece.parts, stack)
+    if isinstance(piece, Test):
+        outs = [_apply(b, stack, backend, bindings, memo) for b in piece.branches]
+        return outs[0] if len(outs) == 1 else np.stack(outs, axis=1).reshape(-1, outs[0].shape[1])
+    kernel = evaluate_channel(piece, backend, bindings, memo).kernel
     return np.matmul(kernel, stack[:, :, None])[:, :, 0]  # one product per column, as in a chain
+
+
+def _channel(leaf, backend, bindings, memo) -> Channel:
+    """A leaf's channel; a test's kernel is the stack of its branches' kernels."""
+    if isinstance(leaf, Test):
+        kernels = [evaluate_channel(b, backend, bindings, memo).kernel for b in leaf.branches]
+        return Channel(leaf.input_type, leaf.output_type, np.stack(kernels))
+    return evaluate_channel(leaf, backend, bindings, memo)
 
 
 def evaluate(
@@ -196,41 +210,7 @@ def run_test_circuit(
         raise TypeMismatchError(
             f"test circuit must be scalar-typed, got {t.input_type} -> {t.output_type}"
         )
-    memo: dict = {}
-    chains = [b.parts if isinstance(b, Seq) else (b,) for b in t.branches]
-    # a branch stands at a row of a block: the propagated states of one step, stacked
-    blocks, words, at, heads = [], [], [], {}
-    for parts in chains:
-        if parts[0] not in heads:
-            ch = evaluate_channel(parts[0], backend, bindings, memo)
-            heads[parts[0]] = len(blocks)
-            blocks.append(ch.kernel.T)
-            words.append(ch.output_type)
-        at.append((heads[parts[0]], 0))
-
-    live, values = range(len(chains)), [None] * len(chains)
-    for step in count(1):
-        for i in live:
-            if step == len(chains[i]):  # the branch is done: its state is a scalar
-                b, r = at[i]
-                values[i] = blocks[b][r, 0]
-        live = [i for i in live if step < len(chains[i])]
-        if not live:
-            break
-        meets: dict[Diagram, list[int]] = {}
-        for i in live:
-            meets.setdefault(chains[i][step], []).append(i)
-        next_blocks, next_words = [], []
-        for part, members in meets.items():
-            for b in {at[i][0] for i in members}:
-                _check_wires(words[b], part.input_type)
-            stack, row = _gather(blocks, [at[i] for i in members])
-            for i in members:
-                at[i] = (len(next_blocks), row[at[i]])
-            next_blocks.append(_apply_layer(part, stack, backend, bindings, memo))
-            next_words.append(part.output_type)
-        blocks, words = next_blocks, next_words
-
+    values = _columns(t, backend, bindings, {})[:, 0]
     # the trivial system's one coordinate is the scalar itself, on every theory
     dist = OutcomeDistribution({
         label: backend.prob(value.real) for label, value in zip(t.outcomes.labels, values)})
@@ -239,15 +219,17 @@ def run_test_circuit(
     return dist
 
 
-def _gather(blocks: list[np.ndarray], refs: list[tuple[int, int]]) -> tuple[np.ndarray, dict]:
-    """The distinct ``(block, row)`` refs stacked in first-seen order, and
-    each ref's row in the stack.  A whole block in order is not copied."""
-    row = dict.fromkeys(refs)
-    pieces = []
-    for b, run in groupby(row, key=itemgetter(0)):
-        rows = [r for _, r in run]
-        block = blocks[b]
-        pieces.append(block if rows == list(range(len(block))) else block[rows])
-    for r, ref in enumerate(row):
-        row[ref] = r
-    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), row
+def _columns(t: Test, backend, bindings, memo) -> np.ndarray:
+    """Kernel columns of a test on the trivial input, one row per outcome in
+    label order: a ``test_par``'s parts combine by ``kernel_par``, as a lone
+    branch's dense head does, and a ``test_seq``'s later parts are applied to
+    its first part's columns.  A branch of a test given by its branches is
+    evaluated whole, through the shared memo."""
+    if t.kind is Par:
+        stacks = (Channel(UNIT, p.output_type, _columns(p, backend, bindings, memo)[:, :, None])
+                  for p in t.parts)
+        return reduce(backend.par, stacks).kernel[:, :, 0]
+    if t.kind is Seq:
+        return reduce(lambda rows, part: _apply(part, rows, backend, bindings, memo),
+                      t.parts[1:], _columns(t.parts[0], backend, bindings, memo))
+    return np.stack([evaluate_channel(b, backend, bindings, memo).kernel[:, 0] for b in t.branches])

@@ -271,8 +271,10 @@ def test_closed_ladder_multiplies_states_not_kernels(backend, monkeypatch):
         layers.append(stack.shape), apply_par(layer, stack, channel_of))[1])
     run_test_circuit(t, backend, s.bindings)
     assert shapes and full not in shapes
-    assert max(rows * cols for rows, cols in shapes) <= full[0]  # columns and rows only
-    assert len(layers) == 4 and all(shape[1] == full[0] for shape in layers)
+    # stacks of columns and rows only: a kernel_par of preparation tests stacks each branch pair
+    assert max(shape[-2] * shape[-1] for shape in shapes) <= full[0]
+    # the four ladder layers and the measurement each run once on the stack of 2^3 preparations
+    assert layers == [(2 ** 3, full[0])] * 5
 
 
 # ---------------------------------------------------------------------------
