@@ -459,10 +459,9 @@ def test_seq(*tests: Test) -> Test:
 
     The result keeps its parts, and its outcomes are the product of theirs.
     Its branch for outcomes ``(x, y, z)`` is the flat ``Seq`` of branches
-    ``a[x]``, ``b[y]`` and ``c[z]``.  Like a ``Seq`` term it is flat: the
-    parts of a nested ``test_seq`` are spliced in, and each run of
-    deterministic parts (singleton tests) is one singleton test, so the
-    grouping of ``;`` does not show.
+    ``a[x]``, ``b[y]`` and ``c[z]``.  Each run of deterministic parts
+    (singleton tests) becomes one singleton test of their ``Seq``, so a
+    deterministic stretch is one part however it was grouped.
     """
     for first, second in zip(tests, tests[1:]):
         if first.output_type != second.input_type:
@@ -470,11 +469,10 @@ def test_seq(*tests: Test) -> Test:
                 f"cannot wire test output {first.output_type} into test input {second.input_type}"
             )
     parts: list[Test] = []
-    flat = (p for t in tests for p in (t.parts if t.kind is Seq else (t,)))
-    for deterministic, run in groupby(flat, key=lambda p: p.outcomes.is_singleton_unit):
+    for deterministic, run in groupby(tests, key=lambda t: t.outcomes.is_singleton_unit):
         run = list(run)
         if deterministic and len(run) > 1:
-            parts.append(singleton_test(Seq(tuple(p.branches[0] for p in run))))
+            parts.append(singleton_test(Seq(tuple(t.branches[0] for t in run))))
         else:
             parts.extend(run)
     return _test_product(Seq, tuple(parts))

@@ -122,7 +122,7 @@ def evaluate_channel(
                     prefix = backend.par(ch, evaluate_channel(part, backend, bindings, memo))
                 elif isinstance(part, (Par, Identity, Swap)):
                     _check_wires(ch.output_type, part.input_type)
-                    kernel = _apply(part, ch.kernel.T, backend, bindings, memo).T
+                    kernel = _chain((part,), ch.kernel.T, backend, bindings, memo).T
                     prefix = Channel(ch.input_type, part.output_type, kernel)
                 else:
                     second = evaluate_channel(part, backend, bindings, memo)
@@ -142,22 +142,31 @@ def _check_wires(prefix: SystemType, next_input: SystemType) -> None:
         raise TypeMismatchError(f"sequential wires disagree: {prefix} vs {next_input}")
 
 
-def _apply(piece, stack, backend, bindings, memo) -> np.ndarray:
-    """``piece``, a term or a test, applied to each row of a ``(count, K)``
-    stack of kernel columns on its input.  A test turns each row into one row
-    per outcome, in label order, so the rows of the result are ``count`` by
-    the outcomes, the outcome index inner."""
-    if isinstance(piece, (Par, Identity, Swap)) or isinstance(piece, Test) and piece.kind is Par:
-        return backend.apply_par(piece, stack, lambda leaf: _channel(leaf, backend, bindings, memo))
-    if isinstance(piece, Seq) or isinstance(piece, Test) and piece.kind is Seq:
-        for first, part in zip(piece.parts, piece.parts[1:]):
-            _check_wires(first.output_type, part.input_type)
-        return reduce(lambda rows, part: _apply(part, rows, backend, bindings, memo), piece.parts, stack)
-    if isinstance(piece, Test):
-        outs = [_apply(b, stack, backend, bindings, memo) for b in piece.branches]
-        return outs[0] if len(outs) == 1 else np.stack(outs, axis=1).reshape(-1, outs[0].shape[1])
-    kernel = evaluate_channel(piece, backend, bindings, memo).kernel
-    return np.matmul(kernel, stack[:, :, None])[:, :, 0]  # one product per column, as in a chain
+def _chain(pieces, stack, backend, bindings, memo) -> np.ndarray:
+    """``pieces``, terms or tests, applied in turn to each row of a
+    ``(count, K)`` stack of kernel columns.  A test turns each row into one
+    row per outcome, in label order, the outcome index inner.  ``Seq`` terms,
+    ``test_seq`` tests and one-branch tests are opened into the pieces they
+    apply, and ``stack`` is rebound after each, so no earlier stack than a
+    layer's input is alive while it runs."""
+    todo = list(reversed(pieces))  # the next piece last
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, Seq) or isinstance(piece, Test) and piece.kind is Seq:
+            for first, part in zip(piece.parts, piece.parts[1:]):
+                _check_wires(first.output_type, part.input_type)
+            todo.extend(reversed(piece.parts))
+        elif isinstance(piece, Test) and len(piece.outcomes) == 1:
+            todo.append(piece.branches[0])
+        elif isinstance(piece, (Par, Identity, Swap)) or isinstance(piece, Test) and piece.kind is Par:
+            stack = backend.apply_par(piece, stack, lambda leaf: _channel(leaf, backend, bindings, memo))
+        elif isinstance(piece, Test):
+            outs = [_chain((b,), stack, backend, bindings, memo) for b in piece.branches]
+            stack = np.stack(outs, axis=1).reshape(-1, outs[0].shape[1])
+        else:
+            kernel = evaluate_channel(piece, backend, bindings, memo).kernel
+            stack = np.matmul(kernel, stack[:, :, None])[:, :, 0]  # one product per column, as in a chain
+    return stack
 
 
 def _channel(leaf, backend, bindings, memo) -> Channel:
@@ -230,6 +239,5 @@ def _columns(t: Test, backend, bindings, memo) -> np.ndarray:
                   for p in t.parts)
         return reduce(backend.par, stacks).kernel[:, :, 0]
     if t.kind is Seq:
-        return reduce(lambda rows, part: _apply(part, rows, backend, bindings, memo),
-                      t.parts[1:], _columns(t.parts[0], backend, bindings, memo))
+        return _chain(t.parts[1:], _columns(t.parts[0], backend, bindings, memo), backend, bindings, memo)
     return np.stack([evaluate_channel(b, backend, bindings, memo).kernel[:, 0] for b in t.branches])
