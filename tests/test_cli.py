@@ -1,7 +1,10 @@
 """Command surface: JSON reports, exit codes, and byte-stable output."""
 
 import json
+import tracemalloc
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from optlab.cli import build_parser, main
@@ -49,6 +52,89 @@ def test_eval_refuses_test_valued_circuits(run, fx):
 def test_prob_requires_a_closed_circuit(run, fx):
     code, out = run("prob", fx("damping.opt"), "--test-circuit", "decay_twice")
     assert code == 2
+
+
+def _haar(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _literal(a) -> str:
+    """A complex payload literal; ``repr`` round-trips every double."""
+    if np.ndim(a) == 0:
+        return f"[{float(a.real)!r},{float(a.imag)!r}]"
+    return "[" + ",".join(map(_literal, a)) + "]"
+
+
+def _closed_quantum_ladder(rng, n, layers=4):
+    """Text of a closed brick-wall ladder of Haar gates on n qubits, each
+    qubit prepared by a two-branch test and read by a two-outcome test, and
+    the probabilities of a dense simulation on the 2^n-dimensional carrier,
+    preparation outcomes major, in the program's label order."""
+    q = [f"Q{i}" for i in range(n)]
+    lines = ["theory quantum", *(f"system {x} dim=2" for x in q)]
+    total, rows = np.eye(2 ** n), []
+    for layer in range(layers):
+        row, i = [], 0
+        while i < n:
+            if i + 1 < n and i % 2 == layer % 2:
+                g = _haar(rng, 4)
+                total = np.kron(np.kron(np.eye(2 ** i), g), np.eye(2 ** (n - i - 2))) @ total
+                lines.append(f"box g{layer}_{i} : {q[i]} * {q[i + 1]} -> {q[i]} * {q[i + 1]} "
+                             f"= kraus=[{_literal(g)}]")
+                row.append(f"g{layer}_{i}")
+                i += 2
+            else:
+                row.append(f"id({q[i]})")
+                i += 1
+        rows.append("(" + " * ".join(row) + ")")
+    preps, effects = [], []
+    for x in q:
+        u, v = _haar(rng, 2), _haar(rng, 2)
+        p = rng.uniform(0.2, 0.8)
+        pair = [p * np.outer(u[0], u[0].conj()), (1 - p) * np.outer(u[1], u[1].conj())]
+        e = v @ np.diag(rng.uniform(0.1, 0.9, size=2)) @ v.conj().T
+        preps.append(np.stack(pair))
+        effects.append(np.stack([e, np.eye(2) - e]))
+        lines.append(f"test prep{x} : I -> {x} outcomes={{0,1}} "
+                     f"{{ 0: dens={_literal(pair[0])}; 1: dens={_literal(pair[1])} }}")
+        lines.append(f"test meas{x} : {x} -> I outcomes={{0,1}} "
+                     f"{{ 0: dens={_literal(e)}; 1: dens={_literal(np.eye(2) - e)} }}")
+    lines.append("circuit ladder = " + " ; ".join(rows))
+    lines.append(f"circuit run = ({' * '.join('prep' + x for x in q)}) ; ladder ; "
+                 f"({' * '.join('meas' + x for x in q)})")
+
+    def kron_stack(a, b):  # every pair of a stack of matrices with one of another, a's index major
+        k, d, _ = a.shape
+        return np.einsum("aij,bkl->abikjl", a, b).reshape(k * len(b), d * 2, d * 2)
+    states = total @ reduce(kron_stack, preps) @ total.conj().T
+    reads = reduce(kron_stack, effects)
+    d = 2 ** n
+    probs = np.real(states.reshape(-1, d * d) @ reads.transpose(0, 2, 1).reshape(-1, d * d).T)
+    return "\n".join(lines) + "\n", probs.ravel()
+
+
+def test_prob_on_a_closed_seven_qubit_ladder_fits_its_stacks(run, tmp_path):
+    """The preparations of a closed seven-qubit ladder are a stack of
+    128 columns of 4^7 = 16384 complex entries: 32 MiB.  A layer applied leg
+    by leg holds at most four such stacks at once (its input, the input's
+    legs moved into place, the product, and the previous leaf's product),
+    128 MiB; the bound allows a fifth."""
+    text, want = _closed_quantum_ladder(np.random.default_rng(5), 7)
+    path = tmp_path / "ladder7.opt"
+    path.write_text(text, encoding="utf-8")
+    stack = 128 * 4 ** 7 * 16
+    tracemalloc.start()
+    try:
+        code, out = run("prob", path, "--test-circuit", "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    got = json.loads(out)
+    assert len(got) == 4 ** 7
+    assert np.max(np.abs(np.array(list(got.values())) - want)) <= 1e-10
+    assert peak < 5 * stack
 
 
 # ---------------------------------------------------------------------------

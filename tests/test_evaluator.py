@@ -1,6 +1,8 @@
 """Circuit evaluation against hand-computed values and structural laws."""
 
 from functools import reduce
+from itertools import product
+from operator import mul
 
 import numpy as np
 import pytest
@@ -411,6 +413,137 @@ def test_lockstep_branches_match_each_branch_alone(backend):
         for label, branch in t.items():
             want = backend.transfer_of(evaluate_channel(branch, backend, s.bindings)).matrix[0, 0]
             assert got[label] == want
+
+
+# ---------------------------------------------------------------------------
+# composite tests against their per-outcome expansion
+# ---------------------------------------------------------------------------
+
+
+def reference_product(kind, tests):
+    """The per-outcome expansion ``test_seq`` and ``test_par`` made before
+    composite tests kept their parts: one ``kind`` term per combination of
+    branches, first test major, labels paired from the left."""
+    if len(tests) == 1:
+        return tests[0]
+    branches = tuple(kind(parts) for parts in product(*(t.branches for t in tests)))
+    return Test(reduce(OutcomeSpace.product, (t.outcomes for t in tests)), branches)
+
+
+def reference_expansion(t):
+    """``t`` with every composite expanded by :func:`reference_product`."""
+    return reference_product(t.kind, [reference_expansion(p) for p in t.parts]) if t.parts else t
+
+
+def _composed(kind, *pairs):
+    """A composite test and its reference expansion, from such pairs."""
+    tests, references = zip(*pairs)
+    return (chain_tests if kind is Seq else parallel_tests)(*tests), reference_product(kind, references)
+
+
+def _given(s, win, wout, channels):
+    """A test given by its branches, one fresh box per channel, as a pair."""
+    boxes = []
+    for ch in channels:
+        name = f"t{len(s.bindings)}"
+        s.bindings[name] = ch
+        boxes.append(PrimitiveBox(name, win, wout))
+    t = Test(OutcomeSpace(tuple(str(k) for k in range(len(boxes)))), tuple(boxes))
+    return t, t
+
+
+def _random_column(backend, s):
+    """Preparations, a middle and measurements on one or two systems.  Each
+    end is one test on the whole word or a ``test_par`` of one per system;
+    the middle is a deterministic circuit, an instrument, instruments side
+    by side, or two instruments in sequence."""
+    rng = s.rng
+    words = [SystemType.of(label) for label in rng.choice(["A", "B"], size=int(rng.integers(1, 3)))]
+    word = reduce(mul, words)
+
+    def k():
+        return int(rng.integers(1, 3))
+
+    def prep(w):
+        return _given(s, UNIT, w, [backend.state_channel(o, w) for o in s.preparation_branches(w, k())])
+
+    def meas(w):
+        return _given(s, w, UNIT, s.observation_channels(w, k()))
+
+    def instrument(w):
+        return _given(s, w, w, s.instrument(w, w, k()))
+
+    split = rng.uniform(size=2) < 0.5
+    middle = [lambda: (singleton_test(s.diagram(word, word, depth=2)),) * 2,
+              lambda: instrument(word),
+              lambda: _composed(Par, *map(instrument, words)),
+              lambda: _composed(Seq, instrument(word), instrument(word))][int(rng.integers(4))]()
+    return _composed(Seq, _composed(Par, *map(prep, words)) if split[0] else prep(word), middle,
+                     _composed(Par, *map(meas, words)) if split[1] else meas(word))
+
+
+def _random_closed(backend, s, depth=2):
+    """A random closed test tree and its reference expansion: a column, or
+    closed trees side by side (nested too) or in sequence."""
+    pick = int(s.rng.integers(4)) if depth else 0
+    if pick == 0:
+        return _random_column(backend, s)
+    parts = [_random_closed(backend, s, depth - 1) for _ in range(2)]
+    if pick == 3:
+        return _composed(Par, parts[0], _composed(Par, parts[1], _random_column(backend, s)))
+    return _composed(Par if pick == 1 else Seq, *parts)
+
+
+def _matches_expansion(t, reference, backend, bindings):
+    """``run_test_circuit`` on ``t`` gives the reference's labels, in order,
+    and each expanded branch's probability within 1e-12; ``t``'s branches
+    are the expanded terms."""
+    got = run_test_circuit(t, backend, bindings).probs
+    assert list(got) == list(t.outcomes.labels) == list(reference.outcomes.labels)
+    assert len(t.branches) == len(reference.branches)
+    for i, (label, branch) in enumerate(reference.items()):
+        assert t.branches[i] == branch
+        want = backend.transfer_of(evaluate_channel(branch, backend, bindings)).matrix[0, 0]
+        assert abs(got[label] - want) <= 1e-12
+    assert list(t.branches) == list(reference.branches)
+
+
+def test_random_composite_tests_match_their_expansion(backend):
+    s = Sampler(backend, seed=42)
+    checked = 0
+    while checked < 12:
+        t, reference = _random_closed(backend, s)
+        if len(reference.outcomes) <= 128:  # each expanded branch is evaluated alone
+            _matches_expansion(t, reference, backend, s.bindings)
+            checked += 1
+
+
+def test_sampled_and_uneven_tests_match_their_expansion(backend):
+    s = Sampler(backend, seed=44)
+    tests = [s.closed_test_circuit(depth=2) for _ in range(6)]
+    tests += [_uneven_closed_test(backend, s) for _ in range(2)] + [_coarse_closed_test(backend, s)]
+    tests += [parallel_tests(_uneven_closed_test(backend, s), _coarse_closed_test(backend, s))]
+    assert any(t.kind is Par for t in tests[:6])
+    for t in tests:
+        _matches_expansion(t, reference_expansion(t), backend, s.bindings)
+
+
+def test_a_product_of_twelve_tests_builds_no_branch_for_its_length(monkeypatch):
+    coin = Test(OutcomeSpace(("h", "t")), (PrimitiveBox("h", A, UNIT), PrimitiveBox("t", A, UNIT)))
+    reference = reference_product(Par, [coin] * 12)
+
+    def refuse(self):
+        raise AssertionError("a branch was built")
+    monkeypatch.setattr(Par, "__post_init__", refuse)
+    joint = parallel_tests(*[coin] * 12)
+    assert len(joint.branches) == len(joint.outcomes) == 2 ** 12
+    assert joint.outcomes == reference.outcomes
+    monkeypatch.undo()
+    for i in (0, 1, 7, 2 ** 11, 2 ** 12 - 1, -1):
+        assert joint.branches[i] == reference.branches[i]
+    assert list(joint.branches) == list(reference.branches)
+    with pytest.raises(IndexError):
+        joint.branches[2 ** 12]
 
 
 # ---------------------------------------------------------------------------
