@@ -34,6 +34,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, groupby, product
 from typing import Iterable, Iterator
 
@@ -334,15 +335,12 @@ class OutcomeSpace:
     def is_singleton_unit(self) -> bool:
         return self.labels == ("",)
 
-    def product(self, *others: "OutcomeSpace") -> "OutcomeSpace":
-        """This space's labels paired with each of ``others`` in turn, first
-        space major and nested from the left: ``((x,y),z)``.  Singleton
-        units drop out."""
-        spaces = [s for s in (self, *others) if not s.is_singleton_unit] or [self]
-        labels = spaces[0].labels
-        for space in spaces[1:]:
-            labels = tuple(f"({x},{y})" for x in labels for y in space.labels)
-        return OutcomeSpace(labels) if len(spaces) > 1 else spaces[0]
+    def product(self, other: "OutcomeSpace") -> "OutcomeSpace":
+        if self.is_singleton_unit:
+            return other
+        if other.is_singleton_unit:
+            return self
+        return OutcomeSpace(tuple(f"({x},{y})" for x in self.labels for y in other.labels))
 
 
 #: Outcome space of deterministic circuits: one branch, empty label.
@@ -489,5 +487,4 @@ def test_par(*tests: Test) -> Test:
 def _test_product(kind: type, tests: tuple[Test, ...]) -> Test:
     if len(tests) == 1:
         return tests[0]
-    first, *rest = tests
-    return Test(first.outcomes.product(*(t.outcomes for t in rest)), ProductBranches(kind, tests))
+    return Test(reduce(OutcomeSpace.product, (t.outcomes for t in tests)), ProductBranches(kind, tests))

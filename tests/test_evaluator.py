@@ -421,9 +421,9 @@ def test_lockstep_branches_match_each_branch_alone(backend):
 
 
 def reference_product(kind, tests):
-    """The per-outcome expansion ``test_seq`` and ``test_par`` made before
-    composite tests kept their parts: one ``kind`` term per combination of
-    branches, first test major, labels paired from the left."""
+    """The per-outcome expansion of a composite test, as a reference: one
+    ``kind`` term per combination of branches, first test major, labels
+    paired from the left."""
     if len(tests) == 1:
         return tests[0]
     branches = tuple(kind(parts) for parts in product(*(t.branches for t in tests)))
