@@ -414,8 +414,8 @@ class TheoryBackend(abc.ABC):
         a = left.kernel.reshape(-1, 1, *[lo, 1] * legs, *[li, 1] * legs)
         b = right.kernel.reshape(1, -1, *[1, ro] * legs, *[1, ri] * legs)
         (lr, lc), (rr, rc) = left.kernel.shape[-2:], right.kernel.shape[-2:]
-        stacked = max(left.kernel.ndim, right.kernel.ndim) > 2
-        return (a * b).reshape(*[-1] * stacked, lr * rr, lc * rc)
+        stack = [-1] if max(left.kernel.ndim, right.kernel.ndim) > 2 else []
+        return (a * b).reshape(*stack, lr * rr, lc * rc)
 
     def identity(self, word: SystemType) -> Channel:
         return Channel(word, word, self.kernel_identity(word))
