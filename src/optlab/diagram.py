@@ -31,7 +31,6 @@ diagnostic pass.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -433,7 +432,6 @@ class ProductBranches(Sequence):
 
     def __getitem__(self, index: int) -> Diagram:
         size = len(self)
-        index = operator.index(index)
         if not -size <= index < size:
             raise IndexError(f"branch {index} of {size}")
         index %= size
