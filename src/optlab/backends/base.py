@@ -21,9 +21,11 @@ class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).
 
-* Dimensions and compilation: ``state_dim``, ``_channel_from_payload``,
-  ``certify_channel``, ``channel_from_transfer``; ``deterministic_residual``
-  (how far a channel is from preserving normalization) and ``weight_terms``
+* Dimensions and compilation: ``state_dim``, ``_channel_from_payload``
+  (it compiles the ``vec`` and ``dens`` payloads of states and effects
+  through ``state_channel`` and ``effect_channel``), ``certify_channel``,
+  ``channel_from_transfer``; ``deterministic_residual`` (how far a channel
+  is from preserving normalization) and ``weight_terms``
   (the names of a state's smallest weight and its normalization in reports).
 * Kernels: ``legs_per_wire`` (a kernel column on a word of k wires is a
   tensor with ``legs_per_wire * k`` legs: a row and a column index per wire
@@ -176,12 +178,13 @@ class PhysicalityCertificate:
         return f"non-physical {self.role}: {self.reason} (margin {self.margin:.3e})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Payload:
     """Raw numeric content of a declaration before compilation.
 
     ``kind`` is one of ``choi``, ``kraus``, ``stoch``, ``vec``, ``dens``;
-    ``data`` is an array (or, for ``kraus``, a list of arrays).
+    ``data`` is anything ``np.asarray`` reads as the array (for ``kraus``,
+    a sequence of them): a theory file gives nested tuples.
     """
 
     kind: str
@@ -298,8 +301,13 @@ class TheoryBackend(abc.ABC):
         input_type: SystemType,
         output_type: SystemType,
     ) -> Channel:
-        """Compile a payload to a kernel and certify its physicality."""
+        """Compile a payload to a kernel and certify its physicality.
+
+        A kernel with a non-finite entry, from a NaN or infinite payload
+        entry or from entries whose products overflow, is refused first."""
         ch = self._channel_from_payload(payload, input_type, output_type)
+        if not np.isfinite(ch.kernel).all():
+            raise OptlabError(f"{payload.kind} payload has non-finite entries")
         cert = self.certify_channel(ch)
         if not cert.physical:
             raise NotPhysicalError(cert)

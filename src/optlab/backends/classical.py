@@ -60,19 +60,16 @@ class ClassicalBackend(TheoryBackend):
     def _channel_from_payload(
         self, payload: Payload, input_type: SystemType, output_type: SystemType
     ) -> Channel:
-        din = self.hilbert_dim(input_type)
-        dout = self.hilbert_dim(output_type)
         kind = payload.kind
         if kind == "stoch":
-            m = self._coerce_array(payload.data, (dout, din), "stochastic matrix")
+            shape = (self.hilbert_dim(output_type), self.hilbert_dim(input_type))
+            m = self._coerce_array(payload.data, shape, "stochastic matrix")
             return Channel(input_type, output_type, m)
         if kind == "vec":
             if input_type.is_unit:
-                v = self._coerce_array(payload.data, (dout,), "probability vector")
-                return Channel(input_type, output_type, v.reshape(-1, 1))
+                return self.state_channel(payload.data, output_type)
             if output_type.is_unit:
-                v = self._coerce_array(payload.data, (din,), "effect vector")
-                return Channel(input_type, output_type, v.reshape(1, -1))
+                return self.effect_channel(payload.data, input_type)
             raise OptlabError("vec payloads declare states or effects, not boxes")
         raise OptlabError(f"payload kind {kind!r} is not meaningful on backend {self.name!r}")
 

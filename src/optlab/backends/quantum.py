@@ -120,38 +120,29 @@ class _MatrixTheory(TheoryBackend):
     def _channel_from_payload(
         self, payload: Payload, input_type: SystemType, output_type: SystemType
     ) -> Channel:
-        din = self.hilbert_dim(input_type)
-        dout = self.hilbert_dim(output_type)
         kind = payload.kind
+        if kind in ("vec", "dens"):  # a state's or an effect's matrix, or its ket
+            if input_type.is_unit:
+                role, word, channel = "state", output_type, self.state_channel
+            elif output_type.is_unit:
+                role, word, channel = "effect", input_type, self.effect_channel
+            else:
+                raise OptlabError(f"{kind} payloads declare states or effects, not boxes")
+            obj = payload.data
+            if kind == "vec":
+                v = self._coerce_array(obj, (self.hilbert_dim(word),), f"{role} vector")
+                obj = np.outer(v, v.conj())
+            return channel(obj, word)
         if kind == "choi":
-            j = self._coerce_array(payload.data, (din * dout, din * dout), "choi matrix")
-            kernel = linalg.liouville_from_choi(j, din, dout)
-        elif kind == "kraus":
-            data = payload.data if isinstance(payload.data, (list, tuple)) else [payload.data]
-            if not data:
-                raise OptlabError("kraus payload needs at least one matrix")
-            mats = [self._coerce_array(m, (dout, din), "kraus matrix") for m in data]
-            kernel = linalg.kraus_to_liouville(mats)
-        elif kind == "dens":
-            if input_type.is_unit:
-                rho = self._coerce_array(payload.data, (dout, dout), "state matrix")
-                kernel = linalg.vec(rho).reshape(-1, 1)
-            elif output_type.is_unit:
-                eff = self._coerce_array(payload.data, (din, din), "effect matrix")
-                kernel = linalg.vec(eff).conj().reshape(1, -1)
-            else:
-                raise OptlabError("dens payloads declare states or effects, not boxes")
-        elif kind == "vec":
-            if input_type.is_unit:
-                v = self._coerce_array(payload.data, (dout,), "state vector")
-                kernel = linalg.vec(np.outer(v, v.conj())).reshape(-1, 1)
-            elif output_type.is_unit:
-                v = self._coerce_array(payload.data, (din,), "effect vector")
-                kernel = linalg.vec(np.outer(v, v.conj())).conj().reshape(1, -1)
-            else:
-                raise OptlabError("vec payloads declare states or effects, not boxes")
-        else:
+            return self.channel_from_choi(payload.data, input_type, output_type)
+        if kind != "kraus":
             raise OptlabError(f"payload kind {kind!r} is not meaningful on backend {self.name!r}")
+        data = payload.data if isinstance(payload.data, (list, tuple)) else [payload.data]
+        if not data:
+            raise OptlabError("kraus payload needs at least one matrix")
+        shape = (self.hilbert_dim(output_type), self.hilbert_dim(input_type))
+        mats = [self._coerce_array(m, shape, "kraus matrix") for m in data]
+        kernel = linalg.kraus_to_liouville(mats)
         return Channel(input_type, output_type, self.project_scalars(kernel))
 
     # -- physicality ----------------------------------------------------

@@ -12,6 +12,10 @@ circuits with ``;`` (in sequence) and ``*`` (side by side)::
     box flip : Q -> Q = kraus=[[[0,1],[1,0]]]
     circuit readout = plus ; flip ; trace(Q)
 
+A state is a box from the trivial system ``I`` and an effect a box into it,
+so all three parse to one ``BoxDef`` whose ``kind`` keeps the keyword, and
+bind through one ``compile_payload`` call.
+
 Parsing, printing, and binding are separate stages: ``parse`` produces an
 abstract document (or the first located error), ``print_document`` renders
 it canonically so parse/print round-trips are exact, and ``bind`` compiles
@@ -21,6 +25,8 @@ every payload onto the declared backend, certifying physicality as it goes.
 from __future__ import annotations
 
 import json
+import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -47,10 +53,7 @@ from .evaluator import trace_box
 from .serialize import format_float
 
 __all__ = [
-    "PayloadLiteral",
     "SystemDecl",
-    "StateDef",
-    "EffectDef",
     "BoxDef",
     "TestDef",
     "CircuitDef",
@@ -71,31 +74,18 @@ __all__ = [
 #: Deepest nesting of parentheses in a circuit, or of brackets in a payload.
 MAX_NESTING = 100
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_LABEL_CHARS = _IDENT_CONT
+# ASCII only: a Unicode letter or digit never scans as a name, label or integer
+_BLANKS = re.compile(r"[ \t]*")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_KEYWORD = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")  # statement words and theory names
+_LABEL = re.compile(r"[A-Za-z0-9_]+")
+_INT = re.compile(r"[0-9]+")
+_BRACKET = re.compile(r"[\[\]]")
 
 
 # ---------------------------------------------------------------------------
 # abstract document
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PayloadLiteral:
-    """A payload kind plus its parsed numeric content (nested tuples)."""
-
-    kind: str
-    data: tuple
-
-    def to_payload(self) -> Payload:
-        return Payload(self.kind, _tuples_to_lists(self.data))
-
-
-def _tuples_to_lists(x):
-    if isinstance(x, tuple):
-        return [_tuples_to_lists(v) for v in x]
-    return x
 
 
 @dataclass(frozen=True)
@@ -106,27 +96,16 @@ class SystemDecl:
 
 
 @dataclass(frozen=True)
-class StateDef:
-    name: str
-    system: tuple[str, ...]
-    payload: PayloadLiteral
-    line: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class EffectDef:
-    name: str
-    system: tuple[str, ...]
-    payload: PayloadLiteral
-    line: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
 class BoxDef:
+    """A ``state``, ``effect`` or ``box`` definition, by ``kind``; a state's
+    input word and an effect's output word are ``()``.  The payload holds
+    nested tuples."""
+
+    kind: str
     name: str
     input_word: tuple[str, ...]
     output_word: tuple[str, ...]
-    payload: PayloadLiteral
+    payload: Payload
     line: int = field(compare=False, default=0)
 
 
@@ -136,7 +115,7 @@ class TestDef:
     input_word: tuple[str, ...]
     output_word: tuple[str, ...]
     labels: tuple[str, ...]
-    branches: tuple[PayloadLiteral, ...]
+    branches: tuple[Payload, ...]
     line: int = field(compare=False, default=0)
 
 
@@ -209,8 +188,7 @@ class _Cursor:
         raise DslParseError(message, self.line, self.pos + 1 if col is None else col, expected)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+        self.pos = _BLANKS.match(self.text, self.pos).end()
 
     @property
     def done(self) -> bool:
@@ -232,14 +210,14 @@ class _Cursor:
         if not self.try_punct(token):
             self.fail(f"missing {token!r}", expected=[repr(token)])
 
-    def word(self, chars_start=_IDENT_START, chars_cont=_IDENT_CONT) -> str | None:
+    def word(self, pattern: re.Pattern = _NAME) -> str | None:
+        """The text ``pattern`` matches after blanks, consumed; None if it does not match."""
         self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] not in chars_start:
+        m = pattern.match(self.text, self.pos)
+        if m is None:
             return None
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in chars_cont:
-            self.pos += 1
-        return self.text[start:self.pos]
+        self.pos = m.end()
+        return m.group()
 
     def expect_name(self, what: str) -> str:
         w = self.word()
@@ -248,20 +226,16 @@ class _Cursor:
         return w
 
     def expect_label(self, what: str = "outcome label") -> str:
-        self.skip_ws()
-        w = self.word(chars_start=_LABEL_CHARS, chars_cont=_LABEL_CHARS)
+        w = self.word(_LABEL)
         if w is None:
             self.fail(f"missing {what}", expected=["label"])
         return w
 
     def expect_int(self, what: str) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        w = self.word(_INT)
+        if w is None:
             self.fail(f"missing {what}", expected=["integer"])
-        return int(self.text[start:self.pos])
+        return int(w)
 
     def expect_end(self) -> None:
         if not self.done:
@@ -281,29 +255,23 @@ def _parse_sysexpr(cur: _Cursor) -> tuple[str, ...]:
             return tuple(labels)
 
 
-_PAYLOAD_KINDS = ("choi", "kraus", "stoch", "vec", "dens")
-
-
 def _scan_bracketed(cur: _Cursor) -> tuple[str, int]:
     """Take a balanced [...] span starting at the cursor; returns (span, col)."""
     cur.skip_ws()
     start = cur.pos
-    if start >= len(cur.text) or cur.text[start] != "[":
+    if not cur.text.startswith("[", start):
         cur.fail("missing '[' opening a payload literal", expected=["'['"])
     depth = 0
-    i = start
-    while i < len(cur.text):
-        c = cur.text[i]
-        if c == "[":
+    for m in _BRACKET.finditer(cur.text, start):
+        if m.group() == "[":
             depth += 1
             if depth > MAX_NESTING:
-                cur.fail(f"payload literal nested deeper than {MAX_NESTING}", col=i + 1)
-        elif c == "]":
+                cur.fail(f"payload literal nested deeper than {MAX_NESTING}", col=m.start() + 1)
+        else:
             depth -= 1
             if depth == 0:
-                cur.pos = i + 1
-                return cur.text[start:i + 1], start + 1
-        i += 1
+                cur.pos = m.end()
+                return cur.text[start:cur.pos], start + 1
     cur.fail("unbalanced brackets in payload literal", col=start + 1)
 
 
@@ -311,14 +279,31 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name!r} is not allowed")
 
 
-def _parse_payload(cur: _Cursor, theory: str) -> PayloadLiteral:
+def _finite(convert):
+    """A JSON number hook: ``convert(text)``, refused if it overflows a float."""
+    def number(text: str):
+        x = convert(text)
+        if not math.isfinite(float(text)):
+            _reject_constant(text)
+        return x
+    return number
+
+
+_NUMBERS = {
+    "parse_constant": _reject_constant,
+    "parse_float": _finite(float),
+    "parse_int": _finite(int),
+}
+
+
+def _parse_payload(cur: _Cursor, theory: str) -> Payload:
     kind = cur.word()
-    if kind is None or kind not in _PAYLOAD_KINDS:
-        cur.fail("missing payload kind", expected=list(_PAYLOAD_KINDS))
+    if kind is None or kind not in Payload.KINDS:
+        cur.fail("missing payload kind", expected=list(Payload.KINDS))
     cur.expect_punct("=")
     span, col = _scan_bracketed(cur)
     try:
-        raw = json.loads(span, parse_constant=_reject_constant)
+        raw = json.loads(span, **_NUMBERS)
     except json.JSONDecodeError as e:
         cur.fail(f"bad payload literal: {e.msg}", col=col + e.pos)
     except ValueError as e:
@@ -328,7 +313,7 @@ def _parse_payload(cur: _Cursor, theory: str) -> PayloadLiteral:
         data = _payload_tree(kind, raw, complex_ok)
     except ValueError as e:
         cur.fail(str(e), col=col)
-    return PayloadLiteral(kind, data)
+    return Payload(kind, data)
 
 
 def _scalar(x, complex_ok: bool):
@@ -409,24 +394,16 @@ def _parse_atom(cur: _Cursor):
     name = cur.word()
     if name is None:
         cur.fail("missing circuit term", expected=["name", "id(", "swap(", "trace(", "("])
-    if name == "id":
-        cur.expect_punct("(")
-        word = _parse_sysexpr(cur)
-        cur.expect_punct(")")
-        return IdExpr(word)
-    if name == "swap":
-        cur.expect_punct("(")
-        left = _parse_sysexpr(cur)
+    node = {"id": IdExpr, "swap": SwapExpr, "trace": TraceExpr}.get(name)
+    if node is None:
+        return Ref(name)
+    cur.expect_punct("(")
+    words = [_parse_sysexpr(cur)]
+    if node is SwapExpr:
         cur.expect_punct(",")
-        right = _parse_sysexpr(cur)
-        cur.expect_punct(")")
-        return SwapExpr(left, right)
-    if name == "trace":
-        cur.expect_punct("(")
-        word = _parse_sysexpr(cur)
-        cur.expect_punct(")")
-        return TraceExpr(word)
-    return Ref(name)
+        words.append(_parse_sysexpr(cur))
+    cur.expect_punct(")")
+    return node(*words)
 
 
 _STATEMENT_WORDS = ("theory", "system", "state", "effect", "box", "test", "circuit")
@@ -441,7 +418,7 @@ def parse(text: str) -> Document:
         if not line.strip():
             continue
         cur = _Cursor(line, line_no)
-        head = cur.word(chars_start=_IDENT_START, chars_cont=_IDENT_CONT | {"-"})
+        head = cur.word(_KEYWORD)
         if head is None or head not in _STATEMENT_WORDS:
             cur.fail(
                 f"unknown statement {head if head is not None else cur.peek()!r}",
@@ -452,7 +429,7 @@ def parse(text: str) -> Document:
                 cur.fail("duplicate theory declaration", col=1)
             if statements:
                 cur.fail("the theory declaration must come first", col=1)
-            name = cur.word(chars_start=_IDENT_START, chars_cont=_IDENT_CONT | {"-"})
+            name = cur.word(_KEYWORD)
             if name is None or name not in BACKENDS:
                 cur.fail("unknown theory", expected=list(BACKENDS))
             theory = name
@@ -474,31 +451,29 @@ def parse(text: str) -> Document:
                 cur.fail("system dimension must be at least 1")
             cur.expect_end()
             statements.append(SystemDecl(name, dim, line_no))
-        elif head in ("state", "effect"):
+        elif head == "circuit":
+            name = cur.expect_name("circuit name")
+            cur.expect_punct("=")
+            expr = _parse_expr(cur)
+            cur.expect_end()
+            statements.append(CircuitDef(name, expr, line_no))
+        else:  # state, effect, box or test: a name, its wires, then its payloads
             name = cur.expect_name(f"{head} name")
             cur.expect_punct(":")
-            word = _parse_sysexpr(cur)
-            cur.expect_punct("=")
-            payload = _parse_payload(cur, theory)
-            cur.expect_end()
-            cls = StateDef if head == "state" else EffectDef
-            statements.append(cls(name, word, payload, line_no))
-        elif head == "box":
-            name = cur.expect_name("box name")
-            cur.expect_punct(":")
             win = _parse_sysexpr(cur)
-            cur.expect_punct("->")
-            wout = _parse_sysexpr(cur)
-            cur.expect_punct("=")
-            payload = _parse_payload(cur, theory)
-            cur.expect_end()
-            statements.append(BoxDef(name, win, wout, payload, line_no))
-        elif head == "test":
-            name = cur.expect_name("test name")
-            cur.expect_punct(":")
-            win = _parse_sysexpr(cur)
-            cur.expect_punct("->")
-            wout = _parse_sysexpr(cur)
+            if head == "state":
+                win, wout = (), win
+            elif head == "effect":
+                wout = ()
+            else:
+                cur.expect_punct("->")
+                wout = _parse_sysexpr(cur)
+            if head != "test":
+                cur.expect_punct("=")
+                payload = _parse_payload(cur, theory)
+                cur.expect_end()
+                statements.append(BoxDef(head, name, win, wout, payload, line_no))
+                continue
             w = cur.word()
             if w != "outcomes":
                 cur.fail("missing 'outcomes={...}'", expected=["outcomes"])
@@ -511,7 +486,7 @@ def parse(text: str) -> Document:
             if len(set(labels)) != len(labels):
                 cur.fail("duplicate outcome label")
             cur.expect_punct("{")
-            branch_map: dict[str, PayloadLiteral] = {}
+            branch_map: dict[str, Payload] = {}
             while True:
                 label = cur.expect_label("branch label")
                 if label not in labels:
@@ -533,12 +508,6 @@ def parse(text: str) -> Document:
                 name, win, wout, tuple(labels),
                 tuple(branch_map[l] for l in labels), line_no,
             ))
-        elif head == "circuit":
-            name = cur.expect_name("circuit name")
-            cur.expect_punct("=")
-            expr = _parse_expr(cur)
-            cur.expect_end()
-            statements.append(CircuitDef(name, expr, line_no))
     if theory is None:
         raise DslParseError("empty file: missing theory declaration", 1, 1,
                             expected=["theory"])
@@ -557,7 +526,7 @@ def _print_scalar(x, pair_form: bool) -> str:
     return format_float(float(np.real(x)))
 
 
-def _print_payload(p: PayloadLiteral, theory: str) -> str:
+def _print_payload(p: Payload, theory: str) -> str:
     pair_form = BACKENDS[theory].pair_payloads and p.kind != "stoch"
 
     def render(node) -> str:
@@ -570,6 +539,15 @@ def _print_payload(p: PayloadLiteral, theory: str) -> str:
 
 def _print_word(word: tuple[str, ...]) -> str:
     return " * ".join(word) if word else "I"
+
+
+def _print_wires(kind: str, input_word: tuple[str, ...], output_word: tuple[str, ...]) -> str:
+    """A state names its output word, an effect its input word, the rest both."""
+    if kind == "state":
+        return _print_word(output_word)
+    if kind == "effect":
+        return _print_word(input_word)
+    return f"{_print_word(input_word)} -> {_print_word(output_word)}"
 
 
 def _print_expr(e) -> str:
@@ -594,26 +572,17 @@ def print_document(doc: Document) -> str:
     for s in doc.statements:
         if isinstance(s, SystemDecl):
             lines.append(f"system {s.name} dim={s.dim}")
-        elif isinstance(s, StateDef):
-            lines.append(f"state {s.name} : {_print_word(s.system)} = "
-                         f"{_print_payload(s.payload, doc.theory)}")
-        elif isinstance(s, EffectDef):
-            lines.append(f"effect {s.name} : {_print_word(s.system)} = "
-                         f"{_print_payload(s.payload, doc.theory)}")
         elif isinstance(s, BoxDef):
-            lines.append(f"box {s.name} : {_print_word(s.input_word)} -> "
-                         f"{_print_word(s.output_word)} = "
-                         f"{_print_payload(s.payload, doc.theory)}")
+            wires = _print_wires(s.kind, s.input_word, s.output_word)
+            lines.append(f"{s.kind} {s.name} : {wires} = {_print_payload(s.payload, doc.theory)}")
         elif isinstance(s, TestDef):
             branches = "; ".join(
                 f"{label}: {_print_payload(p, doc.theory)}"
                 for label, p in zip(s.labels, s.branches)
             )
-            lines.append(
-                f"test {s.name} : {_print_word(s.input_word)} -> "
-                f"{_print_word(s.output_word)} "
-                f"outcomes={{{','.join(s.labels)}}} {{ {branches} }}"
-            )
+            wires = _print_wires("test", s.input_word, s.output_word)
+            lines.append(f"test {s.name} : {wires} "
+                         f"outcomes={{{','.join(s.labels)}}} {{ {branches} }}")
         elif isinstance(s, CircuitDef):
             lines.append(f"circuit {s.name} = {_print_expr(s.expr)}")
         else:
@@ -679,10 +648,8 @@ def _located(line: int):
 def bind(doc: Document) -> Workbench:
     """Compile a document onto its backend, certifying every payload."""
     backend = get_backend(doc.theory, doc.systems)
-    bindings: dict[str, Channel] = {}
-    circuits: dict[str, Diagram] = {}
-    tests: dict[str, Test] = {}
-    kinds: dict[str, str] = {}
+    wb = Workbench(doc, backend, {}, {}, {}, {})
+    bindings, kinds = wb.bindings, wb.kinds
 
     def claim(name: str, kind: str, line: int) -> None:
         if name in kinds:
@@ -699,14 +666,9 @@ def bind(doc: Document) -> Workbench:
         """A circuit expression is a Diagram, or a Test once any test is wired in."""
         if isinstance(e, Ref):
             kind = kinds.get(e.name)
-            if kind == "circuit":
-                return circuits[e.name]
-            if kind == "test":
-                return tests[e.name]
-            if kind in ("state", "effect", "box"):
-                ch = bindings[e.name]
-                return PrimitiveBox(e.name, ch.input_type, ch.output_type)
-            raise DslParseError(f"unknown name {e.name!r}", line, 1)
+            if kind is None:
+                raise DslParseError(f"unknown name {e.name!r}", line, 1)
+            return wb.test(e.name) if kind == "test" else wb.diagram(e.name)
         if isinstance(e, IdExpr):
             return Identity(word_of(e.word, line))
         if isinstance(e, SwapExpr):
@@ -725,25 +687,11 @@ def bind(doc: Document) -> Workbench:
     for s in doc.statements:
         if isinstance(s, SystemDecl):
             continue
-        if isinstance(s, StateDef):
-            claim(s.name, "state", s.line)
+        if isinstance(s, BoxDef):
+            claim(s.name, s.kind, s.line)
             with _located(s.line):
                 bindings[s.name] = backend.compile_payload(
-                    s.payload.to_payload(), SystemType(()), word_of(s.system, s.line)
-                )
-        elif isinstance(s, EffectDef):
-            claim(s.name, "effect", s.line)
-            with _located(s.line):
-                bindings[s.name] = backend.compile_payload(
-                    s.payload.to_payload(), word_of(s.system, s.line), SystemType(())
-                )
-        elif isinstance(s, BoxDef):
-            claim(s.name, "box", s.line)
-            with _located(s.line):
-                bindings[s.name] = backend.compile_payload(
-                    s.payload.to_payload(),
-                    word_of(s.input_word, s.line),
-                    word_of(s.output_word, s.line),
+                    s.payload, word_of(s.input_word, s.line), word_of(s.output_word, s.line)
                 )
         elif isinstance(s, TestDef):
             claim(s.name, "test", s.line)
@@ -753,25 +701,20 @@ def bind(doc: Document) -> Workbench:
             for label, payload in zip(s.labels, s.branches):
                 branch_name = f"{s.name}.{label}"
                 with _located(s.line):
-                    bindings[branch_name] = backend.compile_payload(
-                        payload.to_payload(), win, wout
-                    )
+                    bindings[branch_name] = backend.compile_payload(payload, win, wout)
                 branch_terms.append(PrimitiveBox(branch_name, win, wout))
-            tests[s.name] = Test(OutcomeSpace(s.labels), tuple(branch_terms))
+            wb.tests[s.name] = Test(OutcomeSpace(s.labels), tuple(branch_terms))
         elif isinstance(s, CircuitDef):
             if s.name in kinds:
                 raise DslParseError(f"duplicate definition of {s.name!r}", s.line, 1)
             piece = to_piece(s.expr, s.line)
-            if isinstance(piece, Test):
-                claim(s.name, "test", s.line)
-                tests[s.name] = piece
-            else:
-                claim(s.name, "circuit", s.line)
-                circuits[s.name] = piece
+            kind = "test" if isinstance(piece, Test) else "circuit"
+            claim(s.name, kind, s.line)
+            (wb.tests if kind == "test" else wb.circuits)[s.name] = piece
         else:
             raise OptlabError(f"cannot bind statement {type(s).__name__}")
 
-    return Workbench(doc, backend, bindings, circuits, tests, kinds)
+    return wb
 
 
 def load(text: str) -> Workbench:

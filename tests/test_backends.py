@@ -93,6 +93,23 @@ def test_negative_state_rejected(backend):
         backend.compile_payload(payload, SystemType(()), A)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_payloads_are_refused(backend, bad):
+    if backend.name == "classical":
+        kind, state, effect = "vec", [bad, 0.0], [0.0, -bad]
+    else:  # a matrix, so no product of an infinite entry warns before the check
+        kind, state, effect = "dens", [[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -bad]]
+    for payload, win, wout in [(Payload(kind, state), UNIT, A), (Payload(kind, effect), A, UNIT)]:
+        with pytest.raises(OptlabError, match=f"^{kind} payload has non-finite entries$"):
+            backend.compile_payload(payload, win, wout)
+
+
+def test_payloads_whose_kernel_overflows_are_refused(quantum):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(OptlabError, match="^kraus payload has non-finite entries$"):
+            quantum.compile_payload(Payload("kraus", [[[1e200, 0.0], [0.0, 1.0]]]), A, A)
+
+
 def test_certificate_carries_margin_and_reason(quantum):
     bad = Payload("dens", [[0.7, 0.5], [0.5, 0.1]])  # indefinite
     with pytest.raises(NotPhysicalError) as err:

@@ -311,6 +311,25 @@ def test_parse_errors_carry_a_location(run, tmp_path):
     assert "payload" in payload["error"]
 
 
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real", "classical"])
+@pytest.mark.parametrize("body, column", [
+    pytest.param("system Q dim=2\nstate s : Q = vec=[1e400, 0]", (3, 19), id="1e400"),
+    pytest.param("system Q dim=2\nstate s : Q = vec=[-1e400, 0]", (3, 19), id="-1e400"),
+    pytest.param("system Q dim=2\nstate s : Q = vec=[1" + "0" * 400 + ", 0]", (3, 19),
+                 id="401-digit-integer"),
+    pytest.param("system Q dim=²", (2, 14), id="superscript-dim"),
+    pytest.param("system Q dim=٣\nstate s : Q = vec=[1, 0, 0]", (2, 14), id="arabic-indic-dim"),
+])
+def test_overflowing_numbers_and_non_ascii_digits_are_usage_errors(run, tmp_path, theory,
+                                                                   body, column):
+    p = tmp_path / "bad.opt"
+    p.write_text(f"theory {theory}\n{body}\ncircuit c = s\n", encoding="utf-8")
+    code, out = run("eval", p, "--circuit", "c")
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["line"], payload["column"]) == column
+
+
 def test_unknown_names_are_usage_errors(run, fx):
     code, out = run("purify", fx("classical_bits.opt"), "--state", "nosuch")
     assert code == 2

@@ -11,7 +11,8 @@ from optlab import SystemType
 from optlab.dsl import MAX_NESTING, Document, Workbench, load, parse, print_document
 from optlab.errors import DslParseError, NotPhysicalError, OptlabError
 
-ALPHABET = list("abcXYZ019{}[]()=:;,*->#@.\"' \t")
+# single characters, plus non-ASCII digits and an exponent that overflows a float
+ALPHABET = list("abcXYZ019{}[]()=:;,*->#@.\"' \t") + ["²", "٣", "e400"]
 
 
 def corpus(fixture_dir):
@@ -185,9 +186,24 @@ def test_unbalanced_payload_brackets():
 
 
 def test_non_finite_numbers_are_rejected():
-    e = err("theory quantum\nsystem Q dim=2\nstate s : Q = vec=[1, NaN]\n")
-    assert e.line == 3
-    assert "non-finite" in e.message
+    big = "1" + "0" * 400  # an integer beyond the float range
+    for entries in ("1, NaN", "1e400, 0", "-1e400, 0", f"{big}, 0", "[1e400, 0], 0"):
+        e = err(f"theory quantum\nsystem Q dim=2\nstate s : Q = vec=[{entries}]\n")
+        assert (e.line, e.column) == (3, 19), entries
+        assert e.message.startswith("bad payload literal: non-finite number"), entries
+
+
+def test_numbers_at_the_float_limits_parse():
+    entries = "1" + "0" * 300 + ", 1.7976931348623157e308, 1e-400"
+    doc = parse(f"theory classical\nsystem B dim=3\nstate s : B = vec=[{entries}]\n")
+    assert doc.statements[1].payload.data == (1e300, 1.7976931348623157e308, 0.0)
+
+
+@pytest.mark.parametrize("dim", ["²", "٣"], ids=["superscript-two", "arabic-indic-three"])
+def test_system_dimensions_are_ascii_digits(dim):
+    e = err(f"theory quantum\nsystem Q dim={dim}\n")
+    assert (e.line, e.column) == (2, 14)
+    assert e.message.startswith("missing system dimension")
 
 
 def test_duplicate_outcome_label():
