@@ -23,9 +23,11 @@ otherwise).
 
 * Dimensions and compilation: ``state_dim``, ``_channel_from_payload``
   (it compiles the ``vec`` and ``dens`` payloads of states and effects
-  through ``state_channel`` and ``effect_channel``), ``certify_channel``,
-  ``channel_from_transfer``; ``deterministic_residual`` (how far a channel
-  is from preserving normalization) and ``weight_terms``
+  through ``state_channel`` and ``effect_channel``), ``check_kernels``
+  (the physicality check of a stack of same-shape kernels, with each
+  kernel's full certificate on request), ``channel_from_transfer``;
+  ``deterministic_residual`` (how far a channel is from preserving
+  normalization) and ``weight_terms``
   (the names of a state's smallest weight and its normalization in reports).
 * Kernels: ``legs_per_wire`` (a kernel column on a word of k wires is a
   tensor with ``legs_per_wire * k`` legs: a row and a column index per wire
@@ -59,6 +61,9 @@ matrices) and ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
 default to real scalars.
 
 The base class derives the rest, the same way for every theory:
+``compile_payloads`` compiles many payloads and certifies each shape's
+kernels with one ``check_kernels`` call; ``compile_payload`` and
+``certify_channel`` are its one-item cases;
 ``kernel_par`` places each leg of the left kernel before the matching leg of
 the right one, so it is the Kronecker product reordered to the composite
 legs (of every pair, when the kernels are stacks of a test's branches);
@@ -81,7 +86,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -295,22 +300,49 @@ class TheoryBackend(abc.ABC):
     # compilation and physicality
     # ------------------------------------------------------------------
 
+    def compile_payloads(
+        self, items: Sequence[tuple[Payload, SystemType, SystemType]]
+    ) -> list[Channel | OptlabError]:
+        """Compile ``(payload, input_type, output_type)`` items and certify
+        their physicality, without raising.
+
+        Each item gives its channel, or the error ``compile_payload`` raises
+        for it.  A kernel with a non-finite entry, from a NaN or infinite
+        payload entry or from entries whose products overflow, is refused
+        first.  The kernels of one shape go through one ``check_kernels``
+        call, and only a kernel that fails gets its full certificate."""
+        out: list[Channel | OptlabError] = []
+        shapes: dict[tuple, list[int]] = {}
+        for payload, input_type, output_type in items:
+            try:
+                ch = self._channel_from_payload(payload, input_type, output_type)
+                if not np.isfinite(ch.kernel).all():
+                    raise OptlabError(f"{payload.kind} payload has non-finite entries")
+            except OptlabError as e:
+                out.append(e)
+                continue
+            shapes.setdefault((ch.kernel.shape, ch.kernel.dtype), []).append(len(out))
+            out.append(ch)
+        for at in shapes.values():  # a kernel's shape fixes its wires' dimensions
+            first = out[at[0]]
+            dims = self.hilbert_dim(first.input_type), self.hilbert_dim(first.output_type)
+            physical, certificate = self.check_kernels(np.array([out[k].kernel for k in at]), *dims)
+            for i in np.flatnonzero(~physical):
+                ch = out[at[i]]
+                out[at[i]] = NotPhysicalError(certificate(i, self._role(ch.input_type, ch.output_type)))
+        return out
+
     def compile_payload(
         self,
         payload: Payload,
         input_type: SystemType,
         output_type: SystemType,
     ) -> Channel:
-        """Compile a payload to a kernel and certify its physicality.
-
-        A kernel with a non-finite entry, from a NaN or infinite payload
-        entry or from entries whose products overflow, is refused first."""
-        ch = self._channel_from_payload(payload, input_type, output_type)
-        if not np.isfinite(ch.kernel).all():
-            raise OptlabError(f"{payload.kind} payload has non-finite entries")
-        cert = self.certify_channel(ch)
-        if not cert.physical:
-            raise NotPhysicalError(cert)
+        """Compile a payload to a kernel and certify its physicality: the
+        one-item case of ``compile_payloads``, raising its error."""
+        (ch,) = self.compile_payloads([(payload, input_type, output_type)])
+        if isinstance(ch, OptlabError):
+            raise ch
         return ch
 
     @abc.abstractmethod
@@ -320,8 +352,21 @@ class TheoryBackend(abc.ABC):
         ...
 
     @abc.abstractmethod
+    def check_kernels(
+        self, kernels: np.ndarray, din: int, dout: int
+    ) -> tuple[np.ndarray, Callable[[int, str], PhysicalityCertificate]]:
+        """The physicality check of a stack of kernels ``din -> dout``.
+
+        Returns a boolean array, True where a kernel is physical, and
+        ``certificate(i, role)``, the full certificate of kernel ``i``
+        (with its witness when it fails).  Each kernel's verdict and
+        certificate are those it gets alone in a stack of one."""
+
     def certify_channel(self, ch: Channel) -> PhysicalityCertificate:
-        ...
+        """The full certificate of one channel: ``check_kernels`` on a stack of one."""
+        dims = self.hilbert_dim(ch.input_type), self.hilbert_dim(ch.output_type)
+        _, certificate = self.check_kernels(np.asarray(ch.kernel)[None], *dims)
+        return certificate(0, self._role(ch.input_type, ch.output_type))
 
     @abc.abstractmethod
     def channel_from_transfer(self, t: TransferMatrix) -> Channel:

@@ -78,27 +78,33 @@ class ClassicalBackend(TheoryBackend):
     def channel_choi(self, ch: Channel) -> np.ndarray:
         return np.array(ch.kernel)
 
-    def certify_channel(self, ch: Channel) -> PhysicalityCertificate:
-        role = self._role(ch.input_type, ch.output_type)
-        m = np.asarray(ch.kernel, dtype=float)
+    def check_kernels(self, kernels, din, dout):
+        """Nonnegative entries, then column sums at most one, for the whole stack."""
+        m = np.asarray(kernels, dtype=float)
         floor = self.tol.eigenvalue_floor
-        min_entry = float(m.min()) if m.size else 0.0
-        col_sums = m.sum(axis=0) if m.size else np.zeros(0)
-        max_col = float(col_sums.max()) if col_sums.size else 0.0
-        diagnostics = {"min_entry": min_entry, "max_column_sum": max_col}
-        if min_entry < -floor:
-            idx = np.unravel_index(int(np.argmin(m)), m.shape)
-            return PhysicalityCertificate(
-                False, role, "negative entry", -min_entry,
-                {"entry": [int(i) for i in idx], "value": min_entry}, diagnostics,
-            )
-        if max_col > 1.0 + floor:
-            col = int(np.argmax(col_sums))
-            return PhysicalityCertificate(
-                False, role, "column sum exceeds one", max_col - 1.0,
-                {"column": col, "sum": max_col}, diagnostics,
-            )
-        return PhysicalityCertificate(True, role, None, 0.0, {}, diagnostics)
+        min_entry = m.min(axis=(-2, -1))
+        col_sums = m.sum(axis=-2)
+        max_col = col_sums.max(axis=-1)
+        negative = min_entry < -floor
+        overfull = max_col > 1.0 + floor
+
+        def certificate(i: int, role: str) -> PhysicalityCertificate:
+            low, high = float(min_entry[i]), float(max_col[i])
+            diagnostics = {"min_entry": low, "max_column_sum": high}
+            if negative[i]:
+                idx = np.unravel_index(int(np.argmin(m[i])), m[i].shape)
+                return PhysicalityCertificate(
+                    False, role, "negative entry", -low,
+                    {"entry": [int(k) for k in idx], "value": low}, diagnostics,
+                )
+            if overfull[i]:
+                return PhysicalityCertificate(
+                    False, role, "column sum exceeds one", high - 1.0,
+                    {"column": int(np.argmax(col_sums[i])), "sum": high}, diagnostics,
+                )
+            return PhysicalityCertificate(True, role, None, 0.0, {}, diagnostics)
+
+        return ~(negative | overfull), certificate
 
     def deterministic_residual(self, ch: Channel) -> float:
         col_sums = np.asarray(ch.kernel, dtype=float).sum(axis=0)

@@ -14,16 +14,18 @@ circuits with ``;`` (in sequence) and ``*`` (side by side)::
 
 A state is a box from the trivial system ``I`` and an effect a box into it,
 so all three parse to one ``BoxDef`` whose ``kind`` keeps the keyword, and
-bind through one ``compile_payload`` call.
+compile the same way.
 
 Parsing, printing, and binding are separate stages: ``parse`` produces an
 abstract document (or the first located error), ``print_document`` renders
 it canonically so parse/print round-trips are exact, and ``bind`` compiles
-every payload onto the declared backend, certifying physicality as it goes.
+every payload onto the declared backend, certifying the kernels of one
+shape together, then reports the first faulty statement.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -73,6 +75,8 @@ __all__ = [
 
 #: Deepest nesting of parentheses in a circuit, or of brackets in a payload.
 MAX_NESTING = 100
+#: Most digits in an integer (a system dimension), so it fits a 64-bit array shape.
+MAX_DIGITS = 18
 
 # ASCII only: a Unicode letter or digit never scans as a name, label or integer
 _BLANKS = re.compile(r"[ \t]*")
@@ -188,7 +192,9 @@ class _Cursor:
         raise DslParseError(message, self.line, self.pos + 1 if col is None else col, expected)
 
     def skip_ws(self) -> None:
-        self.pos = _BLANKS.match(self.text, self.pos).end()
+        text, pos = self.text, self.pos
+        if pos < len(text) and text[pos] in " \t":  # most calls find no blank
+            self.pos = _BLANKS.match(text, pos).end()
 
     @property
     def done(self) -> bool:
@@ -235,6 +241,8 @@ class _Cursor:
         w = self.word(_INT)
         if w is None:
             self.fail(f"missing {what}", expected=["integer"])
+        if len(w) > MAX_DIGITS:
+            self.fail(f"{what} has more than {MAX_DIGITS} digits", col=self.pos - len(w) + 1)
         return int(w)
 
     def expect_end(self) -> None:
@@ -294,6 +302,7 @@ _NUMBERS = {
     "parse_float": _finite(float),
     "parse_int": _finite(int),
 }
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _parse_payload(cur: _Cursor, theory: str) -> Payload:
@@ -301,6 +310,18 @@ def _parse_payload(cur: _Cursor, theory: str) -> Payload:
     if kind is None or kind not in Payload.KINDS:
         cur.fail("missing payload kind", expected=list(Payload.KINDS))
     cur.expect_punct("=")
+    complex_ok = BACKENDS[theory].pair_payloads and kind != "stoch"
+    if cur.peek() == "[":
+        # each number converted once; a literal that fails here is scanned and parsed
+        # again below, which locates its first fault
+        try:
+            raw, end = _DECODER.raw_decode(cur.text, cur.pos)
+            data = _payload_tree(kind, raw, complex_ok)
+        except (ValueError, OverflowError, RecursionError):
+            pass
+        else:
+            cur.pos = end
+            return Payload(kind, data)
     span, col = _scan_bracketed(cur)
     try:
         raw = json.loads(span, **_NUMBERS)
@@ -308,7 +329,6 @@ def _parse_payload(cur: _Cursor, theory: str) -> Payload:
         cur.fail(f"bad payload literal: {e.msg}", col=col + e.pos)
     except ValueError as e:
         cur.fail(f"bad payload literal: {e}", col=col)
-    complex_ok = BACKENDS[theory].pair_payloads and kind != "stoch"
     try:
         data = _payload_tree(kind, raw, complex_ok)
     except ValueError as e:
@@ -316,21 +336,30 @@ def _parse_payload(cur: _Cursor, theory: str) -> Payload:
     return Payload(kind, data)
 
 
+_NUMBER_TYPES = (int, float)  # as JSON gives them; a bool is neither
+
+
 def _scalar(x, complex_ok: bool):
-    if isinstance(x, bool):
-        raise ValueError("payload entries must be numbers")
-    if isinstance(x, (int, float)):
-        return float(x)
-    if (
+    """A payload entry as a float or complex; past the float range it raises."""
+    if type(x) in _NUMBER_TYPES:
+        x = float(x)
+    elif (
         complex_ok
-        and isinstance(x, list)
+        and type(x) is list
         and len(x) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
+        and type(x[0]) in _NUMBER_TYPES
+        and type(x[1]) in _NUMBER_TYPES
     ):
-        return complex(float(x[0]), float(x[1]))
-    if isinstance(x, list) and not complex_ok:
+        x = complex(float(x[0]), float(x[1]))
+    elif isinstance(x, bool):
+        raise ValueError("payload entries must be numbers")
+    elif isinstance(x, list) and not complex_ok:
         raise ValueError("complex [re,im] entries are not allowed here")
-    raise ValueError(f"payload entry {x!r} is neither a number nor a [re,im] pair")
+    else:
+        raise ValueError(f"payload entry {x!r} is neither a number nor a [re,im] pair")
+    if not cmath.isfinite(x):
+        raise ValueError("non-finite number")
+    return x
 
 
 def _vector(x, complex_ok):
@@ -646,7 +675,11 @@ def _located(line: int):
 
 
 def bind(doc: Document) -> Workbench:
-    """Compile a document onto its backend, certifying every payload."""
+    """Compile a document onto its backend, certifying every payload.
+
+    All payloads are compiled and certified first, each kernel shape in one
+    stacked check; the statements are then bound in order, so the first
+    error raised, and its line, are those of the first faulty statement."""
     backend = get_backend(doc.theory, doc.systems)
     wb = Workbench(doc, backend, {}, {}, {}, {})
     bindings, kinds = wb.bindings, wb.kinds
@@ -684,24 +717,42 @@ def bind(doc: Document) -> Workbench:
                 return compose(*pieces)
         raise OptlabError(f"cannot bind expression node {type(e).__name__}")
 
+    # every payload on declared wires is compiled and certified up front, in
+    # statement order; the walk below takes each result, or raises its error, in turn
+    declared = backend.systems
+    pending = []
+    for s in doc.statements:
+        if isinstance(s, (BoxDef, TestDef)) and all(
+            label in declared for label in s.input_word + s.output_word
+        ):
+            win, wout = SystemType(s.input_word), SystemType(s.output_word)
+            payloads = (s.payload,) if isinstance(s, BoxDef) else s.branches
+            pending.extend((payload, win, wout) for payload in payloads)
+    results = iter(backend.compile_payloads(pending))
+
+    def compiled(line: int) -> Channel:
+        result = next(results)
+        if isinstance(result, OptlabError):
+            with _located(line):
+                raise result
+        return result
+
     for s in doc.statements:
         if isinstance(s, SystemDecl):
             continue
         if isinstance(s, BoxDef):
             claim(s.name, s.kind, s.line)
-            with _located(s.line):
-                bindings[s.name] = backend.compile_payload(
-                    s.payload, word_of(s.input_word, s.line), word_of(s.output_word, s.line)
-                )
+            word_of(s.input_word, s.line)
+            word_of(s.output_word, s.line)
+            bindings[s.name] = compiled(s.line)
         elif isinstance(s, TestDef):
             claim(s.name, "test", s.line)
             win = word_of(s.input_word, s.line)
             wout = word_of(s.output_word, s.line)
             branch_terms = []
-            for label, payload in zip(s.labels, s.branches):
+            for label in s.labels:
                 branch_name = f"{s.name}.{label}"
-                with _located(s.line):
-                    bindings[branch_name] = backend.compile_payload(payload, win, wout)
+                bindings[branch_name] = compiled(s.line)
                 branch_terms.append(PrimitiveBox(branch_name, win, wout))
             wb.tests[s.name] = Test(OutcomeSpace(s.labels), tuple(branch_terms))
         elif isinstance(s, CircuitDef):

@@ -115,16 +115,20 @@ def liouville_from_choi(choi: np.ndarray, din: int, dout: int) -> np.ndarray:
 
 
 def choi_from_liouville(lio: np.ndarray, din: int, dout: int) -> np.ndarray:
-    n4 = np.asarray(lio).reshape(dout, dout, din, din)
-    return n4.transpose(2, 0, 3, 1).reshape(din * dout, din * dout)
+    """The inverse of ``liouville_from_choi``; leading axes are a stack."""
+    lio = np.asarray(lio)
+    lead = lio.shape[:-2]
+    n = len(lead)
+    n4 = lio.reshape(*lead, dout, dout, din, din)
+    return n4.transpose(*range(n), n + 2, n, n + 3, n + 1).reshape(*lead, din * dout, din * dout)
 
 
 def kraus_to_liouville(kraus: list[np.ndarray] | np.ndarray) -> np.ndarray:
     ks = [np.asarray(k) for k in kraus]
     dout, din = ks[0].shape
     n = np.zeros((dout * dout, din * din), dtype=complex)
-    for k in ks:
-        n += np.kron(k, k.conj())
+    for k in ks:  # np.kron(k, k.conj()), without its overhead
+        n += (k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(n.shape)
     return n
 
 

@@ -110,6 +110,55 @@ def test_payloads_whose_kernel_overflows_are_refused(quantum):
             quantum.compile_payload(Payload("kraus", [[[1e200, 0.0], [0.0, 1.0]]]), A, A)
 
 
+def test_bulk_compile_matches_one_payload_at_a_time(backend):
+    """Each item of ``compile_payloads`` gets the kernel, or the error, that
+    ``compile_payload`` gives it alone, whatever else shares its stack."""
+    s, rng = Sampler(backend, seed=11), np.random.default_rng(11)
+    kind = "stoch" if backend.name == "classical" else "choi"
+    items = []
+    for win, wout in [(UNIT, A), (A, UNIT), (A, A), (A, B), (B, A), (A * B, A), (UNIT, B)]:
+        for _ in range(3):
+            obj = np.array(backend.channel_choi(s.channel(win, wout)))
+            skew = np.zeros_like(obj)
+            skew[0, -1], skew[-1, 0] = 1e-3, -1e-3
+            for bad in (0.0, 0.3 * obj, -0.3 * np.eye(*obj.shape), skew,
+                        rng.normal(scale=1e-3, size=obj.shape)):
+                items.append((Payload(kind, obj + bad), win, wout))
+    items.append((Payload(kind, [[np.inf, 0.0], [0.0, 0.0]]), A, A))
+    items.append((Payload(kind, [[1.0]]), A, A))
+    bulk = backend.compile_payloads(items)
+    verdicts = set()
+    for (payload, win, wout), got in zip(items, bulk):
+        try:
+            want = backend.compile_payload(payload, win, wout)
+        except OptlabError as e:
+            assert type(got) is type(e) and str(got) == str(e)
+            if isinstance(e, NotPhysicalError):
+                assert got.certificate.diagnostics == e.certificate.diagnostics
+                verdicts.add(e.certificate.reason)
+            else:
+                verdicts.add(type(e).__name__)
+        else:
+            assert (got.input_type, got.output_type) == (win, wout)
+            assert got.kernel.dtype == want.kernel.dtype
+            assert np.array_equal(got.kernel, want.kernel)
+            verdicts.add("physical")
+    assert {"physical", "OptlabError"} < verdicts and len(verdicts) >= 4, verdicts
+
+
+def test_huge_choi_matrices_are_checked_at_their_own_scale(backend):
+    """Past the scaling threshold a Choi matrix is scaled by a power of two,
+    so the eigen solves stay finite and margins come back exact."""
+    kind = "stoch" if backend.name == "classical" else "choi"
+    diag = np.diag([1.0, -0.5, 1.0, 0.5]) if kind == "choi" else np.array([[0.5, -0.25], [0.5, 0.5]])
+    for scale in (2.0 ** 600, 2.0 ** 1020):
+        with pytest.raises(NotPhysicalError) as e:
+            backend.compile_payload(Payload(kind, scale * diag), A, A)
+        cert = e.value.certificate
+        assert cert.reason in ("negative eigenvalue", "negative entry")
+        assert cert.margin == (0.5 if kind == "choi" else 0.25) * scale
+
+
 def test_certificate_carries_margin_and_reason(quantum):
     bad = Payload("dens", [[0.7, 0.5], [0.5, 0.1]])  # indefinite
     with pytest.raises(NotPhysicalError) as err:

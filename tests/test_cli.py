@@ -319,6 +319,7 @@ def test_parse_errors_carry_a_location(run, tmp_path):
                  id="401-digit-integer"),
     pytest.param("system Q dim=²", (2, 14), id="superscript-dim"),
     pytest.param("system Q dim=٣\nstate s : Q = vec=[1, 0, 0]", (2, 14), id="arabic-indic-dim"),
+    pytest.param("system Q dim=" + "9" * 5000, (2, 14), id="5000-digit-dim"),
 ])
 def test_overflowing_numbers_and_non_ascii_digits_are_usage_errors(run, tmp_path, theory,
                                                                    body, column):
@@ -345,6 +346,21 @@ def test_unphysical_payloads_fail_at_load(run, tmp_path):
     code, out = run("eval", p, "--circuit", "s")
     assert code == 2
     assert "line 3" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real"])
+def test_choi_entries_near_the_float_limit_are_usage_errors(run, tmp_path, theory):
+    p = tmp_path / "huge.opt"
+    p.write_text(
+        f"theory {theory}\nsystem Q dim=2\n"
+        "box b : Q -> Q = choi=[[1e308,0,0,1e308],[0,0,0,0],[0,0,0,0],[1e308,0,0,1e308]]\n"
+        "circuit c = b\n"
+    )
+    code, out = run("eval", p, "--circuit", "c")
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "line 3: non-physical transformation: trace condition (margin 1.000e+308)"
+    )
 
 
 def _deep_chain(tmp_path):

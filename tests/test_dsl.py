@@ -5,9 +5,11 @@ import glob
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from optlab import SystemType
+from optlab import linalg as la
 from optlab.dsl import MAX_NESTING, Document, Workbench, load, parse, print_document
 from optlab.errors import DslParseError, NotPhysicalError, OptlabError
 
@@ -238,6 +240,41 @@ def test_unphysical_payloads_fail_at_load_with_a_line():
 def test_undeclared_system_in_signature():
     e = err("theory quantum\nsystem Q dim=2\nstate s : R = vec=[1, 0]\n")
     assert e.line == 3
+
+
+GOOD = "box ok : Q -> Q = kraus=[[[1,0],[0,1]]]"
+BAD_CHOI = [[1, 0, 0, 0], [0, -0.5, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0.5]]
+BAD = f"box broken : Q -> Q = choi={BAD_CHOI}"
+BAD_BRANCH = f"test t : Q -> Q outcomes={{a,b}} {{ a: kraus=[[[1,0],[0,0]]]; b: choi={BAD_CHOI} }}"
+UNDECLARED = "state s : R = vec=[1, 0]"
+
+
+@pytest.mark.parametrize("lines, fault, line", [
+    ([BAD, GOOD, GOOD], NotPhysicalError, 3),
+    ([GOOD, GOOD, BAD], DslParseError, 4),
+    ([BAD, UNDECLARED], NotPhysicalError, 3),
+    ([UNDECLARED, BAD], DslParseError, 3),
+    ([GOOD, BAD_BRANCH, UNDECLARED, BAD], NotPhysicalError, 4),
+    ([GOOD, UNDECLARED, BAD_BRANCH], DslParseError, 4),
+], ids=["unphysical-then-duplicate", "duplicate-then-unphysical", "unphysical-then-undeclared",
+        "undeclared-then-unphysical", "unphysical-branch-first", "undeclared-before-branch"])
+def test_the_first_faulty_statement_is_reported(lines, fault, line):
+    with pytest.raises(fault) as e:
+        load("theory quantum\nsystem Q dim=2\n" + "\n".join(lines) + "\n")
+    if fault is DslParseError:
+        assert e.value.line == line
+    else:
+        assert str(e.value) == f"line {line}: non-physical transformation: negative eigenvalue (margin 5.000e-01)"
+
+
+def test_a_failing_payload_carries_its_eigenvector_witness():
+    with pytest.raises(NotPhysicalError) as e:
+        load(f"theory quantum\nsystem Q dim=2\n{GOOD}\n{BAD}\n")
+    witness = e.value.certificate.witness
+    vals, vecs = la.sorted_eigh(np.array(BAD_CHOI, dtype=complex))
+    assert witness["eigenvalue"] == vals[-1] == -0.5
+    assert np.array_equal(witness["eigenvector"], vecs[:, -1])
+    assert np.allclose(np.array(BAD_CHOI) @ witness["eigenvector"], -0.5 * witness["eigenvector"])
 
 
 # ---------------------------------------------------------------------------
