@@ -22,16 +22,18 @@ effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).
 
 * Dimensions and compilation: ``state_dim``, ``_channel_from_payload``
-  (it compiles the ``vec`` and ``dens`` payloads of states and effects
-  through ``state_channel`` and ``effect_channel``), ``check_kernels``
-  (the physicality check of a stack of same-shape kernels, with each
-  kernel's full certificate on request), ``channel_from_transfer``;
+  (a payload's kernel in Liouville order, as ``state_channel`` and
+  ``effect_channel`` build it for ``vec`` and ``dens`` payloads),
+  ``check_kernels`` (the physicality check of a stack of same-shape kernels
+  in Liouville order, with each kernel's full certificate on request),
+  ``channel_from_transfer``;
   ``deterministic_residual`` (how far a channel is from preserving
   normalization) and ``weight_terms``
   (the names of a state's smallest weight and its normalization in reports).
-* Kernels: ``legs_per_wire`` (a kernel column on a word of k wires is a
-  tensor with ``legs_per_wire * k`` legs: a row and a column index per wire
-  on the operator-space kernels, one index on the stochastic ones),
+* Kernels: ``legs_per_wire`` (a kernel index on a word is wire-major: one
+  block of ``d ** legs_per_wire`` entries per wire of dimension ``d``, a
+  row and a column index on the operator-space kernels, one index on the
+  stochastic ones),
   ``apply_first``, ``transfer_of``.
 * Objects: ``state_coords``/``state_object``, ``state_channel``/
   ``effect_channel``; ``channel_choi`` (a transformation's positive
@@ -64,15 +66,17 @@ The base class derives the rest, the same way for every theory:
 ``compile_payloads`` compiles many payloads and certifies each shape's
 kernels with one ``check_kernels`` call; ``compile_payload`` and
 ``certify_channel`` are its one-item cases;
-``kernel_par`` places each leg of the left kernel before the matching leg of
-the right one, so it is the Kronecker product reordered to the composite
-legs (of every pair, when the kernels are stacks of a test's branches);
-``apply_par`` applies a ``Par``, ``Identity`` or ``Swap`` term, or a test, to
-a stack of kernel columns leaf by leaf, each leaf's small kernel on its own
-legs (nested ``Par`` parts and the parts of a ``test_par`` are opened;
-identities are skipped, swaps only move legs, and a test's stacked branch
-kernels give each column one row per outcome), and never builds the layer's
-kernel; ``kernel_identity`` and ``kernel_swap`` are the
+``kernel_par`` is the Kronecker product (of every pair, when the kernels
+are stacks of a test's branches), because the blocks of a composite word
+are its parts' blocks in turn; ``apply_par`` applies a ``Par``,
+``Identity`` or ``Swap`` term, or a test, to a stack of kernels leaf by
+leaf, each leaf's small kernel on its own blocks through a reshape view
+(nested ``Par`` parts and the parts of a ``test_par`` are opened;
+identities are skipped, swaps exchange blocks, and a test's stacked branch
+kernels give each kernel one per outcome), and never builds the layer's
+kernel; payload compilation and ``certify_channel`` move kernels between
+wire-major and Liouville order (``linalg``), where a theory needs the
+latter; ``kernel_identity`` and ``kernel_swap`` are the
 ``conjugation_channel`` kernels of the identity and of
 ``linalg.swap_unitary``; ``trace_channel`` is the ``effect_channel`` of
 ``diagonal`` of ones (the discard); ``uniform_state`` is ``state_coords`` of
@@ -85,6 +89,7 @@ out read-only) are built on those.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -243,6 +248,7 @@ class TheoryBackend(abc.ABC):
 
     def __init__(self, systems: Mapping[str, int] | None = None) -> None:
         self._trace_effects: dict[SystemType, np.ndarray] = {}
+        self._orders: dict[SystemType, tuple[np.ndarray, np.ndarray]] = {}
         self._systems: dict[str, int] = {}
         for label, dim in (systems or {}).items():
             if not isinstance(dim, int) or dim < 1:
@@ -285,7 +291,8 @@ class TheoryBackend(abc.ABC):
     @abc.abstractmethod
     def legs_per_wire(self) -> int:
         """Kernel legs per wire: a row and a column index on operator-space
-        kernels, one index on stochastic ones."""
+        kernels, one index on stochastic ones; a wire's block of a kernel
+        index has ``d ** legs_per_wire`` entries."""
 
     @property
     @abc.abstractmethod
@@ -330,7 +337,7 @@ class TheoryBackend(abc.ABC):
             for i in np.flatnonzero(~physical):
                 ch = out[at[i]]
                 out[at[i]] = NotPhysicalError(certificate(i, self._role(ch.input_type, ch.output_type)))
-        return out
+        return [self._wire_major(ch) if isinstance(ch, Channel) else ch for ch in out]
 
     def compile_payload(
         self,
@@ -349,13 +356,42 @@ class TheoryBackend(abc.ABC):
     def _channel_from_payload(
         self, payload: Payload, input_type: SystemType, output_type: SystemType
     ) -> Channel:
-        ...
+        """The payload's channel, its kernel in Liouville order."""
+
+    def _reorder(self, kernel: np.ndarray, output_word: SystemType, input_word: SystemType,
+                 inverse: bool = False) -> np.ndarray:
+        """``kernel`` (or a stack of them) from Liouville to wire-major order,
+        or back with ``inverse``; the kernel itself where the orders agree
+        (one leg per wire, or at most one wire on each side)."""
+        for axis, word in ((-2, output_word), (-1, input_word)):
+            if len(word.word) > 1 and self.legs_per_wire > 1:
+                order, back = self._wire_orders(word)
+                kernel = np.take(kernel, back if inverse else order, axis=axis)
+        return kernel
+
+    def _wire_orders(self, word: SystemType) -> tuple[np.ndarray, np.ndarray]:
+        """The Liouville position of each wire-major index of ``word``, and
+        the inverse permutation; cached."""
+        if word not in self._orders:
+            dims, legs, k = self.word_dims(word), self.legs_per_wire, len(word)
+            order = np.arange(math.prod(dims) ** legs).reshape(dims * legs).transpose(
+                [g * k + q for q in range(k) for g in range(legs)]).reshape(-1)
+            self._orders[word] = order, np.argsort(order)
+        return self._orders[word]
+
+    def _wire_major(self, ch: Channel) -> Channel:
+        """``ch`` with its Liouville-order kernel put in wire-major order."""
+        kernel = self._reorder(ch.kernel, ch.output_type, ch.input_type)
+        return ch if kernel is ch.kernel else Channel(ch.input_type, ch.output_type, kernel)
 
     @abc.abstractmethod
     def check_kernels(
         self, kernels: np.ndarray, din: int, dout: int
     ) -> tuple[np.ndarray, Callable[[int, str], PhysicalityCertificate]]:
-        """The physicality check of a stack of kernels ``din -> dout``.
+        """The physicality check of a stack of kernels ``din -> dout`` in
+        Liouville order: kernels of one shape may sit on words whose wires
+        differ (``A*B`` and ``B*A``), so they are checked before they are put
+        in wire-major order.
 
         Returns a boolean array, True where a kernel is physical, and
         ``certificate(i, role)``, the full certificate of kernel ``i``
@@ -363,9 +399,11 @@ class TheoryBackend(abc.ABC):
         certificate are those it gets alone in a stack of one."""
 
     def certify_channel(self, ch: Channel) -> PhysicalityCertificate:
-        """The full certificate of one channel: ``check_kernels`` on a stack of one."""
+        """The full certificate of one channel: ``check_kernels`` on a stack
+        of one, its kernel put back in Liouville order."""
         dims = self.hilbert_dim(ch.input_type), self.hilbert_dim(ch.output_type)
-        _, certificate = self.check_kernels(np.asarray(ch.kernel)[None], *dims)
+        kernel = self._reorder(np.asarray(ch.kernel), ch.output_type, ch.input_type, inverse=True)
+        _, certificate = self.check_kernels(kernel[None], *dims)
         return certificate(0, self._role(ch.input_type, ch.output_type))
 
     @abc.abstractmethod
@@ -401,32 +439,30 @@ class TheoryBackend(abc.ABC):
     def apply_par(
         self, layer: Diagram | Test, stack: np.ndarray, channel_of: Callable[[Diagram | Test], Channel]
     ) -> np.ndarray:
-        """``layer`` applied leg by leg to each row of ``stack``.
+        """``layer`` applied block by block to each of a stack of kernels.
 
-        ``stack`` has shape ``(count, K)``: ``count`` kernel columns on
-        ``layer.input_type``, each viewed as ``legs_per_wire`` legs per wire.
+        ``stack`` has shape ``(count, K, ...)``: ``count`` kernels whose rows
+        are on ``layer.input_type``; further axes are carried along, so kernel
+        columns stack as ``(count, K)`` and one kernel is ``(1, K, cols)``.
         ``layer`` is a ``Par``, an ``Identity`` or a ``Swap`` term, or a test.
         A ``Par`` term and a test built by ``test_par`` are opened into their
         parts, and so is each nested one, so a nested layer runs exactly as
         its flat form; a one-branch test is opened into its branch.  Each
-        other leaf contracts its own kernel, ``channel_of(leaf).kernel``, into
-        its wires' legs; ``Identity`` leaves are skipped, ``Swap`` leaves
-        permute legs, and states and effects add and remove legs.  A test's
-        kernel is a stack, one kernel per branch, ``(branches, rows, cols)``:
-        it turns each row into one row per branch, the branch index inner.
-        No kernel on the whole word is built.  Every column goes through its
-        own product of equal shape with each branch, so a result does not
-        depend on how many columns or branches are stacked with it.  Returns
-        shape ``(count * branches..., K')`` on ``layer.output_type``.
+        other leaf applies its own kernel, ``channel_of(leaf).kernel``, to its
+        wires' blocks through a reshape view and one ``matmul``; ``Identity``
+        leaves are skipped, ``Swap`` leaves exchange two runs of blocks, and
+        states and effects add and remove blocks.  A test's kernel is a stack,
+        one kernel per branch, ``(branches, rows, cols)``: it turns each
+        kernel into one per branch, the branch index inner.  No kernel on the
+        whole word is built.  Every kernel goes through products of equal
+        shape with each branch, so a result does not depend on how many
+        kernels or branches are stacked with it.  Returns shape
+        ``(count * branches..., K', ...)`` on ``layer.output_type``.
         """
-        legs, count = self.legs_per_wire, len(stack)
-        t = stack.reshape(count, *self.word_dims(layer.input_type) * legs)
-        wires = len(layer.input_type)
-
-        def axes(start: int, width: int) -> list[int]:
-            """Axes of ``width`` wires from ``start``, in every leg group."""
-            return [1 + g * wires + start + j for g in range(legs) for j in range(width)]
-
+        count, tail, legs = len(stack), stack.shape[2:], self.legs_per_wire
+        blocks = [d ** legs for d in self.word_dims(layer.input_type)]
+        steps = []  # (kernel, or None for a swap; size of the blocks before; sizes of the leaf's runs)
+        branches, widths = 1, [math.prod(blocks)]  # entries per input kernel, then after each step
         pos = 0  # wires before pos are outputs of done leaves; from pos on, inputs of the rest
         todo = [layer]  # the leaves still to apply, the next one last
         while todo:
@@ -438,35 +474,54 @@ class TheoryBackend(abc.ABC):
                 todo.append(leaf.branches[0])
                 continue
             m, n = len(leaf.input_type), len(leaf.output_type)
-            if isinstance(leaf, Swap):  # the right block's legs move before the left block's
-                right = len(leaf.right)
-                t = np.moveaxis(t, axes(pos + m - right, right), axes(pos, right))
-            elif not isinstance(leaf, Identity):
+            run, pos = blocks[pos:pos + m], pos + n
+            if isinstance(leaf, Identity):
+                continue
+            before = math.prod(blocks[:pos - n])
+            if isinstance(leaf, Swap):  # the right run of blocks moves before the left run
+                left = m - len(leaf.right)
+                steps.append((None, before, (math.prod(run[:left]), math.prod(run[left:]))))
+                blocks[pos - n:pos - n + m] = run[left:] + run[:left]
+            else:
                 kernel = channel_of(leaf).kernel
-                kernel = kernel.reshape(-1, *kernel.shape[-2:])  # (branches, rows, cols)
-                moved = np.moveaxis(t, axes(pos, m), range(1, 1 + legs * m))
-                rest = moved.shape[1 + legs * m:]
-                out = np.matmul(kernel, moved.reshape(count, 1, kernel.shape[2], -1))
-                count *= len(kernel)
-                out = out.reshape(count, *self.word_dims(leaf.output_type) * legs, *rest)
-                wires += n - m
-                t = np.moveaxis(out, range(1, 1 + legs * n), axes(pos, n))
-            pos += n
-        return t.reshape(count, -1)
+                kernel = kernel.reshape(-1, 1, *kernel.shape[-2:])  # (branches, 1, rows, cols)
+                steps.append((kernel, before, (math.prod(run),)))
+                blocks[pos - n:pos - n + m] = [d ** legs for d in self.word_dims(leaf.output_type)]
+                branches *= len(kernel)
+            widths.append(branches * math.prod(blocks))
+        if not steps:
+            return stack
+        # groups of kernels take the steps in turn, the last step writing into the result;
+        # the products between steps of a group take at most half as much as the stack
+        inner = widths[1:-1]
+        held = max(a + b for a, b in zip([0] + inner, inner + [0]))
+        part = max(1, count * widths[0] // (2 * held)) if held else count
+        kernels = [kernel for kernel, _, _ in steps if kernel is not None]
+        out = np.empty((count * branches, math.prod(blocks), *tail), np.result_type(stack, *kernels))
+        for lo in range(0, count, part):
+            t = stack[lo:lo + part]
+            n, dest = len(t), out[lo * branches:(lo + len(t)) * branches]
+            for k, (kernel, before, sizes) in enumerate(steps):
+                if kernel is None:
+                    t = t.reshape(n, before, *sizes, -1).swapaxes(2, 3)
+                else:
+                    view = t.reshape(n, 1, before, *sizes, -1)
+                    last = k == len(steps) - 1
+                    into = dest.reshape(n, len(kernel), before, -1, view.shape[-1]) if last else None
+                    t = np.matmul(kernel, view, out=into)
+                    n *= len(kernel)
+            if kernel is None:
+                np.copyto(dest.reshape(t.shape), t)
+        return out
 
     def kernel_par(self, left: Channel, right: Channel) -> np.ndarray:
-        """Dense kernel of ``left`` beside ``right``: each of ``left``'s legs
-        is placed before the matching leg of ``right``, one product per entry.
-
-        A kernel may also be a stack ``(branches, rows, cols)``, one kernel
-        per branch of a test; the result then stacks the kernels of every
-        pair of branches, ``left``'s branch index major."""
-        legs = self.legs_per_wire
-        lo, li, ro, ri = (self.hilbert_dim(w) for w in (
-            left.output_type, left.input_type, right.output_type, right.input_type))
-        a = left.kernel.reshape(-1, 1, *[lo, 1] * legs, *[li, 1] * legs)
-        b = right.kernel.reshape(1, -1, *[1, ro] * legs, *[1, ri] * legs)
+        """Dense kernel of ``left`` beside ``right``: their Kronecker product,
+        one product per entry.  A kernel may also be a stack ``(branches,
+        rows, cols)``, one kernel per branch of a test; the result then
+        stacks the kernels of every pair of branches, ``left``'s major."""
         (lr, lc), (rr, rc) = left.kernel.shape[-2:], right.kernel.shape[-2:]
+        a = left.kernel.reshape(-1, 1, lr, 1, lc, 1)
+        b = right.kernel.reshape(1, -1, 1, rr, 1, rc)
         stack = [-1] if max(left.kernel.ndim, right.kernel.ndim) > 2 else []
         return (a * b).reshape(*stack, lr * rr, lc * rc)
 

@@ -87,6 +87,7 @@ class _MatrixTheory(TheoryBackend):
 
     def __init__(self, systems=None) -> None:
         self._basis_cache: dict[SystemType, np.ndarray] = {}
+        self._coordinate_cache: dict = {}
         super().__init__(systems)
 
     # -- coordinate bases ----------------------------------------------
@@ -132,18 +133,21 @@ class _MatrixTheory(TheoryBackend):
         kind = payload.kind
         if kind in ("vec", "dens"):  # a state's or an effect's matrix, or its ket
             if input_type.is_unit:
-                role, word, channel = "state", output_type, self.state_channel
+                role, word = "state", output_type
             elif output_type.is_unit:
-                role, word, channel = "effect", input_type, self.effect_channel
+                role, word = "effect", input_type
             else:
                 raise OptlabError(f"{kind} payloads declare states or effects, not boxes")
             obj = payload.data
             if kind == "vec":
                 v = self._coerce_array(obj, (self.hilbert_dim(word),), f"{role} vector")
                 obj = np.outer(v, v.conj())
-            return channel(obj, word)
+            return self._object_channel(obj, word, role)
         if kind == "choi":
-            return self.channel_from_choi(payload.data, input_type, output_type)
+            din, dout = self.hilbert_dim(input_type), self.hilbert_dim(output_type)
+            choi = self._coerce_array(payload.data, (din * dout, din * dout), "choi matrix")
+            kernel = linalg.liouville_from_choi(choi, din, dout)
+            return Channel(input_type, output_type, self.project_scalars(kernel))
         if kind != "kraus":
             raise OptlabError(f"payload kind {kind!r} is not meaningful on backend {self.name!r}")
         data = payload.data if isinstance(payload.data, (list, tuple)) else [payload.data]
@@ -159,16 +163,14 @@ class _MatrixTheory(TheoryBackend):
     def channel_choi(self, ch: Channel) -> np.ndarray:
         din = self.hilbert_dim(ch.input_type)
         dout = self.hilbert_dim(ch.output_type)
-        return linalg.choi_from_liouville(ch.kernel, din, dout)
+        kernel = self._reorder(ch.kernel, ch.output_type, ch.input_type, inverse=True)
+        return linalg.choi_from_liouville(kernel, din, dout)
 
     def channel_from_choi(
         self, choi: np.ndarray, input_type: SystemType, output_type: SystemType
     ) -> Channel:
-        din = self.hilbert_dim(input_type)
-        dout = self.hilbert_dim(output_type)
-        choi = self._coerce_array(choi, (din * dout, din * dout), "choi matrix")
-        kernel = linalg.liouville_from_choi(choi, din, dout)
-        return Channel(input_type, output_type, self.project_scalars(kernel))
+        ch = self._channel_from_payload(Payload("choi", choi), input_type, output_type)
+        return self._wire_major(ch)
 
     def check_kernels(self, kernels, din, dout):
         """Self-adjointness, then a positive Choi matrix, then a sub-normalized
@@ -238,17 +240,12 @@ class _MatrixTheory(TheoryBackend):
         ref = SystemType(state.system.word[len(input_word):])
         r = self.hilbert_dim(ref)
         rho = self.state_object(state.coords, state.system).reshape(din, r, din, r)
-        legs = kernels.reshape(-1, dout, dout, din, din)
+        legs = self._reorder(kernels, output_word, input_word, inverse=True)
+        legs = legs.reshape(-1, dout, dout, din, din)
         out = np.einsum("tklij,irjs->tkrls", legs, rho).reshape(len(legs), 1, -1)
         # one vector-matrix product per kernel, so a row never depends on the stack height;
         # Re(out @ conj(W)) = Re(conj(out) @ W), and out is the small operand to conjugate
         return np.real(out.conj() @ self._flat_basis(output_word * ref))[:, 0]
-
-    def transfer_of(self, ch: Channel) -> TransferMatrix:
-        w_in = self._flat_basis(ch.input_type)
-        w_out = self._flat_basis(ch.output_type)
-        t = w_out.conj().T @ ch.kernel @ w_in
-        return TransferMatrix(np.real(t), ch.input_type, ch.output_type)
 
     # -- coordinates ----------------------------------------------------
 
@@ -259,15 +256,20 @@ class _MatrixTheory(TheoryBackend):
         m = np.einsum("n,nij->ij", np.asarray(coords, dtype=float), self.basis(word))
         return self.project_scalars(m)
 
-    def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
+    def _object_channel(self, obj: np.ndarray, word: SystemType, role: str) -> Channel:
+        """The preparation of a state matrix or the effect of an effect
+        matrix, its kernel in Liouville order."""
         d = self.hilbert_dim(word)
-        rho = self._coerce_array(obj, (d, d), "state matrix")
-        return Channel(SystemType(()), word, linalg.vec(rho).reshape(-1, 1))
+        m = self._coerce_array(obj, (d, d), f"{role} matrix")
+        if role == "state":
+            return Channel(SystemType(()), word, linalg.vec(m).reshape(-1, 1))
+        return Channel(word, SystemType(()), linalg.vec(m).conj().reshape(1, -1))
+
+    def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
+        return self._wire_major(self._object_channel(obj, word, "state"))
 
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        d = self.hilbert_dim(word)
-        eff = self._coerce_array(obj, (d, d), "effect matrix")
-        return Channel(word, SystemType(()), linalg.vec(eff).conj().reshape(1, -1))
+        return self._wire_major(self._object_channel(obj, word, "effect"))
 
     def conjugation_channel(
         self, u: np.ndarray, input_word: SystemType, output_word: SystemType | None = None
@@ -275,7 +277,7 @@ class _MatrixTheory(TheoryBackend):
         """Channel X -> U X U* for a (possibly rectangular) isometry U."""
         wout = input_word if output_word is None else output_word
         u = self._coerce_array(u, (self.hilbert_dim(wout), self.hilbert_dim(input_word)), "isometry")
-        return Channel(input_word, wout, np.kron(u, u.conj()))
+        return self._wire_major(Channel(input_word, wout, np.kron(u, u.conj())))
 
     def spanning_states(self, word: SystemType) -> np.ndarray:
         """Coordinates of the projector family on the word's joint carrier.
@@ -363,7 +365,8 @@ class _MatrixTheory(TheoryBackend):
 
     def random_channels(self, rng, input_word, output_word, count):
         din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
-        return linalg.liouville_from_choi(self._tp_choi(rng, din, dout, count), din, dout)
+        kernels = linalg.liouville_from_choi(self._tp_choi(rng, din, dout, count), din, dout)
+        return self._reorder(kernels, output_word, input_word)
 
     def _tp_choi(self, rng, din: int, dout: int, count: int) -> np.ndarray:
         """``count`` random trace-preserving Choi matrices, stacked."""
@@ -435,11 +438,35 @@ class QuantumBackend(_MatrixTheory):
         rows = [_MatrixTheory.spanning_states(self, SystemType.of(label)) for label in word]
         return reduce(np.kron, rows, np.ones((1, 1)))
 
+    def _coordinates(self, word: SystemType) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per system of ``word``, the matrix taking its block of a kernel
+        index to coordinates: the system's transposed flat basis, conjugated
+        in the first list and not in the second; cached."""
+        maps = self._coordinate_cache.get(word.word)
+        if maps is None:
+            bases = [self._flat_basis(SystemType.of(label)) for label in word]
+            maps = self._coordinate_cache[word.word] = [w.conj().T for w in bases], [w.T for w in bases]
+        return maps
+
+    def transfer_of(self, ch: Channel) -> TransferMatrix:
+        """``W_out^H K W_in``, the word's basis being the Kronecker product of
+        its systems' bases: each system's basis is applied to its own block of
+        the kernel's rows, then of the transposed product's rows, so no basis
+        of a word of several systems is built."""
+        t = ch.kernel
+        for word, side in ((ch.output_type, 0), (ch.input_type, 1)):
+            before = 1
+            for w in self._coordinates(word)[side]:
+                t = w @ t.reshape(before, w.shape[1], -1)
+                before *= len(w)
+            t = np.ascontiguousarray(t.reshape(before, -1).T)
+        return TransferMatrix(np.real(t), ch.input_type, ch.output_type)
+
     def channel_from_transfer(self, t: TransferMatrix) -> Channel:
         w_in = self._flat_basis(t.input_type)
         w_out = self._flat_basis(t.output_type)
         kernel = w_out @ t.matrix.astype(complex) @ w_in.conj().T
-        return Channel(t.input_type, t.output_type, kernel)
+        return self._wire_major(Channel(t.input_type, t.output_type, kernel))
 
 
 class RealQuantumBackend(_MatrixTheory):
@@ -459,6 +486,20 @@ class RealQuantumBackend(_MatrixTheory):
 
     def _build_basis(self, word: SystemType) -> np.ndarray:
         return linalg.symmetric_basis(self.hilbert_dim(word))
+
+    def _wire_basis(self, word: SystemType) -> np.ndarray:
+        """The word's flat basis with its rows in wire-major order; cached."""
+        w = self._coordinate_cache.get(word.word)
+        if w is None:
+            w = self._reorder(self._flat_basis(word).T, SystemType(()), word).T
+            self._coordinate_cache[word.word] = w
+        return w
+
+    def transfer_of(self, ch: Channel) -> TransferMatrix:
+        """``W_out^T K W_in`` with the joint bases: a word's basis is not a
+        product of its systems' bases."""
+        w_in, w_out = self._wire_basis(ch.input_type), self._wire_basis(ch.output_type)
+        return TransferMatrix(w_out.T @ ch.kernel @ w_in, ch.input_type, ch.output_type)
 
     def channel_from_transfer(self, t: TransferMatrix) -> Channel:
         raise OptlabError(

@@ -2,19 +2,18 @@
 
 Primitive boxes resolve to compiled kernels, identities and swaps come from
 the backend's kernel algebra, parallel composition is the backend's dense
-``kernel_par`` and sequential composition a kernel product.  A
+``kernel_par`` and sequential composition a kernel product.  Kernels rest in
+wire-major order, one block of indices per wire (``TheoryBackend``).  A
 :class:`~optlab.diagram.Seq` is a flat chain, evaluated by one loop from its
-input end.  Every ``Par``, ``Identity`` and ``Swap`` part after the first
-is applied leg by leg to the prefix's kernel columns
+input end.  Every ``Par``, ``Identity`` and ``Swap`` part after the first is
+applied block by block to the prefix's kernel from the left
 (``TheoryBackend.apply_par``): each leaf's small kernel acts on its own
-wires, identities and swaps only relabel legs, and a nested ``Par`` part is
-opened into its own leaves, so no layer kernel on the whole word is built,
-and on a closed circuit a layer costs about as much as one state column.
-An effect-shaped ``Par`` is applied the same way, each effect contracting
-its own legs.  A ``Par`` that stands alone or starts a chain is built
-densely, folding its parts from the left, which is its written association.
-``Seq`` and ``Par`` are both flat tuples folded by the same loop, so neither
-long ``;`` nor long ``*`` chains recurse.
+wires' blocks through a reshape view, identities are skipped, swaps exchange
+blocks, and a nested ``Par`` part is opened into its own leaves, so no layer
+kernel on the whole word is built.  A ``Par`` that stands alone or starts a
+chain is built densely, folding its parts from the left, which is its
+written association.  ``Seq`` and ``Par`` are both flat tuples folded by the
+same loop, so neither long ``;`` nor long ``*`` chains recurse.
 
 Results are memoized per call.  Whole terms are keyed by the term itself
 (terms are immutable and hash structurally in O(1)); each prefix of a ``;``
@@ -22,14 +21,13 @@ or ``*`` chain is keyed by its kind, the memoized result of the shorter
 prefix and the next part.
 
 :func:`run_test_circuit` evaluates a test's component tree as one stack of
-kernel columns with an outcome axis per component, flattened in label
-order, and never lists the branches.  A ``test_par`` of preparations stacks
-each part's branch columns and combines them by ``kernel_par``, the same
-entrywise products as a lone branch's dense head.  Later layers go through
-``apply_par`` once for the whole stack, and a ``test_par`` of measurements
-contracts each part's stacked effect rows into its own legs.  A test given by
-its branches applies each branch to the whole stack.  Every column goes
-through products of the same shape as in a lone chain, so each outcome's
+kernel columns, one per outcome in label order, and never lists the
+branches.  A ``test_par`` of preparations combines its parts' branch columns
+by ``kernel_par``, as a lone branch's dense head does; each later piece goes
+through ``apply_par`` once for the whole stack, a test's stacked branch
+kernels giving each column one per outcome, and a test given by its
+branches applies each branch to the whole stack.  Every column goes through
+products of the same shape as in a lone chain, so each outcome's
 probability is the one :func:`evaluate` gives its branch.
 """
 
@@ -122,7 +120,8 @@ def evaluate_channel(
                     prefix = backend.par(ch, evaluate_channel(part, backend, bindings, memo))
                 elif isinstance(part, (Par, Identity, Swap)):
                     _check_wires(ch.output_type, part.input_type)
-                    kernel = _chain((part,), ch.kernel.T, backend, bindings, memo).T
+                    kernel = backend.apply_par(part, ch.kernel[None], lambda leaf: evaluate_channel(
+                        leaf, backend, bindings, memo))[0]
                     prefix = Channel(ch.input_type, part.output_type, kernel)
                 else:
                     second = evaluate_channel(part, backend, bindings, memo)
@@ -158,14 +157,11 @@ def _chain(pieces, stack, backend, bindings, memo) -> np.ndarray:
             todo.extend(reversed(piece.parts))
         elif isinstance(piece, Test) and len(piece.outcomes) == 1:
             todo.append(piece.branches[0])
-        elif isinstance(piece, (Par, Identity, Swap)) or isinstance(piece, Test) and piece.kind is Par:
-            stack = backend.apply_par(piece, stack, lambda leaf: _channel(leaf, backend, bindings, memo))
-        elif isinstance(piece, Test):
+        elif isinstance(piece, Test) and piece.kind is not Par:  # given by its branches
             outs = [_chain((b,), stack, backend, bindings, memo) for b in piece.branches]
             stack = np.stack(outs, axis=1).reshape(-1, outs[0].shape[1])
-        else:
-            kernel = evaluate_channel(piece, backend, bindings, memo).kernel
-            stack = np.matmul(kernel, stack[:, :, None])[:, :, 0]  # one product per column, as in a chain
+        else:  # a box gives each column one product, as in a chain
+            stack = backend.apply_par(piece, stack, lambda leaf: _channel(leaf, backend, bindings, memo))
     return stack
 
 

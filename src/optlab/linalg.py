@@ -3,8 +3,15 @@
 Conventions used throughout the package (documented once, here):
 
 * ``vec`` is row-major (C-order) stacking, so ``vec(A X B) = (A kron B^T) vec(X)``.
-* A map ``M`` between matrix spaces is stored as its *process matrix* ``N``
+* A map ``M`` between matrix spaces has the *process matrix* ``N``
   ("Liouville form") with ``vec(M(X)) = N vec(X)``; shape ``(dout**2, din**2)``.
+  On a word of several wires, Liouville order runs over every wire's row
+  index, then every wire's column index.  Kernels rest in *wire-major*
+  order instead: each wire's (row, column) pair is one block, the blocks in
+  wire order, so the kernel of maps side by side is their Kronecker product.
+  Liouville order is the form at the payload and Choi boundary (these
+  helpers, payload compilation, certification, ``channel_choi``); the two
+  orders agree on one wire.
 * The Choi matrix of ``M`` puts the input factor first and is unnormalized:
   ``J = sum_ij E_ij kron M(E_ij)``, shape ``(din*dout, din*dout)``; a
   trace-preserving map has ``Tr_out J = I_in`` and ``Tr J = din``.

@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from optlab import Channel, Payload, SystemType, get_backend
+from optlab import Channel, Payload, SystemType, get_backend, par
 from optlab import linalg as la
 from optlab.audit import stinespring_dilate
 from optlab.backends.base import TheoryBackend
-from optlab.diagram import UNIT
+from optlab.diagram import UNIT, PrimitiveBox
 from optlab.errors import NotPhysicalError, OptlabError
 from optlab.sampling import Sampler
 
@@ -334,14 +334,19 @@ def test_trace_effect_sums_probability(backend):
 
 def closed_forms(backend, word, left, right):
     """Identity and swap kernels, discard row and uniform coordinates, each
-    written out directly for the theory."""
+    written out directly for the theory.  Kernels are in wire-major order,
+    so the swap moves each wire's whole block of legs, and the discard of a
+    word is the Kronecker product of each wire's discard."""
     d = backend.hilbert_dim(word)
     s = la.swap_unitary(backend.hilbert_dim(left), backend.hilbert_dim(right))
     if backend.name == "classical":
         return np.eye(d), s, np.ones((1, d)), np.full(d, 1.0 / d)
     dtype = complex if backend.name == "quantum" else float
-    return (np.eye(d * d, dtype=dtype), np.kron(s, s).astype(dtype),
-            la.vec(np.eye(d, dtype=dtype)).reshape(1, -1),
+    discard = np.ones((1, 1), dtype=dtype)
+    for dim in backend.word_dims(word):
+        discard = np.kron(discard, la.vec(np.eye(dim, dtype=dtype)))
+    swap = la.swap_unitary(backend.hilbert_dim(left) ** 2, backend.hilbert_dim(right) ** 2)
+    return (np.eye(d * d, dtype=dtype), swap.astype(dtype), discard,
             backend.state_coords(np.eye(d) / d, word))
 
 
@@ -390,3 +395,84 @@ def test_a_theory_lacking_a_member_cannot_be_instantiated(member):
     with pytest.raises(TypeError, match=member):
         partial({"A": 2})
     type("Whole", (TheoryBackend,), {**namespace, member: vars(ClassicalBackend)[member]})({"A": 2})
+
+
+# -- wire-major kernels against dense Liouville-order oracles ------------------
+
+WORDS = [A * B, B * A, A * B * A]
+
+
+def liouville_positions(dims):
+    """For each wire-major index of a word of the given dimensions, its
+    position in Liouville order.  Wire-major runs over each wire's (row,
+    column) pair in turn; Liouville order puts every wire's row first, then
+    every wire's column."""
+    out = []
+    for pairs in itertools.product(*(range(d * d) for d in dims)):
+        rows = [p // d for p, d in zip(pairs, dims)]
+        cols = [p % d for p, d in zip(pairs, dims)]
+        out.append(np.ravel_multi_index(rows + cols, list(dims) * 2))
+    return np.array(out, dtype=int)
+
+
+def dense_basis(backend, word):
+    """The word's flat operator basis, one column per coordinate, rows in
+    wire-major order: the Kronecker product of each system's Hermitian basis
+    on the complex theory, the symmetric basis of the joint carrier on the
+    real one."""
+    dims = backend.word_dims(word)
+    if backend.name == "quantum":
+        b = np.ones((1, 1, 1), dtype=complex)
+        for d in dims:
+            b = la.kron_basis(b, la.hermitian_basis(d))
+    else:
+        b = la.symmetric_basis(backend.hilbert_dim(word))
+    return b.reshape(len(b), -1).T[liouville_positions(dims)]
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real"])
+@pytest.mark.parametrize("win, wout", [(w, w) for w in WORDS] + [(A * B, B * A), (UNIT, A * B * A)],
+                         ids=str)
+def test_transfer_of_matches_the_dense_product(theory, win, wout):
+    backend = get_backend(theory, {"A": 2, "B": 3})
+    kernel = Sampler(backend, seed=41).channel(win, wout).kernel
+    want = np.real(dense_basis(backend, wout).conj().T @ kernel @ dense_basis(backend, win))
+    got = backend.transfer_of(Channel(win, wout, kernel)).matrix
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real"])
+@pytest.mark.parametrize("word", WORDS, ids=str)
+def test_choi_round_trip_is_exact_on_several_wires(theory, word):
+    backend = get_backend(theory, {"A": 2, "B": 3})
+    s = Sampler(backend, seed=43)
+    for win, wout in [(word, word), (A, word), (word, B)]:
+        ch = s.channel(win, wout)
+        back = backend.channel_from_choi(backend.channel_choi(ch), win, wout)
+        assert back.kernel.dtype == ch.kernel.dtype
+        np.testing.assert_array_equal(back.kernel, ch.kernel)
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real"])
+@pytest.mark.parametrize("word", WORDS, ids=str)
+def test_kernel_par_is_the_kronecker_product(theory, word):
+    backend = get_backend(theory, {"A": 2, "B": 3})
+    s = Sampler(backend, seed=47)
+    first, rest = SystemType.of(word.word[0]), SystemType(word.word[1:])
+    left, right = s.channel(first, first), s.channel(rest, B)
+    np.testing.assert_array_equal(backend.kernel_par(left, right), np.kron(left.kernel, right.kernel))
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real"])
+@pytest.mark.parametrize("word", WORDS, ids=str)
+def test_apply_par_is_the_product_with_the_dense_layer(theory, word):
+    backend = get_backend(theory, {"A": 2, "B": 3})
+    s, rng = Sampler(backend, seed=53), np.random.default_rng(53)
+    head, rest = SystemType(word.word[:-1]), SystemType.of(word.word[-1])
+    channels = {"head": s.channel(head, rest * head), "last": s.channel(rest, rest)}
+    layer = par(PrimitiveBox("head", head, rest * head), PrimitiveBox("last", rest, rest))
+    dense = np.kron(channels["head"].kernel, channels["last"].kernel)
+    stack = rng.normal(size=(3, dense.shape[1])).astype(dense.dtype)
+    got = backend.apply_par(layer, stack, lambda leaf: channels[leaf.name])
+    np.testing.assert_allclose(got, stack @ dense.T, rtol=0, atol=1e-12)

@@ -1,6 +1,8 @@
 """Pure realizations of channels, the transformation/state bridge, and the
 no-information-without-disturbance audit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,30 @@ def test_sampled_channels_dilate(word):
             cert = backend.certify_channel(res.channel)
             assert cert.physical
             assert is_pure_transformation(backend, res.channel)
+
+
+def test_a_six_level_channel_dilates_without_a_basis_of_the_whole_output():
+    """A generic channel on a 6-level system needs a 36-level environment.
+    The flat operator basis of the output word ``A * @36`` (carrier 216)
+    would take 32.4 GiB; the complex theory's ``transfer_of`` applies each
+    system's basis to its own block instead, so the whole dilation stays
+    under 512 MiB.  Tracing the environment out of the pure realization's
+    transfer matrix, whose coordinates are the output's major and the
+    environment's minor, gives the channel's own."""
+    backend = get_backend("quantum", {"A": 6})
+    a = SystemType.of("A")
+    ch = Sampler(backend, seed=1).channel(a, a)
+    tracemalloc.start()
+    try:
+        res = stinespring_dilate(backend, ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 2 ** 20
+    assert res.environment == SystemType.of("@36")
+    t = res.transfer.matrix.reshape(36, 36 * 36, 36)
+    traced = np.einsum("aeb,e->ab", t, backend.trace_effect(res.environment).coords)
+    assert np.abs(traced - backend.transfer_of(ch).matrix).max() <= 1e-12
 
 
 def test_dilation_environment_matches_oracle(quantum):
