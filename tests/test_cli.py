@@ -117,10 +117,10 @@ def _closed_quantum_ladder(rng, n, layers=4):
 def test_prob_on_a_closed_seven_qubit_ladder_fits_its_stacks(run, tmp_path):
     """The preparations of a closed seven-qubit ladder are a stack of
     128 columns of 4^7 = 16384 complex entries: 32 MiB.  A layer applied
-    block by block holds at most two such stacks at once (its input and its
-    product, which the last leaf writes in place), and one spare for the
-    products between its leaves, which it takes a group of columns at a time
-    so that they fill at most half a stack; the bound allows three."""
+    block by block holds its input and its product, which the last leaf
+    writes straight into, and one spare: the products between its leaves,
+    made a group of columns at a time so that they fill at most half a
+    stack.  That is 2.5 stacks; the bound allows three."""
     text, want = _closed_quantum_ladder(np.random.default_rng(5), 7)
     path = tmp_path / "ladder7.opt"
     path.write_text(text, encoding="utf-8")
