@@ -24,6 +24,7 @@ from .purification import (
     SteeringResult,
     purification_uniqueness,
     purify_state,
+    purify_states,
     steering_measurement,
 )
 from .purity import (
@@ -55,6 +56,7 @@ __all__ = [
     "ConnectionReport",
     "SteeringResult",
     "purify_state",
+    "purify_states",
     "purification_uniqueness",
     "steering_measurement",
     "ChoiCorrespondence",

@@ -88,16 +88,23 @@ def check_causality(
     """Verify each complete observation test sums to the discard effect.
 
     Branches may be effect vectors, effect-shaped channels, or a ``Test``
-    whose branches are effect-typed diagrams.  Raises
-    ``CausalityViolationError`` on the first failure.
+    whose branches are effect-typed diagrams.  The effects of the channel
+    tests on one word get their coordinates through one stacked
+    ``transfer_matrices`` call, and the tests of one word and outcome count
+    are decided as one stack.  Raises ``CausalityViolationError`` on the
+    first failing test in the given order; a malformed test raises its
+    error only when no test before it fails.
     """
     tol = backend.tol.marginal if tol is None else tol
-    residuals = []
-    for idx, test in enumerate(tests):
-        if isinstance(test, (list, tuple)) and test and isinstance(test[0], EffectVector):
-            word = test[0].system
-            coords = sum(np.asarray(e.coords) for e in test)
-        else:
+    words: list[SystemType] = []
+    effects: list = []  # per test, its effects' coordinates, or for now their count
+    kernels: dict[SystemType, tuple[list[int], list[np.ndarray]]] = {}  # word -> tests, kernels
+    try:
+        for test in tests:
+            if isinstance(test, (list, tuple)) and test and isinstance(test[0], EffectVector):
+                words.append(test[0].system)
+                effects.append(np.array([e.coords for e in test]))
+                continue
             branches = _branch_channels(backend, test, bindings)
             word = branches[0][1].input_type
             for _, ch in branches:
@@ -105,20 +112,44 @@ def check_causality(
                     raise TypeMismatchError(
                         "causality audit needs effect-shaped branches on a common system"
                     )
-            coords = sum(
-                np.asarray(backend.channel_effect(ch).coords) for _, ch in branches
-            )
-        target = backend.trace_effect(word).coords
-        residual = float(np.max(np.abs(coords - target)))
-        if residual > tol:
-            raise CausalityViolationError(residual, f"test #{idx} on {word}")
-        residuals.append(residual)
+            at, stack = kernels.setdefault(word, ([], []))
+            at.append(len(words))
+            stack.extend(ch.kernel for _, ch in branches)
+            words.append(word)
+            effects.append(len(branches))
+    except OptlabError:
+        _residuals(backend, words, effects, kernels, tol)
+        raise
+    residuals = _residuals(backend, words, effects, kernels, tol)
     return CausalityReport(
         residuals=residuals,
         max_residual=max(residuals, default=0.0),
         tolerance=tol,
         tests_checked=len(residuals),
     )
+
+
+def _residuals(backend, words, effects, kernels, tol) -> list[float]:
+    """Each test's largest deviation of its effect sum from the discard,
+    raising on the first one over ``tol``."""
+    for word, (at, stack) in kernels.items():
+        rows = backend.transfer_matrices(np.array(stack), word, SystemType(()))[:, 0]
+        start = 0
+        for i in at:
+            start, effects[i] = start + effects[i], rows[start:start + effects[i]]
+    groups: dict[tuple, list[int]] = {}
+    for i, (word, e) in enumerate(zip(words, effects)):
+        groups.setdefault((word, len(e)), []).append(i)
+    residuals = np.empty(len(words))
+    for (word, k), at in groups.items():
+        stack = np.array([effects[i] for i in at])
+        total = sum(stack[:, j] for j in range(k))  # in outcome order, as one test's sum
+        residuals[at] = np.abs(total - backend.trace_effect(word).coords).max(axis=-1)
+    failed = np.flatnonzero(residuals > tol)
+    if failed.size:
+        i = failed[0]
+        raise CausalityViolationError(float(residuals[i]), f"test #{i} on {words[i]}")
+    return residuals.tolist()
 
 
 def is_deterministic(

@@ -31,6 +31,7 @@ __all__ = [
     "ConnectionReport",
     "SteeringResult",
     "purify_state",
+    "purify_states",
     "purification_uniqueness",
     "steering_measurement",
 ]
@@ -98,23 +99,42 @@ def purify_state(backend: TheoryBackend, state: StateVector) -> PurificationResu
 
     Spectral square root on the matrix theories; on the classical theory
     only point masses extend purely, so anything else returns a ``Failure``
-    verdict with the refinement witness.
+    verdict with the refinement witness.  The one-state case of
+    ``purify_states``.
     """
-    word = state.system
-    obj = backend.state_object(state.coords, word)
-    dec = backend.extremal_decomposition(obj)
-    try:
-        psi_obj, r = backend.purification(obj, dec)
-    except BackendLacksPurificationError as e:
-        return PurificationResult(
-            verdict="Failure", rank=dec.rank, witness={"reason": str(e), **(dec.witness or {})}
-        )
-    purifying = backend.scratch_system(r)
-    joint = word * purifying
-    reduced = backend.partial_trace(psi_obj, [obj.shape[0], r], [0])
-    marginal_error = float(np.max(np.abs(reduced - obj)))
-    psi = StateVector(backend.state_coords(psi_obj, joint), joint)
-    return PurificationResult("Purified", purifying, psi, dec.rank, marginal_error)
+    return purify_states(backend, [state])[0]
+
+
+def purify_states(backend: TheoryBackend, states: Sequence[StateVector]) -> list[PurificationResult]:
+    """``purify_state`` of each state: the states of one word are decomposed
+    as one stack, and those of one rank extended as one."""
+    results: list = [None] * len(states)
+    words: dict[SystemType, list[int]] = {}
+    for i, state in enumerate(states):
+        words.setdefault(state.system, []).append(i)
+    for word, at in words.items():
+        objs = backend.state_object(np.array([states[i].coords for i in at]), word)
+        decs = backend.extremal_decompositions(objs)
+        ranks: dict[int, list[int]] = {}
+        for j, dec in enumerate(decs):
+            ranks.setdefault(dec.rank, []).append(j)
+        for rank, group in ranks.items():
+            try:
+                psis, r = backend.purifications(objs[group], [decs[j] for j in group])
+            except BackendLacksPurificationError as e:
+                for j in group:
+                    results[at[j]] = PurificationResult(
+                        verdict="Failure", rank=rank, witness={"reason": str(e), **(decs[j].witness or {})}
+                    )
+                continue
+            purifying = backend.scratch_system(r)
+            joint = word * purifying
+            reduced = backend.partial_trace(psis, [objs.shape[1], r], [0])
+            errors = np.abs(reduced - objs[group]).reshape(len(group), -1).max(axis=1)
+            for j, psi, error in zip(group, psis, errors.tolist()):
+                psi_state = StateVector(backend.state_coords(psi, joint), joint)
+                results[at[j]] = PurificationResult("Purified", purifying, psi_state, rank, error)
+    return results
 
 
 def _require_pure(backend: TheoryBackend, st: StateVector) -> np.ndarray:

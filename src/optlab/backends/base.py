@@ -34,7 +34,8 @@ otherwise).
   block of ``d ** legs_per_wire`` entries per wire of dimension ``d``, a
   row and a column index on the operator-space kernels, one index on the
   stochastic ones),
-  ``apply_first``, ``transfer_of``.
+  ``apply_first``, ``transfer_matrices`` (of a stack of kernels, each
+  through products of its own).
 * Objects: ``state_coords``/``state_object``, ``state_channel``/
   ``effect_channel``; ``channel_choi`` (a transformation's positive
   representative); ``conjugation_channel`` (the channel of a reversible or
@@ -42,10 +43,11 @@ otherwise).
   classical weights ``p``: pointer states and the unit effect);
   ``spanning_states`` (one array, a member's coordinates per row; the rows
   are also effects, because every theory here is self-dual).
-* Extremality: ``extremal_decomposition`` splits an object or a
-  ``channel_choi`` into pure pieces (an ``Extremal``).
-* Purification: ``purification`` gives a pure extension and the wing
-  dimension, or raises ``BackendLacksPurificationError``;
+* Extremality: ``extremal_decompositions`` splits each of a stack of
+  objects or ``channel_choi`` matrices into pure pieces (an ``Extremal``).
+* Purification: ``purifications`` gives pure extensions of a stack of
+  objects of one rank and the wing dimension, or raises
+  ``BackendLacksPurificationError``;
   ``pure_connection`` gives the matrix of a reversible map on the wing
   between two pure objects, and the gap between their marginals;
   ``steering_effects`` gives wing effects steering a pure object to each
@@ -53,19 +55,25 @@ otherwise).
   the uniform state so that it separates transformations.  A pure
   realization (dilation) of a transformation is the purification of its
   ``channel_choi``, so a theory writes nothing more for it.
-* Random draws, each from a generator in a fixed order: ``random_state``,
-  ``random_effect``, ``random_channels``, ``random_reversible``,
-  ``random_povm``, ``random_preparation`` and ``random_instrument``.
+* Random draws, each from a generator in a fixed order: ``random_effect``,
+  ``random_channels``, ``random_reversible``, ``random_preparation`` and
+  ``random_instrument``; ``drawn_states`` and ``drawn_povms`` turn a stack
+  of ``state_draws`` or ``povm_draws`` (the numbers of one random state or
+  observation test) into state coordinates or effect objects, so that
+  trials drawn one at a time are worked out as stacks.
 
 A theory also sets the class flags ``purifies`` and ``pair_payloads``; a
 purifying theory adds ``basis`` (the operator basis that spans Choi
 matrices) and ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
-default to real scalars.
+default to real scalars, and ``state_draws`` and ``povm_draws`` to Gaussian
+matrices over the scalars.
 
 The base class derives the rest, the same way for every theory:
 ``compile_payloads`` compiles many payloads and certifies each shape's
 kernels with one ``check_kernels`` call; ``compile_payload`` and
-``certify_channel`` are its one-item cases;
+``certify_channel`` are its one-item cases; likewise ``transfer_of``,
+``extremal_decomposition``, ``purification``, ``random_state`` and
+``random_povm`` are the one-item cases of the stacked members above;
 ``kernel_par`` is the Kronecker product (of every pair, when the kernels
 are stacks of a test's branches), because the blocks of a composite word
 are its parts' blocks in turn; ``apply_par`` applies a ``Par``,
@@ -557,9 +565,18 @@ class TheoryBackend(abc.ABC):
         """The unique deterministic effect (discard) as a channel to the unit."""
         return self.effect_channel(self.diagonal(np.ones(self.hilbert_dim(word))), word)
 
-    @abc.abstractmethod
     def transfer_of(self, ch: Channel) -> TransferMatrix:
-        ...
+        """The transfer matrix of one channel: ``transfer_matrices`` of a stack of one."""
+        matrix = self.transfer_matrices(ch.kernel[None], ch.input_type, ch.output_type)[0]
+        return TransferMatrix(matrix, ch.input_type, ch.output_type)
+
+    @abc.abstractmethod
+    def transfer_matrices(
+        self, kernels: np.ndarray, input_type: SystemType, output_type: SystemType
+    ) -> np.ndarray:
+        """Transfer matrices of a stack of kernels ``(count, rows, cols)``, each
+        ``input_type -> output_type``.  Each kernel goes through products of
+        its own, so a result does not depend on what is stacked with it."""
 
     # ------------------------------------------------------------------
     # states, effects, coordinates
@@ -571,7 +588,8 @@ class TheoryBackend(abc.ABC):
 
     @abc.abstractmethod
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
-        """Concrete state object from coordinates (inverse of state_coords)."""
+        """Concrete state object from coordinates (inverse of state_coords);
+        the objects of a stack of coordinates ``(count, state_dim)``."""
 
     def effect_coords(self, obj: np.ndarray, word: SystemType) -> np.ndarray:
         return self.state_coords(obj, word)
@@ -581,11 +599,13 @@ class TheoryBackend(abc.ABC):
 
     @abc.abstractmethod
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        ...
+        """The preparation of a state object; for a stack of objects, one
+        channel whose kernel stacks theirs."""
 
     @abc.abstractmethod
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        ...
+        """The channel of an effect object; for a stack of objects, one
+        channel whose kernel stacks theirs."""
 
     def state_as_channel(self, state: StateVector) -> Channel:
         """The preparation of a state: the inverse of ``channel_state``."""
@@ -618,7 +638,8 @@ class TheoryBackend(abc.ABC):
     def conjugation_channel(self, u, input_word, output_word=None) -> Channel: ...
 
     @abc.abstractmethod
-    def partial_trace(self, obj, dims: list[int], keep: list[int]) -> np.ndarray: ...
+    def partial_trace(self, obj, dims: list[int], keep: list[int]) -> np.ndarray:
+        """Discard the factors of an object (or of each of a stack) not in ``keep``."""
 
     @abc.abstractmethod
     def diagonal(self, p: np.ndarray) -> np.ndarray: ...
@@ -642,11 +663,23 @@ class TheoryBackend(abc.ABC):
     # extremality and purification
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
-    def extremal_decomposition(self, obj) -> Extremal: ...
+    def extremal_decomposition(self, obj) -> Extremal:
+        """``extremal_decompositions`` of a stack of one."""
+        return self.extremal_decompositions(np.asarray(obj)[None])[0]
 
     @abc.abstractmethod
-    def purification(self, obj, dec: Extremal) -> tuple[np.ndarray, int]: ...
+    def extremal_decompositions(self, objs: np.ndarray) -> list[Extremal]:
+        """The ``Extremal`` of each of a stack of objects of one shape."""
+
+    def purification(self, obj, dec: Extremal) -> tuple[np.ndarray, int]:
+        """``purifications`` of a stack of one."""
+        pure, r = self.purifications(np.asarray(obj)[None], [dec])
+        return pure[0], r
+
+    @abc.abstractmethod
+    def purifications(self, objs: np.ndarray, decs: Sequence[Extremal]) -> tuple[np.ndarray, int]:
+        """Pure extensions of a stack of objects whose decompositions ``decs``
+        share one rank, stacked, and the dimension of their wing."""
 
     @abc.abstractmethod
     def pure_connection(self, first, second, base_dim, ext_dim) -> tuple[np.ndarray, float]: ...
@@ -672,16 +705,32 @@ class TheoryBackend(abc.ABC):
         return q * (phases / np.abs(phases))
 
     def density_matrix(self, rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
-        g = self.gaussian(rng, d, rank or d)
-        rho = g @ g.conj().T
-        return rho / np.trace(rho).real
+        return self._density_matrices(self.gaussian(rng, d, rank or d)[None])[0]
+
+    @staticmethod
+    def _density_matrices(draws: np.ndarray) -> np.ndarray:
+        """``g g* / Tr(g g*)`` for each of a stack of Gaussian matrices."""
+        rho = draws @ draws.conj().swapaxes(-1, -2)
+        return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
     def simplex_weights(self, rng: np.random.Generator, k: int) -> np.ndarray:
         w = rng.exponential(size=k)
         return w / w.sum()
 
+    def random_state(self, rng, word, rank=None) -> StateVector:
+        """``drawn_states`` of one ``state_draws``."""
+        return StateVector(self.drawn_states(self.state_draws(rng, word, rank)[None], word)[0], word)
+
+    def state_draws(self, rng, word, rank=None) -> np.ndarray:
+        """The random numbers of one random state on ``word``: a Gaussian
+        ``d x rank`` matrix, as ``density_matrix`` draws it."""
+        d = self.hilbert_dim(word)
+        return self.gaussian(rng, d, rank or d)
+
     @abc.abstractmethod
-    def random_state(self, rng, word, rank=None) -> StateVector: ...
+    def drawn_states(self, draws: np.ndarray, word: SystemType) -> np.ndarray:
+        """Coordinates ``(count, state_dim)`` of the states that a stack of
+        ``state_draws`` on ``word`` make."""
 
     @abc.abstractmethod
     def random_effect(self, rng, word) -> EffectVector: ...
@@ -692,8 +741,21 @@ class TheoryBackend(abc.ABC):
     @abc.abstractmethod
     def random_reversible(self, rng, word) -> Channel: ...
 
+    def random_povm(self, rng, word, k) -> list[np.ndarray]:
+        """k effect objects summing to the unit effect: ``drawn_povms`` of one
+        ``povm_draws``."""
+        return list(self.drawn_povms(self.povm_draws(rng, word, k)[None])[0])
+
+    def povm_draws(self, rng, word, k) -> np.ndarray:
+        """The random numbers of one random k-outcome observation test on
+        ``word``: k Gaussian ``d x d`` matrices, drawn one after another."""
+        d = self.hilbert_dim(word)
+        return self.gaussian(rng, k, d, d)
+
     @abc.abstractmethod
-    def random_povm(self, rng, word, k) -> list[np.ndarray]: ...
+    def drawn_povms(self, draws: np.ndarray) -> np.ndarray:
+        """The effect objects ``(count, k, ...)`` of the tests that a stack of
+        ``povm_draws`` of one word and outcome count make."""
 
     @abc.abstractmethod
     def random_preparation(self, rng, word, k) -> list[np.ndarray]: ...

@@ -120,8 +120,8 @@ class ClassicalBackend(TheoryBackend):
         out = np.einsum("tki,ir->tkr", kernels, joint)
         return out.reshape(len(out), -1)
 
-    def transfer_of(self, ch: Channel) -> TransferMatrix:
-        return TransferMatrix(np.array(ch.kernel, dtype=float), ch.input_type, ch.output_type)
+    def transfer_matrices(self, kernels, input_type, output_type):
+        return np.array(kernels, dtype=float)
 
     # -- coordinates ----------------------------------------------------
 
@@ -129,15 +129,18 @@ class ClassicalBackend(TheoryBackend):
         return np.asarray(obj, dtype=float).reshape(-1)
 
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
-        return np.asarray(coords, dtype=float).reshape(-1)
+        coords = np.asarray(coords, dtype=float)
+        return coords.reshape(*coords.shape[:-1], -1)
 
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        v = self._coerce_array(obj, (self.hilbert_dim(word),), "probability vector")
-        return Channel(SystemType(()), word, v.reshape(-1, 1))
+        lead = np.shape(obj)[:-1]
+        v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "probability vector")
+        return Channel(SystemType(()), word, v.reshape(*lead, -1, 1))
 
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        v = self._coerce_array(obj, (self.hilbert_dim(word),), "effect vector")
-        return Channel(word, SystemType(()), v.reshape(1, -1))
+        lead = np.shape(obj)[:-1]
+        v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "effect vector")
+        return Channel(word, SystemType(()), v.reshape(*lead, 1, -1))
 
     def spanning_states(self, word: SystemType) -> np.ndarray:
         return np.eye(self.hilbert_dim(word))
@@ -149,32 +152,41 @@ class ClassicalBackend(TheoryBackend):
         return Channel(input_word, wout, self._coerce_array(u, shape, "map"))
 
     def partial_trace(self, obj, dims, keep):
-        drop = tuple(i for i in range(len(dims)) if i not in keep)
-        return np.asarray(obj).reshape(dims or [1]).sum(axis=drop).reshape(-1)
+        obj = np.asarray(obj)
+        lead = obj.shape[:-1]
+        drop = tuple(len(lead) + i for i in range(len(dims)) if i not in keep)
+        return obj.reshape(*lead, *(dims or [1])).sum(axis=drop).reshape(*lead, -1)
 
     def diagonal(self, p):
         return np.asarray(p, dtype=float)
 
     # -- extremality: a vector or kernel is pure when one entry carries weight
 
-    def extremal_decomposition(self, obj) -> Extremal:
-        v = np.asarray(obj, dtype=float)
-        top = float(np.max(np.abs(v), initial=0.0))
-        where = np.argwhere(np.abs(v) > linalg.RANK_CUTOFF * max(top, 1.0))
-        weights = [float(v[tuple(i)]) for i in where]
-        if len(where) <= 1:
-            return Extremal(len(where), weights, None, v.reshape(-1, 1))
-        a = np.zeros_like(v)
-        a[tuple(where[0])] = v[tuple(where[0])]
-        key, at = ("support", where[:, 0]) if v.ndim == 1 else ("entries", where)
-        return Extremal(len(where), weights, {"summands": [a, v - a], key: at.tolist()})
+    def extremal_decompositions(self, objs) -> list[Extremal]:
+        objs = np.asarray(objs, dtype=float)
+        size = np.abs(objs)
+        top = size.reshape(len(objs), -1).max(axis=1, initial=0.0)
+        cut = linalg.RANK_CUTOFF * np.maximum(top, 1.0)
+        out = []
+        for v, heavy in zip(objs, size > cut.reshape(-1, *[1] * (objs.ndim - 1))):
+            where = np.argwhere(heavy)
+            weights = [float(v[tuple(i)]) for i in where]
+            if len(where) <= 1:
+                out.append(Extremal(len(where), weights, None, v.reshape(-1, 1)))
+                continue
+            a = np.zeros_like(v)
+            a[tuple(where[0])] = v[tuple(where[0])]
+            key, at = ("support", where[:, 0]) if v.ndim == 1 else ("entries", where)
+            out.append(Extremal(len(where), weights, {"summands": [a, v - a], key: at.tolist()}))
+        return out
 
-    def purification(self, obj, dec):
-        if dec.rank <= 1:
-            return obj, 1
-        if np.ndim(obj) == 2:
+    def purifications(self, objs, decs):
+        rank = decs[0].rank
+        if rank <= 1:
+            return objs, 1
+        if np.ndim(objs) == 3:
             raise BackendLacksPurificationError(
-                f"no pure realization: the transformation has {dec.rank} nonzero "
+                f"no pure realization: the transformation has {rank} nonzero "
                 "entries and only single-entry (point-preparation) maps are pure "
                 "in the classical theory"
             )
@@ -224,8 +236,12 @@ class ClassicalBackend(TheoryBackend):
 
     # -- random draws ---------------------------------------------------
 
-    def random_state(self, rng, word, rank=None):
-        return StateVector(self.simplex_weights(rng, self.hilbert_dim(word)), word)
+    def state_draws(self, rng, word, rank=None):
+        return rng.exponential(size=self.hilbert_dim(word))
+
+    def drawn_states(self, draws, word):
+        """Each draw over its sum, as ``simplex_weights`` forms it."""
+        return draws / draws.sum(axis=-1, keepdims=True)
 
     def random_effect(self, rng, word):
         return EffectVector(rng.uniform(size=self.hilbert_dim(word)), word)
@@ -242,9 +258,13 @@ class ClassicalBackend(TheoryBackend):
         m[rng.permutation(d), np.arange(d)] = 1.0
         return Channel(word, word, m)
 
-    def random_povm(self, rng, word, k):
-        d = self.hilbert_dim(word)
-        return list(np.stack([self.simplex_weights(rng, k) for _ in range(d)], axis=1))
+    def povm_draws(self, rng, word, k):
+        """One row of k weights per point, as ``simplex_weights`` draws them."""
+        return rng.exponential(size=(self.hilbert_dim(word), k))
+
+    def drawn_povms(self, draws):
+        """Each point's weights over their sum, rows per outcome."""
+        return np.ascontiguousarray((draws / draws.sum(axis=-1, keepdims=True)).swapaxes(-1, -2))
 
     def random_preparation(self, rng, word, k):
         d = self.hilbert_dim(word)

@@ -253,17 +253,19 @@ class _MatrixTheory(TheoryBackend):
         return np.real(np.einsum("nij,ji->n", self.basis(word), np.asarray(obj, dtype=complex)))
 
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
-        m = np.einsum("n,nij->ij", np.asarray(coords, dtype=float), self.basis(word))
+        m = np.einsum("...n,nij->...ij", np.asarray(coords, dtype=float), self.basis(word))
         return self.project_scalars(m)
 
     def _object_channel(self, obj: np.ndarray, word: SystemType, role: str) -> Channel:
         """The preparation of a state matrix or the effect of an effect
-        matrix, its kernel in Liouville order."""
+        matrix, its kernel in Liouville order; a stack of matrices gives the
+        stack of their kernels."""
         d = self.hilbert_dim(word)
-        m = self._coerce_array(obj, (d, d), f"{role} matrix")
+        lead = np.shape(obj)[:-2]
+        m = self._coerce_array(obj, (*lead, d, d), f"{role} matrix")
         if role == "state":
-            return Channel(SystemType(()), word, linalg.vec(m).reshape(-1, 1))
-        return Channel(word, SystemType(()), linalg.vec(m).conj().reshape(1, -1))
+            return Channel(SystemType(()), word, m.reshape(*lead, -1, 1))
+        return Channel(word, SystemType(()), m.reshape(*lead, 1, -1).conj())
 
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
         return self._wire_major(self._object_channel(obj, word, "state"))
@@ -296,22 +298,25 @@ class _MatrixTheory(TheoryBackend):
 
     # -- extremality: the spectrum of the density matrix or Choi matrix ---
 
-    def extremal_decomposition(self, obj) -> Extremal:
-        vals, vecs = linalg.sorted_eigh(obj)
-        rank = linalg.rank_with_cutoff(vals)
-        weights = [float(v) for v in vals[:rank]]
-        witness = None
-        if rank > 1:
-            p0 = vals[0] * np.outer(vecs[:, 0], vecs[:, 0].conj())
-            witness = {"summands": [p0, obj - p0], "spectrum": weights}
-        return Extremal(rank, weights, witness, vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    def extremal_decompositions(self, objs) -> list[Extremal]:
+        vals, vecs = linalg.sorted_eigh(objs)
+        ranks = linalg.rank_with_cutoff(vals)
+        amplitudes = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+        heaviest = vals[:, :1, None] * (vecs[:, :, :1] * vecs[:, None, :, 0].conj())
+        out = []
+        for obj, spectrum, amps, rank, p0 in zip(objs, vals, amplitudes, ranks.tolist(), heaviest):
+            weights = [float(v) for v in spectrum[:rank]]
+            witness = {"summands": [p0, obj - p0], "spectrum": weights} if rank > 1 else None
+            out.append(Extremal(rank, weights, witness, amps))
+        return out
 
-    def purification(self, obj, dec):
-        """The ket ``sum_i sqrt(w_i) v_i (x) e_i`` on a rank-sized wing."""
-        if dec.rank == 0:
+    def purifications(self, objs, decs):
+        """The kets ``sum_i sqrt(w_i) v_i (x) e_i`` on a rank-sized wing."""
+        r = decs[0].rank
+        if r == 0:
             raise BackendLacksPurificationError("the zero state has no pure extension")
-        ket = dec.amplitudes[:, :dec.rank].reshape(-1)
-        return self.project_scalars(np.outer(ket, ket.conj())), dec.rank
+        kets = np.array([dec.amplitudes[:, :r] for dec in decs]).reshape(len(decs), -1)
+        return self.project_scalars(kets[:, :, None] * kets.conj()[:, None, :]), r
 
     def _pure_amplitudes(self, psi: np.ndarray, base_dim: int, ext_dim: int) -> np.ndarray:
         """The ket of a pure state object, as a ``base_dim x ext_dim`` matrix."""
@@ -353,9 +358,10 @@ class _MatrixTheory(TheoryBackend):
 
     # -- random draws ---------------------------------------------------
 
-    def random_state(self, rng, word, rank=None):
-        rho = self.density_matrix(rng, self.hilbert_dim(word), rank)
-        return StateVector(self.state_coords(rho, word), word)
+    def drawn_states(self, draws, word):
+        """The density matrices, then one ``state_coords`` per state: a
+        stacked one could sum in another order."""
+        return np.array([self.state_coords(rho, word) for rho in self._density_matrices(draws)])
 
     def random_effect(self, rng, word):
         d = self.hilbert_dim(word)
@@ -381,15 +387,17 @@ class _MatrixTheory(TheoryBackend):
     def random_reversible(self, rng, word):
         return self.conjugation_channel(self.random_unitary(rng, self.hilbert_dim(word)), word)
 
-    def random_povm(self, rng, word, k):
-        d = self.hilbert_dim(word)
-        raw = []
-        for _ in range(k):
-            g = self.gaussian(rng, d, d)
-            raw.append(g @ g.conj().T)
-        vals, vecs = np.linalg.eigh(sum(raw))
-        corr = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-        return [corr @ e @ corr.conj().T for e in raw]
+    def drawn_povms(self, draws):
+        """``c e c*`` for each ``e = g g*``, where ``c`` is the inverse square
+        root of the sum of a test's ``e``."""
+        raw = draws @ draws.conj().swapaxes(-1, -2)
+        total = sum(raw[:, j] for j in range(raw.shape[1]))  # in outcome order, as one test's sum
+        vals, vecs = np.linalg.eigh(total)
+        scale = np.zeros(vecs.shape)
+        i = np.arange(vals.shape[-1])
+        scale[:, i, i] = vals ** -0.5
+        corr = (vecs @ scale @ vecs.conj().swapaxes(-1, -2))[:, None]
+        return corr @ raw @ corr.conj().swapaxes(-1, -2)
 
     def random_preparation(self, rng, word, k):
         d = self.hilbert_dim(word)
@@ -448,19 +456,19 @@ class QuantumBackend(_MatrixTheory):
             maps = self._coordinate_cache[word.word] = [w.conj().T for w in bases], [w.T for w in bases]
         return maps
 
-    def transfer_of(self, ch: Channel) -> TransferMatrix:
+    def transfer_matrices(self, kernels, input_type, output_type):
         """``W_out^H K W_in``, the word's basis being the Kronecker product of
         its systems' bases: each system's basis is applied to its own block of
         the kernel's rows, then of the transposed product's rows, so no basis
         of a word of several systems is built."""
-        t = ch.kernel
-        for word, side in ((ch.output_type, 0), (ch.input_type, 1)):
+        t, count = kernels, len(kernels)
+        for word, side in ((output_type, 0), (input_type, 1)):
             before = 1
             for w in self._coordinates(word)[side]:
-                t = w @ t.reshape(before, w.shape[1], -1)
+                t = w @ t.reshape(count * before, w.shape[1], -1)
                 before *= len(w)
-            t = np.ascontiguousarray(t.reshape(before, -1).T)
-        return TransferMatrix(np.real(t), ch.input_type, ch.output_type)
+            t = np.ascontiguousarray(t.reshape(count, before, -1).swapaxes(-1, -2))
+        return np.real(t)
 
     def channel_from_transfer(self, t: TransferMatrix) -> Channel:
         w_in = self._flat_basis(t.input_type)
@@ -495,11 +503,10 @@ class RealQuantumBackend(_MatrixTheory):
             self._coordinate_cache[word.word] = w
         return w
 
-    def transfer_of(self, ch: Channel) -> TransferMatrix:
+    def transfer_matrices(self, kernels, input_type, output_type):
         """``W_out^T K W_in`` with the joint bases: a word's basis is not a
         product of its systems' bases."""
-        w_in, w_out = self._wire_basis(ch.input_type), self._wire_basis(ch.output_type)
-        return TransferMatrix(w_out.T @ ch.kernel @ w_in, ch.input_type, ch.output_type)
+        return self._wire_basis(output_type).T @ kernels @ self._wire_basis(input_type)
 
     def channel_from_transfer(self, t: TransferMatrix) -> Channel:
         raise OptlabError(

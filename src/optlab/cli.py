@@ -252,11 +252,7 @@ def _audit_causality(wb: Workbench, args) -> int:
             checks.append({"source": "declared tests", "verdict": "Violated",
                            "witness": str(e)})
             code = VIOLATION
-    sampler = Sampler(wb.backend, seed=args.seed)
-    random_tests = [
-        sampler.observation_channels(sampler.word(), int(sampler.rng.integers(2, 5)))
-        for _ in range(args.trials)
-    ]
+    random_tests = Sampler(wb.backend, seed=args.seed).random_observation_tests(args.trials)
     try:
         report = audit.check_causality(wb.backend, random_tests, tol=args.tol)
         checks.append({"source": f"{args.trials} random observation tests",
@@ -276,15 +272,12 @@ def _audit_purification(wb: Workbench, args) -> int:
         for name, kind in wb.kinds.items() if kind == "state"
     ]
     if not subjects:
-        sampler = Sampler(wb.backend, seed=args.seed)
-        subjects = [
-            (f"random[{i}]", sampler.state(sampler.word(max_len=1)))
-            for i in range(args.trials)
-        ]
+        states = Sampler(wb.backend, seed=args.seed).random_states(args.trials)
+        subjects = [(f"random[{i}]", state) for i, state in enumerate(states)]
     results = []
     code = 0
-    for name, state in subjects:
-        r = audit.purify_state(wb.backend, state)
+    purified = audit.purify_states(wb.backend, [state for _, state in subjects])
+    for (name, _), r in zip(subjects, purified):
         results.append({"state": name, **vars(r)})
         if r.verdict != "Purified":
             code = VIOLATION

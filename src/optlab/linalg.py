@@ -41,6 +41,7 @@ __all__ = [
     "sorted_eigh",
     "rank_with_cutoff",
     "canonical_phase",
+    "canonical_phases",
     "procrustes_unitary",
 ]
 
@@ -154,16 +155,19 @@ def swap_unitary(d1: int, d2: int) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Trace out every tensor factor not listed in ``keep`` (indices in word order)."""
+    """Trace out every tensor factor not listed in ``keep`` (indices in word
+    order), of a matrix or of each of a stack of them."""
     k = len(dims)
     keep = sorted(keep)
-    t = np.asarray(rho).reshape(list(dims) * 2)
+    rho = np.asarray(rho)
+    lead = rho.shape[:-2]
+    t = rho.reshape(*lead, *dims, *dims)
     # row axis i gets subscript i; column axis i reuses subscript i when traced
     in_subs = list(range(k)) + [i + k if i in keep else i for i in range(k)]
     out_subs = list(keep) + [i + k for i in keep]
-    result = np.einsum(t, in_subs, out_subs)
+    result = np.einsum(t, [..., *in_subs], [..., *out_subs])
     d = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return result.reshape(d, d)
+    return result.reshape(*lead, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +176,21 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarr
 
 
 def sorted_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition, eigenvalues descending, phases canonical."""
+    """Hermitian eigendecomposition, eigenvalues descending, phases canonical;
+    of a matrix or of each of a stack of them."""
     vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for i in range(vecs.shape[1]):
-        vecs[:, i] = canonical_phase(vecs[:, i])
-    return vals, vecs
+    order = np.argsort(vals, axis=-1)[..., ::-1]
+    vals = np.take_along_axis(vals, order, -1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], -1)
+    return vals, canonical_phases(vecs)
 
 
-def rank_with_cutoff(eigvals: np.ndarray) -> int:
-    top = float(np.max(eigvals, initial=0.0))
-    if top <= 0.0:
-        return 0
-    return int(np.sum(eigvals > RANK_CUTOFF * top))
+def rank_with_cutoff(eigvals: np.ndarray):
+    """The number of eigenvalues above ``RANK_CUTOFF`` times the largest (0 when
+    none is positive); an integer array for a stack of spectra."""
+    top = np.max(eigvals, axis=-1, initial=0.0)
+    ranks = np.where(top > 0.0, np.sum(eigvals > RANK_CUTOFF * top[..., None], axis=-1), 0)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -199,6 +203,26 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
         return v
     pivot = v[idx[0]]
     return v * (np.abs(pivot) / pivot)
+
+
+def canonical_phases(vecs: np.ndarray) -> np.ndarray:
+    """``canonical_phase`` of every column of a matrix or of a stack of them.
+
+    The column norms are summed here, not by ``np.linalg.norm``, so they may
+    differ from its in the last bits; a column with an entry that close to
+    the sizable cut is rotated by ``canonical_phase`` itself, so each column
+    gets, bit for bit, the pivot and the phase that function gives it."""
+    mag = np.abs(vecs)
+    cut = 1e-12 * np.sqrt(np.sum(mag * mag, axis=-2, keepdims=True))
+    sizable = mag > cut
+    pivot = np.take_along_axis(vecs, np.argmax(sizable, axis=-2)[..., None, :], -2)
+    rotate = np.any(sizable, axis=-2, keepdims=True)
+    out = np.where(rotate, vecs * (np.abs(pivot) / np.where(rotate, pivot, 1.0)), vecs)
+    near = np.any(np.abs(mag - cut) <= 1e-9 * cut, axis=-2)
+    for at in np.argwhere(near):
+        *stack, col = at
+        out[(*stack, slice(None), col)] = canonical_phase(vecs[(*stack, slice(None), col)])
+    return out
 
 
 def procrustes_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:

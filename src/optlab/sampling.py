@@ -8,7 +8,11 @@ objects byte for byte.
 Batched draws keep the stream: ``channels(w_in, w_out, n)`` consumes exactly
 the random numbers of ``n`` calls to ``channel``, in the same order, and
 gives the same kernels, so a caller may split ``n`` draws into blocks of any
-size without changing what it draws.
+size without changing what it draws.  ``random_observation_tests`` and
+``random_states`` draw their trials one at a time, each its word and then
+its numbers, as a loop of ``word`` and ``observation_channels`` or ``state``
+calls would; then the trials of one word are worked out as one stack, and
+each comes out bit for bit as that loop gives it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ class Sampler:
 
     def __init__(self, backend: TheoryBackend, seed: int | np.random.Generator = 0) -> None:
         self.backend = backend
+        self._labels = sorted(backend.systems)
         self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         self.bindings: dict[str, Channel] = {}
         self._counter = 0
@@ -102,6 +107,44 @@ class Sampler:
         b = self.backend
         return [b.effect_channel(e, word) for e in self.povm(word, k)]
 
+    def random_observation_tests(self, count: int, max_len: int = 2) -> list[list[Channel]]:
+        """``count`` tests, each ``observation_channels(word(max_len), k)``
+        with k drawn from 2 to 4 after the word.  The tests whose draws have
+        one shape (carrier dimension and outcome count) are normalized as one
+        stack, and the effects on one word become channels as one stack."""
+        b, unit = self.backend, SystemType(())
+        words, drawn, shapes = [], [], {}
+        for i in range(count):
+            words.append(self.word(max_len))
+            drawn.append(b.povm_draws(self.rng, words[-1], int(self.rng.integers(2, 5))))
+            shapes.setdefault(drawn[i].shape, []).append(i)
+        for at in shapes.values():
+            for i, effects in zip(at, b.drawn_povms(np.array([drawn[i] for i in at]))):
+                drawn[i] = effects
+        on_word: dict[SystemType, list[int]] = {}
+        for i, word in enumerate(words):
+            on_word.setdefault(word, []).append(i)
+        tests: list = [None] * count
+        for word, at in on_word.items():
+            kernels = iter(b.effect_channel(np.concatenate([drawn[i] for i in at]), word).kernel)
+            for i in at:
+                tests[i] = [Channel(word, unit, next(kernels)) for _ in drawn[i]]
+        return tests
+
+    def random_states(self, count: int, max_len: int = 1) -> list[StateVector]:
+        """``count`` states, each ``state(word(max_len))``; the states of one
+        word are formed as one stack."""
+        drawn, groups = [], {}
+        for i in range(count):
+            word = self.word(max_len)
+            drawn.append(self.backend.state_draws(self.rng, word))
+            groups.setdefault(word, []).append(i)
+        states: list = [None] * count
+        for word, at in groups.items():
+            for i, coords in zip(at, self.backend.drawn_states(np.array([drawn[i] for i in at]), word)):
+                states[i] = StateVector(coords, word)
+        return states
+
     def preparation_branches(self, word: SystemType, k: int) -> list[np.ndarray]:
         """Subnormalized state objects summing to a normalized state."""
         return self.backend.random_preparation(self.rng, word, k)
@@ -122,7 +165,7 @@ class Sampler:
     # ------------------------------------------------------------------
 
     def word(self, max_len: int = 2) -> SystemType:
-        labels = sorted(self.backend.systems)
+        labels = self._labels
         if not labels:
             return SystemType(())
         for _ in range(20):
@@ -188,7 +231,7 @@ class Sampler:
         def column() -> Test:
             win = self.word(1)
             if win.is_unit:
-                win = self.word(1) * SystemType((sorted(b.systems)[0],))
+                win = self.word(1) * SystemType((self._labels[0],))
             wout = self.word(1)
             if wout.is_unit:
                 wout = win

@@ -89,6 +89,41 @@ def test_canonical_phase_first_entry_real_positive():
     assert abs(abs(np.vdot(v, w)) - 1.0) < 1e-12
 
 
+def test_canonical_phases_of_a_stack_match_one_column_at_a_time():
+    """A column whose first entry sits at the sizable cut of one norm and
+    above the cut of a norm summed in another order still gets the pivot
+    ``canonical_phase`` gives it, and so do zero and real columns."""
+    cols = []
+    while len(cols) < 3:
+        v = random_complex(5)
+        v[0] = 0.0  # an entry at the cut leaves both norms as they are
+        one, summed = np.linalg.norm(v), np.sqrt(np.sum(np.abs(v) ** 2))
+        if 1e-12 * one != 1e-12 * summed:
+            v[0] = 1e-12 * max(one, summed)
+            cols.append(v)
+    cols.append(np.zeros(5, complex))
+    stack = np.stack(cols, axis=1)
+    got = la.canonical_phases(stack)
+    for k in range(stack.shape[1]):
+        np.testing.assert_array_equal(got[:, k], la.canonical_phase(stack[:, k]), strict=True)
+    real = rng.normal(size=(3, 4))
+    for k in range(4):
+        np.testing.assert_array_equal(la.canonical_phases(real)[:, k], la.canonical_phase(real[:, k]))
+
+
+def test_stacked_decompositions_are_the_one_matrix_forms():
+    h = random_complex((5, 4, 4))
+    h = h + h.conj().swapaxes(-1, -2)
+    h[0] = np.diag([2.0, 1.0, 1.0, 0.0])  # repeated and zero eigenvalues
+    vals, vecs = la.sorted_eigh(h)
+    for i in range(5):
+        one_vals, one_vecs = la.sorted_eigh(h[i])
+        np.testing.assert_array_equal(vals[i], one_vals, strict=True)
+        np.testing.assert_array_equal(vecs[i], one_vecs, strict=True)
+        assert la.rank_with_cutoff(vals)[i] == la.rank_with_cutoff(vals[i])
+        np.testing.assert_array_equal(la.partial_trace(h, [2, 2], [1])[i], la.partial_trace(h[i], [2, 2], [1]))
+
+
 def test_rank_with_cutoff_is_relative():
     assert la.rank_with_cutoff(np.array([1.0, 1e-12, 0.0])) == 1
     assert la.rank_with_cutoff(np.array([1.0, 1e-6])) == 2
