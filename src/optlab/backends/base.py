@@ -599,8 +599,7 @@ class TheoryBackend(abc.ABC):
 
     @abc.abstractmethod
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        """The preparation of a state object; for a stack of objects, one
-        channel whose kernel stacks theirs."""
+        ...
 
     @abc.abstractmethod
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:

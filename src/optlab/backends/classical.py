@@ -133,9 +133,8 @@ class ClassicalBackend(TheoryBackend):
         return coords.reshape(*coords.shape[:-1], -1)
 
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        lead = np.shape(obj)[:-1]
-        v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "probability vector")
-        return Channel(SystemType(()), word, v.reshape(*lead, -1, 1))
+        v = self._coerce_array(obj, (self.hilbert_dim(word),), "probability vector")
+        return Channel(SystemType(()), word, v.reshape(-1, 1))
 
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
         lead = np.shape(obj)[:-1]

@@ -258,8 +258,8 @@ class _MatrixTheory(TheoryBackend):
 
     def _object_channel(self, obj: np.ndarray, word: SystemType, role: str) -> Channel:
         """The preparation of a state matrix or the effect of an effect
-        matrix, its kernel in Liouville order; a stack of matrices gives the
-        stack of their kernels."""
+        matrix, its kernel in Liouville order; a stack of effect matrices
+        gives the stack of their kernels."""
         d = self.hilbert_dim(word)
         lead = np.shape(obj)[:-2]
         m = self._coerce_array(obj, (*lead, d, d), f"{role} matrix")

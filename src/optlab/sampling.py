@@ -107,16 +107,18 @@ class Sampler:
         b = self.backend
         return [b.effect_channel(e, word) for e in self.povm(word, k)]
 
-    def random_observation_tests(self, count: int, max_len: int = 2) -> list[list[Channel]]:
-        """``count`` tests, each ``observation_channels(word(max_len), k)``
-        with k drawn from 2 to 4 after the word.  The tests whose draws have
+    def random_observation_tests(self, count: int) -> list[list[Channel]]:
+        """``count`` tests, each ``observation_channels(word(), k)`` with k
+        drawn from 2 to 4 after the word.  The tests whose draws have
         one shape (carrier dimension and outcome count) are normalized as one
         stack, and the effects on one word become channels as one stack."""
         b, unit = self.backend, SystemType(())
         words, drawn, shapes = [], [], {}
         for i in range(count):
-            words.append(self.word(max_len))
-            drawn.append(b.povm_draws(self.rng, words[-1], int(self.rng.integers(2, 5))))
+            word = self.word()
+            k = int(self.rng.integers(2, 5))
+            words.append(word)
+            drawn.append(b.povm_draws(self.rng, word, k))
             shapes.setdefault(drawn[i].shape, []).append(i)
         for at in shapes.values():
             for i, effects in zip(at, b.drawn_povms(np.array([drawn[i] for i in at]))):
@@ -131,12 +133,12 @@ class Sampler:
                 tests[i] = [Channel(word, unit, next(kernels)) for _ in drawn[i]]
         return tests
 
-    def random_states(self, count: int, max_len: int = 1) -> list[StateVector]:
-        """``count`` states, each ``state(word(max_len))``; the states of one
-        word are formed as one stack."""
+    def random_states(self, count: int) -> list[StateVector]:
+        """``count`` states, each ``state(word(1))``; the states of one word
+        are formed as one stack."""
         drawn, groups = [], {}
         for i in range(count):
-            word = self.word(max_len)
+            word = self.word(1)
             drawn.append(self.backend.state_draws(self.rng, word))
             groups.setdefault(word, []).append(i)
         states: list = [None] * count
