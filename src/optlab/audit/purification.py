@@ -119,8 +119,9 @@ def purify_states(backend: TheoryBackend, states: Sequence[StateVector]) -> list
         for j, dec in enumerate(decs):
             ranks.setdefault(dec.rank, []).append(j)
         for rank, group in ranks.items():
+            sub = objs[group]
             try:
-                psis, r = backend.purifications(objs[group], [decs[j] for j in group])
+                psis, r = backend.purifications(sub, [decs[j] for j in group])
             except BackendLacksPurificationError as e:
                 for j in group:
                     results[at[j]] = PurificationResult(
@@ -130,7 +131,7 @@ def purify_states(backend: TheoryBackend, states: Sequence[StateVector]) -> list
             purifying = backend.scratch_system(r)
             joint = word * purifying
             reduced = backend.partial_trace(psis, [objs.shape[1], r], [0])
-            errors = np.abs(reduced - objs[group]).reshape(len(group), -1).max(axis=1)
+            errors = np.maximum.reduce(np.abs(reduced - sub).reshape(len(group), -1), axis=1)
             for j, psi, error in zip(group, psis, errors.tolist()):
                 psi_state = StateVector(backend.state_coords(psi, joint), joint)
                 results[at[j]] = PurificationResult("Purified", purifying, psi_state, rank, error)

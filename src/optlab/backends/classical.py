@@ -137,7 +137,7 @@ class ClassicalBackend(TheoryBackend):
         return Channel(SystemType(()), word, v.reshape(-1, 1))
 
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        lead = np.shape(obj)[:-1]
+        lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # a payload is nested tuples
         v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "effect vector")
         return Channel(word, SystemType(()), v.reshape(*lead, 1, -1))
 

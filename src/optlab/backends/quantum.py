@@ -261,7 +261,7 @@ class _MatrixTheory(TheoryBackend):
         matrix, its kernel in Liouville order; a stack of effect matrices
         gives the stack of their kernels."""
         d = self.hilbert_dim(word)
-        lead = np.shape(obj)[:-2]
+        lead = obj.shape[:-2] if isinstance(obj, np.ndarray) else ()  # a payload is nested tuples
         m = self._coerce_array(obj, (*lead, d, d), f"{role} matrix")
         if role == "state":
             return Channel(SystemType(()), word, m.reshape(*lead, -1, 1))

@@ -26,6 +26,8 @@ Conventions used throughout the package (documented once, here):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -166,7 +168,7 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarr
     in_subs = list(range(k)) + [i + k if i in keep else i for i in range(k)]
     out_subs = list(keep) + [i + k for i in keep]
     result = np.einsum(t, [..., *in_subs], [..., *out_subs])
-    d = int(np.prod([dims[i] for i in keep])) if keep else 1
+    d = math.prod(dims[i] for i in keep)
     return result.reshape(*lead, d, d)
 
 
@@ -178,18 +180,20 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarr
 def sorted_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition, eigenvalues descending, phases canonical;
     of a matrix or of each of a stack of them."""
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals, axis=-1)[..., ::-1]
-    vals = np.take_along_axis(vals, order, -1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], -1)
-    return vals, canonical_phases(vecs)
+    m = np.asarray(m)
+    shape = m.shape
+    vals, vecs = np.linalg.eigh(m.reshape(-1, *shape[-2:]))
+    rows, cols = np.arange(len(vals))[:, None], np.arange(shape[-1])
+    order = np.argsort(vals, axis=-1)[:, ::-1]
+    vecs = canonical_phases(vecs[rows[:, :, None], cols[:, None], order[:, None, :]])
+    return vals[rows, order].reshape(shape[:-1]), vecs.reshape(shape)
 
 
 def rank_with_cutoff(eigvals: np.ndarray):
     """The number of eigenvalues above ``RANK_CUTOFF`` times the largest (0 when
     none is positive); an integer array for a stack of spectra."""
-    top = np.max(eigvals, axis=-1, initial=0.0)
-    ranks = np.where(top > 0.0, np.sum(eigvals > RANK_CUTOFF * top[..., None], axis=-1), 0)
+    top = np.maximum.reduce(eigvals, axis=-1, initial=0.0)  # where it is 0, no eigenvalue exceeds it
+    ranks = np.add.reduce(eigvals > RANK_CUTOFF * top[..., None], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -206,22 +210,22 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
 
 
 def canonical_phases(vecs: np.ndarray) -> np.ndarray:
-    """``canonical_phase`` of every column of a matrix or of a stack of them.
+    """``canonical_phase`` of every column of a stack of matrices ``(count,
+    n, d)``, each column of unit norm (eigenvectors).
 
     The column norms are summed here, not by ``np.linalg.norm``, so they may
     differ from its in the last bits; a column with an entry that close to
     the sizable cut is rotated by ``canonical_phase`` itself, so each column
     gets, bit for bit, the pivot and the phase that function gives it."""
     mag = np.abs(vecs)
-    cut = 1e-12 * np.sqrt(np.sum(mag * mag, axis=-2, keepdims=True))
-    sizable = mag > cut
-    pivot = np.take_along_axis(vecs, np.argmax(sizable, axis=-2)[..., None, :], -2)
-    rotate = np.any(sizable, axis=-2, keepdims=True)
-    out = np.where(rotate, vecs * (np.abs(pivot) / np.where(rotate, pivot, 1.0)), vecs)
-    near = np.any(np.abs(mag - cut) <= 1e-9 * cut, axis=-2)
-    for at in np.argwhere(near):
-        *stack, col = at
-        out[(*stack, slice(None), col)] = canonical_phase(vecs[(*stack, slice(None), col)])
+    cut = 1e-12 * np.sqrt(np.add.reduce(mag * mag, axis=1))[:, None, :]
+    first = (mag > cut).argmax(axis=1)
+    pivot = vecs[np.arange(len(vecs))[:, None], first, np.arange(vecs.shape[-1])][:, None, :]
+    out = vecs * (np.abs(pivot) / pivot)
+    near = np.abs(mag - cut) <= 1e-9 * cut
+    if np.count_nonzero(near):
+        for i, j in zip(*np.nonzero(np.logical_or.reduce(near, axis=1))):
+            out[i, :, j] = canonical_phase(vecs[i, :, j])
     return out
 
 

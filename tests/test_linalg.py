@@ -92,23 +92,23 @@ def test_canonical_phase_first_entry_real_positive():
 def test_canonical_phases_of_a_stack_match_one_column_at_a_time():
     """A column whose first entry sits at the sizable cut of one norm and
     above the cut of a norm summed in another order still gets the pivot
-    ``canonical_phase`` gives it, and so do zero and real columns."""
+    ``canonical_phase`` gives it, and so do real columns."""
     cols = []
     while len(cols) < 3:
         v = random_complex(5)
         v[0] = 0.0  # an entry at the cut leaves both norms as they are
+        v /= np.linalg.norm(v)
         one, summed = np.linalg.norm(v), np.sqrt(np.sum(np.abs(v) ** 2))
         if 1e-12 * one != 1e-12 * summed:
             v[0] = 1e-12 * max(one, summed)
             cols.append(v)
-    cols.append(np.zeros(5, complex))
-    stack = np.stack(cols, axis=1)
+    stack = np.stack(cols, axis=1)[None]
     got = la.canonical_phases(stack)
-    for k in range(stack.shape[1]):
-        np.testing.assert_array_equal(got[:, k], la.canonical_phase(stack[:, k]), strict=True)
-    real = rng.normal(size=(3, 4))
-    for k in range(4):
-        np.testing.assert_array_equal(la.canonical_phases(real)[:, k], la.canonical_phase(real[:, k]))
+    for k in range(stack.shape[-1]):
+        np.testing.assert_array_equal(got[0, :, k], la.canonical_phase(stack[0, :, k]), strict=True)
+    real = rng.normal(size=(2, 3, 4))
+    for i, k in np.ndindex(2, 4):
+        np.testing.assert_array_equal(la.canonical_phases(real)[i, :, k], la.canonical_phase(real[i, :, k]))
 
 
 def test_stacked_decompositions_are_the_one_matrix_forms():
