@@ -393,7 +393,7 @@ class _MatrixTheory(TheoryBackend):
         raw = draws @ draws.conj().swapaxes(-1, -2)
         total = sum(raw[:, j] for j in range(raw.shape[1]))  # in outcome order, as one test's sum
         vals, vecs = np.linalg.eigh(total)
-        scale = np.zeros(vecs.shape)
+        scale = np.zeros(vecs.shape)  # a product with a diagonal matrix, as one test's form rounds it
         i = np.arange(vals.shape[-1])
         scale[:, i, i] = vals ** -0.5
         corr = (vecs @ scale @ vecs.conj().swapaxes(-1, -2))[:, None]
