@@ -117,7 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict) -> None:
-    sys.stdout.write(dumps_canonical(report))
+    text = dumps_canonical(report)
+    # in slices of 1 MiB: a text stream copies what it is given whole, and the
+    # JSON of a large transfer matrix runs to tens of MB
+    for i in range(0, len(text), 1 << 20):
+        sys.stdout.write(text[i:i + (1 << 20)])
 
 
 def _run_meta(args) -> dict:

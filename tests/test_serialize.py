@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from optlab.backends.base import Channel, EffectVector, StateVector
 from optlab.diagram import SystemType
+from optlab import serialize
 from optlab.serialize import dumps_canonical, format_float
 
 
@@ -267,3 +268,118 @@ def test_first_non_finite_is_found_in_row_major_order():
     a = np.asfortranarray([[1.0, np.inf], [np.nan, 2.0]])  # nan comes first in memory
     with pytest.raises(ValueError, match="non-finite float inf$"):
         dumps_canonical({"m": a})
+
+
+# ---------------------------------------------------------------------------
+# arrays large enough for the vectorized route, against the per-element writer
+# ---------------------------------------------------------------------------
+
+def _adversarial() -> np.ndarray:
+    """Values whose 17 digits are hard to get right: powers of ten and their
+    float neighbours, every power of two down to the smallest subnormal,
+    integers around 2**53, and signed zeros."""
+    tens = [float(f"1e{k}") for k in range(-320, 309)]
+    values = tens + [float(np.nextafter(t, 0)) for t in tens] + [float(np.nextafter(t, np.inf)) for t in tens]
+    values += [math.ldexp(1.0, -k) for k in range(1075)]
+    values += [float(k) for k in range(-50, 1001)] + [float(2**53 + k) for k in range(-2, 3)]
+    values += [0.0, -0.0]
+    return np.array(values)
+
+
+_ADVERSARIAL = _adversarial()
+
+
+def _mixed_values(rng: np.random.Generator, size: int, weights: list[int]) -> np.ndarray:
+    """``size`` float64 drawn from five pools, in the proportions ``weights``:
+    the adversarial list, any finite float, transfer-matrix-like entries,
+    magnitudes in [10, 1e17) and beyond, and subnormals."""
+    bits = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    pools = [
+        rng.choice(_ADVERSARIAL, size),
+        np.where(np.isfinite(bits), bits, 0.5),
+        rng.standard_normal(size) / rng.choice([1.0, 7.0, 1e3, 1e9], size),
+        10.0 ** rng.uniform(1, 30, size),
+        rng.integers(1, 2**52, size=size, dtype=np.int64).view(np.float64),
+    ]
+    p = np.array(weights, dtype=float) + 1e-3
+    pick = rng.choice(len(pools), size=size, p=p / p.sum())
+    values = np.choose(pick, pools)
+    return np.where(rng.random(size) < 0.5, -values, values)
+
+
+@st.composite
+def wide_float_arrays(draw):
+    """1-D, 2-D and 3-D float64 or float32 arrays of up to about 2500 entries,
+    mixing ordinary and adversarial values, through every view in _VIEWS."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    shape = draw(st.sampled_from([(2500,), (1100,), (1024,), (50, 50), (32, 33), (48, 21), (3, 20, 30),
+                                  (8, 16, 16), (2, 700), (700, 2)]))
+    weights = draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = _mixed_values(rng, math.prod(shape), weights)
+    with np.errstate(over="ignore"):
+        values = values.astype(dtype)
+    values[~np.isfinite(values)] = 0.25
+    return _VIEWS[draw(st.sampled_from(sorted(_VIEWS)))](values.reshape(shape))
+
+
+@settings(deadline=None, max_examples=60)
+@given(wide_float_arrays())
+def test_wide_arrays_match_the_per_element_writer(a):
+    report = {"a": a, "b": [a[..., :3], 1.5]}
+    assert _outcome(dumps_canonical, report) == _outcome(_oracle_dumps, report)
+
+
+@pytest.mark.parametrize("shape", [(1023,), (1024,), (1025,), (31, 33), (32, 32), (41, 25), (3, 11, 31), (1, 5, 205)])
+def test_arrays_at_the_size_threshold_match_the_per_element_writer(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = _mixed_values(rng, math.prod(shape), [1, 1, 4, 1, 1]).reshape(shape)
+    assert dumps_canonical(a) == _oracle_dumps(a)
+
+
+def test_a_large_normal_matrix_matches_the_per_element_writer():
+    a = np.random.default_rng(5).standard_normal((1024, 1024))
+    assert dumps_canonical({"transfer": a}) == _oracle_dumps({"transfer": a})
+
+
+def test_a_row_longer_than_a_block_matches_the_per_element_writer():
+    a = _mixed_values(np.random.default_rng(9), serialize._BLOCK * 2 + 7, [1, 1, 4, 1, 1])
+    assert dumps_canonical(a) == _oracle_dumps(a)
+    a[serialize._BLOCK + 3] = 2.0 ** -25  # a tie in the second block sends the row back
+    assert dumps_canonical(a) == _oracle_dumps(a)
+
+
+def test_ordinary_entries_are_certified_and_hard_ones_are_sent_back():
+    ordinary = np.random.default_rng(2).standard_normal((4, 300)) / 30
+    ordinary[:, ::7] = 0.0
+    ordinary[:, 1::11] = 1.0
+    ordinary[:, 2::13] = -3e-200
+    assert all(t == ", ".join("%.17g" % v for v in row) for t, row in zip(serialize._exact_rows(ordinary), ordinary))
+    for hard in [2.0 ** -25,                  # a 17-digit tie
+                 float(np.nextafter(1e-3, 0)),  # log10 misjudges the decade
+                 1e-300, 5e-324, 10.0, 1e17]:   # outside the range
+        block = ordinary.copy()
+        block[2, 5] = hard
+        texts = serialize._exact_rows(block)
+        assert texts[2] is None and None not in texts[:2] + texts[3:]
+
+
+def test_powers_of_ten_split_exactly_for_the_exact_product():
+    hi, lo, hi_hi, hi_lo = serialize._tables()[:4]
+    for s in range(309):
+        assert hi_hi[s] + hi_lo[s] == hi[s]
+        for half in (hi_hi[s], hi_lo[s]):  # at most 26 significant bits
+            mantissa = math.frexp(abs(float(half)))[0]
+            assert mantissa * 2**26 == int(mantissa * 2**26)
+        assert hi[s] == float(10**s) and abs(10**s - int(hi[s]) - int(lo[s])) * 2**106 <= 10**s
+
+
+def test_arrays_from_1024_entries_take_the_vectorized_route(monkeypatch):
+    calls = []
+    monkeypatch.setattr(serialize, "_row_text", lambda row: calls.append(row.size) or "")
+    rng = np.random.default_rng(4)
+    dumps_canonical(rng.standard_normal((31, 33)))
+    assert calls == [33] * 31
+    calls.clear()
+    dumps_canonical(rng.standard_normal((32, 32)))
+    assert calls == []
