@@ -26,16 +26,18 @@ the bytes of ``%.17g``:
   exact ``dtoa`` for every float, about 0.55 us each.
 * A larger array prints in blocks of rows of about 8 k entries, whose 17
   digits and text are computed with numpy arithmetic (:func:`_exact_rows`),
-  about 0.2 us a float.  Each entry is *certified*: its digits are proven to
-  be those of ``%.17g`` unless it is nonzero outside [1e-292, 10), where the
-  arithmetic and the text layout are not proven; or log10 misjudged its
-  decade; or it lies too near a rounding tie.  A row holding an entry that is
-  not certified is printed by :func:`_row_text` instead.
+  about 0.1-0.15 us a float.  Each entry is *certified*, its digits proven to
+  be those of ``%.17g``, when it is 0 or lies in [1e-292, 10) in magnitude
+  (the range the arithmetic is proven for and the text slots hold), when
+  log10 gave its decade right, and when it lies farther than a proven bound
+  from a rounding tie.  A row holding an entry that is not certified is
+  printed by :func:`_row_text` instead, so an array of large numbers costs
+  a few percent more than by ``%`` alone.
 
 The vectorized route costs about 65 us per block however small, so it wins
 from about 200 entries on orthogonal matrices; but zeros and ones print fast
-by ``%``, and a 32 x 32 permutation matrix comes out about even.  Arrays under
-1024 entries therefore keep the ``%`` route.
+by ``%``, and a 32 x 32 permutation matrix comes out about even, so arrays
+under 1024 entries keep the ``%`` route.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _row_text(row: np.ndarray) -> str:
 
 @functools.cache
 def _tables():
-    """Lookup tables of :func:`_exact_rows`, built on its first call (< 1 ms)."""
+    """Lookup tables of :func:`_exact_rows`, built on its first call (about 1 ms)."""
     # 10**s for s = 0..308 as hi + lo, both correctly rounded from exact
     # integers, and hi's Veltkamp halves of at most 26 bits each, split at a
     # scale of 2**-600 so that the splitting constant cannot overflow
@@ -136,13 +138,14 @@ def _tables():
     return hi, lo, hi_hi, hi_lo, heads, groups, tails
 
 
-# How far the fraction of x * 10**s computed below may lie from the true one,
-# with margin.  hi = fl(10**s) and lo = fl(10**s - hi), so |10**s - hi - lo| <=
-# 2**-106 * 10**s.  Dekker's product gives y_hi + e = x * hi exactly; t = fl(x *
-# lo) is within 2**-106 * y of x * lo, and y_lo = fl(e + t) adds at most 2**-53
-# * |e + t| <= 2**-105 * y.  So |x * 10**s - (y_hi + y_lo)| < 2**-103 * y, which
-# is below 2**-46 for y < 2**57 (> 1e17).  For s <= 22, 10**s is a double, lo
-# is 0 and the sum is exact, so there the margin is 0.
+# The bound that certifies an entry: how far y_hi + y_lo, computed below, may
+# lie from y = x * 10**s.  hi = fl(10**s) and lo = fl(10**s - hi), so
+# |10**s - hi - lo| <= 2**-106 * 10**s.  Dekker's product gives y_hi + e =
+# x * hi exactly; t = fl(x * lo) is within 2**-106 * y of x * lo; and y_lo =
+# fl(e + t) adds at most 2**-53 * |e + t| <= 2**-105 * y.  So |y - (y_hi +
+# y_lo)| < 2**-103 * y < 2**-46 for y < 2**57 (> 1e17), and 2**-40 leaves a
+# factor of 64.  For s <= 22, 10**s is a double, lo is 0 and the sum is
+# exact, so there the bound is 0.
 _MARGIN = 2.0 ** -40
 
 
@@ -152,11 +155,11 @@ def _exact_rows(block: np.ndarray) -> list[str | None]:
     an entry whose digits are not certified.
 
     An entry x is printed from m, x * 10**s rounded to 17 digits, where s =
-    16 - floor(log10(|x|)).  It is certified when it is 0 or 1e-292 <= |x| <
-    10 by that decade (so 10**s, s in 16..308, is a double and the point
-    follows the first digit or a prefix), when x * 10**s, with the error
-    bound of ``_MARGIN``, lies in [1e16, 1e17) (so log10 did not misjudge the
-    decade), and when it lies farther than that bound from a rounding tie.
+    16 - floor(log10(|x|)).  It is certified when it is 0, or when that decade
+    is in [-292, 0] (so 10**s, s in 16..308, is a double, and the point
+    follows the first digit or a prefix) and x * 10**s, within the bound
+    ``_MARGIN``, lies in [1e16, 1e17) (so log10 did not misjudge the decade)
+    and farther than that bound from a rounding tie.
     """
     hi, lo, hi_hi, hi_lo, heads, groups, tails = _tables()
     n, width = block.shape
@@ -164,6 +167,8 @@ def _exact_rows(block: np.ndarray) -> list[str | None]:
     ax = np.abs(x)
     decade = np.floor(np.log10(np.where(ax > 0, ax, 1.0)))  # 0 for a zero
     inside = (decade >= -292) & (decade <= 0)
+    if not inside.reshape(n, width).all(axis=1).any():  # no row can be certified
+        return [None] * n
     a = np.where(inside, ax, 0.0)
     s = (16 - np.where(inside, decade, 0)).astype(np.intp)
     # y = a * 10**s as y_hi + y_lo, by Dekker's exact product of a and hi
@@ -177,6 +182,7 @@ def _exact_rows(block: np.ndarray) -> list[str | None]:
     frac = y_lo - step  # exact; in [-0.5, 0.5]
     m = y_hi.astype(np.int64) + step.astype(np.int64)
     margin = np.where(s <= 22, 0.0, _MARGIN)
+    # the whole part of y is m, or m - 1 below a fraction of (about) zero
     ok = (inside & (np.abs(np.abs(frac) - 0.5) > margin) & (m < 10 ** 17)
           & (m - (frac < margin) >= 10 ** 16)) | (ax == 0)
     m = np.where(ok, m, 0)  # an entry not certified prints as 0 until its row is redone
@@ -226,8 +232,8 @@ def _row_texts(rows: np.ndarray):
         per_block = _BLOCK // width
         for r in range(0, n, per_block):
             block = rows[r:r + per_block]
-            for row, text in zip(block, _exact_rows(block)):
-                yield _row_text(row) if text is None else text
+            for i, text in enumerate(_exact_rows(block)):
+                yield _row_text(block[i]) if text is None else text
 
 
 def _lay_out(shape: tuple[int, ...], rows, out: list[str], indent: int) -> None:

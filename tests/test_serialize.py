@@ -362,6 +362,7 @@ def test_ordinary_entries_are_certified_and_hard_ones_are_sent_back():
         block[2, 5] = hard
         texts = serialize._exact_rows(block)
         assert texts[2] is None and None not in texts[:2] + texts[3:]
+    assert serialize._exact_rows(ordinary + 12.5) == [None] * 4
 
 
 def test_powers_of_ten_split_exactly_for_the_exact_product():
