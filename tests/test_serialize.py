@@ -357,6 +357,7 @@ def test_ordinary_entries_are_certified_and_hard_ones_are_sent_back():
     assert all(t == ", ".join("%.17g" % v for v in row) for t, row in zip(serialize._exact_rows(ordinary), ordinary))
     for hard in [2.0 ** -25,                  # a 17-digit tie
                  float(np.nextafter(1e-3, 0)),  # log10 misjudges the decade
+                 1e-6,                          # just below 1e-6; x * 1e22 rounds up to 1e16
                  1e-300, 5e-324, 10.0, 1e17]:   # outside the range
         block = ordinary.copy()
         block[2, 5] = hard
