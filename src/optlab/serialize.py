@@ -54,7 +54,7 @@ from .diagram import SystemType
 
 __all__ = ["format_float", "dumps_canonical"]
 
-_VECTOR_MIN = 1024  # entries of an array printed by _exact_rows
+_VECTOR_MIN = 1024  # the fewest entries of an array printed by _exact_rows
 _BLOCK = 8192  # entries per block of _exact_rows, which bounds its scratch arrays
 
 
