@@ -3,32 +3,33 @@
 Primitive boxes resolve to compiled kernels, identities and swaps come from
 the backend's kernel algebra, parallel composition is the backend's dense
 ``kernel_par`` and sequential composition a kernel product.  Kernels rest in
-wire-major order, one block of indices per wire (``TheoryBackend``).  A
-:class:`~optlab.diagram.Seq` is a flat chain, evaluated by one loop from its
-input end.  Every ``Par``, ``Identity`` and ``Swap`` part after the first is
-applied block by block to the prefix's kernel from the left
-(``TheoryBackend.apply_par``): each leaf's small kernel acts on its own
-wires' blocks through a reshape view, identities are skipped, swaps exchange
-blocks, and a nested ``Par`` part is opened into its own leaves, so no layer
-kernel on the whole word is built.  A ``Par`` that stands alone or starts a
-chain is built densely, folding its parts from the left, which is its
-written association.  ``Seq`` and ``Par`` are both flat tuples folded by the
-same loop, so neither long ``;`` nor long ``*`` chains recurse.
+wire-major order, one block of indices per wire (``TheoryBackend``).
 
-Results are memoized per call.  Whole terms are keyed by the term itself
-(terms are immutable and hash structurally in O(1)); each prefix of a ``;``
-or ``*`` chain is keyed by its kind, the memoized result of the shorter
-prefix and the next part.
+There is one sequential walk, ``_chain``: it applies pieces in turn to a
+stack of kernels, checking each piece's wires just before applying it.  A
+:class:`~optlab.diagram.Seq` is a flat chain: its first part is evaluated
+whole, and the walk applies every later part to that kernel, a stack of
+one, from the left (``TheoryBackend.apply_par``).  Each leaf's small kernel
+acts on its own wires' blocks through a reshape view, a box on the whole
+word being one block; identities are skipped, swaps exchange blocks, and a
+nested ``Par`` part is opened into its own leaves, so no layer kernel on the
+whole word is built.  A ``Par`` that stands alone or starts a chain is built
+densely, folding its parts from the left, which is its written association.
+Neither long ``;`` nor long ``*`` chains recurse.
 
-:func:`run_test_circuit` evaluates a test's component tree as one stack of
-kernel columns, one per outcome in label order, and never lists the
-branches.  A ``test_par`` of preparations combines its parts' branch columns
-by ``kernel_par``, as a lone branch's dense head does; each later piece goes
-through ``apply_par`` once for the whole stack, a test's stacked branch
-kernels giving each column one per outcome, and a test given by its
-branches applies each branch to the whole stack.  Every column goes through
-products of the same shape as in a lone chain, so each outcome's
-probability is the one :func:`evaluate` gives its branch.
+Results are memoized per call, keyed by the whole term (terms are immutable
+and hash structurally in O(1)), so a term repeated in a circuit or across a
+test's branches is evaluated once.
+
+:func:`run_test_circuit` evaluates a test's component tree through the same
+walk, as one stack of kernel columns, one per outcome in label order, and
+never lists the branches.  A ``test_par`` of preparations combines its
+parts' branch columns by ``kernel_par``, as a lone branch's dense head does;
+each later piece goes through ``apply_par`` once for the whole stack, a
+test's stacked branch kernels giving each column one per outcome, and a test
+given by its branches applies each branch to the whole stack.  Every column
+goes through products of the same shape as in a lone chain, so each
+outcome's probability is the one :func:`evaluate` gives its branch.
 """
 
 from __future__ import annotations
@@ -110,25 +111,12 @@ def evaluate_channel(
         ch = backend.identity(d.system)
     elif isinstance(d, Swap):
         ch = Channel(d.input_type, d.output_type, backend.kernel_swap(d.left, d.right))
-    elif isinstance(d, (Seq, Par)):
-        ch = evaluate_channel(d.parts[0], backend, bindings, memo)
-        for part in d.parts[1:]:
-            key = (type(d), id(ch), part)  # ch stays alive as a memo value, so its id is stable
-            prefix = memo.get(key)
-            if prefix is None:
-                if isinstance(d, Par):
-                    prefix = backend.par(ch, evaluate_channel(part, backend, bindings, memo))
-                elif isinstance(part, (Par, Identity, Swap)):
-                    _check_wires(ch.output_type, part.input_type)
-                    kernel = backend.apply_par(part, ch.kernel[None], lambda leaf: evaluate_channel(
-                        leaf, backend, bindings, memo))[0]
-                    prefix = Channel(ch.input_type, part.output_type, kernel)
-                else:
-                    second = evaluate_channel(part, backend, bindings, memo)
-                    _check_wires(ch.output_type, second.input_type)
-                    prefix = Channel(ch.input_type, part.output_type, backend.kernel_seq(ch, second))
-                memo[key] = prefix
-            ch = prefix
+    elif isinstance(d, Seq):
+        first = evaluate_channel(d.parts[0], backend, bindings, memo)
+        kernel = _chain(d.parts[1:], first.kernel[None], first.output_type, backend, bindings, memo)[0]
+        ch = Channel(first.input_type, d.output_type, kernel)
+    elif isinstance(d, Par):
+        ch = reduce(backend.par, (evaluate_channel(part, backend, bindings, memo) for part in d.parts))
     else:
         raise UnknownBoxError(f"cannot evaluate term of type {type(d).__name__}")
 
@@ -141,27 +129,31 @@ def _check_wires(prefix: SystemType, next_input: SystemType) -> None:
         raise TypeMismatchError(f"sequential wires disagree: {prefix} vs {next_input}")
 
 
-def _chain(pieces, stack, backend, bindings, memo) -> np.ndarray:
-    """``pieces``, terms or tests, applied in turn to each row of a
-    ``(count, K)`` stack of kernel columns.  A test turns each row into one
-    row per outcome, in label order, the outcome index inner.  ``Seq`` terms,
-    ``test_seq`` tests and one-branch tests are opened into the pieces they
-    apply, and ``stack`` is rebound after each, so no earlier stack than a
-    layer's input is alive while it runs."""
+def _chain(pieces, stack, word, backend, bindings, memo) -> np.ndarray:
+    """``pieces``, terms or tests, applied in turn to each of a stack of
+    kernels whose rows are on ``word``: ``(count, K)`` kernel columns, or
+    ``(1, K, cols)`` for one kernel.  A test turns each column into one
+    column per outcome, in label order, the outcome index inner.  ``Seq``
+    terms, ``test_seq`` tests and one-branch tests are opened into the pieces
+    they apply.  Each piece's wires are checked just before it is applied,
+    and ``stack`` is rebound after each, so no earlier stack than a layer's
+    input is alive while it runs."""
     todo = list(reversed(pieces))  # the next piece last
     while todo:
         piece = todo.pop()
+        _check_wires(word, piece.input_type)
         if isinstance(piece, Seq) or isinstance(piece, Test) and piece.kind is Seq:
-            for first, part in zip(piece.parts, piece.parts[1:]):
-                _check_wires(first.output_type, part.input_type)
             todo.extend(reversed(piece.parts))
-        elif isinstance(piece, Test) and len(piece.outcomes) == 1:
+            continue
+        if isinstance(piece, Test) and len(piece.outcomes) == 1:
             todo.append(piece.branches[0])
-        elif isinstance(piece, Test) and piece.kind is not Par:  # given by its branches
-            outs = [_chain((b,), stack, backend, bindings, memo) for b in piece.branches]
+            continue
+        if isinstance(piece, Test) and piece.kind is not Par:  # given by its branches
+            outs = [_chain((b,), stack, word, backend, bindings, memo) for b in piece.branches]
             stack = np.stack(outs, axis=1).reshape(-1, outs[0].shape[1])
-        else:  # a box gives each column one product, as in a chain
+        else:  # a box gives each kernel one product, as in a lone chain
             stack = backend.apply_par(piece, stack, lambda leaf: _channel(leaf, backend, bindings, memo))
+        word = piece.output_type
     return stack
 
 
@@ -235,5 +227,6 @@ def _columns(t: Test, backend, bindings, memo) -> np.ndarray:
                   for p in t.parts)
         return reduce(backend.par, stacks).kernel[:, :, 0]
     if t.kind is Seq:
-        return _chain(t.parts[1:], _columns(t.parts[0], backend, bindings, memo), backend, bindings, memo)
+        return _chain(t.parts[1:], _columns(t.parts[0], backend, bindings, memo), t.parts[0].output_type,
+                      backend, bindings, memo)
     return np.stack([evaluate_channel(b, backend, bindings, memo).kernel[:, 0] for b in t.branches])

@@ -447,7 +447,7 @@ def test_seed_changes_sampled_audits(run, fx):
 
 @pytest.mark.parametrize("flag, value", [
     ("--trials", "0"), ("--trials", "-3"), ("--trials", "2.5"),
-    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-9"),
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-9"), ("--tol", "abc"),
     ("--seed", "-1"),
 ])
 def test_bad_flag_values_are_usage_errors(run, fx, capsys, flag, value):

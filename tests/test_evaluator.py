@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from optlab import Channel, Identity, Swap, SystemType, evaluate, par, run_test_circuit, seq, singleton_test
-from optlab.diagram import OutcomeSpace, Par, PrimitiveBox, Seq, Test, UNIT, test_par as parallel_tests
+from optlab.diagram import Diagram, OutcomeSpace, Par, PrimitiveBox, Seq, Test, UNIT, test_par as parallel_tests
 from optlab.diagram import test_seq as chain_tests
-from optlab.errors import OptlabError, UnknownBoxError
+from optlab.errors import OptlabError, TypeMismatchError, UnknownBoxError
 from optlab.evaluator import evaluate_channel, trace_box
 from optlab.sampling import Sampler
 
@@ -163,6 +163,25 @@ def test_memoized_evaluation_is_consistent(backend):
     c1 = evaluate_channel(d, backend, bf, memo=memo)
     c2 = evaluate_channel(d, backend, bf)
     np.testing.assert_allclose(c1.kernel, c2.kernel, atol=0)
+    assert memo and all(isinstance(key, Diagram) for key in memo)  # the memo keys whole terms only
+
+
+def test_raw_miswired_chains_are_type_errors(backend):
+    s = Sampler(backend, seed=25)
+    f, bindings = box(backend, s, "f", A, B)
+    g, bg = box(backend, s, "g", A, A)
+    bindings.update(bg)
+    bindings["p"] = backend.state_channel(s.preparation_branches(A, 1)[0], A)
+    bindings["m0"], bindings["m1"] = s.observation_channels(A, 2)
+    p, m0, m1 = PrimitiveBox("p", UNIT, A), PrimitiveBox("m0", A, UNIT), PrimitiveBox("m1", A, UNIT)
+    meas = Test(OutcomeSpace(("0", "1")), (m0, m1))
+    closed = [Test(OutcomeSpace(("0", "1")), (Seq((p, f, g, m0)), Seq((p, f, g, m1)))),
+              chain_tests(singleton_test(p), singleton_test(Seq((f, g))), meas)]
+    with pytest.raises(TypeMismatchError, match="^sequential wires disagree: B vs A$"):
+        evaluate(Seq((f, g)), backend, bindings)
+    for t in closed:
+        with pytest.raises(TypeMismatchError, match="^sequential wires disagree: B vs A$"):
+            run_test_circuit(t, backend, bindings)
 
 
 # ---------------------------------------------------------------------------
