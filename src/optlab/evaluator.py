@@ -151,7 +151,7 @@ def _chain(pieces, stack, word, backend, bindings, memo) -> np.ndarray:
         if isinstance(piece, Test) and piece.kind is not Par:  # given by its branches
             outs = [_chain((b,), stack, word, backend, bindings, memo) for b in piece.branches]
             stack = np.stack(outs, axis=1).reshape(-1, outs[0].shape[1])
-        else:  # a box gives each kernel one product, as in a lone chain
+        else:  # a term or a test_par: one product per kernel and leaf
             stack = backend.apply_par(piece, stack, lambda leaf: _channel(leaf, backend, bindings, memo))
         word = piece.output_type
     return stack
