@@ -2,10 +2,8 @@
 
 from .causality import (
     CausalityReport,
-    DeterminismReport,
     ReadoutResult,
     check_causality,
-    is_deterministic,
     marginal,
     physicalize_readout,
 )
@@ -29,29 +27,19 @@ from .purification import (
 )
 from .purity import (
     PurityReport,
-    ReversibilityReport,
-    TransitivityResult,
     is_pure_state,
     is_pure_transformation,
-    is_reversible,
-    transitivity_witness,
 )
 
 __all__ = [
     "CausalityReport",
-    "DeterminismReport",
     "ReadoutResult",
     "check_causality",
-    "is_deterministic",
     "marginal",
     "physicalize_readout",
     "PurityReport",
-    "ReversibilityReport",
-    "TransitivityResult",
     "is_pure_state",
     "is_pure_transformation",
-    "is_reversible",
-    "transitivity_witness",
     "PurificationResult",
     "ConnectionReport",
     "SteeringResult",

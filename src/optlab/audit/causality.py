@@ -17,14 +17,11 @@ from ..backends.base import Channel, EffectVector, PhysicalityCertificate, State
 from ..diagram import Diagram, SystemType, Test
 from ..errors import CausalityViolationError, IncompleteTestError, OptlabError, TypeMismatchError
 from ..evaluator import evaluate_channel
-from .purity import _as_channel
 
 __all__ = [
     "CausalityReport",
-    "DeterminismReport",
     "ReadoutResult",
     "check_causality",
-    "is_deterministic",
     "marginal",
     "physicalize_readout",
 ]
@@ -36,13 +33,6 @@ class CausalityReport:
     max_residual: float
     tolerance: float
     tests_checked: int
-
-
-@dataclass
-class DeterminismReport:
-    deterministic: bool
-    residual: float
-    tolerance: float
 
 
 @dataclass
@@ -152,20 +142,6 @@ def _residuals(backend, words, effects, kernels, tol) -> list[float]:
     return residuals.tolist()
 
 
-def is_deterministic(
-    backend: TheoryBackend,
-    m,
-    bindings=None,
-) -> DeterminismReport:
-    """Does discarding the output equal discarding the input?"""
-    tol = backend.tol.marginal
-    t = m if isinstance(m, TransferMatrix) else backend.transfer_of(_as_channel(backend, m, bindings))
-    eff_out = backend.trace_effect(t.output_type).coords
-    eff_in = backend.trace_effect(t.input_type).coords
-    residual = float(np.max(np.abs(eff_out @ t.matrix - eff_in)))
-    return DeterminismReport(residual <= tol, residual, tol)
-
-
 def marginal(backend: TheoryBackend, state: StateVector, keep) -> StateVector:
     """Discard the tensor factors not in ``keep`` (an index or index list)."""
     word = state.system
@@ -225,7 +201,7 @@ def physicalize_readout(
     branch_errors = []
     for x, (_, ch) in enumerate(branches):
         eff_ch = backend.effect_channel(pointers[x], pointer)
-        readback = backend.kernel_seq(joint, backend.par(ident_out, eff_ch))
+        readback = backend.par(ident_out, eff_ch).kernel @ joint.kernel
         branch_errors.append(float(np.max(np.abs(readback - ch.kernel))))
         effects.append(backend.channel_effect(eff_ch))
 

@@ -16,22 +16,20 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Adding a theory means writing the 30 abstract members below; a
+methods.  Adding a theory means writing the 27 abstract members below; a
 class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
-otherwise).
+otherwise).  This checklist puts exactly those members in double backquotes.
 
 * Dimensions and compilation: ``state_dim``, ``_channel_from_payload``
   (a payload's kernel in Liouville order, as ``state_channel`` and
-  ``effect_channel`` build it for ``vec`` and ``dens`` payloads),
+  ``effect_channel`` build it for vec and dens payloads),
   ``check_kernels`` (the physicality check of a stack of same-shape kernels
-  in Liouville order, with each kernel's full certificate on request),
-  ``channel_from_transfer``;
+  in Liouville order, with each kernel's full certificate on request);
   ``deterministic_residual`` (how far a channel is from preserving
-  normalization) and ``weight_terms``
-  (the names of a state's smallest weight and its normalization in reports).
+  normalization).
 * Kernels: ``legs_per_wire`` (a kernel index on a word is wire-major: one
-  block of ``d ** legs_per_wire`` entries per wire of dimension ``d``, a
+  block of ``d ** legs_per_wire`` entries per wire of dimension d, a
   row and a column index on the operator-space kernels, one index on the
   stochastic ones),
   ``apply_first``, ``transfer_matrices`` (of a stack of kernels, each
@@ -40,14 +38,14 @@ otherwise).
   ``effect_channel``; ``channel_choi`` (a transformation's positive
   representative); ``conjugation_channel`` (the channel of a reversible or
   isometric matrix); ``partial_trace``; ``diagonal`` (the object with
-  classical weights ``p``: pointer states and the unit effect);
+  classical weights p: pointer states and the unit effect);
   ``spanning_states`` (one array, a member's coordinates per row; the rows
   are also effects, because every theory here is self-dual).
 * Extremality: ``extremal_decompositions`` splits each of a stack of
-  objects or ``channel_choi`` matrices into pure pieces (an ``Extremal``).
+  objects or ``channel_choi`` matrices into pure pieces (an Extremal).
 * Purification: ``purifications`` gives pure extensions of a stack of
   objects of one rank and the wing dimension, or raises
-  ``BackendLacksPurificationError``;
+  BackendLacksPurificationError;
   ``pure_connection`` gives the matrix of a reversible map on the wing
   between two pure objects, and the gap between their marginals;
   ``steering_effects`` gives wing effects steering a pure object to each
@@ -55,12 +53,12 @@ otherwise).
   the uniform state so that it separates transformations.  A pure
   realization (dilation) of a transformation is the purification of its
   ``channel_choi``, so a theory writes nothing more for it.
-* Random draws, each from a generator in a fixed order: ``random_effect``,
+* Random draws, each from a generator in a fixed order:
   ``random_channels``, ``random_reversible``, ``random_preparation`` and
   ``random_instrument``; ``drawn_states`` and ``drawn_povms`` turn a stack
-  of ``state_draws`` or ``povm_draws`` (the numbers of one random state or
-  observation test) into state coordinates or effect objects, so that
-  trials drawn one at a time are worked out as stacks.
+  of the numbers of random states or observation tests, as the base class
+  draws them, into state coordinates or effect objects, so that trials
+  drawn one at a time are worked out as stacks.
 
 A theory also sets the class flags ``purifies`` and ``pair_payloads``; a
 purifying theory adds ``basis`` (the operator basis that spans Choi
@@ -302,11 +300,6 @@ class TheoryBackend(abc.ABC):
         kernels, one index on stochastic ones; a wire's block of a kernel
         index has ``d ** legs_per_wire`` entries."""
 
-    @property
-    @abc.abstractmethod
-    def weight_terms(self) -> tuple[str, str]:
-        """Report names of a state's smallest weight and of its normalization."""
-
     def scratch_system(self, dim: int) -> SystemType:
         """The reserved system word for a constructed auxiliary of size ``dim``."""
         return SystemType((f"@{dim}",))
@@ -415,10 +408,6 @@ class TheoryBackend(abc.ABC):
         return certificate(0, self._role(ch.input_type, ch.output_type))
 
     @abc.abstractmethod
-    def channel_from_transfer(self, t: TransferMatrix) -> Channel:
-        """Recover a kernel from a transfer matrix, where that is faithful."""
-
-    @abc.abstractmethod
     def deterministic_residual(self, ch: Channel) -> float:
         """How far the channel is from preserving normalization."""
 
@@ -440,9 +429,6 @@ class TheoryBackend(abc.ABC):
     def kernel_swap(self, left: SystemType, right: SystemType) -> np.ndarray:
         u = linalg.swap_unitary(self.hilbert_dim(left), self.hilbert_dim(right))
         return self.conjugation_channel(u, left * right, right * left).kernel
-
-    def kernel_seq(self, first: Channel, second: Channel) -> np.ndarray:
-        return second.kernel @ first.kernel
 
     def apply_par(
         self, layer: Diagram | Test, stack: np.ndarray, channel_of: Callable[[Diagram | Test], Channel]
@@ -730,9 +716,6 @@ class TheoryBackend(abc.ABC):
     def drawn_states(self, draws: np.ndarray, word: SystemType) -> np.ndarray:
         """Coordinates ``(count, state_dim)`` of the states that a stack of
         ``state_draws`` on ``word`` make."""
-
-    @abc.abstractmethod
-    def random_effect(self, rng, word) -> EffectVector: ...
 
     @abc.abstractmethod
     def random_channels(self, rng, input_word, output_word, count) -> np.ndarray: ...

@@ -21,13 +21,11 @@ from ..errors import (
 from .. import linalg
 from .base import (
     Channel,
-    EffectVector,
     Extremal,
     Payload,
     PhysicalityCertificate,
     StateVector,
     TheoryBackend,
-    TransferMatrix,
 )
 
 __all__ = ["ClassicalBackend"]
@@ -39,7 +37,6 @@ class ClassicalBackend(TheoryBackend):
     purifies = False
     pair_payloads = False
     legs_per_wire = 1
-    weight_terms = ("min_entry", "total")
 
     def state_dim(self, word: SystemType) -> int:
         return self.hilbert_dim(word)
@@ -109,9 +106,6 @@ class ClassicalBackend(TheoryBackend):
     def deterministic_residual(self, ch: Channel) -> float:
         col_sums = np.asarray(ch.kernel, dtype=float).sum(axis=0)
         return float(np.max(np.abs(col_sums - 1.0))) if col_sums.size else 0.0
-
-    def channel_from_transfer(self, t: TransferMatrix) -> Channel:
-        return Channel(t.input_type, t.output_type, np.array(t.matrix, dtype=float))
 
     # -- kernel algebra -------------------------------------------------
 
@@ -241,9 +235,6 @@ class ClassicalBackend(TheoryBackend):
     def drawn_states(self, draws, word):
         """Each draw over its sum, as ``simplex_weights`` forms it."""
         return draws / draws.sum(axis=-1, keepdims=True)
-
-    def random_effect(self, rng, word):
-        return EffectVector(rng.uniform(size=self.hilbert_dim(word)), word)
 
     def random_channels(self, rng, input_word, output_word, count):
         din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)

@@ -38,13 +38,11 @@ from ..errors import (
 from .. import linalg
 from .base import (
     Channel,
-    EffectVector,
     Extremal,
     Payload,
     PhysicalityCertificate,
     StateVector,
     TheoryBackend,
-    TransferMatrix,
 )
 
 __all__ = ["QuantumBackend", "RealQuantumBackend"]
@@ -83,7 +81,6 @@ class _MatrixTheory(TheoryBackend):
 
     _complex_scalars: bool = True
     legs_per_wire = 2
-    weight_terms = ("min_spectral_weight", "trace")
 
     def __init__(self, systems=None) -> None:
         self._basis_cache: dict[SystemType, np.ndarray] = {}
@@ -363,12 +360,6 @@ class _MatrixTheory(TheoryBackend):
         stacked one could sum in another order."""
         return np.array([self.state_coords(rho, word) for rho in self._density_matrices(draws)])
 
-    def random_effect(self, rng, word):
-        d = self.hilbert_dim(word)
-        u = self.random_unitary(rng, d)
-        e = u @ np.diag(rng.uniform(size=d)) @ u.conj().T
-        return EffectVector(self.effect_coords(e, word), word)
-
     def random_channels(self, rng, input_word, output_word, count):
         din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
         kernels = linalg.liouville_from_choi(self._tp_choi(rng, din, dout, count), din, dout)
@@ -470,12 +461,6 @@ class QuantumBackend(_MatrixTheory):
             t = np.ascontiguousarray(t.reshape(count, before, -1).swapaxes(-1, -2))
         return np.real(t)
 
-    def channel_from_transfer(self, t: TransferMatrix) -> Channel:
-        w_in = self._flat_basis(t.input_type)
-        w_out = self._flat_basis(t.output_type)
-        kernel = w_out @ t.matrix.astype(complex) @ w_in.conj().T
-        return self._wire_major(Channel(t.input_type, t.output_type, kernel))
-
 
 class RealQuantumBackend(_MatrixTheory):
     """Real-amplitude quantum theory.
@@ -507,9 +492,3 @@ class RealQuantumBackend(_MatrixTheory):
         """``W_out^T K W_in`` with the joint bases: a word's basis is not a
         product of its systems' bases."""
         return self._wire_basis(output_type).T @ kernels @ self._wire_basis(input_type)
-
-    def channel_from_transfer(self, t: TransferMatrix) -> Channel:
-        raise OptlabError(
-            "real-amplitude transformations are not determined by their transfer "
-            "matrices; pass a channel or a Choi payload instead"
-        )

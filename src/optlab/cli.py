@@ -6,7 +6,8 @@ standard output, and signals its verdict through the exit code:
 * 0 — success (circuit evaluated, axiom holds, objects indistinguishable)
 * 1 — a witnessed failure (axiom violated, purification impossible,
   channels distinguished); the JSON carries the witness
-* 2 — usage, parse, or load errors (including unphysical payloads)
+* 2 — usage, parse, or load errors (including unphysical payloads and
+  declarations too large to allocate)
 * 3 — internal error: the program failed (the JSON names the exception),
   so no verdict was reached
 """
@@ -399,6 +400,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
+    except MemoryError as e:  # numpy refuses an array too large to allocate
+        _emit({"error": f"out of memory: {e}"})
+        return USAGE_ERROR
     except Exception as e:  # a crash must not read as a verdict
         import traceback
 

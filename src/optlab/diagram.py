@@ -24,8 +24,7 @@ Both store their wire types and structural hash, folded once from the head's
 stored values, so hashing is O(1) per node and never recurses.  The checked
 constructors :func:`seq` / :func:`par` (also spelled ``>>`` and ``@``) are
 the intended way to build composites; the raw dataclass constructors perform
-no wire checking, which is what lets :func:`validate` exist as a separate
-diagnostic pass.
+no wire checking.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "Par",
     "seq",
     "par",
-    "validate",
     "OutcomeSpace",
     "SINGLETON_OUTCOME",
     "Test",
@@ -274,27 +272,6 @@ def par(*parts: Diagram) -> Diagram:
     """Compose side by side: ``par(a, b, c)`` is ``a * b * c``, and ``par(a)``
     is ``a``.  Always well-typed."""
     return parts[0] if len(parts) == 1 else Par(parts)
-
-
-def validate(d: Diagram) -> list[str]:
-    """Walk a term and report structural problems instead of raising.
-
-    Returns a list of human-readable findings; empty iff every sequential
-    node is wire-compatible.  Paths from the root name the parts of ``Seq``
-    and ``Par`` nodes by index (``2/1/0``).
-    """
-    findings: list[str] = []
-
-    def visit(term: Diagram, path: str) -> None:
-        parts = term.parts if isinstance(term, (Seq, Par)) else ()  # other leaves are well-formed
-        for i, part in enumerate(parts):
-            if isinstance(term, Seq) and i and parts[i - 1].output_type != part.input_type:
-                findings.append(f"{path or 'root'}: sequential wires disagree before part {i} "
-                                f"({parts[i - 1].output_type} vs {part.input_type})")
-            visit(part, f"{path}/{i}" if path else str(i))
-
-    visit(d, "")
-    return findings
 
 
 # ---------------------------------------------------------------------------

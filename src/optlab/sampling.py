@@ -13,13 +13,19 @@ size without changing what it draws.  ``random_observation_tests`` and
 its numbers, as a loop of ``word`` and ``observation_channels`` or ``state``
 calls would; then the trials of one word are worked out as one stack, and
 each comes out bit for bit as that loop gives it.
+
+No command calls ``diagram``, ``closed_test_circuit``, ``unitary_channel``,
+``identity_instrument`` or ``instrument``.  They stay because they build the
+random fixtures of acceptance criteria 1, 2, 4, 8 and 11 (monoidal laws,
+outcome distributions, purification, information without disturbance and
+readouts).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backends.base import Channel, EffectVector, StateVector, TheoryBackend
+from .backends.base import Channel, StateVector, TheoryBackend
 from .diagram import (
     Diagram,
     Identity,
@@ -75,9 +81,6 @@ class Sampler:
 
     def state(self, word: SystemType, rank: int | None = None) -> StateVector:
         return self.backend.random_state(self.rng, word, rank)
-
-    def effect(self, word: SystemType) -> EffectVector:
-        return self.backend.random_effect(self.rng, word)
 
     def channel(self, input_word: SystemType, output_word: SystemType) -> Channel:
         """Random deterministic (normalization-preserving) transformation."""

@@ -25,12 +25,10 @@ __all__ = [
     "EquivalenceWitness",
     "EquivalenceReport",
     "LocalTomographyReport",
-    "FaithfulStateResult",
     "FaithfulnessReport",
     "equivalent",
     "replay_witness",
     "local_tomography_check",
-    "faithful_state",
     "verify_faithfulness",
 ]
 
@@ -177,24 +175,6 @@ def local_tomography_check(
         joint_dim=njoint,
         product_span_rank=rank,
     )
-
-
-@dataclass
-class FaithfulStateResult:
-    """An interior state: it responds to every transformation difference."""
-
-    state: StateVector
-    interior: bool
-    margin: float
-    diagnostics: dict
-
-
-def faithful_state(backend: TheoryBackend, word: SystemType) -> FaithfulStateResult:
-    state = backend.uniform_state(word)
-    d = backend.hilbert_dim(word)
-    margin = 1.0 / d
-    least, total = backend.weight_terms
-    return FaithfulStateResult(state, margin > 0.0, margin, {least: margin, total: 1.0})
 
 
 @dataclass

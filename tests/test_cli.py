@@ -364,6 +364,17 @@ def test_choi_entries_near_the_float_limit_are_usage_errors(run, tmp_path, theor
     )
 
 
+@pytest.mark.parametrize("theory, size", [("quantum", "14.6 TiB"), ("quantum-real", "7.28 TiB")])
+def test_a_declaration_too_large_to_allocate_is_a_usage_error(run, tmp_path, theory, size):
+    # the identity's kernel on dim 1000 has 10^12 entries: numpy refuses the
+    # array before allocating any of it
+    p = tmp_path / "big.opt"
+    p.write_text(f"theory {theory}\nsystem Q dim=1000\ncircuit c = id(Q)\n")
+    code, out = run("eval", p, "--circuit", "c")
+    assert code == 2
+    assert json.loads(out)["error"].startswith(f"out of memory: Unable to allocate {size}")
+
+
 def _deep_chain(tmp_path):
     chain = " ; ".join(["flip"] * 600)
     p = tmp_path / "deep.opt"

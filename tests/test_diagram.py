@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optlab import get_backend
-from optlab.diagram import Identity, OutcomeSpace, Par, PrimitiveBox, Seq, Swap, SystemType, UNIT, par, seq, singleton_test, validate
+from optlab.diagram import Identity, OutcomeSpace, Par, PrimitiveBox, Seq, Swap, SystemType, UNIT, par, seq, singleton_test
 from optlab.diagram import Test as OutcomeTest
 from optlab.diagram import test_par as parallel_tests
 from optlab.diagram import test_seq as chain_tests
@@ -194,15 +194,6 @@ def test_seq_reports_the_mismatched_neighbours():
     f, g = PrimitiveBox("f", A, A), PrimitiveBox("g", B, B)
     with pytest.raises(TypeMismatchError, match="of f into input B of g"):
         seq(f, f, g)
-
-
-def test_validate_names_parts_by_index():
-    f, g = PrimitiveBox("f", A, A), PrimitiveBox("g", B, B)
-    bad = Seq((f, g))  # the raw constructor does not check wires
-    assert validate(par(f, bad)) == ["1: sequential wires disagree before part 1 (A vs B)"]
-    assert validate(seq(par(f, bad), par(f, g))) == [
-        "0/1: sequential wires disagree before part 1 (A vs B)"]
-    assert validate(par(f, g, f)) == []
 
 
 def test_wide_par_spines_compare_without_recursion():

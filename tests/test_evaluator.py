@@ -202,7 +202,7 @@ def _plain_channel(d, backend, bindings):
         first = _plain_channel(d.parts[0], backend, bindings)
         for part in d.parts[1:]:
             second = _plain_channel(part, backend, bindings)
-            first = Channel(first.input_type, second.output_type, backend.kernel_seq(first, second))
+            first = Channel(first.input_type, second.output_type, second.kernel @ first.kernel)
         return first
     assert isinstance(d, Par)
     left = _plain_channel(d.parts[0], backend, bindings)
@@ -276,17 +276,14 @@ def test_closed_ladder_multiplies_states_not_kernels(backend, monkeypatch):
     full = backend.kernel_identity(ladder_word).shape  # a kernel on the ladder's whole word
     shapes, layers = [], []
 
-    def recording(name):
-        method = getattr(backend, name)
+    kernel_par = backend.kernel_par
 
-        def record(first, second):
-            out = method(first, second)
-            shapes.extend([first.kernel.shape, second.kernel.shape, out.shape])
-            return out
-        return record
+    def record(first, second):
+        out = kernel_par(first, second)
+        shapes.extend([first.kernel.shape, second.kernel.shape, out.shape])
+        return out
 
-    for name in ("kernel_par", "kernel_seq"):
-        monkeypatch.setattr(backend, name, recording(name))
+    monkeypatch.setattr(backend, "kernel_par", record)
     apply_par = backend.apply_par
     monkeypatch.setattr(backend, "apply_par", lambda layer, stack, channel_of: (
         layers.append(stack.shape), apply_par(layer, stack, channel_of))[1])
@@ -343,7 +340,7 @@ def test_leg_wise_layers_match_a_dense_fold(backend):
         dense = Channel(word, layer.output_type, kernel)
         for first in (PrimitiveBox("open", A, word), PrimitiveBox("closed", UNIT, word)):
             got = evaluate_channel(seq(first, layer), backend, s.bindings).kernel
-            want = backend.kernel_seq(s.bindings[first.name], dense)
+            want = dense.kernel @ s.bindings[first.name].kernel
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -574,7 +571,7 @@ def _fold(channels, backend):
     """Reference: a plain left fold of kernel products."""
     acc = channels[0]
     for ch in channels[1:]:
-        acc = Channel(acc.input_type, ch.output_type, backend.kernel_seq(acc, ch))
+        acc = Channel(acc.input_type, ch.output_type, ch.kernel @ acc.kernel)
     return acc
 
 

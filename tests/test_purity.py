@@ -1,4 +1,4 @@
-"""Pure states and transformations, reversibility, and transitivity.
+"""Pure states and transformations, and reversible maps between pure states.
 
 The backend purity checks are rank/support characterizations.  To make sure
 they decide the right predicate, a brute-force oracle searches for actual
@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from optlab import Channel, SystemType, get_backend
-from optlab.audit import (
-    is_pure_state,
-    is_pure_transformation,
-    is_reversible,
-    transitivity_witness,
-)
-from optlab.errors import OptlabError
+from optlab.audit import is_pure_state, is_pure_transformation
 from optlab.sampling import Sampler
 
 A = SystemType.of("A")
@@ -154,41 +148,21 @@ def test_classical_single_entry_matrix_is_pure(classical):
     assert is_pure_transformation(classical, ch).pure
 
 
-# -- reversibility -----------------------------------------------------------
+# -- pure states connected by a reversible map ---------------------------------
 
 
-def test_unitary_is_reversible_with_replay(backend):
-    s = Sampler(backend, seed=3)
-    ch = s.unitary_channel(A)
-    report = is_reversible(backend, ch)
-    assert report.reversible
-    assert report.left_residual < 1e-10 and report.right_residual < 1e-10
-    round_trip = report.inverse.kernel @ ch.kernel
-    np.testing.assert_allclose(round_trip, backend.kernel_identity(A),
-                               atol=1e-10)
-
-
-def test_noisy_channel_is_not_reversible(backend):
-    s = Sampler(backend, seed=5)
-    ch = s.channel(A, A)  # generic full-rank noise
-    report = is_reversible(backend, ch)
-    assert not report.reversible
-    assert report.reason
-
-
-def test_collapse_channel_is_singular(classical):
-    ch = Channel(A, A, np.array([[0.5, 0.5], [0.5, 0.5]]))
-    report = is_reversible(classical, ch)
-    assert not report.reversible
-
-
-def test_unphysical_input_is_rejected(backend):
-    bad = Channel(A, A, -np.asarray(backend.kernel_identity(A)))
-    with pytest.raises(OptlabError):
-        is_reversible(backend, bad)
-
-
-# -- transitivity on pure states ---------------------------------------------
+def _connect(backend, source, target):
+    """The reversible channel ``pure_connection`` gives between two pure
+    states, each the purification of the unit on the trivial system, and the
+    largest entry of its replay error on ``source``."""
+    u, marginal_error = backend.pure_connection(
+        backend.state_object(source.coords, A), backend.state_object(target.coords, A),
+        1, backend.hilbert_dim(A),
+    )
+    assert marginal_error < 1e-12
+    ch = backend.conjugation_channel(u, A)
+    replay = ch.kernel @ backend.state_as_channel(source).kernel - backend.state_as_channel(target).kernel
+    return u, ch, float(np.max(np.abs(replay)))
 
 
 def test_pure_states_connected_by_reversible(quantum):
@@ -196,21 +170,15 @@ def test_pure_states_connected_by_reversible(quantum):
     phi = np.array([1.0, 1.0]) / np.sqrt(2)
     source = quantum.channel_state(quantum.state_channel(np.outer(psi, psi), A))
     target = quantum.channel_state(quantum.state_channel(np.outer(phi, phi), A))
-    result = transitivity_witness(quantum, source, target)
-    assert result.replay_error < 1e-10
-    assert is_reversible(quantum, result.channel).reversible
+    u, ch, replay = _connect(quantum, source, target)
+    assert replay < 1e-10
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+    assert quantum.certify_channel(ch).physical
 
 
 def test_classical_point_masses_connected_by_permutation(classical):
     source = classical.channel_state(classical.state_channel(np.array([1.0, 0.0]), A))
     target = classical.channel_state(classical.state_channel(np.array([0.0, 1.0]), A))
-    result = transitivity_witness(classical, source, target)
-    assert result.replay_error < 1e-12
-    np.testing.assert_allclose(result.channel.kernel,
-                               [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
-
-
-def test_transitivity_requires_pure_endpoints(backend):
-    mixed = backend.uniform_state(A)
-    with pytest.raises(OptlabError):
-        transitivity_witness(backend, mixed, mixed)
+    _, ch, replay = _connect(classical, source, target)
+    assert replay < 1e-12
+    np.testing.assert_allclose(ch.kernel, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)

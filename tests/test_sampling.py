@@ -3,7 +3,7 @@
 import numpy as np
 
 from optlab import Channel, SystemType
-from optlab.diagram import validate
+from optlab.evaluator import evaluate_channel
 from optlab.sampling import Sampler, spawn_rngs
 
 A = SystemType.of("A")
@@ -118,7 +118,8 @@ def test_sampled_diagrams_type_check(backend):
         d = s.diagram(win, wout, depth=3)
         assert d.input_type == win
         assert d.output_type == wout
-        assert validate(d) == []
+        ch = evaluate_channel(d, backend, s.bindings)  # checks every sequential wire
+        assert (ch.input_type, ch.output_type) == (win, wout)
 
 
 def test_stacked_channels_draw_what_single_channels_draw(backend):

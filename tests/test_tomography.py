@@ -12,7 +12,6 @@ from optlab.errors import TypeMismatchError
 from optlab.sampling import Sampler
 from optlab.tomography import (
     equivalent,
-    faithful_state,
     local_tomography_check,
     replay_witness,
     verify_faithfulness,
@@ -220,19 +219,19 @@ def test_tomography_verdict_predicts_policy_agreement():
 # faithfulness of the uniform state
 # ---------------------------------------------------------------------------
 
+def _uniform_weights(backend, word):
+    """The weights of the pure pieces of the uniform state, which
+    ``faithful_probe`` extends."""
+    obj = backend.state_object(backend.uniform_state(word).coords, word)
+    return backend.extremal_decomposition(obj).weights
+
+
 def test_faithful_state_is_interior(backend):
-    res = faithful_state(backend, A)
-    assert res.interior
-    assert res.margin == pytest.approx(0.5)
-    total = float(np.sum(res.state.coords)) if backend.name == "classical" else None
-    if total is not None:
-        assert total == pytest.approx(1.0)
+    np.testing.assert_allclose(_uniform_weights(backend, A), [0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_faithful_state_of_composite(backend):
-    res = faithful_state(backend, A * B)
-    assert res.interior
-    assert res.margin == pytest.approx(1 / 6)
+    np.testing.assert_allclose(_uniform_weights(backend, A * B), [1 / 6] * 6, rtol=0, atol=1e-12)
 
 
 def test_uniform_state_separates_random_pairs(backend):
