@@ -6,8 +6,8 @@ standard output, and signals its verdict through the exit code:
 * 0 — success (circuit evaluated, axiom holds, objects indistinguishable)
 * 1 — a witnessed failure (axiom violated, purification impossible,
   channels distinguished); the JSON carries the witness
-* 2 — usage, parse, or load errors (including unphysical payloads and
-  declarations too large to allocate)
+* 2 — usage, parse, or load errors (including a file that is not UTF-8,
+  unphysical payloads and declarations too large to allocate)
 * 3 — internal error: the program failed (the JSON names the exception),
   so no verdict was reached
 """
@@ -63,14 +63,28 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``optlab`` argument parser, with a subparser for ``command`` alone,
+    or for every command when ``command`` is None.
+
+    Building a subparser costs far more than parsing a command line (each
+    ``add_argument`` makes a help formatter, which asks the terminal its
+    size), so ``main`` builds only the one it names; help and error output
+    are the same as the full parser's.  Nothing caches the result: a process
+    runs one command, so a cache would pay off only in callers that loop
+    over ``main``, never for a user.
+    """
     parser = argparse.ArgumentParser(
         prog="optlab",
         description="evaluate circuits and audit axioms of operational theories",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:  # usage lines list every command, as the full parser's do by default
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else [command]:
+        _, help_text, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="workbench file to load")
         p.add_argument("--tol", type=_tolerance, default=1e-9,
@@ -79,36 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for randomized audits (default 0)")
         p.add_argument("--trials", type=_integer_from(1), default=100,
                        help="random instances per audit (default 100)")
-        return p
-
-    p = cmd("eval", "evaluate a deterministic circuit to its transfer matrix")
-    p.add_argument("--circuit", required=True, help="circuit name")
-
-    p = cmd("prob", "run a closed test circuit and print its distribution")
-    p.add_argument("--test-circuit", required=True, dest="test_circuit",
-                   help="name of a closed test or test circuit")
-
-    p = cmd("audit", "check an axiom over the file's declarations")
-    p.add_argument(
-        "--axiom", required=True,
-        choices=["causality", "purification", "faithfulness", "local-tomography", "niwd"],
-    )
-
-    p = cmd("purify", "purify a named state onto an auxiliary system")
-    p.add_argument("--state", required=True, help="state name")
-
-    p = cmd("dilate", "dilate a named box to a reversible interaction")
-    p.add_argument("--box", required=True, help="box name")
-
-    p = cmd("steer", "recover a state decomposition by measuring the extension")
-    p.add_argument("--state", required=True, help="joint state name")
-    p.add_argument("--test", required=True, dest="test",
-                   help="preparation test providing the target decomposition")
-
-    p = cmd("equiv", "decide whether two boxes are operationally equivalent")
-    p.add_argument("--box", required=True, help="first box or circuit")
-    p.add_argument("--box2", required=True, help="second box or circuit")
-
+        for flag, options in flags:
+            p.add_argument(flag, required=True, **options)
     return parser
 
 
@@ -363,14 +349,24 @@ def _cmd_audit(wb: Workbench, args) -> int:
     return _AUDITS[args.axiom](wb, args)
 
 
+# name -> (runner, help line, required flags with their add_argument options)
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "prob": _cmd_prob,
-    "audit": _cmd_audit,
-    "purify": _cmd_purify,
-    "dilate": _cmd_dilate,
-    "steer": _cmd_steer,
-    "equiv": _cmd_equiv,
+    "eval": (_cmd_eval, "evaluate a deterministic circuit to its transfer matrix",
+             [("--circuit", {"help": "circuit name"})]),
+    "prob": (_cmd_prob, "run a closed test circuit and print its distribution",
+             [("--test-circuit", {"help": "name of a closed test or test circuit"})]),
+    "audit": (_cmd_audit, "check an axiom over the file's declarations",
+              [("--axiom", {"choices": list(_AUDITS)})]),
+    "purify": (_cmd_purify, "purify a named state onto an auxiliary system",
+               [("--state", {"help": "state name"})]),
+    "dilate": (_cmd_dilate, "dilate a named box to a reversible interaction",
+               [("--box", {"help": "box name"})]),
+    "steer": (_cmd_steer, "recover a state decomposition by measuring the extension",
+              [("--state", {"help": "joint state name"}),
+               ("--test", {"help": "preparation test providing the target decomposition"})]),
+    "equiv": (_cmd_equiv, "decide whether two boxes are operationally equivalent",
+              [("--box", {"help": "first box or circuit"}),
+               ("--box2", {"help": "second box or circuit"})]),
 }
 
 
@@ -381,6 +377,9 @@ def _run(args) -> int:
     except OSError as e:
         _emit({"error": f"cannot read {args.file!r}: {e.strerror}"})
         return USAGE_ERROR
+    except UnicodeDecodeError as e:  # the whole file decodes at once: e.start is its offset
+        _emit({"error": f"cannot read {args.file!r}: not UTF-8 at byte {e.start} ({e.reason})"})
+        return USAGE_ERROR
     try:
         wb = load(text)
     except DslParseError as e:
@@ -390,14 +389,15 @@ def _run(args) -> int:
         _emit({"error": str(e)})
         return USAGE_ERROR
     try:
-        return _COMMANDS[args.command](wb, args)
+        return _COMMANDS[args.command][0](wb, args)
     except OptlabError as e:
         _emit({"error": str(e)})
         return USAGE_ERROR
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _run(args)
     except MemoryError as e:  # numpy refuses an array too large to allocate

@@ -1,6 +1,8 @@
 """Command surface: JSON reports, exit codes, and byte-stable output."""
 
+import argparse
 import json
+import sys
 import tracemalloc
 from functools import reduce
 
@@ -302,6 +304,15 @@ def test_unreadable_file(run):
     assert "cannot read" in json.loads(out)["error"]
 
 
+def test_a_file_that_is_not_utf8_is_a_usage_error(run, tmp_path):
+    p = tmp_path / "latin1.opt"
+    p.write_bytes(b"theory quantum\n# caf\xff\nsystem Q dim=2\ncircuit c = id(Q)\n")
+    code, out = run("eval", p, "--circuit", "c")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"cannot read {str(p)!r}: not UTF-8 at byte 20 (invalid start byte)"}
+
+
 def test_parse_errors_carry_a_location(run, tmp_path):
     p = tmp_path / "bad.opt"
     p.write_text("theory quantum\nsystem Q dim=2\nstate s : Q = vec=[1, oops]\n")
@@ -474,3 +485,67 @@ def test_boundary_flag_values_are_accepted():
     args = build_parser().parse_args(["audit", "x.opt", "--axiom", "causality",
                                       "--trials", "1", "--seed", "0", "--tol", "0"])
     assert (args.trials, args.seed, args.tol) == (1, 0, 0.0)
+
+
+# each command's required flags, in a line that parses
+_REQUIRED = {
+    "eval": ["--circuit", "c"],
+    "prob": ["--test-circuit", "t"],
+    "audit": ["--axiom", "niwd"],
+    "purify": ["--state", "s"],
+    "dilate": ["--box", "b"],
+    "steer": ["--state", "s", "--test", "t"],
+    "equiv": ["--box", "a", "--box2", "b"],
+}
+
+
+def _outcome(call, capsys):
+    """What a parse or a run returned or exited with, and what it printed."""
+    try:
+        result = call()
+    except SystemExit as e:
+        result = ("exit", e.code)
+    captured = capsys.readouterr()
+    return (vars(result) if isinstance(result, argparse.Namespace) else result,
+            captured.out, captured.err)
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED))
+@pytest.mark.parametrize("extra", [
+    pytest.param([], id="valid"),
+    pytest.param(None, id="missing-flag"),
+    pytest.param(["--axiom", "bogus"], id="unknown-axiom"),
+    pytest.param(["--trials", "0"], id="trials-0"),
+    pytest.param(["--tol", "nan"], id="tol-nan"),
+    pytest.param(["more", "args"], id="trailing-extras"),
+    pytest.param(["-h"], id="help"),
+])
+def test_the_one_command_parser_parses_as_the_full_one(capsys, command, extra):
+    flags = _REQUIRED[command]
+    argv = [command, "x.opt", *(flags[:-2] if extra is None else flags + extra)]
+    one = _outcome(lambda: build_parser(command).parse_args(argv), capsys)
+    full = _outcome(lambda: build_parser().parse_args(argv), capsys)
+    assert one == full
+
+
+def test_a_named_command_builds_only_its_subparser():
+    def subparsers(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(action.choices)
+    assert subparsers(build_parser("eval")) == ["eval"]
+    assert subparsers(build_parser()) == list(_REQUIRED)
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", "plus_born.opt", "--test-circuit", "born"],
+    ["eval", "plus_born.opt", "--circuit", "born"],
+    ["eval", "plus_born.opt"],
+    ["audit", "plus_born.opt", "--axiom", "niwd", "extra"],
+    ["bogus", "plus_born.opt"],
+    [],
+])
+def test_main_reads_sys_argv_as_it_reads_a_list(capsys, monkeypatch, fixture_dir, argv):
+    argv = [str(fixture_dir / a) if a.endswith(".opt") else a for a in argv]
+    from_list = _outcome(lambda: main(argv), capsys)
+    monkeypatch.setattr(sys, "argv", ["optlab", *argv])
+    assert _outcome(main, capsys) == from_list
