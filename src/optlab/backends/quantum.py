@@ -51,12 +51,6 @@ __all__ = ["QuantumBackend", "RealQuantumBackend"]
 SCALE_ABOVE = 2.0 ** 500
 
 
-def _reduced_trace(j: np.ndarray, din: int) -> np.ndarray:
-    """The input marginal ``Tr_out J`` of a Choi matrix, or of each of a stack."""
-    n = j.shape[-1]
-    return np.einsum("...ibjb->...ij", j.reshape(*j.shape[:-2], din, n // din, din, n // din))
-
-
 def _projector_family(d: int, with_phases: bool) -> np.ndarray:
     """Rank-one projectors spanning the self-adjoint matrices on dimension d.
 
@@ -192,7 +186,7 @@ class _MatrixTheory(TheoryBackend):
         # eigh, not eigvalsh: these are, bit for bit, the eigenvalues sorted_eigh gives
         # the witness; eigvalsh rounds differently and could flip a verdict at the floor
         min_eig = np.linalg.eigh(sym)[0][:, 0]
-        reduced = _reduced_trace(j, din)
+        reduced = linalg.partial_trace(j, [din, dout], [0])
         slack = scale[:, None, None] * np.eye(din) - reduced
         margin = np.linalg.eigvalsh((slack + slack.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
         with np.errstate(over="ignore"):  # past the float range a value reads inf
@@ -226,8 +220,8 @@ class _MatrixTheory(TheoryBackend):
         return ~(not_adjoint | negative | leaky), certificate
 
     def deterministic_residual(self, ch: Channel) -> float:
-        din = self.hilbert_dim(ch.input_type)
-        reduced = _reduced_trace(self.channel_choi(ch), din)
+        din, dout = self.hilbert_dim(ch.input_type), self.hilbert_dim(ch.output_type)
+        reduced = linalg.partial_trace(self.channel_choi(ch), [din, dout], [0])
         return float(np.max(np.abs(reduced - np.eye(din))))
 
     # -- kernel algebra -------------------------------------------------

@@ -1,7 +1,8 @@
 """Command-line front end: evaluate circuits, run tests, audit axioms.
 
-Every command reads one workbench file, prints a single JSON report to
-standard output, and signals its verdict through the exit code:
+Every command reads one workbench file (UTF-8; a leading byte-order mark is
+ignored), prints a single JSON report to standard output, and signals its
+verdict through the exit code:
 
 * 0 — success (circuit evaluated, axiom holds, objects indistinguishable)
 * 1 — a witnessed failure (axiom violated, purification impossible,
@@ -10,6 +11,10 @@ standard output, and signals its verdict through the exit code:
   unphysical payloads and declarations too large to allocate)
 * 3 — internal error: the program failed (the JSON names the exception),
   so no verdict was reached
+
+Each command's runner returns its report's body.  ``_run`` alone adds the
+envelope and sets the exit code, from one table, ``PASSING``: a verdict in
+it exits 0 and any other exits 1.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import sys
 from itertools import combinations_with_replacement
 
 from . import audit, tomography
-from .backends.base import StateVector
 from .diagram import SystemType, singleton_test
 from .dsl import Workbench, load
 from .errors import (
@@ -102,6 +106,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 # JSON shaping
 # ---------------------------------------------------------------------------
 
+#: The verdicts that pass.  A command exits 0 when its report's verdict is
+#: one of these and 1 otherwise; an audit holds when every row's verdict is.
+PASSING = {"Holds", "Purified", "Confirmed", "NotApplicable", "Dilated", "Steered", "Equivalent"}
+
 
 def _emit(report: dict) -> None:
     text = dumps_canonical(report)
@@ -111,29 +119,18 @@ def _emit(report: dict) -> None:
         sys.stdout.write(text[i:i + (1 << 20)])
 
 
-def _run_meta(args) -> dict:
-    return {"seed": args.seed, "tolerance": args.tol}
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its report's body; ``_run`` adds the envelope
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(wb: Workbench, args) -> int:
-    diagram = wb.diagram(args.circuit)
-    t = evaluate(diagram, wb.backend, wb.bindings)
-    _emit({
-        "command": "eval",
-        "circuit": args.circuit,
-        "input": str(t.input_type),
-        "output": str(t.output_type),
-        "transfer": t.matrix,
-    })
-    return 0
+def _cmd_eval(wb: Workbench, args) -> dict:
+    t = evaluate(wb.diagram(args.circuit), wb.backend, wb.bindings)
+    return {"circuit": args.circuit, "input": str(t.input_type),
+            "output": str(t.output_type), "transfer": t.matrix}
 
 
-def _cmd_prob(wb: Workbench, args) -> int:
+def _cmd_prob(wb: Workbench, args) -> dict:
     name = args.test_circuit
     if wb.kinds.get(name) == "circuit":
         test = singleton_test(wb.circuits[name])
@@ -144,35 +141,27 @@ def _cmd_prob(wb: Workbench, args) -> int:
             f"test circuit {name!r} is not closed: it has type "
             f"{test.input_type} -> {test.output_type}"
         )
-    dist = run_test_circuit(test, wb.backend, wb.bindings)
-    _emit(dict(dist.probs))
-    return 0
+    return dict(run_test_circuit(test, wb.backend, wb.bindings).probs)
 
 
-def _cmd_purify(wb: Workbench, args) -> int:
+def _cmd_purify(wb: Workbench, args) -> dict:
     result = audit.purify_state(wb.backend, wb.state_vector(args.state))
-    _emit({"command": "purify", "state": args.state, **_run_meta(args),
-           **vars(result)})
-    return 0 if result.verdict == "Purified" else VIOLATION
+    return {"state": args.state, **vars(result)}
 
 
-def _cmd_dilate(wb: Workbench, args) -> int:
+def _cmd_dilate(wb: Workbench, args) -> dict:
     if wb.kinds.get(args.box) != "box":
         raise OptlabError(f"no box named {args.box!r}")
     try:
         result = audit.stinespring_dilate(wb.backend, wb.bindings[args.box])
     except BackendLacksDilationError as e:
-        _emit({"command": "dilate", "box": args.box, **_run_meta(args),
-               "verdict": "Failure", "witness": str(e)})
-        return VIOLATION
-    report = {**vars(result)}
-    report.pop("channel")  # the input box, restated; keep the report lean
-    _emit({"command": "dilate", "box": args.box, **_run_meta(args),
-           "verdict": "Dilated", **report})
-    return 0
+        return {"box": args.box, "verdict": "Failure", "witness": str(e)}
+    # the input box, restated; keep the report lean
+    report = {k: v for k, v in vars(result).items() if k != "channel"}
+    return {"box": args.box, "verdict": "Dilated", **report}
 
 
-def _cmd_steer(wb: Workbench, args) -> int:
+def _cmd_steer(wb: Workbench, args) -> dict:
     psi = wb.state_vector(args.state)
     test = wb.test(args.test)
     if not test.input_type.is_unit or test.output_type.is_unit:
@@ -180,10 +169,7 @@ def _cmd_steer(wb: Workbench, args) -> int:
             f"test {args.test!r} does not prepare states: it has type "
             f"{test.input_type} -> {test.output_type}"
         )
-    branch_channels = [
-        (label, evaluate_channel(branch, wb.backend, wb.bindings))
-        for label, branch in test.items()
-    ]
+    channels = [evaluate_channel(branch, wb.backend, wb.bindings) for branch in test.branches]
     base_word = test.output_type
     joint = psi.system.word
     base = base_word.word
@@ -192,148 +178,91 @@ def _cmd_steer(wb: Workbench, args) -> int:
             f"state {args.state!r} on {psi.system} does not extend the "
             f"prepared system {base_word}"
         )
-    branches = [wb.backend.channel_state(ch) for _, ch in branch_channels]
-    labels = [label for label, _ in branch_channels]
+    body = {"state": args.state, "test": args.test}
     try:
         result = audit.steering_measurement(
-            wb.backend, branches, psi, base_word, labels=labels, tol=args.tol,
+            wb.backend, [wb.backend.channel_state(ch) for ch in channels], psi, base_word,
+            labels=list(test.outcomes.labels), tol=args.tol,
         )
     except OptlabError as e:
-        _emit({"command": "steer", "state": args.state, "test": args.test,
-               **_run_meta(args), "verdict": "Failure", "witness": str(e)})
-        return VIOLATION
-    report = {**vars(result)}
-    report.pop("effect_objects")
-    _emit({"command": "steer", "state": args.state, "test": args.test,
-           **_run_meta(args), "verdict": "Steered", **report})
-    return 0
+        return {**body, "verdict": "Failure", "witness": str(e)}
+    report = {k: v for k, v in vars(result).items() if k != "effect_objects"}
+    return {**body, "verdict": "Steered", **report}
 
 
-def _cmd_equiv(wb: Workbench, args) -> int:
-    report = tomography.equivalent(
-        wb.diagram(args.box), wb.diagram(args.box2), wb.backend,
-        bindings=wb.bindings, tol=args.tol,
-    )
-    payload = {"command": "equiv", "box": args.box, "box2": args.box2,
-               **_run_meta(args), **vars(report)}
+def _cmd_equiv(wb: Workbench, args) -> dict:
+    first, second = wb.diagram(args.box), wb.diagram(args.box2)
+    report = tomography.equivalent(first, second, wb.backend, bindings=wb.bindings, tol=args.tol)
+    body = {"box": args.box, "box2": args.box2, **vars(report)}
     if report.witness is not None:
-        p1, p2 = tomography.replay_witness(
-            wb.backend, wb.diagram(args.box), wb.diagram(args.box2),
-            report.witness, wb.bindings,
-        )
-        payload["witness"] = {**vars(report.witness), "replayed": [p1, p2]}
-    _emit(payload)
-    return 0 if report.verdict == "Equivalent" else VIOLATION
+        replayed = tomography.replay_witness(wb.backend, first, second, report.witness, wb.bindings)
+        body["witness"] = {**vars(report.witness), "replayed": list(replayed)}
+    return body
 
 
-# -- audit ------------------------------------------------------------------
+# -- audit: each returns the key of its rows and the rows ---------------------
 
 
-def _audit_causality(wb: Workbench, args) -> int:
+def _audit_causality(wb: Workbench, args) -> tuple[str, list]:
+    sources = [("declared tests", list(wb.tests.values()), wb.bindings)] if wb.tests else []
+    sources.append((f"{args.trials} random observation tests",
+                    Sampler(wb.backend, seed=args.seed).random_observation_tests(args.trials),
+                    None))
     checks = []
-    code = 0
-    if wb.tests:
+    for source, tests, bindings in sources:
         try:
-            report = audit.check_causality(
-                wb.backend, list(wb.tests.values()), wb.bindings, tol=args.tol
-            )
-            checks.append({"source": "declared tests", **vars(report),
-                           "verdict": "Holds"})
+            report = audit.check_causality(wb.backend, tests, bindings, tol=args.tol)
         except CausalityViolationError as e:
-            checks.append({"source": "declared tests", "verdict": "Violated",
-                           "witness": str(e)})
-            code = VIOLATION
-    random_tests = Sampler(wb.backend, seed=args.seed).random_observation_tests(args.trials)
-    try:
-        report = audit.check_causality(wb.backend, random_tests, tol=args.tol)
-        checks.append({"source": f"{args.trials} random observation tests",
-                       **vars(report), "verdict": "Holds"})
-    except CausalityViolationError as e:
-        checks.append({"source": f"{args.trials} random observation tests",
-                       "verdict": "Violated", "witness": str(e)})
-        code = VIOLATION
-    _emit({"command": "audit", "axiom": "causality", **_run_meta(args),
-           "verdict": "Violated" if code else "Holds", "checks": checks})
-    return code
+            checks.append({"source": source, "verdict": "Violated", "witness": str(e)})
+        else:
+            checks.append({"source": source, **vars(report), "verdict": "Holds"})
+    return "checks", checks
 
 
-def _audit_purification(wb: Workbench, args) -> int:
-    subjects: list[tuple[str, StateVector]] = [
-        (name, wb.state_vector(name))
-        for name, kind in wb.kinds.items() if kind == "state"
-    ]
-    if not subjects:
+def _audit_purification(wb: Workbench, args) -> tuple[str, list]:
+    names = [name for name, kind in wb.kinds.items() if kind == "state"]
+    if names:
+        states = [wb.state_vector(name) for name in names]
+    else:
         states = Sampler(wb.backend, seed=args.seed).random_states(args.trials)
-        subjects = [(f"random[{i}]", state) for i, state in enumerate(states)]
-    results = []
-    code = 0
-    purified = audit.purify_states(wb.backend, [state for _, state in subjects])
-    for (name, _), r in zip(subjects, purified):
-        results.append({"state": name, **vars(r)})
-        if r.verdict != "Purified":
-            code = VIOLATION
-    _emit({"command": "audit", "axiom": "purification", **_run_meta(args),
-           "verdict": "Violated" if code else "Holds", "states": results})
-    return code
+        names = [f"random[{i}]" for i in range(len(states))]
+    purified = audit.purify_states(wb.backend, states)
+    return "states", [{"state": name, **vars(r)} for name, r in zip(names, purified)]
 
 
-def _audit_faithfulness(wb: Workbench, args) -> int:
-    reports = []
-    code = 0
+def _audit_faithfulness(wb: Workbench, args) -> tuple[str, list]:
     names = sorted(wb.backend.systems)
-    for name, rng in zip(names, spawn_rngs(args.seed, len(names))):
-        r = tomography.verify_faithfulness(
-            wb.backend, SystemType.of(name), trials=args.trials,
-            seed=rng, tol=args.tol,
-        )
-        reports.append({"system": name, **vars(r)})
-        if r.verdict != "Confirmed":
-            code = VIOLATION
-    _emit({"command": "audit", "axiom": "faithfulness", **_run_meta(args),
-           "verdict": "Violated" if code else "Holds", "systems": reports})
-    return code
+    return "systems", [
+        {"system": name, **vars(tomography.verify_faithfulness(
+            wb.backend, SystemType.of(name), trials=args.trials, seed=rng, tol=args.tol))}
+        for name, rng in zip(names, spawn_rngs(args.seed, len(names)))
+    ]
 
 
-def _audit_local_tomography(wb: Workbench, args) -> int:
-    reports = []
-    code = 0
-    for a, b in combinations_with_replacement(sorted(wb.backend.systems), 2):
-        r = tomography.local_tomography_check(
-            wb.backend, SystemType.of(a), SystemType.of(b)
-        )
-        reports.append({"left": a, "right": b, **vars(r)})
-        if r.verdict != "Holds":
-            code = VIOLATION
-    _emit({"command": "audit", "axiom": "local-tomography", **_run_meta(args),
-           "verdict": "Fails" if code else "Holds", "pairs": reports})
-    return code
+def _audit_local_tomography(wb: Workbench, args) -> tuple[str, list]:
+    return "pairs", [
+        {"left": a, "right": b, **vars(tomography.local_tomography_check(
+            wb.backend, SystemType.of(a), SystemType.of(b)))}
+        for a, b in combinations_with_replacement(sorted(wb.backend.systems), 2)
+    ]
 
 
-def _audit_niwd(wb: Workbench, args) -> int:
-    reports = []
-    code = 0
-    applicable = 0
+def _audit_niwd(wb: Workbench, args) -> tuple[str, list]:
+    rows = []
     for name, test in sorted(wb.tests.items()):
         if test.input_type != test.output_type or test.input_type.is_unit:
             continue
         try:
-            r = audit.niwd_check(wb.backend, test, wb.bindings, tol=args.tol)
+            rows.append({"test": name, **vars(audit.niwd_check(wb.backend, test, wb.bindings,
+                                                               tol=args.tol))})
         except OptlabError as e:
-            reports.append({"test": name, "verdict": "NotApplicable",
-                            "reason": str(e)})
-            continue
-        applicable += 1
-        reports.append({"test": name, **vars(r)})
-        if r.verdict != "Holds":
-            code = VIOLATION
-    if not applicable:
+            rows.append({"test": name, "verdict": "NotApplicable", "reason": str(e)})
+    if all(row["verdict"] == "NotApplicable" for row in rows):
         raise OptlabError(
             "no identity-summing test on matching systems to audit; "
             "declare a test with equal input and output"
         )
-    _emit({"command": "audit", "axiom": "niwd", **_run_meta(args),
-           "verdict": "Violated" if code else "Holds", "tests": reports})
-    return code
+    return "tests", rows
 
 
 _AUDITS = {
@@ -345,8 +274,13 @@ _AUDITS = {
 }
 
 
-def _cmd_audit(wb: Workbench, args) -> int:
-    return _AUDITS[args.axiom](wb, args)
+def _cmd_audit(wb: Workbench, args) -> dict:
+    key, rows = _AUDITS[args.axiom](wb, args)
+    if all(row["verdict"] in PASSING for row in rows):
+        verdict = "Holds"
+    else:
+        verdict = "Fails" if args.axiom == "local-tomography" else "Violated"
+    return {"axiom": args.axiom, "verdict": verdict, key: rows}
 
 
 # name -> (runner, help line, required flags with their add_argument options)
@@ -370,36 +304,41 @@ _COMMANDS = {
 }
 
 
-def _run(args) -> int:
+def _run(args) -> tuple[dict, int]:
+    """The report of a parsed command line and its exit code."""
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            # a byte-order mark is no text; stripped after decoding, so that the
+            # whole file decodes at once and e.start below is its byte offset
+            text = fh.read().removeprefix("\ufeff")
     except OSError as e:
-        _emit({"error": f"cannot read {args.file!r}: {e.strerror}"})
-        return USAGE_ERROR
-    except UnicodeDecodeError as e:  # the whole file decodes at once: e.start is its offset
-        _emit({"error": f"cannot read {args.file!r}: not UTF-8 at byte {e.start} ({e.reason})"})
-        return USAGE_ERROR
+        return {"error": f"cannot read {args.file!r}: {e.strerror}"}, USAGE_ERROR
+    except UnicodeDecodeError as e:
+        return ({"error": f"cannot read {args.file!r}: not UTF-8 at byte {e.start} ({e.reason})"},
+                USAGE_ERROR)
     try:
-        wb = load(text)
+        body = _COMMANDS[args.command][0](load(text), args)
     except DslParseError as e:
-        _emit({"error": str(e), "line": e.line, "column": e.column})
-        return USAGE_ERROR
+        return {"error": str(e), "line": e.line, "column": e.column}, USAGE_ERROR
     except OptlabError as e:
-        _emit({"error": str(e)})
-        return USAGE_ERROR
-    try:
-        return _COMMANDS[args.command][0](wb, args)
-    except OptlabError as e:
-        _emit({"error": str(e)})
-        return USAGE_ERROR
+        return {"error": str(e)}, USAGE_ERROR
+    # the envelope goes by command, never by the body's keys: a distribution's
+    # keys are outcome labels, and "verdict" or "command" is a legal label
+    if args.command == "prob":
+        return body, 0
+    if args.command == "eval":
+        return {"command": "eval", **body}, 0
+    report = {"command": args.command, "seed": args.seed, "tolerance": args.tol, **body}
+    return report, 0 if body["verdict"] in PASSING else VIOLATION
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return _run(args)
+        report, code = _run(args)
+        _emit(report)
+        return code
     except MemoryError as e:  # numpy refuses an array too large to allocate
         _emit({"error": f"out of memory: {e}"})
         return USAGE_ERROR

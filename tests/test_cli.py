@@ -2,9 +2,12 @@
 
 import argparse
 import json
+import random
+import re
 import sys
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +57,21 @@ def test_eval_refuses_test_valued_circuits(run, fx):
 def test_prob_requires_a_closed_circuit(run, fx):
     code, out = run("prob", fx("damping.opt"), "--test-circuit", "decay_twice")
     assert code == 2
+
+
+def test_prob_prints_a_bare_distribution_whatever_its_labels(run, tmp_path):
+    """The report's envelope goes by command, not by its keys: outcome labels
+    that read like envelope fields stay outcome labels."""
+    p = tmp_path / "labels.opt"
+    p.write_text(
+        "theory classical\nsystem T dim=3\nstate spread : T = vec=[0.25,0.25,0.5]\n"
+        "test look : T -> I outcomes={verdict,command,seed} "
+        "{ verdict: vec=[1,0,0]; command: vec=[0,1,0]; seed: vec=[0,0,1] }\n"
+        "circuit run = spread ; look\n"
+    )
+    code, out = run("prob", p, "--test-circuit", "run")
+    assert code == 0
+    assert json.loads(out) == {"verdict": 0.25, "command": 0.25, "seed": 0.5}
 
 
 def _haar(rng, d):
@@ -294,6 +312,15 @@ def test_audit_niwd_splits_on_the_verdict(run, fx):
     assert entry["max_deviation"] == pytest.approx(0.5)
 
 
+def test_audit_niwd_with_no_applicable_test_is_a_usage_error(run, tmp_path):
+    p = tmp_path / "dim.opt"
+    p.write_text("theory quantum\nsystem Q dim=2\ntest dim : Q -> Q outcomes={x} "
+                 "{ x: kraus=[[[[0.5,0],[0,0]],[[0,0],[0.5,0]]]] }\n")
+    code, out = run("audit", p, "--axiom", "niwd")
+    assert code == 2
+    assert json.loads(out)["error"].startswith("no identity-summing test")
+
+
 # ---------------------------------------------------------------------------
 # failure modes and determinism
 # ---------------------------------------------------------------------------
@@ -311,6 +338,23 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(run, tmp_path):
     assert code == 2
     assert json.loads(out) == {
         "error": f"cannot read {str(p)!r}: not UTF-8 at byte 20 (invalid start byte)"}
+
+
+def test_a_byte_order_mark_is_ignored(run, fx, tmp_path):
+    plain = fx("plus_born.opt")
+    p = tmp_path / "bom.opt"
+    p.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    assert run("prob", p, "--test-circuit", "born") == run("prob", plain, "--test-circuit", "born")
+    assert run("prob", p, "--test-circuit", "x") == run("prob", plain, "--test-circuit", "x")
+
+
+def test_a_not_utf8_offset_counts_the_byte_order_mark(run, tmp_path):
+    p = tmp_path / "bom-latin1.opt"
+    p.write_bytes(b"\xef\xbb\xbfab\xff")
+    code, out = run("eval", p, "--circuit", "c")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"cannot read {str(p)!r}: not UTF-8 at byte 5 (invalid start byte)"}
 
 
 def test_parse_errors_carry_a_location(run, tmp_path):
@@ -449,6 +493,71 @@ def test_deep_nesting_is_a_usage_error(run, tmp_path):
     code, out = run("eval", p, "--circuit", "c")
     assert code == 2
     assert "line 3" in json.loads(out)["error"]
+
+
+_TOKEN = re.compile(r"\w+|[^\w\s]")
+_NAMED = re.compile(r"\b(state|effect|box|test|circuit)\s+(\w+)")
+_DIM = re.compile(r"dim\s*=\s*([0-9]+)")
+
+
+def _small(text: str) -> bool:
+    return all(int(d) <= 3 for d in _DIM.findall(text))
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """``text`` with two of its tokens of one class (number, word, mark)
+    swapped, one of its tokens inserted before another, or one of its lines
+    duplicated."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        lines = text.splitlines(keepends=True)
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+        return "".join(lines)
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    if kind == 0:
+        def cls(span):
+            token = text[span[0]:span[1]]
+            return token[0].isdigit(), token[0].isalnum()
+        first = rng.choice(spans)
+        (a, b), (c, d) = sorted([first, rng.choice([s for s in spans if cls(s) == cls(first)])])
+        return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    (a, b), (at, _) = rng.choice(spans), rng.choice(spans)
+    return text[:at] + text[a:b] + " " + text[at:]
+
+
+def test_every_command_keeps_the_exit_code_contract_on_mutated_fixtures(run, fixture_dir,
+                                                                        tmp_path):
+    """Seeded mutants of the fixtures, every dimension at most 3, through all
+    six commands and five audits: each exits 0, 1 or 2 with JSON on stdout,
+    and an exit 2 carries an error."""
+    texts = [t for t in (q.read_text() for q in sorted(fixture_dir.glob("*.opt"))) if _small(t)]
+    rng = random.Random(23)
+    verdicts = 0
+    for i in range(200):
+        text = _mutant(rng.choice(texts), rng)
+        while not _small(text):
+            text = _mutant(rng.choice(texts), rng)
+        p = tmp_path / f"mutant{i}.opt"
+        p.write_text(text)
+        declared = _NAMED.findall(text)
+
+        def name(*kinds):  # a declared name of one of these kinds, if any
+            return rng.choice([n for k, n in declared if k in kinds] or ["x"])
+        argvs = [["eval", "--circuit", name("circuit")],
+                 ["prob", "--test-circuit", name("circuit", "test")],
+                 ["purify", "--state", name("state")], ["dilate", "--box", name("box")],
+                 ["steer", "--state", name("state"), "--test", name("test")],
+                 ["equiv", "--box", name("box", "circuit"), "--box2", name("box", "circuit")]]
+        argvs += [["audit", "--axiom", axiom] for axiom in
+                  ("causality", "purification", "faithfulness", "local-tomography", "niwd")]
+        for args in argvs:
+            argv = [args[0], p, *args[1:], "--trials", 8, "--seed", i]
+            code, out = run(*argv)
+            assert code in (0, 1, 2), (argv, text)
+            report = json.loads(out)
+            assert code != 2 or "error" in report, (argv, text)
+            verdicts += code != 2
+    assert verdicts
 
 
 def test_output_is_byte_deterministic(run, fx):
