@@ -107,8 +107,8 @@ def choi_correspondence(
     psi_kernel = backend.state_as_channel(psi).kernel
 
     # self-adjoint operators on input * output: the basis of a scratch system that size
-    din = backend.hilbert_dim(input_system)
-    choi_basis = backend.basis(backend.scratch_system(din * backend.hilbert_dim(output_system)))
+    scratch = backend.scratch_system(backend.hilbert_dim(input_system) * backend.hilbert_dim(output_system))
+    choi_basis = backend.state_object(np.eye(backend.state_dim(scratch)), scratch)
     matrix = np.stack([
         _image(backend, backend.channel_from_choi(elem, input_system, output_system),
                ref, psi_kernel).coords

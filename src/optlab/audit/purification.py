@@ -132,9 +132,9 @@ def purify_states(backend: TheoryBackend, states: Sequence[StateVector]) -> list
             joint = word * purifying
             reduced = backend.partial_trace(psis, [objs.shape[1], r], [0])
             errors = np.maximum.reduce(np.abs(reduced - sub).reshape(len(group), -1), axis=1)
-            for j, psi, error in zip(group, psis, errors.tolist()):
-                psi_state = StateVector(backend.state_coords(psi, joint), joint)
-                results[at[j]] = PurificationResult("Purified", purifying, psi_state, rank, error)
+            coords = backend.state_coords(psis, joint)
+            for j, c, error in zip(group, coords, errors.tolist()):
+                results[at[j]] = PurificationResult("Purified", purifying, StateVector(c, joint), rank, error)
     return results
 
 

@@ -61,8 +61,7 @@ otherwise).  This checklist puts exactly those members in double backquotes.
   drawn one at a time are worked out as stacks.
 
 A theory also sets the class flags ``purifies`` and ``pair_payloads``; a
-purifying theory adds ``basis`` (the operator basis that spans Choi
-matrices) and ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
+purifying theory adds ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
 default to real scalars, and ``state_draws`` and ``povm_draws`` to Gaussian
 matrices over the scalars.
 
@@ -570,7 +569,7 @@ class TheoryBackend(abc.ABC):
 
     @abc.abstractmethod
     def state_coords(self, obj: np.ndarray, word: SystemType) -> np.ndarray:
-        """Coordinates of a concrete state object (matrix or vector)."""
+        """Coordinates of a concrete state object (matrix or vector), or of a stack."""
 
     @abc.abstractmethod
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:

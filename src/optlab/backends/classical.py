@@ -120,7 +120,7 @@ class ClassicalBackend(TheoryBackend):
     # -- coordinates ----------------------------------------------------
 
     def state_coords(self, obj: np.ndarray, word: SystemType) -> np.ndarray:
-        return np.asarray(obj, dtype=float).reshape(-1)
+        return np.asarray(obj, dtype=float)
 
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)

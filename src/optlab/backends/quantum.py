@@ -1,33 +1,37 @@
 """Quantum backends: complex amplitudes and the real-amplitude variant.
 
 States on a word with composite carrier dimension D are self-adjoint D x D
-matrices expanded over a fixed orthonormal operator basis; transformations
+matrices expanded over a fixed orthonormal operator basis W; transformations
 are completely positive trace-non-increasing maps, compiled from Choi or
 Kraus payloads to process-matrix kernels.
 
-The two backends differ in their scalars and, consequently, in how
-composite coordinate spaces relate to component ones:
+Each theory writes one coordinate map, ``_coords(t, word, side)``: on a stack
+``(count, K, cols)`` of operator vectors along axis 1, wire-major on
+``word``, it gives ``W^H t`` (side 0) or ``W^T t`` (side 1), and ``W c`` from
+coordinates (side 2), each item through products of its own.  Transfer
+matrices, state coordinates and objects, the spanning family and
+``apply_first`` are written once on top of it, and neither theory builds a
+basis of a whole word:
 
-* complex amplitudes — the composite basis is the ordered Kronecker product
-  of the per-primitive bases, so coordinate dimensions multiply, the
-  transfer matrix of a side-by-side pair is the Kronecker product of the
-  component transfer matrices, and a word's spanning family is the
-  Kronecker product of each system's family (local tomography);
-* real amplitudes — states are real symmetric matrices.  The joint space of
-  a pair is strictly larger than the tensor product of the component
-  coordinate spaces (for two dimension-2 primitives: 10 vs 9), so the
-  composite basis is the canonical symmetric basis of the joint carrier,
-  the spanning family lives on the joint carrier too, and transfer matrices
-  do *not* determine a transformation's action on joint systems; kernels do.
+* complex amplitudes — the word's basis is the ordered Kronecker product of
+  the per-primitive bases, each applied to its own block; coordinate
+  dimensions multiply, and the spanning family is the Kronecker product of
+  each system's family (local tomography);
+* real amplitudes — states are real symmetric matrices, and the joint space
+  of a pair outgrows the tensor product of the component ones (for two
+  dimension-2 primitives: 10 vs 9), so the basis is the canonical symmetric
+  basis of the joint carrier, applied entry by entry; the spanning family
+  lives on the joint carrier too, and transfer matrices do *not* determine a
+  transformation's action on joint systems; kernels do.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
-from ..diagram import SystemType
+from ..diagram import UNIT, SystemType
 from ..errors import (
     BackendLacksPurificationError,
     BranchSumMismatchError,
@@ -50,6 +54,9 @@ __all__ = ["QuantumBackend", "RealQuantumBackend"]
 #: A Choi matrix with a larger entry is checked scaled down by a power of two.
 SCALE_ABOVE = 2.0 ** 500
 
+#: The off-diagonal entries of a symmetric basis member, as ``linalg`` writes them.
+SQRT_HALF = 1.0 / np.sqrt(2.0)
+
 
 def _projector_family(d: int, with_phases: bool) -> np.ndarray:
     """Rank-one projectors spanning the self-adjoint matrices on dimension d.
@@ -70,6 +77,24 @@ def _projector_family(d: int, with_phases: bool) -> np.ndarray:
     return kets[:, :, None] * kets.conj()[:, None, :]
 
 
+@cache
+def _hermitian_maps(d: int) -> tuple[np.ndarray, ...]:
+    """A system's flat Hermitian basis ``w`` (one column a member) as ``w^H``, ``w^T`` and ``w``."""
+    w = linalg.hermitian_basis(d).reshape(d * d, -1).T
+    return w.conj().T, w.T, w
+
+
+@cache
+def _symmetric_entries(d: int) -> tuple[np.ndarray, ...]:
+    """On a d-level carrier, in Liouville order: the positions of the diagonal
+    entries, then of each pair j < k's entries jk and kj; where each position's
+    value sits among them; the diagonals of the first d basis members."""
+    j, k = np.triu_indices(d, 1)
+    gather = np.concatenate([np.arange(d) * (d + 1), np.stack([j * d + k, k * d + j], 1).ravel()])
+    spread = np.concatenate([np.arange(d), np.repeat(np.arange(d, d + len(j)), 2)])[np.argsort(gather)]
+    return gather, spread, linalg.diagonal_basis(d)
+
+
 class _MatrixTheory(TheoryBackend):
     """Machinery shared by the complex and real quantum backends."""
 
@@ -77,25 +102,8 @@ class _MatrixTheory(TheoryBackend):
     legs_per_wire = 2
 
     def __init__(self, systems=None) -> None:
-        self._basis_cache: dict[SystemType, np.ndarray] = {}
         self._coordinate_cache: dict = {}
         super().__init__(systems)
-
-    # -- coordinate bases ----------------------------------------------
-
-    def basis(self, word: SystemType) -> np.ndarray:
-        """Operator basis of the word, shape (state_dim, D, D); cached."""
-        if word not in self._basis_cache:
-            self._basis_cache[word] = self._build_basis(word)
-        return self._basis_cache[word]
-
-    def _build_basis(self, word: SystemType) -> np.ndarray:
-        raise NotImplementedError
-
-    def _flat_basis(self, word: SystemType) -> np.ndarray:
-        b = self.basis(word)
-        n = b.shape[0]
-        return b.reshape(n, -1).T  # (D*D, n), columns are vec'd basis elements
 
     # -- payload compilation -------------------------------------------
 
@@ -231,20 +239,32 @@ class _MatrixTheory(TheoryBackend):
         ref = SystemType(state.system.word[len(input_word):])
         r = self.hilbert_dim(ref)
         rho = self.state_object(state.coords, state.system).reshape(din, r, din, r)
-        legs = self._reorder(kernels, output_word, input_word, inverse=True)
-        legs = legs.reshape(-1, dout, dout, din, din)
-        out = np.einsum("tklij,irjs->tkrls", legs, rho).reshape(len(legs), 1, -1)
-        # one vector-matrix product per kernel, so a row never depends on the stack height;
-        # Re(out @ conj(W)) = Re(conj(out) @ W), and out is the small operand to conjugate
-        return np.real(out.conj() @ self._flat_basis(output_word * ref))[:, 0]
+        legs = self._reorder(kernels, output_word, input_word, inverse=True).reshape(-1, dout, dout, din, din)
+        out = np.einsum("tklij,irjs->tkrls", legs, rho).reshape(len(legs), dout * r, -1)
+        return self.state_coords(out, output_word * ref)
 
     # -- coordinates ----------------------------------------------------
 
+    def transfer_matrices(self, kernels, input_type, output_type):
+        """``W_out^H K W_in``: the output's basis applied to the kernel's rows,
+        then the input's to the transposed product's rows."""
+        t = kernels
+        for word, side in ((output_type, 0), (input_type, 1)):
+            t = t if word.is_unit else self._coords(t, word, side)  # the unit's basis is [1]
+            t = np.ascontiguousarray(t.swapaxes(-1, -2))
+        return np.real(t)
+
     def state_coords(self, obj: np.ndarray, word: SystemType) -> np.ndarray:
-        return np.real(np.einsum("nij,ji->n", self.basis(word), np.asarray(obj, dtype=complex)))
+        """``Tr(B obj)`` for each basis member ``B``, of an object or a stack."""
+        obj = np.asarray(obj)
+        coords = np.real(self._coords(self._reorder(obj.reshape(-1, obj.shape[-1] ** 2, 1), word, UNIT), word, 0))
+        return np.ascontiguousarray(coords.reshape(*obj.shape[:-2], -1))
 
     def state_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
-        m = np.einsum("...n,nij->...ij", np.asarray(coords, dtype=float), self.basis(word))
+        coords = np.asarray(coords, dtype=float)
+        vecs = self._coords(coords.reshape(-1, coords.shape[-1], 1), word, 2)
+        d = self.hilbert_dim(word)
+        m = self._reorder(vecs, word, UNIT, inverse=True).reshape(*coords.shape[:-1], d, d)
         return self.project_scalars(m)
 
     def _object_channel(self, obj: np.ndarray, word: SystemType, role: str) -> Channel:
@@ -278,8 +298,7 @@ class _MatrixTheory(TheoryBackend):
         The real theory keeps this: products of component families do not
         span its joint space."""
         fam = _projector_family(self.hilbert_dim(word), self._complex_scalars)
-        # contiguous, as a stack of rows is: a strided operand rounds matmuls differently
-        return np.ascontiguousarray(np.real(np.einsum("nij,mji->mn", self.basis(word), fam)))
+        return self.state_coords(self.project_scalars(fam), word)
 
     def partial_trace(self, obj, dims, keep):
         return linalg.partial_trace(obj, dims, keep)
@@ -350,9 +369,7 @@ class _MatrixTheory(TheoryBackend):
     # -- random draws ---------------------------------------------------
 
     def drawn_states(self, draws, word):
-        """The density matrices, then one ``state_coords`` per state: a
-        stacked one could sum in another order."""
-        return np.array([self.state_coords(rho, word) for rho in self._density_matrices(draws)])
+        return self.state_coords(self._density_matrices(draws), word)
 
     def random_channels(self, rng, input_word, output_word, count):
         din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
@@ -363,7 +380,7 @@ class _MatrixTheory(TheoryBackend):
         """``count`` random trace-preserving Choi matrices, stacked."""
         g = self.gaussian(rng, count, din * dout, din * dout)
         j0 = g @ g.conj().swapaxes(-1, -2)
-        red = np.einsum("tibjb->tij", j0.reshape(count, din, dout, din, dout))
+        red = linalg.partial_trace(j0, [din, dout], [0])
         vals, vecs = np.linalg.eigh(red)
         rinv = (vecs * vals[:, None, :] ** -0.5) @ vecs.conj().swapaxes(-1, -2)
         scale = np.einsum("tij,kl->tikjl", rinv, np.eye(dout)).reshape(j0.shape)
@@ -419,41 +436,20 @@ class QuantumBackend(_MatrixTheory):
         d = self.hilbert_dim(word)
         return d * d
 
-    def _build_basis(self, word: SystemType) -> np.ndarray:
-        out = np.ones((1, 1, 1), dtype=complex)
-        for d in self.word_dims(word):
-            out = linalg.kron_basis(out, linalg.hermitian_basis(d))
-        return out
-
     def spanning_states(self, word: SystemType) -> np.ndarray:
         """The Kronecker product of each system's family: products of local
         states span the joint space, and the basis is a product too."""
         rows = [_MatrixTheory.spanning_states(self, SystemType.of(label)) for label in word]
         return reduce(np.kron, rows, np.ones((1, 1)))
 
-    def _coordinates(self, word: SystemType) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per system of ``word``, the matrix taking its block of a kernel
-        index to coordinates: the system's transposed flat basis, conjugated
-        in the first list and not in the second; cached."""
-        maps = self._coordinate_cache.get(word.word)
-        if maps is None:
-            bases = [self._flat_basis(SystemType.of(label)) for label in word]
-            maps = self._coordinate_cache[word.word] = [w.conj().T for w in bases], [w.T for w in bases]
-        return maps
-
-    def transfer_matrices(self, kernels, input_type, output_type):
-        """``W_out^H K W_in``, the word's basis being the Kronecker product of
-        its systems' bases: each system's basis is applied to its own block of
-        the kernel's rows, then of the transposed product's rows, so no basis
-        of a word of several systems is built."""
-        t, count = kernels, len(kernels)
-        for word, side in ((output_type, 0), (input_type, 1)):
-            before = 1
-            for w in self._coordinates(word)[side]:
-                t = w @ t.reshape(count * before, w.shape[1], -1)
-                before *= len(w)
-            t = np.ascontiguousarray(t.reshape(count, before, -1).swapaxes(-1, -2))
-        return np.real(t)
+    def _coords(self, t, word, side):
+        """Each system's basis applied to its own block of axis 1."""
+        count, before = len(t), 1
+        for d in self.word_dims(word):
+            w = _hermitian_maps(d)[side]
+            t = w @ t.reshape(count * before, w.shape[1], -1)
+            before *= len(w)
+        return t.reshape(count, before, -1)
 
 
 class RealQuantumBackend(_MatrixTheory):
@@ -471,18 +467,23 @@ class RealQuantumBackend(_MatrixTheory):
         d = self.hilbert_dim(word)
         return d * (d + 1) // 2
 
-    def _build_basis(self, word: SystemType) -> np.ndarray:
-        return linalg.symmetric_basis(self.hilbert_dim(word))
-
-    def _wire_basis(self, word: SystemType) -> np.ndarray:
-        """The word's flat basis with its rows in wire-major order; cached."""
-        w = self._coordinate_cache.get(word.word)
-        if w is None:
-            w = self._reorder(self._flat_basis(word).T, SystemType(()), word).T
-            self._coordinate_cache[word.word] = w
-        return w
-
-    def transfer_matrices(self, kernels, input_type, output_type):
-        """``W_out^T K W_in`` with the joint bases: a word's basis is not a
-        product of its systems' bases."""
-        return self._wire_basis(output_type).T @ kernels @ self._wire_basis(input_type)
+    def _coords(self, t, word, side):
+        """The joint carrier's symmetric basis, entry by entry (``_symmetric_entries`` in
+        wire-major order): its first D members are a D x D product on the D diagonal
+        entries, and each later one is ``(x_jk + x_kj) / sqrt(2)`` for a pair j < k."""
+        maps = self._coordinate_cache.get(word.word)
+        if maps is None:
+            gather, spread, block = _symmetric_entries(self.hilbert_dim(word))
+            order, back = self._wire_orders(word)
+            maps = self._coordinate_cache[word.word] = back[gather], spread[order], block
+        gather, spread, block = maps
+        d = len(block)
+        # the diagonal block as einsum's plain sums of products, not a gemm's fused ones:
+        # a state with a tiny eigenvalue magnifies those last bits in its purification
+        if side == 2:
+            vals = [np.einsum("ij,tjc->tic", block, t[:, :d]), t[:, d:] * SQRT_HALF]
+            return np.take(np.concatenate(vals, axis=1), spread, axis=1)
+        # take, not t[:, idx]: each item stays contiguous, so its products round as alone
+        g = np.take(t, gather, axis=1)
+        pairs = (g[:, d::2] + g[:, d + 1::2]) * SQRT_HALF
+        return np.concatenate([np.einsum("ji,tjc->tic", block, g[:, :d]), pairs], axis=1)

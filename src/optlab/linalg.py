@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "diagonal_basis",
     "hermitian_basis",
     "symmetric_basis",
     "kron_basis",
@@ -56,13 +57,12 @@ RANK_CUTOFF = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_elements(d: int) -> list[np.ndarray]:
-    out = []
-    for level in range(1, d):
-        m = np.zeros((d, d))
-        m[np.arange(level), np.arange(level)] = 1.0
-        m[level, level] = -level
-        out.append(m / np.sqrt(level * (level + 1)))
+def diagonal_basis(d: int) -> np.ndarray:
+    """The diagonals of the first d members of either basis below, one member
+    per column: I/sqrt(d), then the diagonal traceless elements."""
+    out = np.triu(np.ones((d, d)), 1) - np.diag(np.arange(d))  # ones, then -l, in column l
+    out[:, 1:] /= np.sqrt(np.arange(1, d) * np.arange(2, d + 1))
+    out[:, 0] = 1.0 / np.sqrt(d)
     return out
 
 
@@ -72,8 +72,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     Order: I/sqrt(d); diagonal traceless elements; then per (j, k) pair the
     real symmetric element followed by the imaginary antisymmetric one.
     """
-    elems: list[np.ndarray] = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    elems.extend(m.astype(complex) for m in _diagonal_elements(d))
+    elems = [np.diag(c).astype(complex) for c in diagonal_basis(d).T]
     for j in range(d):
         for k in range(j + 1, d):
             x = np.zeros((d, d), dtype=complex)
@@ -88,8 +87,7 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 def symmetric_basis(d: int) -> np.ndarray:
     """Orthonormal basis of d x d real symmetric matrices, shape (d(d+1)/2, d, d)."""
-    elems: list[np.ndarray] = [np.eye(d) / np.sqrt(d)]
-    elems.extend(_diagonal_elements(d))
+    elems = [np.diag(c) for c in diagonal_basis(d).T]
     for j in range(d):
         for k in range(j + 1, d):
             x = np.zeros((d, d))

@@ -263,23 +263,28 @@ def _projector_family(d, with_phases):
     return out
 
 
+def spanning_members(theory, backend, word):
+    """The members of a matrix theory's spanning family, each built as a
+    matrix on its own: on the complex theory, each product with an
+    ``np.kron`` chain over the word's systems."""
+    if theory == "quantum-real":
+        return [m.real for m in _projector_family(backend.hilbert_dim(word), False)]
+    mats = []
+    for combo in itertools.product(*(_projector_family(d, True) for d in backend.word_dims(word))):
+        m = np.eye(1, dtype=complex)
+        for factor in combo:
+            m = np.kron(m, factor)
+        mats.append(m)
+    return mats
+
+
 def reference_spanning_states(theory, backend, word):
     """The per-member construction that ``spanning_states`` replaced, kept
-    as its reference: every member built as a matrix on its own (on the
-    complex theory, each product with an ``np.kron`` chain over the word's
-    systems), then its coordinates taken with one ``state_coords`` call."""
+    as its reference: every member's coordinates taken with one
+    ``state_coords`` call."""
     if theory == "classical":
         return np.stack(list(np.eye(backend.hilbert_dim(word))))
-    if theory == "quantum":
-        mats = []
-        for combo in itertools.product(*(_projector_family(d, True) for d in backend.word_dims(word))):
-            m = np.eye(1, dtype=complex)
-            for factor in combo:
-                m = np.kron(m, factor)
-            mats.append(m)
-    else:
-        mats = [m.real for m in _projector_family(backend.hilbert_dim(word), False)]
-    return np.stack([backend.state_coords(m, word) for m in mats])
+    return np.stack([backend.state_coords(m, word) for m in spanning_members(theory, backend, word)])
 
 
 @pytest.mark.parametrize("theory", ["quantum", "quantum-real", "classical"])
@@ -436,6 +441,40 @@ def test_transfer_of_matches_the_dense_product(theory, win, wout):
     got = backend.transfer_of(Channel(win, wout, kernel)).matrix
     assert np.isrealobj(got) and got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def random_objects(backend, word, count, seed):
+    """Self-adjoint matrices on the word's carrier, over the theory's scalars."""
+    d = backend.hilbert_dim(word)
+    g = backend.gaussian(np.random.default_rng(seed), count, d, d)
+    return g + g.conj().swapaxes(-1, -2)
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real"])
+@pytest.mark.parametrize("word", WORDS, ids=str)
+def test_the_coordinate_map_matches_the_dense_basis(theory, word):
+    """``state_coords`` is ``Re(W^H vec(x))`` and ``state_object`` is ``W c``
+    with the dense basis ``W`` of the whole word, vectors in wire-major
+    order; a stack of objects gets, bit for bit, the coordinates each gets
+    alone."""
+    backend = get_backend(theory, {"A": 2, "B": 3})
+    w, at, d = dense_basis(backend, word), liouville_positions(backend.word_dims(word)), backend.hilbert_dim(word)
+    objs = random_objects(backend, word, 5, seed=59)
+    coords = backend.state_coords(objs, word)
+    assert_close(coords, np.real(objs.reshape(5, -1)[:, at] @ w.conj()))
+    assert_close(backend.state_object(coords, word), objs)
+    flat = np.empty((5, d * d), w.dtype)
+    flat[:, at] = coords @ w.T
+    assert_close(backend.state_object(coords, word), backend.project_scalars(flat.reshape(5, d, d)))
+    members = np.array(spanning_members(theory, backend, word))
+    assert_close(backend.spanning_states(word), np.real(members.reshape(len(members), -1)[:, at] @ w.conj()))
+    alone = np.array([backend.state_coords(x, word) for x in objs])
+    np.testing.assert_array_equal(coords, alone, strict=True)
 
 
 @pytest.mark.parametrize("theory", ["quantum", "quantum-real"])

@@ -174,6 +174,18 @@ def test_purify_splits_on_the_verdict(run, fx):
     assert set(payload["witness"]) == {"reason", "summands", "support"}
 
 
+def test_purify_of_the_maximally_mixed_four_qubit_state(run, tmp_path):
+    """Its pure extension lives on a 256-level carrier, whose dense operator
+    basis would take 64 GiB; the coordinates go system by system."""
+    dens = json.dumps((np.eye(16) / 16).tolist()).replace(" ", "")
+    path = tmp_path / "mixed4.opt"
+    path.write_text(f"theory quantum\nsystem Q dim=2\nstate mixed : Q * Q * Q * Q = dens={dens}\n")
+    code, out = run("purify", path, "--state", "mixed")
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "Purified" and payload["rank"] == 16
+    assert payload["purifying_system"] == "@16" and payload["marginal_error"] <= 1e-15
+
+
 def test_dilate_reports_the_environment(run, fx):
     code, out = run("dilate", fx("damping.opt"), "--box", "damp")
     assert code == 0

@@ -3,9 +3,11 @@
 ``Sampler.random_observation_tests``, ``Sampler.random_states``,
 ``check_causality`` and ``purify_states`` work out many trials as stacks.
 The references below are the per-trial loops and primitives they replaced,
-kept verbatim (``random_povm``, ``random_state``, ``transfer_of``,
-``sorted_eigh``, ``extremal_decomposition``, ``purification`` and the
-partial trace, one trial at a time), so every comparison here is bit for bit.
+kept verbatim (``random_povm``, ``random_state``, ``sorted_eigh``,
+``extremal_decomposition``, ``purification`` and the partial trace, one
+trial at a time), so every comparison here is bit for bit.  A matrix
+theory's transfer matrices and state objects come from one-item calls of
+``transfer_matrices`` and ``state_object``.
 """
 
 import numpy as np
@@ -69,16 +71,7 @@ def reference_random_observation_tests(backend, seed, trials):
 def reference_transfer(backend, ch):
     if backend.name == "classical":
         return np.array(ch.kernel, dtype=float)
-    if backend.name == "quantum-real":
-        return backend._wire_basis(ch.output_type).T @ ch.kernel @ backend._wire_basis(ch.input_type)
-    t = ch.kernel
-    for word, side in ((ch.output_type, 0), (ch.input_type, 1)):
-        before = 1
-        for w in backend._coordinates(word)[side]:
-            t = w @ t.reshape(before, w.shape[1], -1)
-            before *= len(w)
-        t = np.ascontiguousarray(t.reshape(before, -1).T)
-    return np.real(t)
+    return backend.transfer_matrices(ch.kernel[None], ch.input_type, ch.output_type)[0]
 
 
 def reference_check_causality(backend, tests, tol):
@@ -157,7 +150,7 @@ def reference_purify(backend, state):
         r = 1
         reduced = v.reshape(len(v), 1).sum(axis=(1,)).reshape(-1)
     else:
-        obj = backend.project_scalars(np.einsum("n,nij->ij", state.coords, backend.basis(word)))
+        obj = backend.state_object(state.coords, word)
         vals, vecs = reference_sorted_eigh(obj)
         rank = r = reference_rank(vals)
         if rank == 0:
