@@ -41,7 +41,7 @@ __all__ = [
 class PurificationResult:
     verdict: str  # "Purified" | "Failure"
     purifying_system: SystemType | None = None
-    state: StateVector | None = None
+    purified: StateVector | None = None
     rank: int | None = None
     marginal_error: float | None = None
     witness: dict | None = None

@@ -235,12 +235,12 @@ def test_criterion_04_purification_at_scale():
         stir = s.unitary_channel(wing)
         ident = Channel(word, word, backend.kernel_identity(word))
         kern = backend.kernel_par(ident, stir) @ backend.state_channel(
-            backend.state_object(base.state.coords, word * wing), word * wing
+            backend.state_object(base.purified.coords, word * wing), word * wing
         ).kernel
         psi2 = backend.channel_state(
             Channel(SystemType(()), word * wing, kern)
         )
-        rep = purification_uniqueness(backend, base.state, psi2, word)
+        rep = purification_uniqueness(backend, base.purified, psi2, word)
         if rep.verdict == "Connected":
             connected += 1
         worst_replay = max(worst_replay, rep.replay_error)
@@ -309,7 +309,7 @@ def test_criterion_06_steering():
         rho = sum(parts)
         purif = purify_state(backend, as_state(backend, rho, word))
         branches = [as_state(backend, p, word) for p in parts]
-        out = steering_measurement(backend, branches, purif.state, word)
+        out = steering_measurement(backend, branches, purif.purified, word)
         worst_comp = max(worst_comp, out.completeness_residual)
         worst_branch = max(worst_branch, max(out.branch_errors))
 

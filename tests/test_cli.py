@@ -174,6 +174,23 @@ def test_purify_splits_on_the_verdict(run, fx):
     assert set(payload["witness"]) == {"reason", "summands", "support"}
 
 
+def test_purify_reports_name_their_state(run, fx):
+    """The name stays under ``state`` and the pure extension goes under
+    ``purified``, on success, on failure and in each audit row."""
+    code, out = run("purify", fx("plus_born.opt"), "--state", "plus")
+    payload = json.loads(out)
+    assert code == 0 and payload["state"] == "plus"
+    assert payload["purified"]["system"] == "Q*@1"
+
+    code, out = run("purify", fx("classical_bits.opt"), "--state", "fair")
+    payload = json.loads(out)
+    assert code == 1 and payload["state"] == "fair" and payload["purified"] is None
+
+    code, out = run("audit", fx("plus_born.opt"), "--axiom", "purification")
+    (row,) = json.loads(out)["states"]
+    assert code == 0 and row["state"] == "plus" and row["purified"]["system"] == "Q*@1"
+
+
 def test_purify_of_the_maximally_mixed_four_qubit_state(run, tmp_path):
     """Its pure extension lives on a 256-level carrier, whose dense operator
     basis would take 64 GiB; the coordinates go system by system."""

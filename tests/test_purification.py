@@ -36,7 +36,7 @@ def test_quantum_states_purify_at_rank_dimension(d):
         assert result.verdict == "Purified"
         assert b.hilbert_dim(result.purifying_system) == rank
         assert result.marginal_error < 1e-10
-        got = marginal(b, result.state, keep=0)
+        got = marginal(b, result.purified, keep=0)
         np.testing.assert_allclose(
             b.state_object(got.coords, A), rho, atol=1e-10
         )
@@ -94,10 +94,10 @@ def purify_pair(backend, rho, seed):
     ident = Channel(A, A, backend.kernel_identity(A))
     kernel = backend.kernel_par(ident, stir)
     psi2_kernel = kernel @ backend.state_channel(
-        backend.state_object(base.state.coords, A * wing), A * wing
+        backend.state_object(base.purified.coords, A * wing), A * wing
     ).kernel
     psi2 = backend.channel_state(Channel(UNIT, A * wing, psi2_kernel))
-    return base.state, psi2, wing
+    return base.purified, psi2, wing
 
 
 def test_purifications_connected_on_the_wing(quantum):
@@ -114,14 +114,14 @@ def test_uniqueness_rejects_mismatched_marginals(quantum):
     r1 = purify_state(quantum, as_state(quantum, s.density_matrix(2), A))
     r2 = purify_state(quantum, as_state(quantum, s.density_matrix(2), A))
     with pytest.raises(MarginalMismatchError):
-        purification_uniqueness(quantum, r1.state, r2.state, A)
+        purification_uniqueness(quantum, r1.purified, r2.purified, A)
 
 
 def test_classical_point_mass_purifications_connected():
     b = get_backend("classical", {"A": 3})
     v = np.array([0.0, 1.0, 0.0])
     r = purify_state(b, as_state(b, v, A))
-    report = purification_uniqueness(b, r.state, r.state, A)
+    report = purification_uniqueness(b, r.purified, r.purified, A)
     assert report.verdict == "Connected"
     assert report.replay_error < 1e-12
 
@@ -144,7 +144,7 @@ def steering_setup(backend, seed, k, d):
 def test_steering_reproduces_the_ensemble(quantum):
     parts, purif = steering_setup(quantum, seed=41, k=3, d=2)
     branches = [as_state(quantum, p, A) for p in parts]
-    out = steering_measurement(quantum, branches, purif.state, A)
+    out = steering_measurement(quantum, branches, purif.purified, A)
     assert out.completeness_residual < 1e-12
     assert max(out.branch_errors) < 1e-9
 
@@ -153,7 +153,7 @@ def test_steering_multiple_sizes(quantum):
     for k in (2, 3, 4):
         parts, purif = steering_setup(quantum, seed=50 + k, k=k, d=2)
         branches = [as_state(quantum, p, A) for p in parts]
-        out = steering_measurement(quantum, branches, purif.state, A)
+        out = steering_measurement(quantum, branches, purif.purified, A)
         assert out.completeness_residual < 1e-12
         assert max(out.branch_errors) < 1e-9
         assert len(out.effects) == k
@@ -162,7 +162,7 @@ def test_steering_multiple_sizes(quantum):
 def test_steering_labels_and_completion(quantum):
     parts, purif = steering_setup(quantum, seed=61, k=2, d=2)
     branches = [as_state(quantum, p, A) for p in parts]
-    out = steering_measurement(quantum, branches, purif.state, A,
+    out = steering_measurement(quantum, branches, purif.purified, A,
                                labels=["x", "y"])
     assert out.labels == ("x", "y")
     assert out.completion_label in ("x", "y")
@@ -174,7 +174,7 @@ def test_steering_rejects_wrong_ensemble(quantum):
     purif = purify_state(quantum, as_state(quantum, rho, A))
     bad = [as_state(quantum, np.eye(2) / 2, A)]  # sums to I/2, not rho
     with pytest.raises(BranchSumMismatchError):
-        steering_measurement(quantum, bad, purif.state, A)
+        steering_measurement(quantum, bad, purif.purified, A)
 
 
 def test_classical_steering_on_point_mass():
@@ -182,7 +182,7 @@ def test_classical_steering_on_point_mass():
     v = np.array([1.0, 0.0])
     purif = purify_state(b, as_state(b, v, A))
     halves = [as_state(b, v * 0.5, A), as_state(b, v * 0.5, A)]
-    out = steering_measurement(b, halves, purif.state, A)
+    out = steering_measurement(b, halves, purif.purified, A)
     assert out.completeness_residual < 1e-12
     assert max(out.branch_errors) < 1e-12
 

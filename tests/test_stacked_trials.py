@@ -143,7 +143,7 @@ def reference_purify(backend, state):
             a = np.zeros_like(v)
             a[tuple(where[0])] = v[tuple(where[0])]
             reason = "classical states with more than one support point have no pure extension"
-            return dict(verdict="Failure", purifying_system=None, state=None, rank=rank,
+            return dict(verdict="Failure", purifying_system=None, purified=None, rank=rank,
                         marginal_error=None,
                         witness={"reason": reason, "summands": [a, v - a], "support": where[:, 0].tolist()})
         obj = psi = v
@@ -154,7 +154,7 @@ def reference_purify(backend, state):
         vals, vecs = reference_sorted_eigh(obj)
         rank = r = reference_rank(vals)
         if rank == 0:
-            return dict(verdict="Failure", purifying_system=None, state=None, rank=0,
+            return dict(verdict="Failure", purifying_system=None, purified=None, rank=0,
                         marginal_error=None, witness={"reason": "the zero state has no pure extension"})
         ket = (vecs * np.sqrt(np.clip(vals, 0.0, None)))[:, :rank].reshape(-1)
         psi = backend.project_scalars(np.outer(ket, ket.conj()))
@@ -162,7 +162,7 @@ def reference_purify(backend, state):
     purifying = backend.scratch_system(r)
     joint = word * purifying
     return dict(verdict="Purified", purifying_system=purifying,
-                state=StateVector(backend.state_coords(psi, joint), joint), rank=rank,
+                purified=StateVector(backend.state_coords(psi, joint), joint), rank=rank,
                 marginal_error=float(np.max(np.abs(reduced - obj))), witness=None)
 
 

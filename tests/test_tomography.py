@@ -265,7 +265,7 @@ def reference_faithfulness(backend, word, trials, seed, tol=None):
     else:
         pur = purify_state(backend, backend.uniform_state(word))
         ref = pur.purifying_system
-        psi_kernel = backend.state_as_channel(pur.state).kernel
+        psi_kernel = backend.state_as_channel(pur.purified).kernel
 
     sampler = Sampler(backend, seed=seed)
     ident_ref = Channel(ref, ref, backend.kernel_identity(ref))
