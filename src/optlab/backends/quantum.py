@@ -54,7 +54,7 @@ __all__ = ["QuantumBackend", "RealQuantumBackend"]
 #: A Choi matrix with a larger entry is checked scaled down by a power of two.
 SCALE_ABOVE = 2.0 ** 500
 
-#: The off-diagonal entries of a symmetric basis member, as ``linalg`` writes them.
+#: 1/sqrt(2) as ``linalg`` writes a basis entry (one ulp below ``np.sqrt(0.5)``).
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
@@ -65,13 +65,12 @@ def _projector_family(d: int, with_phases: bool) -> np.ndarray:
     the balanced superposition and (complex case) the quarter-phase one.
     All are valid states and valid effects.
     """
-    s = 1.0 / np.sqrt(2.0)
     kets = list(np.eye(d, dtype=complex))
     for j in range(d):
         for k in range(j + 1, d):
             for phase in (1.0, 1j) if with_phases else (1.0,):
                 v = np.zeros(d, dtype=complex)
-                v[j], v[k] = s, phase * s
+                v[j], v[k] = SQRT_HALF, phase * SQRT_HALF
                 kets.append(v)
     kets = np.array(kets)
     return kets[:, :, None] * kets.conj()[:, None, :]
@@ -100,10 +99,6 @@ class _MatrixTheory(TheoryBackend):
 
     _complex_scalars: bool = True
     legs_per_wire = 2
-
-    def __init__(self, systems=None) -> None:
-        self._coordinate_cache: dict = {}
-        super().__init__(systems)
 
     # -- payload compilation -------------------------------------------
 
@@ -462,6 +457,10 @@ class RealQuantumBackend(_MatrixTheory):
 
     name = "quantum-real"
     _complex_scalars = False
+
+    def __init__(self, systems=None) -> None:
+        self._coordinate_cache: dict = {}
+        super().__init__(systems)
 
     def state_dim(self, word: SystemType) -> int:
         d = self.hilbert_dim(word)
