@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backends.base import Channel, EffectVector, PhysicalityCertificate, StateVector, TheoryBackend, TransferMatrix
-from ..diagram import Diagram, SystemType, Test
+from ..diagram import UNIT, Diagram, SystemType, Test
 from ..errors import CausalityViolationError, IncompleteTestError, OptlabError, TypeMismatchError
 from ..evaluator import evaluate_channel
 
@@ -196,14 +196,13 @@ def physicalize_readout(
     joint = Channel(win, wout * pointer, joint_kernel)
     certificate = backend.certify_channel(joint)
 
-    ident_out = backend.identity(wout)
-    effects = []
-    branch_errors = []
-    for x, (_, ch) in enumerate(branches):
-        eff_ch = backend.effect_channel(pointers[x], pointer)
-        readback = backend.par(ident_out, eff_ch).kernel @ joint.kernel
-        branch_errors.append(float(np.max(np.abs(readback - ch.kernel))))
-        effects.append(backend.channel_effect(eff_ch))
+    # every pointer effect read back at once: one stacked effect beside the identity on wout
+    eff_ch = backend.effect_channel(np.array(pointers), pointer)
+    readback = backend._apply_beside(eff_ch, wout, joint.kernel[None], ref_first=True)
+    kernels = np.array([ch.kernel for _, ch in branches])
+    branch_errors = np.abs(readback - kernels).max(axis=(1, 2)).tolist()
+    coords = backend.transfer_matrices(eff_ch.kernel, pointer, UNIT)[:, 0]
+    effects = [EffectVector(c, pointer) for c in coords]
 
     return ReadoutResult(
         pointer=pointer,

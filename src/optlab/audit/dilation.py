@@ -4,7 +4,10 @@ These constructions hang off purification: fix the canonical pure extension
 of the faithful state, and transformations on the input system correspond
 one-to-one to states of output-plus-reference; deterministic
 transformations acquire pure realizations on a larger output; and any
-identity-summing test that extracts information must disturb.
+identity-summing test that extracts information must disturb.  Each acts
+on one part of a joint state and leaves the rest alone, through the
+backend's ``apply_first`` or ``apply_par``: no kernel is built beside an
+identity.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class ChoiCorrespondence:
     required: int
     _backend: TheoryBackend = field(repr=False)
     _choi_basis: np.ndarray = field(repr=False)
-    _psi_kernel: np.ndarray = field(repr=False)
 
     @property
     def injective(self) -> bool:
@@ -69,7 +71,9 @@ class ChoiCorrespondence:
             raise TypeMismatchError(
                 f"correspondence is for {self.input_system} -> {self.output_system}"
             )
-        return _image(self._backend, ch, self.reference, self._psi_kernel)
+        coords = self._backend.apply_first(ch.kernel[None], self.input_system, self.output_system,
+                                           self.pure_state)
+        return StateVector(coords[0], self.output_system * self.reference)
 
     def recover(self, st: StateVector) -> tuple[Channel, float]:
         """Invert the correspondence; returns the channel and the residual."""
@@ -79,12 +83,6 @@ class ChoiCorrespondence:
         choi = np.einsum("k,kij->ij", coeffs, self._choi_basis)
         ch = b.channel_from_choi(choi, self.input_system, self.output_system)
         return ch, residual
-
-
-def _image(backend: TheoryBackend, ch: Channel, ref: SystemType, psi_kernel) -> StateVector:
-    """The state ``(ch * id_ref)`` makes of the extended faithful state."""
-    joint = backend.par(ch, backend.identity(ref))
-    return backend.channel_state(Channel(SystemType(()), joint.output_type, joint.kernel @ psi_kernel))
 
 
 def choi_correspondence(
@@ -104,16 +102,13 @@ def choi_correspondence(
         )
     psi = backend.faithful_probe(input_system)
     ref = SystemType(psi.system.word[len(input_system):])
-    psi_kernel = backend.state_as_channel(psi).kernel
 
     # self-adjoint operators on input * output: the basis of a scratch system that size
     scratch = backend.scratch_system(backend.hilbert_dim(input_system) * backend.hilbert_dim(output_system))
     choi_basis = backend.state_object(np.eye(backend.state_dim(scratch)), scratch)
-    matrix = np.stack([
-        _image(backend, backend.channel_from_choi(elem, input_system, output_system),
-               ref, psi_kernel).coords
-        for elem in choi_basis
-    ], axis=1)
+    kernels = np.array([backend.channel_from_choi(elem, input_system, output_system).kernel
+                        for elem in choi_basis])
+    matrix = np.ascontiguousarray(backend.apply_first(kernels, input_system, output_system, psi).T)
     rank = int(np.linalg.matrix_rank(matrix))
     return ChoiCorrespondence(
         input_system=input_system,
@@ -125,7 +120,6 @@ def choi_correspondence(
         required=choi_basis.shape[0],
         _backend=backend,
         _choi_basis=choi_basis,
-        _psi_kernel=psi_kernel,
     )
 
 
@@ -224,9 +218,8 @@ def stinespring_dilate(backend: TheoryBackend, m, bindings=None) -> DilationResu
 
     env = backend.scratch_system(r)
     pure = backend.conjugation_channel(v, ch.input_type, ch.output_type * env)
-    discard_env = backend.par(backend.identity(ch.output_type), backend.trace_channel(env))
-    back = discard_env.kernel @ pure.kernel
-    marginal_error = float(np.max(np.abs(back - ch.kernel)))
+    back = backend._apply_beside(backend.trace_channel(env), ch.output_type, pure.kernel[None], ref_first=True)
+    marginal_error = float(np.max(np.abs(back[0] - ch.kernel)))
 
     return DilationResult(
         environment=env,

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backends.base import Channel, EffectVector, StateVector, TheoryBackend
-from ..diagram import SystemType
+from ..diagram import UNIT, SystemType
 from ..errors import (
     BackendLacksPurificationError,
     MarginalMismatchError,
@@ -82,8 +82,8 @@ def _connection(backend: TheoryBackend, u: np.ndarray, marginal_error: float,
     """Replay the reversible map ``u`` on the wing ``ext`` after the kernel
     ``first``; the two are connected when that lands on ``second``."""
     conn = backend.conjugation_channel(u, ext)
-    joint = backend.par(backend.identity(base), conn)
-    replay = float(np.max(np.abs(joint.kernel @ first - second)))
+    replayed = backend._apply_beside(conn, base, first[None], ref_first=True)[0]
+    replay = float(np.max(np.abs(replayed - second)))
     connected = replay <= backend.tol.gap
     return ConnectionReport(
         verdict="Connected" if connected else "Unconnected",
@@ -206,19 +206,16 @@ def steering_measurement(
     effect_objects[first] = effect_objects[first] + completion
     completeness = float(np.max(np.abs(sum(effect_objects) - backend.diagonal(np.ones(db)))))
 
-    psi_kernel = backend.state_as_channel(psi).kernel
-    ident = backend.identity(base)
-    effects = []
-    branch_errors = []
-    for b, eobj in zip(branches, effect_objects):
-        eff_ch = backend.effect_channel(eobj, ext)
-        steered = backend.par(ident, eff_ch).kernel @ psi_kernel
-        branch_errors.append(float(np.max(np.abs(steered - backend.state_as_channel(b).kernel))))
-        effects.append(backend.channel_effect(eff_ch))
+    # every branch's effect at once: one stacked effect beside the identity on base
+    eff_ch = backend.effect_channel(np.array(effect_objects), ext)
+    steered = backend._apply_beside(eff_ch, base, backend.state_as_channel(psi).kernel[None], ref_first=True)
+    wanted = backend.state_channel(backend.state_object(np.array([b.coords for b in branches]), base), base)
+    branch_errors = np.abs(steered - wanted.kernel).max(axis=(1, 2)).tolist()
+    coords = backend.transfer_matrices(eff_ch.kernel, ext, UNIT)[:, 0]
 
     return SteeringResult(
         labels=labels,
-        effects=effects,
+        effects=[EffectVector(c, ext) for c in coords],
         effect_objects=effect_objects,
         completeness_residual=completeness,
         branch_errors=branch_errors,

@@ -41,7 +41,8 @@ def _as_channel(backend: TheoryBackend, m, bindings=None) -> Channel:
 
 
 def _report(dec) -> PurityReport:
-    return PurityReport(dec.rank <= 1, dec.rank, dec.weights, dec.witness)
+    """Pure means rank one: the zero object (rank 0) is not pure."""
+    return PurityReport(dec.rank == 1, dec.rank, dec.weights, dec.witness)
 
 
 def is_pure_state(backend: TheoryBackend, state: StateVector) -> PurityReport:

@@ -16,7 +16,7 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Adding a theory means writing the 27 abstract members below; a
+methods.  Adding a theory means writing the 26 abstract members below; a
 class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).  This checklist puts exactly those members in double backquotes.
@@ -32,8 +32,8 @@ otherwise).  This checklist puts exactly those members in double backquotes.
   block of ``d ** legs_per_wire`` entries per wire of dimension d, a
   row and a column index on the operator-space kernels, one index on the
   stochastic ones),
-  ``apply_first``, ``transfer_matrices`` (of a stack of kernels, each
-  through products of its own).
+  ``transfer_matrices`` (of a stack of kernels, each through products of
+  its own).
 * Objects: ``state_coords``/``state_object``, ``state_channel``/
   ``effect_channel``; ``channel_choi`` (a transformation's positive
   representative); ``conjugation_channel`` (the channel of a reversible or
@@ -79,10 +79,12 @@ leaf, each leaf's small kernel on its own blocks through a reshape view
 (nested ``Par`` parts and the parts of a ``test_par`` are opened;
 identities are skipped, swaps exchange blocks, and a test's stacked branch
 kernels give each kernel one per outcome), and never builds the layer's
-kernel; payload compilation and ``certify_channel`` move kernels between
-wire-major and Liouville order (``linalg``), where a theory needs the
-latter; ``kernel_identity`` and ``kernel_swap`` are the
-``conjugation_channel`` kernels of the identity and of
+kernel; ``apply_first`` acts beside a reference system: one ``apply_par``
+of ``box * id(ref)`` on a state's kernel column, the box's kernel the stack
+of kernels, read out by one ``transfer_matrices`` call; payload compilation
+and ``certify_channel`` move kernels between wire-major and Liouville order
+(``linalg``), where a theory needs the latter; ``kernel_identity`` and
+``kernel_swap`` are the ``conjugation_channel`` kernels of the identity and of
 ``linalg.swap_unitary``; ``trace_channel`` is the ``effect_channel`` of
 ``diagonal`` of ones (the discard); ``uniform_state`` is ``state_coords`` of
 ``diagonal`` of ``1/d``; ``effect_coords``/``effect_object`` are the state
@@ -101,7 +103,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .. import linalg
-from ..diagram import Diagram, Identity, Par, Swap, SystemType, Test
+from ..diagram import UNIT, Diagram, Identity, Par, PrimitiveBox, Swap, SystemType, Test
 from ..errors import (
     NotPhysicalError,
     OptlabError,
@@ -279,7 +281,7 @@ class TheoryBackend(abc.ABC):
         raise UnknownSystemError(f"undeclared system label {label!r}")
 
     def word_dims(self, word: SystemType) -> tuple[int, ...]:
-        return tuple(self.primitive_dim(label) for label in word)
+        return tuple(map(self.primitive_dim, word.word))
 
     def hilbert_dim(self, word: SystemType) -> int:
         """Composite carrier dimension: product of per-primitive dimensions."""
@@ -466,10 +468,11 @@ class TheoryBackend(abc.ABC):
             if isinstance(leaf, Test) and len(leaf.outcomes) == 1:
                 todo.append(leaf.branches[0])
                 continue
-            m, n = len(leaf.input_type), len(leaf.output_type)
-            run, pos = blocks[pos:pos + m], pos + n
             if isinstance(leaf, Identity):
+                pos += len(leaf.system.word)
                 continue
+            m, n = len(leaf.input_type.word), len(leaf.output_type.word)
+            run, pos = blocks[pos:pos + m], pos + n
             before = math.prod(blocks[:pos - n])
             if isinstance(leaf, Swap):  # the right run of blocks moves before the left run
                 left = m - len(leaf.right)
@@ -529,7 +532,6 @@ class TheoryBackend(abc.ABC):
             self.kernel_par(left, right),
         )
 
-    @abc.abstractmethod
     def apply_first(
         self,
         kernels: np.ndarray,
@@ -541,10 +543,25 @@ class TheoryBackend(abc.ABC):
 
         ``kernels`` has shape ``(count, rows, cols)`` and each acts
         ``input_word -> output_word``; ``state`` lives on
-        ``input_word * ref``.  Returns shape
+        ``input_word * ref``.  One ``apply_par`` of ``box * id(ref)`` on the
+        state's kernel column, the stack as the box's branches, then one
+        ``transfer_matrices`` call.  Returns shape
         ``(count, state_dim(output_word * ref))``, without building any
         joint kernel.
         """
+        ref = SystemType(state.system.word[len(input_word):])
+        column = self.state_as_channel(state).kernel[None]
+        out = self._apply_beside(Channel(input_word, output_word, kernels), ref, column)
+        return self.transfer_matrices(out, UNIT, output_word * ref)[:, :, 0]
+
+    def _apply_beside(self, ch: Channel, ref: SystemType, stack: np.ndarray,
+                      ref_first: bool = False) -> np.ndarray:
+        """``apply_par`` of ``ch * id(ref)``, or of ``id(ref) * ch`` with
+        ``ref_first``, on a stack of kernels.  A stacked kernel of ``ch`` acts
+        as a test's branches: each kernel of the stack gives one per branch."""
+        box, ident = PrimitiveBox("ch", ch.input_type, ch.output_type), Identity(ref)
+        layer = Par((ident, box) if ref_first else (box, ident))
+        return self.apply_par(layer, stack, lambda leaf: ch)
 
     def trace_channel(self, word: SystemType) -> Channel:
         """The unique deterministic effect (discard) as a channel to the unit."""
@@ -584,7 +601,8 @@ class TheoryBackend(abc.ABC):
 
     @abc.abstractmethod
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        ...
+        """The preparation channel of a state object; for a stack of objects,
+        one channel whose kernel stacks theirs."""
 
     @abc.abstractmethod
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:

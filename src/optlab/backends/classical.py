@@ -109,11 +109,6 @@ class ClassicalBackend(TheoryBackend):
 
     # -- kernel algebra -------------------------------------------------
 
-    def apply_first(self, kernels, input_word, output_word, state):
-        joint = state.coords.reshape(self.hilbert_dim(input_word), -1)
-        out = np.einsum("tki,ir->tkr", kernels, joint)
-        return out.reshape(len(out), -1)
-
     def transfer_matrices(self, kernels, input_type, output_type):
         return np.array(kernels, dtype=float)
 
@@ -127,8 +122,9 @@ class ClassicalBackend(TheoryBackend):
         return coords.reshape(*coords.shape[:-1], -1)
 
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        v = self._coerce_array(obj, (self.hilbert_dim(word),), "probability vector")
-        return Channel(SystemType(()), word, v.reshape(-1, 1))
+        lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # a payload is nested tuples
+        v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "probability vector")
+        return Channel(SystemType(()), word, v.reshape(*lead, -1, 1))
 
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
         lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # a payload is nested tuples

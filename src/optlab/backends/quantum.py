@@ -9,9 +9,8 @@ Each theory writes one coordinate map, ``_coords(t, word, side)``: on a stack
 ``(count, K, cols)`` of operator vectors along axis 1, wire-major on
 ``word``, it gives ``W^H t`` (side 0) or ``W^T t`` (side 1), and ``W c`` from
 coordinates (side 2), each item through products of its own.  Transfer
-matrices, state coordinates and objects, the spanning family and
-``apply_first`` are written once on top of it, and neither theory builds a
-basis of a whole word:
+matrices, state coordinates and objects and the spanning family are written
+once on top of it, and neither theory builds a basis of a whole word:
 
 * complex amplitudes — the word's basis is the ordered Kronecker product of
   the per-primitive bases, each applied to its own block; coordinate
@@ -226,17 +225,6 @@ class _MatrixTheory(TheoryBackend):
         din, dout = self.hilbert_dim(ch.input_type), self.hilbert_dim(ch.output_type)
         reduced = linalg.partial_trace(self.channel_choi(ch), [din, dout], [0])
         return float(np.max(np.abs(reduced - np.eye(din))))
-
-    # -- kernel algebra -------------------------------------------------
-
-    def apply_first(self, kernels, input_word, output_word, state):
-        din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
-        ref = SystemType(state.system.word[len(input_word):])
-        r = self.hilbert_dim(ref)
-        rho = self.state_object(state.coords, state.system).reshape(din, r, din, r)
-        legs = self._reorder(kernels, output_word, input_word, inverse=True).reshape(-1, dout, dout, din, din)
-        out = np.einsum("tklij,irjs->tkrls", legs, rho).reshape(len(legs), dout * r, -1)
-        return self.state_coords(out, output_word * ref)
 
     # -- coordinates ----------------------------------------------------
 

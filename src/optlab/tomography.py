@@ -6,6 +6,12 @@ circuit does not touch.  Where joint state spaces outgrow products of local
 ones, skipping the side system gives wrong answers — so the comparison here
 always quantifies over a reference policy, and a negative verdict comes
 with a concrete state/effect pair exhibiting the gap.
+
+``equivalent`` and ``replay_witness`` build each circuit's kernel beside the
+reference's identity, because they need the joint transfer matrix.  The
+faithfulness check acts beside its reference through ``apply_first``, and
+local tomography pairs the two sides' spanning preparations with one
+``kernel_par``; neither builds an identity kernel.
 """
 
 from __future__ import annotations
@@ -154,18 +160,18 @@ def local_tomography_check(
     """Do product probes span the joint state space?
 
     Compares the product of component coordinate dimensions with the joint
-    one, and independently ranks the span of actual product states: each
-    spanning state on ``right`` is extended by every spanning preparation
-    of ``left`` at once.
+    one, and independently ranks the span of actual product states: the
+    preparations of every pair of spanning states, one on each side, as one
+    ``kernel_par`` of the two stacks, read out by one ``transfer_matrices``
+    call.
     """
     na = backend.state_dim(left)
     nb = backend.state_dim(right)
     njoint = backend.state_dim(left * right)
-    preps = np.stack([backend.state_as_channel(StateVector(sa, left)).kernel
-                      for sa in backend.spanning_states(left)])
-    rows = [backend.apply_first(preps, UNIT, left, StateVector(sb, right))
-            for sb in backend.spanning_states(right)]
-    rank = int(np.linalg.matrix_rank(np.concatenate(rows, axis=0)))
+    preps = [backend.state_channel(backend.state_object(backend.spanning_states(w), w), w)
+             for w in (left, right)]
+    products = backend.transfer_matrices(backend.kernel_par(*preps), UNIT, left * right)[:, :, 0]
+    rank = int(np.linalg.matrix_rank(products))
     holds = (na * nb == njoint) and rank == njoint
     return LocalTomographyReport(
         verdict="Holds" if holds else "Fails",

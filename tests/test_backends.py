@@ -316,6 +316,19 @@ def test_local_families_span_a_pair_only_where_tomography_is_local(theory, produ
     np.testing.assert_array_equal(backend.spanning_states(UNIT), [[1.0]])
 
 
+@pytest.mark.parametrize("word", [A, B, A * B], ids=str)
+def test_a_stack_of_objects_gives_the_stack_of_their_channels(backend, word):
+    """``state_channel`` and ``effect_channel`` take a stack of objects, and
+    each kernel of the stack is, bit for bit, the kernel its object gets alone."""
+    s = Sampler(backend, seed=67)
+    objs = np.array([backend.state_object(s.state(word).coords, word) for _ in range(4)])
+    for channel_of in (backend.state_channel, backend.effect_channel):
+        stacked = channel_of(objs, word)
+        assert (stacked.input_type, stacked.output_type) == (channel_of(objs[0], word).input_type,
+                                                             channel_of(objs[0], word).output_type)
+        np.testing.assert_array_equal(stacked.kernel, np.array([channel_of(o, word).kernel for o in objs]))
+
+
 def test_trace_effect_sums_probability(backend):
     s = Sampler(backend, seed=23)
     st = s.state(A)

@@ -241,6 +241,20 @@ def test_steer_accepts_a_test_circuit(run, fixture_dir, tmp_path):
     assert max(payload["branch_errors"]) <= 1e-9
 
 
+@pytest.mark.parametrize("theory", ["classical", "quantum", "quantum-real"])
+def test_steer_refuses_a_zero_joint_state(run, tmp_path, theory):
+    """The zero state has rank 0: it is not pure, so nothing steers it."""
+    p = tmp_path / "zero.opt"
+    p.write_text(f"theory {theory}\nsystem B dim=2\nsystem R dim=2\n"
+                 "state zero : B * R = vec=[0,0,0,0]\n"
+                 "test split : I -> B outcomes={a} { a: vec=[0,0] }\n")
+    code, out = run("steer", p, "--state", "zero", "--test", "split")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "Failure"
+    assert payload["witness"] == "state on B*R is not pure (rank 0)"
+
+
 @pytest.mark.parametrize("test_name", ["one", "look"])
 def test_steer_refuses_a_test_that_prepares_no_state(run, fx, test_name):
     code, out = run("steer", fx("test_compose_par.opt"),
