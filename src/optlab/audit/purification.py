@@ -82,7 +82,7 @@ def _connection(backend: TheoryBackend, u: np.ndarray, marginal_error: float,
     """Replay the reversible map ``u`` on the wing ``ext`` after the kernel
     ``first``; the two are connected when that lands on ``second``."""
     conn = backend.conjugation_channel(u, ext)
-    replayed = backend._apply_beside(conn, base, first[None], ref_first=True)[0]
+    replayed = backend._apply_beside(base, conn, first[None])[0]
     replay = float(np.max(np.abs(replayed - second)))
     connected = replay <= backend.tol.gap
     return ConnectionReport(
@@ -208,7 +208,7 @@ def steering_measurement(
 
     # every branch's effect at once: one stacked effect beside the identity on base
     eff_ch = backend.effect_channel(np.array(effect_objects), ext)
-    steered = backend._apply_beside(eff_ch, base, backend.state_as_channel(psi).kernel[None], ref_first=True)
+    steered = backend._apply_beside(base, eff_ch, backend.state_as_channel(psi).kernel[None])
     wanted = backend.state_channel(backend.state_object(np.array([b.coords for b in branches]), base), base)
     branch_errors = np.abs(steered - wanted.kernel).max(axis=(1, 2)).tolist()
     coords = backend.transfer_matrices(eff_ch.kernel, ext, UNIT)[:, 0]

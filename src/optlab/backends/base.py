@@ -551,16 +551,16 @@ class TheoryBackend(abc.ABC):
         """
         ref = SystemType(state.system.word[len(input_word):])
         column = self.state_as_channel(state).kernel[None]
-        out = self._apply_beside(Channel(input_word, output_word, kernels), ref, column)
+        out = self._apply_beside(ref, Channel(input_word, output_word, kernels), column, ch_first=True)
         return self.transfer_matrices(out, UNIT, output_word * ref)[:, :, 0]
 
-    def _apply_beside(self, ch: Channel, ref: SystemType, stack: np.ndarray,
-                      ref_first: bool = False) -> np.ndarray:
-        """``apply_par`` of ``ch * id(ref)``, or of ``id(ref) * ch`` with
-        ``ref_first``, on a stack of kernels.  A stacked kernel of ``ch`` acts
+    def _apply_beside(self, ref: SystemType, ch: Channel, stack: np.ndarray,
+                      ch_first: bool = False) -> np.ndarray:
+        """``apply_par`` of ``id(ref) * ch``, or of ``ch * id(ref)`` with
+        ``ch_first``, on a stack of kernels.  A stacked kernel of ``ch`` acts
         as a test's branches: each kernel of the stack gives one per branch."""
-        box, ident = PrimitiveBox("ch", ch.input_type, ch.output_type), Identity(ref)
-        layer = Par((ident, box) if ref_first else (box, ident))
+        ident, box = Identity(ref), PrimitiveBox("ch", ch.input_type, ch.output_type)
+        layer = Par((box, ident) if ch_first else (ident, box))
         return self.apply_par(layer, stack, lambda leaf: ch)
 
     def trace_channel(self, word: SystemType) -> Channel:
