@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backends.base import Channel, EffectVector, PhysicalityCertificate, StateVector, TheoryBackend, TransferMatrix
-from ..diagram import UNIT, Diagram, SystemType, Test
+from ..diagram import UNIT, Diagram, Identity, SystemType, Test
 from ..errors import CausalityViolationError, IncompleteTestError, OptlabError, TypeMismatchError
 from ..evaluator import evaluate_channel
 
@@ -198,7 +198,7 @@ def physicalize_readout(
 
     # every pointer effect read back at once: one stacked effect beside the identity on wout
     eff_ch = backend.effect_channel(np.array(pointers), pointer)
-    readback = backend._apply_beside(wout, eff_ch, joint.kernel[None])
+    readback = backend.apply_par([Identity(wout), eff_ch], joint.kernel[None])
     kernels = np.array([ch.kernel for _, ch in branches])
     branch_errors = np.abs(readback - kernels).max(axis=(1, 2)).tolist()
     coords = backend.transfer_matrices(eff_ch.kernel, pointer, UNIT)[:, 0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backends.base import Channel, StateVector, TheoryBackend, TransferMatrix
-from ..diagram import SystemType
+from ..diagram import Identity, SystemType
 from ..errors import (
     BackendLacksDilationError,
     BackendLacksPurificationError,
@@ -218,7 +218,7 @@ def stinespring_dilate(backend: TheoryBackend, m, bindings=None) -> DilationResu
 
     env = backend.scratch_system(r)
     pure = backend.conjugation_channel(v, ch.input_type, ch.output_type * env)
-    back = backend._apply_beside(ch.output_type, backend.trace_channel(env), pure.kernel[None])
+    back = backend.apply_par([Identity(ch.output_type), backend.trace_channel(env)], pure.kernel[None])
     marginal_error = float(np.max(np.abs(back[0] - ch.kernel)))
 
     return DilationResult(

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backends.base import Channel, EffectVector, StateVector, TheoryBackend
-from ..diagram import UNIT, SystemType
+from ..diagram import UNIT, Identity, SystemType
 from ..errors import (
     BackendLacksPurificationError,
     MarginalMismatchError,
@@ -82,7 +82,7 @@ def _connection(backend: TheoryBackend, u: np.ndarray, marginal_error: float,
     """Replay the reversible map ``u`` on the wing ``ext`` after the kernel
     ``first``; the two are connected when that lands on ``second``."""
     conn = backend.conjugation_channel(u, ext)
-    replayed = backend._apply_beside(base, conn, first[None])[0]
+    replayed = backend.apply_par([Identity(base), conn], first[None])[0]
     replay = float(np.max(np.abs(replayed - second)))
     connected = replay <= backend.tol.gap
     return ConnectionReport(
@@ -99,7 +99,8 @@ def purify_state(backend: TheoryBackend, state: StateVector) -> PurificationResu
 
     Spectral square root on the matrix theories; on the classical theory
     only point masses extend purely, so anything else returns a ``Failure``
-    verdict with the refinement witness.  The one-state case of
+    verdict with the refinement witness.  The zero state has no pure
+    extension on any theory: a ``Failure`` of rank 0.  The one-state case of
     ``purify_states``.
     """
     return purify_states(backend, [state])[0]
@@ -121,6 +122,8 @@ def purify_states(backend: TheoryBackend, states: Sequence[StateVector]) -> list
         for rank, group in ranks.items():
             sub = objs[group]
             try:
+                if rank == 0:
+                    raise BackendLacksPurificationError("the zero state has no pure extension")
                 psis, r = backend.purifications(sub, [decs[j] for j in group])
             except BackendLacksPurificationError as e:
                 for j in group:
@@ -208,7 +211,7 @@ def steering_measurement(
 
     # every branch's effect at once: one stacked effect beside the identity on base
     eff_ch = backend.effect_channel(np.array(effect_objects), ext)
-    steered = backend._apply_beside(base, eff_ch, backend.state_as_channel(psi).kernel[None])
+    steered = backend.apply_par([Identity(base), eff_ch], backend.state_as_channel(psi).kernel[None])
     wanted = backend.state_channel(backend.state_object(np.array([b.coords for b in branches]), base), base)
     branch_errors = np.abs(steered - wanted.kernel).max(axis=(1, 2)).tolist()
     coords = backend.transfer_matrices(eff_ch.kernel, ext, UNIT)[:, 0]

@@ -73,19 +73,21 @@ kernels with one ``check_kernels`` call; ``compile_payload`` and
 ``random_povm`` are the one-item cases of the stacked members above;
 ``kernel_par`` is the Kronecker product (of every pair, when the kernels
 are stacks of a test's branches), because the blocks of a composite word
-are its parts' blocks in turn; ``apply_par`` applies a ``Par``,
-``Identity`` or ``Swap`` term, or a test, to a stack of kernels leaf by
-leaf, each leaf's small kernel on its own blocks through a reshape view
-(nested ``Par`` parts and the parts of a ``test_par`` are opened;
-identities are skipped, swaps exchange blocks, and a test's stacked branch
-kernels give each kernel one per outcome), and never builds the layer's
-kernel; ``apply_first`` acts beside a reference system: one ``apply_par``
-of ``box * id(ref)`` on a state's kernel column, the box's kernel the stack
-of kernels, read out by one ``transfer_matrices`` call; payload compilation
-and ``certify_channel`` move kernels between wire-major and Liouville order
-(``linalg``), where a theory needs the latter; ``kernel_identity`` and
-``kernel_swap`` are the ``conjugation_channel`` kernels of the identity and of
-``linalg.swap_unitary``; ``trace_channel`` is the ``effect_channel`` of
+are its parts' blocks in turn; ``apply_par`` applies a layer, a list of
+``Identity`` and ``Swap`` terms and channels in wire order, to a stack of
+kernels leaf by leaf, each channel's small kernel on its own blocks through a
+reshape view (identities are skipped, swaps exchange blocks, and a channel
+whose kernel stacks a test's branch kernels gives each kernel one per
+outcome), and never builds the layer's kernel; the evaluator opens terms
+into those leaves, and the audits hand them over directly, a channel beside
+``Identity(ref)``; ``apply_first`` acts beside a reference system: one
+``apply_par`` of ``[channel, Identity(ref)]`` on a state's kernel column, the
+channel's kernel the stack of kernels, read out by one ``transfer_matrices``
+call; payload compilation and ``certify_channel`` move kernels between
+wire-major and Liouville order (``linalg``), where a theory needs the latter;
+``kernel_identity`` is the ``conjugation_channel`` kernel of the identity,
+and ``kernel_swap`` is one ``apply_par`` of a ``Swap`` on the identity
+kernel's rows; ``trace_channel`` is the ``effect_channel`` of
 ``diagonal`` of ones (the discard); ``uniform_state`` is ``state_coords`` of
 ``diagonal`` of ``1/d``; ``effect_coords``/``effect_object`` are the state
 forms, because every theory here is self-dual; ``identity``, ``par``,
@@ -102,8 +104,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .. import linalg
-from ..diagram import UNIT, Diagram, Identity, Par, PrimitiveBox, Swap, SystemType, Test
+from ..diagram import UNIT, Identity, Swap, SystemType
 from ..errors import (
     NotPhysicalError,
     OptlabError,
@@ -428,46 +429,34 @@ class TheoryBackend(abc.ABC):
         return self.conjugation_channel(np.eye(d), word).kernel
 
     def kernel_swap(self, left: SystemType, right: SystemType) -> np.ndarray:
-        u = linalg.swap_unitary(self.hilbert_dim(left), self.hilbert_dim(right))
-        return self.conjugation_channel(u, left * right, right * left).kernel
+        return self.apply_par([Swap(left, right)], self.kernel_identity(left * right)[None])[0]
 
-    def apply_par(
-        self, layer: Diagram | Test, stack: np.ndarray, channel_of: Callable[[Diagram | Test], Channel]
-    ) -> np.ndarray:
-        """``layer`` applied block by block to each of a stack of kernels.
+    def apply_par(self, leaves: Sequence[Identity | Swap | Channel], stack: np.ndarray) -> np.ndarray:
+        """A layer of ``leaves`` side by side applied block by block to each
+        of a stack of kernels.
 
+        ``leaves`` are ``Identity`` and ``Swap`` terms and ``Channel`` objects
+        in wire order; the layer's input word is their input words in turn.
         ``stack`` has shape ``(count, K, ...)``: ``count`` kernels whose rows
-        are on ``layer.input_type``; further axes are carried along, so kernel
-        columns stack as ``(count, K)`` and one kernel is ``(1, K, cols)``.
-        ``layer`` is a ``Par``, an ``Identity`` or a ``Swap`` term, or a test.
-        A ``Par`` term and a test built by ``test_par`` are opened into their
-        parts, and so is each nested one, so a nested layer runs exactly as
-        its flat form; a one-branch test is opened into its branch.  Each
-        other leaf applies its own kernel, ``channel_of(leaf).kernel``, to its
-        wires' blocks through a reshape view and one ``matmul``; ``Identity``
-        leaves are skipped, ``Swap`` leaves exchange two runs of blocks, and
-        states and effects add and remove blocks.  A test's kernel is a stack,
-        one kernel per branch, ``(branches, rows, cols)``: it turns each
-        kernel into one per branch, the branch index inner.  No kernel on the
-        whole word is built.  Every kernel goes through products of equal
-        shape with each branch, so a result does not depend on how many
-        kernels or branches are stacked with it.  Returns shape
-        ``(count * branches..., K', ...)`` on ``layer.output_type``.
+        are on that word; further axes are carried along, so kernel columns
+        stack as ``(count, K)`` and one kernel is ``(1, K, cols)``.  Each
+        channel applies its kernel to its wires' blocks through a reshape
+        view and one ``matmul``; ``Identity`` leaves are skipped, ``Swap``
+        leaves exchange two runs of blocks, and states and effects add and
+        remove blocks.  A channel's kernel may be a stack, one kernel per
+        branch of a test, ``(branches, rows, cols)``: it turns each kernel
+        into one per branch, the branch index inner.  No kernel on the whole
+        word is built.  Every kernel goes through products of equal shape
+        with each branch, so a result does not depend on how many kernels or
+        branches are stacked with it.  Returns shape ``(count *
+        branches..., K', ...)`` on the layer's output word.
         """
         count, tail, legs = len(stack), stack.shape[2:], self.legs_per_wire
-        blocks = [d ** legs for d in self.word_dims(layer.input_type)]
+        blocks = [d ** legs for leaf in leaves for d in self.word_dims(leaf.input_type)]
         steps = []  # (kernel, or None for a swap; size of the blocks before; sizes of the leaf's runs)
         branches, widths = 1, [math.prod(blocks)]  # entries per input kernel, then after each step
         pos = 0  # wires before pos are outputs of done leaves; from pos on, inputs of the rest
-        todo = [layer]  # the leaves still to apply, the next one last
-        while todo:
-            leaf = todo.pop()
-            if isinstance(leaf, Par) or isinstance(leaf, Test) and leaf.kind is Par:
-                todo.extend(reversed(leaf.parts))
-                continue
-            if isinstance(leaf, Test) and len(leaf.outcomes) == 1:
-                todo.append(leaf.branches[0])
-                continue
+        for leaf in leaves:
             if isinstance(leaf, Identity):
                 pos += len(leaf.system.word)
                 continue
@@ -479,8 +468,7 @@ class TheoryBackend(abc.ABC):
                 steps.append((None, before, (math.prod(run[:left]), math.prod(run[left:]))))
                 blocks[pos - n:pos - n + m] = run[left:] + run[:left]
             else:
-                kernel = channel_of(leaf).kernel
-                kernel = kernel.reshape(-1, 1, *kernel.shape[-2:])  # (branches, 1, rows, cols)
+                kernel = leaf.kernel.reshape(-1, 1, *leaf.kernel.shape[-2:])  # (branches, 1, rows, cols)
                 steps.append((kernel, before, (math.prod(run),)))
                 blocks[pos - n:pos - n + m] = [d ** legs for d in self.word_dims(leaf.output_type)]
                 branches *= len(kernel)
@@ -543,25 +531,16 @@ class TheoryBackend(abc.ABC):
 
         ``kernels`` has shape ``(count, rows, cols)`` and each acts
         ``input_word -> output_word``; ``state`` lives on
-        ``input_word * ref``.  One ``apply_par`` of ``box * id(ref)`` on the
-        state's kernel column, the stack as the box's branches, then one
-        ``transfer_matrices`` call.  Returns shape
+        ``input_word * ref``.  One ``apply_par`` of the stack as one
+        channel's branches beside ``Identity(ref)`` on the state's kernel
+        column, then one ``transfer_matrices`` call.  Returns shape
         ``(count, state_dim(output_word * ref))``, without building any
         joint kernel.
         """
         ref = SystemType(state.system.word[len(input_word):])
         column = self.state_as_channel(state).kernel[None]
-        out = self._apply_beside(ref, Channel(input_word, output_word, kernels), column, ch_first=True)
+        out = self.apply_par([Channel(input_word, output_word, kernels), Identity(ref)], column)
         return self.transfer_matrices(out, UNIT, output_word * ref)[:, :, 0]
-
-    def _apply_beside(self, ref: SystemType, ch: Channel, stack: np.ndarray,
-                      ch_first: bool = False) -> np.ndarray:
-        """``apply_par`` of ``id(ref) * ch``, or of ``ch * id(ref)`` with
-        ``ch_first``, on a stack of kernels.  A stacked kernel of ``ch`` acts
-        as a test's branches: each kernel of the stack gives one per branch."""
-        ident, box = Identity(ref), PrimitiveBox("ch", ch.input_type, ch.output_type)
-        layer = Par((box, ident) if ch_first else (ident, box))
-        return self.apply_par(layer, stack, lambda leaf: ch)
 
     def trace_channel(self, word: SystemType) -> Channel:
         """The unique deterministic effect (discard) as a channel to the unit."""
@@ -681,7 +660,8 @@ class TheoryBackend(abc.ABC):
     @abc.abstractmethod
     def purifications(self, objs: np.ndarray, decs: Sequence[Extremal]) -> tuple[np.ndarray, int]:
         """Pure extensions of a stack of objects whose decompositions ``decs``
-        share one rank, stacked, and the dimension of their wing."""
+        share one rank of at least 1, stacked, and the dimension of their
+        wing."""
 
     @abc.abstractmethod
     def pure_connection(self, first, second, base_dim, ext_dim) -> tuple[np.ndarray, float]: ...

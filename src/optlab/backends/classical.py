@@ -171,7 +171,7 @@ class ClassicalBackend(TheoryBackend):
 
     def purifications(self, objs, decs):
         rank = decs[0].rank
-        if rank <= 1:
+        if rank == 1:
             return objs, 1
         if np.ndim(objs) == 3:
             raise BackendLacksPurificationError(

@@ -32,7 +32,6 @@ import numpy as np
 
 from ..diagram import UNIT, SystemType
 from ..errors import (
-    BackendLacksPurificationError,
     BranchSumMismatchError,
     NotPhysicalError,
     OptlabError,
@@ -306,8 +305,6 @@ class _MatrixTheory(TheoryBackend):
     def purifications(self, objs, decs):
         """The kets ``sum_i sqrt(w_i) v_i (x) e_i`` on a rank-sized wing."""
         r = decs[0].rank
-        if r == 0:
-            raise BackendLacksPurificationError("the zero state has no pure extension")
         kets = np.array([dec.amplitudes[:, :r] for dec in decs]).reshape(len(decs), -1)
         return self.project_scalars(kets[:, :, None] * kets.conj()[:, None, :]), r
 

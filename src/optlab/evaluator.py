@@ -9,13 +9,13 @@ There is one sequential walk, ``_chain``: it applies pieces in turn to a
 stack of kernels, checking each piece's wires just before applying it.  A
 :class:`~optlab.diagram.Seq` is a flat chain: its first part is evaluated
 whole, and the walk applies every later part to that kernel, a stack of
-one, from the left (``TheoryBackend.apply_par``).  Each leaf's small kernel
-acts on its own wires' blocks through a reshape view, a box on the whole
-word being one block; identities are skipped, swaps exchange blocks, and a
-nested ``Par`` part is opened into its own leaves, so no layer kernel on the
-whole word is built.  A ``Par`` that stands alone or starts a chain is built
-densely, folding its parts from the left, which is its written association.
-Neither long ``;`` nor long ``*`` chains recurse.
+one, from the left.  The evaluator alone opens terms: ``_chain`` opens
+``Seq`` terms and ``test_seq`` tests, and ``_leaves`` opens ``Par`` terms and
+``test_par`` tests, nested ones too, into the identities, swaps and channels
+that ``TheoryBackend.apply_par`` applies block by block, so no layer kernel
+on the whole word is built.  A ``Par`` that stands alone or starts a chain
+is built densely, folding its parts from the left, which is its written
+association.  Neither long ``;`` nor long ``*`` chains recurse.
 
 Results are memoized per call, keyed by the whole term (terms are immutable
 and hash structurally in O(1)), so a term repeated in a circuit or across a
@@ -152,17 +152,32 @@ def _chain(pieces, stack, word, backend, bindings, memo) -> np.ndarray:
             outs = [_chain((b,), stack, word, backend, bindings, memo) for b in piece.branches]
             stack = np.stack(outs, axis=1).reshape(-1, outs[0].shape[1])
         else:  # a term or a test_par: one product per kernel and leaf
-            stack = backend.apply_par(piece, stack, lambda leaf: _channel(leaf, backend, bindings, memo))
+            stack = backend.apply_par(_leaves(piece, backend, bindings, memo), stack)
         word = piece.output_type
     return stack
 
 
-def _channel(leaf, backend, bindings, memo) -> Channel:
-    """A leaf's channel; a test's kernel is the stack of its branches' kernels."""
-    if isinstance(leaf, Test):
-        kernels = [evaluate_channel(b, backend, bindings, memo).kernel for b in leaf.branches]
-        return Channel(leaf.input_type, leaf.output_type, np.stack(kernels))
-    return evaluate_channel(leaf, backend, bindings, memo)
+def _leaves(layer, backend, bindings, memo) -> list:
+    """A layer's leaves in wire order, as ``TheoryBackend.apply_par`` takes
+    them: ``Par`` terms, ``test_par`` tests and one-branch tests are opened,
+    nested ones too; identities and swaps pass through; every other leaf is
+    resolved to its channel in leaf order, a test's kernel stacking its
+    branches' kernels."""
+    leaves, todo = [], [layer]  # the next leaf last
+    while todo:
+        leaf = todo.pop()
+        if isinstance(leaf, Par) or isinstance(leaf, Test) and leaf.kind is Par:
+            todo.extend(reversed(leaf.parts))
+        elif isinstance(leaf, Test) and len(leaf.outcomes) == 1:
+            todo.append(leaf.branches[0])
+        elif isinstance(leaf, (Identity, Swap)):
+            leaves.append(leaf)
+        elif isinstance(leaf, Test):
+            kernels = [evaluate_channel(b, backend, bindings, memo).kernel for b in leaf.branches]
+            leaves.append(Channel(leaf.input_type, leaf.output_type, np.stack(kernels)))
+        else:
+            leaves.append(evaluate_channel(leaf, backend, bindings, memo))
+    return leaves
 
 
 def evaluate(

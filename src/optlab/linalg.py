@@ -2,7 +2,7 @@
 
 Conventions used throughout the package (documented once, here):
 
-* ``vec`` is row-major (C-order) stacking, so ``vec(A X B) = (A kron B^T) vec(X)``.
+* ``vec(X)`` is row-major (C-order) stacking, so ``vec(A X B) = (A kron B^T) vec(X)``.
 * A map ``M`` between matrix spaces has the *process matrix* ``N``
   ("Liouville form") with ``vec(M(X)) = N vec(X)``; shape ``(dout**2, din**2)``.
   On a word of several wires, Liouville order runs over every wire's row
@@ -33,14 +33,10 @@ import numpy as np
 __all__ = [
     "diagonal_basis",
     "hermitian_basis",
-    "symmetric_basis",
-    "kron_basis",
-    "vec",
     "liouville_from_choi",
     "choi_from_liouville",
     "kraus_to_liouville",
     "partial_trace",
-    "swap_unitary",
     "sorted_eigh",
     "rank_with_cutoff",
     "canonical_phase",
@@ -58,8 +54,9 @@ RANK_CUTOFF = 1e-9
 
 
 def diagonal_basis(d: int) -> np.ndarray:
-    """The diagonals of the first d members of either basis below, one member
-    per column: I/sqrt(d), then the diagonal traceless elements."""
+    """The diagonals of the first d members of ``hermitian_basis`` and of the
+    real symmetric basis, one member per column: I/sqrt(d), then the diagonal
+    traceless elements."""
     out = np.triu(np.ones((d, d)), 1) - np.diag(np.arange(d))  # ones, then -l, in column l
     out[:, 1:] /= np.sqrt(np.arange(1, d) * np.arange(2, d + 1))
     out[:, 0] = 1.0 / np.sqrt(d)
@@ -85,32 +82,9 @@ def hermitian_basis(d: int) -> np.ndarray:
     return np.stack(elems)
 
 
-def symmetric_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of d x d real symmetric matrices, shape (d(d+1)/2, d, d)."""
-    elems = [np.diag(c) for c in diagonal_basis(d).T]
-    for j in range(d):
-        for k in range(j + 1, d):
-            x = np.zeros((d, d))
-            x[j, k] = x[k, j] = 1.0 / np.sqrt(2.0)
-            elems.append(x)
-    return np.stack(elems)
-
-
-def kron_basis(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Elementwise Kronecker of two basis stacks, left index slowest."""
-    n1, d1, _ = left.shape
-    n2, d2, _ = right.shape
-    prod = np.einsum("aij,bkl->abikjl", left, right)
-    return prod.reshape(n1 * n2, d1 * d2, d1 * d2)
-
-
 # ---------------------------------------------------------------------------
 # vec / Choi / Liouville
 # ---------------------------------------------------------------------------
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).reshape(-1)
 
 
 def liouville_from_choi(choi: np.ndarray, din: int, dout: int) -> np.ndarray:
@@ -143,15 +117,6 @@ def kraus_to_liouville(kraus: list[np.ndarray] | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # wire plumbing
 # ---------------------------------------------------------------------------
-
-
-def swap_unitary(d1: int, d2: int) -> np.ndarray:
-    """Permutation matrix sending |a>|b> to |b>|a>, shape (d2*d1, d1*d2)."""
-    s = np.zeros((d2 * d1, d1 * d2))
-    for a in range(d1):
-        for b in range(d2):
-            s[b * d1 + a, a * d2 + b] = 1.0
-    return s
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:

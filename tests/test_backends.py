@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optlab import Channel, Payload, SystemType, get_backend, par
+from optlab import Channel, Payload, SystemType, get_backend
 from optlab import linalg as la
 from optlab.audit import stinespring_dilate
 from optlab.backends import base
 from optlab.backends.base import EffectVector, TheoryBackend
-from optlab.diagram import UNIT, PrimitiveBox
+from optlab.diagram import UNIT
 from optlab.errors import NotPhysicalError, OptlabError
 from optlab.sampling import Sampler
+from test_linalg import swap_unitary, symmetric_basis
 
 A = SystemType.of("A")
 B = SystemType.of("B")
@@ -345,26 +346,28 @@ def closed_forms(backend, word, left, right):
     so the swap moves each wire's whole block of legs, and the discard of a
     word is the Kronecker product of each wire's discard."""
     d = backend.hilbert_dim(word)
-    s = la.swap_unitary(backend.hilbert_dim(left), backend.hilbert_dim(right))
+    s = swap_unitary(backend.hilbert_dim(left), backend.hilbert_dim(right))
     if backend.name == "classical":
         return np.eye(d), s, np.ones((1, d)), np.full(d, 1.0 / d)
     dtype = complex if backend.name == "quantum" else float
     discard = np.ones((1, 1), dtype=dtype)
     for dim in backend.word_dims(word):
-        discard = np.kron(discard, la.vec(np.eye(dim, dtype=dtype)))
-    swap = la.swap_unitary(backend.hilbert_dim(left) ** 2, backend.hilbert_dim(right) ** 2)
+        discard = np.kron(discard, np.eye(dim, dtype=dtype).reshape(-1))
+    swap = swap_unitary(backend.hilbert_dim(left) ** 2, backend.hilbert_dim(right) ** 2)
     return (np.eye(d * d, dtype=dtype), swap.astype(dtype), discard,
             backend.state_coords(np.eye(d) / d, word))
 
 
 @pytest.mark.parametrize("word", [A, A * B])
 def test_derived_primitives_match_closed_forms(backend, word):
-    ident, swap, discard, uniform = closed_forms(backend, word, A, B)
-    got = (backend.kernel_identity(word), backend.kernel_swap(A, B),
+    """Each derived kernel equals its closed form entry for entry, in shape
+    and in scalar type; the swap moves ``word``, one wire or a run of two,
+    past ``B``."""
+    ident, swap, discard, uniform = closed_forms(backend, word, word, B)
+    got = (backend.kernel_identity(word), backend.kernel_swap(word, B),
            backend.trace_channel(word).kernel, backend.uniform_state(word).coords)
     for g, want in zip(got, (ident, swap, discard, uniform)):
-        np.testing.assert_array_equal(g, want)
-        assert g.dtype == want.dtype
+        np.testing.assert_array_equal(g, want, strict=True)
     coords = backend.spanning_states(word)[-1]
     obj = backend.state_object(coords, word)
     np.testing.assert_array_equal(backend.effect_object(coords, word), obj)
@@ -429,6 +432,14 @@ def liouville_positions(dims):
     return np.array(out, dtype=int)
 
 
+def kron_basis(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Elementwise Kronecker of two basis stacks, left index slowest."""
+    n1, d1, _ = left.shape
+    n2, d2, _ = right.shape
+    prod = np.einsum("aij,bkl->abikjl", left, right)
+    return prod.reshape(n1 * n2, d1 * d2, d1 * d2)
+
+
 def dense_basis(backend, word):
     """The word's flat operator basis, one column per coordinate, rows in
     wire-major order: the Kronecker product of each system's Hermitian basis
@@ -438,9 +449,9 @@ def dense_basis(backend, word):
     if backend.name == "quantum":
         b = np.ones((1, 1, 1), dtype=complex)
         for d in dims:
-            b = la.kron_basis(b, la.hermitian_basis(d))
+            b = kron_basis(b, la.hermitian_basis(d))
     else:
-        b = la.symmetric_basis(backend.hilbert_dim(word))
+        b = symmetric_basis(backend.hilbert_dim(word))
     return b.reshape(len(b), -1).T[liouville_positions(dims)]
 
 
@@ -518,9 +529,8 @@ def test_apply_par_is_the_product_with_the_dense_layer(theory, word):
     backend = get_backend(theory, {"A": 2, "B": 3})
     s, rng = Sampler(backend, seed=53), np.random.default_rng(53)
     head, rest = SystemType(word.word[:-1]), SystemType.of(word.word[-1])
-    channels = {"head": s.channel(head, rest * head), "last": s.channel(rest, rest)}
-    layer = par(PrimitiveBox("head", head, rest * head), PrimitiveBox("last", rest, rest))
-    dense = np.kron(channels["head"].kernel, channels["last"].kernel)
+    leaves = [s.channel(head, rest * head), s.channel(rest, rest)]
+    dense = np.kron(leaves[0].kernel, leaves[1].kernel)
     stack = rng.normal(size=(3, dense.shape[1])).astype(dense.dtype)
-    got = backend.apply_par(layer, stack, lambda leaf: channels[leaf.name])
+    got = backend.apply_par(leaves, stack)
     np.testing.assert_allclose(got, stack @ dense.T, rtol=0, atol=1e-12)

@@ -1,7 +1,8 @@
 """Acting beside a reference system: ``(A * id(R))`` is one ``apply_par``.
 
-``apply_first`` and every audit that acts on one part of a joint state go
-through ``apply_par``, and none builds a kernel beside an identity.  The
+``apply_first`` and every audit that acts on one part of a joint state call
+``apply_par`` with a list of two leaves, the channel and ``Identity(R)``, and
+none builds a kernel beside an identity.  The
 references below are the two other ways to write the same action: the
 per-theory einsum ``apply_first`` in Liouville order, and the dense product
 of a kernel beside ``backend.identity`` with the joint kernel.  On the

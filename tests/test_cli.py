@@ -255,6 +255,18 @@ def test_steer_refuses_a_zero_joint_state(run, tmp_path, theory):
     assert payload["witness"] == "state on B*R is not pure (rank 0)"
 
 
+@pytest.mark.parametrize("theory", ["classical", "quantum", "quantum-real"])
+def test_purify_refuses_the_zero_state(run, tmp_path, theory):
+    """The zero state has no pure extension on any theory: one verdict, one witness."""
+    p = tmp_path / "zero.opt"
+    p.write_text(f"theory {theory}\nsystem B dim=2\nstate zero : B = vec=[0,0]\n")
+    code, out = run("purify", p, "--state", "zero")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["rank"], payload["purified"]) == ("Failure", 0, None)
+    assert payload["witness"] == {"reason": "the zero state has no pure extension"}
+
+
 @pytest.mark.parametrize("test_name", ["one", "look"])
 def test_steer_refuses_a_test_that_prepares_no_state(run, fx, test_name):
     code, out = run("steer", fx("test_compose_par.opt"),

@@ -285,8 +285,8 @@ def test_closed_ladder_multiplies_states_not_kernels(backend, monkeypatch):
 
     monkeypatch.setattr(backend, "kernel_par", record)
     apply_par = backend.apply_par
-    monkeypatch.setattr(backend, "apply_par", lambda layer, stack, channel_of: (
-        layers.append(stack.shape), apply_par(layer, stack, channel_of))[1])
+    monkeypatch.setattr(backend, "apply_par", lambda leaves, stack: (
+        layers.append(stack.shape), apply_par(leaves, stack))[1])
     run_test_circuit(t, backend, s.bindings)
     assert shapes and full not in shapes
     # stacks of columns and rows only: a kernel_par of preparation tests stacks each branch pair
@@ -321,6 +321,16 @@ def _leafy_layers(backend, s):
     ]
 
 
+def _plain_leaves(layer, backend, bindings):
+    """Reference: a layer's leaves in wire order, nested ``Par`` parts opened,
+    identities and swaps kept as terms and every other part a plain channel."""
+    if isinstance(layer, Par):
+        return [leaf for part in layer.parts for leaf in _plain_leaves(part, backend, bindings)]
+    if isinstance(layer, (Identity, Swap)):
+        return [layer]
+    return [_plain_channel(layer, backend, bindings)]
+
+
 def test_leg_wise_layers_match_a_dense_fold(backend):
     s = Sampler(backend, seed=34)
     rng = np.random.default_rng(0)
@@ -330,7 +340,7 @@ def test_leg_wise_layers_match_a_dense_fold(backend):
         stack = rng.normal(size=(3, kernel.shape[1])).astype(dtype)
         if dtype.kind == "c":
             stack = stack + 1j * rng.normal(size=stack.shape)
-        got = backend.apply_par(layer, stack, lambda leaf: _plain_channel(leaf, backend, s.bindings))
+        got = backend.apply_par(_plain_leaves(layer, backend, s.bindings), stack)
         np.testing.assert_allclose(got, stack @ kernel.T, rtol=0, atol=1e-12)
 
         # in a chain, after an open and after a closed first part

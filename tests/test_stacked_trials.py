@@ -131,14 +131,21 @@ def reference_partial_trace(rho, dims, keep):
     return np.einsum(t, in_subs, out_subs).reshape(d, d)
 
 
+ZERO_STATE_FAILURE = dict(verdict="Failure", purifying_system=None, purified=None, rank=0,
+                          marginal_error=None, witness={"reason": "the zero state has no pure extension"})
+
+
 def reference_purify(backend, state):
-    """``purify_state`` one state at a time: the report's fields as a dict."""
+    """``purify_state`` one state at a time: the report's fields as a dict.
+    The zero state has no pure extension on any theory."""
     word = state.system
     if backend.name == "classical":
         v = np.asarray(state.coords, dtype=float).reshape(-1)
         top = float(np.max(np.abs(v), initial=0.0))
         where = np.argwhere(np.abs(v) > linalg.RANK_CUTOFF * max(top, 1.0))
         rank = len(where)
+        if rank == 0:
+            return ZERO_STATE_FAILURE
         if rank > 1:
             a = np.zeros_like(v)
             a[tuple(where[0])] = v[tuple(where[0])]
@@ -154,8 +161,7 @@ def reference_purify(backend, state):
         vals, vecs = reference_sorted_eigh(obj)
         rank = r = reference_rank(vals)
         if rank == 0:
-            return dict(verdict="Failure", purifying_system=None, purified=None, rank=0,
-                        marginal_error=None, witness={"reason": "the zero state has no pure extension"})
+            return ZERO_STATE_FAILURE
         ket = (vecs * np.sqrt(np.clip(vals, 0.0, None)))[:, :rank].reshape(-1)
         psi = backend.project_scalars(np.outer(ket, ket.conj()))
         reduced = reference_partial_trace(psi, [obj.shape[0], r], [0])
@@ -324,15 +330,14 @@ def test_purification_in_groups_changes_no_bit(theory):
 
 def test_the_one_item_cases_keep_their_failures(theory):
     zero = purify_state(theory, StateVector(np.zeros(theory.state_dim(A)), A))
+    assert (zero.verdict, zero.rank) == ("Failure", 0)
+    assert zero.witness == {"reason": "the zero state has no pure extension"}
     mixed = theory.uniform_state(B)
     obj = theory.state_object(mixed.coords, B)
     if theory.name == "classical":
-        assert zero.verdict == "Purified" and zero.rank == 0
         assert purify_state(theory, mixed).witness["support"] == [0, 1, 2]
         with pytest.raises(BackendLacksPurificationError, match="more than one support point"):
             theory.purification(obj, theory.extremal_decomposition(obj))
     else:
-        assert zero.verdict == "Failure"
-        assert zero.witness == {"reason": "the zero state has no pure extension"}
         psi, r = theory.purification(obj, theory.extremal_decomposition(obj))
         assert r == 3 and psi.shape == (9, 9)
