@@ -52,6 +52,8 @@ __all__ = ["QuantumBackend", "RealQuantumBackend"]
 #: A Choi matrix with a larger entry is checked scaled down by a power of two.
 SCALE_ABOVE = 2.0 ** 500
 
+_EPS = np.finfo(float).eps
+
 #: 1/sqrt(2) as ``linalg`` writes a basis entry (one ulp below ``np.sqrt(0.5)``).
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -184,14 +186,28 @@ class _MatrixTheory(TheoryBackend):
         algebra, floor = self.tol.algebra, self.tol.eigenvalue_floor
         not_adjoint = residual > algebra * np.maximum(scale, top)
         sym = (j + jh) / 2.0
-        # eigh, not eigvalsh: these are, bit for bit, the eigenvalues sorted_eigh gives
-        # the witness; eigvalsh rounds differently and could flip a verdict at the floor
-        min_eig = np.linalg.eigh(sym)[0][:, 0]
         reduced = linalg.partial_trace(j, [din, dout], [0])
         slack = scale[:, None, None] * np.eye(din) - reduced
         margin = np.linalg.eigvalsh((slack + slack.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
+        # The least Choi eigenvalue decides a kernel as eigh gives it, whose values
+        # and eigenvector the certificate reports; eigvalsh, a third the cost on
+        # 16 x 16 matrices, rounds differently.  Both reduce the n x n matrix A to
+        # tridiagonal form by Householder reflections and solve that (eigvalsh by
+        # QR, eigh by divide and conquer); each returns the exact eigenvalues of
+        # some A + E with |E|_2 <= c * n**2 * eps * |A|_2 for a small constant c
+        # (LAPACK Users' Guide 4.7; Higham, Accuracy and Stability of Numerical
+        # Algorithms, 19.3).  By Weyl's inequality no eigenvalue moves by more
+        # than |E|_2, and |A|_2 <= n * max|a_ij| <= n * top, so the two least
+        # eigenvalues differ by at most 2 * c * n**3 * eps * top.  The guard takes
+        # c = 32: a kernel whose eigvalsh minimum lies farther than it from -floor
+        # gets the verdict eigh would give; one inside it is decided by eigh.
+        guard = 64.0 * sym.shape[-1] ** 3 * _EPS * top
         with np.errstate(over="ignore"):  # past the float range a value reads inf
-            residual, min_eig, margin = residual * unscale, min_eig * unscale, margin * unscale
+            residual, margin = residual * unscale, margin * unscale
+            min_eig = np.linalg.eigvalsh(sym)[:, 0] * unscale
+            near = np.flatnonzero(np.abs(min_eig + floor) <= guard * unscale)
+            if near.size:
+                min_eig[near] = np.linalg.eigh(sym[near])[0][:, 0] * unscale[near]
         negative, leaky = min_eig < -floor, margin < -floor
 
         def certificate(i: int, role: str) -> PhysicalityCertificate:
@@ -201,7 +217,8 @@ class _MatrixTheory(TheoryBackend):
                 return PhysicalityCertificate(
                     False, role, "not self-adjoint", res, {"residual": res}, diagnostics,
                 )
-            low = float(min_eig[i])
+            with np.errstate(over="ignore"):
+                low = float(np.linalg.eigh(sym[i])[0][0] * unscale[i])
             diagnostics["min_choi_eigenvalue"] = low
             if negative[i]:
                 vecs = linalg.sorted_eigh(sym[i])[1]

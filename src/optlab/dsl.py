@@ -21,6 +21,13 @@ abstract document (or the first located error), ``print_document`` renders
 it canonically so parse/print round-trips are exact, and ``bind`` compiles
 every payload onto the declared backend, certifying the kernels of one
 shape together, then reports the first faulty statement.
+
+``parse`` reads each line in one pass: one compiled pattern splits it into
+tokens, and a recursive descent walks the token list.  A payload literal
+made of plain numbers and brackets is one token, which the C JSON scanner
+reads; a literal it refuses is scanned bracket by bracket and parsed again,
+which locates its first fault.  Columns are computed from token offsets
+only when an error is raised.  Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +88,15 @@ MAX_DIGITS = 18
 
 # ASCII only: a Unicode letter or digit never scans as a name, label or integer
 _BLANKS = re.compile(r"[ \t]*")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORD = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")  # statement words and theory names
-_LABEL = re.compile(r"[A-Za-z0-9_]+")
+_HEAD = re.compile(r"[ \t]*(" + _KEYWORD.pattern + r")?")  # a line's statement word
+# One token after blanks: the arrow, a word (a name, a label or an integer), a
+# payload literal made of plain numbers and brackets, or any other character.
+# A name holds no '-', so ``Q0->Q1`` is a name, the arrow and a name.
+_TOKEN = re.compile(r"[ \t]*(->|[A-Za-z0-9_]+|\[[-+.,0-9eE \t\[\]]*\]|.)", re.DOTALL)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
+_WORD_START = _NAME_START | _DIGITS
 _INT = re.compile(r"[0-9]+")
 _BRACKET = re.compile(r"[\[\]]")
 
@@ -179,108 +193,106 @@ class Document:
 # ---------------------------------------------------------------------------
 
 
-class _Cursor:
-    """Single-line scanner with 1-based column reporting."""
+class _Line:
+    """The tokens of one line after its statement word: each the text
+    ``_TOKEN`` matches after blanks, then ``""``, which no token equals.
 
-    def __init__(self, text: str, line_no: int) -> None:
+    The parse functions below take the index of the next token and return
+    what they read with the index after it.  A column is computed from a
+    token's offset, and only for an error."""
+
+    __slots__ = ("text", "line", "start", "toks", "depth", "_spans")
+
+    def __init__(self, text: str, line_no: int, start: int) -> None:
         self.text = text
         self.line = line_no
-        self.pos = 0
+        self.start = start  # offset of the first token's blanks
+        self.toks = _TOKEN.findall(text, start)
+        self.toks.append("")
         self.depth = 0  # open parentheses in a circuit expression
+        self._spans = None
 
-    def fail(self, message: str, expected=None, col: int | None = None):
-        raise DslParseError(message, self.line, self.pos + 1 if col is None else col, expected)
+    def spans(self) -> list[tuple[int, int]]:
+        """Each token's (start, end) offsets in the line."""
+        if self._spans is None:
+            self._spans = [m.span(1) for m in _TOKEN.finditer(self.text, self.start)]
+        return self._spans
 
-    def skip_ws(self) -> None:
-        text, pos = self.text, self.pos
-        if pos < len(text) and text[pos] in " \t":  # most calls find no blank
-            self.pos = _BLANKS.match(text, pos).end()
+    def cut(self, i: int, end: int) -> None:
+        """End token ``i`` at offset ``end``, and tokenize the rest of the
+        line again from there."""
+        spans = self.spans()
+        rest = list(_TOKEN.finditer(self.text, end))
+        start = spans[i][0]
+        self.toks[i:] = [self.text[start:end], *(m.group(1) for m in rest), ""]
+        spans[i:] = [(start, end), *(m.span(1) for m in rest)]
 
-    @property
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def fail(self, i: int, message: str, expected=None, after: bool = False, col: int | None = None):
+        """Raise at token ``i`` (or the end of the line), or, ``after``, just
+        past token ``i - 1``; or at ``col``."""
+        if col is None:
+            spans = self.spans()
+            if after:
+                col = (spans[i - 1][1] if i else self.start) + 1
+            else:
+                col = (spans[i][0] if i < len(spans) else len(self.text)) + 1
+        raise DslParseError(message, self.line, col, expected)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def expect(self, i: int, token: str) -> int:
+        if self.toks[i] != token:
+            self.fail(i, f"missing {token!r}", [repr(token)])
+        return i + 1
 
-    def try_punct(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
+    def name(self, i: int, what: str) -> str:
+        tok = self.toks[i]
+        if tok[:1] not in _NAME_START:
+            self.fail(i, f"missing {what}", ["name"])
+        return tok
 
-    def expect_punct(self, token: str) -> None:
-        if not self.try_punct(token):
-            self.fail(f"missing {token!r}", expected=[repr(token)])
+    def label(self, i: int, what: str = "outcome label") -> str:
+        tok = self.toks[i]
+        if tok[:1] not in _WORD_START:
+            self.fail(i, f"missing {what}", ["label"])
+        return tok
 
-    def word(self, pattern: re.Pattern = _NAME) -> str | None:
-        """The text ``pattern`` matches after blanks, consumed; None if it does not match."""
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group()
-
-    def expect_name(self, what: str) -> str:
-        w = self.word()
-        if w is None:
-            self.fail(f"missing {what}", expected=["name"])
-        return w
-
-    def expect_label(self, what: str = "outcome label") -> str:
-        w = self.word(_LABEL)
-        if w is None:
-            self.fail(f"missing {what}", expected=["label"])
-        return w
-
-    def expect_int(self, what: str) -> int:
-        w = self.word(_INT)
-        if w is None:
-            self.fail(f"missing {what}", expected=["integer"])
-        if len(w) > MAX_DIGITS:
-            self.fail(f"{what} has more than {MAX_DIGITS} digits", col=self.pos - len(w) + 1)
-        return int(w)
-
-    def expect_end(self) -> None:
-        if not self.done:
-            self.fail(f"unexpected trailing text {self.text[self.pos:]!r}",
-                      expected=["end of line"])
+    def end(self, i: int) -> None:
+        if self.toks[i]:
+            rest = self.text[self.spans()[i][0]:]
+            self.fail(i, f"unexpected trailing text {rest!r}", ["end of line"])
 
 
-def _parse_sysexpr(cur: _Cursor) -> tuple[str, ...]:
+def _parse_sysexpr(ln: _Line, i: int) -> tuple[tuple[str, ...], int]:
+    toks = ln.toks
     labels: list[str] = []
     while True:
-        name = cur.word()
-        if name is None:
-            cur.fail("missing system expression", expected=["system name", "I"])
+        name = toks[i]
+        if name[:1] not in _NAME_START:
+            ln.fail(i, "missing system expression", ["system name", "I"])
         if name != "I":
             labels.append(name)
-        if not cur.try_punct("*"):
-            return tuple(labels)
+        if toks[i + 1] != "*":
+            return tuple(labels), i + 1
+        i += 2
 
 
-def _scan_bracketed(cur: _Cursor) -> tuple[str, int]:
-    """Take a balanced [...] span starting at the cursor; returns (span, col)."""
-    cur.skip_ws()
-    start = cur.pos
-    if not cur.text.startswith("[", start):
-        cur.fail("missing '[' opening a payload literal", expected=["'['"])
+def _scan_bracketed(ln: _Line, i: int) -> tuple[str, int]:
+    """Take a balanced [...] span at token ``i``, which then holds it alone;
+    returns (span, col)."""
+    if ln.toks[i][:1] != "[":
+        ln.fail(i, "missing '[' opening a payload literal", ["'['"])
+    start = ln.spans()[i][0]
     depth = 0
-    for m in _BRACKET.finditer(cur.text, start):
+    for m in _BRACKET.finditer(ln.text, start):
         if m.group() == "[":
             depth += 1
             if depth > MAX_NESTING:
-                cur.fail(f"payload literal nested deeper than {MAX_NESTING}", col=m.start() + 1)
+                ln.fail(i, f"payload literal nested deeper than {MAX_NESTING}", col=m.start() + 1)
         else:
             depth -= 1
             if depth == 0:
-                cur.pos = m.end()
-                return cur.text[start:cur.pos], start + 1
-    cur.fail("unbalanced brackets in payload literal", col=start + 1)
+                ln.cut(i, m.end())
+                return ln.text[start:m.end()], start + 1
+    ln.fail(i, "unbalanced brackets in payload literal", col=start + 1)
 
 
 def _reject_constant(name: str):
@@ -302,38 +314,76 @@ _NUMBERS = {
     "parse_float": _finite(float),
     "parse_int": _finite(int),
 }
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _parse_payload(cur: _Cursor, theory: str) -> Payload:
-    kind = cur.word()
-    if kind is None or kind not in Payload.KINDS:
-        cur.fail("missing payload kind", expected=list(Payload.KINDS))
-    cur.expect_punct("=")
+def _parse_payload(ln: _Line, i: int, theory: str) -> tuple[Payload, int]:
+    toks = ln.toks
+    kind = toks[i]
+    if kind not in Payload.KINDS:
+        named = kind[:1] in _NAME_START  # a name is taken, and the error follows it
+        ln.fail(i + named, "missing payload kind", list(Payload.KINDS), after=named)
+    i = ln.expect(i + 1, "=")
     complex_ok = BACKENDS[theory].pair_payloads and kind != "stoch"
-    if cur.peek() == "[":
-        # each number converted once; a literal that fails here is scanned and parsed
-        # again below, which locates its first fault
-        try:
-            raw, end = _DECODER.raw_decode(cur.text, cur.pos)
-            data = _payload_tree(kind, raw, complex_ok)
-        except (ValueError, OverflowError, RecursionError):
-            pass
-        else:
-            cur.pos = end
-            return Payload(kind, data)
-    span, col = _scan_bracketed(cur)
+    literal = toks[i]
+    if literal[:1] == "[" and len(literal) > 1:
+        # a literal of numbers and brackets is one token, read by C-level calls;
+        # one they refuse is scanned and parsed again below, which locates its first fault
+        data = _literal_tree(_DEPTH[kind], literal, complex_ok)
+        if data is not None:
+            return Payload(kind, data), i + 1
+    span, col = _scan_bracketed(ln, i)
     try:
         raw = json.loads(span, **_NUMBERS)
     except json.JSONDecodeError as e:
-        cur.fail(f"bad payload literal: {e.msg}", col=col + e.pos)
+        ln.fail(i, f"bad payload literal: {e.msg}", col=col + e.pos)
     except ValueError as e:
-        cur.fail(f"bad payload literal: {e}", col=col)
+        ln.fail(i, f"bad payload literal: {e}", col=col)
     try:
         data = _payload_tree(kind, raw, complex_ok)
     except ValueError as e:
-        cur.fail(str(e), col=col)
-    return Payload(kind, data)
+        ln.fail(i, str(e), col=col)
+    return Payload(kind, data), i + 1
+
+
+_DEPTH = {"vec": 1, "dens": 2, "choi": 2, "stoch": 2, "kraus": 3}  # list levels above a scalar
+_scan_json = json.JSONDecoder().scan_once  # the C scanner: (value, end) of the value at an offset
+
+
+def _literal_tree(depth: int, literal: str, complex_ok: bool) -> tuple | None:
+    """``_payload_tree`` of a literal whose scalars are all numbers, or all
+    [re,im] pairs, in non-empty lists ``depth`` deep whose lengths agree at
+    each depth; None for any other."""
+    try:
+        raw, end = _scan_json(literal, 0)
+        if end != len(literal):
+            return None
+        first = raw
+        for _ in range(depth):
+            first = first[0]
+        row = _pair_row if complex_ok and type(first) is list else _number_row
+        if depth == 1:
+            tree = row(raw)
+            rows = (tree,)
+        elif depth == 2:
+            tree = rows = tuple(map(row, raw))
+        else:
+            tree = tuple([tuple(map(row, m)) for m in raw])
+            if len({len(m) for m in tree}) != 1:
+                return None
+            rows = tuple(chain.from_iterable(tree))
+        if len(set(map(len, rows))) != 1 or max(map(abs, chain.from_iterable(rows))) == math.inf:
+            return None
+    except (ValueError, TypeError, IndexError, OverflowError, RecursionError, StopIteration):
+        return None
+    return tree
+
+
+def _number_row(row: list) -> tuple:
+    return tuple(map(float, row))  # a list in place of a number raises
+
+
+def _pair_row(row: list) -> tuple:
+    return tuple([complex(re, im) for re, im in row])  # so does a number, or a list not of two
 
 
 _NUMBER_TYPES = (int, float)  # as JSON gives them; a bool is neither
@@ -392,147 +442,162 @@ def _payload_tree(kind: str, raw, complex_ok: bool) -> tuple:
     raise ValueError(f"unknown payload kind {kind!r}")
 
 
-def _parse_chain(cur: _Cursor, op: str, parse_part, node):
-    parts = [parse_part(cur)]
-    while cur.try_punct(op):
-        parts.append(parse_part(cur))
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], node):  # both operators group to the left: (a ; b) ; c is a ; b ; c
-        parts[:1] = parts[0].parts
-    return node(tuple(parts))
+def _parse_chain(ln: _Line, i: int, op: str, parse_part, node):
+    first, i = parse_part(ln, i)
+    toks = ln.toks
+    if toks[i] != op:
+        return first, i
+    parts = [first]
+    while toks[i] == op:
+        part, i = parse_part(ln, i + 1)
+        parts.append(part)
+    if isinstance(first, node):  # both operators group to the left: (a ; b) ; c is a ; b ; c
+        parts[:1] = first.parts
+    return node(tuple(parts)), i
 
 
-def _parse_expr(cur: _Cursor):
-    return _parse_chain(cur, ";", _parse_par, SeqExpr)
+def _parse_expr(ln: _Line, i: int):
+    return _parse_chain(ln, i, ";", _parse_par, SeqExpr)
 
 
-def _parse_par(cur: _Cursor):
-    return _parse_chain(cur, "*", _parse_atom, ParExpr)
+def _parse_par(ln: _Line, i: int):
+    return _parse_chain(ln, i, "*", _parse_atom, ParExpr)
 
 
-def _parse_atom(cur: _Cursor):
-    if cur.try_punct("("):
-        if cur.depth == MAX_NESTING:
-            cur.fail(f"parentheses nested deeper than {MAX_NESTING}", col=cur.pos)
-        cur.depth += 1
-        inner = _parse_expr(cur)
-        cur.expect_punct(")")
-        cur.depth -= 1
-        return inner
-    name = cur.word()
-    if name is None:
-        cur.fail("missing circuit term", expected=["name", "id(", "swap(", "trace(", "("])
-    node = {"id": IdExpr, "swap": SwapExpr, "trace": TraceExpr}.get(name)
+_TERMS = {"id": IdExpr, "swap": SwapExpr, "trace": TraceExpr}
+
+
+def _parse_atom(ln: _Line, i: int):
+    tok = ln.toks[i]
+    if tok == "(":
+        if ln.depth == MAX_NESTING:
+            ln.fail(i, f"parentheses nested deeper than {MAX_NESTING}", col=ln.spans()[i][0] + 1)
+        ln.depth += 1
+        inner, i = _parse_expr(ln, i + 1)
+        i = ln.expect(i, ")")
+        ln.depth -= 1
+        return inner, i
+    if tok[:1] not in _NAME_START:
+        ln.fail(i, "missing circuit term", ["name", "id(", "swap(", "trace(", "("])
+    node = _TERMS.get(tok)
     if node is None:
-        return Ref(name)
-    cur.expect_punct("(")
-    words = [_parse_sysexpr(cur)]
+        return Ref(tok), i + 1
+    words = [None]
+    words[0], i = _parse_sysexpr(ln, ln.expect(i + 1, "("))
     if node is SwapExpr:
-        cur.expect_punct(",")
-        words.append(_parse_sysexpr(cur))
-    cur.expect_punct(")")
-    return node(*words)
+        right, i = _parse_sysexpr(ln, ln.expect(i, ","))
+        words.append(right)
+    return node(*words), ln.expect(i, ")")
 
 
 _STATEMENT_WORDS = ("theory", "system", "state", "effect", "box", "test", "circuit")
 
 
 def parse(text: str) -> Document:
-    """Parse a workbench file; the first problem raises a located error."""
+    """Parse a workbench file; the first problem raises a located error.
+    Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line."""
     theory: str | None = None
     statements: list = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not line:
             continue
-        cur = _Cursor(line, line_no)
-        head = cur.word(_KEYWORD)
-        if head is None or head not in _STATEMENT_WORDS:
-            cur.fail(
-                f"unknown statement {head if head is not None else cur.peek()!r}",
-                expected=list(_STATEMENT_WORDS), col=1,
-            )
+        m = _HEAD.match(line)
+        head = m.group(1)
+        if head not in _STATEMENT_WORDS:
+            found = head if head is not None else line[m.end()]
+            raise DslParseError(f"unknown statement {found!r}", line_no, 1, list(_STATEMENT_WORDS))
         if head == "theory":
             if theory is not None:
-                cur.fail("duplicate theory declaration", col=1)
+                raise DslParseError("duplicate theory declaration", line_no, 1)
             if statements:
-                cur.fail("the theory declaration must come first", col=1)
-            name = cur.word(_KEYWORD)
-            if name is None or name not in BACKENDS:
-                cur.fail("unknown theory", expected=list(BACKENDS))
-            theory = name
-            cur.expect_end()
+                raise DslParseError("the theory declaration must come first", line_no, 1)
+            at = _BLANKS.match(line, m.end()).end()
+            name = _KEYWORD.match(line, at)  # a theory name may hold '-', as quantum-real does
+            if name is None or name.group() not in BACKENDS:
+                col = (at if name is None else name.end()) + 1
+                raise DslParseError("unknown theory", line_no, col, list(BACKENDS))
+            theory = name.group()
+            _Line(line, line_no, name.end()).end(0)
             continue
         if theory is None:
-            cur.fail("file must start with a theory declaration", col=1,
-                     expected=["theory"])
+            raise DslParseError("file must start with a theory declaration", line_no, 1,
+                                ["theory"])
+        ln = _Line(line, line_no, m.end())
+        toks = ln.toks
         if head == "system":
-            name = cur.expect_name("system name")
+            name = ln.name(0, "system name")
             if name == "I":
-                cur.fail("'I' names the trivial system and cannot be declared")
-            w = cur.word()
-            if w != "dim":
-                cur.fail("missing 'dim='", expected=["dim"])
-            cur.expect_punct("=")
-            dim = cur.expect_int("system dimension")
+                ln.fail(1, "'I' names the trivial system and cannot be declared", after=True)
+            if toks[1] != "dim":
+                named = toks[1][:1] in _NAME_START
+                ln.fail(1 + named, "missing 'dim='", ["dim"], after=named)
+            tok = toks[ln.expect(2, "=")]
+            if tok[:1] not in _DIGITS:
+                ln.fail(3, "missing system dimension", ["integer"])
+            digits = _INT.match(tok).group()
+            if len(digits) < len(tok):  # a word such as 12ab: the integer ends at its letters
+                ln.cut(3, ln.spans()[3][0] + len(digits))
+            if len(digits) > MAX_DIGITS:
+                ln.fail(3, f"system dimension has more than {MAX_DIGITS} digits")
+            dim = int(digits)
             if dim < 1:
-                cur.fail("system dimension must be at least 1")
-            cur.expect_end()
+                ln.fail(4, "system dimension must be at least 1", after=True)
+            ln.end(4)
             statements.append(SystemDecl(name, dim, line_no))
         elif head == "circuit":
-            name = cur.expect_name("circuit name")
-            cur.expect_punct("=")
-            expr = _parse_expr(cur)
-            cur.expect_end()
+            name = ln.name(0, "circuit name")
+            expr, i = _parse_expr(ln, ln.expect(1, "="))
+            ln.end(i)
             statements.append(CircuitDef(name, expr, line_no))
         else:  # state, effect, box or test: a name, its wires, then its payloads
-            name = cur.expect_name(f"{head} name")
-            cur.expect_punct(":")
-            win = _parse_sysexpr(cur)
+            name = ln.name(0, f"{head} name")
+            win, i = _parse_sysexpr(ln, ln.expect(1, ":"))
             if head == "state":
                 win, wout = (), win
             elif head == "effect":
                 wout = ()
             else:
-                cur.expect_punct("->")
-                wout = _parse_sysexpr(cur)
+                wout, i = _parse_sysexpr(ln, ln.expect(i, "->"))
             if head != "test":
-                cur.expect_punct("=")
-                payload = _parse_payload(cur, theory)
-                cur.expect_end()
+                payload, i = _parse_payload(ln, ln.expect(i, "="), theory)
+                ln.end(i)
                 statements.append(BoxDef(head, name, win, wout, payload, line_no))
                 continue
-            w = cur.word()
-            if w != "outcomes":
-                cur.fail("missing 'outcomes={...}'", expected=["outcomes"])
-            cur.expect_punct("=")
-            cur.expect_punct("{")
-            labels = [cur.expect_label()]
-            while cur.try_punct(","):
-                labels.append(cur.expect_label())
-            cur.expect_punct("}")
+            if toks[i] != "outcomes":
+                named = toks[i][:1] in _NAME_START
+                ln.fail(i + named, "missing 'outcomes={...}'", ["outcomes"], after=named)
+            i = ln.expect(ln.expect(i + 1, "="), "{")
+            labels = [ln.label(i)]
+            i += 1
+            while toks[i] == ",":
+                labels.append(ln.label(i + 1))
+                i += 2
+            i = ln.expect(i, "}")
             if len(set(labels)) != len(labels):
-                cur.fail("duplicate outcome label")
-            cur.expect_punct("{")
+                ln.fail(i, "duplicate outcome label", after=True)
+            i = ln.expect(i, "{")
             branch_map: dict[str, Payload] = {}
             while True:
-                label = cur.expect_label("branch label")
+                label = ln.label(i, "branch label")
+                i += 1
                 if label not in labels:
-                    cur.fail(f"branch label {label!r} is not in the outcome set",
-                             expected=labels)
+                    ln.fail(i, f"branch label {label!r} is not in the outcome set", labels, after=True)
                 if label in branch_map:
-                    cur.fail(f"duplicate branch for outcome {label!r}")
-                cur.expect_punct(":")
-                branch_map[label] = _parse_payload(cur, theory)
-                if cur.try_punct(";") and cur.peek() != "}":
-                    continue
-                cur.expect_punct("}")
+                    ln.fail(i, f"duplicate branch for outcome {label!r}", after=True)
+                branch_map[label], i = _parse_payload(ln, ln.expect(i, ":"), theory)
+                if toks[i] == ";":
+                    i += 1
+                    if toks[i] != "}":
+                        continue
+                i = ln.expect(i, "}")
                 break
             missing = [l for l in labels if l not in branch_map]
             if missing:
-                cur.fail(f"missing branch for outcome {missing[0]!r}")
-            cur.expect_end()
+                ln.fail(i, f"missing branch for outcome {missing[0]!r}", after=True)
+            ln.end(i)
             statements.append(TestDef(
                 name, win, wout, tuple(labels),
                 tuple(branch_map[l] for l in labels), line_no,

@@ -208,6 +208,32 @@ def test_system_dimensions_are_ascii_digits(dim):
     assert e.message.startswith("missing system dimension")
 
 
+SPLITLINES_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BREAK_IDS = ["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"]
+
+
+@pytest.mark.parametrize("brk", SPLITLINES_BREAKS, ids=BREAK_IDS)
+def test_only_newlines_end_a_line(brk):
+    # at the end of a line such a character is stripped like a blank, and the
+    # lines after it keep their numbers
+    e = err(f"theory quantum\nsystem Q dim=2{brk}\ncircuit c = id(Q)\ncircuit c = id(Q)\n")
+    assert (e.line, e.column) == (4, 1)
+    assert e.message == "duplicate definition of 'c'"
+
+
+@pytest.mark.parametrize("brk", SPLITLINES_BREAKS, ids=BREAK_IDS)
+def test_a_line_break_character_inside_a_statement_is_located(brk):
+    e = err(f"theory quantum\nsystem Q dim=2\ncircuit c = id(Q){brk}circuit d = id(Q)\n")
+    assert (e.line, e.column) == (3, 18)
+    assert e.message.startswith(f"unexpected trailing text {brk + 'circuit d = id(Q)'!r}")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_newline_conventions_number_lines_alike(newline):
+    e = err(newline.join(["theory quantum", "system Q dim=2", "", "circuit c = id(R)", ""]))
+    assert (e.line, e.column) == (4, 1)
+
+
 def test_duplicate_outcome_label():
     e = err(
         "theory quantum\nsystem Q dim=2\n"
