@@ -326,17 +326,23 @@ class TheoryBackend(abc.ABC):
         for payload, input_type, output_type in items:
             try:
                 ch = self._channel_from_payload(payload, input_type, output_type)
-                if not np.isfinite(ch.kernel).all():
-                    raise OptlabError(f"{payload.kind} payload has non-finite entries")
             except OptlabError as e:
                 out.append(e)
                 continue
             shapes.setdefault((ch.kernel.shape, ch.kernel.dtype), []).append(len(out))
             out.append(ch)
         for at in shapes.values():  # a kernel's shape fixes its wires' dimensions
+            kernels = np.array([out[k].kernel for k in at])
+            finite = np.isfinite(kernels).all(axis=(-2, -1))
+            if not finite.all():
+                for i in np.flatnonzero(~finite):
+                    out[at[i]] = OptlabError(f"{items[at[i]][0].kind} payload has non-finite entries")
+                at, kernels = [k for k, ok in zip(at, finite) if ok], kernels[finite]
+                if not at:
+                    continue
             first = out[at[0]]
             dims = self.hilbert_dim(first.input_type), self.hilbert_dim(first.output_type)
-            physical, certificate = self.check_kernels(np.array([out[k].kernel for k in at]), *dims)
+            physical, certificate = self.check_kernels(kernels, *dims)
             for i in np.flatnonzero(~physical):
                 ch = out[at[i]]
                 out[at[i]] = NotPhysicalError(certificate(i, self._role(ch.input_type, ch.output_type)))

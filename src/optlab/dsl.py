@@ -37,8 +37,8 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -352,7 +352,9 @@ _scan_json = json.JSONDecoder().scan_once  # the C scanner: (value, end) of the 
 def _literal_tree(depth: int, literal: str, complex_ok: bool) -> tuple | None:
     """``_payload_tree`` of a literal whose scalars are all numbers, or all
     [re,im] pairs, in non-empty lists ``depth`` deep whose lengths agree at
-    each depth; None for any other."""
+    each depth; None for any other, or for one with a number past the float
+    range.  A literal token holds no letter but ``e``, so its JSON holds
+    numbers and lists alone."""
     try:
         raw, end = _scan_json(literal, 0)
         if end != len(literal):
@@ -482,12 +484,11 @@ def _parse_atom(ln: _Line, i: int):
     node = _TERMS.get(tok)
     if node is None:
         return Ref(tok), i + 1
-    words = [None]
-    words[0], i = _parse_sysexpr(ln, ln.expect(i + 1, "("))
-    if node is SwapExpr:
-        right, i = _parse_sysexpr(ln, ln.expect(i, ","))
-        words.append(right)
-    return node(*words), ln.expect(i, ")")
+    word, i = _parse_sysexpr(ln, ln.expect(i + 1, "("))
+    if node is not SwapExpr:
+        return node(word), ln.expect(i, ")")
+    right, i = _parse_sysexpr(ln, ln.expect(i, ","))
+    return SwapExpr(word, right), ln.expect(i, ")")
 
 
 _STATEMENT_WORDS = ("theory", "system", "state", "effect", "box", "test", "circuit")
