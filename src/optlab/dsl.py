@@ -243,6 +243,15 @@ class _Line:
             self.fail(i, f"missing {token!r}", [repr(token)])
         return i + 1
 
+    def word(self, i: int, words, message: str) -> str:
+        """Token ``i`` if it is one of ``words``; otherwise raise, just past
+        it if it is a name and at it if not."""
+        tok = self.toks[i]
+        if tok not in words:
+            named = tok[:1] in _NAME_START
+            self.fail(i + named, message, list(words), after=named)
+        return tok
+
     def name(self, i: int, what: str) -> str:
         tok = self.toks[i]
         if tok[:1] not in _NAME_START:
@@ -317,14 +326,10 @@ _NUMBERS = {
 
 
 def _parse_payload(ln: _Line, i: int, theory: str) -> tuple[Payload, int]:
-    toks = ln.toks
-    kind = toks[i]
-    if kind not in Payload.KINDS:
-        named = kind[:1] in _NAME_START  # a name is taken, and the error follows it
-        ln.fail(i + named, "missing payload kind", list(Payload.KINDS), after=named)
+    kind = ln.word(i, Payload.KINDS, "missing payload kind")
     i = ln.expect(i + 1, "=")
     complex_ok = BACKENDS[theory].pair_payloads and kind != "stoch"
-    literal = toks[i]
+    literal = ln.toks[i]
     if literal[:1] == "[" and len(literal) > 1:
         # a literal of numbers and brackets is one token, read by C-level calls;
         # one they refuse is scanned and parsed again below, which locates its first fault
@@ -532,9 +537,7 @@ def parse(text: str) -> Document:
             name = ln.name(0, "system name")
             if name == "I":
                 ln.fail(1, "'I' names the trivial system and cannot be declared", after=True)
-            if toks[1] != "dim":
-                named = toks[1][:1] in _NAME_START
-                ln.fail(1 + named, "missing 'dim='", ["dim"], after=named)
+            ln.word(1, ("dim",), "missing 'dim='")
             tok = toks[ln.expect(2, "=")]
             if tok[:1] not in _DIGITS:
                 ln.fail(3, "missing system dimension", ["integer"])
@@ -567,9 +570,7 @@ def parse(text: str) -> Document:
                 ln.end(i)
                 statements.append(BoxDef(head, name, win, wout, payload, line_no))
                 continue
-            if toks[i] != "outcomes":
-                named = toks[i][:1] in _NAME_START
-                ln.fail(i + named, "missing 'outcomes={...}'", ["outcomes"], after=named)
+            ln.word(i, ("outcomes",), "missing 'outcomes={...}'")
             i = ln.expect(ln.expect(i + 1, "="), "{")
             labels = [ln.label(i)]
             i += 1
