@@ -171,9 +171,11 @@ class _MatrixTheory(TheoryBackend):
         input marginal, each decided for the whole stack at once."""
         j = linalg.choi_from_liouville(kernels, din, dout)
         top = np.abs(j).max(axis=(-2, -1))
+        guard = 64.0 * j.shape[-1] ** 3 * _EPS * top  # at the original scale; see below
         scale, unscale = np.ones(len(j)), np.ones(len(j))
         huge = top > SCALE_ABOVE
-        if huge.any():
+        scaled = huge.any()
+        if scaled:
             # checked scaled by an exact power of two, so that j + j* and the eigen
             # solves stay finite; values are reported at the original scale
             peak = np.maximum(np.abs(j.real), np.abs(j.imag)).max(axis=(-2, -1))
@@ -192,22 +194,24 @@ class _MatrixTheory(TheoryBackend):
         # The least Choi eigenvalue decides a kernel as eigh gives it, whose values
         # and eigenvector the certificate reports; eigvalsh, a third the cost on
         # 16 x 16 matrices, rounds differently.  Both reduce the n x n matrix A to
-        # tridiagonal form by Householder reflections and solve that (eigvalsh by
-        # QR, eigh by divide and conquer); each returns the exact eigenvalues of
-        # some A + E with |E|_2 <= c * n**2 * eps * |A|_2 for a small constant c
-        # (LAPACK Users' Guide 4.7; Higham, Accuracy and Stability of Numerical
-        # Algorithms, 19.3).  By Weyl's inequality no eigenvalue moves by more
-        # than |E|_2, and |A|_2 <= n * max|a_ij| <= n * top, so the two least
-        # eigenvalues differ by at most 2 * c * n**3 * eps * top.  The guard takes
-        # c = 32: a kernel whose eigvalsh minimum lies farther than it from -floor
-        # gets the verdict eigh would give; one inside it is decided by eigh.
-        guard = 64.0 * sym.shape[-1] ** 3 * _EPS * top
-        with np.errstate(over="ignore"):  # past the float range a value reads inf
-            residual, margin = residual * unscale, margin * unscale
-            min_eig = np.linalg.eigvalsh(sym)[:, 0] * unscale
-            near = np.flatnonzero(np.abs(min_eig + floor) <= guard * unscale)
-            if near.size:
-                min_eig[near] = np.linalg.eigh(sym[near])[0][:, 0] * unscale[near]
+        # tridiagonal form by Householder reflections and solve that, eigvalsh
+        # without eigenvectors and eigh with them; each returns the exact
+        # eigenvalues of some A + E with |E|_2 <= c * n**2 * eps * |A|_2 for a
+        # small constant c (LAPACK Users' Guide 4.7; Higham, Accuracy and
+        # Stability of Numerical Algorithms, 19.3).  By Weyl's inequality no
+        # eigenvalue moves by more than |E|_2, and |A|_2 <= n * max|a_ij| <=
+        # n * top, so the two least eigenvalues differ by at most
+        # 2 * c * n**3 * eps * top, a bound that scales with the matrix.  The
+        # guard takes c = 32: a kernel whose eigvalsh minimum lies farther than
+        # it from -floor gets the verdict eigh would give; one inside it is
+        # decided by eigh.
+        min_eig = np.linalg.eigvalsh(sym)[:, 0]
+        if scaled:
+            with np.errstate(over="ignore"):  # past the float range a value reads inf
+                residual, min_eig, margin = residual * unscale, min_eig * unscale, margin * unscale
+        near = np.abs(min_eig + floor) <= guard
+        if near.any():
+            min_eig[near] = np.linalg.eigh(sym[near])[0][:, 0] * unscale[near]
         negative, leaky = min_eig < -floor, margin < -floor
 
         def certificate(i: int, role: str) -> PhysicalityCertificate:

@@ -2,7 +2,7 @@
 ``eigh`` inside a guard band around ``-eigenvalue_floor``: the verdicts and the
 failing certificates are those of ``eigh`` for every kernel."""
 
-import sys
+import os
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +98,9 @@ def test_certify_channel_reports_the_eigh_eigenvalue(backend):
 
 def test_far_from_the_floor_eigh_never_runs(monkeypatch):
     """The seed-7 ladder-prob documents of the benchmark bind without one eigh call."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # run.py sets them on import
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import run
 
     docs = [dsl.parse(op.text) for op in run.WORKLOADS["ladder-prob"](7)]

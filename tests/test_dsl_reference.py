@@ -3,7 +3,6 @@
 same exception type, message, line, column and ``expected`` field."""
 
 import random
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +12,7 @@ import dsl_reference
 from optlab import dsl
 from test_dsl import SPLITLINES_BREAKS, corpus, mutate
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from ladders import THEORIES, Ladder  # noqa: E402
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # str.splitlines breaks a line at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029,
 # and dsl.parse does not (test_dsl.py tests them); a text that holds one is left
@@ -35,7 +33,12 @@ def assert_same(text):
     assert outcome(dsl.parse, text) == outcome(dsl_reference.parse, text), text
 
 
-def ladder_texts():
+@pytest.fixture
+def ladder_texts(monkeypatch):
+    """The benchmark's ladders, open and closed, on every theory for n = 2..5."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from ladders import THEORIES, Ladder
+
     rng = np.random.default_rng(27)
     return [Ladder(rng, theory, n, closed).text()
             for theory in THEORIES for n in range(2, 6) for closed in (False, True)]
@@ -48,10 +51,9 @@ def test_fixtures_parse_to_equal_documents(fixture_dir):
         assert_same(text)
 
 
-def test_ladders_parse_to_equal_documents():
-    texts = ladder_texts()
-    assert len(texts) == 24
-    for text in texts:
+def test_ladders_parse_to_equal_documents(ladder_texts):
+    assert len(ladder_texts) == 24
+    for text in ladder_texts:
         assert_same(text)
 
 
@@ -151,11 +153,11 @@ def test_crafted_files_agree(text):
     assert_same(text)
 
 
-def test_mutants_agree(fixture_dir):
+def test_mutants_agree(fixture_dir, ladder_texts):
     """2 000 mutants of the fixtures and 1 000 of small ladders, as the
     corruption test draws them."""
     texts = [Path(p).read_text() for p in corpus(fixture_dir)]
-    ladders = [t for t in ladder_texts() if t.count("\n") < 40]
+    ladders = [t for t in ladder_texts if t.count("\n") < 40]
     rng = random.Random(2727)
     for _ in range(2000):
         assert_same(mutate(rng.choice(texts), rng))
