@@ -4,35 +4,49 @@ Floats print with ``%.17g``, the fixed 17-significant-digit form, which
 round-trips every float64 (``repr`` would give the shortest form instead);
 ``-0.0`` prints as ``0`` and non-finite floats are refused.  Complex scalars
 become two-element [re, im] arrays, arrays become row-major nested lists, and
-object keys are sorted.  The writer is a tiny recursive formatter rather than
-a ``json.dumps`` configuration because the float format must be pinned down
+object keys are sorted.  The writer is its own formatter rather than a
+``json.dumps`` configuration because the float format must be pinned down
 to the byte.
 
-A report is written in one walk, which converts each value as it meets it
-(:func:`_value`): numpy scalars and 0-d arrays become Python scalars, a
-``SystemType`` its string, a ``Channel`` its wire types and kernel, and any
-other dataclass (a ``StateVector``, an audit's report) its fields.  A finite
-real floating array of one or more dimensions (a transfer matrix, a state's
-coordinates) is normalised and checked once as a whole, and its outer axes are
-laid out like nested lists.  Every other array, including one holding ``nan``
-or ``inf``, is written through ``tolist()``, so it prints, or fails, exactly
-as a nested list would.
+A report is walked once, into a ``%``-template (:class:`_Template`).  Each
+float, a scalar or an entry of an array, becomes a ``%.17g`` slot and is
+collected in slot order; all other text (keys and strings escaped by
+``json``'s ASCII encoder, integers, ``null``, brackets, indentation) goes in
+with its ``%`` doubled.  The walk ends with one numpy pass over the collected
+floats, which turns ``-0.0`` into ``0.0`` and refuses the first non-finite
+one, and one ``template % floats`` call, which prints them all.  When the walk
+meets a value it cannot write, the floats met before it are checked first, so
+the error raised is the one of the first bad value in walk order.
 
-The innermost rows of such an array take one of two routes, and both print
-the bytes of ``%.17g``:
+Each value is written by the writer of its exact type, found in one lookup
+(``_WRITERS``).  A type is resolved on its first use by subclass tests, in
+this order: numpy arrays, numpy floats and integers, complex numbers, a
+``SystemType`` (its string), a ``Channel`` (its wire types and kernel), any
+other dataclass (its fields, named and escaped once per class), ``None``,
+booleans, integers, floats, strings, dicts, then lists and tuples.  Dict keys
+are compared as strings, and each key's text is escaped once and kept
+(:func:`_key`).  A list whose items all print as numbers, booleans or null takes
+one line; any other list, and every dict, takes one line per item.  An array
+that is a subclass, 0-d, or not real floating is written as its ``tolist()``.
 
-* An array of fewer than ``_VECTOR_MIN`` (1024) entries prints each row by one
-  C-level ``%``-format call (:func:`_row_text`).  That call pays CPython's
-  exact ``dtoa`` for every float, about 0.55 us each.
-* A larger array prints in blocks of rows of about 8 k entries, whose 17
-  digits and text are computed with numpy arithmetic (:func:`_exact_rows`),
+A real floating array of one or more dimensions is laid out like nested
+lists, and its entries take one of two routes, both printing the bytes of
+``%.17g``:
+
+* An array of fewer than ``_VECTOR_MIN`` (1024) entries, or one holding
+  ``nan`` or ``inf``, puts one slot per entry in the template, where it pays
+  CPython's exact ``dtoa``, about 0.55 us a float.
+* A larger finite array prints in blocks of rows of about 8 k entries, whose
+  17 digits and text are computed with numpy arithmetic (:func:`_exact_rows`),
   about 0.1-0.15 us a float.  Each entry is *certified*, its digits proven to
   be those of ``%.17g``, when it is 0 or lies in [1e-292, 10) in magnitude
   (the range the arithmetic is proven for and the text slots hold), when
   log10 gave its decade right, and when it lies farther than a proven bound
   from a rounding tie.  A row holding an entry that is not certified is
-  printed by :func:`_row_text` instead, so an array of large numbers costs
-  a few percent more than by ``%`` alone.
+  printed by one ``%`` call of its own (:func:`_row_text`), so an array of
+  large numbers costs a few percent more than by ``%`` alone.  The array's
+  text is kept apart and joined in between the template's segments, each
+  formatted by its own ``%`` call, so it is not copied through ``%`` again.
 
 The vectorized route costs about 65 us per block however small, so it wins
 from about 200 entries on orthogonal matrices; but zeros and ones print fast
@@ -44,8 +58,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
+import itertools
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -66,31 +81,6 @@ def format_float(x: float) -> str:
         x = 0.0  # normalize negative zero
     text = f"{x:.17g}"
     return text
-
-
-def _value(obj):
-    """``obj`` converted one level deep for :func:`_write`; what it holds is
-    converted when the writer reaches it."""
-    if isinstance(obj, np.ndarray):
-        if type(obj) is np.ndarray and obj.dtype.kind == "f" and obj.ndim:
-            a = obj.astype(np.float64, copy=False) + 0.0  # + 0.0 turns -0.0 into 0.0
-            if np.isfinite(a).all():
-                return a
-        obj = obj.tolist()  # nested lists, or a 0-d array's scalar, converted below
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, SystemType):
-        return str(obj)
-    if isinstance(obj, Channel):
-        return {"input": obj.input_type, "output": obj.output_type, "kernel": obj.kernel}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return obj
 
 
 def _row_text(row: np.ndarray) -> str:
@@ -219,12 +209,10 @@ def _exact_rows(block: np.ndarray) -> list[str | None]:
 
 
 def _row_texts(rows: np.ndarray):
-    """Yield the text of each row of a finite float64 matrix, in order."""
+    """Yield the text of each row of a finite float64 matrix of at least
+    ``_VECTOR_MIN`` entries, in order."""
     n, width = rows.shape
-    if rows.size < _VECTOR_MIN:
-        for row in rows:
-            yield _row_text(row)
-    elif width > _BLOCK:  # one row per block would not bound the scratch arrays
+    if width > _BLOCK:  # one row per block would not bound the scratch arrays
         for row in rows:
             parts = [_exact_rows(row[None, i:i + _BLOCK])[0] for i in range(0, width, _BLOCK)]
             yield _row_text(row) if None in parts else ", ".join(parts)
@@ -254,63 +242,220 @@ def _lay_out(shape: tuple[int, ...], rows, out: list[str], indent: int) -> None:
     out.append(pad + "]")
 
 
-def _write(obj, out: list[str], indent: int) -> None:
-    """Append the text of ``obj``, which :func:`_value` has converted."""
+class _Template:
+    """A report as a ``%``-template: its text with ``%`` doubled and a
+    ``%.17g`` slot per float (``parts``), the floats in slot order, and the
+    text of each large array with the place it goes."""
+
+    __slots__ = ("parts", "floats", "raws")
+
+    def __init__(self) -> None:
+        self.parts: list[str] = []
+        self.floats: list[float] = []
+        self.raws: list[tuple[int, int, list[str]]] = []  # (len(parts), len(floats), text)
+
+    def text(self) -> str:
+        values = _values(self.floats)
+        chunks: list[str] = []
+        p = f = 0
+        for p_end, f_end, raw in self.raws:
+            chunks.append("".join(self.parts[p:p_end]) % values[f:f_end])
+            chunks += raw
+            p, f = p_end, f_end
+        chunks.append("".join(self.parts[p:]) % values[f:])
+        return "".join(chunks)
+
+
+def _values(floats: list[float]) -> tuple[float, ...]:
+    """``floats`` as Python floats, ``-0.0`` made ``0.0``; the first
+    non-finite one raises as :func:`format_float` does."""
+    if not floats:
+        return ()
+    a = np.array(floats, dtype=np.float64) + 0.0
+    finite = np.isfinite(a)
+    if not finite.all():
+        format_float(floats[int(finite.argmin())])
+    return tuple(a.tolist())
+
+
+def _string(s: str) -> str:
+    return encode_basestring_ascii(s).replace("%", "%%")
+
+
+@functools.lru_cache(maxsize=4096)
+def _key(key: str) -> str:
+    """The text ``"key": `` of a dict key."""
+    return _string(key) + ": "
+
+
+def _members(keys, values, indent: int, t: _Template) -> None:
+    """Append an object of the key texts ``keys`` and their ``values``."""
+    parts, floats = t.parts, t.floats
+    if not keys:
+        parts.append("{}")
+        return
     pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
+    sep = ",\n  " + pad
+    parts.append("{\n  " + pad)
+    for key, v in zip(keys, values):
+        parts.append(key)
+        cls = type(v)
+        if cls is float:
+            parts.append("%.17g")
+            floats.append(v)
+        elif cls is str:
+            parts.append(_string(v))
+        elif cls is int:
+            parts.append(str(v))
+        else:
+            _WRITERS[cls](v, indent + 1, t)
+        parts.append(sep)
+    parts[-1] = "\n" + pad + "}"
+
+
+def _dict(obj: dict, indent: int, t: _Template) -> None:
+    if not all(type(k) is str for k in obj):
+        obj = {str(k): v for k, v in obj.items()}  # of two keys that print alike, the later wins
+    keys = sorted(obj)
+    _members(list(map(_key, keys)), [obj[k] for k in keys], indent, t)
+
+
+def _channel(obj: Channel, indent: int, t: _Template) -> None:
+    _members([_key("input"), _key("kernel"), _key("output")],
+             [obj.input_type, obj.kernel, obj.output_type], indent, t)
+
+
+def _fields(cls: type):
+    """The writer of a dataclass: its fields as an object."""
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    keys = list(map(_key, names))
+
+    def write(obj, indent: int, t: _Template) -> None:
+        _members(keys, [getattr(obj, name) for name in names], indent, t)
+
+    return write
+
+
+def _list(obj: list | tuple, indent: int, t: _Template) -> None:
+    parts = t.parts
+    if not obj:
+        parts.append("[]")
+        return
+    if all(type(v) is float for v in obj):
+        parts.append("[" + ", ".join(["%.17g"] * len(obj)) + "]")
+        t.floats += obj
+        return
+    if all(map(_is_scalar, obj)):
+        parts.append("[")
+        for v in obj:
+            _WRITERS[type(v)](v, indent, t)
+            parts.append(", ")
+        parts[-1] = "]"
+        return
+    pad = "  " * indent
+    sep = ",\n  " + pad
+    parts.append("[\n  " + pad)
+    for v in obj:
+        _WRITERS[type(v)](v, indent + 1, t)
+        parts.append(sep)
+    parts[-1] = "\n" + pad + "]"
+
+
+def _array(obj: np.ndarray, indent: int, t: _Template) -> None:
+    if type(obj) is not np.ndarray or obj.dtype.kind != "f" or not obj.ndim:
+        obj = obj.tolist()  # nested lists, or a 0-d array's scalar
+        _WRITERS[type(obj)](obj, indent, t)
+        return
+    a = obj.astype(np.float64, copy=False)
+    if a.size >= _VECTOR_MIN:
+        a = a + 0.0  # + 0.0 turns -0.0 into 0.0
+        if np.isfinite(a).all():
+            text: list[str] = []
+            _lay_out(a.shape, _row_texts(a.reshape(-1, a.shape[-1])), text, indent)
+            t.raws.append((len(t.parts), len(t.floats), text))
             return
-        out.append("{\n")
-        lookup = {str(k): v for k, v in obj.items()}
-        keys = sorted(lookup)
-        for i, k in enumerate(keys):
-            out.append(pad + "  " + json.dumps(k, ensure_ascii=True) + ": ")
-            _write(_value(lookup[k]), out, indent + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, np.ndarray):  # finite float64, one or more dimensions
-        rows = obj.reshape(math.prod(obj.shape[:-1]), obj.shape[-1])
-        _lay_out(obj.shape, _row_texts(rows), out, indent)
-    elif isinstance(obj, (list, tuple)):
-        items = [_value(v) for v in obj]
-        if not items:
-            out.append("[]")
-            return
-        flat = all(isinstance(v, (int, float, bool)) or v is None for v in items)
-        if flat:
-            out.append("[")
-            for i, v in enumerate(items):
-                _write(v, out, indent)
-                if i + 1 < len(items):
-                    out.append(", ")
-            out.append("]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(items):
-            out.append(pad + "  ")
-            _write(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+    _lay_out(a.shape, itertools.repeat(", ".join(["%.17g"] * a.shape[-1])), t.parts, indent)
+    t.floats += a.ravel().tolist()
+
+
+def _null(obj, indent: int, t: _Template) -> None:
+    t.parts.append("null")
+
+
+def _bool(obj: bool, indent: int, t: _Template) -> None:
+    t.parts.append("true" if obj else "false")
+
+
+def _int(obj: int, indent: int, t: _Template) -> None:
+    t.parts.append(str(obj))
+
+
+def _float(obj: float, indent: int, t: _Template) -> None:
+    t.parts.append("%.17g")
+    t.floats.append(obj)
+
+
+def _complex(obj: complex, indent: int, t: _Template) -> None:
+    z = complex(obj)
+    t.parts.append("[%.17g, %.17g]")
+    t.floats += (z.real, z.imag)
+
+
+def _str(obj: str, indent: int, t: _Template) -> None:
+    t.parts.append(_string(obj))
+
+
+def _system(obj: SystemType, indent: int, t: _Template) -> None:
+    t.parts.append(_string(str(obj)))
+
+
+def _refuse(obj, indent: int, t: _Template) -> None:
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+_SCALARS = (_null, _bool, _int, _float)
+
+
+def _is_scalar(v) -> bool:
+    """Whether ``v`` prints as a number, a boolean or null."""
+    writer = _WRITERS[type(v)]
+    return writer in _SCALARS or (writer is _array and not v.ndim and _is_scalar(v.tolist()))
+
+
+def _resolve(cls: type):
+    """The writer of ``cls``: that of the first of these bases it has."""
+    for base, writer in [(np.ndarray, _array), (np.floating, _float), (np.integer, _int),
+                         ((complex, np.complexfloating), _complex), (SystemType, _system),
+                         (Channel, _channel)]:
+        if issubclass(cls, base):
+            return writer
+    if dataclasses.is_dataclass(cls):
+        return _fields(cls)
+    for base, writer in [(type(None), _null), (bool, _bool), (int, _int), (float, _float),
+                         (str, _str), (dict, _dict), ((list, tuple), _list)]:
+        if issubclass(cls, base):
+            return writer
+    return _refuse
+
+
+class _Writers(dict):
+    """The writer of each type, resolved on its first use."""
+
+    def __missing__(self, cls: type):
+        writer = self[cls] = _resolve(cls)
+        return writer
+
+
+_WRITERS = _Writers()
 
 
 def dumps_canonical(obj) -> str:
     """Canonical JSON text (trailing newline included)."""
-    out: list[str] = []
-    _write(_value(obj), out, 0)
-    out.append("\n")
-    return "".join(out)
+    t = _Template()
+    try:
+        _WRITERS[type(obj)](obj, 0, t)
+    except Exception:
+        _values(t.floats)  # a non-finite float met before the fault is reported instead
+        raise
+    t.parts.append("\n")
+    return t.text()

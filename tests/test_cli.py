@@ -422,6 +422,16 @@ def test_parse_errors_carry_a_location(run, tmp_path):
     assert "payload" in payload["error"]
 
 
+def test_a_percent_sign_in_an_error_reaches_stdout_as_written(run, tmp_path):
+    p = tmp_path / "percent.opt"
+    p.write_text("theory quantum\nsystem Q dim=2\n%x\ncircuit c = id(Q)\n")
+    code, out = run("eval", p, "--circuit", "c")
+    assert code == 2
+    assert out == (
+        '{\n  "column": 1,\n  "error": "line 3, column 1: unknown statement \'%\' (expected one of: '
+        'box, circuit, effect, state, system, test, theory)",\n  "line": 3\n}\n')
+
+
 @pytest.mark.parametrize("theory", ["quantum", "quantum-real", "classical"])
 @pytest.mark.parametrize("body, column", [
     pytest.param("system Q dim=2\nstate s : Q = vec=[1e400, 0]", (3, 19), id="1e400"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -224,7 +225,11 @@ def float_arrays(draw, min_dims=0):
     return _VIEWS[draw(st.sampled_from(sorted(_VIEWS)))](base)
 
 
-scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=3) \
+# text a %-template could misread, JSON escapes and non-ASCII, among any text
+_HAZARDS = ["%", "%%", "%s", "%.17g", '"', "\\", "\u00e9", "\u2028", "\U0001f600", "a"]
+texts = st.text(max_size=3) | st.lists(st.sampled_from(_HAZARDS), max_size=3).map("".join)
+
+scalars = st.none() | st.booleans() | st.integers() | texts \
     | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([5e-324, 1e308, -1e308])
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -238,18 +243,66 @@ numpy_values = (
     | hnp.arrays(st.sampled_from([np.int64, np.complex128]), hnp.array_shapes(max_dims=2, max_side=3))
 )
 
+@dataclass(frozen=True)
+class _Tagged:
+    tag: object
+    weight: float
+
+
+systems = st.lists(st.sampled_from(["A", "B%s", "\u00e9"]), max_size=2).map(tuple).map(SystemType)
+objects = (
+    systems
+    | st.builds(Channel, systems, systems, float_arrays(min_dims=1) | numpy_values)
+    | st.builds(_Tagged, scalars | systems, st.floats())
+)
+
 reports = st.recursive(
-    float_arrays() | scalars | numpy_values,
+    float_arrays() | scalars | numpy_values | objects,
     lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
-    | st.dictionaries(st.text(max_size=3) | st.integers(0, 3), kids, max_size=3),
+    | st.dictionaries(texts | st.integers(0, 3), kids, max_size=3)
+    | st.dictionaries(st.sampled_from([0, 1, "0", "1"]), kids, max_size=3),  # keys that print alike
     max_leaves=6,
 )
 
 
-@settings(deadline=None)
+def _plain(obj):
+    """``obj`` with each ``SystemType`` made its string, each ``Channel`` a
+    dict of its wire types and kernel and each other dataclass a dict of its
+    fields, for the oracle."""
+    if isinstance(obj, SystemType):
+        return str(obj)
+    if isinstance(obj, Channel):
+        return {"input": str(obj.input_type), "output": str(obj.output_type), "kernel": obj.kernel}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_plain(v) for v in obj)
+    return obj
+
+
+@settings(deadline=None, max_examples=300)
 @given(reports)
 def test_array_path_matches_the_per_element_writer(obj):
-    assert _outcome(dumps_canonical, obj) == _outcome(_oracle_dumps, obj)
+    assert _outcome(dumps_canonical, obj) == _outcome(_oracle_dumps, _plain(obj))
+
+
+class _Opaque:
+    pass
+
+
+@pytest.mark.parametrize("fault", [_Opaque(), np.True_, 10 ** 5000], ids=["object", "numpy-bool", "long-int"])
+@pytest.mark.parametrize("non_finite", [
+    math.nan, -math.inf, np.float32("nan"), complex(0, math.inf), np.array([[1.0], [np.nan]]),
+    np.full(serialize._VECTOR_MIN, np.inf)], ids=["nan", "-inf", "float32-nan", "complex", "array", "large-array"])
+@pytest.mark.parametrize("first", ["non-finite", "fault"])
+def test_the_first_bad_value_in_walk_order_decides_the_error(fault, non_finite, first):
+    leaves = [non_finite, fault] if first == "non-finite" else [fault, non_finite]
+    for report in ([0.5, *leaves], {"z": leaves[1], "a": [-0.0, leaves[0]]}, [{"b": leaves[0]}, (leaves[1],)]):
+        outcome = _outcome(dumps_canonical, report)
+        assert outcome == _outcome(_oracle_dumps, report)
+        assert outcome[1].startswith("cannot serialize non-finite float") == (first == "non-finite")
 
 
 @settings(deadline=None)
@@ -330,6 +383,15 @@ def test_wide_arrays_match_the_per_element_writer(a):
     assert _outcome(dumps_canonical, report) == _outcome(_oracle_dumps, report)
 
 
+@settings(deadline=None, max_examples=30)
+@given(wide_float_arrays().filter(lambda a: a.size >= serialize._VECTOR_MIN), texts, st.lists(finite | st.sampled_from(_edges(np.float64)), max_size=3))
+def test_large_arrays_between_template_segments_match_the_per_element_writer(a, text, numbers):
+    """A large array's text is joined between two formatted template segments;
+    the floats and ``%`` strings around it must land in their own places."""
+    report = {text: [*numbers, a, "%s" + text], "%%": {"%.17g": a[..., :2], "x": 0.1}, "b": [a, -0.0, "%"]}
+    assert _outcome(dumps_canonical, report) == _outcome(_oracle_dumps, report)
+
+
 @pytest.mark.parametrize("shape", [(1023,), (1024,), (1025,), (31, 33), (32, 32), (41, 25), (3, 11, 31), (1, 5, 205)])
 def test_arrays_at_the_size_threshold_match_the_per_element_writer(shape):
     rng = np.random.default_rng(sum(shape))
@@ -378,10 +440,11 @@ def test_powers_of_ten_split_exactly_for_the_exact_product():
 
 def test_arrays_from_1024_entries_take_the_vectorized_route(monkeypatch):
     calls = []
-    monkeypatch.setattr(serialize, "_row_text", lambda row: calls.append(row.size) or "")
+    exact_rows = serialize._exact_rows
+    monkeypatch.setattr(serialize, "_exact_rows", lambda block: calls.append(block.shape) or exact_rows(block))
     rng = np.random.default_rng(4)
-    dumps_canonical(rng.standard_normal((31, 33)))
-    assert calls == [33] * 31
-    calls.clear()
-    dumps_canonical(rng.standard_normal((32, 32)))
+    small, large = rng.standard_normal((31, 33)), rng.standard_normal((32, 32))
+    assert dumps_canonical(small) == _oracle_dumps(small)
     assert calls == []
+    assert dumps_canonical(large) == _oracle_dumps(large)
+    assert len(calls) >= 1
