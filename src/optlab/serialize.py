@@ -454,8 +454,8 @@ def dumps_canonical(obj) -> str:
     t = _Template()
     try:
         _WRITERS[type(obj)](obj, 0, t)
-    except Exception:
-        _values(t.floats)  # a non-finite float met before the fault is reported instead
+    except (TypeError, ValueError):  # an unwritable value, or an int too long for str
+        _values(t.floats)  # a non-finite float met before it is the error instead
         raise
     t.parts.append("\n")
     return t.text()

@@ -243,6 +243,7 @@ numpy_values = (
     | hnp.arrays(st.sampled_from([np.int64, np.complex128]), hnp.array_shapes(max_dims=2, max_side=3))
 )
 
+
 @dataclass(frozen=True)
 class _Tagged:
     tag: object
@@ -384,7 +385,8 @@ def test_wide_arrays_match_the_per_element_writer(a):
 
 
 @settings(deadline=None, max_examples=30)
-@given(wide_float_arrays().filter(lambda a: a.size >= serialize._VECTOR_MIN), texts, st.lists(finite | st.sampled_from(_edges(np.float64)), max_size=3))
+@given(wide_float_arrays().filter(lambda a: a.size >= serialize._VECTOR_MIN), texts,
+       st.lists(finite | st.sampled_from(_edges(np.float64)), max_size=3))
 def test_large_arrays_between_template_segments_match_the_per_element_writer(a, text, numbers):
     """A large array's text is joined between two formatted template segments;
     the floats and ``%`` strings around it must land in their own places."""
