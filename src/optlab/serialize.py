@@ -85,8 +85,8 @@ def format_float(x: float) -> str:
 
 def _row_text(row: np.ndarray) -> str:
     """``%.17g`` of each entry of a row of finite floats, joined by ", ", in
-    one C-level format call."""
-    return ", ".join(["%.17g"] * len(row)) % tuple(row.tolist())
+    one C-level format call; ``-0.0`` prints as ``0``."""
+    return ", ".join(["%.17g"] * len(row)) % tuple((row + 0.0).tolist())
 
 
 @functools.cache
@@ -141,8 +141,8 @@ _MARGIN = 2.0 ** -40
 
 def _exact_rows(block: np.ndarray) -> list[str | None]:
     """:func:`_row_text` of each row of ``block``, a matrix of finite float64
-    without ``-0.0``, computed with numpy arithmetic; None for a row holding
-    an entry whose digits are not certified.
+    (a zero of either sign prints as 0), computed with numpy arithmetic; None
+    for a row holding an entry whose digits are not certified.
 
     An entry x is printed from m, x * 10**s rounded to 17 digits, where s =
     16 - floor(log10(|x|)).  It is certified when it is 0, or when that decade
@@ -367,13 +367,11 @@ def _array(obj: np.ndarray, indent: int, t: _Template) -> None:
         _WRITERS[type(obj)](obj, indent, t)
         return
     a = obj.astype(np.float64, copy=False)
-    if a.size >= _VECTOR_MIN:
-        a = a + 0.0  # + 0.0 turns -0.0 into 0.0
-        if np.isfinite(a).all():
-            text: list[str] = []
-            _lay_out(a.shape, _row_texts(a.reshape(-1, a.shape[-1])), text, indent)
-            t.raws.append((len(t.parts), len(t.floats), text))
-            return
+    if a.size >= _VECTOR_MIN and np.isfinite(a).all():
+        text: list[str] = []
+        _lay_out(a.shape, _row_texts(a.reshape(-1, a.shape[-1])), text, indent)
+        t.raws.append((len(t.parts), len(t.floats), text))
+        return
     _lay_out(a.shape, itertools.repeat(", ".join(["%.17g"] * a.shape[-1])), t.parts, indent)
     t.floats += a.ravel().tolist()
 
