@@ -8,7 +8,12 @@ A change that is meant to
 keep the output byte-for-byte (a refactor, a faster writer) must leave every
 digest in place.
 
-A change that alters the output on purpose regenerates the table with
+``tests/data/cli_verdicts.json`` keeps, beside each digest, the command's
+exit code and the top-level ``verdict`` of its report (``null`` where the
+report has none) in plain form, so that a regenerated digest cannot move an
+exit code or a verdict unseen.
+
+A change that alters the output on purpose regenerates both tables with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -34,6 +39,7 @@ from optlab.cli import main
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "data" / "cli_golden.json"
+VERDICTS = HERE / "data" / "cli_verdicts.json"
 
 AXIOMS = ("causality", "purification", "faithfulness", "local-tomography", "niwd")
 SAMPLED = ("--trials", "8", "--seed", "1")
@@ -167,9 +173,12 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def digest(argv: list[str]) -> str:
+def outcome(argv: list[str]) -> tuple[str, dict]:
+    """The digest of a command's exit code and stdout, and the two in plain form."""
     code, out = run(argv)
-    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    report = json.loads(out) if out else None
+    verdict = report.get("verdict") if isinstance(report, dict) else None
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest(), {"exit_code": code, "verdict": verdict}
 
 
 def sources() -> dict[str, str]:
@@ -180,7 +189,7 @@ def sources() -> dict[str, str]:
     return texts
 
 
-def digests(name: str, text: str, workdir: Path) -> dict[str, str]:
+def outcomes(name: str, text: str, workdir: Path) -> dict[str, tuple[str, dict]]:
     path = workdir / f"{name}.opt"
     path.write_text(text, encoding="utf-8")
     if name in LADDERS:
@@ -189,7 +198,7 @@ def digests(name: str, text: str, workdir: Path) -> dict[str, str]:
         argvs = [["prob", "--test-circuit", "run"]]
     else:
         argvs = commands(text) + [a for fixture, a, *_ in SAMPLED_AT_SCALE if fixture == name]
-    return {" ".join([name, *a]): digest([a[0], str(path), *a[1:]]) for a in argvs}
+    return {" ".join([name, *a]): outcome([a[0], str(path), *a[1:]]) for a in argvs}
 
 
 @pytest.fixture(scope="module")
@@ -197,12 +206,20 @@ def golden() -> dict[str, str]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def verdicts() -> dict[str, dict]:
+    return json.loads(VERDICTS.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name", sorted(sources()))
-def test_output_matches_golden(name, golden, tmp_path):
-    got = digests(name, sources()[name], tmp_path)
+def test_output_matches_golden(name, golden, verdicts, tmp_path):
+    got = outcomes(name, sources()[name], tmp_path)
     want = {k: v for k, v in golden.items() if k.split(" ", 1)[0] == name}
     assert sorted(got) == sorted(want), "command set changed; regenerate the table"
-    changed = [k for k in got if got[k] != want[k]]
+    assert sorted(got) == sorted(k for k in verdicts if k.split(" ", 1)[0] == name)
+    moved = {k: (verdicts[k], got[k][1]) for k in got if got[k][1] != verdicts[k]}
+    assert not moved, f"exit code or verdict changed (pinned, got): {moved}"
+    changed = [k for k in got if got[k][0] != want[k]]
     assert not changed, f"output changed for {changed}"
 
 
@@ -228,15 +245,18 @@ def test_a_declared_leaky_test_violates_causality():
     assert sampled["verdict"] == "Holds"
 
 
-def test_golden_covers_every_input(golden):
+def test_golden_covers_every_input(golden, verdicts):
     assert {k.split(" ", 1)[0] for k in golden} == set(sources())
+    assert sorted(verdicts) == sorted(golden)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        table: dict[str, str] = {}
+        table: dict[str, tuple[str, dict]] = {}
         for name, text in sources().items():
-            table.update(digests(name, text, Path(tmp)))
+            table.update(outcomes(name, text, Path(tmp)))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)
+    for path, column in ((GOLDEN, 0), (VERDICTS, 1)):
+        plain = {k: v[column] for k, v in table.items()}
+        path.write_text(json.dumps(plain, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(table)} digests to {GOLDEN} and their verdicts to {VERDICTS}", file=sys.stderr)
