@@ -17,6 +17,7 @@ from ..backends.base import Channel, EffectVector, PhysicalityCertificate, State
 from ..diagram import UNIT, Diagram, Identity, SystemType, Test
 from ..errors import CausalityViolationError, IncompleteTestError, OptlabError, TypeMismatchError
 from ..evaluator import evaluate_channel
+from ..sampling import DrawnTests
 
 __all__ = [
     "CausalityReport",
@@ -71,21 +72,41 @@ def _branch_channels(
 
 def check_causality(
     backend: TheoryBackend,
-    tests: Sequence,
+    tests: Sequence | DrawnTests,
     bindings=None,
     tol: float | None = None,
 ) -> CausalityReport:
     """Verify each complete observation test sums to the discard effect.
 
     Branches may be effect vectors, effect-shaped channels, or a ``Test``
-    whose branches are effect-typed diagrams.  The effects of the channel
-    tests on one word get their coordinates through one stacked
-    ``transfer_matrices`` call, and the tests of one word and outcome count
-    are decided as one stack.  Raises ``CausalityViolationError`` on the
-    first failing test in the given order; a malformed test raises its
-    error only when no test before it fails.
+    whose branches are effect-typed diagrams; ``tests`` may also be the
+    ``DrawnTests`` of ``Sampler.random_observation_tests``, decided block by
+    block as they are drawn.  The effects of the tests on one word get their
+    coordinates through one stacked ``transfer_matrices`` call, and the tests
+    of one word are decided as one stack.  Raises
+    ``CausalityViolationError`` on the first failing test in the given
+    order; a malformed test raises its error only when no test before it
+    fails.
     """
     tol = backend.tol.marginal if tol is None else tol
+    residuals = np.empty(len(tests))
+    if isinstance(tests, DrawnTests):
+        for block in tests:
+            _decide(backend, [(s.word, s.trials, _coords(backend, s.word, s.kernels)) for s in block],
+                    residuals, tol)
+    else:
+        _decide_declared(backend, tests, bindings, residuals, tol)
+    residuals = residuals.tolist()
+    return CausalityReport(
+        residuals=residuals,
+        max_residual=max(residuals, default=0.0),
+        tolerance=tol,
+        tests_checked=len(residuals),
+    )
+
+
+def _decide_declared(backend, tests, bindings, residuals, tol) -> None:
+    """``_decide`` for a sequence of tests, stacked by word and outcome count."""
     words: list[SystemType] = []
     effects: list = []  # per test, its effects' coordinates, or for now their count
     kernels: dict[SystemType, tuple[list[int], list[np.ndarray]]] = {}  # word -> tests, kernels
@@ -108,38 +129,45 @@ def check_causality(
             words.append(word)
             effects.append(len(branches))
     except OptlabError:
-        _residuals(backend, words, effects, kernels, tol)
+        _decide(backend, _stacks(backend, words, effects, kernels), residuals, tol)
         raise
-    residuals = _residuals(backend, words, effects, kernels, tol)
-    return CausalityReport(
-        residuals=residuals,
-        max_residual=max(residuals, default=0.0),
-        tolerance=tol,
-        tests_checked=len(residuals),
-    )
+    _decide(backend, _stacks(backend, words, effects, kernels), residuals, tol)
 
 
-def _residuals(backend, words, effects, kernels, tol) -> list[float]:
-    """Each test's largest deviation of its effect sum from the discard,
-    raising on the first one over ``tol``."""
+def _stacks(backend, words, effects, kernels) -> list[tuple]:
+    """The tests' effect coordinates, stacked by word and outcome count."""
     for word, (at, stack) in kernels.items():
-        rows = backend.transfer_matrices(np.array(stack), word, SystemType(()))[:, 0]
+        rows = _coords(backend, word, np.array(stack))
         start = 0
         for i in at:
             start, effects[i] = start + effects[i], rows[start:start + effects[i]]
     groups: dict[tuple, list[int]] = {}
     for i, (word, e) in enumerate(zip(words, effects)):
         groups.setdefault((word, len(e)), []).append(i)
-    residuals = np.empty(len(words))
-    for (word, k), at in groups.items():
-        stack = np.array([effects[i] for i in at])
-        total = sum(stack[:, j] for j in range(k))  # in outcome order, as one test's sum
-        residuals[at] = np.abs(total - backend.trace_effect(word).coords).max(axis=-1)
-    failed = np.flatnonzero(residuals > tol)
-    if failed.size:
-        i = failed[0]
-        raise CausalityViolationError(float(residuals[i]), f"test #{i} on {words[i]}")
-    return residuals.tolist()
+    return [(word, np.array(at), np.array([effects[i] for i in at])) for (word, _), at in groups.items()]
+
+
+def _coords(backend, word: SystemType, kernels: np.ndarray) -> np.ndarray:
+    """The coordinates of a stack of effect kernels ``(..., 1, cols)`` on ``word``."""
+    rows = backend.transfer_matrices(kernels.reshape(-1, *kernels.shape[-2:]), word, UNIT)[:, 0]
+    return rows.reshape(*kernels.shape[:-2], -1)
+
+
+def _decide(backend, groups, residuals, tol) -> None:
+    """Write each test's largest deviation of its effect sum from the discard
+    into ``residuals``, for ``groups`` of (word, test indices in ascending
+    order, effect coordinates ``(tests, k, state_dim)``), raising on the
+    first test over ``tol``."""
+    first = None
+    for word, at, effects in groups:
+        total = sum(effects[:, j] for j in range(effects.shape[1]))  # in outcome order, as one test's sum
+        r = residuals[at] = np.abs(total - backend.trace_effect(word).coords).max(axis=-1)
+        over = at[r > tol]
+        if over.size and (first is None or over[0] < first[0]):
+            first = (int(over[0]), word)
+    if first is not None:
+        i, word = first
+        raise CausalityViolationError(float(residuals[i]), f"test #{i} on {word}")
 
 
 def marginal(backend: TheoryBackend, state: StateVector, keep) -> StateVector:

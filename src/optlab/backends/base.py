@@ -57,8 +57,8 @@ otherwise).  This checklist puts exactly those members in double backquotes.
   ``random_channels``, ``random_reversible``, ``random_preparation`` and
   ``random_instrument``; ``drawn_states`` and ``drawn_povms`` turn a stack
   of the numbers of random states or observation tests, as the base class
-  draws them, into state coordinates or effect objects, so that trials
-  drawn one at a time are worked out as stacks.
+  draws them for many trials in one call, into state coordinates or effect
+  objects.
 
 A theory also sets the class flags ``purifies`` and ``pair_payloads``; a
 purifying theory adds ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
@@ -707,13 +707,14 @@ class TheoryBackend(abc.ABC):
 
     def random_state(self, rng, word, rank=None) -> StateVector:
         """``drawn_states`` of one ``state_draws``."""
-        return StateVector(self.drawn_states(self.state_draws(rng, word, rank)[None], word)[0], word)
+        return StateVector(self.drawn_states(self.state_draws(rng, word, 1, rank), word)[0], word)
 
-    def state_draws(self, rng, word, rank=None) -> np.ndarray:
-        """The random numbers of one random state on ``word``: a Gaussian
-        ``d x rank`` matrix, as ``density_matrix`` draws it."""
+    def state_draws(self, rng, word, count, rank=None) -> np.ndarray:
+        """The random numbers of ``count`` random states on ``word``, in one
+        call: a Gaussian ``d x rank`` matrix each, as ``density_matrix`` draws
+        it, stacked."""
         d = self.hilbert_dim(word)
-        return self.gaussian(rng, d, rank or d)
+        return self.gaussian(rng, count, d, rank or d)
 
     @abc.abstractmethod
     def drawn_states(self, draws: np.ndarray, word: SystemType) -> np.ndarray:
@@ -732,15 +733,17 @@ class TheoryBackend(abc.ABC):
         return list(self.drawn_povms(self.povm_draws(rng, word, k)[None])[0])
 
     def povm_draws(self, rng, word, k) -> np.ndarray:
-        """The random numbers of one random k-outcome observation test on
-        ``word``: k Gaussian ``d x d`` matrices, drawn one after another."""
+        """The random numbers of k effects on ``word``, one after another,
+        stacked: one k-outcome observation test, or the tests whose counts
+        add up to k.  Here k Gaussian ``d x d`` matrices."""
         d = self.hilbert_dim(word)
         return self.gaussian(rng, k, d, d)
 
     @abc.abstractmethod
     def drawn_povms(self, draws: np.ndarray) -> np.ndarray:
-        """The effect objects ``(count, k, ...)`` of the tests that a stack of
-        ``povm_draws`` of one word and outcome count make."""
+        """The effect objects ``(count, k, ...)`` of the k-outcome tests that a
+        stack of ``povm_draws`` of one word make.  An effect whose numbers are
+        all zero comes out zero, so tests of fewer outcomes pad to k."""
 
     @abc.abstractmethod
     def random_preparation(self, rng, word, k) -> list[np.ndarray]: ...

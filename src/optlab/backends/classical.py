@@ -225,8 +225,8 @@ class ClassicalBackend(TheoryBackend):
 
     # -- random draws ---------------------------------------------------
 
-    def state_draws(self, rng, word, rank=None):
-        return rng.exponential(size=self.hilbert_dim(word))
+    def state_draws(self, rng, word, count, rank=None):
+        return rng.exponential(size=(count, self.hilbert_dim(word)))
 
     def drawn_states(self, draws, word):
         """Each draw over its sum, as ``simplex_weights`` forms it."""
@@ -245,12 +245,12 @@ class ClassicalBackend(TheoryBackend):
         return Channel(word, word, m)
 
     def povm_draws(self, rng, word, k):
-        """One row of k weights per point, as ``simplex_weights`` draws them."""
-        return rng.exponential(size=(self.hilbert_dim(word), k))
+        """One row of weights per effect, one weight per point."""
+        return rng.exponential(size=(k, self.hilbert_dim(word)))
 
     def drawn_povms(self, draws):
-        """Each point's weights over their sum, rows per outcome."""
-        return np.ascontiguousarray((draws / draws.sum(axis=-1, keepdims=True)).swapaxes(-1, -2))
+        """Each point's weights over their sum across a test's effects."""
+        return draws / draws.sum(axis=-2, keepdims=True)
 
     def random_preparation(self, rng, word, k):
         d = self.hilbert_dim(word)

@@ -8,11 +8,28 @@ objects byte for byte.
 Batched draws keep the stream: ``channels(w_in, w_out, n)`` consumes exactly
 the random numbers of ``n`` calls to ``channel``, in the same order, and
 gives the same kernels, so a caller may split ``n`` draws into blocks of any
-size without changing what it draws.  ``random_observation_tests`` and
-``random_states`` draw their trials one at a time, each its word and then
-its numbers, as a loop of ``word`` and ``observation_channels`` or ``state``
-calls would; then the trials of one word are worked out as one stack, and
-each comes out bit for bit as that loop gives it.
+size without changing what it draws.
+
+The sampled audits' trials (``random_observation_tests`` and
+``random_states``) are drawn in one stacked layout, block by block, in
+blocks of ``TRIAL_BLOCK`` trials.  Within a block the generator is called in
+this order:
+
+1. one ``integers`` call for every trial's word length (0 to ``max_len``);
+2. one ``integers`` call for every label pick, shape ``(n, max_len)``; a
+   trial uses its first ``length`` picks;
+3. for the words over ``MAX_CARRIER``, rounds of the same two calls on the
+   rejected trials only, up to 20 rounds in all, after which a trial takes
+   the smallest label, as ``word`` does;
+4. for observation tests, one ``integers(2, 5)`` call for every outcome count;
+5. for each word, in order of its first trial, one ``povm_draws`` or
+   ``state_draws`` call for the numbers of all its trials, in trial order.
+
+Each trial's law is that of ``word`` followed by ``povm`` or ``state``; only
+what a seed maps to differs from a loop of those calls (and from earlier
+versions, which drew the trials that way, one at a time).  The trials of one
+word are worked out as one stack, and ``check_causality`` decides a block of
+observation tests before the next one is drawn.
 
 No command calls ``diagram``, ``closed_test_circuit``, ``unitary_channel``,
 ``identity_instrument`` or ``instrument``.  They stay because they build the
@@ -22,6 +39,9 @@ readouts).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +61,9 @@ from .diagram import (
     test_seq,
 )
 
-__all__ = ["Sampler", "spawn_rngs"]
+__all__ = ["DrawnTests", "Sampler", "TRIAL_BLOCK", "TrialStack", "spawn_rngs"]
+
+TRIAL_BLOCK = 256  # trials drawn, and decided, together
 
 
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -60,6 +82,7 @@ class Sampler:
         self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         self.bindings: dict[str, Channel] = {}
         self._counter = 0
+        self._dims = np.array([*map(backend.primitive_dim, self._labels), 1], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # raw matrix ensembles
@@ -110,45 +133,63 @@ class Sampler:
         b = self.backend
         return [b.effect_channel(e, word) for e in self.povm(word, k)]
 
-    def random_observation_tests(self, count: int) -> list[list[Channel]]:
-        """``count`` tests, each ``observation_channels(word(), k)`` with k
-        drawn from 2 to 4 after the word.  The tests whose draws have
-        one shape (carrier dimension and outcome count) are normalized as one
-        stack, and the effects on one word become channels as one stack."""
-        b, unit = self.backend, SystemType(())
-        words, drawn, shapes = [], [], {}
-        for i in range(count):
-            word = self.word()
-            k = int(self.rng.integers(2, 5))
-            words.append(word)
-            drawn.append(b.povm_draws(self.rng, word, k))
-            shapes.setdefault(drawn[i].shape, []).append(i)
-        for at in shapes.values():
-            for i, effects in zip(at, b.drawn_povms(np.array([drawn[i] for i in at]))):
-                drawn[i] = effects
-        on_word: dict[SystemType, list[int]] = {}
-        for i, word in enumerate(words):
-            on_word.setdefault(word, []).append(i)
-        tests: list = [None] * count
-        for word, at in on_word.items():
-            kernels = iter(b.effect_channel(np.concatenate([drawn[i] for i in at]), word).kernel)
-            for i in at:
-                tests[i] = [Channel(word, unit, next(kernels)) for _ in drawn[i]]
-        return tests
+    def random_observation_tests(self, count: int) -> DrawnTests:
+        """``count`` observation tests, each on a random word with an outcome
+        count from 2 to 4, drawn block by block as they are iterated."""
+        return DrawnTests(self, count)
+
+    def observation_test_block(self, first: int, n: int) -> list[TrialStack]:
+        """Trials ``first`` to ``first + n - 1`` of ``random_observation_tests``,
+        one ``TrialStack`` of effect kernels per word."""
+        b = self.backend
+        words = self._block_words(n, 2)
+        ks = self.rng.integers(2, 5, size=n)
+        stacks = []
+        for word, at in words:
+            k = ks[at]
+            draws = b.povm_draws(self.rng, word, int(k.sum()))
+            # absent outcomes are zero effects: they add an exact 0.0 to a test's sum
+            padded = np.zeros((len(at), int(k.max()), *draws.shape[1:]), draws.dtype)
+            padded[np.arange(padded.shape[1]) < k[:, None]] = draws
+            kernels = b.effect_channel(b.drawn_povms(padded), word).kernel
+            stacks.append(TrialStack(word, first + at, k, kernels))
+        return stacks
 
     def random_states(self, count: int) -> list[StateVector]:
-        """``count`` states, each ``state(word(1))``; the states of one word
-        are formed as one stack."""
-        drawn, groups = [], {}
-        for i in range(count):
-            word = self.word(1)
-            drawn.append(self.backend.state_draws(self.rng, word))
-            groups.setdefault(word, []).append(i)
+        """``count`` states, each on a random word of at most one system."""
+        b = self.backend
         states: list = [None] * count
-        for word, at in groups.items():
-            for i, coords in zip(at, self.backend.drawn_states(np.array([drawn[i] for i in at]), word)):
-                states[i] = StateVector(coords, word)
+        for first in range(0, count, TRIAL_BLOCK):
+            for word, at in self._block_words(min(TRIAL_BLOCK, count - first), 1):
+                coords = b.drawn_states(b.state_draws(self.rng, word, len(at)), word)
+                for i, c in zip((first + at).tolist(), coords):
+                    states[i] = StateVector(c, word)
         return states
+
+    def _block_words(self, n: int, max_len: int) -> list[tuple[SystemType, np.ndarray]]:
+        """Steps 1 to 3 of the layout: the words of a block's ``n`` trials,
+        each with the positions of its trials, in order of its first trial."""
+        labels, rng, dims = self._labels, self.rng, self._dims
+        if not labels:
+            return [(SystemType(()), np.arange(n))]
+        blank = len(labels)  # the pick past a trial's length, of dimension 1
+        picks = np.empty((n, max_len), dtype=np.int64)
+        todo = np.arange(n)
+        for _ in range(20):
+            lengths = rng.integers(0, max_len + 1, size=todo.size)
+            drawn = rng.integers(len(labels), size=(todo.size, max_len))
+            picks[todo] = np.where(np.arange(max_len) < lengths[:, None], drawn, blank)
+            todo = todo[dims[picks[todo]].prod(axis=1) > self.MAX_CARRIER]
+            if not todo.size:
+                break
+        else:
+            picks[todo] = blank
+            picks[todo, 0] = np.argmin(dims[:blank])  # the first smallest label
+        trials: dict[tuple, list[int]] = {}
+        for i, row in enumerate(picks.tolist()):
+            trials.setdefault(tuple(row), []).append(i)
+        return [(SystemType(tuple(labels[p] for p in row if p < blank)), np.array(at))
+                for row, at in trials.items()]
 
     def preparation_branches(self, word: SystemType, k: int) -> list[np.ndarray]:
         """Subnormalized state objects summing to a normalized state."""
@@ -267,3 +308,35 @@ class Sampler:
         if self.rng.uniform() < 0.3:
             t = test_par(t, column())
         return t
+
+
+@dataclass(frozen=True)
+class TrialStack:
+    """The drawn observation tests on one word in a block, in trial order.
+
+    ``trials`` are their indices in the run and ``outcomes`` their outcome
+    counts; ``kernels`` holds each test's effect kernels, shape
+    ``(len(trials), max(outcomes), 1, cols)``, zero past a test's count.
+    """
+
+    word: SystemType
+    trials: np.ndarray
+    outcomes: np.ndarray
+    kernels: np.ndarray
+
+
+@dataclass(frozen=True)
+class DrawnTests:
+    """``count`` random observation tests, drawn from ``sampler`` as they are
+    iterated: a list of ``TrialStack`` per block of ``TRIAL_BLOCK`` trials.
+    Each pass draws anew from the sampler's generator."""
+
+    sampler: Sampler
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[list[TrialStack]]:
+        for first in range(0, self.count, TRIAL_BLOCK):
+            yield self.sampler.observation_test_block(first, min(TRIAL_BLOCK, self.count - first))
