@@ -57,7 +57,7 @@ SAMPLED_AT_SCALE = [
     ("rebit", ["audit", "--axiom", "purification", "--trials", "200", "--seed", "5"], 0, None),
     ("three_systems",
      ["audit", "--axiom", "causality", "--trials", "50", "--seed", "2", "--tol", "5e-16"], 1,
-     "effect sum differs from the trace effect by 1.3600232051658168e-15 (test 'test #2 on B*A')"),
+     "effect sum differs from the trace effect by 8.743006318923108e-16 (test 'test #0 on C*C')"),
 ]
 
 # Four-layer brick-wall ladders of random two-system gates (Haar unitary on
