@@ -29,6 +29,11 @@ A, B = SystemType.of("A"), SystemType.of("B")
 TRIALS = (1, 7, 80, 257, 600)  # across the block edges at 256 and 512
 
 
+def test_the_block_edges_are_at_every_256_trials():
+    """The block size is part of what a seed draws (README, JSON conventions)."""
+    assert TRIAL_BLOCK == 256
+
+
 def seeds(trials):
     return range(10) if trials <= 80 else range(3)
 
