@@ -89,13 +89,13 @@ def check_causality(
     fails.
     """
     tol = backend.tol.marginal if tol is None else tol
-    residuals = np.empty(len(tests))
     if isinstance(tests, DrawnTests):
+        residuals = np.empty(len(tests))
         for block in tests:
             _decide(backend, [(s.word, s.trials, _coords(backend, s.word, s.kernels)) for s in block],
                     residuals, tol)
     else:
-        _decide_declared(backend, tests, bindings, residuals, tol)
+        residuals = _decide_declared(backend, tests, bindings, tol)
     residuals = residuals.tolist()
     return CausalityReport(
         residuals=residuals,
@@ -105,7 +105,7 @@ def check_causality(
     )
 
 
-def _decide_declared(backend, tests, bindings, residuals, tol) -> None:
+def _decide_declared(backend, tests, bindings, tol) -> np.ndarray:
     """``_decide`` for a sequence of tests, stacked by word and outcome count."""
     words: list[SystemType] = []
     effects: list = []  # per test, its effects' coordinates, or for now their count
@@ -129,9 +129,11 @@ def _decide_declared(backend, tests, bindings, residuals, tol) -> None:
             words.append(word)
             effects.append(len(branches))
     except OptlabError:
-        _decide(backend, _stacks(backend, words, effects, kernels), residuals, tol)
+        _decide(backend, _stacks(backend, words, effects, kernels), np.empty(len(words)), tol)
         raise
+    residuals = np.empty(len(words))
     _decide(backend, _stacks(backend, words, effects, kernels), residuals, tol)
+    return residuals
 
 
 def _stacks(backend, words, effects, kernels) -> list[tuple]:

@@ -410,6 +410,7 @@ def test_causality_in_groups_changes_no_bit(theory):
     singles = [check_causality(theory, [t]).residuals[0] for t in tests]
     assert_identical(parts, whole)
     assert_identical(singles, whole)
+    assert_identical(check_causality(theory, iter(tests)).residuals, whole)  # any iterable of tests
 
 
 @pytest.mark.parametrize("trials", TRIALS)
