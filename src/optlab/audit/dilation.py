@@ -106,8 +106,7 @@ def choi_correspondence(
     # self-adjoint operators on input * output: the basis of a scratch system that size
     scratch = backend.scratch_system(backend.hilbert_dim(input_system) * backend.hilbert_dim(output_system))
     choi_basis = backend.state_object(np.eye(backend.state_dim(scratch)), scratch)
-    kernels = np.array([backend.channel_from_choi(elem, input_system, output_system).kernel
-                        for elem in choi_basis])
+    kernels = backend.channel_from_choi(choi_basis, input_system, output_system).kernel
     matrix = np.ascontiguousarray(backend.apply_first(kernels, input_system, output_system, psi).T)
     rank = int(np.linalg.matrix_rank(matrix))
     return ChoiCorrespondence(

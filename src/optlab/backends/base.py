@@ -21,9 +21,10 @@ class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).  This checklist puts exactly those members in double backquotes.
 
-* Dimensions and compilation: ``state_dim``, ``_channel_from_payload``
-  (a payload's kernel in Liouville order, as ``state_channel`` and
-  ``effect_channel`` build it for vec and dens payloads),
+* Dimensions and compilation: ``state_dim``, ``_payload_kernels`` (the
+  kernels in Liouville order of a group of payloads of one kind and shape,
+  built by array calls on the whole group, as ``state_channel`` and
+  ``effect_channel`` build them for vec and dens payloads),
   ``check_kernels`` (the physicality check of a stack of same-shape kernels
   in Liouville order, with each kernel's full certificate on request);
   ``deterministic_residual`` (how far a channel is from preserving
@@ -66,8 +67,9 @@ default to real scalars, and ``state_draws`` and ``povm_draws`` to Gaussian
 matrices over the scalars.
 
 The base class derives the rest, the same way for every theory:
-``compile_payloads`` compiles many payloads and certifies each shape's
-kernels with one ``check_kernels`` call; ``compile_payload`` and
+``compile_payloads`` compiles many payloads in groups of one kind and
+shape, each group's kernels as one stack certified by one ``check_kernels``
+call; ``compile_payload`` and
 ``certify_channel`` are its one-item cases; likewise ``transfer_of``,
 ``extremal_decomposition``, ``purification``, ``random_state`` and
 ``random_povm`` are the one-item cases of the stacked members above;
@@ -317,36 +319,81 @@ class TheoryBackend(abc.ABC):
         their physicality, without raising.
 
         Each item gives its channel, or the error ``compile_payload`` raises
-        for it.  A kernel with a non-finite entry, from a NaN or infinite
-        payload entry or from entries whose products overflow, is refused
-        first.  The kernels of one shape go through one ``check_kernels``
-        call, and only a kernel that fails gets its full certificate."""
-        out: list[Channel | OptlabError] = []
-        shapes: dict[tuple, list[int]] = {}
-        for payload, input_type, output_type in items:
-            try:
-                ch = self._channel_from_payload(payload, input_type, output_type)
-            except OptlabError as e:
-                out.append(e)
-                continue
-            shapes.setdefault((ch.kernel.shape, ch.kernel.dtype), []).append(len(out))
-            out.append(ch)
-        for at in shapes.values():  # a kernel's shape fixes its wires' dimensions
-            kernels = np.array([out[k].kernel for k in at])
-            finite = np.isfinite(kernels).all(axis=(-2, -1))
-            if not finite.all():
-                for i in np.flatnonzero(~finite):
-                    out[at[i]] = OptlabError(f"{items[at[i]][0].kind} payload has non-finite entries")
-                at, kernels = [k for k, ok in zip(at, finite) if ok], kernels[finite]
-                if not at:
+        for it.  Items are grouped by payload kind, role, dimensions and the
+        length of their data before any array is built; a group's literals
+        become one array and its kernels one stack.  A group whose data do
+        not make one array of its shape is compiled item by item, so each
+        item raises the error it raises alone.  A kernel with a non-finite
+        entry, from a NaN or infinite payload entry or from entries whose
+        products overflow, is refused first.  The stacks of one shape go
+        through one ``check_kernels`` call, and only a kernel that fails
+        gets its full certificate; one take per word pair puts the rest in
+        wire-major order."""
+        out: list = [None] * len(items)
+        groups: dict[tuple, list[int]] = {}
+        shapes: dict[tuple, tuple[str, int, int]] = {}  # (input, output) -> role and dimensions
+        for k, (payload, input_type, output_type) in enumerate(items):
+            shape = shapes.get((input_type, output_type))
+            if shape is None:
+                try:
+                    dims = self.hilbert_dim(input_type), self.hilbert_dim(output_type)
+                except OptlabError as e:
+                    out[k] = e
                     continue
-            first = out[at[0]]
-            dims = self.hilbert_dim(first.input_type), self.hilbert_dim(first.output_type)
-            physical, certificate = self.check_kernels(kernels, *dims)
-            for i in np.flatnonzero(~physical):
-                ch = out[at[i]]
-                out[at[i]] = NotPhysicalError(certificate(i, self._role(ch.input_type, ch.output_type)))
-        return [self._wire_major(ch) if isinstance(ch, Channel) else ch for ch in out]
+                role = "state" if input_type.is_unit else "effect" if output_type.is_unit else "box"
+                shape = shapes[input_type, output_type] = (role, *dims)
+            length = len(payload.data) if isinstance(payload.data, (list, tuple)) else None
+            groups.setdefault((payload.kind, *shape, length), []).append(k)
+        pending = list(groups.items())
+        stacks: dict[tuple[int, int], list[tuple[list[int], np.ndarray]]] = {}
+        for (kind, role, din, dout, _), at in pending:  # the loop takes what it appends
+            try:
+                kernels, faults = self._payload_kernels(
+                    kind, [items[k][0].data for k in at], din, dout, role)
+            except (OptlabError, ValueError) as e:
+                if len(at) > 1:  # some item does not fit: regroup by each item's shape, or split
+                    split: dict = {}
+                    for k in at:
+                        try:
+                            split.setdefault(np.shape(items[k][0].data), []).append(k)
+                        except ValueError:  # ragged data
+                            split[k] = [k]
+                    parts = split.values() if len(split) > 1 else [[k] for k in at]
+                    pending.extend(((kind, role, din, dout, None), part) for part in parts)
+                elif isinstance(e, OptlabError):
+                    out[at[0]] = e
+                else:
+                    raise
+                continue
+            if not np.isfinite(kernels).all():
+                finite = np.isfinite(kernels).all(axis=(-2, -1))
+                for i in np.flatnonzero(~finite).tolist():
+                    faults.setdefault(i, OptlabError(f"{kind} payload has non-finite entries"))
+            for i, e in faults.items():
+                out[at[i]] = e
+            if faults:
+                keep = [i for i in range(len(at)) if i not in faults]
+                at, kernels = [at[i] for i in keep], kernels[keep]
+            if at:
+                stacks.setdefault((din, dout), []).append((at, kernels))
+        # the groups of one shape are certified together, in one call
+        for (din, dout), parts in stacks.items():
+            at = [k for part, _ in parts for k in part]
+            kernels = parts[0][1] if len(parts) == 1 else np.concatenate([ks for _, ks in parts])
+            physical, certificate = self.check_kernels(kernels, din, dout)
+            pairs: dict[tuple, list[int]] = {}
+            for i, k in enumerate(at):
+                _, input_type, output_type = items[k]
+                if physical[i]:
+                    pairs.setdefault((input_type, output_type), []).append(i)
+                else:
+                    out[k] = NotPhysicalError(certificate(i, self._role(input_type, output_type)))
+            for (input_type, output_type), idx in pairs.items():
+                stack = kernels if len(idx) == len(at) else kernels[idx]
+                stack = self._reorder(stack, output_type, input_type)
+                for i, kernel in zip(idx, stack):
+                    out[at[i]] = Channel(input_type, output_type, kernel)
+        return out
 
     def compile_payload(
         self,
@@ -362,10 +409,16 @@ class TheoryBackend(abc.ABC):
         return ch
 
     @abc.abstractmethod
-    def _channel_from_payload(
-        self, payload: Payload, input_type: SystemType, output_type: SystemType
-    ) -> Channel:
-        """The payload's channel, its kernel in Liouville order."""
+    def _payload_kernels(
+        self, kind: str, data: Sequence, din: int, dout: int, role: str
+    ) -> tuple[np.ndarray, dict[int, OptlabError]]:
+        """The kernels, in Liouville order, of a group of payloads of one
+        kind on ``din -> dout`` (``role`` is ``state``, ``effect`` or
+        ``box``), ``data`` their data, as one stack built by array calls on
+        the whole group; and the error of each item that fails on its own
+        entries (on the real theory, complex ones), by its index.  Raises
+        ``OptlabError`` (or ``ValueError``) when the data make no one array
+        of the kind's shape: on a group of one, the item's own error."""
 
     def _reorder(self, kernel: np.ndarray, output_word: SystemType, input_word: SystemType,
                  inverse: bool = False) -> np.ndarray:

@@ -22,7 +22,6 @@ from .. import linalg
 from .base import (
     Channel,
     Extremal,
-    Payload,
     PhysicalityCertificate,
     StateVector,
     TheoryBackend,
@@ -43,32 +42,42 @@ class ClassicalBackend(TheoryBackend):
 
     # -- payload compilation -------------------------------------------
 
-    def _coerce_array(self, data, shape: tuple[int, ...], what: str) -> np.ndarray:
+    def _coerce_stack(self, data, shape: tuple[int, ...], what: str):
+        """``data``, a sequence of real arrays of ``shape``, as one stack, and
+        the error of each item with complex entries.  Of a group of one, the
+        complex entries are refused before the shape."""
         arr = np.asarray(data)
+        faults = {}
         if np.iscomplexobj(arr):
-            if arr.size and float(np.max(np.abs(arr.imag))) > self.tol.algebra:
-                raise OptlabError(f"{what} has complex entries; classical payloads are real")
+            imag = np.abs(arr.imag).max(axis=tuple(range(1, arr.ndim)), initial=0.0)
+            for i in np.flatnonzero(imag > self.tol.algebra).tolist():
+                faults[i] = OptlabError(f"{what} has complex entries; classical payloads are real")
             arr = arr.real
         arr = arr.astype(float)
-        if arr.shape != shape:
-            raise OptlabError(f"{what} has shape {arr.shape}, expected {shape}")
-        return arr
+        if arr.shape[1:] != shape:
+            if len(arr) == 1 and faults:
+                raise faults[0]
+            raise OptlabError(f"{what} has shape {arr.shape[1:]}, expected {shape}")
+        return arr, faults
 
-    def _channel_from_payload(
-        self, payload: Payload, input_type: SystemType, output_type: SystemType
-    ) -> Channel:
-        kind = payload.kind
+    def _coerce_array(self, data, shape: tuple[int, ...], what: str) -> np.ndarray:
+        arr, faults = self._coerce_stack(np.asarray(data)[None], shape, what)
+        if faults:
+            raise faults[0]
+        return arr[0]
+
+    def _payload_kernels(self, kind, data, din, dout, role):
         if kind == "stoch":
-            shape = (self.hilbert_dim(output_type), self.hilbert_dim(input_type))
-            m = self._coerce_array(payload.data, shape, "stochastic matrix")
-            return Channel(input_type, output_type, m)
-        if kind == "vec":
-            if input_type.is_unit:
-                return self.state_channel(payload.data, output_type)
-            if output_type.is_unit:
-                return self.effect_channel(payload.data, input_type)
+            return self._coerce_stack(data, (dout, din), "stochastic matrix")
+        if kind != "vec":
+            raise OptlabError(f"payload kind {kind!r} is not meaningful on backend {self.name!r}")
+        if role == "box":
             raise OptlabError("vec payloads declare states or effects, not boxes")
-        raise OptlabError(f"payload kind {kind!r} is not meaningful on backend {self.name!r}")
+        if role == "state":
+            v, faults = self._coerce_stack(data, (dout,), "probability vector")
+            return v[:, :, None], faults
+        v, faults = self._coerce_stack(data, (din,), "effect vector")
+        return v[:, None, :], faults
 
     # -- physicality ----------------------------------------------------
 
@@ -122,12 +131,12 @@ class ClassicalBackend(TheoryBackend):
         return coords.reshape(*coords.shape[:-1], -1)
 
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # a payload is nested tuples
+        lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # nested lists are one object
         v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "probability vector")
         return Channel(SystemType(()), word, v.reshape(*lead, -1, 1))
 
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # a payload is nested tuples
+        lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # nested lists are one object
         v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "effect vector")
         return Channel(word, SystemType(()), v.reshape(*lead, 1, -1))
 

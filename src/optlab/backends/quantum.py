@@ -41,7 +41,6 @@ from .. import linalg
 from .base import (
     Channel,
     Extremal,
-    Payload,
     PhysicalityCertificate,
     StateVector,
     TheoryBackend,
@@ -102,55 +101,62 @@ class _MatrixTheory(TheoryBackend):
 
     # -- payload compilation -------------------------------------------
 
-    def _coerce_array(self, data, shape: tuple[int, ...], what: str) -> np.ndarray:
+    def _coerce_stack(self, data, shape: tuple[int, ...], what: str):
+        """``data``, a sequence of arrays of ``shape``, as one stack on the
+        theory's scalars, and the error of each item with complex entries on
+        the real theory."""
         arr = np.asarray(data, dtype=complex)
-        if arr.shape != shape:
-            raise OptlabError(f"{what} has shape {arr.shape}, expected {shape}")
+        if arr.shape[1:] != shape:
+            raise OptlabError(f"{what} has shape {arr.shape[1:]}, expected {shape}")
+        faults = {}
         if not self._complex_scalars:
-            imag = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-            if imag > self.tol.algebra:
-                raise NotPhysicalError(
+            imag = np.abs(arr.imag).max(axis=tuple(range(1, arr.ndim)), initial=0.0)
+            for i in np.flatnonzero(imag > self.tol.algebra).tolist():
+                faults[i] = NotPhysicalError(
                     PhysicalityCertificate(
                         physical=False,
                         role="payload",
                         reason="complex entries in a real-theory payload",
-                        margin=imag,
-                        witness={"max_imaginary_part": imag},
+                        margin=float(imag[i]),
+                        witness={"max_imaginary_part": float(imag[i])},
                     )
                 )
             arr = np.ascontiguousarray(arr.real)
-        return arr
+        return arr, faults
 
-    def _channel_from_payload(
-        self, payload: Payload, input_type: SystemType, output_type: SystemType
-    ) -> Channel:
-        kind = payload.kind
-        if kind in ("vec", "dens"):  # a state's or an effect's matrix, or its ket
-            if input_type.is_unit:
-                role, word = "state", output_type
-            elif output_type.is_unit:
-                role, word = "effect", input_type
-            else:
+    def _coerce_array(self, data, shape: tuple[int, ...], what: str) -> np.ndarray:
+        arr, faults = self._coerce_stack(np.asarray(data, dtype=complex)[None], shape, what)
+        if faults:
+            raise faults[0]
+        return arr[0]
+
+    def _payload_kernels(self, kind, data, din, dout, role):
+        if kind in ("vec", "dens"):  # states' or effects' matrices, or their kets
+            if role == "box":
                 raise OptlabError(f"{kind} payloads declare states or effects, not boxes")
-            obj = payload.data
+            d = dout if role == "state" else din
             if kind == "vec":
-                v = self._coerce_array(obj, (self.hilbert_dim(word),), f"{role} vector")
-                obj = np.outer(v, v.conj())
-            return self._object_channel(obj, word, role)
+                v, faults = self._coerce_stack(data, (d,), f"{role} vector")
+                return self._object_kernels(v[:, :, None] * v.conj()[:, None, :], role), faults
+            m, faults = self._coerce_stack(data, (d, d), f"{role} matrix")
+            return self._object_kernels(m, role), faults
         if kind == "choi":
-            din, dout = self.hilbert_dim(input_type), self.hilbert_dim(output_type)
-            choi = self._coerce_array(payload.data, (din * dout, din * dout), "choi matrix")
-            kernel = linalg.liouville_from_choi(choi, din, dout)
-            return Channel(input_type, output_type, self.project_scalars(kernel))
+            choi, faults = self._coerce_stack(data, (din * dout, din * dout), "choi matrix")
+            return self.project_scalars(linalg.liouville_from_choi(choi, din, dout)), faults
         if kind != "kraus":
             raise OptlabError(f"payload kind {kind!r} is not meaningful on backend {self.name!r}")
-        data = payload.data if isinstance(payload.data, (list, tuple)) else [payload.data]
-        if not data:
+        data = [d if isinstance(d, (list, tuple)) else [d] for d in data]
+        count, terms = len(data), len(data[0])
+        if not terms:
             raise OptlabError("kraus payload needs at least one matrix")
-        shape = (self.hilbert_dim(output_type), self.hilbert_dim(input_type))
-        mats = [self._coerce_array(m, shape, "kraus matrix") for m in data]
-        kernel = linalg.kraus_to_liouville(mats)
-        return Channel(input_type, output_type, self.project_scalars(kernel))
+        ks = np.asarray(data, dtype=complex)
+        ks, matrix_faults = self._coerce_stack(ks.reshape(count * terms, *ks.shape[2:]),
+                                               (dout, din), "kraus matrix")
+        faults = {}
+        for i in sorted(matrix_faults):  # an item's first faulty matrix raises alone
+            faults.setdefault(i // terms, matrix_faults[i])
+        kernels = linalg.kraus_to_liouville(ks.reshape(count, terms, dout, din))
+        return self.project_scalars(kernels), faults
 
     # -- physicality ----------------------------------------------------
 
@@ -163,8 +169,16 @@ class _MatrixTheory(TheoryBackend):
     def channel_from_choi(
         self, choi: np.ndarray, input_type: SystemType, output_type: SystemType
     ) -> Channel:
-        ch = self._channel_from_payload(Payload("choi", choi), input_type, output_type)
-        return self._wire_major(ch)
+        """The channel of a Choi matrix, uncertified; of a stack of them, one
+        channel whose kernel stacks theirs."""
+        choi = np.asarray(choi)
+        din, dout = self.hilbert_dim(input_type), self.hilbert_dim(output_type)
+        kernels, faults = self._payload_kernels(
+            "choi", choi.reshape(-1, *choi.shape[-2:]), din, dout, "box")
+        if faults:
+            raise faults[min(faults)]
+        kernels = self._reorder(kernels, output_type, input_type)
+        return Channel(input_type, output_type, kernels.reshape(*choi.shape[:-2], *kernels.shape[1:]))
 
     def check_kernels(self, kernels, din, dout):
         """Self-adjointness, then a positive Choi matrix, then a sub-normalized
@@ -172,25 +186,38 @@ class _MatrixTheory(TheoryBackend):
         j = linalg.choi_from_liouville(kernels, din, dout)
         top = np.abs(j).max(axis=(-2, -1))
         guard = 64.0 * j.shape[-1] ** 3 * _EPS * top  # at the original scale; see below
-        scale, unscale = np.ones(len(j)), np.ones(len(j))
         huge = top > SCALE_ABOVE
         scaled = huge.any()
         if scaled:
             # checked scaled by an exact power of two, so that j + j* and the eigen
             # solves stay finite; values are reported at the original scale
             peak = np.maximum(np.abs(j.real), np.abs(j.imag)).max(axis=(-2, -1))
+            unscale = np.ones(len(j))
             unscale[huge] = np.ldexp(1.0, np.frexp(peak[huge])[1] - 1)
             scale = 1.0 / unscale
             j = j * scale[:, None, None]
             top = np.abs(j).max(axis=(-2, -1))
+            identity = scale[:, None, None] * np.eye(din)
+        else:  # a scale of one, which multiplies nothing
+            scale, identity = 1.0, np.eye(din)
+
+        def unscaled(x, at):
+            """``x``, values of the kernels ``at``, at the original scale."""
+            return x * unscale[at] if scaled else x
+
         jh = j.conj().swapaxes(-1, -2)
         residual = np.abs(j - jh).max(axis=(-2, -1))
         algebra, floor = self.tol.algebra, self.tol.eigenvalue_floor
         not_adjoint = residual > algebra * np.maximum(scale, top)
         sym = (j + jh) / 2.0
-        reduced = linalg.partial_trace(j, [din, dout], [0])
-        slack = scale[:, None, None] * np.eye(din) - reduced
-        margin = np.linalg.eigvalsh((slack + slack.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
+        # Tr_out J; over a one-dimensional output it is J itself, plus the zero an
+        # einsum's sum starts from (which turns -0.0 into 0.0)
+        reduced = j + 0.0 if dout == 1 else linalg.partial_trace(j, [din, dout], [0])
+        slack = identity - reduced
+        if din == 1:  # the eigenvalue of a 1 x 1 matrix is its (real) entry
+            margin = np.real(slack)[:, 0, 0].copy()
+        else:
+            margin = np.linalg.eigvalsh((slack + slack.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
         # The least Choi eigenvalue decides a kernel as eigh gives it, whose values
         # and eigenvector the certificate reports; eigvalsh, a third the cost on
         # 16 x 16 matrices, rounds differently.  Both reduce the n x n matrix A to
@@ -211,7 +238,7 @@ class _MatrixTheory(TheoryBackend):
                 residual, min_eig, margin = residual * unscale, min_eig * unscale, margin * unscale
         near = np.abs(min_eig + floor) <= guard
         if near.any():
-            min_eig[near] = np.linalg.eigh(sym[near])[0][:, 0] * unscale[near]
+            min_eig[near] = unscaled(np.linalg.eigh(sym[near])[0][:, 0], near)
         negative, leaky = min_eig < -floor, margin < -floor
 
         def certificate(i: int, role: str) -> PhysicalityCertificate:
@@ -222,7 +249,7 @@ class _MatrixTheory(TheoryBackend):
                     False, role, "not self-adjoint", res, {"residual": res}, diagnostics,
                 )
             with np.errstate(over="ignore"):
-                low = float(np.linalg.eigh(sym[i])[0][0] * unscale[i])
+                low = float(unscaled(np.linalg.eigh(sym[i])[0][0], i))
             diagnostics["min_choi_eigenvalue"] = low
             if negative[i]:
                 vecs = linalg.sorted_eigh(sym[i])[1]
@@ -235,7 +262,7 @@ class _MatrixTheory(TheoryBackend):
             if leaky[i]:
                 return PhysicalityCertificate(
                     False, role, "trace condition", -slack_low,
-                    {"eigenvalue": slack_low, "reduced_trace": reduced[i] * unscale[i]}, diagnostics,
+                    {"eigenvalue": slack_low, "reduced_trace": unscaled(reduced[i], i)}, diagnostics,
                 )
             return PhysicalityCertificate(True, role, None, 0.0, {}, diagnostics)
 
@@ -270,16 +297,21 @@ class _MatrixTheory(TheoryBackend):
         m = self._reorder(vecs, word, UNIT, inverse=True).reshape(*coords.shape[:-1], d, d)
         return self.project_scalars(m)
 
+    def _object_kernels(self, m: np.ndarray, role: str) -> np.ndarray:
+        """The kernels, in Liouville order, of a stack of state matrices
+        (their preparations) or of effect matrices."""
+        if role == "state":
+            return m.reshape(*m.shape[:-2], -1, 1)
+        return m.reshape(*m.shape[:-2], 1, -1).conj()
+
     def _object_channel(self, obj: np.ndarray, word: SystemType, role: str) -> Channel:
         """The preparation of a state matrix or the effect of an effect
         matrix, its kernel in Liouville order; a stack of effect matrices
         gives the stack of their kernels."""
         d = self.hilbert_dim(word)
-        lead = obj.shape[:-2] if isinstance(obj, np.ndarray) else ()  # a payload is nested tuples
-        m = self._coerce_array(obj, (*lead, d, d), f"{role} matrix")
-        if role == "state":
-            return Channel(SystemType(()), word, m.reshape(*lead, -1, 1))
-        return Channel(word, SystemType(()), m.reshape(*lead, 1, -1).conj())
+        lead = obj.shape[:-2] if isinstance(obj, np.ndarray) else ()  # nested lists are one object
+        kernel = self._object_kernels(self._coerce_array(obj, (*lead, d, d), f"{role} matrix"), role)
+        return Channel(UNIT, word, kernel) if role == "state" else Channel(word, UNIT, kernel)
 
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
         return self._wire_major(self._object_channel(obj, word, "state"))

@@ -67,39 +67,66 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``optlab`` argument parser, with a subparser for ``command`` alone,
-    or for every command when ``command`` is None.
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Declare ``command``'s file and flags on ``parser``: the same for the
+    full parser's subparser and for the one-command parser."""
+    parser.add_argument("file", help="workbench file to load")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9,
+                        help="decision tolerance for verdicts (default 1e-9)")
+    parser.add_argument("--seed", type=_integer_from(0), default=0,
+                        help="seed for randomized audits (default 0)")
+    parser.add_argument("--trials", type=_integer_from(1), default=100,
+                        help="random instances per audit (default 100)")
+    for flag, options in _COMMANDS[command][2]:
+        parser.add_argument(flag, required=True, **options)
 
-    Building a subparser costs far more than parsing a command line (each
-    ``add_argument`` makes a help formatter, which asks the terminal its
-    size), so ``main`` builds only the one it names; help and error output
-    are the same as the full parser's.  Nothing caches the result: a process
-    runs one command, so a cache would pay off only in callers that loop
-    over ``main``, never for a user.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``optlab`` argument parser, with a subparser for every command.
+
+    It prints every usage message, help text and error of the command line.
+    ``main`` parses a line with it only when the one-command parser refuses
+    the line, so its help and errors are what a user sees.
     """
     parser = argparse.ArgumentParser(
         prog="optlab",
         description="evaluate circuits and audit axioms of operational theories",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:  # usage lines list every command, as the full parser's do by default
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-    for name in _COMMANDS if command is None else [command]:
-        _, help_text, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="workbench file to load")
-        p.add_argument("--tol", type=_tolerance, default=1e-9,
-                       help="decision tolerance for verdicts (default 1e-9)")
-        p.add_argument("--seed", type=_integer_from(0), default=0,
-                       help="seed for randomized audits (default 0)")
-        p.add_argument("--trials", type=_integer_from(1), default=100,
-                       help="random instances per audit (default 100)")
-        for flag, options in flags:
-            p.add_argument(flag, required=True, **options)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+class _Refused(Exception):
+    """A command line the one-command parser does not accept."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """One command's flags alone, with no help: it raises where argparse
+    would print and exit, so that ``build_parser`` prints instead."""
+
+    def error(self, message):
+        raise _Refused(message)
+
+    def _get_formatter(self):
+        # add_argument formats each flag once to check its metavar; at a fixed
+        # width, so the terminal is never asked its size (nothing is printed)
+        return self.formatter_class(prog=self.prog, width=80)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by way of a parser of the named
+    command alone: building that costs a fraction of the full parser, and
+    every line it refuses, help included, goes to the full parser."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _OneCommandParser(prog=f"optlab {argv[0]}", add_help=False)
+        _add_arguments(parser, argv[0])
+        try:
+            return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        except _Refused:
+            pass
+    return build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +361,7 @@ def _run(args) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _parse(argv)
     try:
         report, code = _run(args)
         _emit(report)

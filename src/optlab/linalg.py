@@ -106,11 +106,16 @@ def choi_from_liouville(lio: np.ndarray, din: int, dout: int) -> np.ndarray:
 
 
 def kraus_to_liouville(kraus: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    ks = [np.asarray(k) for k in kraus]
-    dout, din = ks[0].shape
-    n = np.zeros((dout * dout, din * din), dtype=complex)
-    for k in ks:  # np.kron(k, k.conj()), without its overhead
-        n += (k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(n.shape)
+    """``sum_k kron(K_k, conj(K_k))`` of Kraus operators ``(terms, dout, din)``,
+    or of each of a stack ``(count, terms, dout, din)``: every term's product
+    in one expression, the terms summed in order, from zero."""
+    ks = np.asarray(kraus)
+    *lead, terms, dout, din = ks.shape
+    products = (ks[..., :, None, :, None] * ks.conj()[..., None, :, None, :]).reshape(
+        *lead, terms, dout * dout, din * din)
+    n = np.zeros((*lead, dout * dout, din * din), dtype=complex)
+    for t in range(terms):
+        n += products[..., t, :, :]
     return n
 
 

@@ -114,7 +114,7 @@ def test_payloads_whose_kernel_overflows_are_refused(quantum):
             quantum.compile_payload(Payload("kraus", [[[1e200, 0.0], [0.0, 1.0]]]), A, A)
 
 
-def test_bulk_compile_matches_one_payload_at_a_time(backend):
+def test_bulk_compile_matches_one_payload_at_a_time(backend, monkeypatch):
     """Each item of ``compile_payloads`` gets the kernel, or the error, that
     ``compile_payload`` gives it alone, whatever else shares its stack."""
     s, rng = Sampler(backend, seed=11), np.random.default_rng(11)
@@ -130,7 +130,19 @@ def test_bulk_compile_matches_one_payload_at_a_time(backend):
                 items.append((Payload(kind, obj + bad), win, wout))
     items.append((Payload(kind, [[np.inf, 0.0], [0.0, 0.0]]), A, A))
     items.append((Payload(kind, [[1.0]]), A, A))
+    items += _object_and_kraus_items(backend, rng)
+    rng.shuffle(items)  # faulty items interleaved with the good ones of their group
+    stacked = {}
+
+    def recorded(kind, data, *args):
+        result = type(backend)._payload_kernels(backend, kind, data, *args)
+        stacked[kind] = max(stacked.get(kind, 0), len(data))
+        return result
+    monkeypatch.setattr(backend, "_payload_kernels", recorded)
     bulk = backend.compile_payloads(items)
+    # the good items of a group are converted together, beside the ones that do not fit
+    assert min(stacked.values()) > 1 and len(stacked) == (2 if backend.name == "classical" else 4)
+    monkeypatch.undo()
     verdicts = set()
     for (payload, win, wout), got in zip(items, bulk):
         try:
@@ -148,6 +160,56 @@ def test_bulk_compile_matches_one_payload_at_a_time(backend):
             assert np.array_equal(got.kernel, want.kernel)
             verdicts.add("physical")
     assert {"physical", "OptlabError"} < verdicts and len(verdicts) >= 4, verdicts
+    if backend.name == "quantum-real":
+        assert "complex entries in a real-theory payload" in verdicts
+
+
+def _object_and_kraus_items(backend, rng):
+    """``vec`` and ``dens`` states and effects and ``kraus`` boxes of one and
+    of several terms, each good one beside a wrong-shape, a non-finite, an
+    unphysical and (on the real theory) a complex variant of itself, with
+    the data as nested lists, the form a theory file gives."""
+    real = backend.name != "quantum"
+    def draw(*shape):
+        g = rng.normal(size=shape)
+        return g if real else g + 1j * rng.normal(size=shape)
+
+    def variants(good, unphysical):
+        bad_entry = good.copy()
+        bad_entry.flat[0] = np.nan
+        out = [good, unphysical, bad_entry, np.zeros(good.shape[:-1] + (good.shape[-1] + 1,))]
+        if backend.name == "quantum-real":
+            leaky = good.astype(complex)
+            leaky.flat[-1] += 0.25j
+            out.append(leaky)
+        return [v.tolist() for v in out]
+
+    items = []
+    for win, wout in [(UNIT, A), (A, UNIT), (UNIT, B), (B, UNIT)]:
+        d = backend.hilbert_dim(wout if win.is_unit else win)
+        for _ in range(2):
+            if backend.name == "classical":
+                p = rng.random(d)
+                p = p / p.sum() if win.is_unit else p
+                items += [(Payload("vec", v), win, wout) for v in variants(p, p - 0.6)]
+                continue
+            ket = draw(d)
+            ket /= np.linalg.norm(ket)
+            items += [(Payload("vec", v), win, wout) for v in variants(ket, 1.2 * ket)]
+            g = draw(d, d)
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            items += [(Payload("dens", v), win, wout) for v in variants(rho, rho - 0.7 * np.eye(d))]
+    if backend.name == "classical":
+        return items
+    for win, wout in [(A, A), (A, B), (B, A)]:
+        din, dout = backend.hilbert_dim(win), backend.hilbert_dim(wout)
+        for terms in (1, 1, 3, 3):
+            # the rows of an isometry, a contraction, split into Kraus terms
+            v = np.linalg.qr(draw(max(dout * terms, din), din))[0][:dout * terms]
+            kraus = v.reshape(terms, dout, din)
+            items += [(Payload("kraus", v), win, wout) for v in variants(kraus, 1.1 * kraus)]
+    return items
 
 
 def test_huge_choi_matrices_are_checked_at_their_own_scale(backend):

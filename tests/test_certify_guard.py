@@ -109,3 +109,74 @@ def test_far_from_the_floor_eigh_never_runs(monkeypatch):
         dsl.bind(doc)
     assert len(docs) == 123
     assert sum(seen) == 0
+
+
+def mixed_stack(real: bool, din: int, dout: int):
+    """Choi matrices on ``din -> dout``: a physical one and, of it, a leaky, a
+    negative and a not self-adjoint one; each again scaled past ``SCALE_ABOVE``."""
+    rng = np.random.default_rng(din * 10 + dout)
+    n = din * dout
+    mats = []
+    for _ in range(3):
+        g = rng.normal(size=(n, n)) + (0 if real else 1j) * rng.normal(size=(n, n))
+        j = g @ g.conj().T
+        j *= 0.8 / np.linalg.eigvalsh(la.partial_trace(j, [din, dout], [0]))[-1]
+        skew = np.zeros((n, n))
+        skew[0, -1], skew[-1, 0] = 1e-3, -1e-3
+        low = np.linalg.eigvalsh(j)[0]
+        mats += [j, 1.5 * j, j - (low + 0.1) * np.eye(n), j + skew]
+    leaky = 1.5 * np.eye(n, dtype=float if real else complex)
+    leaky[0, -1] = leaky[-1, 0] = -0.0  # Tr_out J keeps no -0.0, as the partial trace sums from zero
+    mats.append(leaky)
+    mats += [2.0 ** 600 * j for j in mats[:8]]
+    return np.array(mats, dtype=float if real else complex)
+
+
+def least(sym):
+    return np.linalg.eigh(sym)[0][..., 0]
+
+
+@pytest.mark.parametrize("din, dout", [(1, 3), (3, 1), (2, 2), (1, 1)],
+                         ids=["states", "effects", "channels", "scalars"])
+def test_trimmed_checks_match_a_stack_of_one_and_numpy(backend, din, dout):
+    """States (a 1 x 1 input marginal) skip an eigen solve and effects (a
+    one-dimensional output) a partial trace; in stacks that mix ordinary,
+    scaled and failing kernels, each gets the verdict and certificate of a
+    stack of one, and the least eigenvalues numpy gives the symmetrized Choi
+    matrix and ``I - Tr_out J``."""
+    from optlab.backends.quantum import SCALE_ABOVE
+
+    choi_stack = mixed_stack(backend.name == "quantum-real", din, dout)
+    kernels = la.liouville_from_choi(choi_stack, din, dout)
+    physical, certificate = backend.check_kernels(kernels, din, dout)
+    reasons = set()
+    for i, j in enumerate(choi_stack):
+        alone, certificate_alone = backend.check_kernels(kernels[i:i + 1], din, dout)
+        got, want = certificate(i, "map"), certificate_alone(0, "map")
+        assert physical[i] == alone[0] == got.physical
+        assert (got.reason, got.margin, got.diagnostics) == (want.reason, want.margin, want.diagnostics)
+        assert got.witness.keys() == want.witness.keys()
+        for key, value in got.witness.items():
+            assert np.array_equal(value, want.witness[key])
+            assert np.array_equal(np.signbit(np.real(value)), np.signbit(np.real(want.witness[key])))
+        reasons.add(got.reason)
+        # numpy alone, at the original scale
+        sym = (j + j.conj().T) / 2.0
+        diag = got.diagnostics
+        exact = np.abs(j).max() <= SCALE_ABOVE  # a scaled matrix is solved at another scale
+        if "min_choi_eigenvalue" in diag:
+            assert diag["min_choi_eigenvalue"] == pytest.approx(least(sym), rel=0 if exact else 1e-12)
+        if "trace_condition_margin" in diag:
+            slack = np.eye(din) - j.reshape(din, dout, din, dout).trace(axis1=1, axis2=3)
+            margin = least((slack + slack.conj().T) / 2.0)
+            if din == 1:  # a 1 x 1 matrix is its own eigenvalue, in any solver
+                assert diag["trace_condition_margin"] == margin
+            else:
+                assert diag["trace_condition_margin"] == pytest.approx(margin, rel=1e-12, abs=1e-15)
+        if got.reason == "trace condition":
+            reduced = la.partial_trace(j, [din, dout], [0])
+            assert np.array_equal(got.witness["reduced_trace"], reduced)
+            assert np.array_equal(np.signbit(np.real(got.witness["reduced_trace"])),
+                                  np.signbit(np.real(reduced)))
+    assert reasons >= {None, "trace condition", "negative eigenvalue"}, reasons
+    assert "not self-adjoint" in reasons or din * dout == 1  # a 1 x 1 skew part is imaginary

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from optlab import cli
 from optlab.cli import build_parser, main
 
 
@@ -684,30 +685,53 @@ def _outcome(call, capsys):
             captured.out, captured.err)
 
 
+# an abbreviation of each command's first required flag (ambiguous on equiv)
+_ABBREVIATED = {"eval": "--circ", "prob": "--test-c", "audit": "--ax", "purify": "--st",
+                "dilate": "--bo", "steer": "--sta", "equiv": "--bo"}
+
+
 @pytest.mark.parametrize("command", list(_REQUIRED))
-@pytest.mark.parametrize("extra", [
-    pytest.param([], id="valid"),
-    pytest.param(None, id="missing-flag"),
-    pytest.param(["--axiom", "bogus"], id="unknown-axiom"),
-    pytest.param(["--trials", "0"], id="trials-0"),
-    pytest.param(["--tol", "nan"], id="tol-nan"),
-    pytest.param(["more", "args"], id="trailing-extras"),
-    pytest.param(["-h"], id="help"),
+@pytest.mark.parametrize("tail", [
+    pytest.param(lambda c, f: f, id="valid"),
+    pytest.param(lambda c, f: f[:-2], id="missing-flag"),
+    pytest.param(lambda c, f: [*f, "--axiom", "bogus"], id="unknown-axiom"),
+    pytest.param(lambda c, f: [*f, "--trials", "0"], id="trials-0"),
+    pytest.param(lambda c, f: [*f, "--tol", "nan"], id="tol-nan"),
+    pytest.param(lambda c, f: [*f, "more", "args"], id="trailing-extras"),
+    pytest.param(lambda c, f: [*f, "-h"], id="help"),
+    pytest.param(lambda c, f: [*f, "--he"], id="help-abbreviated"),
+    pytest.param(lambda c, f: ["-h", *f], id="help-after-file"),
+    pytest.param(lambda c, f: [_ABBREVIATED[c], *f[1:]], id="abbreviated-flag"),
+    pytest.param(lambda c, f: [f"{f[0]}={f[1]}", *f[2:]], id="flag-equals-value"),
+    pytest.param(lambda c, f: [*f, "--bogus"], id="unknown-flag"),
+    pytest.param(lambda c, f: [*f, f[0], "again"], id="repeated-flag"),
+    pytest.param(None, id="double-dash-before-file"),
 ])
-def test_the_one_command_parser_parses_as_the_full_one(capsys, command, extra):
-    flags = _REQUIRED[command]
-    argv = [command, "x.opt", *(flags[:-2] if extra is None else flags + extra)]
-    one = _outcome(lambda: build_parser(command).parse_args(argv), capsys)
-    full = _outcome(lambda: build_parser().parse_args(argv), capsys)
+def test_the_one_command_parser_parses_as_the_full_one(capsys, monkeypatch, fx, command, tail):
+    """``main`` exits, prints and reports on every line as it does when the
+    full parser parses the line."""
+    path, flags = fx("plus_born.opt"), _REQUIRED[command]
+    argv = [command, "--", path, *flags] if tail is None else [command, path, *tail(command, flags)]
+    one = _outcome(lambda: main(argv), capsys)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    full = _outcome(lambda: main(argv), capsys)
     assert one == full
 
 
-def test_a_named_command_builds_only_its_subparser():
-    def subparsers(parser):
-        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return list(action.choices)
-    assert subparsers(build_parser("eval")) == ["eval"]
-    assert subparsers(build_parser()) == list(_REQUIRED)
+def test_a_valid_line_never_builds_the_full_parser(run, fx, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    path = fx("plus_born.opt")
+    for command, flags in _REQUIRED.items():
+        run(command, path, *flags, "--seed", "3", "--tol=1e-8")
+    assert built == []
+    with pytest.raises(SystemExit):
+        run("eval", path)
+    assert built == [1]
 
 
 @pytest.mark.parametrize("argv", [

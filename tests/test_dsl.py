@@ -293,6 +293,26 @@ def test_the_first_faulty_statement_is_reported(lines, fault, line):
         assert str(e.value) == f"line {line}: non-physical transformation: negative eigenvalue (margin 5.000e-01)"
 
 
+HEAVY = "state heavy : Q = dens=[[1.2,0],[0,0.3]]"
+LOUD = "box loud : Q -> Q = kraus=[[[2,0],[0,1]]]"
+WIDE = "box wide : Q -> Q = kraus=[[[1,0,0],[0,1,0]]]"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([GOOD, HEAVY, LOUD], "line 4: non-physical state: trace condition (margin 5.000e-01)"),
+    ([GOOD, HEAVY, WIDE, LOUD], "line 4: non-physical state: trace condition (margin 5.000e-01)"),
+    ([GOOD, WIDE, HEAVY, LOUD], "line 4: kraus matrix has shape (2, 3), expected (2, 2)"),
+    ([GOOD, LOUD, HEAVY], "line 4: non-physical transformation: trace condition (margin 3.000e+00)"),
+], ids=["state-before-kraus", "state-before-wide-kraus", "wide-kraus-first", "kraus-first"])
+def test_the_first_faulty_statement_is_reported_across_payload_groups(lines, message):
+    """Payloads are compiled in groups of one kind, the kraus group (first
+    seen on line 3) before the dens one; the error reported is still the one
+    of the first faulty line, though a later group holds it."""
+    with pytest.raises(OptlabError) as e:
+        load("theory quantum\nsystem Q dim=2\n" + "\n".join(lines) + "\n")
+    assert str(e.value) == message
+
+
 def test_a_failing_payload_carries_its_eigenvector_witness():
     with pytest.raises(NotPhysicalError) as e:
         load(f"theory quantum\nsystem Q dim=2\n{GOOD}\n{BAD}\n")

@@ -205,6 +205,20 @@ def test_kraus_choi_and_liouville_agree():
     np.testing.assert_allclose((n @ vec(x)).reshape(3, 3), direct, atol=1e-12)
 
 
+def test_kraus_terms_are_summed_in_order_from_zero_alone_and_stacked():
+    """Bit for bit ``sum(kron(K, conj(K)))`` over the terms in Kraus order,
+    from zero; a stack of operator lists gives each list's sum."""
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(5, 4, 3, 2)) + 1j * rng.normal(size=(5, 4, 3, 2))
+    stack[0, 0, 0, 0] = -0.0  # a sum from zero keeps no -0.0
+    stacked = la.kraus_to_liouville(stack)
+    for ks, got in zip(stack, stacked):
+        want = sum((np.kron(k, k.conj()) for k in ks), np.zeros((9, 4), dtype=complex))
+        assert np.array_equal(la.kraus_to_liouville(list(ks)), want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 def test_choi_amplitudes_reconstruct_action():
     """The amplitude columns of the Choi matrix, each reshaped ``(din, dout)``
     and transposed, are an operator-sum form of the map, one per Choi rank."""
