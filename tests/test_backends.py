@@ -170,6 +170,7 @@ def _object_and_kraus_items(backend, rng):
     unphysical and (on the real theory) a complex variant of itself, with
     the data as nested lists, the form a theory file gives."""
     real = backend.name != "quantum"
+
     def draw(*shape):
         g = rng.normal(size=shape)
         return g if real else g + 1j * rng.normal(size=shape)
@@ -206,8 +207,8 @@ def _object_and_kraus_items(backend, rng):
         din, dout = backend.hilbert_dim(win), backend.hilbert_dim(wout)
         for terms in (1, 1, 3, 3):
             # the rows of an isometry, a contraction, split into Kraus terms
-            v = np.linalg.qr(draw(max(dout * terms, din), din))[0][:dout * terms]
-            kraus = v.reshape(terms, dout, din)
+            rows = np.linalg.qr(draw(max(dout * terms, din), din))[0][:dout * terms]
+            kraus = rows.reshape(terms, dout, din)
             items += [(Payload("kraus", v), win, wout) for v in variants(kraus, 1.1 * kraus)]
     return items
 
