@@ -55,6 +55,13 @@ SAMPLED_AT_SCALE = [
     ("three_systems", ["audit", "--axiom", "purification", "--trials", "200", "--seed", "5"], 0, None),
     ("rebit", ["audit", "--axiom", "causality", "--trials", "200", "--seed", "5"], 0, None),
     ("rebit", ["audit", "--axiom", "purification", "--trials", "200", "--seed", "5"], 0, None),
+    # 600 trials cross the trial-block edges at 256 and 512
+    ("three_systems", ["audit", "--axiom", "causality", "--trials", "600", "--seed", "5"], 0, None),
+    ("three_systems", ["audit", "--axiom", "faithfulness", "--trials", "600", "--seed", "5"], 0, None),
+    ("three_systems", ["audit", "--axiom", "purification", "--trials", "600", "--seed", "5"], 0, None),
+    ("rebit", ["audit", "--axiom", "causality", "--trials", "600", "--seed", "5"], 0, None),
+    ("rebit", ["audit", "--axiom", "faithfulness", "--trials", "600", "--seed", "5"], 0, None),
+    ("rebit", ["audit", "--axiom", "purification", "--trials", "600", "--seed", "5"], 0, None),
     ("three_systems",
      ["audit", "--axiom", "causality", "--trials", "50", "--seed", "2", "--tol", "5e-16"], 1,
      "effect sum differs from the trace effect by 8.743006318923108e-16 (test 'test #0 on C*C')"),
