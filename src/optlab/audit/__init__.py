@@ -21,6 +21,7 @@ from .purification import (
     PurificationResult,
     SteeringResult,
     purification_uniqueness,
+    purify_block,
     purify_state,
     purify_states,
     steering_measurement,
@@ -43,6 +44,7 @@ __all__ = [
     "PurificationResult",
     "ConnectionReport",
     "SteeringResult",
+    "purify_block",
     "purify_state",
     "purify_states",
     "purification_uniqueness",

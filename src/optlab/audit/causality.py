@@ -9,7 +9,7 @@ must equal discarding its input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from ..backends.base import Channel, EffectVector, PhysicalityCertificate, State
 from ..diagram import UNIT, Diagram, Identity, SystemType, Test
 from ..errors import CausalityViolationError, IncompleteTestError, OptlabError, TypeMismatchError
 from ..evaluator import evaluate_channel
-from ..sampling import DrawnTests
 
 __all__ = [
     "CausalityReport",
@@ -72,37 +71,41 @@ def _branch_channels(
 
 def check_causality(
     backend: TheoryBackend,
-    tests: Sequence | DrawnTests,
+    tests: Sequence | Callable,
     bindings=None,
     tol: float | None = None,
 ) -> CausalityReport:
     """Verify each complete observation test sums to the discard effect.
 
     Branches may be effect vectors, effect-shaped channels, or a ``Test``
-    whose branches are effect-typed diagrams; ``tests`` may also be the
-    ``DrawnTests`` of ``Sampler.random_observation_tests``, decided block by
-    block as they are drawn.  The effects of the tests on one word get their
-    coordinates through one stacked ``transfer_matrices`` call, and the tests
-    of one word are decided as one stack.  Raises
-    ``CausalityViolationError`` on the first failing test in the given
-    order; a malformed test raises its error only when no test before it
-    fails.
+    whose branches are effect-typed diagrams; ``tests`` may also be a walk of
+    drawn tests awaiting its decision: ``sampling.run_trials`` with a count
+    and ``Sampler.observation_test_block`` bound (``functools.partial``),
+    which decides each block before it draws the next.  The effects of the
+    tests on one word get their coordinates through one stacked
+    ``transfer_matrices`` call, and the tests of one word are decided as one
+    stack.  Raises ``CausalityViolationError`` on the first failing test in
+    the given order; a malformed test raises its error only when no test
+    before it fails.
     """
     tol = backend.tol.marginal if tol is None else tol
-    if isinstance(tests, DrawnTests):
-        residuals = np.empty(len(tests))
-        for block in tests:
-            _decide(backend, [(s.word, s.trials, _coords(backend, s.word, s.kernels)) for s in block],
-                    residuals, tol)
+    if callable(tests):
+        residuals, _ = tests(lambda first, block: _decide_block(backend, first, block, tol))
     else:
-        residuals = _decide_declared(backend, tests, bindings, tol)
-    residuals = residuals.tolist()
+        residuals = _decide_declared(backend, tests, bindings, tol).tolist()
     return CausalityReport(
         residuals=residuals,
         max_residual=max(residuals, default=0.0),
         tolerance=tol,
         tests_checked=len(residuals),
     )
+
+
+def _decide_block(backend, first, stacks, tol) -> tuple[list[float], np.ndarray]:
+    """``_decide`` for a block of drawn tests, the ``run_trials`` decision."""
+    groups = [(word, at, _coords(backend, word, kernels)) for word, at, kernels in stacks]
+    residuals = _decide(backend, groups, tol, first)
+    return residuals.tolist(), residuals > tol
 
 
 def _decide_declared(backend, tests, bindings, tol) -> np.ndarray:
@@ -129,11 +132,9 @@ def _decide_declared(backend, tests, bindings, tol) -> np.ndarray:
             words.append(word)
             effects.append(len(branches))
     except OptlabError:
-        _decide(backend, _stacks(backend, words, effects, kernels), np.empty(len(words)), tol)
+        _decide(backend, _stacks(backend, words, effects, kernels), tol, 0)
         raise
-    residuals = np.empty(len(words))
-    _decide(backend, _stacks(backend, words, effects, kernels), residuals, tol)
-    return residuals
+    return _decide(backend, _stacks(backend, words, effects, kernels), tol, 0)
 
 
 def _stacks(backend, words, effects, kernels) -> list[tuple]:
@@ -155,21 +156,23 @@ def _coords(backend, word: SystemType, kernels: np.ndarray) -> np.ndarray:
     return rows.reshape(*kernels.shape[:-2], -1)
 
 
-def _decide(backend, groups, residuals, tol) -> None:
-    """Write each test's largest deviation of its effect sum from the discard
-    into ``residuals``, for ``groups`` of (word, test indices in ascending
-    order, effect coordinates ``(tests, k, state_dim)``), raising on the
-    first test over ``tol``."""
-    first = None
+def _decide(backend, groups, tol, first) -> np.ndarray:
+    """Each test's largest deviation of its effect sum from the discard, for
+    ``groups`` of (word, test indices in ascending order, effect coordinates
+    ``(tests, k, state_dim)``) that cover the tests once, raising on the
+    first test over ``tol``, the tests numbered from ``first``."""
+    residuals = np.empty(sum(len(at) for _, at, _ in groups))
+    failed = None
     for word, at, effects in groups:
         total = sum(effects[:, j] for j in range(effects.shape[1]))  # in outcome order, as one test's sum
         r = residuals[at] = np.abs(total - backend.trace_effect(word).coords).max(axis=-1)
         over = at[r > tol]
-        if over.size and (first is None or over[0] < first[0]):
-            first = (int(over[0]), word)
-    if first is not None:
-        i, word = first
-        raise CausalityViolationError(float(residuals[i]), f"test #{i} on {word}")
+        if over.size and (failed is None or over[0] < failed[0]):
+            failed = (int(over[0]), word)
+    if failed is not None:
+        i, word = failed
+        raise CausalityViolationError(float(residuals[i]), f"test #{first + i} on {word}")
+    return residuals
 
 
 def marginal(backend: TheoryBackend, state: StateVector, keep) -> StateVector:

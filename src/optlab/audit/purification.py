@@ -30,6 +30,7 @@ __all__ = [
     "PurificationResult",
     "ConnectionReport",
     "SteeringResult",
+    "purify_block",
     "purify_state",
     "purify_states",
     "purification_uniqueness",
@@ -107,14 +108,24 @@ def purify_state(backend: TheoryBackend, state: StateVector) -> PurificationResu
 
 
 def purify_states(backend: TheoryBackend, states: Sequence[StateVector]) -> list[PurificationResult]:
-    """``purify_state`` of each state: the states of one word are decomposed
-    as one stack, and those of one rank extended as one."""
-    results: list = [None] * len(states)
+    """``purify_state`` of each state, through ``purify_block`` with the
+    states grouped by word."""
     words: dict[SystemType, list[int]] = {}
     for i, state in enumerate(states):
         words.setdefault(state.system, []).append(i)
-    for word, at in words.items():
-        objs = backend.state_object(np.array([states[i].coords for i in at]), word)
+    return purify_block(backend, [(word, at, np.array([states[i].coords for i in at]))
+                                  for word, at in words.items()])[0]
+
+
+def purify_block(backend: TheoryBackend, stacks) -> tuple[list[PurificationResult], list[bool]]:
+    """``purify_state`` of each state of ``stacks`` of (word, the states'
+    positions, their coordinates stacked), as ``Sampler.state_block`` draws
+    them: the results in order of position, and which have no pure
+    extension.  The states of one word are decomposed as one stack, and
+    those of one rank extended as one."""
+    results: list = [None] * sum(len(at) for _, at, _ in stacks)
+    for word, at, coords in stacks:
+        objs = backend.state_object(coords, word)
         decs = backend.extremal_decompositions(objs)
         ranks: dict[int, list[int]] = {}
         for j, dec in enumerate(decs):
@@ -135,10 +146,10 @@ def purify_states(backend: TheoryBackend, states: Sequence[StateVector]) -> list
             joint = word * purifying
             reduced = backend.partial_trace(psis, [objs.shape[1], r], [0])
             errors = np.maximum.reduce(np.abs(reduced - sub).reshape(len(group), -1), axis=1)
-            coords = backend.state_coords(psis, joint)
-            for j, c, error in zip(group, coords, errors.tolist()):
+            pure = backend.state_coords(psis, joint)
+            for j, c, error in zip(group, pure, errors.tolist()):
                 results[at[j]] = PurificationResult("Purified", purifying, StateVector(c, joint), rank, error)
-    return results
+    return results, [r.verdict == "Failure" for r in results]
 
 
 def _require_pure(backend: TheoryBackend, st: StateVector) -> np.ndarray:

@@ -16,7 +16,7 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Adding a theory means writing the 26 abstract members below; a
+methods.  Adding a theory means writing the 25 abstract members below; a
 class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).  This checklist puts exactly those members in double backquotes.
@@ -55,16 +55,15 @@ otherwise).  This checklist puts exactly those members in double backquotes.
   realization (dilation) of a transformation is the purification of its
   ``channel_choi``, so a theory writes nothing more for it.
 * Random draws, each from a generator in a fixed order:
-  ``random_channels``, ``random_reversible``, ``random_preparation`` and
-  ``random_instrument``; ``drawn_states`` and ``drawn_povms`` turn a stack
+  ``random_channels``, ``random_preparation`` and ``random_instrument``; ``drawn_states`` and ``drawn_povms`` turn a stack
   of the numbers of random states or observation tests, as the base class
   draws them for many trials in one call, into state coordinates or effect
   objects.
 
 A theory also sets the class flags ``purifies`` and ``pair_payloads``; a
 purifying theory adds ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
-default to real scalars, and ``state_draws`` and ``povm_draws`` to Gaussian
-matrices over the scalars.
+default to real scalars, ``state_draws`` and ``povm_draws`` to Gaussian
+matrices over the scalars, and ``random_unitary`` to a Haar matrix over them.
 
 The base class derives the rest, the same way for every theory:
 ``compile_payloads`` compiles many payloads in groups of one kind and
@@ -88,6 +87,7 @@ channel's kernel the stack of kernels, read out by one ``transfer_matrices``
 call; payload compilation and ``certify_channel`` move kernels between
 wire-major and Liouville order (``linalg``), where a theory needs the latter;
 ``kernel_identity`` is the ``conjugation_channel`` kernel of the identity,
+``random_reversible`` the ``conjugation_channel`` of a ``random_unitary``,
 and ``kernel_swap`` is one ``apply_par`` of a ``Swap`` on the identity
 kernel's rows; ``trace_channel`` is the ``effect_channel`` of
 ``diagonal`` of ones (the discard); ``uniform_state`` is ``state_coords`` of
@@ -777,8 +777,9 @@ class TheoryBackend(abc.ABC):
     @abc.abstractmethod
     def random_channels(self, rng, input_word, output_word, count) -> np.ndarray: ...
 
-    @abc.abstractmethod
-    def random_reversible(self, rng, word) -> Channel: ...
+    def random_reversible(self, rng, word) -> Channel:
+        """The ``conjugation_channel`` of a ``random_unitary``."""
+        return self.conjugation_channel(self.random_unitary(rng, self.hilbert_dim(word)), word)
 
     def random_povm(self, rng, word, k) -> list[np.ndarray]:
         """k effect objects summing to the unit effect: ``drawn_povms`` of one

@@ -247,11 +247,11 @@ class ClassicalBackend(TheoryBackend):
         w = w / w.sum(axis=-1, keepdims=True)
         return np.ascontiguousarray(w.swapaxes(-1, -2))
 
-    def random_reversible(self, rng, word):
-        d = self.hilbert_dim(word)
+    def random_unitary(self, rng, d):
+        """A uniform permutation matrix: the reversible maps are permutations."""
         m = np.zeros((d, d))
         m[rng.permutation(d), np.arange(d)] = 1.0
-        return Channel(word, word, m)
+        return m
 
     def povm_draws(self, rng, word, k):
         """One row of weights per effect, one weight per point."""

@@ -419,9 +419,6 @@ class _MatrixTheory(TheoryBackend):
         scale = np.einsum("tij,kl->tikjl", rinv, np.eye(dout)).reshape(j0.shape)
         return self.project_scalars(scale @ j0 @ scale.conj().swapaxes(-1, -2))
 
-    def random_reversible(self, rng, word):
-        return self.conjugation_channel(self.random_unitary(rng, self.hilbert_dim(word)), word)
-
     def drawn_povms(self, draws):
         """``c e c*`` for each ``e = g g*``, where ``c`` is the inverse square
         root of the sum of a test's ``e``."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from itertools import combinations_with_replacement
 
 from . import audit, tomography
@@ -33,7 +34,7 @@ from .errors import (
     OptlabError,
 )
 from .evaluator import evaluate, evaluate_channel, run_test_circuit
-from .sampling import Sampler, spawn_rngs
+from .sampling import Sampler, run_trials, spawn_rngs
 from .serialize import dumps_canonical
 
 __all__ = ["main", "build_parser"]
@@ -232,9 +233,9 @@ def _cmd_equiv(wb: Workbench, args) -> dict:
 
 def _audit_causality(wb: Workbench, args) -> tuple[str, list]:
     sources = [("declared tests", list(wb.tests.values()), wb.bindings)] if wb.tests else []
+    sampler = Sampler(wb.backend, seed=args.seed)
     sources.append((f"{args.trials} random observation tests",
-                    Sampler(wb.backend, seed=args.seed).random_observation_tests(args.trials),
-                    None))
+                    partial(run_trials, args.trials, sampler.observation_test_block), None))
     checks = []
     for source, tests, bindings in sources:
         try:
@@ -249,11 +250,11 @@ def _audit_causality(wb: Workbench, args) -> tuple[str, list]:
 def _audit_purification(wb: Workbench, args) -> tuple[str, list]:
     names = [name for name, kind in wb.kinds.items() if kind == "state"]
     if names:
-        states = [wb.state_vector(name) for name in names]
+        purified = audit.purify_states(wb.backend, [wb.state_vector(name) for name in names])
     else:
-        states = Sampler(wb.backend, seed=args.seed).random_states(args.trials)
-        names = [f"random[{i}]" for i in range(len(states))]
-    purified = audit.purify_states(wb.backend, states)
+        purified, _ = run_trials(args.trials, Sampler(wb.backend, seed=args.seed).state_block,
+                                 lambda first, block: audit.purify_block(wb.backend, block))
+        names = [f"random[{i}]" for i in range(args.trials)]
     return "states", [{"state": name, **vars(r)} for name, r in zip(names, purified)]
 
 

@@ -1,19 +1,23 @@
 """Seeded random ensembles: states, channels, tests, and well-typed circuits.
 
 Everything funnels through one ``Sampler`` per backend so that audits and
-property tests are reproducible: trial k of a run seeded with s draws from
-an independent stream spawned from s, and identical seeds give identical
-objects byte for byte.
+property tests are reproducible: identical seeds give identical objects
+byte for byte.  A sampled audit's trials come from one stream; the
+faithfulness audit gives each system its own, spawned from the seed
+(``spawn_rngs``).
 
 Batched draws keep the stream: ``channels(w_in, w_out, n)`` consumes exactly
 the random numbers of ``n`` calls to ``channel``, in the same order, and
 gives the same kernels, so a caller may split ``n`` draws into blocks of any
 size without changing what it draws.
 
-The sampled audits' trials (``random_observation_tests`` and
-``random_states``) are drawn in one stacked layout, block by block, in
-blocks of ``TRIAL_BLOCK`` trials.  Within a block the generator is called in
-this order:
+The sampled audits walk their trials with ``run_trials``, in blocks of
+``TRIAL_BLOCK`` trials, each drawn by a ``Sampler`` method and decided
+before the next is drawn.  Faithfulness draws its channels one after
+another, so there the block size changes nothing; ``observation_test_block``
+and ``state_block`` draw a block in one stacked layout, in which the block
+size is part of what a seed draws.  Within a block the generator is called
+in this order:
 
 1. one ``integers`` call for every trial's word length (0 to ``max_len``);
 2. one ``integers`` call for every label pick, shape ``(n, max_len)``; a
@@ -27,9 +31,8 @@ this order:
 
 Each trial's law is that of ``word`` followed by ``povm`` or ``state``; only
 what a seed maps to differs from a loop of those calls (and from earlier
-versions, which drew the trials that way, one at a time).  The trials of one
-word are worked out as one stack, and ``check_causality`` decides a block of
-observation tests before the next one is drawn.
+versions, which drew the trials that way, one at a time).  The trials of
+one word are worked out as one stack.
 
 No command calls ``diagram``, ``closed_test_circuit``, ``unitary_channel``,
 ``identity_instrument`` or ``instrument``.  They stay because they build the
@@ -40,8 +43,7 @@ readouts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -61,7 +63,7 @@ from .diagram import (
     test_seq,
 )
 
-__all__ = ["DrawnTests", "Sampler", "TRIAL_BLOCK", "TrialStack", "spawn_rngs"]
+__all__ = ["Sampler", "TRIAL_BLOCK", "run_trials", "spawn_rngs"]
 
 TRIAL_BLOCK = 256  # trials drawn, and decided, together
 
@@ -69,6 +71,23 @@ TRIAL_BLOCK = 256  # trials drawn, and decided, together
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """Independent per-trial generators derived from one root seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def run_trials(count: int, draw: Callable, decide: Callable) -> tuple[list, list[int]]:
+    """Walk ``count`` sampled trials, block by block: ``draw(n)`` draws the
+    next ``n`` of them (``TRIAL_BLOCK``, the last block fewer), and
+    ``decide(first, block)``, where ``first`` is the block's first trial,
+    returns each of its trials' deciding statistic in trial order and which
+    of them failed (a mask).  Returns every trial's statistic in trial order
+    and the failing trials in ascending order, the first failing trial
+    first.  A decision that raises ends the walk: no later block is drawn."""
+    statistics: list = []
+    failures: list[int] = []
+    for first in range(0, count, TRIAL_BLOCK):
+        stats, failed = decide(first, draw(min(TRIAL_BLOCK, count - first)))
+        statistics += stats
+        failures += (first + np.flatnonzero(failed)).tolist()
+    return statistics, failures
 
 
 class Sampler:
@@ -89,7 +108,7 @@ class Sampler:
     # ------------------------------------------------------------------
 
     def random_unitary(self, d: int) -> np.ndarray:
-        """Haar unitary (or orthogonal, on real-scalar backends) via QR."""
+        """Haar unitary (orthogonal on real scalars; a permutation classically)."""
         return self.backend.random_unitary(self.rng, d)
 
     def density_matrix(self, d: int, rank: int | None = None) -> np.ndarray:
@@ -133,14 +152,10 @@ class Sampler:
         b = self.backend
         return [b.effect_channel(e, word) for e in self.povm(word, k)]
 
-    def random_observation_tests(self, count: int) -> DrawnTests:
-        """``count`` observation tests, each on a random word with an outcome
-        count from 2 to 4, drawn block by block as they are iterated."""
-        return DrawnTests(self, count)
-
-    def observation_test_block(self, first: int, n: int) -> list[TrialStack]:
-        """Trials ``first`` to ``first + n - 1`` of ``random_observation_tests``,
-        one ``TrialStack`` of effect kernels per word."""
+    def observation_test_block(self, n: int) -> list[tuple[SystemType, np.ndarray, np.ndarray]]:
+        """``n`` observation tests, each on a random word with an outcome count
+        from 2 to 4: per word, the positions of its tests and their effect
+        kernels, shape ``(tests, max count, 1, cols)``, zero past a test's count."""
         b = self.backend
         words = self._block_words(n, 2)
         ks = self.rng.integers(2, 5, size=n)
@@ -151,20 +166,15 @@ class Sampler:
             # absent outcomes are zero effects: they add an exact 0.0 to a test's sum
             padded = np.zeros((len(at), int(k.max()), *draws.shape[1:]), draws.dtype)
             padded[np.arange(padded.shape[1]) < k[:, None]] = draws
-            kernels = b.effect_channel(b.drawn_povms(padded), word).kernel
-            stacks.append(TrialStack(word, first + at, k, kernels))
+            stacks.append((word, at, b.effect_channel(b.drawn_povms(padded), word).kernel))
         return stacks
 
-    def random_states(self, count: int) -> list[StateVector]:
-        """``count`` states, each on a random word of at most one system."""
+    def state_block(self, n: int) -> list[tuple[SystemType, np.ndarray, np.ndarray]]:
+        """``n`` states, each on a random word of at most one system: per word,
+        the positions of its states and their coordinates, stacked."""
         b = self.backend
-        states: list = [None] * count
-        for first in range(0, count, TRIAL_BLOCK):
-            for word, at in self._block_words(min(TRIAL_BLOCK, count - first), 1):
-                coords = b.drawn_states(b.state_draws(self.rng, word, len(at)), word)
-                for i, c in zip((first + at).tolist(), coords):
-                    states[i] = StateVector(c, word)
-        return states
+        return [(word, at, b.drawn_states(b.state_draws(self.rng, word, len(at)), word))
+                for word, at in self._block_words(n, 1)]
 
     def _block_words(self, n: int, max_len: int) -> list[tuple[SystemType, np.ndarray]]:
         """Steps 1 to 3 of the layout: the words of a block's ``n`` trials,
@@ -308,35 +318,3 @@ class Sampler:
         if self.rng.uniform() < 0.3:
             t = test_par(t, column())
         return t
-
-
-@dataclass(frozen=True)
-class TrialStack:
-    """The drawn observation tests on one word in a block, in trial order.
-
-    ``trials`` are their indices in the run and ``outcomes`` their outcome
-    counts; ``kernels`` holds each test's effect kernels, shape
-    ``(len(trials), max(outcomes), 1, cols)``, zero past a test's count.
-    """
-
-    word: SystemType
-    trials: np.ndarray
-    outcomes: np.ndarray
-    kernels: np.ndarray
-
-
-@dataclass(frozen=True)
-class DrawnTests:
-    """``count`` random observation tests, drawn from ``sampler`` as they are
-    iterated: a list of ``TrialStack`` per block of ``TRIAL_BLOCK`` trials.
-    Each pass draws anew from the sampler's generator."""
-
-    sampler: Sampler
-    count: int
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self) -> Iterator[list[TrialStack]]:
-        for first in range(0, self.count, TRIAL_BLOCK):
-            yield self.sampler.observation_test_block(first, min(TRIAL_BLOCK, self.count - first))

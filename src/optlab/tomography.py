@@ -25,7 +25,7 @@ from .audit.purity import _as_channel
 from .backends.base import EffectVector, StateVector, TheoryBackend
 from .diagram import SystemType, UNIT
 from .errors import OptlabError, TypeMismatchError
-from .sampling import Sampler
+from .sampling import Sampler, run_trials
 
 __all__ = [
     "EquivalenceWitness",
@@ -37,9 +37,6 @@ __all__ = [
     "local_tomography_check",
     "verify_faithfulness",
 ]
-
-# faithfulness trials scored per stack of arrays; bounds the stack's memory
-TRIAL_BLOCK = 256
 
 
 @dataclass
@@ -212,9 +209,10 @@ def verify_faithfulness(
     between equal transformations witnesses nothing.  ``min_gap`` is the
     least gap over all trials.
 
-    Trials run as stacked arrays, ``TRIAL_BLOCK`` at a time to bound
-    memory; draws are sequential, so the block size changes neither the
-    random stream nor the report.
+    The trials are walked by ``sampling.run_trials``, each block decided as
+    stacked arrays, which bounds their memory; trial t draws kernels 2t and
+    2t + 1, one channel after the other, so the block size changes neither
+    the random stream nor the report.
     """
     tol = backend.tol.gap if tol is None else tol
     if word is None:
@@ -225,22 +223,19 @@ def verify_faithfulness(
     probe = backend.faithful_probe(word)
     sampler = Sampler(backend, seed=seed)
     emat = backend.spanning_states(probe.system)  # self-dual: the rows are effects
-    gaps = np.empty(trials)
-    differ = np.empty(trials, dtype=bool)
-    for start in range(0, trials, TRIAL_BLOCK):
-        count = min(TRIAL_BLOCK, trials - start)
-        # trial t draws kernels 2t and 2t + 1, as one channel after the other
-        kernels = sampler.channels(word, word, 2 * count)
+
+    def decide(first, kernels):
         coords = backend.apply_first(kernels, word, word, probe)
         diff = coords[0::2, None, :] - coords[1::2, None, :]
-        gaps[start:start + count] = np.abs(diff @ emat.T).max(axis=(1, 2))
-        kdiff = np.abs(kernels[0::2] - kernels[1::2])
-        differ[start:start + count] = kdiff.max(axis=(1, 2)) > backend.tol.algebra
-    failures = np.flatnonzero((gaps <= tol) & differ).tolist()
+        gaps = np.abs(diff @ emat.T).max(axis=(1, 2))
+        differ = np.abs(kernels[0::2] - kernels[1::2]).max(axis=(1, 2)) > backend.tol.algebra
+        return gaps.tolist(), (gaps <= tol) & differ
+
+    gaps, failures = run_trials(trials, lambda n: sampler.channels(word, word, 2 * n), decide)
     return FaithfulnessReport(
         verdict="Confirmed" if not failures else "Refuted",
         trials=trials,
-        min_gap=float(gaps.min(initial=np.inf)),
+        min_gap=float(np.min(gaps, initial=np.inf)),
         tolerance=tol,
         failures=failures,
     )

@@ -53,6 +53,28 @@ def test_unitary_channels_are_reversible_kernels(backend):
     np.testing.assert_allclose(k @ k.conj().T, np.eye(k.shape[0]), atol=1e-10)
 
 
+def test_drawn_unitaries_conjugate_to_physical_channels(backend):
+    """On every theory, including the classical one, whose reversible maps
+    are the permutations."""
+    s = Sampler(backend, seed=1)
+    for word in (A, B, A * B):
+        u = s.random_unitary(backend.hilbert_dim(word))
+        assert backend.certify_channel(backend.conjugation_channel(u, word)).physical
+
+
+def test_classical_unitary_channels_permute_as_one_permutation_call_draws(classical):
+    """The kernel is the matrix taking point i to point ``rng.permutation(d)[i]``,
+    and the generator moves by that one call."""
+    for seed in range(5):
+        s, rng = Sampler(classical, seed=seed), np.random.default_rng(seed)
+        for word in (A, B, A * B):
+            d = classical.hilbert_dim(word)
+            want = np.zeros((d, d))
+            want[rng.permutation(d), np.arange(d)] = 1.0
+            np.testing.assert_array_equal(s.unitary_channel(word).kernel, want, strict=True)
+        assert s.rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_povm_completeness(backend):
     s = Sampler(backend, seed=9)
     effects = s.povm(A, 3)

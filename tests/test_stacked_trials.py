@@ -1,28 +1,31 @@
 """Stacked sampled audits against plain loops of the layout they declare.
 
-``Sampler.random_observation_tests`` and ``Sampler.random_states`` draw their
-trials in the stacked layout of ``optlab.sampling``: block by block, the word
-lengths, the label picks and the redraw rounds of the rejected trials, then
-the outcome counts, then each word's numbers in one call, in order of its
-first trial.  ``check_causality`` and ``purify_states`` work the trials out
-as stacks.  The references below make the same generator calls, split the
-numbers trial by trial, and work each trial out alone with the primitives
-the stacks replaced (``random_povm``, ``random_state``, ``sorted_eigh``,
+``Sampler.observation_test_block`` and ``Sampler.state_block`` draw the trials
+of the sampled audits in the stacked layout of ``optlab.sampling``, walked
+block by block by ``run_trials``: the word lengths, the label picks and the
+redraw rounds of the rejected trials, then the outcome counts, then each
+word's numbers in one call, in order of its first trial.  ``check_causality``
+and ``purify_block`` work the trials out as stacks.  The references below
+make the same generator calls, split the numbers trial by trial, and work
+each trial out alone with the primitives the stacks replaced
+(``random_povm``, ``random_state``, ``sorted_eigh``,
 ``extremal_decomposition``, ``purification`` and the partial trace), so every
 comparison here is bit for bit.  A matrix theory's transfer matrices and
 state objects come from one-item calls of ``transfer_matrices`` and
 ``state_object``.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from optlab import SystemType, get_backend, linalg
-from optlab.audit import check_causality, purify_state, purify_states
+from optlab.audit import check_causality, purify_block, purify_state, purify_states
 from optlab.backends.base import Channel, EffectVector, StateVector
 from optlab.diagram import UNIT
 from optlab.errors import BackendLacksPurificationError, CausalityViolationError, TypeMismatchError
-from optlab.sampling import TRIAL_BLOCK, Sampler
+from optlab.sampling import TRIAL_BLOCK, Sampler, run_trials
 
 SYSTEMS = {"A": 2, "B": 3, "C": 2}
 A, B = SystemType.of("A"), SystemType.of("B")
@@ -258,18 +261,83 @@ def test_a_stack_of_gaussians_draws_what_one_call_per_matrix_would(theory):
     assert one.bit_generator.state == many.bit_generator.state
 
 
+def drawn_blocks(draw, trials):
+    """Each block that a walk of ``trials`` draws, with its first trial,
+    checking that the block's stacks cover its trials once, in order."""
+    blocks = []
+
+    def keep(first, block):
+        n = min(TRIAL_BLOCK, trials - first)
+        assert sorted(t for _, at, _ in block for t in at) == list(range(n))
+        assert all(list(at) == sorted(at) for _, at, _ in block)
+        blocks.append((first, block))
+        return [None] * n, ()
+
+    run_trials(trials, draw, keep)
+    return blocks
+
+
+def sampled_tests(sampler, trials):
+    """A walk of ``trials`` drawn observation tests, as ``check_causality`` takes it."""
+    return partial(run_trials, trials, sampler.observation_test_block)
+
+
+def outcome_counts(kernels):
+    """The outcome count of each of a stack of padded tests: its effects that are not zero."""
+    return kernels.any(axis=(2, 3)).sum(axis=1)
+
+
 def drawn_kernels(sampler, trials):
-    """Each drawn test's word, outcome count and kernels, in trial order,
-    checking that each block's stacks cover its trials once, in order."""
+    """Each drawn test's word, outcome count and kernels, in trial order."""
     got = [None] * trials
-    for first, block in zip(range(0, trials, TRIAL_BLOCK), sampler.random_observation_tests(trials)):
-        assert sorted(t for s in block for t in s.trials) == list(range(first, min(first + TRIAL_BLOCK, trials)))
-        for s in block:
-            assert list(s.trials) == sorted(s.trials) and s.kernels.shape[:2] == (len(s.trials), max(s.outcomes))
-            for t, k, kernels in zip(s.trials, s.outcomes, s.kernels):
-                assert not kernels[k:].any()  # past a test's outcome count, zero effects
-                got[t] = (s.word, int(k), kernels[:k])
+    for first, block in drawn_blocks(sampler.observation_test_block, trials):
+        for word, at, kernels in block:
+            ks = outcome_counts(kernels)
+            assert kernels.shape[:2] == (len(at), ks.max())
+            for t, k, test in zip((first + at).tolist(), ks.tolist(), kernels):
+                assert not test[k:].any()  # past a test's outcome count, zero effects
+                got[t] = (word, k, test[:k])
     return got
+
+
+def drawn_states(sampler, trials):
+    """The drawn states, in trial order."""
+    states = [None] * trials
+    for first, block in drawn_blocks(sampler.state_block, trials):
+        for word, at, coords in block:
+            for t, c in zip((first + at).tolist(), coords):
+                states[t] = StateVector(c, word)
+    return states
+
+
+def test_the_driver_keeps_each_trial_and_the_failures_in_trial_order():
+    """Blocks of 256 (the last one short), every statistic in trial order, the
+    failing trials ascending; a decision that raises ends the walk."""
+    drawn = []
+
+    def draw(n):
+        drawn.append(n)
+        return np.arange(n)
+
+    def decide(first, block):
+        trials = first + block
+        return (0.5 * trials).tolist(), trials % 100 == 99
+
+    statistics, failures = run_trials(600, draw, decide)
+    assert drawn == [256, 256, 88]
+    assert statistics == [0.5 * t for t in range(600)]
+    assert failures == [99, 199, 299, 399, 499, 599]
+    assert run_trials(0, draw, decide) == ([], []) and len(drawn) == 3
+
+    def refuse_the_second(first, block):
+        if first:
+            raise ValueError(first)
+        return decide(first, block)
+
+    drawn.clear()
+    with pytest.raises(ValueError, match="256"):
+        run_trials(600, draw, refuse_the_second)
+    assert drawn == [256, 256]
 
 
 @pytest.mark.parametrize("trials", TRIALS)
@@ -292,8 +360,8 @@ def test_no_drawn_word_exceeds_the_largest_carrier(theory):
     """Every word of at most two systems fits but B*B (9 > 8), and it never comes."""
     words = set()
     for seed in range(4):
-        words |= {s.word for block in Sampler(theory, seed=seed).random_observation_tests(600) for s in block}
-        words |= {state.system for state in Sampler(theory, seed=seed).random_states(300)}
+        words |= {w for _, b in drawn_blocks(Sampler(theory, seed=seed).observation_test_block, 600) for w, *_ in b}
+        words |= {state.system for state in drawn_states(Sampler(theory, seed=seed), 300)}
     labels = [UNIT, *map(SystemType.of, SYSTEMS)]
     fitting = {w * v for w in labels for v in labels if theory.hilbert_dim(w * v) <= Sampler.MAX_CARRIER}
     assert words == fitting and B * B not in words
@@ -323,8 +391,8 @@ def test_words_that_never_fit_fall_back_to_the_smallest_label(dims, smallest):
     backend = get_backend("quantum", dims)
     sampler = Sampler(backend)
     sampler.rng = LongWords(0)
-    block = sampler.observation_test_block(0, 5)
-    assert [(str(s.word), list(s.trials)) for s in block] == [(smallest, [0, 1, 2, 3, 4])]
+    block = sampler.observation_test_block(5)
+    assert [(str(word), list(at)) for word, at, _ in block] == [(smallest, [0, 1, 2, 3, 4])]
     rounds = [("integers", 0, 3, 5), ("integers", 2, None, (5, 2))] * 20
     assert sampler.rng.calls == rounds + [("integers", 2, 5, 5)]
     assert sampler.word() == SystemType.of(smallest)
@@ -335,7 +403,7 @@ def test_a_block_is_decided_before_the_next_is_drawn(theory):
     for seed in range(3):
         sampler = Sampler(theory, seed=seed)
         with pytest.raises(CausalityViolationError):
-            check_causality(theory, sampler.random_observation_tests(600), tol=0.0)
+            check_causality(theory, sampled_tests(sampler, 600), tol=0.0)
         tests, rng = reference_random_observation_tests(theory, seed, 600, blocks=1)
         assert "test #" in reference_check_causality(theory, tests, 0.0)
         assert sampler.rng.bit_generator.state == rng.bit_generator.state
@@ -347,26 +415,42 @@ def test_causality_decides_as_the_per_trial_loop(theory, trials):
     for seed in seeds(trials):
         tests, _ = reference_random_observation_tests(theory, seed, trials)
         for tol in (1e-9, 5e-16, 0.0):
-            got = outcome(theory, Sampler(theory, seed=seed).random_observation_tests(trials), tol)
+            got = outcome(theory, sampled_tests(Sampler(theory, seed=seed), trials), tol)
             assert_identical(got, reference_check_causality(theory, tests, tol))
             assert_identical(outcome(theory, tests, tol), got)
             failed_later += isinstance(got, str) and "'test #0 on" not in got
-        report = check_causality(theory, Sampler(theory, seed=seed).random_observation_tests(trials))
+        report = check_causality(theory, sampled_tests(Sampler(theory, seed=seed), trials))
         assert report.max_residual == max(report.residuals) and report.tests_checked == trials
     if trials == 80:
         assert failed_later  # some first failure is not the first test
+
+
+def test_a_failure_in_a_later_block_is_numbered_in_the_run(theory):
+    """At the largest residual of the first block as tolerance, the first
+    block passes, and a test over it in a later block fails by its number
+    in the run.  Classical residuals take a few values only, and no later
+    block goes over its first block's largest."""
+    later = 0
+    for seed in range(3):
+        tests, _ = reference_random_observation_tests(theory, seed, 600)
+        residuals = reference_check_causality(theory, tests, 1.0)
+        tol = max(residuals[:TRIAL_BLOCK])
+        got = outcome(theory, sampled_tests(Sampler(theory, seed=seed), 600), tol)
+        assert_identical(got, reference_check_causality(theory, tests, tol))
+        later += isinstance(got, str)
+    assert (later > 0) == (theory.name != "classical")
 
 
 def test_padded_and_unpadded_outcome_sums_are_bit_identical(theory):
     """A stack pads each test to the largest outcome count with zero effects;
     its sum over all of them is each test's own sum, bit for bit."""
     padded_tests = 0
-    for block in Sampler(theory, seed=9).random_observation_tests(300):
-        for s in block:
-            coords = theory.transfer_matrices(s.kernels.reshape(-1, *s.kernels.shape[2:]), s.word, UNIT)[:, 0]
-            coords = coords.reshape(*s.kernels.shape[:2], -1)
+    for _, block in drawn_blocks(Sampler(theory, seed=9).observation_test_block, 300):
+        for word, _, kernels in block:
+            coords = theory.transfer_matrices(kernels.reshape(-1, *kernels.shape[2:]), word, UNIT)[:, 0]
+            coords = coords.reshape(*kernels.shape[:2], -1)
             padded = sum(coords[:, j] for j in range(coords.shape[1]))
-            for total, own, k in zip(padded, coords, s.outcomes):
+            for total, own, k in zip(padded, coords, outcome_counts(kernels)):
                 assert_identical(total, sum(own[j] for j in range(k)))
                 padded_tests += k < coords.shape[1]
     assert padded_tests > 100
@@ -419,12 +503,14 @@ def test_random_states_and_their_purification_match_the_per_trial_loop(theory, t
     for seed in seeds(trials):
         want, want_rng = reference_random_states(theory, seed, trials)
         sampler = Sampler(theory, seed=seed)
-        got = sampler.random_states(trials)
+        got = drawn_states(sampler, trials)
         assert sampler.rng.bit_generator.state == want_rng.bit_generator.state
         assert_identical(got, want)
-        results = purify_states(theory, got)
+        results, failed = run_trials(trials, Sampler(theory, seed=seed).state_block,
+                                     lambda first, block: purify_block(theory, block))
         assert_identical([vars(r) for r in results], [reference_purify(theory, s) for s in want])
-        failures += sum(r.verdict == "Failure" for r in results)
+        assert failed == [t for t, r in enumerate(results) if r.verdict == "Failure"]
+        failures += len(failed)
     assert (failures > 0) == (theory.name == "classical")
 
 
@@ -452,7 +538,7 @@ def test_purify_states_on_mixed_words_and_ranks(theory):
 
 
 def test_purification_in_groups_changes_no_bit(theory):
-    states = mixed_states(theory) + Sampler(theory, seed=2).random_states(40)
+    states = mixed_states(theory) + drawn_states(Sampler(theory, seed=2), 40)
     whole = [vars(r) for r in purify_states(theory, states)]
     parts = [vars(r) for at in range(0, len(states), 7) for r in purify_states(theory, states[at:at + 7])]
     singles = [vars(purify_state(theory, s)) for s in states]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from optlab import Channel, SystemType, get_backend, par, seq
-from optlab import tomography
+from optlab import sampling
 from optlab.audit.purification import purify_state
 from optlab.diagram import PrimitiveBox, UNIT
 from optlab.errors import TypeMismatchError
@@ -346,10 +346,11 @@ def test_batched_faithfulness_reports_the_same_failures(shared_backend, word):
 
 def test_faithfulness_block_size_changes_nothing(shared_backend, monkeypatch):
     """40 trials in blocks of 7 (the last one short) give the report of one
-    block, bit for bit."""
+    block, bit for bit.  Faithfulness alone: for observation tests and
+    random states the block size is part of what a seed draws."""
     reports = []
     for block in (7, 1000):
-        monkeypatch.setattr(tomography, "TRIAL_BLOCK", block)
+        monkeypatch.setattr(sampling, "TRIAL_BLOCK", block)
         rep = verify_faithfulness(shared_backend, word=B, trials=40, seed=4, tol=0.2)
         reports.append((rep.verdict, rep.trials, rep.failures, rep.min_gap))
     assert reports[0] == reports[1]
