@@ -16,7 +16,7 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Adding a theory means writing the 25 abstract members below; a
+methods.  Adding a theory means writing the 23 abstract members below; a
 class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).  This checklist puts exactly those members in double backquotes.
@@ -54,11 +54,10 @@ otherwise).  This checklist puts exactly those members in double backquotes.
   the uniform state so that it separates transformations.  A pure
   realization (dilation) of a transformation is the purification of its
   ``channel_choi``, so a theory writes nothing more for it.
-* Random draws, each from a generator in a fixed order:
-  ``random_channels``, ``random_preparation`` and ``random_instrument``; ``drawn_states`` and ``drawn_povms`` turn a stack
-  of the numbers of random states or observation tests, as the base class
-  draws them for many trials in one call, into state coordinates or effect
-  objects.
+* Random draws, each from a generator in a fixed order: ``random_channels``;
+  ``drawn_states`` and ``drawn_povms`` turn a stack of the numbers of random
+  states or observation tests, as the base class draws them for many trials
+  in one call, into state coordinates or effect objects.
 
 A theory also sets the class flags ``purifies`` and ``pair_payloads``; a
 purifying theory adds ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
@@ -70,8 +69,8 @@ The base class derives the rest, the same way for every theory:
 shape, each group's kernels as one stack certified by one ``check_kernels``
 call; ``compile_payload`` and
 ``certify_channel`` are its one-item cases; likewise ``transfer_of``,
-``extremal_decomposition``, ``purification``, ``random_state`` and
-``random_povm`` are the one-item cases of the stacked members above;
+``extremal_decomposition`` and ``purification`` are the one-item cases of
+the stacked members above;
 ``kernel_par`` is the Kronecker product (of every pair, when the kernels
 are stacks of a test's branches), because the blocks of a composite word
 are its parts' blocks in turn; ``apply_par`` applies a layer, a list of
@@ -745,29 +744,11 @@ class TheoryBackend(abc.ABC):
         phases[np.abs(phases) == 0] = 1.0
         return q * (phases / np.abs(phases))
 
-    def density_matrix(self, rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
-        return self._density_matrices(self.gaussian(rng, d, rank or d)[None])[0]
-
-    @staticmethod
-    def _density_matrices(draws: np.ndarray) -> np.ndarray:
-        """``g g* / Tr(g g*)`` for each of a stack of Gaussian matrices."""
-        rho = draws @ draws.conj().swapaxes(-1, -2)
-        return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-
-    def simplex_weights(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        w = rng.exponential(size=k)
-        return w / w.sum()
-
-    def random_state(self, rng, word, rank=None) -> StateVector:
-        """``drawn_states`` of one ``state_draws``."""
-        return StateVector(self.drawn_states(self.state_draws(rng, word, 1, rank), word)[0], word)
-
-    def state_draws(self, rng, word, count, rank=None) -> np.ndarray:
+    def state_draws(self, rng, word, count) -> np.ndarray:
         """The random numbers of ``count`` random states on ``word``, in one
-        call: a Gaussian ``d x rank`` matrix each, as ``density_matrix`` draws
-        it, stacked."""
+        call: a Gaussian ``d x d`` matrix each, stacked."""
         d = self.hilbert_dim(word)
-        return self.gaussian(rng, count, d, rank or d)
+        return self.gaussian(rng, count, d, d)
 
     @abc.abstractmethod
     def drawn_states(self, draws: np.ndarray, word: SystemType) -> np.ndarray:
@@ -781,11 +762,6 @@ class TheoryBackend(abc.ABC):
         """The ``conjugation_channel`` of a ``random_unitary``."""
         return self.conjugation_channel(self.random_unitary(rng, self.hilbert_dim(word)), word)
 
-    def random_povm(self, rng, word, k) -> list[np.ndarray]:
-        """k effect objects summing to the unit effect: ``drawn_povms`` of one
-        ``povm_draws``."""
-        return list(self.drawn_povms(self.povm_draws(rng, word, k)[None])[0])
-
     def povm_draws(self, rng, word, k) -> np.ndarray:
         """The random numbers of k effects on ``word``, one after another,
         stacked: one k-outcome observation test, or the tests whose counts
@@ -798,12 +774,6 @@ class TheoryBackend(abc.ABC):
         """The effect objects ``(count, k, ...)`` of the k-outcome tests that a
         stack of ``povm_draws`` of one word make.  An effect whose numbers are
         all zero comes out zero, so tests of fewer outcomes pad to k."""
-
-    @abc.abstractmethod
-    def random_preparation(self, rng, word, k) -> list[np.ndarray]: ...
-
-    @abc.abstractmethod
-    def random_instrument(self, rng, input_word, output_word, k) -> list[Channel]: ...
 
     # ------------------------------------------------------------------
     # scalars

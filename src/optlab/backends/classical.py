@@ -234,11 +234,11 @@ class ClassicalBackend(TheoryBackend):
 
     # -- random draws ---------------------------------------------------
 
-    def state_draws(self, rng, word, count, rank=None):
+    def state_draws(self, rng, word, count):
         return rng.exponential(size=(count, self.hilbert_dim(word)))
 
     def drawn_states(self, draws, word):
-        """Each draw over its sum, as ``simplex_weights`` forms it."""
+        """Each draw over its sum."""
         return draws / draws.sum(axis=-1, keepdims=True)
 
     def random_channels(self, rng, input_word, output_word, count):
@@ -260,14 +260,3 @@ class ClassicalBackend(TheoryBackend):
     def drawn_povms(self, draws):
         """Each point's weights over their sum across a test's effects."""
         return draws / draws.sum(axis=-2, keepdims=True)
-
-    def random_preparation(self, rng, word, k):
-        d = self.hilbert_dim(word)
-        total = self.simplex_weights(rng, d)
-        split = np.stack([self.simplex_weights(rng, k) for _ in range(d)], axis=1)
-        return list(split * total)
-
-    def random_instrument(self, rng, input_word, output_word, k):
-        m = self.random_channels(rng, input_word, output_word, 1)[0]
-        split = rng.dirichlet(np.ones(k), size=m.shape)
-        return [Channel(input_word, output_word, m * split[:, :, x]) for x in range(k)]

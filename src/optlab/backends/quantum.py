@@ -402,7 +402,9 @@ class _MatrixTheory(TheoryBackend):
     # -- random draws ---------------------------------------------------
 
     def drawn_states(self, draws, word):
-        return self.state_coords(self._density_matrices(draws), word)
+        """``g g* / Tr(g g*)`` for each Gaussian matrix ``g``."""
+        rho = draws @ draws.conj().swapaxes(-1, -2)
+        return self.state_coords(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], word)
 
     def random_channels(self, rng, input_word, output_word, count):
         din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
@@ -430,21 +432,6 @@ class _MatrixTheory(TheoryBackend):
         scale[:, i, i] = vals ** -0.5
         corr = (vecs @ scale @ vecs.conj().swapaxes(-1, -2))[:, None]
         return corr @ raw @ corr.conj().swapaxes(-1, -2)
-
-    def random_preparation(self, rng, word, k):
-        d = self.hilbert_dim(word)
-        vals, vecs = np.linalg.eigh(self.density_matrix(rng, d))
-        f = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-        split = np.stack([self.simplex_weights(rng, k) for _ in range(d)], axis=1)
-        return [f @ np.diag(wx) @ f.conj().T for wx in split]
-
-    def random_instrument(self, rng, input_word, output_word, k):
-        din, dout = self.hilbert_dim(input_word), self.hilbert_dim(output_word)
-        vals, vecs = np.linalg.eigh(self._tp_choi(rng, din, dout, 1)[0])
-        a = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-        split = np.stack([self.simplex_weights(rng, k) for _ in range(din * dout)], axis=1)
-        return [self.channel_from_choi(a @ np.diag(wx) @ a.conj().T, input_word, output_word)
-                for wx in split]
 
 
 class QuantumBackend(_MatrixTheory):

@@ -40,7 +40,7 @@ from optlab.cli import main as cli_main
 from optlab.diagram import test_par as parallel_tests
 from optlab.dsl import load, parse, print_document
 from optlab.errors import DslParseError, OptlabError
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 from optlab.tomography import local_tomography_check
 
 THEORIES = ("quantum", "quantum-real", "classical")
@@ -67,7 +67,7 @@ def test_criterion_01_monoidal_laws():
     circuits = 0
     for theory in THEORIES:
         backend = get_backend(theory, systems={"A": 2, "B": 2})
-        s = Sampler(backend, seed=101)
+        s = FixtureSampler(backend, seed=101)
 
         def gap(d1, d2):
             t1 = evaluate(d1, backend, s.bindings).matrix
@@ -124,7 +124,7 @@ def test_criterion_02_distributions_and_independence():
     worst_total = 0.0
     for i in range(200):
         backend = get_backend(THEORIES[i % 3], systems={"A": 2, "B": 3})
-        s = Sampler(backend, seed=200 + i)
+        s = FixtureSampler(backend, seed=200 + i)
         t = s.closed_test_circuit(max_branches=3, depth=1)
         dist = run_test_circuit(t, backend, s.bindings)
         worst_total = max(worst_total, abs(sum(dist.probs.values()) - 1.0))
@@ -132,7 +132,7 @@ def test_criterion_02_distributions_and_independence():
     worst_factor = 0.0
     for i in range(100):
         backend = get_backend(THEORIES[i % 3], systems={"A": 2, "B": 3})
-        s = Sampler(backend, seed=500 + i)
+        s = FixtureSampler(backend, seed=500 + i)
         t1 = s.closed_test_circuit(max_branches=3, depth=1)
         t2 = s.closed_test_circuit(max_branches=3, depth=1)
         d1 = run_test_circuit(t1, backend, s.bindings)
@@ -157,7 +157,7 @@ def test_criterion_03_observation_tests_sum_to_trace():
     exact = True
     for theory in THEORIES:
         backend = get_backend(theory, systems={"A": 2, "B": 3})
-        s = Sampler(backend, seed=301)
+        s = FixtureSampler(backend, seed=301)
         words = [A, B, A * B]
         tests = [
             s.observation_channels(words[i % 3], 2 + i % 4) for i in range(200)
@@ -209,7 +209,7 @@ def test_criterion_04_purification_at_scale():
     rank_ok = True
     for d in (2, 3, 4):
         backend = get_backend("quantum", systems={"A": d})
-        s = Sampler(backend, seed=400 + d)
+        s = FixtureSampler(backend, seed=400 + d)
         for i in range(200):
             r = 1 + int(s.rng.integers(d))
             rho = s.density_matrix(d, rank=r)
@@ -228,7 +228,7 @@ def test_criterion_04_purification_at_scale():
     for i in range(100):
         d = 2 + i % 3
         backend = get_backend("quantum", systems={"A": d})
-        s = Sampler(backend, seed=440 + i)
+        s = FixtureSampler(backend, seed=440 + i)
         rho = s.density_matrix(d)
         base = purify_state(backend, as_state(backend, rho, word))
         wing = base.purifying_system
@@ -304,7 +304,7 @@ def test_criterion_06_steering():
         d = 2 + i % 2
         k = 2 + i % 3
         backend = get_backend("quantum", systems={"A": d})
-        s = Sampler(backend, seed=600 + i)
+        s = FixtureSampler(backend, seed=600 + i)
         parts = s.preparation_branches(word, k)
         rho = sum(parts)
         purif = purify_state(backend, as_state(backend, rho, word))
@@ -333,7 +333,7 @@ def test_criterion_07_state_transformation_bridge():
             corr = choi_correspondence(backend, win, wout)
             if corr.rank != corr.required:
                 ranks_ok = False
-            s = Sampler(backend, seed=700 + count)
+            s = FixtureSampler(backend, seed=700 + count)
             n = 17 if (win, wout) != (B, B) else 16  # 50 per theory
             for _ in range(n):
                 ch = s.channel(win, wout)
@@ -357,7 +357,7 @@ def test_criterion_08_no_information_without_disturbance():
     worst_sum = 0.0
     for i in range(50):
         backend = get_backend("quantum", systems={"A": 2, "B": 3})
-        s = Sampler(backend, seed=800 + i)
+        s = FixtureSampler(backend, seed=800 + i)
         word = (A, B, A * B)[i % 3]
         rep = niwd_check(backend, s.identity_instrument(word, 2 + i % 4))
         if rep.verdict != "Holds":
@@ -395,7 +395,7 @@ def test_criterion_09_stinespring():
     for d in (2, 3):
         backend = get_backend("quantum", systems={"A": d})
         word = SystemType.of("A")
-        s = Sampler(backend, seed=900 + d)
+        s = FixtureSampler(backend, seed=900 + d)
         for i in range(100):
             ch = s.channel(word, word)
             choi = backend.channel_choi(ch)
@@ -458,7 +458,7 @@ def test_criterion_11_readout_physicalization():
     physical = True
     for i in range(100):
         backend = get_backend(THEORIES[i % 3], systems={"A": 2, "B": 3})
-        s = Sampler(backend, seed=1100 + i)
+        s = FixtureSampler(backend, seed=1100 + i)
         word = (A, B)[i % 2]
         branches = s.instrument(word, word, 2 + i % 3)
         res = physicalize_readout(backend, branches)

@@ -14,7 +14,7 @@ from optlab.backends import base
 from optlab.backends.base import EffectVector, TheoryBackend
 from optlab.diagram import UNIT
 from optlab.errors import NotPhysicalError, OptlabError
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 from test_linalg import swap_unitary, symmetric_basis
 
 A = SystemType.of("A")
@@ -69,7 +69,7 @@ def test_identity_is_physical_and_deterministic(backend):
 
 
 def test_random_channels_certify(backend):
-    s = Sampler(backend, seed=3)
+    s = FixtureSampler(backend, seed=3)
     for _ in range(5):
         ch = s.channel(A, B)
         cert = backend.certify_channel(ch)
@@ -117,7 +117,7 @@ def test_payloads_whose_kernel_overflows_are_refused(quantum):
 def test_bulk_compile_matches_one_payload_at_a_time(backend, monkeypatch):
     """Each item of ``compile_payloads`` gets the kernel, or the error, that
     ``compile_payload`` gives it alone, whatever else shares its stack."""
-    s, rng = Sampler(backend, seed=11), np.random.default_rng(11)
+    s, rng = FixtureSampler(backend, seed=11), np.random.default_rng(11)
     kind = "stoch" if backend.name == "classical" else "choi"
     items = []
     for win, wout in [(UNIT, A), (A, UNIT), (A, A), (A, B), (B, A), (A * B, A), (UNIT, B)]:
@@ -259,7 +259,7 @@ def test_classical_substochastic_rule(classical):
 
 
 def test_choi_round_trip_on_random_channels(quantum):
-    s = Sampler(quantum, seed=11)
+    s = FixtureSampler(quantum, seed=11)
     for _ in range(5):
         ch = s.channel(A, B)
         j = quantum.channel_choi(ch)
@@ -268,7 +268,7 @@ def test_choi_round_trip_on_random_channels(quantum):
 
 
 def test_choi_trace_condition_for_deterministic(quantum):
-    s = Sampler(quantum, seed=5)
+    s = FixtureSampler(quantum, seed=5)
     ch = s.channel(A, A)
     j = quantum.channel_choi(ch)
     from optlab import linalg as la
@@ -278,7 +278,7 @@ def test_choi_trace_condition_for_deterministic(quantum):
 
 
 def test_kraus_action_matches_kernel(quantum):
-    s = Sampler(quantum, seed=13)
+    s = FixtureSampler(quantum, seed=13)
     ch = s.channel(A, A)
     ks = stinespring_dilate(quantum, ch).kraus
     rho = s.density_matrix(2)
@@ -292,7 +292,7 @@ def test_kraus_action_matches_kernel(quantum):
 
 
 def test_state_effect_pairing_is_probability(backend):
-    s = Sampler(backend, seed=19)
+    s = FixtureSampler(backend, seed=19)
     st = s.state(A)
     ef = EffectVector(backend.effect_coords(s.povm(A, 3)[0], A), A)
     p = ef.pair(st)
@@ -384,7 +384,7 @@ def test_local_families_span_a_pair_only_where_tomography_is_local(theory, produ
 def test_a_stack_of_objects_gives_the_stack_of_their_channels(backend, word):
     """``state_channel`` and ``effect_channel`` take a stack of objects, and
     each kernel of the stack is, bit for bit, the kernel its object gets alone."""
-    s = Sampler(backend, seed=67)
+    s = FixtureSampler(backend, seed=67)
     objs = np.array([backend.state_object(s.state(word).coords, word) for _ in range(4)])
     for channel_of in (backend.state_channel, backend.effect_channel):
         stacked = channel_of(objs, word)
@@ -394,7 +394,7 @@ def test_a_stack_of_objects_gives_the_stack_of_their_channels(backend, word):
 
 
 def test_trace_effect_sums_probability(backend):
-    s = Sampler(backend, seed=23)
+    s = FixtureSampler(backend, seed=23)
     st = s.state(A)
     total = backend.trace_effect(A).pair(st)
     np.testing.assert_allclose(total, 1.0, atol=1e-10)
@@ -523,7 +523,7 @@ def dense_basis(backend, word):
                          ids=str)
 def test_transfer_of_matches_the_dense_product(theory, win, wout):
     backend = get_backend(theory, {"A": 2, "B": 3})
-    kernel = Sampler(backend, seed=41).channel(win, wout).kernel
+    kernel = FixtureSampler(backend, seed=41).channel(win, wout).kernel
     want = np.real(dense_basis(backend, wout).conj().T @ kernel @ dense_basis(backend, win))
     got = backend.transfer_of(Channel(win, wout, kernel)).matrix
     assert np.isrealobj(got) and got.shape == want.shape
@@ -568,7 +568,7 @@ def test_the_coordinate_map_matches_the_dense_basis(theory, word):
 @pytest.mark.parametrize("word", WORDS, ids=str)
 def test_choi_round_trip_is_exact_on_several_wires(theory, word):
     backend = get_backend(theory, {"A": 2, "B": 3})
-    s = Sampler(backend, seed=43)
+    s = FixtureSampler(backend, seed=43)
     for win, wout in [(word, word), (A, word), (word, B)]:
         ch = s.channel(win, wout)
         back = backend.channel_from_choi(backend.channel_choi(ch), win, wout)
@@ -580,7 +580,7 @@ def test_choi_round_trip_is_exact_on_several_wires(theory, word):
 @pytest.mark.parametrize("word", WORDS, ids=str)
 def test_kernel_par_is_the_kronecker_product(theory, word):
     backend = get_backend(theory, {"A": 2, "B": 3})
-    s = Sampler(backend, seed=47)
+    s = FixtureSampler(backend, seed=47)
     first, rest = SystemType.of(word.word[0]), SystemType(word.word[1:])
     left, right = s.channel(first, first), s.channel(rest, B)
     np.testing.assert_array_equal(backend.kernel_par(left, right), np.kron(left.kernel, right.kernel))
@@ -590,7 +590,7 @@ def test_kernel_par_is_the_kronecker_product(theory, word):
 @pytest.mark.parametrize("word", WORDS, ids=str)
 def test_apply_par_is_the_product_with_the_dense_layer(theory, word):
     backend = get_backend(theory, {"A": 2, "B": 3})
-    s, rng = Sampler(backend, seed=53), np.random.default_rng(53)
+    s, rng = FixtureSampler(backend, seed=53), np.random.default_rng(53)
     head, rest = SystemType(word.word[:-1]), SystemType.of(word.word[-1])
     leaves = [s.channel(head, rest * head), s.channel(rest, rest)]
     dense = np.kron(leaves[0].kernel, leaves[1].kernel)

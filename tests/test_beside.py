@@ -23,7 +23,7 @@ from optlab.audit import (
     stinespring_dilate,
 )
 from optlab.backends.base import StateVector, TheoryBackend
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 from optlab.tomography import local_tomography_check, verify_faithfulness
 
 A = SystemType.of("A")
@@ -79,7 +79,7 @@ def dense_beside(backend, word, ch, kernel):
 
 def pure_extension(backend, word, seed):
     """A random mixed state on ``word`` and its canonical pure extension."""
-    rho = Sampler(backend, seed=seed).density_matrix(backend.hilbert_dim(word))
+    rho = FixtureSampler(backend, seed=seed).density_matrix(backend.hilbert_dim(word))
     result = purify_state(backend, StateVector(backend.state_coords(rho, word), word))
     return rho, result.purified, result.purifying_system
 
@@ -89,7 +89,7 @@ def pure_extension(backend, word, seed):
 
 def test_apply_first_matches_the_einsum_and_the_dense_forms(case):
     backend, word = case
-    s = Sampler(backend, seed=1)
+    s = FixtureSampler(backend, seed=1)
     kernels = s.channels(word, word, 4)
     state = s.state(word * A)
     got = backend.apply_first(kernels, word, word, state)
@@ -101,7 +101,7 @@ def test_apply_first_matches_the_einsum_and_the_dense_forms(case):
 def test_faithfulness_matches_the_einsum_form(case):
     backend, word = case
     report = verify_faithfulness(backend, word, trials=6, seed=2)
-    kernels = Sampler(backend, seed=2).channels(word, word, 12)
+    kernels = FixtureSampler(backend, seed=2).channels(word, word, 12)
     probe = backend.faithful_probe(word)
     coords = einsum_apply_first(backend, kernels, word, word, probe)
     emat = backend.spanning_states(probe.system)
@@ -116,7 +116,7 @@ def test_choi_correspondence_matches_the_dense_images(case):
     kernels = np.array([backend.channel_from_choi(m, word, A).kernel for m in corr._choi_basis[::5]])
     want = dense_apply_first(backend, kernels, word, A, corr.pure_state)
     np.testing.assert_allclose(corr.matrix[:, ::5].T, want, rtol=0, atol=TOL)
-    ch = Sampler(backend, seed=3).channel(word, A)
+    ch = FixtureSampler(backend, seed=3).channel(word, A)
     image = corr.image_state(ch)
     assert image.system == A * corr.reference
     want = dense_apply_first(backend, ch.kernel[None], word, A, corr.pure_state)[0]
@@ -125,7 +125,7 @@ def test_choi_correspondence_matches_the_dense_images(case):
 
 def test_dilation_marginal_matches_the_dense_discard(case):
     backend, word = case
-    ch = Sampler(backend, seed=4).channel(word, word)
+    ch = FixtureSampler(backend, seed=4).channel(word, word)
     result = stinespring_dilate(backend, ch)
     discard = backend.par(backend.identity(word), backend.trace_channel(result.environment))
     want = float(np.max(np.abs(discard.kernel @ result.channel.kernel - ch.kernel)))
@@ -135,7 +135,7 @@ def test_dilation_marginal_matches_the_dense_discard(case):
 def test_uniqueness_replays_match_the_dense_forms(case):
     backend, word = case
     _, psi, wing = pure_extension(backend, word, seed=5)
-    stir = Sampler(backend, seed=6).unitary_channel(wing)
+    stir = FixtureSampler(backend, seed=6).unitary_channel(wing)
     first = backend.state_as_channel(psi).kernel
     psi2 = backend.channel_state(Channel(UNIT, psi.system, dense_beside(backend, word, stir, first)))
     report = purification_uniqueness(backend, psi, psi2, word)
@@ -144,11 +144,11 @@ def test_uniqueness_replays_match_the_dense_forms(case):
     want = np.max(np.abs(dense_beside(backend, word, conn, first) - backend.state_as_channel(psi2).kernel))
     assert abs(report.replay_error - want) <= TOL
 
-    s = Sampler(backend, seed=7)  # a mixture of two unitaries: a two-level environment
+    s = FixtureSampler(backend, seed=7)  # a mixture of two unitaries: a two-level environment
     mixture = 0.3 * s.unitary_channel(word).kernel + 0.7 * s.unitary_channel(word).kernel
     p1 = stinespring_dilate(backend, Channel(word, word, mixture)).channel
     env = SystemType(p1.output_type.word[len(word):])
-    stir = Sampler(backend, seed=8).unitary_channel(env)
+    stir = FixtureSampler(backend, seed=8).unitary_channel(env)
     p2 = Channel(word, p1.output_type, dense_beside(backend, word, stir, p1.kernel))
     report = dilation_uniqueness(backend, p1, p2, word)
     assert report.verdict == "Connected"
@@ -173,7 +173,7 @@ def test_steering_matches_the_dense_form(case):
 
 def test_readout_matches_the_dense_form(case):
     backend, word = case
-    branches = Sampler(backend, seed=10).instrument(word, word, 3)
+    branches = FixtureSampler(backend, seed=10).instrument(word, word, 3)
     result = physicalize_readout(backend, branches)
     for x, (ch, effect, error) in enumerate(zip(branches, result.effects, result.branch_errors)):
         eff_ch = backend.effect_channel(backend.diagonal(np.eye(3)[x]), result.pointer)
@@ -205,7 +205,7 @@ def test_the_audits_build_no_identity_kernel(theory, monkeypatch):
     monkeypatch.setattr(TheoryBackend, "kernel_identity", refuse)
     assert verify_faithfulness(backend, A, trials=4, seed=1).verdict == "Confirmed"
     local_tomography_check(backend, A, B)
-    assert max(physicalize_readout(backend, Sampler(backend, seed=2).instrument(A, B, 3)).branch_errors) <= TOL
+    assert max(physicalize_readout(backend, FixtureSampler(backend, seed=2).instrument(A, B, 3)).branch_errors) <= TOL
     if not backend.purifies:
         point = StateVector(np.array([0.0, 0.0, 1.0, 0.0]), A * A)
         result = steering_measurement(backend, [StateVector(np.array([0.0, 0.4]), A),
@@ -220,9 +220,9 @@ def test_the_audits_build_no_identity_kernel(theory, monkeypatch):
                                             for w in (0.25, 0.75)], psi, A)
     assert max(result.branch_errors) <= 1e-9
     assert purification_uniqueness(backend, psi, psi, A).verdict == "Connected"
-    dilation = stinespring_dilate(backend, Sampler(backend, seed=4).channel(A, B))
+    dilation = stinespring_dilate(backend, FixtureSampler(backend, seed=4).channel(A, B))
     assert dilation.marginal_error <= 1e-10
     assert dilation_uniqueness(backend, dilation.channel, dilation.channel, B).verdict == "Connected"
     corr = choi_correspondence(backend, A, B)
     assert corr.injective
-    corr.image_state(Sampler(backend, seed=5).channel(A, B))
+    corr.image_state(FixtureSampler(backend, seed=5).channel(A, B))

@@ -12,14 +12,14 @@ from optlab.audit import (
 )
 from optlab.diagram import OutcomeSpace, PrimitiveBox, Test, UNIT
 from optlab.errors import CausalityViolationError, IncompleteTestError
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 
 A = SystemType.of("A")
 B = SystemType.of("B")
 
 
 def test_observation_effects_sum_to_trace(backend):
-    s = Sampler(backend, seed=1)
+    s = FixtureSampler(backend, seed=1)
     report = check_causality(
         backend, [s.observation_channels(A, 3) for _ in range(20)], tol=1e-12
     )
@@ -28,7 +28,7 @@ def test_observation_effects_sum_to_trace(backend):
 
 
 def test_joint_system_observations(backend):
-    s = Sampler(backend, seed=3)
+    s = FixtureSampler(backend, seed=3)
     report = check_causality(
         backend, [s.observation_channels(A * B, 4)], tol=1e-12
     )
@@ -36,7 +36,7 @@ def test_joint_system_observations(backend):
 
 
 def test_causality_violation_is_witnessed(backend):
-    s = Sampler(backend, seed=5)
+    s = FixtureSampler(backend, seed=5)
     chans = s.observation_channels(A, 2)
     broken = chans + [chans[0]]  # over-counts one outcome
     with pytest.raises(CausalityViolationError) as err:
@@ -45,19 +45,19 @@ def test_causality_violation_is_witnessed(backend):
 
 
 def test_deterministic_channels_pass(backend):
-    s = Sampler(backend, seed=7)
+    s = FixtureSampler(backend, seed=7)
     assert backend.deterministic_residual(s.channel(A, B)) < 1e-10
 
 
 def test_substochastic_channel_fails_determinism(backend):
-    s = Sampler(backend, seed=9)
+    s = FixtureSampler(backend, seed=9)
     ch = s.channel(A, A)
     lossy = Channel(A, A, 0.5 * ch.kernel)
     assert backend.deterministic_residual(lossy) > 0.1
 
 
 def test_marginal_of_product_is_factor(backend):
-    s = Sampler(backend, seed=11)
+    s = FixtureSampler(backend, seed=11)
     sa, sb = s.state(A), s.state(B)
     ka = backend.state_channel(backend.state_object(sa.coords, A), A)
     kb = backend.state_channel(backend.state_object(sb.coords, B), B)
@@ -70,7 +70,7 @@ def test_marginal_of_product_is_factor(backend):
 
 def test_marginal_is_discard_of_the_rest(backend):
     """Tracing late or early agrees: the discard effect is unique."""
-    s = Sampler(backend, seed=13)
+    s = FixtureSampler(backend, seed=13)
     st = s.state(A * B)
     direct = marginal(backend, st, keep=0)
     obj = backend.state_object(st.coords, A * B)
@@ -99,7 +99,7 @@ def obs_test(backend, sampler, word, k, prefix):
 
 
 def test_readout_pointer_matches_outcome_count(backend):
-    s = Sampler(backend, seed=15)
+    s = FixtureSampler(backend, seed=15)
     t, bindings = obs_test(backend, s, A, 2, "e")
     result = physicalize_readout(backend, t, bindings)
     assert backend.hilbert_dim(result.pointer) == 2
@@ -107,14 +107,14 @@ def test_readout_pointer_matches_outcome_count(backend):
 
 
 def test_readout_three_outcomes_needs_trit_pointer(backend):
-    s = Sampler(backend, seed=17)
+    s = FixtureSampler(backend, seed=17)
     t, bindings = obs_test(backend, s, A, 3, "e")
     result = physicalize_readout(backend, t, bindings)
     assert backend.hilbert_dim(result.pointer) == 3
 
 
 def test_readout_of_singleton_is_the_channel_itself(backend):
-    s = Sampler(backend, seed=19)
+    s = FixtureSampler(backend, seed=19)
     ch = s.channel(A, B)
     t = Test(OutcomeSpace(("",)), (PrimitiveBox("m", A, B),))
     result = physicalize_readout(backend, t, {"m": ch})
@@ -124,7 +124,7 @@ def test_readout_of_singleton_is_the_channel_itself(backend):
 
 
 def test_readout_requires_complete_test(backend):
-    s = Sampler(backend, seed=21)
+    s = FixtureSampler(backend, seed=21)
     chans = s.observation_channels(A, 2)[:1]  # drop an outcome
     t = Test(OutcomeSpace(("0",)), (PrimitiveBox("e0", A, UNIT),))
     with pytest.raises(IncompleteTestError):
@@ -132,7 +132,7 @@ def test_readout_requires_complete_test(backend):
 
 
 def test_readout_replay_on_instruments(backend):
-    s = Sampler(backend, seed=23)
+    s = FixtureSampler(backend, seed=23)
     chans = s.instrument(A, A, 3)
     bindings = {f"m{i}": c for i, c in enumerate(chans)}
     t = Test(OutcomeSpace(("0", "1", "2")),

@@ -12,7 +12,7 @@ from optlab.diagram import Test as OutcomeTest
 from optlab.diagram import test_par as parallel_tests
 from optlab.diagram import test_seq as chain_tests
 from optlab.errors import TypeMismatchError
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 
 A = SystemType.of("A")
 B = SystemType.of("B")
@@ -155,8 +155,8 @@ def _recomputed_types(d):
        st.integers(0, 2**32 - 1), declared_words, declared_words)
 def test_terms_built_twice_are_equal_and_hash_equal(theory, seed, win, wout):
     backend = get_backend(theory, {"A": 2, "B": 3})
-    first = Sampler(backend, seed=seed).diagram(win, wout)
-    second = Sampler(backend, seed=seed).diagram(win, wout)
+    first = FixtureSampler(backend, seed=seed).diagram(win, wout)
+    second = FixtureSampler(backend, seed=seed).diagram(win, wout)
     assert first == second and hash(first) == hash(second)
     assert (first.input_type, first.output_type) == (win, wout)
     for term in _subterms(first):

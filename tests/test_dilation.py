@@ -22,7 +22,7 @@ from optlab.errors import (
     MarginalMismatchError,
     OptlabError,
 )
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 
 A = SystemType.of("A")
 B = SystemType.of("B")
@@ -104,7 +104,7 @@ def test_sampled_channels_dilate(word):
     """Random channels acquire pure realizations with tight margins."""
     for theory in ("quantum", "quantum-real"):
         backend = get_backend(theory, systems={"A": 2, "B": 3})
-        s = Sampler(backend, seed=17)
+        s = FixtureSampler(backend, seed=17)
         for _ in range(5):
             ch = s.channel(word, word)
             res = stinespring_dilate(backend, ch)
@@ -132,7 +132,7 @@ def test_a_six_level_channel_dilates_without_a_basis_of_the_whole_output(theory)
     error stands for it."""
     backend = get_backend(theory, {"A": 6})
     a = SystemType.of("A")
-    ch = Sampler(backend, seed=1).channel(a, a)
+    ch = FixtureSampler(backend, seed=1).channel(a, a)
     tracemalloc.start()
     try:
         res = stinespring_dilate(backend, ch)
@@ -149,7 +149,7 @@ def test_a_six_level_channel_dilates_without_a_basis_of_the_whole_output(theory)
 
 
 def test_dilation_environment_matches_oracle(quantum):
-    s = Sampler(quantum, seed=23)
+    s = FixtureSampler(quantum, seed=23)
     for _ in range(5):
         ch = s.channel(A, B)
         lio = ch.kernel
@@ -163,7 +163,7 @@ def test_dilation_environment_matches_oracle(quantum):
 
 
 def test_substochastic_maps_are_rejected(quantum):
-    s = Sampler(quantum, seed=29)
+    s = FixtureSampler(quantum, seed=29)
     lossy = Channel(A, A, 0.5 * s.channel(A, A).kernel)
     with pytest.raises(OptlabError, match="deterministic"):
         stinespring_dilate(quantum, lossy)
@@ -179,7 +179,7 @@ def test_classical_point_preparation_is_already_pure(classical):
 
 
 def test_classical_generic_channels_have_no_pure_realization(classical):
-    s = Sampler(classical, seed=31)
+    s = FixtureSampler(classical, seed=31)
     with pytest.raises(BackendLacksDilationError, match="nonzero") as refused:
         stinespring_dilate(classical, s.channel(A, A))
     assert isinstance(refused.value.__cause__, BackendLacksPurificationError)
@@ -191,7 +191,7 @@ def test_dilation_is_the_purified_choi_state(theory):
     purification of the channel's, and discarding the environment from it
     gives the channel's Choi object back."""
     backend = get_backend(theory, systems={"A": 2, "B": 3})
-    s = Sampler(backend, seed=67)
+    s = FixtureSampler(backend, seed=67)
     for win, wout in ((A, A), (A, B), (B, A)):
         ch = s.channel(win, wout)
         choi = backend.channel_choi(ch)
@@ -221,7 +221,7 @@ def _stack_isometry(kraus):
 def test_two_operator_sum_forms_are_connected(quantum, word):
     """Mixing the operator-sum form by a unitary yields the same channel;
     the two realizations must then differ by a reversible environment map."""
-    s = Sampler(quantum, seed=37)
+    s = FixtureSampler(quantum, seed=37)
     for _ in range(4):
         ch = s.channel(word, word)
         kraus = stinespring_dilate(quantum, ch).kraus
@@ -246,7 +246,7 @@ def test_identical_realizations_connect_by_identity(quantum):
 
 
 def test_unequal_marginals_are_refused(quantum):
-    s = Sampler(quantum, seed=41)
+    s = FixtureSampler(quantum, seed=41)
     p1 = stinespring_dilate(quantum, s.unitary_channel(A)).channel
     p2 = stinespring_dilate(quantum, s.unitary_channel(A)).channel
     with pytest.raises(MarginalMismatchError):
@@ -309,7 +309,7 @@ def test_bridge_is_injective(theory, win, wout):
 def test_bridge_round_trip(theory):
     backend = get_backend(theory, systems={"A": 2, "B": 3})
     corr = choi_correspondence(backend, A, B)
-    s = Sampler(backend, seed=43)
+    s = FixtureSampler(backend, seed=43)
     for _ in range(10):
         ch = s.channel(A, B)
         st = corr.image_state(ch)
@@ -328,7 +328,7 @@ def test_bridge_sits_over_a_pure_extension(quantum):
 
 def test_equal_images_mean_equal_channels(quantum):
     corr = choi_correspondence(quantum, A, A)
-    s = Sampler(quantum, seed=47)
+    s = FixtureSampler(quantum, seed=47)
     c1, c2 = s.channel(A, A), s.channel(A, A)
     gap = float(
         np.max(np.abs(np.asarray(corr.image_state(c1).coords)
@@ -351,7 +351,7 @@ def test_classical_theory_has_no_bridge(classical):
 # ---------------------------------------------------------------------------
 
 def test_identity_instruments_carry_no_information(backend):
-    s = Sampler(backend, seed=53)
+    s = FixtureSampler(backend, seed=53)
     for k in (2, 3, 4):
         rep = niwd_check(backend, s.identity_instrument(A, k))
         assert rep.verdict == "Holds"
@@ -385,13 +385,13 @@ def test_quantum_readout_fails_the_sum_condition(quantum):
 
 
 def test_informative_instruments_must_disturb(quantum):
-    s = Sampler(quantum, seed=59)
+    s = FixtureSampler(quantum, seed=59)
     with pytest.raises(BranchSumMismatchError, match="identity"):
         niwd_check(quantum, s.instrument(A, A, 3))
 
 
 def test_weights_match_branch_traces(backend):
-    s = Sampler(backend, seed=61)
+    s = FixtureSampler(backend, seed=61)
     branches = s.identity_instrument(B, 3)
     rep = niwd_check(backend, branches)
     d = backend.hilbert_dim(B)

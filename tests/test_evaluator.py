@@ -12,7 +12,7 @@ from optlab.diagram import Diagram, OutcomeSpace, Par, PrimitiveBox, Seq, Test, 
 from optlab.diagram import test_seq as chain_tests
 from optlab.errors import OptlabError, TypeMismatchError, UnknownBoxError
 from optlab.evaluator import evaluate_channel, trace_box
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 
 A = SystemType.of("A")
 B = SystemType.of("B")
@@ -36,7 +36,7 @@ def test_swap_is_its_own_inverse(backend):
 
 
 def test_swap_moves_product_states(backend):
-    s = Sampler(backend, seed=2)
+    s = FixtureSampler(backend, seed=2)
     sa, sb = s.state(A), s.state(B)
     joint = backend.kernel_par(backend.state_channel(backend.state_object(sa.coords, A), A),
                                backend.state_channel(backend.state_object(sb.coords, B), B))
@@ -47,7 +47,7 @@ def test_swap_moves_product_states(backend):
 
 
 def test_trace_box_discards(backend):
-    s = Sampler(backend, seed=4)
+    s = FixtureSampler(backend, seed=4)
     st = s.state(A)
     d = seq(PrimitiveBox("prep", SystemType(()), A), trace_box(A))
     t = evaluate(d, backend, {"prep": backend.state_channel(
@@ -56,7 +56,7 @@ def test_trace_box_discards(backend):
 
 
 def test_sequential_composition_matches_matrix_product(backend):
-    s = Sampler(backend, seed=6)
+    s = FixtureSampler(backend, seed=6)
     f, bf = box(backend, s, "f", A, B)
     g, bg = box(backend, s, "g", B, A)
     bindings = {**bf, **bg}
@@ -67,7 +67,7 @@ def test_sequential_composition_matches_matrix_product(backend):
 
 
 def test_interchange_law(backend):
-    s = Sampler(backend, seed=8)
+    s = FixtureSampler(backend, seed=8)
     f1, b1 = box(backend, s, "f1", A, A)
     f2, b2 = box(backend, s, "f2", A, B)
     g1, b3 = box(backend, s, "g1", B, B)
@@ -79,7 +79,7 @@ def test_interchange_law(backend):
 
 
 def test_swap_naturality(backend):
-    s = Sampler(backend, seed=10)
+    s = FixtureSampler(backend, seed=10)
     f, bf = box(backend, s, "f", A, B)
     g, bg = box(backend, s, "g", B, A)
     bindings = {**bf, **bg}
@@ -89,7 +89,7 @@ def test_swap_naturality(backend):
 
 
 def test_unit_identity_laws(backend):
-    s = Sampler(backend, seed=12)
+    s = FixtureSampler(backend, seed=12)
     f, bf = box(backend, s, "f", A, B)
     base = evaluate(f, backend, bf)
     left = evaluate(seq(Identity(A), f), backend, bf)
@@ -99,14 +99,14 @@ def test_unit_identity_laws(backend):
 
 
 def test_type_errors_surface(backend):
-    s = Sampler(backend, seed=14)
+    s = FixtureSampler(backend, seed=14)
     f, bf = box(backend, s, "f", A, B)
     with pytest.raises(OptlabError):
         evaluate(seq(f, f), backend, bf)
 
 
 def test_binding_must_match_declared_type(backend):
-    s = Sampler(backend, seed=16)
+    s = FixtureSampler(backend, seed=16)
     f = PrimitiveBox("f", A, B)
     wrong = s.channel(A, A)
     with pytest.raises(OptlabError):
@@ -114,7 +114,7 @@ def test_binding_must_match_declared_type(backend):
 
 
 def test_unbound_box_is_unknown(backend):
-    s = Sampler(backend, seed=15)
+    s = FixtureSampler(backend, seed=15)
     f, bf = box(backend, s, "f", A, A)
     with pytest.raises(UnknownBoxError, match="no box named 'g' declared on backend"):
         evaluate(seq(f, PrimitiveBox("g", A, A)), backend, bf)
@@ -123,7 +123,7 @@ def test_unbound_box_is_unknown(backend):
 
 
 def test_closed_test_circuit_distribution(backend):
-    s = Sampler(backend, seed=18)
+    s = FixtureSampler(backend, seed=18)
     for _ in range(5):
         t = s.closed_test_circuit()
         dist = run_test_circuit(t, backend, s.bindings)
@@ -132,7 +132,7 @@ def test_closed_test_circuit_distribution(backend):
 
 
 def test_scalar_tests_factorize(backend):
-    s = Sampler(backend, seed=20)
+    s = FixtureSampler(backend, seed=20)
     t1 = s.closed_test_circuit(max_branches=2)
     t2 = s.closed_test_circuit(max_branches=2)
     d1 = run_test_circuit(t1, backend, s.bindings)
@@ -146,7 +146,7 @@ def test_scalar_tests_factorize(backend):
 
 
 def test_deterministic_circuit_normalization_check(backend):
-    s = Sampler(backend, seed=22)
+    s = FixtureSampler(backend, seed=22)
     st = s.state(A)
     prep = backend.state_channel(backend.state_object(st.coords, A), A)
     d = seq(PrimitiveBox("prep", SystemType(()), A), trace_box(A))
@@ -156,7 +156,7 @@ def test_deterministic_circuit_normalization_check(backend):
 
 
 def test_memoized_evaluation_is_consistent(backend):
-    s = Sampler(backend, seed=24)
+    s = FixtureSampler(backend, seed=24)
     f, bf = box(backend, s, "f", A, A)
     d = seq(seq(f, f), seq(f, f))
     memo = {}
@@ -167,7 +167,7 @@ def test_memoized_evaluation_is_consistent(backend):
 
 
 def test_raw_miswired_chains_are_type_errors(backend):
-    s = Sampler(backend, seed=25)
+    s = FixtureSampler(backend, seed=25)
     f, bindings = box(backend, s, "f", A, B)
     g, bg = box(backend, s, "g", A, A)
     bindings.update(bg)
@@ -256,7 +256,7 @@ def _closed_ladder(backend, s, n=3, layers=4):
 
 @pytest.mark.parametrize("circuits", ["sampled", "ladder"])
 def test_state_first_matches_the_written_association(backend, circuits):
-    s = Sampler(backend, seed=26)
+    s = FixtureSampler(backend, seed=26)
     if circuits == "sampled":
         tests = [s.closed_test_circuit(depth=2) for _ in range(4)]
     else:
@@ -270,7 +270,7 @@ def test_state_first_matches_the_written_association(backend, circuits):
 
 
 def test_closed_ladder_multiplies_states_not_kernels(backend, monkeypatch):
-    s = Sampler(backend, seed=28)
+    s = FixtureSampler(backend, seed=28)
     t = _closed_ladder(backend, s)
     ladder_word = t.branches[0].parts[1].input_type
     full = backend.kernel_identity(ladder_word).shape  # a kernel on the ladder's whole word
@@ -332,7 +332,7 @@ def _plain_leaves(layer, backend, bindings):
 
 
 def test_leg_wise_layers_match_a_dense_fold(backend):
-    s = Sampler(backend, seed=34)
+    s = FixtureSampler(backend, seed=34)
     rng = np.random.default_rng(0)
     dtype = backend.kernel_identity(A).dtype
     for layer in _leafy_layers(backend, s):
@@ -355,7 +355,7 @@ def test_leg_wise_layers_match_a_dense_fold(backend):
 
 
 def test_nested_layers_run_as_their_flat_form(backend):
-    s = Sampler(backend, seed=38)
+    s = FixtureSampler(backend, seed=38)
     s.bindings["f"] = s.channel(A, A)
     f = PrimitiveBox("f", A, A)
     word = SystemType.of(*"AAAA")
@@ -373,7 +373,7 @@ def test_nested_layers_run_as_their_flat_form(backend):
 
 
 def test_chain_identities_and_swaps_build_no_kernel(backend, monkeypatch):
-    s = Sampler(backend, seed=40)
+    s = FixtureSampler(backend, seed=40)
     s.bindings["prep"] = backend.state_channel(s.preparation_branches(A * B, 1)[0], A * B)
     s.bindings["m0"], s.bindings["m1"] = s.observation_channels(B * A, 2)
     chain = seq(PrimitiveBox("prep", UNIT, A * B), Swap(A, B), Identity(B * A))
@@ -429,7 +429,7 @@ def _coarse_closed_test(backend, s):
 
 
 def test_lockstep_branches_match_each_branch_alone(backend):
-    s = Sampler(backend, seed=36)
+    s = FixtureSampler(backend, seed=36)
     tests = [_uneven_closed_test(backend, s) for _ in range(6)] + [_closed_ladder(backend, s, n=4)]
     assert all(len({len(b.parts) for b in t.branches}) == 2 for t in tests[:-1])
     tests += [_coarse_closed_test(backend, s) for _ in range(4)]
@@ -535,7 +535,7 @@ def _matches_expansion(t, reference, backend, bindings):
 
 
 def test_random_composite_tests_match_their_expansion(backend):
-    s = Sampler(backend, seed=42)
+    s = FixtureSampler(backend, seed=42)
     checked = 0
     while checked < 12:
         t, reference = _random_closed(backend, s)
@@ -545,7 +545,7 @@ def test_random_composite_tests_match_their_expansion(backend):
 
 
 def test_sampled_and_uneven_tests_match_their_expansion(backend):
-    s = Sampler(backend, seed=44)
+    s = FixtureSampler(backend, seed=44)
     tests = [s.closed_test_circuit(depth=2) for _ in range(6)]
     tests += [_uneven_closed_test(backend, s) for _ in range(2)] + [_coarse_closed_test(backend, s)]
     tests += [parallel_tests(_uneven_closed_test(backend, s), _coarse_closed_test(backend, s))]
@@ -586,7 +586,7 @@ def _fold(channels, backend):
 
 
 def test_long_chains_match_a_left_fold(backend):
-    s = Sampler(backend, seed=30)
+    s = FixtureSampler(backend, seed=30)
     for i in range(3):
         s.bindings[f"f{i}"] = s.channel(A, A)
     s.bindings["prep"] = backend.state_channel(s.preparation_branches(A, 1)[0], A)
@@ -605,7 +605,7 @@ def test_long_chains_match_a_left_fold(backend):
 
 
 def test_long_par_spines_keep_their_association(backend):
-    s = Sampler(backend, seed=32)
+    s = FixtureSampler(backend, seed=32)
     s.bindings["p"] = backend.state_channel(s.preparation_branches(A, 1)[0], A)
     s.bindings["e"] = s.observation_channels(A, 1)[0]
     scalar = seq(PrimitiveBox("p", UNIT, A), PrimitiveBox("e", A, UNIT))

@@ -13,7 +13,7 @@ from optlab.audit import (
     steering_measurement,
 )
 from optlab.errors import BranchSumMismatchError, MarginalMismatchError
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 
 A = SystemType.of("A")
 B = SystemType.of("B")
@@ -29,7 +29,7 @@ def as_state(backend, obj, word):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_quantum_states_purify_at_rank_dimension(d):
     b = get_backend("quantum", {"A": d})
-    s = Sampler(b, seed=d)
+    s = FixtureSampler(b, seed=d)
     for rank in range(1, d + 1):
         rho = s.density_matrix(d, rank=rank)
         result = purify_state(b, as_state(b, rho, A))
@@ -43,7 +43,7 @@ def test_quantum_states_purify_at_rank_dimension(d):
 
 
 def test_real_quantum_states_purify(real_quantum):
-    s = Sampler(real_quantum, seed=2)
+    s = FixtureSampler(real_quantum, seed=2)
     rho = s.density_matrix(2)
     result = purify_state(real_quantum, as_state(real_quantum, rho, A))
     assert result.verdict == "Purified"
@@ -89,7 +89,7 @@ def purify_pair(backend, rho, seed):
     assert base.verdict == "Purified"
     wing = base.purifying_system
     r = backend.hilbert_dim(wing)
-    s = Sampler(backend, seed=seed)
+    s = FixtureSampler(backend, seed=seed)
     stir = s.unitary_channel(wing)
     ident = Channel(A, A, backend.kernel_identity(A))
     kernel = backend.kernel_par(ident, stir)
@@ -101,7 +101,7 @@ def purify_pair(backend, rho, seed):
 
 
 def test_purifications_connected_on_the_wing(quantum):
-    s = Sampler(quantum, seed=31)
+    s = FixtureSampler(quantum, seed=31)
     rho = s.density_matrix(2)
     psi1, psi2, wing = purify_pair(quantum, rho, seed=8)
     report = purification_uniqueness(quantum, psi1, psi2, A)
@@ -110,7 +110,7 @@ def test_purifications_connected_on_the_wing(quantum):
 
 
 def test_uniqueness_rejects_mismatched_marginals(quantum):
-    s = Sampler(quantum, seed=33)
+    s = FixtureSampler(quantum, seed=33)
     r1 = purify_state(quantum, as_state(quantum, s.density_matrix(2), A))
     r2 = purify_state(quantum, as_state(quantum, s.density_matrix(2), A))
     with pytest.raises(MarginalMismatchError):
@@ -129,20 +129,13 @@ def test_classical_point_mass_purifications_connected():
 # -- steering ----------------------------------------------------------------
 
 
-def steering_setup(backend, seed, k, d):
-    b = backend
-    s = Sampler(b, seed=seed)
-    parts = s.preparation_branches(SystemType.of("A"), k)
-    rho = sum(np.asarray(p, dtype=complex) for p in parts)
-    if b.name == "classical":
-        rho = rho.real
-        parts = [p.real if hasattr(p, "real") else p for p in parts]
-    result = purify_state(b, as_state(b, rho, A))
-    return parts, result
+def steering_setup(backend, seed, k):
+    parts = FixtureSampler(backend, seed=seed).preparation_branches(A, k)
+    return parts, purify_state(backend, as_state(backend, sum(parts), A))
 
 
 def test_steering_reproduces_the_ensemble(quantum):
-    parts, purif = steering_setup(quantum, seed=41, k=3, d=2)
+    parts, purif = steering_setup(quantum, seed=41, k=3)
     branches = [as_state(quantum, p, A) for p in parts]
     out = steering_measurement(quantum, branches, purif.purified, A)
     assert out.completeness_residual < 1e-12
@@ -151,7 +144,7 @@ def test_steering_reproduces_the_ensemble(quantum):
 
 def test_steering_multiple_sizes(quantum):
     for k in (2, 3, 4):
-        parts, purif = steering_setup(quantum, seed=50 + k, k=k, d=2)
+        parts, purif = steering_setup(quantum, seed=50 + k, k=k)
         branches = [as_state(quantum, p, A) for p in parts]
         out = steering_measurement(quantum, branches, purif.purified, A)
         assert out.completeness_residual < 1e-12
@@ -159,8 +152,22 @@ def test_steering_multiple_sizes(quantum):
         assert len(out.effects) == k
 
 
+@pytest.mark.parametrize("theory", ["quantum", "quantum-real"])
+def test_steering_reproduces_a_generic_ensemble(theory):
+    """A drawn preparation's branches need not commute, and steering from
+    the purification still recovers each of them."""
+    b = get_backend(theory, {"B": 3})
+    for seed in range(5):
+        parts = FixtureSampler(b, seed=seed).preparation_branches(B, 3)
+        assert np.abs(parts[0] @ parts[1] - parts[1] @ parts[0]).max() > 1e-6
+        purif = purify_state(b, as_state(b, sum(parts), B))
+        out = steering_measurement(b, [as_state(b, p, B) for p in parts], purif.purified, B)
+        assert out.completeness_residual < 1e-12
+        assert max(out.branch_errors) < 1e-9
+
+
 def test_steering_labels_and_completion(quantum):
-    parts, purif = steering_setup(quantum, seed=61, k=2, d=2)
+    parts, purif = steering_setup(quantum, seed=61, k=2)
     branches = [as_state(quantum, p, A) for p in parts]
     out = steering_measurement(quantum, branches, purif.purified, A,
                                labels=["x", "y"])
@@ -169,7 +176,7 @@ def test_steering_labels_and_completion(quantum):
 
 
 def test_steering_rejects_wrong_ensemble(quantum):
-    s = Sampler(quantum, seed=71)
+    s = FixtureSampler(quantum, seed=71)
     rho = s.density_matrix(2)
     purif = purify_state(quantum, as_state(quantum, rho, A))
     bad = [as_state(quantum, np.eye(2) / 2, A)]  # sums to I/2, not rho

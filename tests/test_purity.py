@@ -13,7 +13,7 @@ import pytest
 
 from optlab import Channel, SystemType, get_backend
 from optlab.audit import is_pure_state, is_pure_transformation
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 
 A = SystemType.of("A")
 
@@ -121,7 +121,7 @@ def test_mixed_state_witness_has_two_summands(backend):
 
 
 def test_unitary_channels_are_pure(quantum):
-    s = Sampler(quantum, seed=1)
+    s = FixtureSampler(quantum, seed=1)
     assert is_pure_transformation(quantum, s.unitary_channel(A)).pure
 
 

@@ -7,10 +7,10 @@ redraw rounds of the rejected trials, then the outcome counts, then each
 word's numbers in one call, in order of its first trial.  ``check_causality``
 and ``purify_block`` work the trials out as stacks.  The references below
 make the same generator calls, split the numbers trial by trial, and work
-each trial out alone with the primitives the stacks replaced
-(``random_povm``, ``random_state``, ``sorted_eigh``,
-``extremal_decomposition``, ``purification`` and the partial trace), so every
-comparison here is bit for bit.  A matrix theory's transfer matrices and
+each trial out alone with the primitives the stacks replaced (one test's
+effects, one state, ``sorted_eigh``, ``extremal_decomposition``,
+``purification`` and the partial trace), so every comparison here is bit
+for bit.  A matrix theory's transfer matrices and
 state objects come from one-item calls of ``transfer_matrices`` and
 ``state_object``.
 """
@@ -20,6 +20,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from fixture_sampler import FixtureSampler
 from optlab import SystemType, get_backend, linalg
 from optlab.audit import check_causality, purify_block, purify_state, purify_states
 from optlab.backends.base import Channel, EffectVector, StateVector
@@ -389,7 +390,7 @@ def test_words_that_never_fit_fall_back_to_the_smallest_label(dims, smallest):
     """Every two-system word is over ``MAX_CARRIER``: 20 rounds, then the
     smallest label (the first of equals), as ``word`` gives it."""
     backend = get_backend("quantum", dims)
-    sampler = Sampler(backend)
+    sampler = FixtureSampler(backend)
     sampler.rng = LongWords(0)
     block = sampler.observation_test_block(5)
     assert [(str(word), list(at)) for word, at, _ in block] == [(smallest, [0, 1, 2, 3, 4])]
@@ -516,7 +517,7 @@ def test_random_states_and_their_purification_match_the_per_trial_loop(theory, t
 
 def mixed_states(backend):
     """States on words of 0, 1 and 2 systems, of every rank, and the zero state."""
-    sampler = Sampler(backend, seed=11)
+    sampler = FixtureSampler(backend, seed=11)
     states = []
     for word in (UNIT, A, B, A * B, B * A, A * SystemType.of("C")):
         d = backend.hilbert_dim(word)

@@ -9,7 +9,7 @@ from optlab import sampling
 from optlab.audit.purification import purify_state
 from optlab.diagram import PrimitiveBox, UNIT
 from optlab.errors import TypeMismatchError
-from optlab.sampling import Sampler
+from fixture_sampler import FixtureSampler
 from optlab.tomography import (
     equivalent,
     local_tomography_check,
@@ -138,13 +138,13 @@ def test_identity_differs_from_depolarizing(quantum):
 
 
 def test_mismatched_types_are_refused(quantum):
-    s = Sampler(quantum, seed=3)
+    s = FixtureSampler(quantum, seed=3)
     with pytest.raises(TypeMismatchError):
         equivalent(s.channel(A, A), s.channel(A, B), quantum)
 
 
 def test_self_equivalence(backend):
-    s = Sampler(backend, seed=5)
+    s = FixtureSampler(backend, seed=5)
     ch = s.channel(A, B)
     rep = equivalent(ch, Channel(A, B, ch.kernel.copy()), backend)
     assert rep.verdict == "Equivalent"
@@ -153,7 +153,7 @@ def test_self_equivalence(backend):
 
 
 def test_distinguished_witness_replays(backend):
-    s = Sampler(backend, seed=7)
+    s = FixtureSampler(backend, seed=7)
     for _ in range(5):
         c1, c2 = s.channel(A, A), s.channel(A, A)
         rep = equivalent(c1, c2, backend)
@@ -207,7 +207,7 @@ def test_tomography_verdict_predicts_policy_agreement():
     for theory in ("quantum", "classical"):
         backend = get_backend(theory, systems={"A": 2, "B": 3})
         assert local_tomography_check(backend, A, A).verdict == "Holds"
-        s = Sampler(backend, seed=11)
+        s = FixtureSampler(backend, seed=11)
         for _ in range(20):
             c1, c2 = s.channel(A, A), s.channel(A, A)
             bare = equivalent(c1, c2, backend, ref_policy=[UNIT])
@@ -267,7 +267,7 @@ def reference_faithfulness(backend, word, trials, seed, tol=None):
         ref = pur.purifying_system
         psi_kernel = backend.state_as_channel(pur.purified).kernel
 
-    sampler = Sampler(backend, seed=seed)
+    sampler = FixtureSampler(backend, seed=seed)
     ident_ref = Channel(ref, ref, backend.kernel_identity(ref))
     joint_out = word * ref
     emat = backend.spanning_states(joint_out)
