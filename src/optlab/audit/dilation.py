@@ -81,7 +81,7 @@ class ChoiCorrespondence:
         coeffs, *_ = np.linalg.lstsq(self.matrix, np.asarray(st.coords, dtype=float), rcond=None)
         residual = float(np.max(np.abs(self.matrix @ coeffs - st.coords)))
         choi = np.einsum("k,kij->ij", coeffs, self._choi_basis)
-        ch = b.channel_from_choi(choi, self.input_system, self.output_system)
+        ch = b.payload_channel("choi", choi, self.input_system, self.output_system)
         return ch, residual
 
 
@@ -106,7 +106,7 @@ def choi_correspondence(
     # self-adjoint operators on input * output: the basis of a scratch system that size
     scratch = backend.scratch_system(backend.hilbert_dim(input_system) * backend.hilbert_dim(output_system))
     choi_basis = backend.state_object(np.eye(backend.state_dim(scratch)), scratch)
-    kernels = backend.channel_from_choi(choi_basis, input_system, output_system).kernel
+    kernels = backend.payload_channel("choi", choi_basis, input_system, output_system).kernel
     matrix = np.ascontiguousarray(backend.apply_first(kernels, input_system, output_system, psi).T)
     rank = int(np.linalg.matrix_rank(matrix))
     return ChoiCorrespondence(

@@ -16,15 +16,15 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Adding a theory means writing the 23 abstract members below; a
+methods.  Adding a theory means writing the 20 abstract members below; a
 class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).  This checklist puts exactly those members in double backquotes.
 
 * Dimensions and compilation: ``state_dim``, ``_payload_kernels`` (the
   kernels in Liouville order of a group of payloads of one kind and shape,
-  built by array calls on the whole group, as ``state_channel`` and
-  ``effect_channel`` build them for vec and dens payloads),
+  built by array calls on the whole group; every kernel the base class
+  builds from an array comes from here),
   ``check_kernels`` (the physicality check of a stack of same-shape kernels
   in Liouville order, with each kernel's full certificate on request);
   ``deterministic_residual`` (how far a channel is from preserving
@@ -35,11 +35,10 @@ otherwise).  This checklist puts exactly those members in double backquotes.
   stochastic ones),
   ``transfer_matrices`` (of a stack of kernels, each through products of
   its own).
-* Objects: ``state_coords``/``state_object``, ``state_channel``/
-  ``effect_channel``; ``channel_choi`` (a transformation's positive
-  representative); ``conjugation_channel`` (the channel of a reversible or
-  isometric matrix); ``partial_trace``; ``diagonal`` (the object with
-  classical weights p: pointer states and the unit effect);
+* Objects: ``state_coords``/``state_object``; ``channel_choi`` (a
+  transformation's positive representative); ``partial_trace``;
+  ``diagonal`` (the object with classical weights p: pointer states and
+  the unit effect);
   ``spanning_states`` (one array, a member's coordinates per row; the rows
   are also effects, because every theory here is self-dual).
 * Extremality: ``extremal_decompositions`` splits each of a stack of
@@ -59,12 +58,16 @@ otherwise).  This checklist puts exactly those members in double backquotes.
   states or observation tests, as the base class draws them for many trials
   in one call, into state coordinates or effect objects.
 
-A theory also sets the class flags ``purifies`` and ``pair_payloads``; a
-purifying theory adds ``channel_from_choi``.  ``gaussian`` and ``project_scalars``
-default to real scalars, ``state_draws`` and ``povm_draws`` to Gaussian
-matrices over the scalars, and ``random_unitary`` to a Haar matrix over them.
+A theory also sets the class flags ``purifies`` and ``pair_payloads`` and
+the payload kinds ``object_kind`` and ``map_kind``.  ``gaussian`` and
+``project_scalars`` default to real scalars, ``state_draws`` and ``povm_draws``
+to Gaussian matrices over the scalars, and ``random_unitary`` to a Haar matrix over them.
 
 The base class derives the rest, the same way for every theory:
+``payload_channel`` is the uncertified channel of a payload's data (or of
+a stack of payloads along an array's leading axes); ``state_channel`` and
+``effect_channel`` are that of an object as an ``object_kind`` payload, and
+``conjugation_channel`` of a reversible or isometric matrix as a ``map_kind`` one;
 ``compile_payloads`` compiles many payloads in groups of one kind and
 shape, each group's kernels as one stack certified by one ``check_kernels``
 call; ``compile_payload`` and
@@ -210,6 +213,7 @@ class Payload:
     data: object
 
     KINDS = ("choi", "kraus", "stoch", "vec", "dens")
+    DEPTH = {"vec": 1, "dens": 2, "choi": 2, "stoch": 2, "kraus": 3}  # array axes of one payload
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
@@ -253,6 +257,8 @@ class TheoryBackend(abc.ABC):
     name: str = "?"
     purifies: bool = True  # every state has a pure extension
     pair_payloads: bool = True  # payload entries may be written as [re,im] pairs
+    object_kind: str  # the payload kind of a state or effect object: vec or dens
+    map_kind: str  # the payload kind that reads one matrix as a map: stoch or kraus
     tol = Tolerances()
 
     def __init__(self, systems: Mapping[str, int] | None = None) -> None:
@@ -287,10 +293,7 @@ class TheoryBackend(abc.ABC):
 
     def hilbert_dim(self, word: SystemType) -> int:
         """Composite carrier dimension: product of per-primitive dimensions."""
-        out = 1
-        for d in self.word_dims(word):
-            out *= d
-        return out
+        return math.prod(map(self.primitive_dim, word.word))
 
     @abc.abstractmethod
     def state_dim(self, word: SystemType) -> int:
@@ -339,8 +342,7 @@ class TheoryBackend(abc.ABC):
                 except OptlabError as e:
                     out[k] = e
                     continue
-                role = "state" if input_type.is_unit else "effect" if output_type.is_unit else "box"
-                shape = shapes[input_type, output_type] = (role, *dims)
+                shape = shapes[input_type, output_type] = (self._kernel_role(input_type, output_type), *dims)
             length = len(payload.data) if isinstance(payload.data, (list, tuple)) else None
             groups.setdefault((payload.kind, *shape, length), []).append(k)
         pending = list(groups.items())
@@ -407,6 +409,30 @@ class TheoryBackend(abc.ABC):
             raise ch
         return ch
 
+    def payload_channel(self, kind: str, data, input_type: SystemType, output_type: SystemType,
+                        *, role: str | None = None) -> Channel:
+        """The uncertified channel of a payload's ``data``, its kernel wire-major.
+        An array with axes before one payload's (``Payload.DEPTH``) stacks
+        payloads along them, and the kernel stacks theirs; nested lists are one
+        payload.  Raises the first faulty item's error.  ``role`` (``state`` or
+        ``effect``) reads an object on the unit; else the wires give it."""
+        din, dout = self.hilbert_dim(input_type), self.hilbert_dim(output_type)
+        lead = None  # the axes of a stack, or None for one payload
+        if not isinstance(data, np.ndarray):
+            data = [data]
+        elif data.ndim > Payload.DEPTH[kind]:
+            lead = data.shape[:data.ndim - Payload.DEPTH[kind]]
+            data = data.reshape(-1, *data.shape[len(lead):])
+        else:
+            data = data[None]
+        kernels, faults = self._payload_kernels(
+            kind, data, din, dout, role or self._kernel_role(input_type, output_type))
+        if faults:
+            raise faults[min(faults)]
+        kernels = self._reorder(kernels, output_type, input_type)
+        return Channel(input_type, output_type,
+                       kernels[0] if lead is None else kernels.reshape(*lead, *kernels.shape[1:]))
+
     @abc.abstractmethod
     def _payload_kernels(
         self, kind: str, data: Sequence, din: int, dout: int, role: str
@@ -440,11 +466,6 @@ class TheoryBackend(abc.ABC):
             self._orders[word] = order, np.argsort(order)
         return self._orders[word]
 
-    def _wire_major(self, ch: Channel) -> Channel:
-        """``ch`` with its Liouville-order kernel put in wire-major order."""
-        kernel = self._reorder(ch.kernel, ch.output_type, ch.input_type)
-        return ch if kernel is ch.kernel else Channel(ch.input_type, ch.output_type, kernel)
-
     @abc.abstractmethod
     def check_kernels(
         self, kernels: np.ndarray, din: int, dout: int
@@ -471,6 +492,11 @@ class TheoryBackend(abc.ABC):
     def deterministic_residual(self, ch: Channel) -> float:
         """How far the channel is from preserving normalization."""
 
+    @staticmethod
+    def _kernel_role(input_type: SystemType, output_type: SystemType) -> str:
+        """The role ``_payload_kernels`` reads a payload in: a state on the unit."""
+        return "state" if input_type.is_unit else "effect" if output_type.is_unit else "box"
+
     def _role(self, input_type: SystemType, output_type: SystemType) -> str:
         if input_type.is_unit and not output_type.is_unit:
             return "state"
@@ -483,8 +509,7 @@ class TheoryBackend(abc.ABC):
     # ------------------------------------------------------------------
 
     def kernel_identity(self, word: SystemType) -> np.ndarray:
-        d = self.hilbert_dim(word)
-        return self.conjugation_channel(np.eye(d), word).kernel
+        return self.conjugation_channel(np.eye(self.hilbert_dim(word)), word).kernel
 
     def kernel_swap(self, left: SystemType, right: SystemType) -> np.ndarray:
         return self.apply_par([Swap(left, right)], self.kernel_identity(left * right)[None])[0]
@@ -636,15 +661,15 @@ class TheoryBackend(abc.ABC):
     def effect_object(self, coords: np.ndarray, word: SystemType) -> np.ndarray:
         return self.state_object(coords, word)
 
-    @abc.abstractmethod
     def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        """The preparation channel of a state object; for a stack of objects,
-        one channel whose kernel stacks theirs."""
+        """The preparation channel of a state object, its ``object_kind``
+        payload; for a stack of objects, one channel whose kernel stacks theirs."""
+        return self.payload_channel(self.object_kind, obj, UNIT, word, role="state")
 
-    @abc.abstractmethod
     def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        """The channel of an effect object; for a stack of objects, one
-        channel whose kernel stacks theirs."""
+        """The channel of an effect object, its ``object_kind`` payload; for a
+        stack of objects, one channel whose kernel stacks theirs."""
+        return self.payload_channel(self.object_kind, obj, word, UNIT, role="effect")
 
     def state_as_channel(self, state: StateVector) -> Channel:
         """The preparation of a state: the inverse of ``channel_state``."""
@@ -673,8 +698,12 @@ class TheoryBackend(abc.ABC):
     @abc.abstractmethod
     def channel_choi(self, ch: Channel) -> np.ndarray: ...
 
-    @abc.abstractmethod
-    def conjugation_channel(self, u, input_word, output_word=None) -> Channel: ...
+    def conjugation_channel(self, u, input_word, output_word=None) -> Channel:
+        """The channel of a reversible or isometric matrix ``u``: its
+        ``map_kind`` payload (a permutation's or point map's stochastic
+        matrix, or ``X -> u X u*``)."""
+        wout = input_word if output_word is None else output_word
+        return self.payload_channel(self.map_kind, np.asarray(u), input_word, wout)
 
     @abc.abstractmethod
     def partial_trace(self, obj, dims: list[int], keep: list[int]) -> np.ndarray:

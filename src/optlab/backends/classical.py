@@ -36,6 +36,7 @@ class ClassicalBackend(TheoryBackend):
     purifies = False
     pair_payloads = False
     legs_per_wire = 1
+    object_kind, map_kind = "vec", "stoch"
 
     def state_dim(self, word: SystemType) -> int:
         return self.hilbert_dim(word)
@@ -59,12 +60,6 @@ class ClassicalBackend(TheoryBackend):
                 raise faults[0]
             raise OptlabError(f"{what} has shape {arr.shape[1:]}, expected {shape}")
         return arr, faults
-
-    def _coerce_array(self, data, shape: tuple[int, ...], what: str) -> np.ndarray:
-        arr, faults = self._coerce_stack(np.asarray(data)[None], shape, what)
-        if faults:
-            raise faults[0]
-        return arr[0]
 
     def _payload_kernels(self, kind, data, din, dout, role):
         if kind == "stoch":
@@ -130,24 +125,8 @@ class ClassicalBackend(TheoryBackend):
         coords = np.asarray(coords, dtype=float)
         return coords.reshape(*coords.shape[:-1], -1)
 
-    def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # nested lists are one object
-        v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "probability vector")
-        return Channel(SystemType(()), word, v.reshape(*lead, -1, 1))
-
-    def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        lead = obj.shape[:-1] if isinstance(obj, np.ndarray) else ()  # nested lists are one object
-        v = self._coerce_array(obj, (*lead, self.hilbert_dim(word)), "effect vector")
-        return Channel(word, SystemType(()), v.reshape(*lead, 1, -1))
-
     def spanning_states(self, word: SystemType) -> np.ndarray:
         return np.eye(self.hilbert_dim(word))
-
-    def conjugation_channel(self, u, input_word, output_word=None) -> Channel:
-        """A permutation's or point map's kernel is the matrix itself."""
-        wout = input_word if output_word is None else output_word
-        shape = (self.hilbert_dim(wout), self.hilbert_dim(input_word))
-        return Channel(input_word, wout, self._coerce_array(u, shape, "map"))
 
     def partial_trace(self, obj, dims, keep):
         obj = np.asarray(obj)

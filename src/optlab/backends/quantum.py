@@ -98,18 +98,19 @@ class _MatrixTheory(TheoryBackend):
 
     _complex_scalars: bool = True
     legs_per_wire = 2
+    object_kind, map_kind = "dens", "kraus"
 
     # -- payload compilation -------------------------------------------
 
     def _coerce_stack(self, data, shape: tuple[int, ...], what: str):
         """``data``, a sequence of arrays of ``shape``, as one stack on the
         theory's scalars, and the error of each item with complex entries on
-        the real theory."""
-        arr = np.asarray(data, dtype=complex)
+        the real theory; real data skip that item-by-item check."""
+        arr = np.asarray(data, dtype=complex if self._complex_scalars else None)
         if arr.shape[1:] != shape:
             raise OptlabError(f"{what} has shape {arr.shape[1:]}, expected {shape}")
         faults = {}
-        if not self._complex_scalars:
+        if np.iscomplexobj(arr) and not self._complex_scalars:
             imag = np.abs(arr.imag).max(axis=tuple(range(1, arr.ndim)), initial=0.0)
             for i in np.flatnonzero(imag > self.tol.algebra).tolist():
                 faults[i] = NotPhysicalError(
@@ -121,14 +122,8 @@ class _MatrixTheory(TheoryBackend):
                         witness={"max_imaginary_part": float(imag[i])},
                     )
                 )
-            arr = np.ascontiguousarray(arr.real)
-        return arr, faults
-
-    def _coerce_array(self, data, shape: tuple[int, ...], what: str) -> np.ndarray:
-        arr, faults = self._coerce_stack(np.asarray(data, dtype=complex)[None], shape, what)
-        if faults:
-            raise faults[0]
-        return arr[0]
+            arr = arr.real
+        return arr if self._complex_scalars else np.ascontiguousarray(arr, dtype=float), faults
 
     def _payload_kernels(self, kind, data, din, dout, role):
         if kind in ("vec", "dens"):  # states' or effects' matrices, or their kets
@@ -137,19 +132,22 @@ class _MatrixTheory(TheoryBackend):
             d = dout if role == "state" else din
             if kind == "vec":
                 v, faults = self._coerce_stack(data, (d,), f"{role} vector")
-                return self._object_kernels(v[:, :, None] * v.conj()[:, None, :], role), faults
-            m, faults = self._coerce_stack(data, (d, d), f"{role} matrix")
-            return self._object_kernels(m, role), faults
+                m = v[:, :, None] * v.conj()[:, None, :]
+            else:
+                m, faults = self._coerce_stack(data, (d, d), f"{role} matrix")
+            # a state's matrix is its preparation's kernel column; an effect's conjugate is its row
+            return (m.reshape(-1, d * d, 1) if role == "state" else m.reshape(-1, 1, d * d).conj()), faults
         if kind == "choi":
             choi, faults = self._coerce_stack(data, (din * dout, din * dout), "choi matrix")
             return self.project_scalars(linalg.liouville_from_choi(choi, din, dout)), faults
         if kind != "kraus":
             raise OptlabError(f"payload kind {kind!r} is not meaningful on backend {self.name!r}")
-        data = [d if isinstance(d, (list, tuple)) else [d] for d in data]
+        # an item's Kraus matrices, or one matrix alone as its one term
+        data = [d if isinstance(d, (list, tuple)) or np.ndim(d) > 2 else [d] for d in data]
         count, terms = len(data), len(data[0])
         if not terms:
             raise OptlabError("kraus payload needs at least one matrix")
-        ks = np.asarray(data, dtype=complex)
+        ks = np.asarray(data)
         ks, matrix_faults = self._coerce_stack(ks.reshape(count * terms, *ks.shape[2:]),
                                                (dout, din), "kraus matrix")
         faults = {}
@@ -165,20 +163,6 @@ class _MatrixTheory(TheoryBackend):
         dout = self.hilbert_dim(ch.output_type)
         kernel = self._reorder(ch.kernel, ch.output_type, ch.input_type, inverse=True)
         return linalg.choi_from_liouville(kernel, din, dout)
-
-    def channel_from_choi(
-        self, choi: np.ndarray, input_type: SystemType, output_type: SystemType
-    ) -> Channel:
-        """The channel of a Choi matrix, uncertified; of a stack of them, one
-        channel whose kernel stacks theirs."""
-        choi = np.asarray(choi)
-        din, dout = self.hilbert_dim(input_type), self.hilbert_dim(output_type)
-        kernels, faults = self._payload_kernels(
-            "choi", choi.reshape(-1, *choi.shape[-2:]), din, dout, "box")
-        if faults:
-            raise faults[min(faults)]
-        kernels = self._reorder(kernels, output_type, input_type)
-        return Channel(input_type, output_type, kernels.reshape(*choi.shape[:-2], *kernels.shape[1:]))
 
     def check_kernels(self, kernels, din, dout):
         """Self-adjointness, then a positive Choi matrix, then a sub-normalized
@@ -296,36 +280,6 @@ class _MatrixTheory(TheoryBackend):
         d = self.hilbert_dim(word)
         m = self._reorder(vecs, word, UNIT, inverse=True).reshape(*coords.shape[:-1], d, d)
         return self.project_scalars(m)
-
-    def _object_kernels(self, m: np.ndarray, role: str) -> np.ndarray:
-        """The kernels, in Liouville order, of a stack of state matrices
-        (their preparations) or of effect matrices."""
-        if role == "state":
-            return m.reshape(*m.shape[:-2], -1, 1)
-        return m.reshape(*m.shape[:-2], 1, -1).conj()
-
-    def _object_channel(self, obj: np.ndarray, word: SystemType, role: str) -> Channel:
-        """The preparation of a state matrix or the effect of an effect
-        matrix, its kernel in Liouville order; a stack of effect matrices
-        gives the stack of their kernels."""
-        d = self.hilbert_dim(word)
-        lead = obj.shape[:-2] if isinstance(obj, np.ndarray) else ()  # nested lists are one object
-        kernel = self._object_kernels(self._coerce_array(obj, (*lead, d, d), f"{role} matrix"), role)
-        return Channel(UNIT, word, kernel) if role == "state" else Channel(word, UNIT, kernel)
-
-    def state_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        return self._wire_major(self._object_channel(obj, word, "state"))
-
-    def effect_channel(self, obj: np.ndarray, word: SystemType) -> Channel:
-        return self._wire_major(self._object_channel(obj, word, "effect"))
-
-    def conjugation_channel(
-        self, u: np.ndarray, input_word: SystemType, output_word: SystemType | None = None
-    ) -> Channel:
-        """Channel X -> U X U* for a (possibly rectangular) isometry U."""
-        wout = input_word if output_word is None else output_word
-        u = self._coerce_array(u, (self.hilbert_dim(wout), self.hilbert_dim(input_word)), "isometry")
-        return self._wire_major(Channel(input_word, wout, np.kron(u, u.conj())))
 
     def spanning_states(self, word: SystemType) -> np.ndarray:
         """Coordinates of the projector family on the word's joint carrier.

@@ -304,6 +304,8 @@ _AUDITS = {
 
 def _cmd_audit(wb: Workbench, args) -> dict:
     key, rows = _AUDITS[args.axiom](wb, args)
+    if not rows:  # the faithfulness and local-tomography audits of a file without systems
+        raise OptlabError(f"no {key} to audit; declare a system")
     if all(row["verdict"] in PASSING for row in rows):
         verdict = "Holds"
     else:

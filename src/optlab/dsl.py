@@ -333,7 +333,7 @@ def _parse_payload(ln: _Line, i: int, theory: str) -> tuple[Payload, int]:
     if literal[:1] == "[" and len(literal) > 1:
         # a literal of numbers and brackets is one token, read by C-level calls;
         # one they refuse is scanned and parsed again below, which locates its first fault
-        data = _literal_tree(_DEPTH[kind], literal, complex_ok)
+        data = _literal_tree(Payload.DEPTH[kind], literal, complex_ok)
         if data is not None:
             return Payload(kind, data), i + 1
     span, col = _scan_bracketed(ln, i)
@@ -350,7 +350,6 @@ def _parse_payload(ln: _Line, i: int, theory: str) -> tuple[Payload, int]:
     return Payload(kind, data), i + 1
 
 
-_DEPTH = {"vec": 1, "dens": 2, "choi": 2, "stoch": 2, "kraus": 3}  # list levels above a scalar
 _scan_json = json.JSONDecoder().scan_once  # the C scanner: (value, end) of the value at an offset
 
 

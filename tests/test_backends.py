@@ -263,7 +263,7 @@ def test_choi_round_trip_on_random_channels(quantum):
     for _ in range(5):
         ch = s.channel(A, B)
         j = quantum.channel_choi(ch)
-        back = quantum.channel_from_choi(j, A, B)
+        back = quantum.payload_channel("choi", j, A, B)
         np.testing.assert_allclose(back.kernel, ch.kernel, atol=1e-12)
 
 
@@ -391,6 +391,88 @@ def test_a_stack_of_objects_gives_the_stack_of_their_channels(backend, word):
         assert (stacked.input_type, stacked.output_type) == (channel_of(objs[0], word).input_type,
                                                              channel_of(objs[0], word).output_type)
         np.testing.assert_array_equal(stacked.kernel, np.array([channel_of(o, word).kernel for o in objs]))
+
+
+@pytest.mark.parametrize("word", [A, B, A * B], ids=str)
+def test_each_derived_channel_is_the_compiled_payload_of_its_data(backend, word):
+    """``state_channel``, ``effect_channel``, ``conjugation_channel`` and the
+    identity and discard built on them give, bit for bit, the kernel that
+    ``compile_payloads`` gives their data written as a payload of the
+    theory's ``object_kind`` or ``map_kind``."""
+    s, d = FixtureSampler(backend, seed=71), backend.hilbert_dim(word)
+    obj = backend.state_object(s.state(word).coords, word)
+    u = backend.random_unitary(np.random.default_rng(71), d)
+    discard = backend.diagonal(np.ones(d))
+
+    def as_map(m):  # one matrix as the payload of its map
+        return [m.tolist()] if backend.map_kind == "kraus" else m.tolist()
+
+    derived = [
+        (backend.state_channel(obj, word), Payload(backend.object_kind, obj.tolist()), UNIT, word),
+        (backend.effect_channel(obj, word), Payload(backend.object_kind, obj.tolist()), word, UNIT),
+        (backend.trace_channel(word), Payload(backend.object_kind, discard.tolist()), word, UNIT),
+        (backend.conjugation_channel(u, word), Payload(backend.map_kind, as_map(u)), word, word),
+        (backend.identity(word), Payload(backend.map_kind, as_map(np.eye(d))), word, word),
+    ]
+    compiled = backend.compile_payloads([item for _, *item in derived])
+    for (got, _, win, wout), want in zip(derived, compiled):
+        assert (got.input_type, got.output_type) == (want.input_type, want.output_type) == (win, wout)
+        np.testing.assert_array_equal(got.kernel, want.kernel, strict=True)
+
+
+def test_kraus_data_as_an_array_reads_as_its_nested_lists(quantum):
+    """A Kraus payload's data may be an array of its matrices, and a stack of
+    such payloads an array with one axis more; one matrix alone is one term."""
+    ks = np.array([np.diag([1.0, 0.6]), np.diag([0.0, 0.8])])
+    want = quantum.compile_payload(Payload("kraus", ks.tolist()), A, A).kernel
+    np.testing.assert_array_equal(quantum.compile_payload(Payload("kraus", ks), A, A).kernel, want)
+    np.testing.assert_array_equal(quantum.payload_channel("kraus", ks, A, A).kernel, want)
+    np.testing.assert_array_equal(quantum.payload_channel("kraus", np.array([ks, ks]), A, A).kernel,
+                                  np.array([want, want]))
+    np.testing.assert_array_equal(quantum.payload_channel("kraus", np.eye(2), A, A).kernel,
+                                  quantum.kernel_identity(A))
+
+
+def test_a_wrong_size_object_is_refused_not_read_as_a_stack(backend):
+    """An array one object too long along its first axis (on the classical
+    theory, a 4-vector on a 2-point system) raises the payload's shape
+    message, as an array or as nested lists; it never becomes two objects."""
+    obj = backend.state_object(backend.uniform_state(A).coords, A)
+    u = np.eye(2)
+    for channel_of, good in ((backend.state_channel, obj), (backend.effect_channel, obj),
+                             (backend.conjugation_channel, u)):
+        wrong = np.concatenate([good, good])
+        message = re.escape(f"has shape {wrong.shape}, expected {good.shape}")
+        for data in (wrong, wrong.tolist()):
+            with pytest.raises(OptlabError, match=message):
+                channel_of(data, A)
+
+
+@pytest.mark.parametrize("theory", ["quantum-real", "classical"])
+def test_the_derived_channels_refuse_complex_entries(theory):
+    """On the real theories the payload path refuses complex entries, for
+    one object and for a stack whose second object alone is complex: the
+    real quantum theory with a ``NotPhysicalError`` of role ``payload``, the
+    classical theory with the payload's ``OptlabError``.  An imaginary part
+    within rounding is dropped."""
+    backend = get_backend(theory, {"A": 2, "B": 3})
+    obj = backend.state_object(backend.uniform_state(A).coords, A)
+    complex_obj = obj + 1e-3j * np.ones_like(obj)
+    cases = [(backend.conjugation_channel, np.eye(2) + 1e-3j)]
+    for channel_of in (backend.state_channel, backend.effect_channel):
+        cases += [(channel_of, complex_obj), (channel_of, np.array([obj, complex_obj]))]
+    for channel_of, data in cases:
+        with pytest.raises(OptlabError) as raised:
+            channel_of(data, A)
+        if theory == "quantum-real":
+            assert type(raised.value) is NotPhysicalError
+            cert = raised.value.certificate
+            assert (cert.role, cert.witness) == ("payload", {"max_imaginary_part": 1e-3})
+        else:
+            assert type(raised.value) is OptlabError and "has complex entries" in str(raised.value)
+        rounded = channel_of(data.real + 1e-15j, A)
+        assert rounded.kernel.dtype == float
+        np.testing.assert_array_equal(rounded.kernel, channel_of(data.real, A).kernel)
 
 
 def test_trace_effect_sums_probability(backend):
@@ -571,7 +653,7 @@ def test_choi_round_trip_is_exact_on_several_wires(theory, word):
     s = FixtureSampler(backend, seed=43)
     for win, wout in [(word, word), (A, word), (word, B)]:
         ch = s.channel(win, wout)
-        back = backend.channel_from_choi(backend.channel_choi(ch), win, wout)
+        back = backend.payload_channel("choi", backend.channel_choi(ch), win, wout)
         assert back.kernel.dtype == ch.kernel.dtype
         np.testing.assert_array_equal(back.kernel, ch.kernel)
 

@@ -113,7 +113,7 @@ def test_faithfulness_matches_the_einsum_form(case):
 def test_choi_correspondence_matches_the_dense_images(case):
     backend, word = case
     corr = choi_correspondence(backend, word, A)
-    kernels = np.array([backend.channel_from_choi(m, word, A).kernel for m in corr._choi_basis[::5]])
+    kernels = np.array([backend.payload_channel("choi", m, word, A).kernel for m in corr._choi_basis[::5]])
     want = dense_apply_first(backend, kernels, word, A, corr.pure_state)
     np.testing.assert_allclose(corr.matrix[:, ::5].T, want, rtol=0, atol=TOL)
     ch = FixtureSampler(backend, seed=3).channel(word, A)

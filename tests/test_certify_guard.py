@@ -90,7 +90,7 @@ def test_certify_channel_reports_the_eigh_eigenvalue(backend):
     _, low = by_eigh(j)
     word = backend.scratch_system(2)
     for i, m in enumerate(j):
-        ch = backend.channel_from_choi(m, word, word)
+        ch = backend.payload_channel("choi", m, word, word)
         cert = backend.certify_channel(ch)
         assert cert.physical == (low[i] >= -FLOOR)
         assert cert.diagnostics["min_choi_eigenvalue"] == low[i]

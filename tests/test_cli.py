@@ -377,6 +377,19 @@ def test_audit_niwd_with_no_applicable_test_is_a_usage_error(run, tmp_path):
     assert json.loads(out)["error"].startswith("no identity-summing test")
 
 
+@pytest.mark.parametrize("axiom", ["faithfulness", "local-tomography"])
+@pytest.mark.parametrize("theory", ["classical", "quantum", "quantum-real"])
+def test_audit_of_a_file_without_systems_is_a_usage_error(run, tmp_path, axiom, theory):
+    """With no declared system these audits would check nothing, so they
+    refuse, as niwd does with no test to audit, instead of reading Holds."""
+    p = tmp_path / "bare.opt"
+    p.write_text(f"theory {theory}\n")
+    code, out = run("audit", p, "--axiom", axiom)
+    assert code == 2
+    key = "systems" if axiom == "faithfulness" else "pairs"
+    assert json.loads(out) == {"error": f"no {key} to audit; declare a system"}
+
+
 # ---------------------------------------------------------------------------
 # failure modes and determinism
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_amplitude_damping_needs_a_two_level_environment(quantum):
 
 def test_depolarizing_needs_a_four_level_environment(quantum):
     choi = np.eye(4) / 2  # erase-and-replace with the uniform state
-    ch = quantum.channel_from_choi(choi, A, A)
+    ch = quantum.payload_channel("choi", choi, A, A)
     res = stinespring_dilate(quantum, ch)
     assert res.environment_dim == DEPOLARIZING_ENV
 

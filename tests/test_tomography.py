@@ -130,7 +130,7 @@ def test_bit_flip_differs_from_identity(classical):
 
 def test_identity_differs_from_depolarizing(quantum):
     ident = Channel(A, A, quantum.kernel_identity(A))
-    depol = quantum.channel_from_choi(np.eye(4) / 2, A, A)
+    depol = quantum.payload_channel("choi", np.eye(4) / 2, A, A)
     rep = equivalent(ident, depol, quantum)
     assert rep.verdict == "Distinguished"
     p1, p2 = replay_witness(quantum, ident, depol, rep.witness)
