@@ -23,7 +23,6 @@ from .purification import (
     purification_uniqueness,
     purify_block,
     purify_state,
-    purify_states,
     steering_measurement,
 )
 from .purity import (
@@ -46,7 +45,6 @@ __all__ = [
     "SteeringResult",
     "purify_block",
     "purify_state",
-    "purify_states",
     "purification_uniqueness",
     "steering_measurement",
     "ChoiCorrespondence",

@@ -14,9 +14,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..backends.base import Channel, EffectVector, PhysicalityCertificate, StateVector, TheoryBackend, TransferMatrix
-from ..diagram import UNIT, Diagram, Identity, SystemType, Test
+from ..diagram import UNIT, Identity, SystemType
 from ..errors import CausalityViolationError, IncompleteTestError, OptlabError, TypeMismatchError
-from ..evaluator import evaluate_channel
+from ..evaluator import branch_channels
+from ..sampling import declared_trials
 
 __all__ = [
     "CausalityReport",
@@ -48,27 +49,6 @@ class ReadoutResult:
     certificate: PhysicalityCertificate
 
 
-def _branch_channels(
-    backend: TheoryBackend, test, bindings=None
-) -> list[tuple[str, Channel]]:
-    """Normalize the accepted input shapes to labelled channels."""
-    if isinstance(test, Test):
-        memo: dict = {}
-        return [
-            (label, evaluate_channel(branch, backend, bindings=bindings, memo=memo))
-            for label, branch in test.items()
-        ]
-    out = []
-    for i, item in enumerate(test):
-        if isinstance(item, Channel):
-            out.append((str(i), item))
-        elif isinstance(item, Diagram):
-            out.append((str(i), evaluate_channel(item, backend, bindings=bindings)))
-        else:
-            raise OptlabError(f"cannot interpret test branch of type {type(item).__name__}")
-    return out
-
-
 def check_causality(
     backend: TheoryBackend,
     tests: Sequence | Callable,
@@ -77,22 +57,25 @@ def check_causality(
 ) -> CausalityReport:
     """Verify each complete observation test sums to the discard effect.
 
-    Branches may be effect vectors, effect-shaped channels, or a ``Test``
-    whose branches are effect-typed diagrams; ``tests`` may also be a walk of
-    drawn tests awaiting its decision: ``sampling.run_trials`` with a count
-    and ``Sampler.observation_test_block`` bound (``functools.partial``),
-    which decides each block before it draws the next.  The effects of the
-    tests on one word get their coordinates through one stacked
-    ``transfer_matrices`` call, and the tests of one word are decided as one
-    stack.  Raises ``CausalityViolationError`` on the first failing test in
-    the given order; a malformed test raises its error only when no test
-    before it fails.
+    ``tests`` is a sequence (or any iterable) of tests, each a ``Test`` whose
+    branches are effect-typed diagrams or a list of effect-shaped channels
+    and diagrams (``evaluator.branch_channels``); or a walk of drawn tests
+    awaiting its decision, ``sampling.run_trials`` with a count and
+    ``Sampler.observation_test_block`` bound (``functools.partial``).  Both
+    are decided by one ``run_trials`` walk, declared tests laid out by
+    ``sampling.declared_trials``: a block at a time, the tests of one word
+    and outcome count as one stack.  Raises ``CausalityViolationError`` on
+    the first failing test in the given order; a malformed test raises its
+    error only when no test before it fails.
     """
     tol = backend.tol.marginal if tol is None else tol
-    if callable(tests):
-        residuals, _ = tests(lambda first, block: _decide_block(backend, first, block, tol))
-    else:
-        residuals = _decide_declared(backend, tests, bindings, tol).tolist()
+    error = None
+    if not callable(tests):
+        items, error = _effect_stacks(backend, tests, bindings)
+        tests = declared_trials(items)
+    residuals, _ = tests(lambda first, block: _decide_block(backend, first, block, tol))
+    if error is not None:
+        raise error
     return CausalityReport(
         residuals=residuals,
         max_residual=max(residuals, default=0.0),
@@ -101,69 +84,33 @@ def check_causality(
     )
 
 
-def _decide_block(backend, first, stacks, tol) -> tuple[list[float], np.ndarray]:
-    """``_decide`` for a block of drawn tests, the ``run_trials`` decision."""
-    groups = [(word, at, _coords(backend, word, kernels)) for word, at, kernels in stacks]
-    residuals = _decide(backend, groups, tol, first)
-    return residuals.tolist(), residuals > tol
-
-
-def _decide_declared(backend, tests, bindings, tol) -> np.ndarray:
-    """``_decide`` for a sequence of tests, stacked by word and outcome count."""
-    words: list[SystemType] = []
-    effects: list = []  # per test, its effects' coordinates, or for now their count
-    kernels: dict[SystemType, tuple[list[int], list[np.ndarray]]] = {}  # word -> tests, kernels
+def _effect_stacks(backend, tests, bindings) -> tuple[list, OptlabError | None]:
+    """Each test's word and its effect kernels stacked, up to the first
+    malformed test, and that test's error (``None`` when there is none)."""
+    items = []
     try:
         for test in tests:
-            if isinstance(test, (list, tuple)) and test and isinstance(test[0], EffectVector):
-                words.append(test[0].system)
-                effects.append(np.array([e.coords for e in test]))
-                continue
-            branches = _branch_channels(backend, test, bindings)
-            word = branches[0][1].input_type
-            for _, ch in branches:
-                if not ch.output_type.is_unit or ch.input_type != word:
-                    raise TypeMismatchError(
-                        "causality audit needs effect-shaped branches on a common system"
-                    )
-            at, stack = kernels.setdefault(word, ([], []))
-            at.append(len(words))
-            stack.extend(ch.kernel for _, ch in branches)
-            words.append(word)
-            effects.append(len(branches))
-    except OptlabError:
-        _decide(backend, _stacks(backend, words, effects, kernels), tol, 0)
-        raise
-    return _decide(backend, _stacks(backend, words, effects, kernels), tol, 0)
+            branches = [ch for _, ch in branch_channels(test, backend, bindings)]
+            word = branches[0].input_type
+            if any(not ch.output_type.is_unit or ch.input_type != word for ch in branches):
+                raise TypeMismatchError("causality audit needs effect-shaped branches on a common system")
+            items.append((word, np.array([ch.kernel for ch in branches])))
+    except OptlabError as e:
+        return items, e
+    return items, None
 
 
-def _stacks(backend, words, effects, kernels) -> list[tuple]:
-    """The tests' effect coordinates, stacked by word and outcome count."""
-    for word, (at, stack) in kernels.items():
-        rows = _coords(backend, word, np.array(stack))
-        start = 0
-        for i in at:
-            start, effects[i] = start + effects[i], rows[start:start + effects[i]]
-    groups: dict[tuple, list[int]] = {}
-    for i, (word, e) in enumerate(zip(words, effects)):
-        groups.setdefault((word, len(e)), []).append(i)
-    return [(word, np.array(at), np.array([effects[i] for i in at])) for (word, _), at in groups.items()]
-
-
-def _coords(backend, word: SystemType, kernels: np.ndarray) -> np.ndarray:
-    """The coordinates of a stack of effect kernels ``(..., 1, cols)`` on ``word``."""
-    rows = backend.transfer_matrices(kernels.reshape(-1, *kernels.shape[-2:]), word, UNIT)[:, 0]
-    return rows.reshape(*kernels.shape[:-2], -1)
-
-
-def _decide(backend, groups, tol, first) -> np.ndarray:
-    """Each test's largest deviation of its effect sum from the discard, for
-    ``groups`` of (word, test indices in ascending order, effect coordinates
-    ``(tests, k, state_dim)``) that cover the tests once, raising on the
-    first test over ``tol``, the tests numbered from ``first``."""
-    residuals = np.empty(sum(len(at) for _, at, _ in groups))
+def _decide_block(backend, first, stacks, tol) -> tuple[list[float], np.ndarray]:
+    """The ``run_trials`` decision of a block of tests, given as ``stacks`` of
+    (word, test positions ascending, effect kernels ``(tests, k, 1, cols)``)
+    that cover the block once: each test's largest deviation of its effect
+    sum from the discard, and which are over ``tol``.  Raises on the
+    block's first test over ``tol``, the tests numbered from ``first``."""
+    residuals = np.empty(sum(len(at) for _, at, _ in stacks))
     failed = None
-    for word, at, effects in groups:
+    for word, at, kernels in stacks:
+        rows = backend.transfer_matrices(kernels.reshape(-1, *kernels.shape[-2:]), word, UNIT)[:, 0]
+        effects = rows.reshape(*kernels.shape[:2], -1)
         total = sum(effects[:, j] for j in range(effects.shape[1]))  # in outcome order, as one test's sum
         r = residuals[at] = np.abs(total - backend.trace_effect(word).coords).max(axis=-1)
         over = at[r > tol]
@@ -172,7 +119,7 @@ def _decide(backend, groups, tol, first) -> np.ndarray:
     if failed is not None:
         i, word = failed
         raise CausalityViolationError(float(residuals[i]), f"test #{first + i} on {word}")
-    return residuals
+    return residuals.tolist(), residuals > tol
 
 
 def marginal(backend: TheoryBackend, state: StateVector, keep) -> StateVector:
@@ -202,7 +149,7 @@ def physicalize_readout(
     deterministic transformation.
     """
     tol = backend.tol.marginal
-    branches = _branch_channels(backend, test, bindings)
+    branches = branch_channels(test, backend, bindings)
     labels = tuple(label for label, _ in branches)
     win = branches[0][1].input_type
     wout = branches[0][1].output_type

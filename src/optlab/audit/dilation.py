@@ -27,9 +27,9 @@ from ..errors import (
     OptlabError,
     TypeMismatchError,
 )
-from .causality import _branch_channels
+from ..evaluator import as_channel, branch_channels
 from .purification import ConnectionReport, _connection, _split
-from .purity import _as_channel, is_pure_transformation
+from .purity import is_pure_transformation
 
 __all__ = [
     "ChoiCorrespondence",
@@ -142,7 +142,7 @@ def niwd_check(backend: TheoryBackend, test, bindings=None,
     identity; otherwise reports Holds/Violated with per-branch weights.
     """
     tol = backend.tol.gap if tol is None else tol
-    branches = _branch_channels(backend, test, bindings)
+    branches = branch_channels(test, backend, bindings)
     word = branches[0][1].input_type
     for _, ch in branches:
         if ch.input_type != word or ch.output_type != word:
@@ -196,7 +196,7 @@ def stinespring_dilate(backend: TheoryBackend, m, bindings=None) -> DilationResu
     realizes point preparations purely and raises
     ``BackendLacksDilationError`` otherwise.
     """
-    ch = _as_channel(backend, m, bindings)
+    ch = as_channel(m, backend, bindings)
     det = backend.deterministic_residual(ch)
     if det > backend.tol.marginal:
         raise OptlabError(

@@ -32,7 +32,6 @@ __all__ = [
     "SteeringResult",
     "purify_block",
     "purify_state",
-    "purify_states",
     "purification_uniqueness",
     "steering_measurement",
 ]
@@ -101,28 +100,20 @@ def purify_state(backend: TheoryBackend, state: StateVector) -> PurificationResu
     Spectral square root on the matrix theories; on the classical theory
     only point masses extend purely, so anything else returns a ``Failure``
     verdict with the refinement witness.  The zero state has no pure
-    extension on any theory: a ``Failure`` of rank 0.  The one-state case of
-    ``purify_states``.
+    extension on any theory: a ``Failure`` of rank 0.  ``purify_block`` of
+    the one state.
     """
-    return purify_states(backend, [state])[0]
-
-
-def purify_states(backend: TheoryBackend, states: Sequence[StateVector]) -> list[PurificationResult]:
-    """``purify_state`` of each state, through ``purify_block`` with the
-    states grouped by word."""
-    words: dict[SystemType, list[int]] = {}
-    for i, state in enumerate(states):
-        words.setdefault(state.system, []).append(i)
-    return purify_block(backend, [(word, at, np.array([states[i].coords for i in at]))
-                                  for word, at in words.items()])[0]
+    results, _ = purify_block(backend, [(state.system, np.arange(1), np.array([state.coords]))])
+    return results[0]
 
 
 def purify_block(backend: TheoryBackend, stacks) -> tuple[list[PurificationResult], list[bool]]:
     """``purify_state`` of each state of ``stacks`` of (word, the states'
     positions, their coordinates stacked), as ``Sampler.state_block`` draws
-    them: the results in order of position, and which have no pure
-    extension.  The states of one word are decomposed as one stack, and
-    those of one rank extended as one."""
+    them and ``sampling.declared_trials`` lays declared states out: the
+    results in order of position, and which have no pure extension.  The
+    states of one word are decomposed as one stack, and those of one rank
+    extended as one."""
     results: list = [None] * sum(len(at) for _, at, _ in stacks)
     for word, at, coords in stacks:
         objs = backend.state_object(coords, word)

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..backends.base import Channel, StateVector, TheoryBackend
-from ..diagram import Diagram
-from ..errors import OptlabError
-from ..evaluator import evaluate_channel
+from ..backends.base import StateVector, TheoryBackend
+from ..evaluator import as_channel
 
 __all__ = [
     "PurityReport",
@@ -32,14 +30,6 @@ class PurityReport:
     witness: dict | None = None
 
 
-def _as_channel(backend: TheoryBackend, m, bindings=None) -> Channel:
-    if isinstance(m, Diagram):
-        return evaluate_channel(m, backend, bindings=bindings)
-    if isinstance(m, Channel):
-        return m
-    raise OptlabError(f"cannot audit object of type {type(m).__name__}")
-
-
 def _report(dec) -> PurityReport:
     """Pure means rank one: the zero object (rank 0) is not pure."""
     return PurityReport(dec.rank == 1, dec.rank, dec.weights, dec.witness)
@@ -51,5 +41,5 @@ def is_pure_state(backend: TheoryBackend, state: StateVector) -> PurityReport:
 
 
 def is_pure_transformation(backend: TheoryBackend, m, bindings=None) -> PurityReport:
-    ch = _as_channel(backend, m, bindings)
+    ch = as_channel(m, backend, bindings)
     return _report(backend.extremal_decomposition(backend.channel_choi(ch)))

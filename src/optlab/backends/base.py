@@ -16,7 +16,7 @@ pointers); every backend resolves them without declaration.
 
 Every theory-specific operation lives in a backend: the evaluator, the
 audits, tomography and the sampler reach the theory only through backend
-methods.  Adding a theory means writing the 20 abstract members below; a
+methods.  Adding a theory means writing the 19 abstract members below; a
 class that lacks one cannot be instantiated.  An *object* is a state or
 effect in the theory's own form (a vector on the classical theory, a matrix
 otherwise).  This checklist puts exactly those members in double backquotes.
@@ -26,9 +26,7 @@ otherwise).  This checklist puts exactly those members in double backquotes.
   built by array calls on the whole group; every kernel the base class
   builds from an array comes from here),
   ``check_kernels`` (the physicality check of a stack of same-shape kernels
-  in Liouville order, with each kernel's full certificate on request);
-  ``deterministic_residual`` (how far a channel is from preserving
-  normalization).
+  in Liouville order, with each kernel's full certificate on request).
 * Kernels: ``legs_per_wire`` (a kernel index on a word is wire-major: one
   block of ``d ** legs_per_wire`` entries per wire of dimension d, a
   row and a column index on the operator-space kernels, one index on the
@@ -92,8 +90,10 @@ wire-major and Liouville order (``linalg``), where a theory needs the latter;
 ``random_reversible`` the ``conjugation_channel`` of a ``random_unitary``,
 and ``kernel_swap`` is one ``apply_par`` of a ``Swap`` on the identity
 kernel's rows; ``trace_channel`` is the ``effect_channel`` of
-``diagonal`` of ones (the discard); ``uniform_state`` is ``state_coords`` of
-``diagonal`` of ``1/d``; ``effect_coords``/``effect_object`` are the state
+``diagonal`` of ones (the discard), and ``deterministic_residual`` (how far
+a channel is from preserving normalization) the largest gap between
+discarding after the channel and discarding before it; ``uniform_state``
+is ``state_coords`` of ``diagonal`` of ``1/d``; ``effect_coords``/``effect_object`` are the state
 forms, because every theory here is self-dual; ``identity``, ``par``,
 ``state_as_channel`` and ``trace_effect`` (computed once per word and handed
 out read-only) are built on those.
@@ -488,9 +488,12 @@ class TheoryBackend(abc.ABC):
         _, certificate = self.check_kernels(kernel[None], *dims)
         return certificate(0, self._role(ch.input_type, ch.output_type))
 
-    @abc.abstractmethod
     def deterministic_residual(self, ch: Channel) -> float:
-        """How far the channel is from preserving normalization."""
+        """How far the channel is from preserving normalization: the largest
+        gap between discarding after it and discarding before it (0 when
+        the kernel is empty)."""
+        after = self.trace_channel(ch.output_type).kernel @ ch.kernel
+        return float(np.max(np.abs(after - self.trace_channel(ch.input_type).kernel), initial=0.0))
 
     @staticmethod
     def _kernel_role(input_type: SystemType, output_type: SystemType) -> str:

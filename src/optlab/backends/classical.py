@@ -107,10 +107,6 @@ class ClassicalBackend(TheoryBackend):
 
         return ~(negative | overfull), certificate
 
-    def deterministic_residual(self, ch: Channel) -> float:
-        col_sums = np.asarray(ch.kernel, dtype=float).sum(axis=0)
-        return float(np.max(np.abs(col_sums - 1.0))) if col_sums.size else 0.0
-
     # -- kernel algebra -------------------------------------------------
 
     def transfer_matrices(self, kernels, input_type, output_type):

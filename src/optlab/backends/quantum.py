@@ -252,11 +252,6 @@ class _MatrixTheory(TheoryBackend):
 
         return ~(not_adjoint | negative | leaky), certificate
 
-    def deterministic_residual(self, ch: Channel) -> float:
-        din, dout = self.hilbert_dim(ch.input_type), self.hilbert_dim(ch.output_type)
-        reduced = linalg.partial_trace(self.channel_choi(ch), [din, dout], [0])
-        return float(np.max(np.abs(reduced - np.eye(din))))
-
     # -- coordinates ----------------------------------------------------
 
     def transfer_matrices(self, kernels, input_type, output_type):

@@ -33,8 +33,8 @@ from .errors import (
     DslParseError,
     OptlabError,
 )
-from .evaluator import evaluate, evaluate_channel, run_test_circuit
-from .sampling import Sampler, run_trials, spawn_rngs
+from .evaluator import branch_channels, evaluate, run_test_circuit
+from .sampling import Sampler, declared_trials, run_trials, spawn_rngs
 from .serialize import dumps_canonical
 
 __all__ = ["main", "build_parser"]
@@ -197,7 +197,7 @@ def _cmd_steer(wb: Workbench, args) -> dict:
             f"test {args.test!r} does not prepare states: it has type "
             f"{test.input_type} -> {test.output_type}"
         )
-    channels = [evaluate_channel(branch, wb.backend, wb.bindings) for branch in test.branches]
+    channels = [ch for _, ch in branch_channels(test, wb.backend, wb.bindings)]
     base_word = test.output_type
     joint = psi.system.word
     base = base_word.word
@@ -250,11 +250,11 @@ def _audit_causality(wb: Workbench, args) -> tuple[str, list]:
 def _audit_purification(wb: Workbench, args) -> tuple[str, list]:
     names = [name for name, kind in wb.kinds.items() if kind == "state"]
     if names:
-        purified = audit.purify_states(wb.backend, [wb.state_vector(name) for name in names])
+        walk = declared_trials([(s.system, s.coords) for s in map(wb.state_vector, names)])
     else:
-        purified, _ = run_trials(args.trials, Sampler(wb.backend, seed=args.seed).state_block,
-                                 lambda first, block: audit.purify_block(wb.backend, block))
+        walk = partial(run_trials, args.trials, Sampler(wb.backend, seed=args.seed).state_block)
         names = [f"random[{i}]" for i in range(args.trials)]
+    purified, _ = walk(lambda first, block: audit.purify_block(wb.backend, block))
     return "states", [{"state": name, **vars(r)} for name, r in zip(names, purified)]
 
 

@@ -30,6 +30,10 @@ test's stacked branch kernels giving each column one per outcome, and a test
 given by its branches applies each branch to the whole stack.  Every column
 goes through products of the same shape as in a lone chain, so each
 outcome's probability is the one :func:`evaluate` gives its branch.
+
+:func:`as_channel` and :func:`branch_channels` are the one place that turns
+what a caller hands the audits, the CLI and tomography (a diagram, a channel,
+a ``Test`` or a list of branches) into channels.
 """
 
 from __future__ import annotations
@@ -54,11 +58,14 @@ from .diagram import (
 )
 from .errors import (
     NormalizationViolationError,
+    OptlabError,
     TypeMismatchError,
     UnknownBoxError,
 )
 
 __all__ = [
+    "as_channel",
+    "branch_channels",
     "evaluate",
     "evaluate_channel",
     "run_test_circuit",
@@ -122,6 +129,31 @@ def evaluate_channel(
 
     memo[d] = ch
     return ch
+
+
+def as_channel(
+    m,
+    backend: TheoryBackend,
+    bindings: Mapping[str, Channel] | None = None,
+    memo: dict | None = None,
+) -> Channel:
+    """A caller's diagram, evaluated, or channel, as it is."""
+    if isinstance(m, Channel):
+        return m
+    if isinstance(m, Diagram):
+        return evaluate_channel(m, backend, bindings, memo)
+    raise OptlabError(f"cannot interpret an object of type {type(m).__name__} as a channel")
+
+
+def branch_channels(
+    test, backend: TheoryBackend, bindings: Mapping[str, Channel] | None = None
+) -> list[tuple[str, Channel]]:
+    """A caller's test as labelled channels: a ``Test``'s branches under
+    their labels, or a sequence of diagrams and channels under their
+    positions, the diagrams evaluated through one memo."""
+    memo: dict = {}
+    items = test.items() if isinstance(test, Test) else enumerate(test)
+    return [(str(label), as_channel(m, backend, bindings, memo)) for label, m in items]
 
 
 def _check_wires(prefix: SystemType, next_input: SystemType) -> None:

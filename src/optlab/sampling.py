@@ -35,18 +35,26 @@ numbers: an observation test's ``k`` effects are
 ``drawn_states`` of its ``state_draws`` of one.  Only what a seed maps to
 differs from drawing the trials one at a time (as earlier versions did).
 The trials of one word are worked out as one stack.
+
+Declared items walk the same blocks: ``declared_trials`` lays a caller's
+``(word, array)`` items out, ``TRIAL_BLOCK`` at a time, in the stacks these
+``Sampler`` methods give, grouped by word and array shape in order of the
+first item, so that an audit decides declared and drawn trials alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from itertools import islice
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .backends.base import TheoryBackend
 from .diagram import SystemType
+from .errors import OptlabError
 
-__all__ = ["Sampler", "TRIAL_BLOCK", "run_trials", "spawn_rngs"]
+__all__ = ["Sampler", "TRIAL_BLOCK", "declared_trials", "run_trials", "spawn_rngs"]
 
 TRIAL_BLOCK = 256  # trials drawn, and decided, together
 
@@ -71,6 +79,25 @@ def run_trials(count: int, draw: Callable, decide: Callable) -> tuple[list, list
         statistics += stats
         failures += (first + np.flatnonzero(failed)).tolist()
     return statistics, failures
+
+
+def declared_trials(items: Sequence[tuple[SystemType, np.ndarray]]) -> Callable:
+    """The walk of declared ``(word, array)`` items awaiting its decision,
+    as ``partial(run_trials, count, sampler.state_block)`` is of drawn ones:
+    each block's items grouped by word and array shape, in order of the
+    group's first item, with their positions in the block and their arrays
+    stacked."""
+    rest = iter(items)
+
+    def draw(n: int) -> list[tuple[SystemType, np.ndarray, np.ndarray]]:
+        block = list(islice(rest, n))
+        groups: dict[tuple, list[int]] = {}
+        for i, (word, array) in enumerate(block):
+            groups.setdefault((word, np.shape(array)), []).append(i)
+        return [(word, np.array(at), np.array([block[i][1] for i in at]))
+                for (word, _), at in groups.items()]
+
+    return partial(run_trials, len(items), draw)
 
 
 class Sampler:
@@ -121,8 +148,8 @@ class Sampler:
         """Steps 1 to 3 of the layout: the words of a block's ``n`` trials,
         each with the positions of its trials, in order of its first trial."""
         labels, rng, dims = self._labels, self.rng, self._dims
-        if not labels:
-            return [(SystemType(()), np.arange(n))]
+        if not labels:  # only the unit word: nothing to audit
+            raise OptlabError("no systems to audit; declare a system")
         blank = len(labels)  # the pick past a trial's length, of dimension 1
         picks = np.empty((n, max_len), dtype=np.int64)
         todo = np.arange(n)

@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .audit.purity import _as_channel
 from .backends.base import EffectVector, StateVector, TheoryBackend
 from .diagram import SystemType, UNIT
 from .errors import OptlabError, TypeMismatchError
+from .evaluator import as_channel
 from .sampling import Sampler, run_trials
 
 __all__ = [
@@ -79,8 +79,8 @@ def equivalent(
     reference certifies equal statistics in every context using it.
     """
     tol = backend.tol.gap if tol is None else tol
-    c1 = _as_channel(backend, m1, bindings)
-    c2 = _as_channel(backend, m2, bindings)
+    c1 = as_channel(m1, backend, bindings)
+    c2 = as_channel(m2, backend, bindings)
     if (c1.input_type, c1.output_type) != (c2.input_type, c2.output_type):
         raise TypeMismatchError(
             f"cannot compare {c1.input_type} -> {c1.output_type} "
@@ -128,8 +128,8 @@ def replay_witness(
     bindings=None,
 ) -> tuple[float, float]:
     """Run the witness probe against both circuits; returns both probabilities."""
-    c1 = _as_channel(backend, m1, bindings)
-    c2 = _as_channel(backend, m2, bindings)
+    c1 = as_channel(m1, backend, bindings)
+    c2 = as_channel(m2, backend, bindings)
     st_kernel = backend.state_as_channel(witness.state).kernel
     eff_obj = backend.effect_object(witness.effect.coords, witness.effect.system)
     eff_kernel = backend.effect_channel(eff_obj, witness.effect.system).kernel

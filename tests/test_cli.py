@@ -377,17 +377,57 @@ def test_audit_niwd_with_no_applicable_test_is_a_usage_error(run, tmp_path):
     assert json.loads(out)["error"].startswith("no identity-summing test")
 
 
-@pytest.mark.parametrize("axiom", ["faithfulness", "local-tomography"])
+@pytest.mark.parametrize("axiom", ["faithfulness", "local-tomography", "causality", "purification"])
 @pytest.mark.parametrize("theory", ["classical", "quantum", "quantum-real"])
 def test_audit_of_a_file_without_systems_is_a_usage_error(run, tmp_path, axiom, theory):
-    """With no declared system these audits would check nothing, so they
-    refuse, as niwd does with no test to audit, instead of reading Holds."""
+    """With no declared system these audits would check nothing (the drawn
+    trials of causality and purification would all be on the unit word), so
+    they refuse, as niwd does with no test to audit, instead of reading Holds."""
     p = tmp_path / "bare.opt"
     p.write_text(f"theory {theory}\n")
     code, out = run("audit", p, "--axiom", axiom)
     assert code == 2
-    key = "systems" if axiom == "faithfulness" else "pairs"
+    key = "pairs" if axiom == "local-tomography" else "systems"
     assert json.loads(out) == {"error": f"no {key} to audit; declare a system"}
+
+
+@pytest.mark.parametrize("theory", ["classical", "quantum", "quantum-real"])
+def test_a_declared_state_on_the_unit_word_stays_auditable(run, tmp_path, theory):
+    p = tmp_path / "scalar.opt"
+    p.write_text(f"theory {theory}\nstate one : I = vec=[1]\n")
+    code, out = run("audit", p, "--axiom", "purification")
+    (row,) = json.loads(out)["states"]
+    assert code == 0 and row["state"] == "one" and row["verdict"] == "Purified"
+
+
+@pytest.mark.parametrize("theory", ["classical", "quantum", "quantum-real"])
+def test_the_purification_audit_of_many_declared_states_is_each_states_purification(run, tmp_path, theory):
+    """300 declared states walk two blocks of the trial driver; each row is
+    what ``purify_state`` gives the state alone."""
+    from optlab.audit import purify_state
+    from optlab.dsl import load
+    from optlab.serialize import dumps_canonical
+
+    rng = np.random.default_rng(5)
+    lines = [f"theory {theory}", "system A dim=2", "system B dim=3"]
+    for i in range(300):
+        word, d = [("A", 2), ("B", 3), ("A * B", 6)][i % 3]
+        if theory == "classical":
+            weights = rng.exponential(size=d) * (rng.random(d) < 0.6) if i % 4 else np.eye(d)[i % d]
+            payload = f"vec={json.dumps((weights / max(weights.sum(), 1.0)).tolist())}"
+        else:
+            g = rng.normal(size=(d, 1 + i % d))
+            payload = f"dens={json.dumps((g @ g.T / np.trace(g @ g.T)).tolist())}"
+        lines.append(f"state s{i} : {word} = {payload}")
+    text = "\n".join(lines) + "\n"
+    p = tmp_path / "many.opt"
+    p.write_text(text)
+    code, out = run("audit", p, "--axiom", "purification")
+    wb = load(text)
+    names = [f"s{i}" for i in range(300)]
+    rows = [{"state": name, **vars(purify_state(wb.backend, wb.state_vector(name)))} for name in names]
+    assert json.loads(out)["states"] == json.loads(dumps_canonical(rows))
+    assert code == (1 if theory == "classical" else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ import pytest
 
 from fixture_sampler import FixtureSampler
 from optlab import SystemType, get_backend, linalg
-from optlab.audit import check_causality, purify_block, purify_state, purify_states
-from optlab.backends.base import Channel, EffectVector, StateVector
-from optlab.diagram import UNIT
+from optlab.audit import check_causality, purify_block, purify_state
+from optlab.backends.base import Channel, StateVector
+from optlab.diagram import UNIT, OutcomeSpace, PrimitiveBox, Test
 from optlab.errors import BackendLacksPurificationError, CausalityViolationError, TypeMismatchError
-from optlab.sampling import TRIAL_BLOCK, Sampler, run_trials
+from optlab.sampling import TRIAL_BLOCK, Sampler, declared_trials, run_trials
 
 SYSTEMS = {"A": 2, "B": 3, "C": 2}
 A, B = SystemType.of("A"), SystemType.of("B")
@@ -129,12 +129,8 @@ def reference_check_causality(backend, tests, tol):
     """Residuals in order, or the message of the first violation."""
     residuals = []
     for idx, test in enumerate(tests):
-        if isinstance(test[0], EffectVector):
-            word = test[0].system
-            coords = sum(np.asarray(e.coords) for e in test)
-        else:
-            word = test[0].input_type
-            coords = sum(reference_transfer(backend, ch)[0, :] for ch in test)
+        word = test[0].input_type
+        coords = sum(reference_transfer(backend, ch)[0, :] for ch in test)
         target = reference_transfer(backend, backend.trace_channel(word))[0, :]
         residual = float(np.max(np.abs(coords - target)))
         if residual > tol:
@@ -248,9 +244,9 @@ def assert_identical(got, want):
         assert type(got) is type(want) and got == want
 
 
-def outcome(backend, tests, tol):
+def outcome(backend, tests, tol, bindings=None):
     try:
-        return check_causality(backend, tests, tol=tol).residuals
+        return check_causality(backend, tests, bindings, tol=tol).residuals
     except CausalityViolationError as e:
         return str(e)
 
@@ -457,35 +453,110 @@ def test_padded_and_unpadded_outcome_sums_are_bit_identical(theory):
     assert padded_tests > 100
 
 
-def test_causality_on_effect_vectors_and_mixed_tests(theory):
+def as_diagrams(test, name, bindings):
+    """A list of effect channels as primitive boxes bound to them."""
+    boxes = []
+    for j, ch in enumerate(test):
+        boxes.append(PrimitiveBox(f"{name}.{j}", ch.input_type, UNIT))
+        bindings[boxes[-1].name] = ch
+    return boxes
+
+
+def test_causality_on_channel_lists_diagram_lists_and_tests(theory):
+    """The three forms of a declared test, mixed in one run, decide as their
+    channels alone would."""
     channel_tests, _ = reference_random_observation_tests(theory, 4, 30)
-    vector_tests = [[theory.channel_effect(ch) for ch in t] for t in channel_tests[:15]]
-    tests = [t for pair in zip(vector_tests, channel_tests[15:]) for t in pair]
+    bindings: dict = {}
+    tests = []
+    for i, test in enumerate(channel_tests):
+        if i % 3 == 1:
+            test = as_diagrams(test, f"t{i}", bindings)
+        elif i % 3 == 2:
+            test = Test(OutcomeSpace(tuple("abcd"[:len(test)])), tuple(as_diagrams(test, f"t{i}", bindings)))
+        tests.append(test)
     for tol in (1e-9, 5e-16, 0.0):
-        assert_identical(outcome(theory, tests, tol), reference_check_causality(theory, tests, tol))
+        assert_identical(outcome(theory, tests, tol, bindings), reference_check_causality(theory, channel_tests, tol))
 
 
 def test_many_outcomes_on_a_one_coordinate_word_sum_in_outcome_order(theory):
-    """Twelve effects on the unit word: a sum over the outcome axis could
-    pair them up and round differently from the loop's sum."""
+    """Twelve effect channels on the unit word: a sum over the outcome axis
+    could pair them up and round differently from the loop's sum."""
     rng = np.random.default_rng(1)
     tests = []
     for _ in range(40):
         weights = rng.exponential(size=12)
-        tests.append([EffectVector(np.array([w]), UNIT) for w in weights / weights.sum()])
+        weights = weights / weights.sum()
+        tests.append([theory.effect_channel(theory.diagonal(np.array([w])), UNIT) for w in weights])
     for tol in (1e-9, 0.0):
         assert_identical(outcome(theory, tests, tol), reference_check_causality(theory, tests, tol))
     assert any(check_causality(theory, tests).residuals)
 
 
+def leaky(test):
+    """A test whose effects are halved: it sums to half the discard."""
+    return [Channel(c.input_type, c.output_type, 0.5 * c.kernel) for c in test]
+
+
 def test_a_malformed_test_raises_only_after_the_tests_before_it_pass(theory):
     tests, _ = reference_random_observation_tests(theory, 6, 4)
     box = Channel(A, A, theory.identity(A).kernel)
-    leaky = [Channel(c.input_type, c.output_type, 0.5 * c.kernel) for c in tests[1]]
     with pytest.raises(TypeMismatchError):
-        check_causality(theory, [tests[0], [box], leaky])
+        check_causality(theory, [tests[0], [box], leaky(tests[1])])
     with pytest.raises(CausalityViolationError, match="test #1"):
-        check_causality(theory, [tests[0], leaky, [box]])
+        check_causality(theory, [tests[0], leaky(tests[1]), [box]])
+
+
+def test_declared_items_walk_blocks_grouped_by_word_and_shape():
+    """Blocks of 256 items; in each, one stack per word and array shape, in
+    order of its first item, holding its items' positions ascending."""
+    rng = np.random.default_rng(0)
+    words, shapes = [A, B, A * B], [(2, 1, 4), (3, 1, 4)]
+    picks = zip(rng.integers(3, size=600), rng.integers(2, size=600))
+    items = [(words[w], np.full(shapes[k], float(i))) for i, (w, k) in enumerate(picks)]
+    firsts = []
+
+    def keep(first, block):
+        firsts.append(first)
+        n = min(TRIAL_BLOCK, len(items) - first)
+        assert sorted(t for _, at, _ in block for t in at) == list(range(n))
+        assert len({(word, stack.shape[1:]) for word, _, stack in block}) == len(block)
+        assert [at[0] for _, at, _ in block] == sorted(at[0] for _, at, _ in block)
+        for word, at, stack in block:
+            assert list(at) == sorted(at)
+            for t, array in zip((first + at).tolist(), stack):
+                assert items[t][0] == word
+                assert_identical(array, items[t][1])
+        return list(range(first, first + n)), np.arange(n) % 100 == 0
+
+    statistics, failures = declared_trials(items)(keep)
+    assert firsts == [0, 256, 512] and statistics == list(range(600))
+    assert failures == [0, 100, 200, 256, 356, 456, 512]
+
+
+def test_declared_tests_across_the_block_edges_decide_as_the_per_trial_loop(theory):
+    tests, _ = reference_random_observation_tests(theory, 5, 600)
+    for tol in (1e-9, 5e-16, 0.0):
+        assert_identical(outcome(theory, tests, tol), reference_check_causality(theory, tests, tol))
+    assert check_causality(theory, tests).tests_checked == 600
+
+
+def test_a_declared_violation_in_a_later_block_is_named_by_its_place(theory):
+    tests, _ = reference_random_observation_tests(theory, 5, 600)
+    tests[300] = leaky(tests[300])
+    with pytest.raises(CausalityViolationError, match="test #300 on"):
+        check_causality(theory, tests)
+
+
+def test_a_malformed_test_in_the_third_block_raises_only_when_no_test_before_it_fails(theory):
+    tests, _ = reference_random_observation_tests(theory, 5, 600)
+    tests[520] = [Channel(A, A, theory.identity(A).kernel)]
+    with pytest.raises(TypeMismatchError):
+        check_causality(theory, tests)
+    with pytest.raises(TypeMismatchError):  # a violation after it is never reached
+        check_causality(theory, tests[:530] + [leaky(tests[530])] + tests[531:])
+    for before in (300, 515):  # in an earlier block, and earlier in its own
+        with pytest.raises(CausalityViolationError, match=f"test #{before} on"):
+            check_causality(theory, tests[:before] + [leaky(tests[before])] + tests[before + 1:])
 
 
 def test_causality_in_groups_changes_no_bit(theory):
@@ -530,18 +601,27 @@ def mixed_states(backend):
     return [states[i] for i in np.random.default_rng(0).permutation(len(states))]
 
 
-def test_purify_states_on_mixed_words_and_ranks(theory):
+def purify_declared(backend, states):
+    """The purification of declared states, through the one trial walk."""
+    results, failed = declared_trials([(s.system, s.coords) for s in states])(
+        lambda first, block: purify_block(backend, block))
+    assert failed == [t for t, r in enumerate(results) if r.verdict == "Failure"]
+    return results
+
+
+def test_declared_states_on_mixed_words_and_ranks(theory):
     states = mixed_states(theory)
-    results = purify_states(theory, states)
+    results = purify_declared(theory, states)
     assert_identical([vars(r) for r in results], [reference_purify(theory, s) for s in states])
     assert {r.rank for r in results} >= {0, 1, 2}
     assert {r.verdict for r in results} == {"Purified", "Failure"}
 
 
 def test_purification_in_groups_changes_no_bit(theory):
-    states = mixed_states(theory) + drawn_states(Sampler(theory, seed=2), 40)
-    whole = [vars(r) for r in purify_states(theory, states)]
-    parts = [vars(r) for at in range(0, len(states), 7) for r in purify_states(theory, states[at:at + 7])]
+    """Across the block edge at 256, too."""
+    states = mixed_states(theory) + drawn_states(Sampler(theory, seed=2), 300)
+    whole = [vars(r) for r in purify_declared(theory, states)]
+    parts = [vars(r) for at in range(0, len(states), 7) for r in purify_declared(theory, states[at:at + 7])]
     singles = [vars(purify_state(theory, s)) for s in states]
     assert_identical(parts, whole)
     assert_identical(singles, whole)
